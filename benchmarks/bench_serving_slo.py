@@ -32,12 +32,15 @@ from repro.bench.harness import format_table
 from repro.data.datasets import criteo_kaggle_like
 from repro.models.config import DLRMConfig, EmbeddingBackend
 from repro.models.dlrm import DLRM
+from repro.resilience import DegradationPolicy
 from repro.serving import (
+    AdmissionConfig,
     BatchingPolicy,
-    InferenceServer,
+    FleetConfig,
+    ModelSnapshot,
     RequestGenerator,
     ServiceTimeModel,
-    ServingModel,
+    ServingFleet,
 )
 
 SCALE = 3e-5
@@ -52,6 +55,23 @@ POLICIES = {
     "batch 16 / 2 ms": BatchingPolicy(max_batch_size=16, max_wait=2e-3),
     "batch 64 / 5 ms": BatchingPolicy(max_batch_size=64, max_wait=5e-3),
 }
+#: Far above the grid's slowest cell (p99 ~13 ms): this table measures
+#: batching, so no breaker may trip and start shedding.
+NO_DEGRADATION = DegradationPolicy(slo_target=1.0)
+
+
+def _single_server(snapshot, hot_rows, policy: BatchingPolicy) -> ServingFleet:
+    """One replica with a two-batch worker pool."""
+    return ServingFleet(
+        snapshot,
+        hot_rows=hot_rows,
+        config=FleetConfig(
+            num_replicas=1,
+            batching=policy,
+            admission=AdmissionConfig(max_in_flight=2),
+            degradation=NO_DEGRADATION,
+        ),
+    )
 
 
 def build_serving_slo_table() -> str:
@@ -60,7 +80,7 @@ def build_serving_slo_table() -> str:
         spec, embedding_dim=8, backend=EmbeddingBackend.EFF_TT, tt_rank=8,
         bottom_mlp=(16,), top_mlp=(16,),
     )
-    model = DLRM(config, seed=0)
+    snapshot = ModelSnapshot.from_model(DLRM(config, seed=0))
     rows = []
     for rate in RATES:
         generator = RequestGenerator(spec, rate=rate, seed=0)
@@ -70,11 +90,7 @@ def build_serving_slo_table() -> str:
             for t in range(spec.num_sparse)
         }
         for label, policy in POLICIES.items():
-            server = InferenceServer(
-                ServingModel(model, hot_rows=hot_rows),
-                policy=policy,
-                num_workers=2,
-            )
+            server = _single_server(snapshot, hot_rows, policy)
             report = server.run(requests).report
             rows.append(
                 [
@@ -121,7 +137,7 @@ def test_batching_helps_under_load():
         spec, embedding_dim=8, backend=EmbeddingBackend.EFF_TT, tt_rank=8,
         bottom_mlp=(16,), top_mlp=(16,),
     )
-    model = DLRM(config, seed=0)
+    snapshot = ModelSnapshot.from_model(DLRM(config, seed=0))
     generator = RequestGenerator(spec, rate=24_000.0, seed=0)
     requests = generator.generate(NUM_REQUESTS)
     hot_rows = {
@@ -130,10 +146,7 @@ def test_batching_helps_under_load():
     }
 
     def p99(policy: BatchingPolicy) -> float:
-        server = InferenceServer(
-            ServingModel(model, hot_rows=hot_rows),
-            policy=policy, num_workers=2,
-        )
+        server = _single_server(snapshot, hot_rows, policy)
         return server.run(requests).report.latency_p99
 
     assert p99(POLICIES["batch 16 / 2 ms"]) < p99(POLICIES["no batching"])
@@ -171,8 +184,6 @@ def _with_surge(requests, factor):
 
 
 def build_fleet_slo_table() -> str:
-    from repro.serving import FleetConfig, ModelSnapshot, ServingFleet
-
     spec = criteo_kaggle_like(scale=FLEET_SCALE)
     config = DLRMConfig.from_dataset(
         spec, embedding_dim=8, backend=EmbeddingBackend.EFF_TT, tt_rank=8,
@@ -258,8 +269,6 @@ def test_fleet_slo_sweep(benchmark):
 @pytest.mark.fleet_slow
 def test_replicas_absorb_the_surge():
     """Under the surge, 4 replicas must beat 1 replica on p99."""
-    from repro.serving import FleetConfig, ModelSnapshot, ServingFleet
-
     spec = criteo_kaggle_like(scale=FLEET_SCALE)
     config = DLRMConfig.from_dataset(
         spec, embedding_dim=8, backend=EmbeddingBackend.EFF_TT, tt_rank=8,

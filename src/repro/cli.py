@@ -366,6 +366,15 @@ def _train_compressed(args: argparse.Namespace, spec, log, cfg) -> int:
     return 0 if losses[-1] < losses[0] and (within or not plan.feasible) else 1
 
 
+def _plan_summary(strategy: str, plan) -> str:
+    """One-line size-vs-budget summary of a compression plan."""
+    return (
+        f"embeddings: '{strategy}' plan, "
+        f"{plan.total_bytes / 1e6:.2f} MB of "
+        f"{plan.budget_bytes / 1e6:.2f} MB budget"
+    )
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.backend import InstrumentedBackend, SanitizerBackend, get_backend, get_plan_cache
     from repro.data.dataloader import SyntheticClickLog
@@ -409,11 +418,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             for t, entry in enumerate(comp_plan.tables)
         ]
         model = DLRM(cfg, seed=args.seed, embedding_bags=bags)
-        print(
-            f"embeddings: '{args.compress_strategy}' plan, "
-            f"{comp_plan.total_bytes / 1e6:.2f} MB of "
-            f"{comp_plan.budget_bytes / 1e6:.2f} MB budget"
-        )
+        print(_plan_summary(args.compress_strategy, comp_plan))
     else:
         model = DLRM(cfg, seed=args.seed)
     plan_cache = get_plan_cache()
@@ -895,22 +900,28 @@ def _run_serving(
     seed: int,
     compress_strategy: str = "none",
     memory_budget_mb: Optional[float] = None,
+    replicas: int = 1,
+    autoscale_ceiling: Optional[int] = None,
 ):
     """Build a model + traffic and run one serving simulation.
 
-    With ``compress_strategy`` set, the served embedding tables are
-    built from an auto-tuner plan over analytic table statistics (hot
-    caches then sit on top of whatever strategy each table got).
+    ``workers`` is each replica's in-flight depth; ``autoscale_ceiling``
+    turns on SLO-headroom autoscaling up to that many replicas.  With
+    ``compress_strategy`` set, the served embedding tables are built
+    from an auto-tuner plan over analytic table statistics (hot caches
+    then sit on top of whatever strategy each table got).
     """
     from repro.data.dataloader import SyntheticClickLog
     from repro.models.config import DLRMConfig, EmbeddingBackend
     from repro.models.dlrm import DLRM
     from repro.serving import (
+        AdmissionConfig,
+        AutoscalePolicy,
         BatchingPolicy,
-        InferenceServer,
+        FleetConfig,
         ModelSnapshot,
         RequestGenerator,
-        ServingModel,
+        ServingFleet,
     )
 
     generator = RequestGenerator(spec, rate=rate, seed=seed)
@@ -940,6 +951,7 @@ def _run_serving(
             for t, entry in enumerate(comp_plan.tables)
         ]
         model = DLRM(config, seed=seed, embedding_bags=bags)
+        print(_plan_summary(compress_strategy, comp_plan))
     else:
         model = DLRM(config, seed=seed)
     snapshot_v0 = ModelSnapshot.from_model(model, version=0)
@@ -947,73 +959,28 @@ def _run_serving(
         t: generator.hot_rows(t, hot_coverage)
         for t in range(spec.num_sparse)
     }
-    server = InferenceServer(
-        ServingModel(snapshot_v0.materialize(), hot_rows=hot_rows),
-        policy=BatchingPolicy(
-            max_batch_size=max_batch_size, max_wait=max_wait,
-            queue_capacity=max(512, max_batch_size),
-        ),
-        num_workers=workers,
-    )
-    if train_steps > 0:
-        # Train past the v0 snapshot, then hot-swap the improved model
-        # in mid-stream (the serving side runs on the materialized v0,
-        # so training here never touches its arrays).
-        log = SyntheticClickLog(spec, batch_size=64, seed=seed)
-        for i in range(train_steps):
-            model.train_step(log.batch(i), lr=0.1)
-        snapshot_v1 = ModelSnapshot.from_model(model, version=1)
-        midpoint = requests[len(requests) // 2].arrival_time
-        server.schedule_swap(midpoint, snapshot_v1)
-    return server.run(requests)
-
-
-def _run_fleet_serving(spec, args: argparse.Namespace):
-    """Build a model + traffic and run one replicated-fleet simulation."""
-    from repro.data.dataloader import SyntheticClickLog
-    from repro.models.config import DLRMConfig, EmbeddingBackend
-    from repro.models.dlrm import DLRM
-    from repro.serving import (
-        AutoscalePolicy,
-        BatchingPolicy,
-        FleetConfig,
-        ModelSnapshot,
-        RequestGenerator,
-        ServingFleet,
-    )
-
-    generator = RequestGenerator(spec, rate=args.rate, seed=args.seed)
-    requests = generator.generate(args.requests)
-    config = DLRMConfig.from_dataset(
-        spec, embedding_dim=8, backend=EmbeddingBackend.EFF_TT, tt_rank=8,
-        bottom_mlp=(16,), top_mlp=(16,),
-    )
-    model = DLRM(config, seed=args.seed)
-    snapshot_v0 = ModelSnapshot.from_model(model, version=0)
-    hot_rows = {
-        t: generator.hot_rows(t, args.hot_coverage)
-        for t in range(spec.num_sparse)
-    }
-    autoscale = None
-    if args.autoscale:
-        autoscale = AutoscalePolicy(
-            min_replicas=1, max_replicas=args.max_replicas,
-        )
     fleet = ServingFleet(
         snapshot_v0,
         hot_rows=hot_rows,
         config=FleetConfig(
-            num_replicas=args.replicas,
+            num_replicas=replicas,
             batching=BatchingPolicy(
-                max_batch_size=args.max_batch_size, max_wait=args.max_wait,
-                queue_capacity=max(512, args.max_batch_size),
+                max_batch_size=max_batch_size, max_wait=max_wait,
+                queue_capacity=max(512, max_batch_size),
             ),
-            autoscale=autoscale,
+            admission=AdmissionConfig(max_in_flight=workers),
+            autoscale=(
+                AutoscalePolicy(min_replicas=1, max_replicas=autoscale_ceiling)
+                if autoscale_ceiling is not None else None
+            ),
         ),
     )
-    if args.train_steps > 0:
-        log = SyntheticClickLog(spec, batch_size=64, seed=args.seed)
-        for i in range(args.train_steps):
+    if train_steps > 0:
+        # Train past the v0 snapshot, then hot-swap the improved model
+        # in mid-stream (every replica runs on its own materialized
+        # copy, so training here never touches a served array).
+        log = SyntheticClickLog(spec, batch_size=64, seed=seed)
+        for i in range(train_steps):
             model.train_step(log.batch(i), lr=0.1)
         snapshot_v1 = ModelSnapshot.from_model(model, version=1)
         midpoint = requests[len(requests) // 2].arrival_time
@@ -1021,8 +988,41 @@ def _run_fleet_serving(spec, args: argparse.Namespace):
     return fleet.run(requests)
 
 
-def _print_fleet_outcome(outcome) -> None:
+def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.backend import InstrumentedBackend, SanitizerBackend, get_backend
+    from repro.data.datasets import DATASET_FACTORIES
+    from repro.serving import export_serving_trace
+
+    if not _install_backend(args.backend):
+        return 2
+    if args.compress_strategy != "none" and args.memory_budget_mb is None:
+        print(
+            "--compress-strategy requires --memory-budget-mb",
+            file=sys.stderr,
+        )
+        return 2
+    factory = DATASET_FACTORIES[args.dataset]
+    spec = factory(scale=args.scale)
+    outcome = _run_serving(
+        spec,
+        num_requests=args.requests,
+        rate=args.rate,
+        workers=args.workers,
+        max_batch_size=args.max_batch_size,
+        max_wait=args.max_wait,
+        hot_coverage=args.hot_coverage,
+        train_steps=args.train_steps,
+        seed=args.seed,
+        compress_strategy=args.compress_strategy,
+        memory_budget_mb=args.memory_budget_mb,
+        replicas=args.replicas,
+        autoscale_ceiling=args.max_replicas if args.autoscale else None,
+    )
     print(outcome.report.format())
+    installs = [t for swap in outcome.swaps for _, t in swap.replica_times]
+    if installs:
+        swaps = ", ".join(f"{t * 1e3:.1f} ms" for t in installs)
+        print(f"hot swaps at: {swaps} (final model v{outcome.final_version})")
     print()
     print("fleet:")
     for rep in outcome.replicas:
@@ -1052,49 +1052,12 @@ def _print_fleet_outcome(outcome) -> None:
             f"{event.time * 1e3:.1f} ms (signal "
             f"{event.signal * 1e3:.2f} ms, {event.live_after} live)"
         )
-    if outcome.redirects:
+    if outcome.redirects or outcome.shed_ids:
         print(f"  {len(outcome.redirects)} redirects, "
               f"{len(outcome.shed_ids)} requests shed")
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.backend import InstrumentedBackend, SanitizerBackend, get_backend
-    from repro.data.datasets import DATASET_FACTORIES
-    from repro.serving import export_serving_trace
-
-    if not _install_backend(args.backend):
-        return 2
-    if args.compress_strategy != "none" and args.memory_budget_mb is None:
-        print(
-            "--compress-strategy requires --memory-budget-mb",
-            file=sys.stderr,
-        )
-        return 2
-    factory = DATASET_FACTORIES[args.dataset]
-    spec = factory(scale=args.scale)
-    if args.replicas > 1 or args.autoscale:
-        _print_fleet_outcome(_run_fleet_serving(spec, args))
-        return 0
-    outcome = _run_serving(
-        spec,
-        num_requests=args.requests,
-        rate=args.rate,
-        workers=args.workers,
-        max_batch_size=args.max_batch_size,
-        max_wait=args.max_wait,
-        hot_coverage=args.hot_coverage,
-        train_steps=args.train_steps,
-        seed=args.seed,
-        compress_strategy=args.compress_strategy,
-        memory_budget_mb=args.memory_budget_mb,
-    )
-    print(outcome.report.format())
-    if outcome.swap_times:
-        swaps = ", ".join(f"{t * 1e3:.1f} ms" for t in outcome.swap_times)
-        print(f"hot swaps at: {swaps} (final model v{outcome.final_model_version})")
     if args.trace:
         count = export_serving_trace(
-            args.trace, outcome.served_batches, outcome.swap_times
+            args.trace, outcome.served_batches, installs
         )
         print(f"wrote {count} trace events to {args.trace}")
     backend = get_backend()
@@ -1606,15 +1569,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--rate", type=float, default=2000.0,
         help="mean arrival rate, requests/second",
     )
-    serve.add_argument("--workers", type=int, default=2)
+    serve.add_argument(
+        "--workers", type=int, default=2,
+        help="batches each replica may have in flight at once",
+    )
     serve.add_argument(
         "--replicas", type=int, default=1,
-        help="run a replicated serving fleet with this many replicas "
-        "(each its own fault domain) instead of the single server",
+        help="serving replicas, each its own fault domain",
     )
     serve.add_argument(
         "--autoscale", action="store_true",
-        help="enable SLO-headroom autoscaling (implies the fleet path)",
+        help="enable SLO-headroom autoscaling",
     )
     serve.add_argument(
         "--max-replicas", type=int, default=8,

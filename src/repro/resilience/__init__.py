@@ -7,7 +7,9 @@ here is *injected deterministically* (seeded
 :class:`~repro.resilience.faults.FaultPlan` over the existing
 TraceProbe/queue/SimClock seams) and every recovery is *provable*
 (bitwise-identical loss trajectories after rollback-and-replay,
-bounded-staleness degraded serving).  See DESIGN.md §10.
+bounded-staleness degraded serving).  The serving degradation ladder
+itself runs in :mod:`repro.serving.fleet`; this package supplies its
+policy, circuit breaker and fault injection.  See DESIGN.md §10.
 """
 
 from repro.resilience.chaos import (
@@ -34,11 +36,7 @@ from repro.resilience.circuit import (
     BreakerTransition,
     CircuitBreaker,
 )
-from repro.resilience.degradation import (
-    DegradationOutcome,
-    DegradationPolicy,
-    ResilientInferenceServer,
-)
+from repro.resilience.degradation import DegradationPolicy
 from repro.resilience.faults import (
     FaultError,
     FaultInjector,
@@ -79,9 +77,7 @@ __all__ = [
     "BreakerState",
     "BreakerTransition",
     "CircuitBreaker",
-    "DegradationOutcome",
     "DegradationPolicy",
-    "ResilientInferenceServer",
     "FaultError",
     "FaultInjector",
     "FaultKind",

@@ -8,11 +8,10 @@ Given a named :class:`~repro.resilience.faults.FaultPlan` it:
 2. runs the same workload under the plan through
    :class:`~repro.resilience.supervisor.PipelineSupervisor` with a
    fault-injecting probe and a sabotaged checkpoint store;
-3. serves a request stream through
-   :class:`~repro.resilience.degradation.ResilientInferenceServer`
-   twice — clean baseline and under the plan's slowdown windows —
-   with the reference model as primary and an earlier snapshot as the
-   stale fallback;
+3. serves a request stream through a one-replica
+   :class:`~repro.serving.fleet.ServingFleet` twice — clean baseline
+   and under the plan's slowdown windows — with the reference model
+   as primary and an earlier snapshot as the stale fallback;
 4. evaluates the **invariant checklist**: bitwise-identical loss
    trajectory, no lost steps, no duplicate host applies, every
    scheduled fault fired, recovery within the restart budget, a
@@ -28,7 +27,7 @@ outcomes, including the failure story.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.data.dataloader import SyntheticClickLog
 from repro.data.datasets import criteo_kaggle_like
@@ -36,11 +35,7 @@ from repro.models.config import DLRMConfig, EmbeddingBackend
 from repro.models.dlrm import DLRM, build_embedding_bag
 from repro.resilience.checkpoint import CheckpointStore
 from repro.resilience.circuit import BreakerConfig, BreakerState
-from repro.resilience.degradation import (
-    DegradationOutcome,
-    DegradationPolicy,
-    ResilientInferenceServer,
-)
+from repro.resilience.degradation import DegradationPolicy
 from repro.resilience.faults import (
     FaultKind,
     FaultPlan,
@@ -55,13 +50,15 @@ from repro.resilience.supervisor import (
 )
 from repro.serving.batcher import BatchingPolicy
 from repro.serving.requests import RequestGenerator
-from repro.serving.server import ServiceTimeModel, ServingModel
 from repro.serving.snapshot import ModelSnapshot
 from repro.system.parameter_server import (
     HostBackedEmbeddingBag,
     HostParameterServer,
 )
 from repro.system.pipeline import PipelinedPSTrainer
+
+if TYPE_CHECKING:  # repro.serving.fleet imports this package back
+    from repro.serving.fleet import FleetOutcome
 
 __all__ = [
     "FAULT_PLANS",
@@ -170,8 +167,8 @@ class ChaosOutcome:
     plan: FaultPlan
     checks: List[ChaosCheck] = field(default_factory=list)
     recovery: Optional[RecoveryReport] = None
-    serving_baseline: Optional[DegradationOutcome] = None
-    serving_degraded: Optional[DegradationOutcome] = None
+    serving_baseline: Optional["FleetOutcome"] = None
+    serving_degraded: Optional["FleetOutcome"] = None
 
     @property
     def passed(self) -> bool:
@@ -191,11 +188,13 @@ class ChaosOutcome:
                 lines.append(f"  {event}")
         if self.serving_degraded is not None:
             deg = self.serving_degraded
+            replica = deg.replicas[0]
+            primary = replica.batches_served - replica.fallback_batches
             lines.append(
-                f"serving: {deg.primary_batches} primary / "
-                f"{deg.fallback_batches} fallback batches, "
+                f"serving: {primary} primary / "
+                f"{replica.fallback_batches} fallback batches, "
                 f"{len(deg.shed_ids)} shed, breaker "
-                f"{deg.final_breaker_state.value}"
+                f"{replica.final_breaker_state.value}"
             )
         lines.append("")
         for check in self.checks:
@@ -331,27 +330,32 @@ _SERVE_POLICY = DegradationPolicy(
 
 
 def _serve(
-    model: DLRM,
+    primary: ModelSnapshot,
     fallback: ModelSnapshot,
     spec,
     config: ChaosHarnessConfig,
     injector,
-) -> DegradationOutcome:
+) -> "FleetOutcome":
+    from repro.serving.fleet import FleetConfig, ServingFleet
+
     generator = RequestGenerator(spec, rate=config.request_rate, seed=5)
     requests = generator.generate(config.num_requests)
     hot_rows = {
         t: generator.hot_rows(t, config.hot_coverage)
         for t in range(spec.num_sparse)
     }
-    server = ResilientInferenceServer(
-        ServingModel(model, hot_rows=hot_rows, version=1),
-        batching=BatchingPolicy(max_batch_size=16, max_wait=1e-3),
-        degradation=_SERVE_POLICY,
-        service_time=ServiceTimeModel(),
+    fleet = ServingFleet(
+        primary,
+        hot_rows=hot_rows,
+        config=FleetConfig(
+            num_replicas=1,
+            batching=BatchingPolicy(max_batch_size=16, max_wait=1e-3),
+            degradation=_SERVE_POLICY,
+        ),
         injector=injector,
     )
-    server.set_fallback(fallback, hot_rows=hot_rows, time=0.0)
-    return server.run(requests)
+    fleet.set_fallback(fallback, hot_rows=hot_rows, time=0.0)
+    return fleet.run(requests)
 
 
 def _check_serving(
@@ -361,19 +365,18 @@ def _check_serving(
     spec,
     outcome: ChaosOutcome,
 ) -> None:
-    primary_model = ModelSnapshot.from_trainer(
-        reference, version=1
-    ).materialize()
+    primary = ModelSnapshot.from_trainer(reference, version=1)
     fallback = ModelSnapshot.from_trainer(reference, version=0)
 
-    baseline = _serve(primary_model, fallback, spec, config, injector=None)
+    baseline = _serve(primary, fallback, spec, config, injector=None)
     degraded = _serve(
-        primary_model, fallback, spec, config, injector=plan.injector()
+        primary, fallback, spec, config, injector=plan.injector()
     )
     outcome.serving_baseline = baseline
     outcome.serving_degraded = degraded
 
     checks = outcome.checks
+    replica = degraded.replicas[0]
     offered = degraded.report.offered
     accounted = (
         degraded.report.completed
@@ -400,29 +403,29 @@ def _check_serving(
     ))
     if plan.serve_specs:
         opened = any(
-            tr.dst is BreakerState.OPEN for tr in degraded.breaker_transitions
+            tr.dst is BreakerState.OPEN for tr in replica.breaker_transitions
         )
         checks.append(ChaosCheck(
             "breaker opened under slowdown",
             opened,
-            f"{len(degraded.breaker_transitions)} transitions",
+            f"{len(replica.breaker_transitions)} transitions",
         ))
         checks.append(ChaosCheck(
             "breaker recovered after window",
-            degraded.final_breaker_state is BreakerState.CLOSED,
-            f"final state {degraded.final_breaker_state.value}",
+            replica.final_breaker_state is BreakerState.CLOSED,
+            f"final state {replica.final_breaker_state.value}",
         ))
         checks.append(ChaosCheck(
             "fallback actually served",
-            degraded.fallback_batches > 0,
-            f"{degraded.fallback_batches} stale batches",
+            replica.fallback_batches > 0,
+            f"{replica.fallback_batches} stale batches",
         ))
     else:
         checks.append(ChaosCheck(
             "breaker stayed closed (no serve faults)",
-            degraded.final_breaker_state is BreakerState.CLOSED
-            and not degraded.breaker_transitions,
-            f"{len(degraded.breaker_transitions)} transitions",
+            replica.final_breaker_state is BreakerState.CLOSED
+            and not replica.breaker_transitions,
+            f"{len(replica.breaker_transitions)} transitions",
         ))
 
 

@@ -1,63 +1,17 @@
-"""Graceful serving degradation: breaker, shedding, stale fallback.
+"""SLO and staleness knobs for the serving degradation ladder.
 
-A :class:`ResilientInferenceServer` is the
-:class:`~repro.serving.server.InferenceServer` event loop with a
-degradation ladder wrapped around dispatch:
-
-1. **healthy** — batches run on the primary model; each completion
-   feeds the :class:`~repro.resilience.circuit.CircuitBreaker` a
-   success or an SLO-breach failure (worst per-request latency in the
-   batch vs ``slo_target``);
-2. **degraded** — with the breaker OPEN, batches are answered by a
-   registered *stale* :class:`~repro.serving.snapshot.ModelSnapshot`
-   fallback, provided its age at serve time is within
-   ``max_staleness`` (the bounded-staleness guarantee: a degraded
-   answer is always stamped with the stale version, and never comes
-   from a snapshot older than the bound);
-3. **shed** — no fallback, or fallback too stale: the batch's
-   requests are rejected outright.  Better an explicit error than an
-   unbounded queue — the same admission-control philosophy as the
-   micro-batcher's bounded pending queue.
-
-Injected slowdown windows (:class:`~repro.resilience.faults.FaultKind`
-``SLOWDOWN``) inflate *primary* service times only — the fallback
-models a local, already-materialized table that the failing dependency
-cannot touch.  Everything runs on the deterministic Simulator, so a
-degradation trajectory (trip time, probe times, recovery time) is a
-pure function of (requests, plan, policy).
+The ladder itself (healthy → degraded → shed) lives in
+:mod:`repro.serving.fleet`; this is the policy it reads.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.resilience.circuit import (
-    BreakerConfig,
-    BreakerState,
-    BreakerTransition,
-    CircuitBreaker,
-)
-from repro.resilience.faults import FaultInjector
-from repro.serving.batcher import BatchingPolicy, MicroBatch, MicroBatcher
-from repro.serving.metrics import (
-    RequestResult,
-    ServedBatch,
-    ServingMetrics,
-    SLOReport,
-)
-from repro.serving.requests import InferenceRequest, coalesce_requests
-from repro.serving.server import HotRowMap, ServiceTimeModel, ServingModel
-from repro.serving.snapshot import ModelSnapshot
-from repro.system.simclock import Simulator
+from repro.resilience.circuit import BreakerConfig
 from repro.utils.validation import check_positive
 
-__all__ = [
-    "DegradationPolicy",
-    "DegradationOutcome",
-    "ResilientInferenceServer",
-]
+__all__ = ["DegradationPolicy"]
 
 
 @dataclass(frozen=True)
@@ -77,213 +31,3 @@ class DegradationPolicy:
             raise ValueError(
                 f"max_staleness must be >= 0, got {self.max_staleness}"
             )
-
-
-@dataclass(frozen=True)
-class DegradationOutcome:
-    """A resilient serving run's results plus its degradation story."""
-
-    report: SLOReport
-    results: Tuple[RequestResult, ...]
-    served_batches: Tuple[ServedBatch, ...]
-    #: Rejected at admission (bounded pending queue full).
-    rejected_ids: Tuple[int, ...]
-    #: Shed by the breaker with no eligible fallback.
-    shed_ids: Tuple[int, ...]
-    breaker_transitions: Tuple[BreakerTransition, ...]
-    final_breaker_state: BreakerState
-    primary_batches: int
-    fallback_batches: int
-    #: Worst fallback age actually served (<= max_staleness always).
-    max_fallback_age: float
-    final_model_version: int
-
-    def predictions_by_request(self) -> Dict[int, float]:
-        return {r.request_id: r.prediction for r in self.results}
-
-
-class ResilientInferenceServer:
-    """Micro-batching server with a breaker-gated degradation ladder.
-
-    Parameters
-    ----------
-    serving_model:
-        The primary model view.
-    batching:
-        Micro-batching knobs (shared with the plain server).
-    degradation:
-        SLO target, staleness bound, breaker thresholds.
-    service_time:
-        Deterministic per-batch latency model.
-    injector:
-        Optional fault injector supplying slowdown windows.
-    """
-
-    def __init__(
-        self,
-        serving_model: ServingModel,
-        batching: Optional[BatchingPolicy] = None,
-        degradation: Optional[DegradationPolicy] = None,
-        num_workers: int = 1,
-        service_time: Optional[ServiceTimeModel] = None,
-        injector: Optional[FaultInjector] = None,
-    ) -> None:
-        check_positive(num_workers, "num_workers")
-        self.serving_model = serving_model
-        self.batching = batching or BatchingPolicy()
-        self.degradation = degradation or DegradationPolicy()
-        self.num_workers = int(num_workers)
-        self.service_time = service_time or ServiceTimeModel()
-        self.injector = injector
-        self.breaker = CircuitBreaker(self.degradation.breaker)
-        self._fallback: Optional[ServingModel] = None
-        self._fallback_time = 0.0
-
-    def set_fallback(
-        self,
-        snapshot: ModelSnapshot,
-        hot_rows: Optional[HotRowMap] = None,
-        time: float = 0.0,
-    ) -> None:
-        """Register the stale snapshot served when the breaker is open.
-
-        ``time`` is the simulated instant the snapshot was taken; the
-        staleness bound is measured from it.
-        """
-        if time < 0:
-            raise ValueError(f"fallback time must be >= 0, got {time}")
-        self._fallback = ServingModel(
-            snapshot.materialize(),
-            hot_rows=hot_rows if hot_rows is not None else {},
-            version=snapshot.version,
-        )
-        self._fallback_time = float(time)
-
-    # ------------------------------------------------------------------
-    def run(self, requests: Sequence[InferenceRequest]) -> DegradationOutcome:
-        """Serve a request stream through the degradation ladder."""
-        sim = Simulator()
-        batcher = MicroBatcher(self.batching)
-        metrics = ServingMetrics()
-        free_workers = list(range(self.num_workers))
-        rejected_ids: List[int] = []
-        shed_ids: List[int] = []
-        counters = {
-            "batch": 0, "primary": 0, "fallback": 0, "max_age": 0.0,
-        }
-        first_arrival = requests[0].arrival_time if requests else 0.0
-        slo = self.degradation.slo_target
-
-        def try_dispatch() -> None:
-            while free_workers and batcher.ready(sim.now):
-                micro = batcher.pop_batch(sim.now)
-                if micro is not None:
-                    dispatch(micro)
-
-        def route(now: float) -> Tuple[Optional[ServingModel], bool]:
-            """(model, is_primary); (None, False) means shed."""
-            if self.breaker.allow(now):
-                return self.serving_model, True
-            fallback = self._fallback
-            if fallback is None:
-                return None, False
-            age = now - self._fallback_time
-            if age > self.degradation.max_staleness:
-                return None, False
-            counters["max_age"] = max(counters["max_age"], age)
-            return fallback, False
-
-        def dispatch(micro: MicroBatch) -> None:
-            model, is_primary = route(sim.now)
-            if model is None:
-                for request in micro.requests:
-                    shed_ids.append(request.request_id)
-                    metrics.record_rejection()
-                return
-            counters["primary" if is_primary else "fallback"] += 1
-            worker_id = free_workers.pop(0)
-            coalesced = coalesce_requests(micro.requests)
-            hot0, cold0 = model.hot_lookups, model.cold_lookups
-            predictions = model.predict_proba(coalesced)
-            hot = model.hot_lookups - hot0
-            cold = model.cold_lookups - cold0
-            duration = self.service_time.duration(micro.size, hot, cold)
-            if is_primary and self.injector is not None:
-                duration *= self.injector.slowdown_factor(sim.now)
-            start = sim.now
-            batch_id = counters["batch"]
-            counters["batch"] += 1
-
-            def complete() -> None:
-                metrics.record_batch(
-                    ServedBatch(
-                        batch_id=batch_id,
-                        request_ids=tuple(
-                            r.request_id for r in micro.requests
-                        ),
-                        batch=coalesced,
-                        model_version=model.version,
-                        worker_id=worker_id,
-                        start_time=start,
-                        finish_time=sim.now,
-                        predictions=predictions,
-                        hot_lookups=hot,
-                        cold_lookups=cold,
-                    )
-                )
-                worst = 0.0
-                for request, prob in zip(micro.requests, predictions):
-                    latency = sim.now - request.arrival_time
-                    worst = max(worst, latency)
-                    metrics.record_result(
-                        RequestResult(
-                            request_id=request.request_id,
-                            arrival_time=request.arrival_time,
-                            finish_time=sim.now,
-                            model_version=model.version,
-                            prediction=float(prob),
-                        )
-                    )
-                if is_primary:
-                    if worst > slo:
-                        self.breaker.record_failure(sim.now)
-                    else:
-                        self.breaker.record_success(sim.now)
-                bisect.insort(free_workers, worker_id)
-                try_dispatch()
-
-            sim.schedule(duration, complete)
-
-        def arrive(request: InferenceRequest) -> None:
-            if not batcher.offer(request, sim.now):
-                rejected_ids.append(request.request_id)
-                metrics.record_rejection()
-                return
-            sim.schedule(self.batching.max_wait, try_dispatch)
-            try_dispatch()
-
-        for request in requests:
-            sim.schedule(request.arrival_time, lambda r=request: arrive(r))
-        end_time = sim.run()
-
-        hot = sum(b.hot_lookups for b in metrics.served_batches)
-        cold = sum(b.cold_lookups for b in metrics.served_batches)
-        report = metrics.build_report(
-            duration=max(end_time - first_arrival, 0.0),
-            max_queue_depth=batcher.max_depth,
-            cache_hit_rate=hot / (hot + cold) if hot + cold else 0.0,
-            num_hot_rows=self.serving_model.num_hot_rows,
-        )
-        return DegradationOutcome(
-            report=report,
-            results=tuple(sorted(metrics.results, key=lambda r: r.request_id)),
-            served_batches=tuple(metrics.served_batches),
-            rejected_ids=tuple(rejected_ids),
-            shed_ids=tuple(shed_ids),
-            breaker_transitions=tuple(self.breaker.transitions),
-            final_breaker_state=self.breaker.state,
-            primary_batches=counters["primary"],
-            fallback_batches=counters["fallback"],
-            max_fallback_age=counters["max_age"],
-            final_model_version=self.serving_model.version,
-        )

@@ -1,13 +1,14 @@
 """Deterministic online-inference subsystem (serving side of EL-Rec).
 
 Request generation (:mod:`~repro.serving.requests`), dynamic
-micro-batching (:mod:`~repro.serving.batcher`), the event-loop worker
-pool (:mod:`~repro.serving.server`), SLO metrics and trace export
-(:mod:`~repro.serving.metrics`), training→serving snapshots with
-hot swap (:mod:`~repro.serving.snapshot`), and the replicated fleet
-tier — per-replica fault domains, health-aware routing, rolling
-hot-swap — in :mod:`~repro.serving.fleet`,
-:mod:`~repro.serving.router`, and :mod:`~repro.serving.health`.
+micro-batching (:mod:`~repro.serving.batcher`), the served model view
+and its cost model (:mod:`~repro.serving.server`), SLO metrics and
+trace export (:mod:`~repro.serving.metrics`), training→serving
+snapshots (:mod:`~repro.serving.snapshot`), and the one serving event
+loop — N replicas (a single server is N=1), per-replica fault domains,
+health-aware routing, degradation ladder, rolling hot-swap — in
+:mod:`~repro.serving.fleet`, :mod:`~repro.serving.router`, and
+:mod:`~repro.serving.health`.
 """
 
 import importlib
@@ -35,10 +36,8 @@ from repro.serving.requests import (
     hot_rows_from_trace,
 )
 from repro.serving.server import (
-    InferenceServer,
     ServiceTimeModel,
     ServingModel,
-    ServingOutcome,
     replay_batches,
 )
 from repro.serving.snapshot import ModelSnapshot
@@ -109,10 +108,8 @@ __all__ = [
     "RequestGenerator",
     "coalesce_requests",
     "hot_rows_from_trace",
-    "InferenceServer",
     "ServiceTimeModel",
     "ServingModel",
-    "ServingOutcome",
     "replay_batches",
     "ModelSnapshot",
 ]

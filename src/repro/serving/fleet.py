@@ -1,15 +1,26 @@
-"""Replicated serving fleet: N executors, one queue, zero shared fate.
+"""The serving engine: N replica executors, one queue, zero shared fate.
 
-The production-shaped tier above :mod:`repro.serving.server`: instead
-of one worker pool over one snapshot (a single fault domain), a
-:class:`ServingFleet` runs N :class:`ReplicaExecutor`\\ s — each with
-its **own** materialized model, its own
+This is the repo's only serving event loop.  A :class:`ServingFleet`
+runs N :class:`ReplicaExecutor`\\ s — each with its **own**
+materialized model, its own
 :class:`~repro.resilience.circuit.CircuitBreaker`, and its own
 degradation ladder — pulling micro-batches from a shared MPMC
 :class:`BatchingQueue`, with dispatch decided by the health-aware
 :class:`~repro.serving.router.FleetRouter`.  One replica crashing,
 sticking, or tripping its breaker redirects *its* work; it never
-trips the fleet.
+trips the fleet.  A single server is the ``num_replicas=1`` fleet
+(``AdmissionConfig.max_in_flight`` is its worker-pool depth).
+
+The degradation ladder lives in :meth:`_FleetRun.service_cycle`:
+**healthy** — a replica whose breaker allows it serves the batch on
+its primary model; **degraded** — every breaker refuses, so a replica
+answers from its stale fallback snapshot while that is within
+``max_staleness``; **shed** — a replica has room but no breaker
+allows it and no fallback is fresh enough, so the head batch's
+requests are rejected outright.  Batches only *wait* when no replica
+has room (all busy or draining): capacity frees on the next
+completion, whereas a batch parked behind an open breaker just ages
+past the SLO and fails every HALF_OPEN probe it is later used for.
 
 Determinism is load-bearing, not cosmetic.  Everything runs on the
 discrete-event :class:`~repro.system.simclock.Simulator`, and batch
@@ -490,6 +501,8 @@ class FleetOutcome:
     replicas: Tuple[ReplicaReport, ...]
     swaps: Tuple[SwapReport, ...]
     stale_swaps_rejected: int
+    #: Worst fallback age actually served (<= max_staleness always).
+    max_fallback_age: float
     autoscale_events: Tuple[AutoscaleEvent, ...]
     health_history: Tuple[ReplicaHealth, ...]
     final_version: int
@@ -664,6 +677,7 @@ class _FleetRun:
         self.low_streak = 0
         self.probe_pending = False
         self.max_fallback_age = 0.0
+        self.end_time = 0.0
 
     # -- liveness ------------------------------------------------------
     def _live_count(self) -> int:
@@ -683,16 +697,25 @@ class _FleetRun:
     # -- event handlers ------------------------------------------------
     def arrive(self, request: InferenceRequest) -> None:
         self.remaining_arrivals -= 1
-        if not self.batcher.offer(request, self.sim.now):
+        if self.batcher.offer(request, self.sim.now):
+            self.outstanding += 1
+            self.sim.schedule(
+                self.cfg.batching.max_wait, self.service_cycle
+            )
+        else:
             self.rejected_ids.append(request.request_id)
             self.metrics.record_rejection()
-            return
-        self.outstanding += 1
-        self.sim.schedule(self.cfg.batching.max_wait, self.service_cycle)
         self.service_cycle()
 
     def service_cycle(self) -> None:
-        """Form ready batches, then dispatch while capacity allows."""
+        """Form ready batches, then dispatch while capacity allows.
+
+        Every traffic event (arrival, deadline, completion, crash,
+        redirect, swap) ends here, so this is also where the run's end
+        time is stamped: the report's duration spans the traffic, not
+        the idle probe tick that may trail it.
+        """
+        self.end_time = self.sim.now
         progress = True
         while progress:
             progress = False
@@ -714,10 +737,18 @@ class _FleetRun:
                 use_fallback = False
                 replica = self.router.select(self.replicas, self.sim.now)
                 if replica is None:
-                    fallback = self._fallback_candidate()
-                    if fallback is None:
-                        break
-                    replica, use_fallback = fallback, True
+                    replica = self._fallback_candidate()
+                    use_fallback = True
+                if replica is None:
+                    if not self.router.candidates(self.replicas):
+                        break  # all busy or draining: wait for capacity
+                    # Room to serve, but every breaker refuses and no
+                    # fallback is fresh enough.  Parking the batch is
+                    # metastable (it ages past the SLO and fails the
+                    # HALF_OPEN probe it is later used for), so shed.
+                    self._shed_batch_requests(self.queue.get())
+                    progress = True
+                    continue
                 assert isinstance(replica, ReplicaExecutor)
                 self.dispatch(self.queue.get(), replica, use_fallback)
                 progress = True
@@ -885,6 +916,8 @@ class _FleetRun:
 
     def probe_tick(self) -> None:
         self.probe_pending = False
+        if not self._active():
+            return  # the run finished since this tick was scheduled
         now = self.sim.now
         for replica in self.replicas:
             self.monitor.observe(
@@ -1098,16 +1131,14 @@ class _FleetRun:
                 ),
             )
         self._maybe_schedule_probe()
-        end_time = self.sim.run()
+        self.sim.run()
         # Safety net: anything still queued after the event heap drains
         # (e.g. every replica died) is shed so accounting closes.
         if len(self.queue) > 0 or not self.batcher.empty():
             self._shed_backlog("post-run sweep")
-        return self._build_outcome(first_arrival, end_time)
+        return self._build_outcome(first_arrival)
 
-    def _build_outcome(
-        self, first_arrival: float, end_time: float
-    ) -> FleetOutcome:
+    def _build_outcome(self, first_arrival: float) -> FleetOutcome:
         hot = sum(b.hot_lookups for b in self.metrics.served_batches)
         cold = sum(b.cold_lookups for b in self.metrics.served_batches)
         num_hot_rows = (
@@ -1115,7 +1146,7 @@ class _FleetRun:
             if self.replicas else 0
         )
         report = self.metrics.build_report(
-            duration=max(end_time - first_arrival, 0.0),
+            duration=max(self.end_time - first_arrival, 0.0),
             max_queue_depth=max(
                 self.batcher.max_depth, self.queue.max_depth
             ),
@@ -1153,6 +1184,7 @@ class _FleetRun:
             replicas=replica_reports,
             swaps=tuple(swaps),
             stale_swaps_rejected=self.stale_swaps,
+            max_fallback_age=self.max_fallback_age,
             autoscale_events=tuple(self.autoscale_events),
             health_history=tuple(self.monitor.history),
             final_version=self.fleet_version,

@@ -1,29 +1,23 @@
-"""Deterministic online-inference server (event-loop worker pool).
+"""What a serving replica runs: the model view and its cost model.
 
-The serving counterpart of :mod:`repro.system.pipeline`: where the
-trainer overlaps CPU gather / PCIe transfer / GPU compute for
-*throughput*, the server coalesces Poisson arrivals into micro-batches
-under a *latency* budget.  Everything runs on the discrete-event
-:class:`~repro.system.simclock.Simulator` — no threads, no wall clock —
-so a serving run is a pure function of (requests, policy, model, cost
-model) and therefore bit-reproducible, exactly like the pipelined
-trainer it mirrors.
-
+The serving counterpart of :mod:`repro.system.pipeline`'s stage costs.
 Latency is *simulated*: a :class:`ServiceTimeModel` charges each batch
 a fixed launch cost plus per-sample and per-row terms, with cold
 (TT-contraction) lookups costing more than hot (cached-gather) ones.
 The numerics, by contrast, are *real*: every batch runs through an
 actual :class:`~repro.models.dlrm.DLRM` whose compressed arms (TT,
 hash, ROBE, PQ, ...) are served by
-:class:`~repro.embeddings.inference.HotRowCachedLookup` views, and the
-predictions returned to clients are the model's true outputs.
+:class:`~repro.embeddings.inference.HotRowCachedLookup` views
+(:class:`ServingModel`), and the predictions returned to clients are
+the model's true outputs.  :func:`replay_batches` is the offline
+oracle the online predictions are checked against.  The event loop
+that drives these lives in :mod:`repro.serving.fleet`.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, List, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -34,23 +28,11 @@ from repro.embeddings.inference import HotRowCachedLookup
 from repro.embeddings.protocol import CompressedEmbedding
 from repro.models.dlrm import DLRM
 from repro.nn.loss import BCEWithLogitsLoss
-from repro.serving.batcher import BatchingPolicy, MicroBatch, MicroBatcher
-from repro.serving.metrics import (
-    RequestResult,
-    ServedBatch,
-    ServingMetrics,
-    SLOReport,
-)
-from repro.serving.requests import InferenceRequest, coalesce_requests
-from repro.serving.snapshot import ModelSnapshot
-from repro.system.simclock import Simulator
-from repro.utils.validation import check_positive
+from repro.serving.metrics import ServedBatch
 
 __all__ = [
     "ServiceTimeModel",
     "ServingModel",
-    "InferenceServer",
-    "ServingOutcome",
     "replay_batches",
 ]
 
@@ -209,201 +191,6 @@ class ServingModel:
     @property
     def cache_nbytes(self) -> int:
         return sum(v.cache_nbytes for v in self.cached_views)
-
-
-@dataclass(frozen=True)
-class ServingOutcome:
-    """Everything a serving run produced."""
-
-    report: SLOReport
-    results: Tuple[RequestResult, ...]
-    served_batches: Tuple[ServedBatch, ...]
-    rejected_ids: Tuple[int, ...]
-    swap_times: Tuple[float, ...]
-    final_model_version: int
-    #: Swaps refused because their snapshot version was not newer than
-    #: the model already serving (version-counter monotonicity).
-    stale_swaps_rejected: int = 0
-
-    def predictions_by_request(self) -> Dict[int, float]:
-        return {r.request_id: r.prediction for r in self.results}
-
-
-class InferenceServer:
-    """Micro-batching worker pool driven by a deterministic event loop.
-
-    Four event kinds run the loop: request *arrival* (admit to the
-    batcher or shed), per-request *deadline flush* (time trigger),
-    batch *completion* (free the worker, record latencies), and *hot
-    swap* (atomically replace the serving model between batches).
-    Dispatch happens whenever a worker is free and the batching policy
-    fires; in-flight batches always complete on the model they started
-    with.
-
-    Parameters
-    ----------
-    serving_model:
-        The initial model view to serve.
-    policy:
-        Micro-batching knobs (size / wait / queue bound).
-    num_workers:
-        Parallel inference workers (each serves one batch at a time).
-    service_time:
-        Deterministic per-batch latency model.
-    """
-
-    def __init__(
-        self,
-        serving_model: ServingModel,
-        policy: Optional[BatchingPolicy] = None,
-        num_workers: int = 1,
-        service_time: Optional[ServiceTimeModel] = None,
-    ) -> None:
-        check_positive(num_workers, "num_workers")
-        self.serving_model = serving_model
-        self.policy = policy or BatchingPolicy()
-        self.num_workers = int(num_workers)
-        self.service_time = service_time or ServiceTimeModel()
-        self._swaps: List[Tuple[float, ModelSnapshot, Optional[HotRowMap]]] = []
-
-    def schedule_swap(
-        self,
-        time: float,
-        snapshot: ModelSnapshot,
-        hot_rows: Optional[HotRowMap] = None,
-    ) -> None:
-        """Hot-swap to ``snapshot`` at simulated ``time``.
-
-        The new model inherits the current hot-row configuration unless
-        ``hot_rows`` overrides it; its caches are materialized from the
-        snapshot's cores at swap time (the cache-refresh half of the
-        handoff protocol).
-        """
-        if time < 0:
-            raise ValueError(f"swap time must be >= 0, got {time}")
-        self._swaps.append((float(time), snapshot, hot_rows))
-
-    # ------------------------------------------------------------------
-    def run(self, requests: Sequence[InferenceRequest]) -> ServingOutcome:
-        """Serve a request stream to completion; returns the outcome."""
-        sim = Simulator()
-        batcher = MicroBatcher(self.policy)
-        metrics = ServingMetrics()
-        free_workers = list(range(self.num_workers))
-        rejected_ids: List[int] = []
-        batch_counter = {"next": 0}
-        stale_swaps = {"count": 0}
-        first_arrival = requests[0].arrival_time if requests else 0.0
-
-        def try_dispatch() -> None:
-            while free_workers and batcher.ready(sim.now):
-                micro = batcher.pop_batch(sim.now)
-                assert micro is not None  # ready() just fired
-                dispatch(micro)
-
-        def dispatch(micro: MicroBatch) -> None:
-            worker_id = free_workers.pop(0)
-            model = self.serving_model
-            coalesced = coalesce_requests(micro.requests)
-            hot0, cold0 = model.hot_lookups, model.cold_lookups
-            predictions = model.predict_proba(coalesced)
-            hot = model.hot_lookups - hot0
-            cold = model.cold_lookups - cold0
-            duration = self.service_time.duration(micro.size, hot, cold)
-            start = sim.now
-            batch_id = batch_counter["next"]
-            batch_counter["next"] += 1
-
-            def complete() -> None:
-                served = ServedBatch(
-                    batch_id=batch_id,
-                    request_ids=tuple(
-                        r.request_id for r in micro.requests
-                    ),
-                    batch=coalesced,
-                    model_version=model.version,
-                    worker_id=worker_id,
-                    start_time=start,
-                    finish_time=sim.now,
-                    predictions=predictions,
-                    hot_lookups=hot,
-                    cold_lookups=cold,
-                )
-                metrics.record_batch(served)
-                for request, prob in zip(micro.requests, predictions):
-                    metrics.record_result(
-                        RequestResult(
-                            request_id=request.request_id,
-                            arrival_time=request.arrival_time,
-                            finish_time=sim.now,
-                            model_version=model.version,
-                            prediction=float(prob),
-                        )
-                    )
-                bisect.insort(free_workers, worker_id)
-                try_dispatch()
-
-            sim.schedule(duration, complete)
-
-        def arrive(request: InferenceRequest) -> None:
-            if not batcher.offer(request, sim.now):
-                rejected_ids.append(request.request_id)
-                metrics.record_rejection()
-                return
-            sim.schedule(self.policy.max_wait, try_dispatch)
-            try_dispatch()
-
-        def swap(snapshot: ModelSnapshot, hot_rows: Optional[HotRowMap]
-                 ) -> None:
-            # Version guard: once a snapshot is acknowledged (served),
-            # an older or equal-version snapshot must never displace
-            # it — interleaved swap schedules would otherwise serve
-            # stale predictions stamped with a recycled version.
-            if snapshot.version <= self.serving_model.version:
-                stale_swaps["count"] += 1
-                return
-            effective = (
-                hot_rows if hot_rows is not None
-                else self.serving_model.hot_rows
-            )
-            self.serving_model = ServingModel(
-                snapshot.materialize(),
-                hot_rows=effective,
-                version=snapshot.version,
-            )
-            metrics.record_swap(sim.now)
-
-        for request in requests:
-            sim.schedule(
-                request.arrival_time, lambda r=request: arrive(r)
-            )
-        for time, snapshot, hot_rows in sorted(
-            self._swaps, key=lambda s: s[0]
-        ):
-            sim.schedule(
-                time, lambda s=snapshot, h=hot_rows: swap(s, h)
-            )
-        end_time = sim.run()
-
-        hot = sum(b.hot_lookups for b in metrics.served_batches)
-        cold = sum(b.cold_lookups for b in metrics.served_batches)
-        report = metrics.build_report(
-            duration=max(end_time - first_arrival, 0.0),
-            max_queue_depth=batcher.max_depth,
-            cache_hit_rate=hot / (hot + cold) if hot + cold else 0.0,
-            num_hot_rows=self.serving_model.num_hot_rows,
-        )
-        return ServingOutcome(
-            report=report,
-            results=tuple(
-                sorted(metrics.results, key=lambda r: r.request_id)
-            ),
-            served_batches=tuple(metrics.served_batches),
-            rejected_ids=tuple(rejected_ids),
-            swap_times=tuple(metrics.swap_times),
-            final_model_version=self.serving_model.version,
-            stale_swaps_rejected=stale_swaps["count"],
-        )
 
 
 def replay_batches(

@@ -19,10 +19,12 @@ from repro.data.datasets import criteo_kaggle_like
 from repro.models.config import DLRMConfig, EmbeddingBackend
 from repro.models.dlrm import DLRM, build_embedding_bag
 from repro.serving import (
+    AdmissionConfig,
     BatchingPolicy,
-    InferenceServer,
+    FleetConfig,
     ModelSnapshot,
     RequestGenerator,
+    ServingFleet,
     ServingModel,
     replay_batches,
 )
@@ -65,6 +67,19 @@ def _trainer():
     )
 
 
+def _server(snapshot, hot_rows, num_workers=1):
+    """A single server: one replica, ``num_workers`` batches in flight."""
+    return ServingFleet(
+        snapshot,
+        hot_rows=hot_rows,
+        config=FleetConfig(
+            num_replicas=1,
+            batching=BatchingPolicy(max_batch_size=16, max_wait=2e-3),
+            admission=AdmissionConfig(max_in_flight=num_workers),
+        ),
+    )
+
+
 @pytest.fixture(scope="module")
 def scenario():
     """Train, snapshot twice (v0 then v1), and serve with a mid-swap."""
@@ -80,11 +95,7 @@ def scenario():
     hot_rows = {
         t: generator.hot_rows(t, 0.2) for t in range(SPEC.num_sparse)
     }
-    server = InferenceServer(
-        ServingModel(snapshot_v0.materialize(), hot_rows=hot_rows, version=0),
-        policy=BatchingPolicy(max_batch_size=16, max_wait=2e-3),
-        num_workers=2,
-    )
+    server = _server(snapshot_v0, hot_rows, num_workers=2)
     swap_time = requests[NUM_REQUESTS // 2].arrival_time
     server.schedule_swap(swap_time, snapshot_v1)
     outcome = server.run(requests)
@@ -97,7 +108,7 @@ class TestHotSwapCorrectness:
         versions = outcome.report.requests_per_version
         assert set(versions) == {0, 1}
         assert versions[0] > 0 and versions[1] > 0
-        assert outcome.final_model_version == 1
+        assert outcome.final_version == 1
 
     def test_predictions_bitwise_match_offline_inference(self, scenario):
         snapshot_v0, snapshot_v1, _, hot_rows, outcome = scenario
@@ -158,10 +169,7 @@ class TestSLOReport:
                 t: generator.hot_rows(t, coverage)
                 for t in range(SPEC.num_sparse)
             }
-            outcome = InferenceServer(
-                ServingModel(snapshot_v0.materialize(), hot_rows=hot),
-                policy=BatchingPolicy(max_batch_size=16, max_wait=2e-3),
-            ).run(requests)
+            outcome = _server(snapshot_v0, hot).run(requests)
             return outcome.report.cache_hit_rate
 
         rates = [hit_rate(c) for c in (0.02, 0.2, 0.8)]
@@ -174,14 +182,8 @@ class TestDeterminism:
     def test_rerun_is_bit_identical(self, scenario):
         snapshot_v0, snapshot_v1, generator, hot_rows, outcome = scenario
         requests = generator.generate(NUM_REQUESTS)
-        server = InferenceServer(
-            ServingModel(
-                snapshot_v0.materialize(), hot_rows=hot_rows, version=0
-            ),
-            policy=BatchingPolicy(max_batch_size=16, max_wait=2e-3),
-            num_workers=2,
-        )
-        server.schedule_swap(outcome.swap_times[0], snapshot_v1)
+        server = _server(snapshot_v0, hot_rows, num_workers=2)
+        server.schedule_swap(outcome.swaps[0].started_at, snapshot_v1)
         again = server.run(requests)
         assert again.results == outcome.results
         np.testing.assert_array_equal(

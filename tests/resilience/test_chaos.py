@@ -42,7 +42,7 @@ class TestSmokePlan:
     def test_serving_story(self, smoke_outcome):
         degraded = smoke_outcome.serving_degraded
         assert degraded is not None
-        assert degraded.fallback_batches > 0
+        assert degraded.replicas[0].fallback_batches > 0
 
     def test_format_renders_checks_and_verdict(self, smoke_outcome):
         text = smoke_outcome.format()

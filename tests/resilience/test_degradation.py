@@ -1,18 +1,19 @@
-"""Tests for the breaker-gated serving degradation ladder."""
+"""Tests for the breaker-gated serving degradation ladder.
+
+Driven on the one-replica fleet: healthy, degraded (stale fallback)
+and shed are decided in :mod:`repro.serving.fleet`.
+"""
 
 import pytest
 
 from repro.models.config import DLRMConfig, EmbeddingBackend
 from repro.models.dlrm import DLRM
 from repro.resilience.circuit import BreakerConfig, BreakerState
-from repro.resilience.degradation import (
-    DegradationPolicy,
-    ResilientInferenceServer,
-)
+from repro.resilience.degradation import DegradationPolicy
 from repro.resilience.faults import FaultKind, FaultPlan, FaultSite, FaultSpec
 from repro.serving.batcher import BatchingPolicy
+from repro.serving.fleet import FleetConfig, ServingFleet
 from repro.serving.requests import RequestGenerator
-from repro.serving.server import ServingModel
 from repro.serving.snapshot import ModelSnapshot
 
 NUM_REQUESTS = 600
@@ -49,15 +50,20 @@ def serving_setup(harness):
     hot_rows = {
         t: generator.hot_rows(t, 0.3) for t in range(spec.num_sparse)
     }
+    primary = ModelSnapshot.from_model(model, version=1)
     fallback = ModelSnapshot.from_model(model, version=0)
-    return model, requests, hot_rows, fallback
+    return primary, requests, hot_rows, fallback
 
 
-def _server(model, hot_rows, injector=None, policy=POLICY):
-    return ResilientInferenceServer(
-        ServingModel(model, hot_rows=hot_rows, version=1),
-        batching=BatchingPolicy(max_batch_size=16, max_wait=1e-3),
-        degradation=policy,
+def _server(primary, hot_rows, injector=None, policy=POLICY):
+    return ServingFleet(
+        primary,
+        hot_rows=hot_rows,
+        config=FleetConfig(
+            num_replicas=1,
+            batching=BatchingPolicy(max_batch_size=16, max_wait=1e-3),
+            degradation=policy,
+        ),
         injector=injector,
     )
 
@@ -72,57 +78,59 @@ def _accounted(outcome) -> int:
 
 class TestHealthyPath:
     def test_clean_run_stays_primary(self, serving_setup):
-        model, requests, hot_rows, fallback = serving_setup
-        server = _server(model, hot_rows)
+        primary, requests, hot_rows, fallback = serving_setup
+        server = _server(primary, hot_rows)
         server.set_fallback(fallback, hot_rows=hot_rows, time=0.0)
         outcome = server.run(requests)
-        assert outcome.fallback_batches == 0
+        (replica,) = outcome.replicas
+        assert replica.fallback_batches == 0
         assert outcome.shed_ids == ()
-        assert outcome.breaker_transitions == ()
-        assert outcome.final_breaker_state is BreakerState.CLOSED
+        assert replica.breaker_transitions == ()
+        assert replica.final_breaker_state is BreakerState.CLOSED
         assert _accounted(outcome) == NUM_REQUESTS
         assert all(r.model_version == 1 for r in outcome.results)
 
 
 class TestDegradedPath:
     def test_slowdown_trips_breaker_and_serves_stale(self, serving_setup):
-        model, requests, hot_rows, fallback = serving_setup
-        server = _server(model, hot_rows, injector=SLOWDOWN.injector())
+        primary, requests, hot_rows, fallback = serving_setup
+        server = _server(primary, hot_rows, injector=SLOWDOWN.injector())
         server.set_fallback(fallback, hot_rows=hot_rows, time=0.0)
         outcome = server.run(requests)
+        (replica,) = outcome.replicas
         assert any(
-            tr.dst is BreakerState.OPEN for tr in outcome.breaker_transitions
+            tr.dst is BreakerState.OPEN for tr in replica.breaker_transitions
         )
-        assert outcome.fallback_batches > 0
+        assert replica.fallback_batches > 0
         # stale answers are stamped with the fallback's version
         stale = [r for r in outcome.results if r.model_version == 0]
         assert stale
-        assert outcome.max_fallback_age <= POLICY.max_staleness
+        assert 0.0 < outcome.max_fallback_age <= POLICY.max_staleness
         # the window ends mid-stream, so the breaker must heal
-        assert outcome.final_breaker_state is BreakerState.CLOSED
+        assert replica.final_breaker_state is BreakerState.CLOSED
         assert _accounted(outcome) == NUM_REQUESTS
 
     def test_no_fallback_means_shedding(self, serving_setup):
-        model, requests, hot_rows, _ = serving_setup
-        server = _server(model, hot_rows, injector=SLOWDOWN.injector())
+        primary, requests, hot_rows, _ = serving_setup
+        server = _server(primary, hot_rows, injector=SLOWDOWN.injector())
         outcome = server.run(requests)
-        assert outcome.fallback_batches == 0
+        assert outcome.replicas[0].fallback_batches == 0
         assert len(outcome.shed_ids) > 0
         assert _accounted(outcome) == NUM_REQUESTS
 
     def test_too_stale_fallback_is_shed(self, serving_setup):
-        model, requests, hot_rows, fallback = serving_setup
+        primary, requests, hot_rows, fallback = serving_setup
         tight = DegradationPolicy(
             slo_target=POLICY.slo_target,
             max_staleness=0.01,  # snapshot at t=0 ages out before the trip
             breaker=POLICY.breaker,
         )
         server = _server(
-            model, hot_rows, injector=SLOWDOWN.injector(), policy=tight
+            primary, hot_rows, injector=SLOWDOWN.injector(), policy=tight
         )
         server.set_fallback(fallback, hot_rows=hot_rows, time=0.0)
         outcome = server.run(requests)
-        assert outcome.fallback_batches == 0
+        assert outcome.replicas[0].fallback_batches == 0
         assert len(outcome.shed_ids) > 0
         assert _accounted(outcome) == NUM_REQUESTS
 
@@ -135,7 +143,7 @@ class TestValidation:
             DegradationPolicy(max_staleness=-1.0)
 
     def test_fallback_time_validated(self, serving_setup):
-        model, _, hot_rows, fallback = serving_setup
-        server = _server(model, hot_rows)
+        primary, _, hot_rows, fallback = serving_setup
+        server = _server(primary, hot_rows)
         with pytest.raises(ValueError):
             server.set_fallback(fallback, time=-1.0)

@@ -1,10 +1,13 @@
-"""Tests for the replicated serving fleet (fault domains, routing, swap)."""
+"""Tests for the serving fleet (fault domains, routing, ladder, swap)."""
+
+import math
 
 import pytest
 
 from repro.data.datasets import criteo_kaggle_like
 from repro.models.config import DLRMConfig, EmbeddingBackend
 from repro.models.dlrm import DLRM
+from repro.resilience.circuit import BreakerConfig, BreakerState
 from repro.resilience.faults import (
     FaultKind,
     FaultPlan,
@@ -22,6 +25,7 @@ from repro.serving.fleet import (
 )
 from repro.serving.requests import RequestGenerator
 from repro.serving.router import AdmissionConfig
+from repro.serving.server import ServiceTimeModel
 from repro.serving.snapshot import ModelSnapshot
 from repro.resilience.degradation import DegradationPolicy
 
@@ -325,3 +329,146 @@ class TestDegradationLadder:
             for tr in outcome.replicas[0].breaker_transitions
         )
         assert outcome.unaccounted == 0
+
+
+class TestShedRung:
+    """Breakers refuse, nothing fresh to fall back on: shed, never park.
+
+    A fleet-wide x40 slowdown window trips every breaker.  Batches
+    parked behind an open breaker age past the SLO, so each HALF_OPEN
+    probe they are later used for fails and the breaker flaps for the
+    rest of the run; shedding them lets the first post-window probe
+    succeed.  The service time is long enough that every replica keeps
+    carrying traffic — a breaker only heals on traffic.
+    """
+
+    POLICY = DegradationPolicy(
+        slo_target=5e-3,
+        breaker=BreakerConfig(
+            failure_threshold=3, cooldown=0.02, half_open_successes=2,
+        ),
+    )
+    SLOWDOWN = FaultPlan(
+        name="slow",
+        specs=(FaultSpec(
+            FaultKind.SLOWDOWN, FaultSite.SERVE,
+            time=0.05, duration=0.1, factor=40.0,
+        ),),
+    )
+
+    @pytest.fixture(scope="class")
+    def stream(self):
+        generator = RequestGenerator(SPEC, rate=1500.0, seed=5)
+        return generator.generate(600)  # ~0.4 s: outlives the window
+
+    def _run(self, world, stream, num_replicas, policy, fallback):
+        snap_v1, snap_v2, hot_rows, _ = world
+        fleet = ServingFleet(
+            snap_v1,
+            hot_rows=hot_rows,
+            config=_config(num_replicas, degradation=policy),
+            service_time=ServiceTimeModel(base=1e-3),
+            injector=self.SLOWDOWN.injector(),
+        )
+        if fallback:
+            fleet.set_fallback(snap_v2, hot_rows, time=0.0)
+        return fleet.run(stream)
+
+    def _assert_shed_and_healed(self, outcome, stream):
+        assert outcome.shed_ids
+        assert not outcome.redirects  # shed by the ladder, not by a crash
+        report = outcome.report
+        assert report.completed + report.rejected == len(stream)
+        assert report.rejected == (
+            len(outcome.rejected_ids) + len(outcome.shed_ids)
+        )
+        assert outcome.unaccounted == 0
+        for replica in outcome.replicas:
+            assert replica.fallback_batches == 0
+            assert replica.final_breaker_state is BreakerState.CLOSED
+            # trip, probe, close — with slack for a failed probe or two
+            assert 3 <= len(replica.breaker_transitions) <= 9
+
+    @pytest.mark.parametrize("num_replicas", [1, 2])
+    def test_no_fallback_sheds_and_breakers_heal(
+        self, world, stream, num_replicas
+    ):
+        outcome = self._run(
+            world, stream, num_replicas, self.POLICY, fallback=False
+        )
+        self._assert_shed_and_healed(outcome, stream)
+
+    @pytest.mark.parametrize("num_replicas", [1, 2])
+    def test_too_stale_fallback_sheds(self, world, stream, num_replicas):
+        tight = DegradationPolicy(
+            slo_target=self.POLICY.slo_target,
+            max_staleness=0.01,  # taken at t=0: aged out before the trip
+            breaker=self.POLICY.breaker,
+        )
+        outcome = self._run(
+            world, stream, num_replicas, tight, fallback=True
+        )
+        self._assert_shed_and_healed(outcome, stream)
+        assert outcome.max_fallback_age == 0.0
+
+    @pytest.mark.parametrize("num_replicas", [1, 2])
+    def test_capacity_blocked_but_healthy_queues(self, world, num_replicas):
+        # Every replica at max_in_flight with its breaker CLOSED is a
+        # capacity problem, not a health problem: batches wait.
+        snap_v1, _, hot_rows, _ = world
+        burst = RequestGenerator(SPEC, rate=30000.0, seed=5).generate(300)
+        fleet = ServingFleet(
+            snap_v1,
+            hot_rows=hot_rows,
+            config=_config(
+                num_replicas, degradation=DegradationPolicy(slo_target=1.0),
+            ),
+            service_time=ServiceTimeModel(base=1e-3),
+        )
+        outcome = fleet.run(burst)
+        assert outcome.queue_max_depth > 1  # batches did wait
+        assert not outcome.shed_ids and not outcome.rejected_ids
+        assert len(outcome.results) == len(burst)
+        for replica in outcome.replicas:
+            assert not replica.breaker_transitions
+
+
+class TestSingleServerGolden:
+    def test_smoke_workload_matches_the_retired_single_server(self):
+        """The N=1 fleet reproduces the old single-server loop bit for bit.
+
+        Literals recorded from the worker-pool server this engine
+        replaced, on the quickcheck serving smoke (300 requests @
+        2000/s, batch 16 / 2 ms, two workers, 10% hot coverage).
+        """
+        spec = criteo_kaggle_like(scale=3e-5)
+        config = DLRMConfig.from_dataset(
+            spec, embedding_dim=8, backend=EmbeddingBackend.EFF_TT,
+            tt_rank=8, bottom_mlp=(16,), top_mlp=(16,),
+        )
+        generator = RequestGenerator(spec, rate=2000.0, seed=0)
+        fleet = ServingFleet(
+            ModelSnapshot.from_model(DLRM(config, seed=0), version=0),
+            hot_rows={
+                t: generator.hot_rows(t, 0.1)
+                for t in range(spec.num_sparse)
+            },
+            config=FleetConfig(
+                num_replicas=1,
+                batching=BatchingPolicy(
+                    max_batch_size=16, max_wait=2e-3, queue_capacity=512,
+                ),
+                admission=AdmissionConfig(max_in_flight=2),
+            ),
+        )
+        outcome = fleet.run(generator.generate(300))
+        report = outcome.report
+        assert (report.completed, report.offered) == (300, 300)
+        assert report.num_batches == 65
+        assert report.latency_p50 == 0.0016616076768714446
+        assert report.latency_p99 == 0.002481338999999992
+        assert report.duration == 0.15955892717570347
+        assert report.max_queue_depth == 9
+        assert math.fsum(
+            r.prediction for r in outcome.results
+        ) == 156.98809068983212

@@ -1,4 +1,10 @@
-"""Tests for the serving model view and the event-loop server."""
+"""Tests for the serving model view and the single-replica server.
+
+The run-loop cases drive the one serving engine
+(:class:`~repro.serving.fleet.ServingFleet`) at ``num_replicas=1``: a
+single server *is* the one-replica fleet, with
+``AdmissionConfig.max_in_flight`` as its worker-pool depth.
+"""
 
 import numpy as np
 import pytest
@@ -7,10 +13,12 @@ from repro.data.datasets import criteo_kaggle_like
 from repro.embeddings.inference import StaleCacheError
 from repro.models.config import DLRMConfig, EmbeddingBackend
 from repro.models.dlrm import DLRM
+from repro.resilience.degradation import DegradationPolicy
 from repro.serving.batcher import BatchingPolicy
+from repro.serving.fleet import FleetConfig, ServingFleet
 from repro.serving.requests import RequestGenerator, coalesce_requests
+from repro.serving.router import AdmissionConfig
 from repro.serving.server import (
-    InferenceServer,
     ServiceTimeModel,
     ServingModel,
     replay_batches,
@@ -38,6 +46,30 @@ def _hot(generator, coverage):
     return {
         t: generator.hot_rows(t, coverage) for t in range(SPEC.num_sparse)
     }
+
+
+def _server(
+    hot_rows=None,
+    policy=None,
+    num_workers=1,
+    service_time=None,
+    snapshot=None,
+    **config,
+):
+    """A single server: the one-replica fleet over a seed-0 model."""
+    if snapshot is None:
+        snapshot = ModelSnapshot.from_model(DLRM(CFG, seed=0), version=0)
+    return ServingFleet(
+        snapshot,
+        hot_rows=hot_rows,
+        config=FleetConfig(
+            num_replicas=1,
+            batching=policy or BatchingPolicy(),
+            admission=AdmissionConfig(max_in_flight=num_workers),
+            **config,
+        ),
+        service_time=service_time,
+    )
 
 
 class TestServiceTimeModel:
@@ -116,16 +148,17 @@ class TestServingModel:
         serving.predict_proba(coalesce_requests(requests[:4]))
 
 
-class TestInferenceServer:
+class TestSingleReplicaServer:
     def test_all_requests_served(self, generator, requests):
-        server = InferenceServer(
-            ServingModel(DLRM(CFG, seed=0), hot_rows=_hot(generator, 0.1)),
+        server = _server(
+            _hot(generator, 0.1),
             policy=BatchingPolicy(max_batch_size=16, max_wait=2e-3),
             num_workers=2,
         )
         outcome = server.run(requests)
         assert outcome.report.completed == len(requests)
         assert outcome.report.rejected == 0
+        assert outcome.unaccounted == 0
         served_ids = sorted(
             i for b in outcome.served_batches for i in b.request_ids
         )
@@ -133,14 +166,11 @@ class TestInferenceServer:
 
     def test_bit_reproducible(self, generator, requests):
         def run():
-            server = InferenceServer(
-                ServingModel(
-                    DLRM(CFG, seed=0), hot_rows=_hot(generator, 0.1)
-                ),
+            return _server(
+                _hot(generator, 0.1),
                 policy=BatchingPolicy(max_batch_size=16, max_wait=2e-3),
                 num_workers=2,
-            )
-            return server.run(requests)
+            ).run(requests)
 
         a, b = run(), run()
         assert len(a.served_batches) == len(b.served_batches)
@@ -148,8 +178,8 @@ class TestInferenceServer:
             assert ra == rb
 
     def test_latencies_positive_and_consistent(self, generator, requests):
-        outcome = InferenceServer(
-            ServingModel(DLRM(CFG, seed=0), hot_rows=_hot(generator, 0.1)),
+        outcome = _server(
+            _hot(generator, 0.1),
             policy=BatchingPolicy(max_batch_size=8, max_wait=1e-3),
         ).run(requests)
         for result in outcome.results:
@@ -161,24 +191,28 @@ class TestInferenceServer:
     def test_single_request_batches_when_batching_disabled(
         self, generator, requests
     ):
-        outcome = InferenceServer(
-            ServingModel(DLRM(CFG, seed=0)),
+        outcome = _server(
             policy=BatchingPolicy(max_batch_size=1, max_wait=0.0),
             num_workers=4,
         ).run(requests[:30])
         assert all(b.size == 1 for b in outcome.served_batches)
 
     def test_overload_sheds_requests(self, generator, requests):
-        # one slow worker + tiny queue: admission control must kick in
-        outcome = InferenceServer(
-            ServingModel(DLRM(CFG, seed=0)),
+        # one slow worker behind a tiny pending queue and a tiny batch
+        # queue: admission control must kick in at the front door.  The
+        # SLO is out of reach and the batches finish inside the stuck
+        # timeout, so neither breaker nor watchdog is in the picture.
+        outcome = _server(
             policy=BatchingPolicy(
                 max_batch_size=2, max_wait=0.0, queue_capacity=2
             ),
-            num_workers=1,
-            service_time=ServiceTimeModel(base=0.5),
+            service_time=ServiceTimeModel(base=0.02),
+            degradation=DegradationPolicy(slo_target=1e3),
+            queue_capacity=1,
         ).run(requests[:40])
         assert outcome.report.rejected > 0
+        assert not outcome.shed_ids
+        assert outcome.report.rejected == len(outcome.rejected_ids)
         assert outcome.report.completed + outcome.report.rejected == 40
         assert set(outcome.rejected_ids).isdisjoint(
             i for b in outcome.served_batches for i in b.request_ids
@@ -186,10 +220,8 @@ class TestInferenceServer:
 
     def test_hit_rate_grows_with_coverage(self, generator, requests):
         def hit_rate(coverage):
-            outcome = InferenceServer(
-                ServingModel(
-                    DLRM(CFG, seed=0), hot_rows=_hot(generator, coverage)
-                ),
+            outcome = _server(
+                _hot(generator, coverage),
                 policy=BatchingPolicy(max_batch_size=16, max_wait=2e-3),
             ).run(requests)
             return outcome.report.cache_hit_rate
@@ -198,10 +230,9 @@ class TestInferenceServer:
         assert r0 < r1 < r2
 
     def test_swap_attributes_versions(self, generator, requests):
-        model = DLRM(CFG, seed=0)
-        snapshot = ModelSnapshot.from_model(model, version=5)
-        server = InferenceServer(
-            ServingModel(model, hot_rows=_hot(generator, 0.1), version=0),
+        snapshot = ModelSnapshot.from_model(DLRM(CFG, seed=0), version=5)
+        server = _server(
+            _hot(generator, 0.1),
             policy=BatchingPolicy(max_batch_size=16, max_wait=2e-3),
         )
         midpoint = requests[len(requests) // 2].arrival_time
@@ -210,17 +241,22 @@ class TestInferenceServer:
         versions = outcome.report.requests_per_version
         assert set(versions) == {0, 5}
         assert versions[0] > 0 and versions[5] > 0
-        assert outcome.final_model_version == 5
-        assert outcome.swap_times == (midpoint,)
+        assert outcome.final_version == 5
+        (swap,) = outcome.swaps
+        assert swap.started_at == midpoint
+        # the one replica drains its in-flight batch, then installs
+        ((replica_id, installed_at),) = swap.replica_times
+        assert replica_id == 0 and installed_at >= midpoint
+        assert swap.completed and swap.dropped_in_flight == 0
 
     def test_replay_is_bitwise_identical(self, generator, requests):
-        model = DLRM(CFG, seed=0)
-        snapshot = ModelSnapshot.from_model(model, version=0)
+        snapshot = ModelSnapshot.from_model(DLRM(CFG, seed=0), version=0)
         hot = _hot(generator, 0.1)
-        outcome = InferenceServer(
-            ServingModel(snapshot.materialize(), hot_rows=hot),
+        outcome = _server(
+            hot,
             policy=BatchingPolicy(max_batch_size=16, max_wait=2e-3),
             num_workers=2,
+            snapshot=snapshot,
         ).run(requests)
         offline = replay_batches(
             ServingModel(snapshot.materialize(), hot_rows=hot),
@@ -231,16 +267,17 @@ class TestInferenceServer:
 
     def test_invalid_worker_count(self, generator):
         with pytest.raises(ValueError):
-            InferenceServer(ServingModel(DLRM(CFG, seed=0)), num_workers=0)
+            _server(num_workers=0)
 
     def test_negative_swap_time_rejected(self):
-        model = DLRM(CFG, seed=0)
-        server = InferenceServer(ServingModel(model))
+        server = _server()
         with pytest.raises(ValueError):
-            server.schedule_swap(-1.0, ModelSnapshot.from_model(model))
+            server.schedule_swap(
+                -1.0, ModelSnapshot.from_model(DLRM(CFG, seed=0))
+            )
 
     def test_empty_stream(self):
-        outcome = InferenceServer(ServingModel(DLRM(CFG, seed=0))).run([])
+        outcome = _server().run([])
         assert outcome.report.completed == 0
 
 
@@ -254,10 +291,8 @@ class TestSwapVersionMonotonicity:
     """
 
     def _server(self, generator):
-        return InferenceServer(
-            ServingModel(
-                DLRM(CFG, seed=0), hot_rows=_hot(generator, 0.1), version=0,
-            ),
+        return _server(
+            _hot(generator, 0.1),
             policy=BatchingPolicy(max_batch_size=16, max_wait=2e-3),
         )
 
@@ -272,9 +307,9 @@ class TestSwapVersionMonotonicity:
         server.schedule_swap(t1, snap_v3)
         server.schedule_swap(t2, snap_v1)  # stale: v1 after v3 acknowledged
         outcome = server.run(requests)
-        assert outcome.final_model_version == 3
+        assert outcome.final_version == 3
         assert outcome.stale_swaps_rejected == 1
-        assert len(outcome.swap_times) == 1
+        assert len(outcome.swaps) == 1
         # no request is ever stamped with the stale version
         assert all(r.model_version in (0, 3) for r in outcome.results)
 
@@ -287,9 +322,9 @@ class TestSwapVersionMonotonicity:
         server.schedule_swap(t1, snap_a)
         server.schedule_swap(t2, snap_b)  # same counter: must not install
         outcome = server.run(requests)
-        assert outcome.final_model_version == 2
+        assert outcome.final_version == 2
         assert outcome.stale_swaps_rejected == 1
-        assert len(outcome.swap_times) == 1
+        assert len(outcome.swaps) == 1
 
     def test_versions_monotone_along_request_timeline(
         self, generator, requests
@@ -308,7 +343,7 @@ class TestSwapVersionMonotonicity:
         server.schedule_swap(times[1], ModelSnapshot.from_model(
             DLRM(CFG, seed=7), version=7))
         outcome = server.run(requests)
-        assert outcome.final_model_version == 9
+        assert outcome.final_version == 9
         ordered = sorted(outcome.served_batches, key=lambda b: b.start_time)
         versions = [b.model_version for b in ordered]
         assert versions == sorted(versions)  # never rolls back

@@ -146,6 +146,45 @@ class TestCli:
         assert "hot swaps at" in out
         assert trace.exists()
 
+    def test_serve_replicas_honours_every_serving_flag(self, capsys, tmp_path):
+        # One serving path: --replicas must not drop the compression
+        # plan, the worker depth, the trace, or the backend report.
+        import json
+
+        trace = tmp_path / "trace.json"
+        common = [
+            "serve", "--requests", "200", "--train-steps", "3",
+            "--replicas", "2", "--compress-strategy", "hash",
+            "--memory-budget-mb", "0.05",
+        ]
+        assert main(
+            common + [
+                "--workers", "2", "--trace", str(trace),
+                "--backend", "instrumented",
+            ]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "embeddings: 'hash' plan" in out
+        assert "hash_lookup" in out  # backend report over the hash bags
+        assert "replica 1:" in out
+        events = json.loads(trace.read_text())["traceEvents"]
+        assert f"wrote {len(events)} trace events to {trace}" in out
+        assert any(e["ph"] == "X" for e in events)
+        # both replicas installed the mid-stream snapshot
+        assert sum(e["name"] == "hot swap" for e in events) == 2
+
+        def p99_under_burst(workers):
+            assert main(
+                common + ["--rate", "60000", "--workers", workers]
+            ) == 0
+            out = capsys.readouterr().out
+            (line,) = [
+                ln for ln in out.splitlines() if "latency_p99_ms" in ln
+            ]
+            return float(line.split("|")[1])
+
+        assert p99_under_burst("4") < p99_under_burst("1")
+
     def test_serve_without_swap(self, capsys):
         assert main(["serve", "--requests", "80", "--train-steps", "0"]) == 0
         out = capsys.readouterr().out
