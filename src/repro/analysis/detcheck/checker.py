@@ -24,37 +24,18 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.detcheck.callgraph import Program, build_program
-from repro.analysis.detcheck.catalog import DET_RULES, DetRuleInfo
+from repro.analysis.detcheck.catalog import DET_RULES
 from repro.analysis.detcheck.interp import compute_summaries, module_findings
-from repro.analysis.findings import Finding, Severity
 from repro.analysis.linter import (
     LintResult,
-    is_suppressed,
     iter_python_files,
     package_rel,
     parse_pragmas,
+    select_rules,
+    syntax_error_finding,
 )
 
 __all__ = ["detcheck_paths", "detcheck_source", "DET_RULES"]
-
-
-def _select_rules(select: Optional[Sequence[str]]) -> List[DetRuleInfo]:
-    if select is None:
-        return list(DET_RULES.values())
-    rules: List[DetRuleInfo] = []
-    for name in select:
-        matches = [
-            rule
-            for rule in DET_RULES.values()
-            if name in (rule.name, rule.id)
-        ]
-        if not matches:
-            raise KeyError(
-                f"unknown detcheck rule {name!r}; known: "
-                f"{sorted(DET_RULES)}"
-            )
-        rules.extend(matches)
-    return rules
 
 
 def _analyze(
@@ -67,19 +48,13 @@ def _analyze(
         return
     program: Program = build_program(files)
     summaries, module_envs = compute_summaries(program)
-    selected = {rule.name for rule in _select_rules(select)}
+    selected = {rule.name for rule in select_rules(DET_RULES, select, "detcheck")}
     sources = {str(path): source for path, _, source in files}
     for modname, module in program.modules.items():
         source = sources.get(module.ctx.path, "")
         per_line, file_wide = parse_pragmas(source)
-        for finding in module_findings(program, modname, summaries, module_envs):
-            if finding.rule not in selected:
-                continue
-            line_names = per_line.get(finding.line, set())
-            if is_suppressed(finding, line_names | file_wide):
-                result.suppressed += 1
-                continue
-            result.findings.append(finding)
+        findings = module_findings(program, modname, summaries, module_envs)
+        result.keep((f for f in findings if f.rule in selected), per_line, file_wide)
 
 
 def detcheck_source(
@@ -113,17 +88,7 @@ def detcheck_paths(
         try:
             compile(source, str(file_path), "exec", dont_inherit=True)
         except SyntaxError as exc:
-            result.findings.append(
-                Finding(
-                    rule="syntax-error",
-                    rule_id="DET000",
-                    severity=Severity.ERROR,
-                    path=str(file_path),
-                    line=exc.lineno or 1,
-                    col=exc.offset or 0,
-                    message=f"file does not parse: {exc.msg}",
-                )
-            )
+            result.findings.append(syntax_error_finding("DET000", file_path, exc))
             continue
         files.append((file_path, package_rel(file_path), source))
     _analyze(files, select, result)

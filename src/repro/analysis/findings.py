@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Protocol, Tuple
 
-__all__ = ["Severity", "Finding"]
+__all__ = ["Severity", "Finding", "RuleMeta"]
 
 
 class Severity(enum.IntEnum):
@@ -24,6 +24,17 @@ class Severity(enum.IntEnum):
     @property
     def label(self) -> str:
         return self.name.lower()
+
+
+class RuleMeta(Protocol):
+    """What the shared machinery (rule selection, the SARIF catalog) needs
+    from a rule; satisfied by lint ``Rule`` objects and by every
+    analyzer's ``*RuleInfo`` record."""
+
+    id: str
+    name: str
+    severity: Severity
+    description: str
 
 
 @dataclass(frozen=True)

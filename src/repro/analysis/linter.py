@@ -24,10 +24,21 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    TypeVar,
+)
 
-from repro.analysis.findings import Finding, Severity
-from repro.analysis.rules import RULE_REGISTRY, Rule, build_context
+from repro.analysis.findings import Finding, RuleMeta, Severity
+from repro.analysis.rules import RULE_REGISTRY, build_context
 
 __all__ = [
     "LintResult",
@@ -38,6 +49,9 @@ __all__ = [
     "parse_pragmas",
     "is_suppressed",
     "package_rel",
+    "select_rules",
+    "check_each_file",
+    "syntax_error_finding",
 ]
 
 _PRAGMA = re.compile(
@@ -65,6 +79,19 @@ class LintResult:
     def ok(self) -> bool:
         """True when no error-level findings survived pragmas."""
         return not self.errors
+
+    def keep(
+        self,
+        findings: Iterable[Finding],
+        per_line: Dict[int, Set[str]],
+        file_wide: Set[str],
+    ) -> None:
+        """Add ``findings``, counting (not keeping) the pragma-suppressed ones."""
+        for finding in findings:
+            if is_suppressed(finding, per_line.get(finding.line, set()) | file_wide):
+                self.suppressed += 1
+            else:
+                self.findings.append(finding)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -110,20 +137,26 @@ def package_rel(path: Path) -> str:
     return path.name
 
 
-def _select_rules(select: Optional[Sequence[str]]) -> List[Rule]:
+R = TypeVar("R", bound=RuleMeta)
+
+
+def select_rules(
+    registry: Mapping[str, R], select: Optional[Sequence[str]], tool: str = ""
+) -> List[R]:
+    """The registry's rules matching ``select`` by symbolic name or id.
+
+    ``None`` selects every rule.  ``tool`` only labels the error (the
+    ``KeyError`` a CLI turns into exit 2) for an unknown name.
+    """
     if select is None:
-        return list(RULE_REGISTRY.values())
-    rules: List[Rule] = []
+        return list(registry.values())
+    rules: List[R] = []
     for name in select:
-        matches = [
-            rule
-            for rule in RULE_REGISTRY.values()
-            if name in (rule.name, rule.id)
-        ]
+        matches = [rule for rule in registry.values() if name in (rule.name, rule.id)]
         if not matches:
             raise KeyError(
-                f"unknown rule {name!r}; known: "
-                f"{sorted(RULE_REGISTRY)}"
+                f"unknown {tool + ' ' if tool else ''}rule {name!r}; known: "
+                f"{sorted(registry)}"
             )
         rules.extend(matches)
     return rules
@@ -144,13 +177,8 @@ def lint_source(
     resolved_rel = rel if rel is not None else package_rel(Path(path))
     ctx = build_context(Path(path), resolved_rel, source)
     per_line, file_wide = parse_pragmas(source)
-    for rule in _select_rules(select):
-        for finding in rule.check(ctx):
-            line_names = per_line.get(finding.line, set())
-            if is_suppressed(finding, line_names | file_wide):
-                result.suppressed += 1
-                continue
-            result.findings.append(finding)
+    for rule in select_rules(RULE_REGISTRY, select):
+        result.keep(rule.check(ctx), per_line, file_wide)
     result.findings.sort(key=lambda f: f.sort_key)
     return result
 
@@ -174,33 +202,38 @@ def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
                 yield candidate
 
 
-def lint_paths(
+def syntax_error_finding(rule_id: str, path: Path, exc: SyntaxError) -> Finding:
+    """What every analyzer reports (as its ``XXX000``) for an unparseable file."""
+    return Finding(
+        rule="syntax-error",
+        rule_id=rule_id,
+        severity=Severity.ERROR,
+        path=str(path),
+        line=exc.lineno or 1,
+        col=exc.offset or 0,
+        message=f"file does not parse: {exc.msg}",
+    )
+
+
+def check_each_file(
     paths: Sequence[Path],
-    select: Optional[Sequence[str]] = None,
+    check_source: Callable[..., LintResult],
+    syntax_rule_id: str,
+    select: Optional[Sequence[str]],
 ) -> LintResult:
-    """Lint every ``.py`` file under ``paths``; aggregate the results."""
+    """Run a one-module checker over every ``.py`` file under ``paths``."""
     total = LintResult()
     for file_path in iter_python_files(paths):
         source = file_path.read_text(encoding="utf-8")
         try:
-            single = lint_source(
+            single = check_source(
                 source,
                 path=str(file_path),
                 rel=package_rel(file_path),
                 select=select,
             )
         except SyntaxError as exc:
-            total.findings.append(
-                Finding(
-                    rule="syntax-error",
-                    rule_id="REP000",
-                    severity=Severity.ERROR,
-                    path=str(file_path),
-                    line=exc.lineno or 1,
-                    col=exc.offset or 0,
-                    message=f"file does not parse: {exc.msg}",
-                )
-            )
+            total.findings.append(syntax_error_finding(syntax_rule_id, file_path, exc))
             total.files_scanned += 1
             continue
         total.files_scanned += single.files_scanned
@@ -208,6 +241,14 @@ def lint_paths(
         total.findings.extend(single.findings)
     total.findings.sort(key=lambda f: f.sort_key)
     return total
+
+
+def lint_paths(
+    paths: Sequence[Path],
+    select: Optional[Sequence[str]] = None,
+) -> LintResult:
+    """Lint every ``.py`` file under ``paths``; aggregate the results."""
+    return check_each_file(paths, lint_source, "REP000", select)
 
 
 def format_findings(result: LintResult) -> str:

@@ -1,14 +1,17 @@
 """perfcheck: static kernel-zone cost & fusion analyzer.
 
 Reconstructs the per-zone dataflow graph of ``ArrayBackend`` call sites,
-prices each node with the same formulas ``InstrumentedBackend`` uses at
-runtime, reports one-sided PERF findings, and emits the FusionPlan
-contract consumed by the fused backend.  See DESIGN.md §14.
+prices each node with a symbolic cost model (``costmodel``), reports
+one-sided PERF findings, and emits the FusionPlan contract.  The
+calibration gate (``calibrate``) keeps the model honest: one training
+run under the backend interposer, watched by the hand-written
+``CostCounter`` and by ``CostModelPricer`` (the cost model applied to
+runtime shapes), compared zone by zone.  See DESIGN.md §14.
 """
 
 from .calibrate import (
-    CalibrationBackend,
     CalibrationReport,
+    CostModelPricer,
     ZoneComparison,
     run_calibration,
 )
@@ -21,7 +24,7 @@ __all__ = [
     "perfcheck_paths",
     "perfcheck_source",
     "build_fusion_plan",
-    "CalibrationBackend",
+    "CostModelPricer",
     "CalibrationReport",
     "ZoneComparison",
     "run_calibration",

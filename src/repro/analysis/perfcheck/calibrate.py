@@ -1,48 +1,42 @@
 """Calibration gate: static cost formulas vs. measured zone counters.
 
 Perfcheck's FusionPlan numbers are only trustworthy if the *formulas*
-behind them match what :class:`~repro.backend.instrumented.InstrumentedBackend`
-actually measures.  :class:`CalibrationBackend` closes that loop: it is a
-bitwise-transparent wrapper (forwards every op to the reference numpy
-backend) that prices each call with the perfcheck cost model applied to
-the *runtime* shapes — the same code path the static analyzer uses, with
-every dimension concrete.  :func:`run_calibration` then trains a
-quickcheck-sized Eff-TT DLRM under both wrappers and compares the
-per-zone FLOP/byte totals; any relative error beyond the tolerance means
-the static model has drifted from the measured truth.
+behind them match what :class:`~repro.backend.counter.CostCounter`
+actually measures.  :class:`CostModelPricer` closes that loop: it is an
+interposer observer that prices each forwarded call with the perfcheck
+cost model applied to the *runtime* shapes — the same code path the
+static analyzer uses, with every dimension concrete.
+:func:`run_calibration` trains a quickcheck-sized Eff-TT DLRM once
+under ``Interposer(observers=[counter, pricer])`` — both observers see
+the same calls in the same zones — and compares the per-zone FLOP/byte
+totals; any relative error beyond the tolerance means the static model
+has drifted from the measured truth.
 
 Because both sides resolve einsum costs through the shared
-:class:`~repro.backend.plan_cache.ContractionPlanCache` (the calibration
-side via :meth:`einsum_plan_for_shapes`, keyed identically), agreement
-is expected to be exact; the 5% tolerance in the gate is slack for
-future backends whose counters are sampled rather than computed.
+:class:`~repro.backend.plan_cache.ContractionPlanCache` (the pricer via
+:meth:`einsum_plan_for_shapes`, keyed identically), agreement is
+expected to be exact; the 5% tolerance in the gate is slack for future
+backends whose counters are sampled rather than computed.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
-from ...backend.instrumented import InstrumentedBackend, KernelStats
-from ...backend.numpy_backend import NumpyBackend
-from ...backend.plan_cache import EinsumPlan, get_plan_cache
-from ...backend.protocol import ArrayBackend, DTypeLike, Shape
+from ...backend.counter import CostCounter, KernelStats
+from ...backend.interposer import Interposer
+from ...backend.plan_cache import get_plan_cache
 from . import costmodel
 
-__all__ = ["CalibrationBackend", "ZoneComparison", "CalibrationReport", "run_calibration"]
-
-UNZONED = "unzoned"
+__all__ = ["CostModelPricer", "ZoneComparison", "CalibrationReport", "run_calibration"]
 
 
-def _shape(arr: np.ndarray) -> Tuple[int, ...]:
-    return tuple(int(d) for d in arr.shape)
-
-
-def _dtype(arr: np.ndarray) -> str:
-    return str(arr.dtype)
+def _sd(arr: np.ndarray) -> Tuple[Tuple[int, ...], str]:
+    """The ``(shape, dtype)`` pair the cost model takes for one array."""
+    return tuple(int(d) for d in arr.shape), str(arr.dtype)
 
 
 def _value(cost: Optional[costmodel.Cost]) -> int:
@@ -54,141 +48,58 @@ def _value(cost: Optional[costmodel.Cost]) -> int:
     return value
 
 
-class CalibrationBackend:
-    """Counting wrapper priced by the static perfcheck cost model.
+class CostModelPricer(CostCounter):
+    """A cost ledger priced by the static perfcheck cost model.
 
-    Satisfies :class:`~repro.backend.protocol.ArrayBackend`; results are
-    bitwise-identical to the wrapped backend (the reference numpy
-    backend by default).
+    Keeps :class:`~repro.backend.counter.CostCounter`'s per-zone
+    bookkeeping and replaces only its hand-written formulas.
     """
 
-    def __init__(self, inner: Optional[ArrayBackend] = None) -> None:
-        self.inner: ArrayBackend = inner if inner is not None else NumpyBackend()
-        self.name = f"calibration[{self.inner.name}]"
-        self.zone_stats: Dict[str, KernelStats] = {}
-        self._zone_stack: List[str] = []
+    label = "calibration"
 
-    @property
-    def current_zone(self) -> str:
-        return self._zone_stack[-1] if self._zone_stack else UNZONED
+    def cost(self, op: str, args: Tuple[Any, ...], out: Any) -> Tuple[int, int]:
+        priced = self._op_cost(op, args, out)
+        return _value(priced.flops), _value(priced.bytes)
 
-    def reset(self) -> None:
-        self.zone_stats.clear()
-
-    @contextlib.contextmanager
-    def zone(self, name: str) -> Iterator[None]:
-        self._zone_stack.append(name)
-        try:
-            yield
-        finally:
-            self._zone_stack.pop()
-
-    def _record(self, cost: costmodel.OpCost) -> None:
-        stats = self.zone_stats.setdefault(self.current_zone, KernelStats())
-        stats.add(_value(cost.flops), _value(cost.bytes))
-
-    # -- allocation ----------------------------------------------------
-    def zeros(self, shape: Shape, dtype: DTypeLike) -> np.ndarray:
-        out = self.inner.zeros(shape, dtype)
-        self._record(costmodel.alloc_cost(_shape(out), _dtype(out)))
-        return out
-
-    def ones(self, shape: Shape, dtype: DTypeLike) -> np.ndarray:
-        out = self.inner.ones(shape, dtype)
-        self._record(costmodel.alloc_cost(_shape(out), _dtype(out)))
-        return out
-
-    def empty(self, shape: Shape, dtype: DTypeLike) -> np.ndarray:
-        out = self.inner.empty(shape, dtype)
-        self._record(costmodel.alloc_cost(_shape(out), _dtype(out)))
-        return out
-
-    def full(self, shape: Shape, fill_value: float, dtype: DTypeLike) -> np.ndarray:
-        out = self.inner.full(shape, fill_value, dtype)
-        self._record(costmodel.alloc_cost(_shape(out), _dtype(out)))
-        return out
-
-    def asarray(self, a: Any, dtype: Optional[DTypeLike] = None) -> np.ndarray:
-        out = self.inner.asarray(a, dtype=dtype)
-        self._record(costmodel.asarray_cost())
-        return out
-
-    # -- contraction ---------------------------------------------------
-    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        out = self.inner.matmul(a, b)
-        self._record(
-            costmodel.matmul_cost(
-                _shape(a), _dtype(a), _shape(b), _dtype(b), _shape(out), _dtype(out)
+    def _op_cost(self, op: str, args: Tuple[Any, ...], out: Any) -> costmodel.OpCost:
+        if op in ("zeros", "ones", "empty", "full"):
+            return costmodel.alloc_cost(*_sd(out))
+        if op == "asarray":
+            return costmodel.asarray_cost()
+        if op == "matmul":
+            a, b = args
+            return costmodel.matmul_cost(*_sd(a), *_sd(b), *_sd(out))
+        if op == "einsum":
+            subscripts, operands, plan = args
+            if plan is None:
+                plan = get_plan_cache().einsum_plan_for_shapes(
+                    subscripts, [_sd(x)[0] for x in operands]
+                )
+            traffic = costmodel.cost_add(
+                *(costmodel.nbytes_cost(*_sd(x)) for x in operands),
+                costmodel.nbytes_cost(*_sd(out)),
             )
-        )
-        return out
-
-    def einsum(
-        self, subscripts: str, *operands: np.ndarray, plan: Optional[EinsumPlan] = None
-    ) -> np.ndarray:
-        out = self.inner.einsum(subscripts, *operands, plan=plan)
-        if plan is None:
-            plan = get_plan_cache().einsum_plan_for_shapes(
-                subscripts, [_shape(op) for op in operands]
-            )
-        traffic = costmodel.cost_add(
-            *(costmodel.nbytes_cost(_shape(op), _dtype(op)) for op in operands),
-            costmodel.nbytes_cost(_shape(out), _dtype(out)),
-        )
-        self._record(
-            costmodel.OpCost(
+            return costmodel.OpCost(
                 flops=costmodel.Cost.concrete(plan.flop_count), bytes=traffic
             )
-        )
-        return out
+        if op == "gather_rows":
+            return costmodel.gather_cost(*_sd(out))
+        if op == "scatter_add_rows":
+            _, _, values, scale = args
+            return costmodel.scatter_cost(*_sd(values), scale == 1.0)
+        if op == "exp":
+            return costmodel.elementwise_cost("exp", *_sd(args[0]), *_sd(out))
+        if op in ("maximum", "where"):
+            return costmodel.elementwise_cost(op, None, None, *_sd(out))
+        if op == "axpy":
+            return costmodel.elementwise_cost("axpy", *_sd(args[1]), None, None)
+        raise ValueError(f"no cost-model entry for backend op {op!r}")
 
-    # -- sparse movement -----------------------------------------------
-    def gather_rows(self, table: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        out = self.inner.gather_rows(table, indices)
-        self._record(costmodel.gather_cost(_shape(out), _dtype(out)))
-        return out
 
-    def scatter_add_rows(
-        self,
-        target: np.ndarray,
-        indices: np.ndarray,
-        values: np.ndarray,
-        scale: float = 1.0,
-    ) -> None:
-        self.inner.scatter_add_rows(target, indices, values, scale=scale)
-        self._record(
-            costmodel.scatter_cost(_shape(values), _dtype(values), scale == 1.0)
-        )
-
-    # -- elementwise ---------------------------------------------------
-    def exp(self, a: np.ndarray) -> np.ndarray:
-        out = self.inner.exp(a)
-        self._record(
-            costmodel.elementwise_cost(
-                "exp", _shape(a), _dtype(a), _shape(out), _dtype(out)
-            )
-        )
-        return out
-
-    def maximum(self, a: Any, b: Any) -> np.ndarray:
-        out = self.inner.maximum(a, b)
-        self._record(
-            costmodel.elementwise_cost("maximum", None, None, _shape(out), _dtype(out))
-        )
-        return out
-
-    def where(self, cond: np.ndarray, a: Any, b: Any) -> np.ndarray:
-        out = self.inner.where(cond, a, b)
-        self._record(
-            costmodel.elementwise_cost("where", None, None, _shape(out), _dtype(out))
-        )
-        return out
-
-    def axpy(self, target: np.ndarray, values: np.ndarray, scale: float) -> None:
-        self.inner.axpy(target, values, scale)
-        self._record(
-            costmodel.elementwise_cost("axpy", _shape(values), _dtype(values), None, None)
-        )
+def _rel_err(static: int, measured: int) -> float:
+    if measured == 0:
+        return 0.0 if static == 0 else float("inf")
+    return abs(static - measured) / measured
 
 
 @dataclass(frozen=True)
@@ -203,15 +114,11 @@ class ZoneComparison:
 
     @property
     def flops_rel_err(self) -> float:
-        if self.measured_flops == 0:
-            return 0.0 if self.static_flops == 0 else float("inf")
-        return abs(self.static_flops - self.measured_flops) / self.measured_flops
+        return _rel_err(self.static_flops, self.measured_flops)
 
     @property
     def bytes_rel_err(self) -> float:
-        if self.measured_bytes == 0:
-            return 0.0 if self.static_bytes == 0 else float("inf")
-        return abs(self.static_bytes - self.measured_bytes) / self.measured_bytes
+        return _rel_err(self.static_bytes, self.measured_bytes)
 
 
 @dataclass
@@ -220,13 +127,11 @@ class CalibrationReport:
 
     zones: List[ZoneComparison] = field(default_factory=list)
     tolerance: float = 0.05
-    losses_match: bool = True
 
     @property
     def ok(self) -> bool:
         return (
-            self.losses_match
-            and bool(self.zones)
+            bool(self.zones)
             and all(
                 z.flops_rel_err <= self.tolerance
                 and z.bytes_rel_err <= self.tolerance
@@ -242,13 +147,12 @@ class CalibrationReport:
 
 
 def run_calibration(steps: int = 3, tolerance: float = 0.05) -> CalibrationReport:
-    """Train a quickcheck-sized Eff-TT DLRM under both counting wrappers.
+    """Train a quickcheck-sized Eff-TT DLRM under the counter and the pricer.
 
     The workload mirrors the quickcheck backend-equivalence gate: a
-    small synthetic Criteo-like click log through the Eff-TT DLRM.  The
-    two runs must produce identical loss trajectories (both wrappers are
-    bitwise-transparent) and per-zone FLOP/byte totals within
-    ``tolerance`` for every zone either side observed.
+    small synthetic Criteo-like click log through the Eff-TT DLRM.  One
+    run, watched by both observers; per-zone FLOP/byte totals must agree
+    within ``tolerance`` for every zone either side observed.
     """
     from ...backend import use_backend
     from ...data.dataloader import SyntheticClickLog
@@ -266,20 +170,13 @@ def run_calibration(steps: int = 3, tolerance: float = 0.05) -> CalibrationRepor
         bottom_mlp=(16,),
         top_mlp=(16,),
     )
+    measured, static = CostCounter(), CostModelPricer()
+    with use_backend(Interposer(observers=[measured, static])):
+        model = DLRM(cfg, seed=0)
+        for i in range(steps):
+            model.train_step(log.batch(i), lr=0.1)
 
-    def _losses_under(backend: ArrayBackend) -> List[float]:
-        with use_backend(backend):
-            model = DLRM(cfg, seed=0)
-            return [model.train_step(log.batch(i), lr=0.1).loss for i in range(steps)]
-
-    measured = InstrumentedBackend()
-    static = CalibrationBackend()
-    measured_losses = _losses_under(measured)
-    static_losses = _losses_under(static)
-
-    report = CalibrationReport(
-        tolerance=tolerance, losses_match=measured_losses == static_losses
-    )
+    report = CalibrationReport(tolerance=tolerance)
     for zone in sorted(set(measured.zone_stats) | set(static.zone_stats)):
         m = measured.zone_stats.get(zone, KernelStats())
         s = static.zone_stats.get(zone, KernelStats())

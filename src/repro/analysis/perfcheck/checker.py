@@ -32,20 +32,19 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..detcheck.callgraph import build_program
-from ..findings import Finding, Severity
 from ..linter import (
     LintResult,
-    is_suppressed,
+    check_each_file,
     iter_python_files,
     package_rel,
     parse_pragmas,
+    select_rules,
 )
 from ..rules import build_context
 from .graph import Chain, OpNode, fusion_plan_json
 from .interp import (
     PERF_RULES,
     PerfModuleResult,
-    PerfRuleInfo,
     interpret_module_perf,
 )
 
@@ -55,22 +54,6 @@ __all__ = [
     "build_fusion_plan",
     "PERF_RULES",
 ]
-
-
-def _select_rules(select: Optional[Sequence[str]]) -> List[PerfRuleInfo]:
-    if select is None:
-        return list(PERF_RULES.values())
-    rules: List[PerfRuleInfo] = []
-    for name in select:
-        matches = [
-            rule for rule in PERF_RULES.values() if name in (rule.name, rule.id)
-        ]
-        if not matches:
-            raise KeyError(
-                f"unknown perfcheck rule {name!r}; known: {sorted(PERF_RULES)}"
-            )
-        rules.extend(matches)
-    return rules
 
 
 def perfcheck_source(
@@ -84,15 +67,12 @@ def perfcheck_source(
     resolved_rel = rel if rel is not None else package_rel(Path(path))
     ctx = build_context(Path(path), resolved_rel, source)
     per_line, file_wide = parse_pragmas(source)
-    selected = {rule.name for rule in _select_rules(select)}
-    for finding in interpret_module_perf(ctx).findings:
-        if finding.rule not in selected:
-            continue
-        line_names = per_line.get(finding.line, set())
-        if is_suppressed(finding, line_names | file_wide):
-            result.suppressed += 1
-            continue
-        result.findings.append(finding)
+    selected = {rule.name for rule in select_rules(PERF_RULES, select, "perfcheck")}
+    result.keep(
+        (f for f in interpret_module_perf(ctx).findings if f.rule in selected),
+        per_line,
+        file_wide,
+    )
     result.findings.sort(key=lambda f: f.sort_key)
     return result
 
@@ -102,35 +82,7 @@ def perfcheck_paths(
     select: Optional[Sequence[str]] = None,
 ) -> LintResult:
     """Perfcheck every ``.py`` file under ``paths``; aggregate."""
-    total = LintResult()
-    for file_path in iter_python_files(paths):
-        source = file_path.read_text(encoding="utf-8")
-        try:
-            single = perfcheck_source(
-                source,
-                path=str(file_path),
-                rel=package_rel(file_path),
-                select=select,
-            )
-        except SyntaxError as exc:
-            total.findings.append(
-                Finding(
-                    rule="syntax-error",
-                    rule_id="PERF000",
-                    severity=Severity.ERROR,
-                    path=str(file_path),
-                    line=exc.lineno or 1,
-                    col=exc.offset or 0,
-                    message=f"file does not parse: {exc.msg}",
-                )
-            )
-            total.files_scanned += 1
-            continue
-        total.files_scanned += single.files_scanned
-        total.suppressed += single.suppressed
-        total.findings.extend(single.findings)
-    total.findings.sort(key=lambda f: f.sort_key)
-    return total
+    return check_each_file(paths, perfcheck_source, "PERF000", select)
 
 
 def _zone_kwarg_name(value: ast.expr) -> Optional[str]:

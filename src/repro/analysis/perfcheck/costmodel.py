@@ -2,7 +2,7 @@
 
 Costs are sums of integer-coefficient *product terms* over symbolic
 dimension names — ``2*batch*r_prev*n_k*r_next`` — mirroring, formula
-for formula, what :class:`~repro.backend.instrumented.InstrumentedBackend`
+for formula, what :class:`~repro.backend.counter.CostCounter`
 measures at run time.  When every dimension is a concrete ``int`` the
 cost collapses to an exact integer (``Cost.value``); any unknown
 dimension (``None`` in the shapecheck domain) makes the whole product
@@ -11,7 +11,7 @@ the same one-sided posture the PERF rules take.
 
 The calibration gate (:mod:`repro.analysis.perfcheck.calibrate`) runs
 these same functions against runtime shapes and checks the totals match
-``InstrumentedBackend`` per-zone counters, so the static numbers embedded
+``CostCounter`` per-zone counters, so the static numbers embedded
 in a FusionPlan are anchored to measurement.
 
 TT chain costs
@@ -189,7 +189,7 @@ def matmul_cost(
     out_shape: ShapeLike,
     out_dtype: Optional[str],
 ) -> OpCost:
-    """``2 * prod(batch) * m * k * n`` — InstrumentedBackend.matmul."""
+    """``2 * prod(batch) * m * k * n`` — CostCounter's matmul formula."""
     flops: Optional[Cost] = None
     if a_shape is not None and b_shape is not None and out_shape is not None and a_shape:
         m: Dim = a_shape[-2] if len(a_shape) >= 2 else 1
@@ -283,7 +283,7 @@ def elementwise_cost(
             bytes=cost_scale(nbytes_cost(in_shape, in_dtype), 3),
         )
     # maximum / minimum / where: one FLOP per output element, two
-    # result-sized transfers (InstrumentedBackend's convention).
+    # result-sized transfers (CostCounter's convention).
     return OpCost(
         flops=size_cost(out_shape),
         bytes=cost_scale(nbytes_cost(out_shape, out_dtype), 2),

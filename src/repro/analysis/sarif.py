@@ -11,9 +11,9 @@ output.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Protocol, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
-from repro.analysis.findings import Finding, Severity
+from repro.analysis.findings import Finding, RuleMeta, Severity
 from repro.analysis.linter import LintResult
 
 __all__ = ["result_to_sarif", "results_to_sarif_bundle"]
@@ -25,21 +25,11 @@ _SARIF_SCHEMA = (
 )
 
 
-class _RuleMeta(Protocol):
-    """What we need from a rule to describe it in the SARIF catalog
-    (satisfied by both lint ``Rule`` objects and ``ShapeRuleInfo``)."""
-
-    id: str
-    name: str
-    severity: Severity
-    description: str
-
-
 def _sarif_level(severity: Severity) -> str:
     return "error" if severity is Severity.ERROR else "warning"
 
 
-def _rule_descriptor(rule: _RuleMeta) -> Dict[str, Any]:
+def _rule_descriptor(rule: RuleMeta) -> Dict[str, Any]:
     return {
         "id": rule.id,
         "name": rule.name,
@@ -76,7 +66,7 @@ def _result(finding: Finding, rule_ids: List[str]) -> Dict[str, Any]:
 def _run(
     result: LintResult,
     tool_name: str,
-    rules: Iterable[_RuleMeta],
+    rules: Iterable[RuleMeta],
 ) -> Dict[str, Any]:
     descriptors = [_rule_descriptor(rule) for rule in rules]
     rule_ids = [desc["id"] for desc in descriptors]
@@ -95,19 +85,14 @@ def _run(
 def result_to_sarif(
     result: LintResult,
     tool_name: str,
-    rules: Iterable[_RuleMeta],
+    rules: Iterable[RuleMeta],
 ) -> str:
     """Serialize one :class:`LintResult` as a SARIF 2.1.0 document."""
-    document = {
-        "$schema": _SARIF_SCHEMA,
-        "version": _SARIF_VERSION,
-        "runs": [_run(result, tool_name, rules)],
-    }
-    return json.dumps(document, indent=2)
+    return results_to_sarif_bundle([(result, tool_name, rules)])
 
 
 def results_to_sarif_bundle(
-    runs: Sequence[Tuple[LintResult, str, Iterable[_RuleMeta]]],
+    runs: Sequence[Tuple[LintResult, str, Iterable[RuleMeta]]],
 ) -> str:
     """Serialize several tools' results as one SARIF document.
 

@@ -17,43 +17,22 @@ Usage surfaces:
 from __future__ import annotations
 
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.analysis.findings import Finding, Severity
 from repro.analysis.linter import (
     LintResult,
-    iter_python_files,
-    is_suppressed,
+    check_each_file,
     package_rel,
     parse_pragmas,
+    select_rules,
 )
 from repro.analysis.rules import build_context
 from repro.analysis.shapecheck.interp import (
     SHAPE_RULES,
-    ShapeRuleInfo,
     interpret_module,
 )
 
 __all__ = ["shapecheck_paths", "shapecheck_source", "SHAPE_RULES"]
-
-
-def _select_rules(select: Optional[Sequence[str]]) -> List[ShapeRuleInfo]:
-    if select is None:
-        return list(SHAPE_RULES.values())
-    rules: List[ShapeRuleInfo] = []
-    for name in select:
-        matches = [
-            rule
-            for rule in SHAPE_RULES.values()
-            if name in (rule.name, rule.id)
-        ]
-        if not matches:
-            raise KeyError(
-                f"unknown shapecheck rule {name!r}; known: "
-                f"{sorted(SHAPE_RULES)}"
-            )
-        rules.extend(matches)
-    return rules
 
 
 def shapecheck_source(
@@ -67,15 +46,10 @@ def shapecheck_source(
     resolved_rel = rel if rel is not None else package_rel(Path(path))
     ctx = build_context(Path(path), resolved_rel, source)
     per_line, file_wide = parse_pragmas(source)
-    selected = {rule.name for rule in _select_rules(select)}
-    for finding in interpret_module(ctx):
-        if finding.rule not in selected:
-            continue
-        line_names = per_line.get(finding.line, set())
-        if is_suppressed(finding, line_names | file_wide):
-            result.suppressed += 1
-            continue
-        result.findings.append(finding)
+    selected = {rule.name for rule in select_rules(SHAPE_RULES, select, "shapecheck")}
+    result.keep(
+        (f for f in interpret_module(ctx) if f.rule in selected), per_line, file_wide
+    )
     result.findings.sort(key=lambda f: f.sort_key)
     return result
 
@@ -85,32 +59,4 @@ def shapecheck_paths(
     select: Optional[Sequence[str]] = None,
 ) -> LintResult:
     """Shapecheck every ``.py`` file under ``paths``; aggregate."""
-    total = LintResult()
-    for file_path in iter_python_files(paths):
-        source = file_path.read_text(encoding="utf-8")
-        try:
-            single = shapecheck_source(
-                source,
-                path=str(file_path),
-                rel=package_rel(file_path),
-                select=select,
-            )
-        except SyntaxError as exc:
-            total.findings.append(
-                Finding(
-                    rule="syntax-error",
-                    rule_id="SHP000",
-                    severity=Severity.ERROR,
-                    path=str(file_path),
-                    line=exc.lineno or 1,
-                    col=exc.offset or 0,
-                    message=f"file does not parse: {exc.msg}",
-                )
-            )
-            total.files_scanned += 1
-            continue
-        total.files_scanned += single.files_scanned
-        total.suppressed += single.suppressed
-        total.findings.extend(single.findings)
-    total.findings.sort(key=lambda f: f.sort_key)
-    return total
+    return check_each_file(paths, shapecheck_source, "SHP000", select)

@@ -140,6 +140,7 @@ _BACKEND_FACTORIES = (
     "resolve_backend",
     "set_backend",
     "NumpyBackend",
+    "Interposer",
     "InstrumentedBackend",
     "SanitizerBackend",
     "TorchBackend",

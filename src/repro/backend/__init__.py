@@ -11,19 +11,31 @@ Usage::
 
 The active backend is a module-level global, so tests and benchmarks
 swap execution paths without threading a parameter through every
-constructor.  ``use_backend`` accepts either a backend *name*
-(``"numpy"``, ``"instrumented"``, ``"torch"``) or an already-constructed
-backend object, restores the previous backend on exit, and yields the
-active instance (handy for reading instrumented counters afterwards).
+constructor.  ``use_backend`` accepts either a backend *name* (one of
+:data:`BACKEND_NAMES`) or an already-constructed backend object,
+restores the previous backend on exit, and yields the active instance
+(handy for reading instrumented counters afterwards).
+
+``"instrumented"`` and ``"sanitizer"`` are the one wrapper,
+:class:`Interposer`, carrying one :class:`Observer` each
+(:class:`CostCounter`, :class:`NumericSanitizer`); to count and sanitize
+the same run, compose them::
+
+    counter, sanitizer = CostCounter(), NumericSanitizer(mode="record")
+    with backend.use_backend(Interposer(observers=[counter, sanitizer])):
+        model.train_step(batch)
+    counter.zone_stats["efftt_forward"], sanitizer.traps
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Iterator, Tuple, Union
+from typing import Callable, Dict, Iterator, Tuple, Union
 
-from .instrumented import DtypeViolation, InstrumentedBackend, KernelStats
+from .counter import CostCounter, DtypeViolation, InstrumentedBackend, KernelStats
+from .interposer import Interposer, Observer
 from .numpy_backend import NumpyBackend
+from .numsan import NumericSanitizer, NumericTrapError, SanitizerBackend, TrapRecord
 from .plan_cache import (
     ChainPlan,
     ChainStage,
@@ -32,7 +44,6 @@ from .plan_cache import (
     get_plan_cache,
     reset_plan_cache,
 )
-from .sanitizer import NumericTrapError, SanitizerBackend, TrapRecord
 from .protocol import (
     KERNEL_ZONE_NAMES,
     ZONE_COMPRESS_UPDATE,
@@ -54,6 +65,7 @@ from .protocol import (
     ZONE_TT_BACKWARD,
     ZONE_TT_FORWARD,
     ZONE_TT_RECONSTRUCT,
+    UNZONED,
     ArrayBackend,
     BackendUnavailableError,
 )
@@ -63,6 +75,10 @@ __all__ = [
     "ArrayBackend",
     "BackendUnavailableError",
     "NumpyBackend",
+    "Interposer",
+    "Observer",
+    "CostCounter",
+    "NumericSanitizer",
     "InstrumentedBackend",
     "SanitizerBackend",
     "NumericTrapError",
@@ -83,6 +99,7 @@ __all__ = [
     "use_backend",
     "resolve_backend",
     "KERNEL_ZONE_NAMES",
+    "UNZONED",
     "ZONE_TT_FORWARD",
     "ZONE_TT_BACKWARD",
     "ZONE_TT_RECONSTRUCT",
@@ -104,7 +121,13 @@ __all__ = [
     "ZONE_COMPRESS_UPDATE",
 ]
 
-BACKEND_NAMES: Tuple[str, ...] = ("numpy", "instrumented", "sanitizer", "torch")
+_BACKEND_FACTORIES: Dict[str, Callable[[], ArrayBackend]] = {
+    "numpy": NumpyBackend,
+    "instrumented": InstrumentedBackend,
+    "sanitizer": SanitizerBackend,
+    "torch": TorchBackend,
+}
+BACKEND_NAMES: Tuple[str, ...] = tuple(_BACKEND_FACTORIES)
 
 _DEFAULT_BACKEND = NumpyBackend()
 _active_backend: ArrayBackend = _DEFAULT_BACKEND
@@ -121,15 +144,9 @@ def resolve_backend(spec: Union[str, ArrayBackend, None]) -> ArrayBackend:
         return get_backend()
     if not isinstance(spec, str):
         return spec
-    if spec == "numpy":
-        return NumpyBackend()
-    if spec == "instrumented":
-        return InstrumentedBackend()
-    if spec == "sanitizer":
-        return SanitizerBackend()
-    if spec == "torch":
-        return TorchBackend()
-    raise ValueError(f"unknown backend {spec!r}; expected one of {BACKEND_NAMES}")
+    if spec not in _BACKEND_FACTORIES:
+        raise ValueError(f"unknown backend {spec!r}; expected one of {BACKEND_NAMES}")
+    return _BACKEND_FACTORIES[spec]()
 
 
 def get_backend() -> ArrayBackend:

@@ -11,7 +11,7 @@ calling numpy directly.  The backend is deliberately a small surface:
   *required* ``dtype``; there is no implicit-float64 default at the
   backend boundary (the PR-2 explicit-dtype policy, enforced statically
   by reprolint REP003 for raw numpy and dynamically by
-  :class:`~repro.backend.instrumented.InstrumentedBackend` for backend
+  :meth:`~repro.backend.counter.CostCounter.expect_dtype` for backend
   allocations);
 * **contraction** — ``matmul`` (the batched-GEMM workhorse of every TT
   kernel) and ``einsum`` with an optional precompiled
@@ -21,18 +21,24 @@ calling numpy directly.  The backend is deliberately a small surface:
 * **elementwise** — the handful of ufuncs the activation/optimizer
   paths need (``exp``, ``maximum``, ``where``, ``axpy``);
 * **zones** — ``zone(name)`` context manager tagging the *named kernel
-  zone* the enclosed ops belong to, so an instrumenting backend can
-  attribute FLOPs/bytes per zone.  The reference backend's ``zone`` is
-  a no-op.
+  zone* the enclosed ops belong to, so the interposer can tell its
+  observers which zone each op ran in.  The reference backend's
+  ``zone`` is a no-op; ops outside any zone are filed under
+  :data:`UNZONED`.
 
 Implementations
 ---------------
 :class:`~repro.backend.numpy_backend.NumpyBackend`
     The reference: thin, bit-exact delegation to numpy.  All existing
     numerics are defined by this backend.
-:class:`~repro.backend.instrumented.InstrumentedBackend`
-    Wraps any backend, counting calls/FLOPs/bytes per kernel zone and
-    optionally recording dtype drift.
+:class:`~repro.backend.interposer.Interposer`
+    Wraps any backend, owns the zone stack, and hands every forwarded
+    call to its observers: ``InstrumentedBackend()`` is the interposer
+    with a :class:`~repro.backend.counter.CostCounter` (calls/FLOPs/
+    bytes per kernel zone, optional dtype-drift record),
+    ``SanitizerBackend()`` the interposer with a
+    :class:`~repro.backend.numsan.NumericSanitizer` (NaN/Inf, row-index
+    and implicit-upcast traps).
 :class:`~repro.backend.torch_backend.TorchBackend`
     Optional PyTorch execution; import-guards cleanly when torch is
     absent (:class:`BackendUnavailableError`).
@@ -69,13 +75,14 @@ __all__ = [
     "ZONE_PQ_LOOKUP",
     "ZONE_COMPRESS_UPDATE",
     "KERNEL_ZONE_NAMES",
+    "UNZONED",
 ]
 
 Shape = Union[int, Tuple[int, ...], Sequence[int]]
 DTypeLike = Any  # np.dtype, dtype class, or dtype string
 
 # -- named kernel zones ----------------------------------------------------
-# One name per hot-path kernel family.  InstrumentedBackend aggregates
+# One name per hot-path kernel family.  The cost counter aggregates
 # per zone; the analytic FLOP model in repro.embeddings.flops predicts
 # the tt_*/efftt_* zones exactly (cross-checked in the test suite).
 ZONE_TT_FORWARD = "tt_forward"          # naive per-occurrence TT chain
@@ -121,6 +128,9 @@ KERNEL_ZONE_NAMES: Tuple[str, ...] = (
 )
 
 
+UNZONED = "unzoned"  # where ops issued outside every zone() are filed
+
+
 class BackendUnavailableError(RuntimeError):
     """Requested backend cannot run in this environment (e.g. no torch)."""
 
@@ -133,7 +143,7 @@ class ArrayBackend(Protocol):
     the reference backend passes arrays through untouched.  Semantics
     are fixed by :class:`~repro.backend.numpy_backend.NumpyBackend`:
     a conforming backend must match it to within its numeric contract
-    (bitwise for the instrumented wrapper, a documented tolerance for
+    (bitwise for the interposer, a documented tolerance for
     accelerated backends).
     """
 

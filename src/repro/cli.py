@@ -56,9 +56,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Any, Callable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-__all__ = ["main"]
+__all__ = ["main", "MYPY_STRICT_MODULES", "mypy_strict_targets"]
 
 
 def _install_backend(name: str) -> bool:
@@ -74,6 +74,18 @@ def _install_backend(name: str) -> bool:
     except BackendUnavailableError as exc:
         print(f"backend '{name}' unavailable: {exc}", file=sys.stderr)
         return False
+    return True
+
+
+def _print_backend_report() -> bool:
+    """Print what the active backend's observers report, if it has any."""
+    from repro.backend import Interposer, get_backend
+
+    backend = get_backend()
+    if not isinstance(backend, Interposer):
+        return False
+    print()
+    print(backend.report())
     return True
 
 
@@ -173,7 +185,7 @@ def _cmd_compression(_: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    from repro.backend import InstrumentedBackend, SanitizerBackend, get_backend, get_plan_cache
+    from repro.backend import get_backend, get_plan_cache
     from repro.data.dataloader import SyntheticClickLog
     from repro.data.datasets import DATASET_FACTORIES
     from repro.models.config import DLRMConfig, EmbeddingBackend
@@ -208,10 +220,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         f"plan cache: {stats['hits']} hits, {stats['misses']} misses, "
         f"{stats['entries']} entries"
     )
-    backend = get_backend()
-    if isinstance(backend, (InstrumentedBackend, SanitizerBackend)):
-        print()
-        print(backend.report())
+    _print_backend_report()
     return 0 if losses[-1] < losses[0] else 1
 
 
@@ -225,7 +234,7 @@ def _train_sharded(args: argparse.Namespace, spec, log, cfg) -> int:
     traffic.  With ``--compress none`` (the default) the loss
     trajectory is bitwise-independent of N.
     """
-    from repro.backend import InstrumentedBackend, SanitizerBackend, get_backend
+    from repro.backend import get_backend
     from repro.reorder import table_stats_from_log
     from repro.sharding import LinkCompressionConfig, build_sharded_ps_trainer
     from repro.sharding.placement import StatsDrivenStrategy
@@ -285,10 +294,7 @@ def _train_sharded(args: argparse.Namespace, spec, log, cfg) -> int:
         f"exactly-once: {setup.server.update_count} updates, "
         f"per-shard applies {setup.server.shard_apply_counts.tolist()}"
     )
-    backend = get_backend()
-    if isinstance(backend, (InstrumentedBackend, SanitizerBackend)):
-        print()
-        print(backend.report())
+    _print_backend_report()
     return 0 if losses[-1] < losses[0] else 1
 
 
@@ -301,7 +307,7 @@ def _train_compressed(args: argparse.Namespace, spec, log, cfg) -> int:
     planned bags, and trains the DLRM on them end-to-end, reporting the
     realized embedding footprint against the budget.
     """
-    from repro.backend import InstrumentedBackend, SanitizerBackend, get_backend
+    from repro.backend import get_backend
     from repro.embeddings import build_bag_from_plan, plan_compression
     from repro.models.dlrm import DLRM
     from repro.reorder import table_stats_from_log
@@ -359,10 +365,7 @@ def _train_compressed(args: argparse.Namespace, spec, log, cfg) -> int:
             "warning: no parameterization fits the budget — the plan "
             "is the minimal configuration per table",
         )
-    backend = get_backend()
-    if isinstance(backend, (InstrumentedBackend, SanitizerBackend)):
-        print()
-        print(backend.report())
+    _print_backend_report()
     return 0 if losses[-1] < losses[0] and (within or not plan.feasible) else 1
 
 
@@ -376,7 +379,7 @@ def _plan_summary(strategy: str, plan) -> str:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.backend import InstrumentedBackend, SanitizerBackend, get_backend, get_plan_cache
+    from repro.backend import get_backend, get_plan_cache
     from repro.data.dataloader import SyntheticClickLog
     from repro.data.datasets import DATASET_FACTORIES
     from repro.models.config import DLRMConfig, EmbeddingBackend
@@ -440,11 +443,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         f"{plan_cache.misses - misses0} misses, "
         f"{plan_cache.stats['entries']} entries"
     )
-    backend = get_backend()
-    if isinstance(backend, (InstrumentedBackend, SanitizerBackend)):
-        print()
-        print(backend.report())
-    else:
+    if not _print_backend_report():
         print(
             "(use --backend instrumented for the per-kernel-zone "
             "FLOP/byte table)"
@@ -614,69 +613,13 @@ def _cmd_quickcheck(args: argparse.Namespace) -> int:
     status = "ok" if comp_ok else "FAILED (compression broke training)"
     print(f"compress {comp_detail}  [{status}]")
 
-    # Static checks: reprolint over the installed package, then mypy
-    # on the strict modules when the tool is available.
-    from pathlib import Path
-
-    from repro.analysis import lint_paths
-
-    lint_result = lint_paths([Path(__file__).resolve().parent])
-    lint_ok = lint_result.ok
-    ok = ok and lint_ok
-    status = "ok" if lint_ok else "FAILED (error-level findings)"
-    print(
-        f"lint     {lint_result.files_scanned} files, "
-        f"{len(lint_result.errors)} errors, "
-        f"{len(lint_result.warnings)} warnings  [{status}]"
-    )
-    if not lint_ok:
-        for finding in lint_result.errors:
-            print(f"  {finding.format()}")
-
-    from repro.analysis import shapecheck_paths
-
-    shape_result = shapecheck_paths([Path(__file__).resolve().parent])
-    shape_ok = shape_result.ok
-    ok = ok and shape_ok
-    status = "ok" if shape_ok else "FAILED (error-level findings)"
-    print(
-        f"shape    {shape_result.files_scanned} files, "
-        f"{len(shape_result.errors)} errors, "
-        f"{len(shape_result.warnings)} warnings  [{status}]"
-    )
-    if not shape_ok:
-        for finding in shape_result.errors:
-            print(f"  {finding.format()}")
-
-    from repro.analysis import detcheck_paths
-
-    det_result = detcheck_paths([Path(__file__).resolve().parent])
-    det_ok = det_result.ok
-    ok = ok and det_ok
-    status = "ok" if det_ok else "FAILED (error-level findings)"
-    print(
-        f"det      {det_result.files_scanned} files, "
-        f"{len(det_result.errors)} errors, "
-        f"{len(det_result.warnings)} warnings  [{status}]"
-    )
-    if not det_ok:
-        for finding in det_result.errors:
-            print(f"  {finding.format()}")
-
-    from repro.analysis import perfcheck_paths
-
-    perf_result = perfcheck_paths([Path(__file__).resolve().parent])
-    perf_ok = perf_result.ok
-    ok = ok and perf_ok
-    status = "ok" if perf_ok else "FAILED (error-level findings)"
-    print(
-        f"perf     {perf_result.files_scanned} files, "
-        f"{len(perf_result.errors)} errors, "
-        f"{len(perf_result.warnings)} warnings  [{status}]"
-    )
-    if not perf_ok:
-        for finding in perf_result.errors:
-            print(f"  {finding.format()}")
+    # Static checks: the four analyzers over the installed package, the
+    # calibration gate, then mypy on the strict modules when the tool
+    # is available.
+    for analyzer in _analyzers():
+        result = analyzer.runner(_analysis_paths())
+        ok = ok and result.ok
+        _report_static_gate(analyzer.name, result)
 
     from repro.analysis import run_calibration
 
@@ -847,24 +790,45 @@ def _compression_equivalence_gate() -> tuple:
     return deterministic and within and bounded, detail
 
 
-# Modules held to `mypy --strict` (see [tool.mypy] in pyproject.toml).
-_MYPY_STRICT_TARGETS = (
-    "repro/system/queues.py",
-    "repro/embeddings/cache.py",
-    "repro/embeddings/protocol.py",
-    "repro/embeddings/hash_embedding.py",
-    "repro/embeddings/robe_embedding.py",
-    "repro/embeddings/pq_embedding.py",
-    "repro/embeddings/autotune.py",
-    "repro/utils/factorize.py",
-    "repro/analysis",
-    "repro/backend/protocol.py",
-    "repro/backend/plan_cache.py",
-    "repro/backend/numpy_backend.py",
-    "repro/sharding",
-    "repro/serving",
-    "repro/resilience/checkpoint.py",
+# Modules held to `mypy --strict`, in the form pyproject.toml's
+# [[tool.mypy.overrides]] spells them (the test suite checks the two
+# agree); quickcheck's mypy step and tests/analysis/test_typecheck.py
+# both check exactly this list.
+MYPY_STRICT_MODULES = (
+    "repro.system.queues",
+    "repro.embeddings.cache",
+    "repro.embeddings.protocol",
+    "repro.embeddings.hash_embedding",
+    "repro.embeddings.robe_embedding",
+    "repro.embeddings.pq_embedding",
+    "repro.embeddings.autotune",
+    "repro.utils.factorize",
+    "repro.analysis.*",
+    "repro.backend.protocol",
+    "repro.backend.plan_cache",
+    "repro.backend.numpy_backend",
+    "repro.backend.interposer",
+    "repro.backend.counter",
+    "repro.backend.numsan",
+    "repro.sharding.*",
+    "repro.serving.*",
+    "repro.resilience.checkpoint",
+    "repro.resilience.circuit",
+    "repro.resilience.degradation",
 )
+
+
+def mypy_strict_targets() -> List[str]:
+    """Filesystem paths of :data:`MYPY_STRICT_MODULES` (``pkg.*`` = the directory)."""
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1]
+    return [
+        str(src.joinpath(*module[:-2].split(".")))
+        if module.endswith(".*")
+        else str(src.joinpath(*module.split(".")).with_suffix(".py"))
+        for module in MYPY_STRICT_MODULES
+    ]
 
 
 def _run_mypy_step() -> Optional[bool]:
@@ -875,13 +839,11 @@ def _run_mypy_step() -> Optional[bool]:
 
     if importlib.util.find_spec("mypy") is None:
         return None
-    pkg_root = Path(__file__).resolve().parent
-    targets = [str(pkg_root.parent / t) for t in _MYPY_STRICT_TARGETS]
     proc = subprocess.run(
-        [sys.executable, "-m", "mypy", *targets],
+        [sys.executable, "-m", "mypy", *mypy_strict_targets()],
         capture_output=True,
         text=True,
-        cwd=str(pkg_root.parents[1]),
+        cwd=str(Path(__file__).resolve().parents[2]),
     )
     if proc.returncode != 0:
         print(proc.stdout.strip())
@@ -989,7 +951,6 @@ def _run_serving(
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.backend import InstrumentedBackend, SanitizerBackend, get_backend
     from repro.data.datasets import DATASET_FACTORIES
     from repro.serving import export_serving_trace
 
@@ -1060,115 +1021,98 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             args.trace, outcome.served_batches, installs
         )
         print(f"wrote {count} trace events to {args.trace}")
-    backend = get_backend()
-    if isinstance(backend, (InstrumentedBackend, SanitizerBackend)):
-        print()
-        print(backend.report())
+    _print_backend_report()
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from pathlib import Path
+class _Analyzer(NamedTuple):
+    """One static analyzer: its CLI subcommand, gate line and SARIF identity."""
 
-    from repro.analysis import format_findings, lint_paths, result_to_sarif
-    from repro.analysis.rules import RULE_REGISTRY
-
-    if args.paths:
-        paths = [Path(p) for p in args.paths]
-    else:
-        paths = [Path(__file__).resolve().parent]
-    try:
-        result = lint_paths(paths, select=args.select or None)
-    except (FileNotFoundError, KeyError) as exc:
-        print(f"lint: {exc}", file=sys.stderr)
-        return 2
-    if args.format == "json":
-        print(result.to_json())
-    elif args.format == "sarif":
-        print(result_to_sarif(result, "reprolint", RULE_REGISTRY.values()))
-    else:
-        print(format_findings(result))
-    return 0 if result.ok else 1
+    name: str  # gate label on the quickcheck/analyze lines
+    command: str  # CLI subcommand
+    tool: str  # SARIF driver name
+    rules: Mapping[str, Any]  # rule registry
+    runner: Callable[..., Any]  # (paths, select=None) -> LintResult
+    help: str
+    paths_help: str
+    id_prefix: str  # rule-id family named in the --select help
 
 
-def _cmd_shapecheck(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
+def _analyzers() -> Tuple[_Analyzer, ...]:
     from repro.analysis import (
+        DET_RULES,
+        PERF_RULES,
+        RULE_REGISTRY,
         SHAPE_RULES,
-        format_findings,
-        result_to_sarif,
+        detcheck_paths,
+        lint_paths,
+        perfcheck_paths,
         shapecheck_paths,
     )
 
-    if args.paths:
-        paths = [Path(p) for p in args.paths]
-    else:
-        paths = [Path(__file__).resolve().parent]
-    try:
-        result = shapecheck_paths(paths, select=args.select or None)
-    except (FileNotFoundError, KeyError) as exc:
-        print(f"shapecheck: {exc}", file=sys.stderr)
-        return 2
-    if args.format == "json":
-        print(result.to_json())
-    elif args.format == "sarif":
-        print(result_to_sarif(result, "shapecheck", SHAPE_RULES.values()))
-    else:
-        print(format_findings(result))
-    return 0 if result.ok else 1
-
-
-def _cmd_detcheck(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.analysis import (
-        DET_RULES,
-        detcheck_paths,
-        format_findings,
-        result_to_sarif,
+    return (
+        _Analyzer(
+            "lint", "lint", "reprolint", RULE_REGISTRY, lint_paths,
+            "run reprolint, the repo-specific static analyzer",
+            "files or directories to lint", "REP",
+        ),
+        _Analyzer(
+            "shape", "shapecheck", "shapecheck", SHAPE_RULES, shapecheck_paths,
+            "run the static shape/dtype abstract interpreter",
+            "files or directories to check", "SHP",
+        ),
+        _Analyzer(
+            "det", "detcheck", "detcheck", DET_RULES, detcheck_paths,
+            "run the interprocedural determinism-taint analyzer",
+            "files or directories to check as one program", "DET",
+        ),
+        _Analyzer(
+            "perf", "perfcheck", "perfcheck", PERF_RULES, perfcheck_paths,
+            "run the static kernel-zone cost & fusion analyzer",
+            "files or directories to check", "PERF",
+        ),
     )
 
-    if args.paths:
-        paths = [Path(p) for p in args.paths]
-    else:
-        paths = [Path(__file__).resolve().parent]
-    try:
-        result = detcheck_paths(paths, select=args.select or None)
-    except (FileNotFoundError, KeyError) as exc:
-        print(f"detcheck: {exc}", file=sys.stderr)
-        return 2
-    if args.format == "json":
-        print(result.to_json())
-    elif args.format == "sarif":
-        print(result_to_sarif(result, "detcheck", DET_RULES.values()))
-    else:
-        print(format_findings(result))
-    return 0 if result.ok else 1
 
-
-def _cmd_perfcheck(args: argparse.Namespace) -> int:
-    import json
+def _analysis_paths(given: Sequence[str] = ()) -> list:
+    """The paths given on the command line, else the installed package."""
     from pathlib import Path
 
-    from repro.analysis import (
-        PERF_RULES,
-        build_fusion_plan,
-        format_findings,
-        perfcheck_paths,
-        result_to_sarif,
-    )
+    if given:
+        return [Path(p) for p in given]
+    return [Path(__file__).resolve().parent]
 
-    if args.paths:
-        paths = [Path(p) for p in args.paths]
-    else:
-        paths = [Path(__file__).resolve().parent]
+
+def _report_static_gate(name: str, result) -> None:
+    """Print one analyzer's quickcheck/analyze line (+ its errors)."""
+    status = "ok" if result.ok else "FAILED (error-level findings)"
+    print(
+        f"{name:8s} {result.files_scanned} files, "
+        f"{len(result.errors)} errors, "
+        f"{len(result.warnings)} warnings  [{status}]"
+    )
+    if not result.ok:
+        for finding in result.errors:
+            print(f"  {finding.format()}")
+
+
+def _cmd_analyzer(args: argparse.Namespace) -> int:
+    """``repro lint|shapecheck|detcheck|perfcheck``."""
+    from repro.analysis import format_findings, result_to_sarif
+
+    analyzer: _Analyzer = args.analyzer
+    paths = _analysis_paths(args.paths)
     try:
-        result = perfcheck_paths(paths, select=args.select or None)
+        result = analyzer.runner(paths, select=args.select or None)
     except (FileNotFoundError, KeyError) as exc:
-        print(f"perfcheck: {exc}", file=sys.stderr)
+        print(f"{analyzer.command}: {exc}", file=sys.stderr)
         return 2
-    if args.fusion_plan:
+    if getattr(args, "fusion_plan", None):
+        import json
+        from pathlib import Path
+
+        from repro.analysis import build_fusion_plan
+
         plan = build_fusion_plan(paths)
         Path(args.fusion_plan).write_text(
             json.dumps(plan, indent=2) + "\n", encoding="utf-8"
@@ -1177,7 +1121,7 @@ def _cmd_perfcheck(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(result.to_json())
     elif args.format == "sarif":
-        print(result_to_sarif(result, "perfcheck", PERF_RULES.values()))
+        print(result_to_sarif(result, analyzer.tool, analyzer.rules.values()))
     else:
         print(format_findings(result))
     return 0 if result.ok else 1
@@ -1185,56 +1129,29 @@ def _cmd_perfcheck(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     """Umbrella gate: lint + shapecheck + detcheck + perfcheck + hazards."""
-    from pathlib import Path
-
     from repro.analysis import (
-        DET_RULES,
         HAZARD_RULES,
-        PERF_RULES,
-        SHAPE_RULES,
         LintResult,
-        detcheck_paths,
         hazard_findings,
-        lint_paths,
-        perfcheck_paths,
         results_to_sarif_bundle,
         run_hazard_experiment,
-        shapecheck_paths,
     )
-    from repro.analysis.rules import RULE_REGISTRY
 
-    if args.paths:
-        paths = [Path(p) for p in args.paths]
-    else:
-        paths = [Path(__file__).resolve().parent]
+    paths = _analysis_paths(args.paths)
     sarif = getattr(args, "format", "text") == "sarif"
     ok = True
     sarif_runs = []
-    for name, tool_name, rules, runner in (
-        ("lint", "reprolint", RULE_REGISTRY.values(), lint_paths),
-        ("shape", "shapecheck", SHAPE_RULES.values(), shapecheck_paths),
-        ("det", "detcheck", DET_RULES.values(), detcheck_paths),
-        ("perf", "perfcheck", PERF_RULES.values(), perfcheck_paths),
-    ):
+    for analyzer in _analyzers():
         try:
-            result = runner(paths)
+            result = analyzer.runner(paths)
         except FileNotFoundError as exc:
-            print(f"{name}: {exc}", file=sys.stderr)
+            print(f"{analyzer.name}: {exc}", file=sys.stderr)
             return 2
-        gate_ok = result.ok
-        ok = ok and gate_ok
+        ok = ok and result.ok
         if sarif:
-            sarif_runs.append((result, tool_name, rules))
-            continue
-        status = "ok" if gate_ok else "FAILED (error-level findings)"
-        print(
-            f"{name:8s} {result.files_scanned} files, "
-            f"{len(result.errors)} errors, "
-            f"{len(result.warnings)} warnings  [{status}]"
-        )
-        if not gate_ok:
-            for finding in result.errors:
-                print(f"  {finding.format()}")
+            sarif_runs.append((result, analyzer.tool, analyzer.rules.values()))
+        else:
+            _report_static_gate(analyzer.name, result)
 
     hazard_result = run_hazard_experiment(inject_fault=False)
     hazards_ok = hazard_result.report.clean
@@ -1452,74 +1369,24 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_compression_flags(bench)
     _add_backend_flag(bench)
     sub.add_parser("figures", help="regenerate every paper table/figure")
-    lint = sub.add_parser(
-        "lint", help="run reprolint, the repo-specific static analyzer"
-    )
-    lint.add_argument(
-        "paths", nargs="*",
-        help="files or directories to lint (default: the installed "
-        "repro package)",
-    )
-    lint.add_argument(
-        "--select", action="append", metavar="RULE",
-        help="only run the named rule (symbolic name or REPnnn id); "
-        "repeatable",
-    )
-    lint.add_argument(
-        "--format", choices=["text", "json", "sarif"], default="text",
-    )
-    shapecheck = sub.add_parser(
-        "shapecheck",
-        help="run the static shape/dtype abstract interpreter",
-    )
-    shapecheck.add_argument(
-        "paths", nargs="*",
-        help="files or directories to check (default: the installed "
-        "repro package)",
-    )
-    shapecheck.add_argument(
-        "--select", action="append", metavar="RULE",
-        help="only run the named rule (symbolic name or SHPnnn id); "
-        "repeatable",
-    )
-    shapecheck.add_argument(
-        "--format", choices=["text", "json", "sarif"], default="text",
-    )
-    detcheck = sub.add_parser(
-        "detcheck",
-        help="run the interprocedural determinism-taint analyzer",
-    )
-    detcheck.add_argument(
-        "paths", nargs="*",
-        help="files or directories to check as one program (default: "
-        "the installed repro package)",
-    )
-    detcheck.add_argument(
-        "--select", action="append", metavar="RULE",
-        help="only run the named rule (symbolic name or DETnnn id); "
-        "repeatable",
-    )
-    detcheck.add_argument(
-        "--format", choices=["text", "json", "sarif"], default="text",
-    )
-    perfcheck = sub.add_parser(
-        "perfcheck",
-        help="run the static kernel-zone cost & fusion analyzer",
-    )
-    perfcheck.add_argument(
-        "paths", nargs="*",
-        help="files or directories to check (default: the installed "
-        "repro package)",
-    )
-    perfcheck.add_argument(
-        "--select", action="append", metavar="RULE",
-        help="only run the named rule (symbolic name or PERFnnn id); "
-        "repeatable",
-    )
-    perfcheck.add_argument(
-        "--format", choices=["text", "json", "sarif"], default="text",
-    )
-    perfcheck.add_argument(
+    analyzers = _analyzers()
+    for analyzer in analyzers:
+        checker = sub.add_parser(analyzer.command, help=analyzer.help)
+        checker.set_defaults(analyzer=analyzer)
+        checker.add_argument(
+            "paths", nargs="*",
+            help=f"{analyzer.paths_help} (default: the installed "
+            "repro package)",
+        )
+        checker.add_argument(
+            "--select", action="append", metavar="RULE",
+            help="only run the named rule (symbolic name or "
+            f"{analyzer.id_prefix}nnn id); repeatable",
+        )
+        checker.add_argument(
+            "--format", choices=["text", "json", "sarif"], default="text",
+        )
+    sub.choices["perfcheck"].add_argument(
         "--fusion-plan", metavar="OUT.json", default=None,
         help="also build the interprocedural FusionPlan over the same "
         "paths and write it here as JSON",
@@ -1652,10 +1519,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "bench": _cmd_bench,
         "figures": _cmd_figures,
         "serve": _cmd_serve,
-        "lint": _cmd_lint,
-        "shapecheck": _cmd_shapecheck,
-        "detcheck": _cmd_detcheck,
-        "perfcheck": _cmd_perfcheck,
+        **{analyzer.command: _cmd_analyzer for analyzer in analyzers},
         "analyze": _cmd_analyze,
         "hazards": _cmd_hazards,
         "chaos": _cmd_chaos,

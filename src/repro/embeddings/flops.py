@@ -16,7 +16,7 @@ Three uses:
 * tests cross-check that the measured Eff-TT/TT-Rec speedups track the
   analytic FLOP ratios;
 * :func:`measured_zone_flops` extracts the contraction FLOPs an
-  :class:`~repro.backend.instrumented.InstrumentedBackend` observed in
+  :class:`~repro.backend.counter.InstrumentedBackend` observed in
   one kernel zone, so the analytic model here can be validated against
   what the kernels actually executed (shape-derived counts, not
   estimates).
@@ -31,7 +31,7 @@ from repro.embeddings.reuse_buffer import ReusePlan
 from repro.embeddings.tt_core import TTSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.backend.instrumented import InstrumentedBackend
+    from repro.backend.counter import InstrumentedBackend
 
 __all__ = [
     "tt_forward_flops",

@@ -1,37 +1,41 @@
 """Strict-mode typecheck gate for the annotated modules.
 
-Runs ``mypy`` over the modules pinned to strict mode in
-``pyproject.toml`` (``system/queues.py``, ``embeddings/cache.py``,
-``analysis/``, and the backend core: ``protocol.py``,
-``plan_cache.py``, ``numpy_backend.py``).  Skipped when mypy is not
-installed — the container
-image for CI may not ship it; the annotations themselves are still
-exercised at runtime by the rest of the suite.
+One list — ``repro.cli.MYPY_STRICT_MODULES`` — names the modules held to
+``mypy --strict``; quickcheck's mypy step and this test both run mypy
+on exactly that list, and ``pyproject.toml``'s strict override must name
+the same set.  The mypy run itself is skipped when mypy is not installed
+— the container image for CI may not ship it; the annotations themselves
+are still exercised at runtime by the rest of the suite.
 """
 
 import importlib.util
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
 
 import repro
+from repro.cli import MYPY_STRICT_MODULES, mypy_strict_targets
 
-PKG = Path(repro.__file__).resolve().parent
-REPO_ROOT = PKG.parents[1]
+REPO_ROOT = Path(repro.__file__).resolve().parents[2]
 
-STRICT_TARGETS = [
-    PKG / "system" / "queues.py",
-    PKG / "embeddings" / "cache.py",
-    PKG / "analysis",
-    PKG / "backend" / "protocol.py",
-    PKG / "backend" / "plan_cache.py",
-    PKG / "backend" / "numpy_backend.py",
-    PKG / "sharding",
-    PKG / "serving",
-    PKG / "resilience" / "checkpoint.py",
-]
+
+def test_strict_list_matches_pyproject_overrides():
+    config = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text("utf-8"))
+    (override,) = [
+        entry for entry in config["tool"]["mypy"]["overrides"] if entry.get("strict")
+    ]
+    assert sorted(override["module"]) == sorted(MYPY_STRICT_MODULES)
+    assert len(set(MYPY_STRICT_MODULES)) == len(MYPY_STRICT_MODULES)
+
+
+def test_strict_targets_exist_and_cover_the_interposer():
+    targets = [Path(t) for t in mypy_strict_targets()]
+    assert all(t.exists() for t in targets), [t for t in targets if not t.exists()]
+    names = {t.name for t in targets}
+    assert {"interposer.py", "counter.py", "numsan.py", "analysis"} <= names
 
 
 @pytest.mark.skipif(
@@ -39,7 +43,7 @@ STRICT_TARGETS = [
 )
 def test_strict_modules_typecheck():
     proc = subprocess.run(
-        [sys.executable, "-m", "mypy", *map(str, STRICT_TARGETS)],
+        [sys.executable, "-m", "mypy", *mypy_strict_targets()],
         capture_output=True,
         text=True,
         cwd=str(REPO_ROOT),

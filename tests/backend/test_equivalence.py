@@ -2,8 +2,9 @@
 
 The refactor's core contract: routing hot paths through
 ``repro.backend`` must not change a single bit with the reference
-``NumpyBackend``, and the ``InstrumentedBackend`` wrapper forwards to
-it unchanged — so every pair below is asserted with
+``NumpyBackend``, and the ``Interposer`` wrapper (alone as
+``InstrumentedBackend``, or composed with counter + sanitizer observers)
+forwards to it unchanged — so every pair below is asserted with
 ``assert_array_equal``, not ``allclose``.
 """
 
@@ -13,7 +14,10 @@ import pytest
 from repro.backend import (
     ZONE_EFFTT_FORWARD,
     ZONE_FUSED_UPDATE,
+    CostCounter,
     InstrumentedBackend,
+    Interposer,
+    NumericSanitizer,
     get_plan_cache,
     reset_plan_cache,
     use_backend,
@@ -122,9 +126,11 @@ def _pipeline_workload(backend, num_batches=4):
 
 
 class TestBitwiseEquivalence:
+    wrapped = InstrumentedBackend
+
     def test_tt_forward_backward_step(self):
         ref = _tt_workload("numpy")
-        inst = _tt_workload(InstrumentedBackend())
+        inst = _tt_workload(self.wrapped())
         np.testing.assert_array_equal(ref[0], inst[0])
         np.testing.assert_array_equal(ref[1], inst[1])
         for a, b in zip(ref[2], inst[2]):
@@ -132,7 +138,7 @@ class TestBitwiseEquivalence:
 
     def test_efftt_forward_backward_fused_update(self):
         ref = _efftt_workload("numpy")
-        inst = _efftt_workload(InstrumentedBackend())
+        inst = _efftt_workload(self.wrapped())
         np.testing.assert_array_equal(ref[0], inst[0])
         np.testing.assert_array_equal(ref[1], inst[1])
         for a, b in zip(ref[2], inst[2]):
@@ -140,7 +146,7 @@ class TestBitwiseEquivalence:
 
     def test_mlp_forward_backward(self):
         ref = _mlp_workload("numpy")
-        inst = _mlp_workload("instrumented")
+        inst = _mlp_workload(self.wrapped())
         np.testing.assert_array_equal(ref[0], inst[0])
         np.testing.assert_array_equal(ref[1], inst[1])
         for a, b in zip(ref[2], inst[2]):
@@ -148,7 +154,7 @@ class TestBitwiseEquivalence:
 
     def test_interaction_forward_backward(self):
         ref = _interaction_workload("numpy")
-        inst = _interaction_workload("instrumented")
+        inst = _interaction_workload(self.wrapped())
         np.testing.assert_array_equal(ref[0], inst[0])
         np.testing.assert_array_equal(ref[1], inst[1])
         for a, b in zip(ref[2], inst[2]):
@@ -156,7 +162,7 @@ class TestBitwiseEquivalence:
 
     def test_pipelined_training_run(self):
         ref_result, ref_server = _pipeline_workload("numpy")
-        inst_result, inst_server = _pipeline_workload("instrumented")
+        inst_result, inst_server = _pipeline_workload(self.wrapped())
         np.testing.assert_array_equal(ref_result.losses, inst_result.losses)
         for a, b in zip(ref_server.tables, inst_server.tables):
             np.testing.assert_array_equal(a, b)
@@ -187,6 +193,14 @@ class TestBitwiseEquivalence:
         assert digest.hexdigest() == (
             "98accadd34117d28fea561e764d8f04ccb6e9986edaec1cc4978addd3a111849"
         )
+
+
+class TestBitwiseEquivalenceComposed(TestBitwiseEquivalence):
+    """The same cases with counter + sanitizer watching one pass."""
+
+    @staticmethod
+    def wrapped():
+        return Interposer(observers=[CostCounter(), NumericSanitizer()])
 
 
 class TestInstrumentedZones:

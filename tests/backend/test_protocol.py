@@ -7,8 +7,12 @@ from repro.backend import (
     BACKEND_NAMES,
     KERNEL_ZONE_NAMES,
     BackendUnavailableError,
+    CostCounter,
     InstrumentedBackend,
+    Interposer,
+    NumericSanitizer,
     NumpyBackend,
+    SanitizerBackend,
     TorchBackend,
     get_backend,
     resolve_backend,
@@ -126,6 +130,59 @@ class TestNumpyBackendOps:
     def test_zone_is_noop(self):
         with self.bk.zone("tt_forward"):
             pass
+
+
+class TestComposedInterposerOps(TestNumpyBackendOps):
+    """Same conformance cases through counter + sanitizer in one pass."""
+
+    def setup_method(self):
+        super().setup_method()
+        self.bk = Interposer(observers=[CostCounter(), NumericSanitizer()])
+
+
+class TestObserverComposition:
+    def test_bad_gather_index_is_trapped_and_counted_in_its_zone(self):
+        counter, sanitizer = CostCounter(), NumericSanitizer(mode="record")
+        bk = Interposer(observers=[counter, sanitizer])
+        table = bk.zeros((8, 4), dtype=np.float32)
+        with bk.zone("efftt_forward"):
+            bk.gather_rows(table, np.array([-2]))
+        assert [(t.zone, t.kind) for t in sanitizer.traps] == [
+            ("efftt_forward", "gather-index")
+        ]
+        assert counter.op_stats[("efftt_forward", "gather_rows")].calls == 1
+
+    @pytest.mark.parametrize(
+        "nested",
+        [
+            lambda: InstrumentedBackend(inner=SanitizerBackend(mode="record")),
+            lambda: SanitizerBackend(inner=InstrumentedBackend(), mode="record"),
+        ],
+        ids=["counter-over-sanitizer", "sanitizer-over-counter"],
+    )
+    def test_nested_interposers_share_the_zone(self, nested):
+        outer = nested()
+        with outer.zone("efftt_forward"):
+            outer.gather_rows(np.zeros((8, 4), dtype=np.float32), np.array([-2]))
+        counting = outer if isinstance(outer, InstrumentedBackend) else outer.inner
+        trapping = outer if isinstance(outer, SanitizerBackend) else outer.inner
+        assert trapping.traps[0].zone == "efftt_forward"
+        assert set(counting.zone_stats) == {"efftt_forward"}
+
+    def test_reset_clears_every_observer(self):
+        counter, sanitizer = CostCounter(), NumericSanitizer(mode="record")
+        bk = Interposer(observers=[counter, sanitizer])
+        bk.asarray(np.array([np.inf], dtype=np.float32))
+        assert counter.totals().calls == 1 and len(sanitizer.traps) == 1
+        bk.reset()
+        assert counter.totals().calls == 0 and sanitizer.traps == []
+
+    def test_report_joins_observer_reports(self):
+        bk = Interposer(observers=[CostCounter(), NumericSanitizer()])
+        bk.matmul(np.ones((2, 2)), np.ones((2, 2)))
+        report = bk.report()
+        assert "unzoned" in report and report.endswith("numsan: no traps")
+        assert bk.name == "instrumented+sanitizer[numpy]"
 
 
 class TestInstrumentedCounting:

@@ -9,7 +9,16 @@ import importlib
 import pytest
 
 
-@pytest.mark.parametrize("package", ["repro.serving", "repro.resilience"])
+@pytest.mark.parametrize(
+    "package",
+    [
+        "repro.serving",
+        "repro.resilience",
+        "repro.backend",
+        "repro.analysis",
+        "repro.analysis.perfcheck",
+    ],
+)
 def test_all_names_resolve(package):
     module = importlib.import_module(package)
     assert len(set(module.__all__)) == len(module.__all__)
