@@ -17,11 +17,9 @@ import numpy as np
 
 from repro.data.dataloader import Batch, SyntheticClickLog
 from repro.data.datasets import DatasetSpec
-from repro.embeddings.dense import DenseEmbeddingBag
-from repro.embeddings.eff_tt_embedding import EffTTEmbeddingBag
-from repro.embeddings.tt_embedding import TTEmbeddingBag
 from repro.frameworks.base import WorkloadProfile
-from repro.models.config import DLRMConfig
+from repro.models.config import DLRMConfig, EmbeddingBackend
+from repro.models.dlrm import build_embedding_bag
 from repro.nn.interaction import DotInteraction
 from repro.nn.mlp import MLP
 from repro.utils.timer import measure_median
@@ -133,7 +131,10 @@ def measure_workload(
 
     # Dense path over every table.
     dense_bags = [
-        DenseEmbeddingBag(t.num_rows, embedding_dim, seed=(seed, 2, i))
+        build_embedding_bag(
+            EmbeddingBackend.DENSE, t.num_rows, embedding_dim, tt_rank,
+            seed=(seed, 2, i),
+        )
         for i, t in enumerate(spec.tables)
     ]
     all_ids = list(range(spec.num_sparse))
@@ -149,17 +150,17 @@ def measure_workload(
         # Degenerate tiny spec: compress the single largest table.
         tt_ids = [max(all_ids, key=lambda i: spec.tables[i].num_rows)]
     tt_bags = [
-        TTEmbeddingBag(
-            spec.tables[i].num_rows, embedding_dim, tt_rank=tt_rank,
-            seed=(seed, 3, i),
+        build_embedding_bag(
+            EmbeddingBackend.TT, spec.tables[i].num_rows, embedding_dim,
+            tt_rank, seed=(seed, 3, i),
         )
         for i in tt_ids
     ]
     tt_fwd, tt_bwd = _measure_bags(tt_bags, batch, tt_ids, repeats, True)
     eff_bags = [
-        EffTTEmbeddingBag(
-            spec.tables[i].num_rows, embedding_dim, tt_rank=tt_rank,
-            seed=(seed, 3, i),
+        build_embedding_bag(
+            EmbeddingBackend.EFF_TT, spec.tables[i].num_rows, embedding_dim,
+            tt_rank, seed=(seed, 3, i),
         )
         for i in tt_ids
     ]

@@ -798,6 +798,11 @@ MYPY_STRICT_MODULES = (
     "repro.system.queues",
     "repro.embeddings.cache",
     "repro.embeddings.protocol",
+    "repro.embeddings.base",
+    "repro.embeddings.registry",
+    "repro.embeddings.dense",
+    "repro.embeddings.tt_embedding",
+    "repro.embeddings.eff_tt_embedding",
     "repro.embeddings.hash_embedding",
     "repro.embeddings.robe_embedding",
     "repro.embeddings.pq_embedding",

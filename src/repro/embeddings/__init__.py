@@ -17,13 +17,15 @@ This package contains the paper's central artifact and its baselines:
 * :class:`EmbeddingCache` — the LC-managed GPU-side cache that resolves
   the read-after-write conflict in pipelined training (§V-B).
 
-All bags share one contract (see :class:`EmbeddingBagBase`):
-``forward(indices, offsets) -> (B, dim)`` with sum pooling,
-``backward(grad_output)`` capturing sparse gradient state, and
-``step(lr)`` applying the update — plus the structural
-:class:`CompressedEmbedding` protocol (footprint, state arrays, spec,
-version counter, pure row reconstruction) that serialization, serving,
-resilience and placement program against.  The memory-budget
+All bags are one :class:`EmbeddingBagBase` — the shared sum-pooling
+shell: ``forward(indices, offsets) -> (B, dim)``,
+``backward(grad_output)`` capturing the sparse update, ``step(lr)``
+applying it, plus the :class:`CompressedEmbedding` surface (footprint,
+state arrays, spec, version counter, pure row reconstruction) that
+serialization, serving, resilience and placement program against.  A
+strategy class supplies only its row codec, and every name -> class
+decision goes through the registry (:data:`BAG_CLASSES`,
+:func:`bag_class`, :func:`build_bag_from_spec`).  The memory-budget
 auto-tuner lives in :mod:`repro.embeddings.autotune`.
 """
 
@@ -42,6 +44,7 @@ from repro.embeddings.tt_core import TTCores, TTSpec, tt_svd
 from repro.embeddings.tt_embedding import TTEmbeddingBag
 from repro.embeddings.reuse_buffer import ReusePlan, build_reuse_plan
 from repro.embeddings.eff_tt_embedding import EffTTEmbeddingBag
+from repro.embeddings.registry import BAG_CLASSES, bag_class, build_bag_from_spec
 from repro.embeddings.cache import EmbeddingCache
 from repro.embeddings.collection import EmbeddingCollection
 from repro.embeddings.inference import HotRowCachedLookup, StaleCacheError
@@ -49,7 +52,6 @@ from repro.embeddings.autotune import (
     CompressionPlan,
     TablePlan,
     build_bag_from_plan,
-    build_bag_from_spec,
     plan_compression,
 )
 
@@ -63,6 +65,8 @@ __all__ = [
     "HashEmbeddingBag",
     "RobeEmbeddingBag",
     "PQEmbeddingBag",
+    "BAG_CLASSES",
+    "bag_class",
     "CompressionPlan",
     "TablePlan",
     "plan_compression",

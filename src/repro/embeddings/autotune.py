@@ -47,17 +47,17 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.embeddings.dense import DenseEmbeddingBag
-from repro.embeddings.eff_tt_embedding import EffTTEmbeddingBag
+from repro.backend.protocol import DTypeLike
+from repro.embeddings.base import EmbeddingBagBase
 from repro.embeddings.hash_embedding import HashEmbeddingBag
 from repro.embeddings.pq_embedding import (
     PQEmbeddingBag,
     default_pq_subspaces,
 )
 from repro.embeddings.protocol import CompressionSpec, SpecParamValue
+from repro.embeddings.registry import build_bag_from_spec
 from repro.embeddings.robe_embedding import RobeEmbeddingBag
 from repro.embeddings.tt_core import TTSpec
-from repro.embeddings.tt_embedding import TTEmbeddingBag
 from repro.reorder.stats import TableStats
 from repro.utils.factorize import ceil_balanced_factors, suggest_tt_shapes
 from repro.utils.rng import RngLike
@@ -74,6 +74,10 @@ __all__ = [
 
 #: Strategies the planner can assign (``auto`` resolves to one of these).
 COMPRESS_STRATEGIES: Tuple[str, ...] = ("dense", "tt", "hash", "robe", "pq")
+
+#: Strategy names that differ from the registry kind they build: the
+#: planner's ``tt`` means the paper's Eff-TT table, not the TT-Rec one.
+_PLAN_KINDS = {"tt": "eff_tt"}
 
 #: TT rank search ceiling (Hetu searches 0..1000; ranks beyond this
 #: stop compressing anything we train here).
@@ -417,103 +421,17 @@ def build_bag_from_plan(
     entry: TablePlan,
     embedding_dim: int,
     seed: RngLike = 0,
-    dtype: np.dtype = np.float64,
-):
-    """Construct the bag a :class:`TablePlan` describes."""
-    params = entry.param_dict()
-    rows = entry.num_rows
-    if entry.strategy == "dense":
-        return DenseEmbeddingBag(rows, embedding_dim, seed=seed, dtype=dtype)
-    if entry.strategy == "tt":
-        return EffTTEmbeddingBag(
-            rows,
-            embedding_dim,
-            tt_rank=int(params["tt_rank"]),
-            seed=seed,
-            dtype=dtype,
-        )
-    if entry.strategy == "hash":
-        return HashEmbeddingBag(
-            rows,
-            embedding_dim,
-            num_buckets=int(params["num_buckets"]),
-            seed=seed,
-            dtype=dtype,
-        )
-    if entry.strategy == "robe":
-        return RobeEmbeddingBag(
-            rows,
-            embedding_dim,
-            array_size=int(params["array_size"]),
-            seed=seed,
-            dtype=dtype,
-        )
-    if entry.strategy == "pq":
-        return PQEmbeddingBag(
-            rows,
-            embedding_dim,
-            num_subspaces=int(params["num_subspaces"]),
-            num_codes=int(params["num_codes"]),
-            seed=seed,
-            dtype=dtype,
-        )
-    raise ValueError(f"unknown strategy {entry.strategy!r}")
+    dtype: DTypeLike = np.float64,
+) -> EmbeddingBagBase:
+    """Construct the bag a :class:`TablePlan` describes.
 
-
-def build_bag_from_spec(
-    spec: CompressionSpec,
-    seed: RngLike = 0,
-    dtype: np.dtype = np.float64,
-):
-    """Construct an architecturally identical bag from its spec.
-
-    The returned bag's ``state_arrays()`` accept the original bag's
-    arrays bitwise (used by checkpoint restore for the kind-tagged
-    formats).
+    The planner's searched parameters are the bag constructors' own
+    keywords, so a plan entry is already a (partial) spec.
     """
-    params = spec.param_dict()
-    rows, dim = spec.num_embeddings, spec.embedding_dim
-    if spec.kind == "dense":
-        return DenseEmbeddingBag(rows, dim, seed=seed, dtype=dtype)
-    if spec.kind in ("tt", "eff_tt"):
-        kwargs = dict(
-            tt_rank=[int(r) for r in params["ranks"]],
-            row_shape=[int(r) for r in params["row_shape"]],
-            col_shape=[int(c) for c in params["col_shape"]],
-            seed=seed,
-            dtype=dtype,
-        )
-        if spec.kind == "tt":
-            return TTEmbeddingBag(rows, dim, **kwargs)
-        return EffTTEmbeddingBag(
-            rows, dim, optimizer=str(params.get("optimizer", "sgd")), **kwargs
-        )
-    if spec.kind == "hash":
-        return HashEmbeddingBag(
-            rows,
-            dim,
-            num_buckets=int(params["num_buckets"]),
-            seed=seed,
-            dtype=dtype,
-        )
-    if spec.kind == "robe":
-        hash_params = tuple(int(p) for p in params["hash_params"])
-        return RobeEmbeddingBag(
-            rows,
-            dim,
-            array_size=int(params["array_size"]),
-            chunk_size=int(params["chunk_size"]),
-            hash_params=hash_params,
-            seed=seed,
-            dtype=dtype,
-        )
-    if spec.kind == "pq":
-        return PQEmbeddingBag(
-            rows,
-            dim,
-            num_subspaces=int(params["num_subspaces"]),
-            num_codes=int(params["num_codes"]),
-            seed=seed,
-            dtype=dtype,
-        )
-    raise ValueError(f"unknown spec kind {spec.kind!r}")
+    spec = CompressionSpec.create(
+        _PLAN_KINDS.get(entry.strategy, entry.strategy),
+        entry.num_rows,
+        embedding_dim,
+        entry.param_dict(),
+    )
+    return build_bag_from_spec(spec, seed=seed, dtype=dtype)

@@ -1,18 +1,23 @@
-"""Shared embedding-bag contract and pooling helpers.
+"""The one sum-pooling embedding bag: shared shell, per-strategy row codec.
 
 All embedding implementations expose PyTorch ``nn.EmbeddingBag``
 semantics with ``mode="sum"``: a flat index array plus per-bag offsets,
 one pooled embedding per bag.  The paper's Eff-TT table is explicitly a
-drop-in replacement for that API (§I, §VI-A), so the reproduction keeps
-the same calling convention everywhere.
+drop-in replacement for that API (§I, §VI-A): only the row computation
+differs, pooling does not.  :class:`EmbeddingBagBase` therefore owns the
+whole lifecycle once, and a strategy is the *codec* it plugs in — how
+index -> rows, how row gradients -> parameter update.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Any, ClassVar, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.backend import get_backend
+from repro.backend.protocol import DTypeLike
+from repro.embeddings.protocol import CompressionSpec, SpecParamValue
 from repro.utils.validation import check_1d_int_array
 
 __all__ = ["normalize_offsets", "segment_sum", "EmbeddingBagBase"]
@@ -81,10 +86,28 @@ def expand_bag_ids(boundaries: np.ndarray) -> np.ndarray:
 
 
 class EmbeddingBagBase:
-    """Abstract sum-pooling embedding bag.
+    """Sum-pooling embedding bag: the shell every strategy shares.
 
-    Subclasses implement :meth:`forward`, :meth:`backward` and
-    :meth:`step`; shared validation lives here.
+    The shell owns ``forward`` / ``backward`` / ``step`` (input
+    validation, pooling, the call-order guards, gradient dtype and shape
+    checks, bag-id expansion, the ``version`` bump, clearing saved
+    state), range-checked :meth:`reconstruct_rows`, validate-then-write
+    :meth:`load_state_arrays` and the byte accounting.  A strategy
+    subclass supplies only its codec:
+
+    ``_lookup(idx) -> (rows, context)``
+        One ``(len(idx), dim)`` row per validated index occurrence, plus
+        whatever the backward pass needs.  Must not write ``self``
+        training state (it also serves :meth:`reconstruct_rows`).
+    ``_accumulate(context, row_grads) -> pending``
+        Turn per-occurrence row gradients into the sparse update
+        (default: ``(context, row_grads)`` as they are — a gather table
+        trains by scattering them back where ``context`` says).
+    ``_apply(pending, lr)``
+        Write the SGD update into the parameters.
+    ``state_arrays()`` / ``_spec_params()``
+        The live parameter arrays and the hyperparameters that, with
+        :attr:`kind`, rebuild the bag (constructor keywords).
 
     Attributes
     ----------
@@ -92,7 +115,21 @@ class EmbeddingBagBase:
         Number of logical rows (valid index range ``[0, num_embeddings)``).
     embedding_dim:
         Width of each embedding row.
+    dtype:
+        Storage dtype; gradients are cast to it on the way in.
+    version:
+        Update counter (every parameter mutation bumps it) that hot-row
+        caches compare to detect staleness.
     """
+
+    #: Strategy name: the registry key, the checkpoint ``bag{t}/kind``
+    #: tag and ``compression_spec().kind``.
+    kind: ClassVar[str]
+    #: Kernel zone charged for the per-occurrence gradient gather.
+    grad_zone: ClassVar[str]
+    #: ``build_embedding_bag`` knobs (``tt_rank`` / ``compress_rate``)
+    #: this strategy's constructor takes.
+    config_knobs: ClassVar[Tuple[str, ...]] = ()
 
     def __init__(self, num_embeddings: int, embedding_dim: int) -> None:
         if num_embeddings < 1:
@@ -101,6 +138,46 @@ class EmbeddingBagBase:
             raise ValueError(f"embedding_dim must be >= 1, got {embedding_dim}")
         self.num_embeddings = num_embeddings
         self.embedding_dim = embedding_dim
+        self.dtype = np.dtype(np.float64)
+        self.version = 0
+        #: ``(codec context, boundaries)`` of the forward awaiting backward
+        self._saved: Optional[Tuple[Any, np.ndarray]] = None
+        #: the codec's accumulated update awaiting ``step`` (or a pop)
+        self._pending: Optional[Any] = None
+
+    # -- codec hooks -----------------------------------------------------
+    def _lookup(self, idx: np.ndarray) -> Tuple[np.ndarray, Any]:
+        raise NotImplementedError
+
+    def _accumulate(self, context: Any, row_grads: np.ndarray) -> Any:
+        return context, row_grads
+
+    def _apply(self, pending: Any, lr: float) -> None:
+        raise NotImplementedError
+
+    def state_arrays(self) -> Dict[str, np.ndarray]:
+        """Live parameter arrays by stable name (callers copy to persist)."""
+        raise NotImplementedError
+
+    def _spec_params(self) -> Dict[str, SpecParamValue]:
+        return {}
+
+    def _reconstruct(self, idx: np.ndarray) -> np.ndarray:
+        return self._lookup(idx)[0]
+
+    def _normalize_state(self, name: str, stored: np.ndarray) -> np.ndarray:
+        """Bring a stored array to the live layout before the shape check."""
+        return stored
+
+    def _cast_grad(self, grad_output: np.ndarray) -> np.ndarray:
+        return get_backend().asarray(grad_output, dtype=self.dtype)
+
+    def _occurrence_grads(
+        self, grad_output: np.ndarray, bag_ids: np.ndarray
+    ) -> np.ndarray:
+        bk = get_backend()
+        with bk.zone(self.grad_zone):
+            return bk.gather_rows(grad_output, bag_ids)
 
     # -- helpers -------------------------------------------------------
     def _validate_inputs(
@@ -116,33 +193,114 @@ class EmbeddingBagBase:
             boundaries = normalize_offsets(offsets, idx.size)
         return idx, boundaries
 
-    # -- interface -------------------------------------------------------
+    def _pop_pending(self) -> Any:
+        """Detach the captured update without applying it.
+
+        For trainers that apply it elsewhere: the parameter server (§V)
+        and the data-parallel all-reduce (§V-A).
+        """
+        if self._pending is None:
+            raise RuntimeError("no gradients captured")
+        pending, self._pending = self._pending, None
+        return pending
+
+    # -- lifecycle -------------------------------------------------------
     def forward(
         self, indices: np.ndarray, offsets: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """Pooled lookup: returns ``(num_bags, embedding_dim)``."""
-        raise NotImplementedError
+        idx, boundaries = self._validate_inputs(indices, offsets)
+        rows, context = self._lookup(idx)
+        self._saved = (context, boundaries)
+        return segment_sum(rows, boundaries)
 
     def backward(self, grad_output: np.ndarray) -> None:
-        """Capture sparse gradient state for the most recent forward."""
-        raise NotImplementedError
+        """Capture the sparse update for the most recent forward."""
+        if self._saved is None:
+            raise RuntimeError("backward called before forward")
+        context, boundaries = self._saved
+        grad_output = self._cast_grad(grad_output)
+        num_bags = boundaries.size - 1
+        if grad_output.shape != (num_bags, self.embedding_dim):
+            raise ValueError(
+                f"expected grad_output shape {(num_bags, self.embedding_dim)}, "
+                f"got {grad_output.shape}"
+            )
+        # Sum pooling: every member of a bag receives the bag's gradient.
+        row_grads = self._occurrence_grads(grad_output, expand_bag_ids(boundaries))
+        self._pending = self._accumulate(context, row_grads)
+        self._saved = None
 
     def step(self, lr: float) -> None:
-        """Apply the captured gradients with SGD and clear them."""
-        raise NotImplementedError
+        """Apply the captured update with SGD and clear it."""
+        if self._pending is None:
+            raise RuntimeError("step called before backward")
+        self._apply(self._pending, lr)
+        self.version += 1
+        self._pending = None
 
     def lookup_rows(self, indices: np.ndarray) -> np.ndarray:
         """Un-pooled lookup of individual rows, ``(len(indices), dim)``."""
+        return self.forward(indices)  # no offsets: one index per bag
+
+    def __call__(
+        self, indices: np.ndarray, offsets: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        return self.forward(indices, offsets)
+
+    # -- CompressedEmbedding protocol ------------------------------------
+    def reconstruct_rows(self, indices: np.ndarray) -> np.ndarray:
+        """Pure row materialization (no training state touched).
+
+        Indices outside ``[0, num_embeddings)`` are rejected before any
+        gather — numpy would wrap a negative one, and a TT table would
+        serve its padding rows.
+        """
         idx = check_1d_int_array(
             indices, "indices", min_value=0, max_value=self.num_embeddings - 1
         )
-        boundaries = np.arange(idx.size + 1, dtype=np.int64)
-        return self.forward(idx, boundaries)
+        return np.asarray(self._reconstruct(idx))
+
+    def load_state_arrays(self, arrays: Mapping[str, np.ndarray]) -> None:
+        """Restore :meth:`state_arrays` output: validate all, then write."""
+        live = self.state_arrays()
+        staged = {}
+        for name in sorted(live):
+            stored = self._normalize_state(
+                name, np.asarray(arrays[name], dtype=live[name].dtype)
+            )
+            if stored.shape != live[name].shape:
+                raise ValueError(
+                    f"{name} shape {stored.shape} != {live[name].shape}"
+                )
+            staged[name] = stored
+        for name in sorted(staged):
+            live[name][...] = staged[name]
+        self.version += 1
+
+    def compression_spec(self) -> CompressionSpec:
+        return CompressionSpec.create(
+            self.kind, self.num_embeddings, self.embedding_dim, self._spec_params()
+        )
+
+    # -- footprint -------------------------------------------------------
+    def memory_bytes(self) -> int:
+        """Resident bytes of every state array (optimizer state included)."""
+        return sum(int(a.nbytes) for a in self.state_arrays().values())
 
     @property
     def nbytes(self) -> int:
         """Parameter memory footprint in bytes."""
-        raise NotImplementedError
+        return self.nbytes_as(self.dtype)
 
-    def __call__(self, indices, offsets=None):
-        return self.forward(indices, offsets)
+    def nbytes_as(self, dtype: DTypeLike = np.float32) -> int:
+        """Footprint with the float arrays stored at ``dtype``.
+
+        The paper reports fp32 tables; integer state (PQ codes) keeps
+        its own width.
+        """
+        itemsize = np.dtype(dtype).itemsize
+        return sum(
+            int(a.size * itemsize if a.dtype.kind == "f" else a.nbytes)
+            for a in self.state_arrays().values()
+        )

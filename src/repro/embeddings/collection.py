@@ -15,6 +15,7 @@ the way in, so callers keep original ids everywhere.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -22,12 +23,7 @@ import numpy as np
 from repro.data.dataloader import Batch
 from repro.embeddings.autotune import CompressionPlan, build_bag_from_plan
 from repro.embeddings.base import EmbeddingBagBase
-from repro.embeddings.dense import DenseEmbeddingBag
-from repro.embeddings.eff_tt_embedding import EffTTEmbeddingBag
-from repro.embeddings.hash_embedding import HashEmbeddingBag
-from repro.embeddings.pq_embedding import PQEmbeddingBag
-from repro.embeddings.robe_embedding import RobeEmbeddingBag
-from repro.embeddings.tt_embedding import TTEmbeddingBag
+from repro.embeddings.registry import build_bag
 from repro.reorder.bijection import IndexBijection
 from repro.system.memory import PlacementDecision, PlacementPlan
 from repro.system.parameter_server import HostBackedEmbeddingBag
@@ -102,7 +98,8 @@ class EmbeddingCollection:
                 spec = placement.tt_spec
                 assert spec is not None
                 bags.append(
-                    EffTTEmbeddingBag(
+                    build_bag(
+                        "eff_tt",
                         placement.num_rows,
                         embedding_dim,
                         tt_rank=tt_rank,
@@ -113,8 +110,8 @@ class EmbeddingCollection:
                 )
             elif placement.decision is PlacementDecision.GPU_DENSE:
                 bags.append(
-                    DenseEmbeddingBag(
-                        placement.num_rows, embedding_dim, seed=rng
+                    build_bag(
+                        "dense", placement.num_rows, embedding_dim, seed=rng
                     )
                 )
             else:
@@ -175,22 +172,12 @@ class EmbeddingCollection:
 
     def summary(self) -> Dict[str, int]:
         """Per-strategy table counts; values sum to :attr:`num_tables`."""
+        kinds = Counter(bag.compression_spec().kind for bag in self.bags)
         return {
-            "tt_tables": sum(
-                isinstance(b, (TTEmbeddingBag, EffTTEmbeddingBag))
-                for b in self.bags
-            ),
-            "dense_tables": sum(
-                isinstance(b, DenseEmbeddingBag) for b in self.bags
-            ),
-            "hash_tables": sum(
-                isinstance(b, HashEmbeddingBag) for b in self.bags
-            ),
-            "robe_tables": sum(
-                isinstance(b, RobeEmbeddingBag) for b in self.bags
-            ),
-            "pq_tables": sum(
-                isinstance(b, PQEmbeddingBag) for b in self.bags
-            ),
+            "tt_tables": kinds["tt"] + kinds["eff_tt"],
+            "dense_tables": kinds["dense"],
+            "hash_tables": kinds["hash"],
+            "robe_tables": kinds["robe"],
+            "pq_tables": kinds["pq"],
             "host_tables": len(self.host_table_map),
         }

@@ -6,16 +6,12 @@ memory-footprint reference for Table III's compression ratios.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.embeddings.base import (
-    EmbeddingBagBase,
-    expand_bag_ids,
-    segment_sum,
-)
-from repro.embeddings.protocol import CompressionSpec
+from repro.backend.protocol import DTypeLike
+from repro.embeddings.base import EmbeddingBagBase
 from repro.nn.optim import SparseSGD
 from repro.utils.rng import RngLike, ensure_rng
 
@@ -40,106 +36,48 @@ class DenseEmbeddingBag(EmbeddingBagBase):
         bytes via :meth:`nbytes_as` when comparing with the paper).
     """
 
+    kind = "dense"
+
     def __init__(
         self,
         num_embeddings: int,
         embedding_dim: int,
         seed: RngLike = 0,
-        dtype: np.dtype = np.float64,
+        dtype: DTypeLike = np.float64,
     ) -> None:
         super().__init__(num_embeddings, embedding_dim)
+        self.dtype = np.dtype(dtype)
         rng = ensure_rng(seed)
         bound = 1.0 / np.sqrt(num_embeddings)
         self.weight = rng.uniform(
             -bound, bound, size=(num_embeddings, embedding_dim)
-        ).astype(dtype)
-        #: update counter for hot-row cache staleness detection
-        self.version = 0
-        self._saved_indices: Optional[np.ndarray] = None
-        self._saved_boundaries: Optional[np.ndarray] = None
-        self._saved_row_grads: Optional[np.ndarray] = None
+        ).astype(self.dtype)
 
-    def forward(
-        self, indices: np.ndarray, offsets: Optional[np.ndarray] = None
+    # -- codec: plain numpy on host arrays, never through the backend ----
+    def _lookup(self, idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        return self.weight[idx], idx
+
+    def _cast_grad(self, grad_output: np.ndarray) -> np.ndarray:
+        return np.asarray(grad_output, dtype=self.dtype)
+
+    def _occurrence_grads(
+        self, grad_output: np.ndarray, bag_ids: np.ndarray
     ) -> np.ndarray:
-        idx, boundaries = self._validate_inputs(indices, offsets)
-        self._saved_indices = idx
-        self._saved_boundaries = boundaries
-        rows = self.weight[idx]
-        return segment_sum(rows, boundaries)
+        return grad_output[bag_ids]
 
-    def backward(self, grad_output: np.ndarray) -> None:
-        if self._saved_indices is None or self._saved_boundaries is None:
-            raise RuntimeError("backward called before forward")
-        grad_output = np.asarray(grad_output, dtype=np.float64)
-        num_bags = self._saved_boundaries.size - 1
-        if grad_output.shape != (num_bags, self.embedding_dim):
-            raise ValueError(
-                f"expected grad_output shape {(num_bags, self.embedding_dim)}, "
-                f"got {grad_output.shape}"
-            )
-        bag_ids = expand_bag_ids(self._saved_boundaries)
-        # Sum pooling: each member of a bag receives the bag's gradient.
-        self._saved_row_grads = grad_output[bag_ids]
+    def _apply(self, pending: Tuple[np.ndarray, np.ndarray], lr: float) -> None:
+        indices, row_grads = pending
+        SparseSGD(lr).step_rows(self.weight, indices, row_grads)
 
-    def step(self, lr: float) -> None:
-        if self._saved_row_grads is None:
-            raise RuntimeError("step called before backward")
-        SparseSGD(lr).step_rows(
-            self.weight, self._saved_indices, self._saved_row_grads
-        )
-        self.version += 1
-        self._saved_indices = None
-        self._saved_boundaries = None
-        self._saved_row_grads = None
-
-    # -- gradient access for the PS / cache machinery -----------------
-    def pop_row_gradients(self) -> tuple:
+    def pop_row_gradients(self) -> Tuple[np.ndarray, np.ndarray]:
         """Return and clear ``(indices, per-row gradients)``.
 
         Used by the parameter-server path (§V) where the *server*
         applies the update after the gradient queue delivers it, rather
         than the table itself.
         """
-        if self._saved_row_grads is None:
-            raise RuntimeError("no gradients captured")
-        out = (self._saved_indices, self._saved_row_grads)
-        self._saved_indices = None
-        self._saved_boundaries = None
-        self._saved_row_grads = None
-        return out
-
-    # -- CompressedEmbedding protocol ---------------------------------
-    def reconstruct_rows(self, indices: np.ndarray) -> np.ndarray:
-        """Pure row lookup (no training state touched)."""
-        idx = np.asarray(indices, dtype=np.int64).reshape(-1)
-        return np.asarray(self.weight[idx])
-
-    def memory_bytes(self) -> int:
-        return int(self.weight.nbytes)
+        indices, row_grads = self._pop_pending()
+        return indices, row_grads
 
     def state_arrays(self) -> Dict[str, np.ndarray]:
-        """Live parameter arrays (callers copy before persisting)."""
         return {"weight": self.weight}
-
-    def load_state_arrays(self, arrays: Mapping[str, np.ndarray]) -> None:
-        weight = np.asarray(arrays["weight"], dtype=self.weight.dtype)
-        if weight.shape != self.weight.shape:
-            raise ValueError(
-                f"weight shape {weight.shape} != {self.weight.shape}"
-            )
-        self.weight[...] = weight
-        self.version += 1
-
-    def compression_spec(self) -> CompressionSpec:
-        return CompressionSpec.create(
-            "dense", self.num_embeddings, self.embedding_dim
-        )
-
-    @property
-    def nbytes(self) -> int:
-        return self.weight.nbytes
-
-    def nbytes_as(self, dtype: np.dtype = np.float32) -> int:
-        """Footprint if stored at ``dtype`` (paper reports fp32 tables)."""
-        return self.weight.size * np.dtype(dtype).itemsize

@@ -25,8 +25,7 @@ toggleable for the ablation studies (Figures 14, 17, 18):
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -38,24 +37,23 @@ from repro.backend import (
     get_backend,
     get_plan_cache,
 )
-from repro.embeddings.base import (
-    EmbeddingBagBase,
-    expand_bag_ids,
-    segment_sum,
-)
-from repro.embeddings.protocol import CompressionSpec
+from repro.backend.protocol import DTypeLike
+from repro.embeddings.protocol import SpecParamValue
 from repro.embeddings.reuse_buffer import ReusePlan, build_reuse_plan
-from repro.embeddings.tt_core import TTCores, TTSpec
-from repro.embeddings.tt_embedding import tt_chain_backward, tt_chain_forward
+from repro.embeddings.tt_core import TTCores
+from repro.embeddings.tt_embedding import (
+    TTBagBase,
+    tt_chain_backward,
+    tt_chain_forward,
+)
 from repro.embeddings.tt_indices import row_index_to_tt
-from repro.utils.factorize import suggest_tt_shapes
 from repro.utils.rng import RngLike
 from repro.utils.scatter import coalesce_rows
 
 __all__ = ["EffTTEmbeddingBag"]
 
 
-class EffTTEmbeddingBag(EmbeddingBagBase):
+class EffTTEmbeddingBag(TTBagBase):
     """TT embedding bag with reuse, gradient aggregation and fused update.
 
     Parameters
@@ -93,6 +91,9 @@ class EffTTEmbeddingBag(EmbeddingBagBase):
     (2, 16)
     """
 
+    kind = "eff_tt"
+    grad_zone = ZONE_EFFTT_BACKWARD
+
     def __init__(
         self,
         num_embeddings: int,
@@ -107,28 +108,12 @@ class EffTTEmbeddingBag(EmbeddingBagBase):
         optimizer: str = "sgd",
         adagrad_eps: float = 1e-10,
         seed: RngLike = 0,
-        dtype: np.dtype = np.float64,
+        dtype: DTypeLike = np.float64,
     ) -> None:
-        super().__init__(num_embeddings, embedding_dim)
-        if row_shape is None or col_shape is None:
-            auto_rows, auto_cols, _ = suggest_tt_shapes(
-                num_embeddings, embedding_dim, num_cores
-            )
-            row_shape = row_shape if row_shape is not None else auto_rows
-            col_shape = col_shape if col_shape is not None else auto_cols
-        if math.prod(row_shape) < num_embeddings:
-            raise ValueError(
-                f"prod(row_shape)={math.prod(row_shape)} cannot address "
-                f"{num_embeddings} rows"
-            )
-        if math.prod(col_shape) != embedding_dim:
-            raise ValueError(
-                f"prod(col_shape)={math.prod(col_shape)} != embedding_dim="
-                f"{embedding_dim}"
-            )
-        self.spec = TTSpec.create(row_shape, col_shape, tt_rank)
-        self.dtype = np.dtype(dtype)
-        self.tt = TTCores.random_init(self.spec, seed=seed, dtype=self.dtype)
+        super().__init__(
+            num_embeddings, embedding_dim, tt_rank, num_cores,
+            row_shape, col_shape, seed, dtype,
+        )
         self.enable_reuse = enable_reuse
         self.enable_grad_aggregation = enable_grad_aggregation
         self.enable_fused_update = enable_fused_update
@@ -145,12 +130,6 @@ class EffTTEmbeddingBag(EmbeddingBagBase):
             if optimizer == "adagrad"
             else None
         )
-        #: Monotonic core-update counter.  Serving-time views snapshot
-        #: it to detect stale materialized rows (see
-        #: :class:`~repro.embeddings.inference.HotRowCachedLookup`).
-        self.version = 0
-        self._saved: Optional[dict] = None
-        self._pending_update: Optional[dict] = None
         self.last_plan: Optional[ReusePlan] = None
 
     @classmethod
@@ -190,32 +169,24 @@ class EffTTEmbeddingBag(EmbeddingBagBase):
     # ------------------------------------------------------------------
     # forward
     # ------------------------------------------------------------------
-    def forward(
-        self, indices: np.ndarray, offsets: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        idx, boundaries = self._validate_inputs(indices, offsets)
+    def _lookup(self, idx: np.ndarray) -> Tuple[np.ndarray, Dict[str, Any]]:
         plan = build_reuse_plan(idx, self.spec.row_shape)
         self.last_plan = plan
         if self.enable_reuse:
             rows_unique, left_stages = self._forward_reused(plan)
-            rows = rows_unique[plan.row_inverse]
-            self._saved = {
+            return rows_unique[plan.row_inverse], {
                 "plan": plan,
-                "boundaries": boundaries,
                 "left_stages": left_stages,  # per unique prefix
                 "reused": True,
             }
-        else:
-            occ_tt_idx = row_index_to_tt(idx, self.spec.row_shape)
-            rows, left_partials = tt_chain_forward(self.tt.cores, occ_tt_idx)
-            self._saved = {
-                "plan": plan,
-                "boundaries": boundaries,
-                "occ_tt_idx": occ_tt_idx,
-                "occ_left_partials": left_partials,
-                "reused": False,
-            }
-        return segment_sum(rows, boundaries)
+        occ_tt_idx = row_index_to_tt(idx, self.spec.row_shape)
+        rows, left_partials = tt_chain_forward(self.tt.cores, occ_tt_idx)
+        return rows, {
+            "plan": plan,
+            "occ_tt_idx": occ_tt_idx,
+            "occ_left_partials": left_partials,
+            "reused": False,
+        }
 
     def _forward_reused(
         self, plan: ReusePlan
@@ -258,23 +229,11 @@ class EffTTEmbeddingBag(EmbeddingBagBase):
     # ------------------------------------------------------------------
     # backward
     # ------------------------------------------------------------------
-    def backward(self, grad_output: np.ndarray) -> None:
-        if self._saved is None:
-            raise RuntimeError("backward called before forward")
-        saved = self._saved
+    def _accumulate(
+        self, saved: Dict[str, Any], row_grads: np.ndarray
+    ) -> Dict[str, Any]:
         plan: ReusePlan = saved["plan"]
-        boundaries = saved["boundaries"]
         bk = get_backend()
-        grad_output = bk.asarray(grad_output, dtype=self.dtype)
-        num_bags = boundaries.size - 1
-        if grad_output.shape != (num_bags, self.embedding_dim):
-            raise ValueError(
-                f"expected grad_output shape {(num_bags, self.embedding_dim)}, "
-                f"got {grad_output.shape}"
-            )
-        bag_ids = expand_bag_ids(boundaries)
-        with bk.zone(ZONE_EFFTT_BACKWARD):
-            row_grads = bk.gather_rows(grad_output, bag_ids)  # one per occurrence
 
         if self.enable_grad_aggregation:
             # In-advance aggregation: sum occurrence gradients into one
@@ -282,7 +241,7 @@ class EffTTEmbeddingBag(EmbeddingBagBase):
             with bk.zone(ZONE_EFFTT_BACKWARD):
                 agg = bk.zeros(
                     (plan.num_unique_rows, self.embedding_dim),
-                    dtype=grad_output.dtype,
+                    dtype=row_grads.dtype,
                 )
                 bk.scatter_add_rows(agg, plan.row_inverse, row_grads)
             tt_idx = plan.tt_indices
@@ -320,24 +279,22 @@ class EffTTEmbeddingBag(EmbeddingBagBase):
         if self.enable_fused_update:
             # Defer only the scatter; step() applies it in place without
             # materializing core-sized gradient arrays.
-            self._pending_update = {
+            return {
                 "mode": "fused",
                 "tt_idx": tt_idx,
                 "slice_grads": slice_grads,
             }
-        else:
-            with bk.zone(ZONE_EFFTT_BACKWARD):
-                core_grads = [
-                    bk.zeros(core.shape, dtype=core.dtype)
-                    for core in self.tt.cores
-                ]
-                for k, grads_k in enumerate(slice_grads):
-                    bk.scatter_add_rows(core_grads[k], tt_idx[k], grads_k)
-            self._pending_update = {"mode": "dense", "core_grads": core_grads}
-        self._saved = None
+        with bk.zone(ZONE_EFFTT_BACKWARD):
+            core_grads = [
+                bk.zeros(core.shape, dtype=core.dtype)
+                for core in self.tt.cores
+            ]
+            for k, grads_k in enumerate(slice_grads):
+                bk.scatter_add_rows(core_grads[k], tt_idx[k], grads_k)
+        return {"mode": "dense", "core_grads": core_grads}
 
     def _unique_left_partials(
-        self, saved: dict, plan: ReusePlan
+        self, saved: Dict[str, Any], plan: ReusePlan
     ) -> List[np.ndarray]:
         """Left-partial chain per unique row for the backward contraction."""
         if saved["reused"]:
@@ -356,30 +313,26 @@ class EffTTEmbeddingBag(EmbeddingBagBase):
     # ------------------------------------------------------------------
     # update
     # ------------------------------------------------------------------
-    def step(self, lr: float) -> None:
-        if self._pending_update is None:
-            raise RuntimeError("step called before backward")
-        self.apply_pending_update(self._pending_update, lr)
-        self._pending_update = None
-
-    def pop_pending_update(self) -> dict:
+    def pop_pending_update(self) -> Dict[str, Any]:
         """Detach the captured sparse update without applying it.
 
         Used by the data-parallel trainer (§V-A): replicas exchange
         pending updates (the TT-gradient AllReduce) and then apply the
         merged set via :meth:`apply_pending_update`.
         """
-        if self._pending_update is None:
-            raise RuntimeError("no pending update captured")
-        pending = self._pending_update
-        self._pending_update = None
+        pending: Dict[str, Any] = self._pop_pending()
         return pending
 
     def apply_pending_update(
-        self, pending: dict, lr: float, scale: float = 1.0
+        self, pending: Dict[str, Any], lr: float, scale: float = 1.0
     ) -> None:
         """Apply a (possibly remote) sparse update scaled by ``scale``."""
+        self._apply(pending, lr, scale)
         self.version += 1
+
+    def _apply(
+        self, pending: Dict[str, Any], lr: float, scale: float = 1.0
+    ) -> None:
         if self.optimizer == "adagrad":
             if scale != 1.0:
                 raise ValueError(
@@ -404,7 +357,7 @@ class EffTTEmbeddingBag(EmbeddingBagBase):
                 for core, grad in zip(self.tt.cores, pending["core_grads"]):
                     bk.axpy(core, grad, -step_size)
 
-    def _apply_adagrad(self, pending: dict, lr: float) -> None:
+    def _apply_adagrad(self, pending: Dict[str, Any], lr: float) -> None:
         """Fused row-wise Adagrad over TT slices.
 
         Sparse gradients are coalesced (duplicate slice rows summed)
@@ -444,73 +397,17 @@ class EffTTEmbeddingBag(EmbeddingBagBase):
     # ------------------------------------------------------------------
     # CompressedEmbedding protocol
     # ------------------------------------------------------------------
-    def reconstruct_rows(self, indices: np.ndarray) -> np.ndarray:
-        """Pure row materialization (no training state touched)."""
-        return self.tt.reconstruct_rows(indices)
-
-    def memory_bytes(self) -> int:
-        total = int(self.tt.nbytes)
-        if self._adagrad_acc is not None:
-            total += sum(int(acc.nbytes) for acc in self._adagrad_acc)
-        return total
-
     def state_arrays(self) -> Dict[str, np.ndarray]:
         """Live cores (+ adagrad accumulators) — callers copy to persist.
 
         Key names (``core{k}``, ``adagrad{k}``) match the resilience
         checkpoint layout so recovery stays bitwise across the refactor.
         """
-        arrays: Dict[str, np.ndarray] = {
-            f"core{k}": core for k, core in enumerate(self.tt.cores)
-        }
+        arrays = super().state_arrays()
         if self._adagrad_acc is not None:
             for k, acc in enumerate(self._adagrad_acc):
                 arrays[f"adagrad{k}"] = acc
         return arrays
 
-    def load_state_arrays(self, arrays: Mapping[str, np.ndarray]) -> None:
-        live = self.state_arrays()
-        staged = {}
-        for name in sorted(live):
-            stored = np.asarray(arrays[name], dtype=live[name].dtype)
-            if stored.shape != live[name].shape:
-                raise ValueError(
-                    f"{name} shape {stored.shape} != {live[name].shape}"
-                )
-            staged[name] = stored
-        for name in sorted(staged):
-            live[name][...] = staged[name]
-        self.version += 1
-
-    def compression_spec(self) -> CompressionSpec:
-        return CompressionSpec.create(
-            "eff_tt",
-            self.num_embeddings,
-            self.embedding_dim,
-            {
-                "row_shape": tuple(self.spec.row_shape),
-                "col_shape": tuple(self.spec.col_shape),
-                "ranks": tuple(self.spec.ranks),
-                "optimizer": self.optimizer,
-            },
-        )
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    @property
-    def nbytes(self) -> int:
-        return self.tt.nbytes
-
-    def nbytes_as(self, dtype: np.dtype = np.float32) -> int:
-        """Footprint if cores were stored at ``dtype``."""
-        return self.spec.num_params * np.dtype(dtype).itemsize
-
-    def compression_ratio(self) -> float:
-        """Dense ``num_embeddings x dim`` footprint over TT footprint."""
-        dense = self.num_embeddings * self.embedding_dim
-        return dense / self.spec.num_params
-
-    def materialize(self) -> np.ndarray:
-        """Reconstruct the logical table (tests / small tables only)."""
-        return self.tt.reconstruct()[: self.num_embeddings]
+    def _spec_params(self) -> Dict[str, SpecParamValue]:
+        return {**super()._spec_params(), "optimizer": self.optimizer}

@@ -15,7 +15,7 @@ needs only ``num_buckets`` (in the spec) plus the weight array.
 from __future__ import annotations
 
 import math
-from typing import Dict, Mapping, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -24,12 +24,9 @@ from repro.backend import (
     ZONE_HASH_LOOKUP,
     get_backend,
 )
-from repro.embeddings.base import (
-    EmbeddingBagBase,
-    expand_bag_ids,
-    segment_sum,
-)
-from repro.embeddings.protocol import CompressionSpec
+from repro.backend.protocol import DTypeLike
+from repro.embeddings.base import EmbeddingBagBase
+from repro.embeddings.protocol import SpecParamValue
 from repro.utils.factorize import ceil_balanced_factors
 from repro.utils.rng import RngLike, ensure_rng
 
@@ -72,6 +69,10 @@ class HashEmbeddingBag(EmbeddingBagBase):
         Storage dtype (float64 default, matching the NN substrate).
     """
 
+    kind = "hash"
+    grad_zone = ZONE_HASH_LOOKUP
+    config_knobs = ("compress_rate",)
+
     def __init__(
         self,
         num_embeddings: int,
@@ -79,7 +80,7 @@ class HashEmbeddingBag(EmbeddingBagBase):
         num_buckets: Optional[int] = None,
         compress_rate: float = 0.25,
         seed: RngLike = 0,
-        dtype: np.dtype = np.float64,
+        dtype: DTypeLike = np.float64,
     ) -> None:
         super().__init__(num_embeddings, embedding_dim)
         if num_buckets is None:
@@ -97,101 +98,25 @@ class HashEmbeddingBag(EmbeddingBagBase):
         self.weight = rng.uniform(
             -bound, bound, size=(num_buckets, embedding_dim)
         ).astype(self.dtype)
-        #: update counter for hot-row cache staleness detection
-        self.version = 0
-        self._saved_buckets: Optional[np.ndarray] = None
-        self._saved_boundaries: Optional[np.ndarray] = None
-        self._saved_row_grads: Optional[np.ndarray] = None
 
-    def _bucketize(self, idx: np.ndarray) -> np.ndarray:
-        return idx % np.int64(self.num_buckets)
-
-    def forward(
-        self, indices: np.ndarray, offsets: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        idx, boundaries = self._validate_inputs(indices, offsets)
+    def _lookup(self, idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         bk = get_backend()
-        buckets = self._bucketize(idx)
+        buckets = idx % np.int64(self.num_buckets)
         with bk.zone(ZONE_HASH_LOOKUP):
             rows = bk.gather_rows(self.weight, buckets)
-        self._saved_buckets = buckets
-        self._saved_boundaries = boundaries
-        return segment_sum(rows, boundaries)
+        return rows, buckets
 
-    def backward(self, grad_output: np.ndarray) -> None:
-        if self._saved_buckets is None or self._saved_boundaries is None:
-            raise RuntimeError("backward called before forward")
-        bk = get_backend()
-        grad_output = bk.asarray(grad_output, dtype=self.dtype)
-        num_bags = self._saved_boundaries.size - 1
-        if grad_output.shape != (num_bags, self.embedding_dim):
-            raise ValueError(
-                f"expected grad_output shape "
-                f"{(num_bags, self.embedding_dim)}, got {grad_output.shape}"
-            )
-        bag_ids = expand_bag_ids(self._saved_boundaries)
-        with bk.zone(ZONE_HASH_LOOKUP):
-            # Sum pooling: every member of a bag gets the bag's grad.
-            self._saved_row_grads = bk.gather_rows(grad_output, bag_ids)
-
-    def step(self, lr: float) -> None:
-        if self._saved_row_grads is None:
-            raise RuntimeError("step called before backward")
+    def _apply(self, pending: Tuple[np.ndarray, np.ndarray], lr: float) -> None:
+        buckets, row_grads = pending
         bk = get_backend()
         with bk.zone(ZONE_COMPRESS_UPDATE):
-            bk.scatter_add_rows(
-                self.weight,
-                self._saved_buckets,
-                self._saved_row_grads,
-                scale=-lr,
-            )
-        self.version += 1
-        self._saved_buckets = None
-        self._saved_boundaries = None
-        self._saved_row_grads = None
-
-    # -- CompressedEmbedding protocol ---------------------------------
-    def reconstruct_rows(self, indices: np.ndarray) -> np.ndarray:
-        """Pure row lookup (no training state touched)."""
-        idx = np.asarray(indices, dtype=np.int64).reshape(-1)
-        if idx.size and (idx.min() < 0 or idx.max() >= self.num_embeddings):
-            raise IndexError("row index out of range")
-        bk = get_backend()
-        with bk.zone(ZONE_HASH_LOOKUP):
-            rows = bk.gather_rows(self.weight, self._bucketize(idx))
-        return np.asarray(rows)
-
-    def memory_bytes(self) -> int:
-        return int(self.weight.nbytes)
+            bk.scatter_add_rows(self.weight, buckets, row_grads, scale=-lr)
 
     def state_arrays(self) -> Dict[str, np.ndarray]:
-        """Live parameter arrays (callers copy before persisting)."""
         return {"weight": self.weight}
 
-    def load_state_arrays(self, arrays: Mapping[str, np.ndarray]) -> None:
-        weight = np.asarray(arrays["weight"], dtype=self.dtype)
-        if weight.shape != self.weight.shape:
-            raise ValueError(
-                f"weight shape {weight.shape} != {self.weight.shape}"
-            )
-        self.weight[...] = weight
-        self.version += 1
-
-    def compression_spec(self) -> CompressionSpec:
-        return CompressionSpec.create(
-            "hash",
-            self.num_embeddings,
-            self.embedding_dim,
-            {"num_buckets": self.num_buckets},
-        )
-
-    @property
-    def nbytes(self) -> int:
-        return self.weight.nbytes
-
-    def nbytes_as(self, dtype: np.dtype = np.float32) -> int:
-        """Footprint if stored at ``dtype``."""
-        return self.weight.size * np.dtype(dtype).itemsize
+    def _spec_params(self) -> Dict[str, SpecParamValue]:
+        return {"num_buckets": self.num_buckets}
 
     def compression_ratio(self) -> float:
         return self.num_embeddings / self.num_buckets

@@ -23,7 +23,7 @@ every row a distinct tuple.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -32,12 +32,9 @@ from repro.backend import (
     ZONE_PQ_LOOKUP,
     get_backend,
 )
-from repro.embeddings.base import (
-    EmbeddingBagBase,
-    expand_bag_ids,
-    segment_sum,
-)
-from repro.embeddings.protocol import CompressionSpec
+from repro.backend.protocol import DTypeLike
+from repro.embeddings.base import EmbeddingBagBase
+from repro.embeddings.protocol import SpecParamValue
 from repro.utils.factorize import ceil_balanced_factors
 from repro.utils.rng import RngLike, ensure_rng
 
@@ -91,6 +88,9 @@ class PQEmbeddingBag(EmbeddingBagBase):
         RNG for codebook init and the frozen code table.
     """
 
+    kind = "pq"
+    grad_zone = ZONE_PQ_LOOKUP
+
     def __init__(
         self,
         num_embeddings: int,
@@ -98,7 +98,7 @@ class PQEmbeddingBag(EmbeddingBagBase):
         num_subspaces: Optional[int] = None,
         num_codes: Optional[int] = None,
         seed: RngLike = 0,
-        dtype: np.dtype = np.float64,
+        dtype: DTypeLike = np.float64,
     ) -> None:
         super().__init__(num_embeddings, embedding_dim)
         if num_subspaces is None:
@@ -131,15 +131,8 @@ class PQEmbeddingBag(EmbeddingBagBase):
             0, num_codes, size=(num_embeddings, num_subspaces),
             dtype=np.int32,
         )
-        #: update counter for hot-row cache staleness detection
-        self.version = 0
-        self._saved_codes: Optional[np.ndarray] = None
-        self._saved_boundaries: Optional[np.ndarray] = None
-        self._saved_row_grads: Optional[np.ndarray] = None
 
-    def _materialize(
-        self, idx: np.ndarray
-    ) -> "Tuple[np.ndarray, np.ndarray]":
+    def _lookup(self, idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Concatenate the selected centroids for each occurrence."""
         bk = get_backend()
         occ_codes = self.codes[idx]  # (L, M)
@@ -152,63 +145,20 @@ class PQEmbeddingBag(EmbeddingBagBase):
                 rows[:, lo : lo + self.subspace_dim] = bk.gather_rows(
                     self.codebooks[m], occ_codes[:, m].astype(np.int64)
                 )
-        return np.asarray(rows), occ_codes
+        return rows, occ_codes
 
-    def forward(
-        self, indices: np.ndarray, offsets: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        idx, boundaries = self._validate_inputs(indices, offsets)
-        rows, occ_codes = self._materialize(idx)
-        self._saved_codes = occ_codes
-        self._saved_boundaries = boundaries
-        return segment_sum(rows, boundaries)
-
-    def backward(self, grad_output: np.ndarray) -> None:
-        if self._saved_codes is None or self._saved_boundaries is None:
-            raise RuntimeError("backward called before forward")
-        bk = get_backend()
-        grad_output = bk.asarray(grad_output, dtype=self.dtype)
-        num_bags = self._saved_boundaries.size - 1
-        if grad_output.shape != (num_bags, self.embedding_dim):
-            raise ValueError(
-                f"expected grad_output shape "
-                f"{(num_bags, self.embedding_dim)}, got {grad_output.shape}"
-            )
-        bag_ids = expand_bag_ids(self._saved_boundaries)
-        with bk.zone(ZONE_PQ_LOOKUP):
-            self._saved_row_grads = bk.gather_rows(grad_output, bag_ids)
-
-    def step(self, lr: float) -> None:
-        if self._saved_row_grads is None:
-            raise RuntimeError("step called before backward")
+    def _apply(self, pending: Tuple[np.ndarray, np.ndarray], lr: float) -> None:
+        occ_codes, row_grads = pending
         bk = get_backend()
         with bk.zone(ZONE_COMPRESS_UPDATE):
             for m in range(self.num_subspaces):
                 lo = m * self.subspace_dim
                 bk.scatter_add_rows(
                     self.codebooks[m],
-                    self._saved_codes[:, m].astype(np.int64),
-                    self._saved_row_grads[:, lo : lo + self.subspace_dim],
+                    occ_codes[:, m].astype(np.int64),
+                    row_grads[:, lo : lo + self.subspace_dim],
                     scale=-lr,
                 )
-        self.version += 1
-        self._saved_codes = None
-        self._saved_boundaries = None
-        self._saved_row_grads = None
-
-    # -- CompressedEmbedding protocol ---------------------------------
-    def reconstruct_rows(self, indices: np.ndarray) -> np.ndarray:
-        """Pure row materialization (no training state touched)."""
-        idx = np.asarray(indices, dtype=np.int64).reshape(-1)
-        if idx.size and (idx.min() < 0 or idx.max() >= self.num_embeddings):
-            raise IndexError("row index out of range")
-        rows, _ = self._materialize(idx)
-        return rows
-
-    def memory_bytes(self) -> int:
-        return int(
-            sum(book.nbytes for book in self.codebooks) + self.codes.nbytes
-        )
 
     def state_arrays(self) -> Dict[str, np.ndarray]:
         """Live codebooks + code table (callers copy before persisting)."""
@@ -218,39 +168,11 @@ class PQEmbeddingBag(EmbeddingBagBase):
         arrays["codes"] = self.codes
         return arrays
 
-    def load_state_arrays(self, arrays: Mapping[str, np.ndarray]) -> None:
-        live = self.state_arrays()
-        staged = {}
-        for name in sorted(live):
-            stored = np.asarray(arrays[name], dtype=live[name].dtype)
-            if stored.shape != live[name].shape:
-                raise ValueError(
-                    f"{name} shape {stored.shape} != {live[name].shape}"
-                )
-            staged[name] = stored
-        for name in sorted(staged):
-            live[name][...] = staged[name]
-        self.version += 1
-
-    def compression_spec(self) -> CompressionSpec:
-        return CompressionSpec.create(
-            "pq",
-            self.num_embeddings,
-            self.embedding_dim,
-            {
-                "num_subspaces": self.num_subspaces,
-                "num_codes": self.num_codes,
-            },
-        )
-
-    @property
-    def nbytes(self) -> int:
-        return self.memory_bytes()
-
-    def nbytes_as(self, dtype: np.dtype = np.float32) -> int:
-        """Footprint with codebooks at ``dtype`` (codes stay int32)."""
-        floats = sum(book.size for book in self.codebooks)
-        return floats * np.dtype(dtype).itemsize + self.codes.nbytes
+    def _spec_params(self) -> Dict[str, SpecParamValue]:
+        return {
+            "num_subspaces": self.num_subspaces,
+            "num_codes": self.num_codes,
+        }
 
     def compression_ratio(self) -> float:
         dense = self.num_embeddings * self.embedding_dim * self.dtype.itemsize

@@ -7,9 +7,11 @@ single-implementation assumption into a structural protocol so dense,
 TT, Eff-TT, hash, ROBE and PQ tables are interchangeable everywhere a
 table is trained, checkpointed, placed, or served.
 
-The protocol is *structural* (PEP 544): the bag classes do not import
-this module, they simply implement the members.  ``isinstance(bag,
-CompressedEmbedding)`` works at runtime via ``@runtime_checkable``.
+The protocol is *structural* (PEP 544): no bag inherits from it —
+:class:`~repro.embeddings.base.EmbeddingBagBase` implements the members
+once for every strategy — and the outer layers type against the
+protocol, not the base class.  ``isinstance(bag, CompressedEmbedding)``
+works at runtime via ``@runtime_checkable``.
 
 Contract notes
 --------------

@@ -19,7 +19,7 @@ addressing regardless of the restorer's seed.
 from __future__ import annotations
 
 import math
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -28,12 +28,9 @@ from repro.backend import (
     ZONE_ROBE_LOOKUP,
     get_backend,
 )
-from repro.embeddings.base import (
-    EmbeddingBagBase,
-    expand_bag_ids,
-    segment_sum,
-)
-from repro.embeddings.protocol import CompressionSpec
+from repro.backend.protocol import DTypeLike
+from repro.embeddings.base import EmbeddingBagBase
+from repro.embeddings.protocol import SpecParamValue
 from repro.utils.rng import RngLike, ensure_rng
 
 __all__ = ["RobeEmbeddingBag", "default_robe_size", "MERSENNE_PRIME_31"]
@@ -76,6 +73,10 @@ class RobeEmbeddingBag(EmbeddingBagBase):
         RNG for initialization and hash constants.
     """
 
+    kind = "robe"
+    grad_zone = ZONE_ROBE_LOOKUP
+    config_knobs = ("compress_rate",)
+
     def __init__(
         self,
         num_embeddings: int,
@@ -85,7 +86,7 @@ class RobeEmbeddingBag(EmbeddingBagBase):
         chunk_size: Optional[int] = None,
         hash_params: Optional[Tuple[int, int, int, int, int, int]] = None,
         seed: RngLike = 0,
-        dtype: np.dtype = np.float64,
+        dtype: DTypeLike = np.float64,
     ) -> None:
         super().__init__(num_embeddings, embedding_dim)
         if array_size is None:
@@ -128,12 +129,6 @@ class RobeEmbeddingBag(EmbeddingBagBase):
         self.weight = rng.uniform(
             -bound, bound, size=array_size
         ).astype(self.dtype)
-        #: update counter for hot-row cache staleness detection
-        self.version = 0
-        self._saved_positions: Optional[np.ndarray] = None
-        self._saved_signs: Optional[np.ndarray] = None
-        self._saved_boundaries: Optional[np.ndarray] = None
-        self._saved_row_grads: Optional[np.ndarray] = None
 
     # -- universal-hash addressing ------------------------------------
     def _positions_signs(
@@ -161,106 +156,48 @@ class RobeEmbeddingBag(EmbeddingBagBase):
             np.repeat(signs, self.chunk_size, axis=1),
         )
 
-    def _gather(
-        self, positions: np.ndarray, signs: np.ndarray
-    ) -> np.ndarray:
+    def _lookup(
+        self, idx: np.ndarray
+    ) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
+        positions, signs = self._positions_signs(idx)
         bk = get_backend()
         with bk.zone(ZONE_ROBE_LOOKUP):
             flat = bk.gather_rows(
                 self.weight.reshape(-1, 1), positions.reshape(-1)
             )
             rows = flat.reshape(positions.shape) * signs
-        return np.asarray(rows)
+        return rows, (positions, signs)
 
-    def forward(
-        self, indices: np.ndarray, offsets: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        idx, boundaries = self._validate_inputs(indices, offsets)
-        positions, signs = self._positions_signs(idx)
-        rows = self._gather(positions, signs)
-        self._saved_positions = positions
-        self._saved_signs = signs
-        self._saved_boundaries = boundaries
-        return segment_sum(rows, boundaries)
+    def _accumulate(
+        self, context: Tuple[np.ndarray, np.ndarray], row_grads: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        positions, signs = context
+        # Chain rule through the sign flip.
+        return positions, row_grads * signs
 
-    def backward(self, grad_output: np.ndarray) -> None:
-        if self._saved_positions is None or self._saved_boundaries is None:
-            raise RuntimeError("backward called before forward")
-        bk = get_backend()
-        grad_output = bk.asarray(grad_output, dtype=self.dtype)
-        num_bags = self._saved_boundaries.size - 1
-        if grad_output.shape != (num_bags, self.embedding_dim):
-            raise ValueError(
-                f"expected grad_output shape "
-                f"{(num_bags, self.embedding_dim)}, got {grad_output.shape}"
-            )
-        bag_ids = expand_bag_ids(self._saved_boundaries)
-        with bk.zone(ZONE_ROBE_LOOKUP):
-            row_grads = bk.gather_rows(grad_output, bag_ids)
-            # Chain rule through the sign flip.
-            self._saved_row_grads = row_grads * self._saved_signs
-
-    def step(self, lr: float) -> None:
-        if self._saved_row_grads is None:
-            raise RuntimeError("step called before backward")
+    def _apply(self, pending: Tuple[np.ndarray, np.ndarray], lr: float) -> None:
+        positions, row_grads = pending
         bk = get_backend()
         with bk.zone(ZONE_COMPRESS_UPDATE):
             bk.scatter_add_rows(
                 self.weight.reshape(-1, 1),
-                self._saved_positions.reshape(-1),
-                self._saved_row_grads.reshape(-1, 1),
+                positions.reshape(-1),
+                row_grads.reshape(-1, 1),
                 scale=-lr,
             )
-        self.version += 1
-        self._saved_positions = None
-        self._saved_signs = None
-        self._saved_boundaries = None
-        self._saved_row_grads = None
-
-    # -- CompressedEmbedding protocol ---------------------------------
-    def reconstruct_rows(self, indices: np.ndarray) -> np.ndarray:
-        """Pure row materialization (no training state touched)."""
-        idx = np.asarray(indices, dtype=np.int64).reshape(-1)
-        if idx.size and (idx.min() < 0 or idx.max() >= self.num_embeddings):
-            raise IndexError("row index out of range")
-        positions, signs = self._positions_signs(idx)
-        return self._gather(positions, signs)
-
-    def memory_bytes(self) -> int:
-        return int(self.weight.nbytes)
 
     def state_arrays(self) -> Dict[str, np.ndarray]:
-        """Live parameter arrays (callers copy before persisting)."""
         return {"weight": self.weight}
 
-    def load_state_arrays(self, arrays: Mapping[str, np.ndarray]) -> None:
-        weight = np.asarray(arrays["weight"], dtype=self.dtype).reshape(-1)
-        if weight.shape != self.weight.shape:
-            raise ValueError(
-                f"weight shape {weight.shape} != {self.weight.shape}"
-            )
-        self.weight[...] = weight
-        self.version += 1
+    def _normalize_state(self, name: str, stored: np.ndarray) -> np.ndarray:
+        return stored.reshape(-1)
 
-    def compression_spec(self) -> CompressionSpec:
-        return CompressionSpec.create(
-            "robe",
-            self.num_embeddings,
-            self.embedding_dim,
-            {
-                "array_size": self.array_size,
-                "chunk_size": self.chunk_size,
-                "hash_params": self.hash_params,
-            },
-        )
-
-    @property
-    def nbytes(self) -> int:
-        return self.weight.nbytes
-
-    def nbytes_as(self, dtype: np.dtype = np.float32) -> int:
-        """Footprint if stored at ``dtype``."""
-        return self.weight.size * np.dtype(dtype).itemsize
+    def _spec_params(self) -> Dict[str, SpecParamValue]:
+        return {
+            "array_size": self.array_size,
+            "chunk_size": self.chunk_size,
+            "hash_params": self.hash_params,
+        }
 
     def compression_ratio(self) -> float:
         return (

@@ -18,7 +18,7 @@ paper's claimed optimizations on a shared substrate.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -29,18 +29,20 @@ from repro.backend import (
     get_backend,
     get_plan_cache,
 )
-from repro.embeddings.base import (
-    EmbeddingBagBase,
-    expand_bag_ids,
-    segment_sum,
-)
-from repro.embeddings.protocol import CompressionSpec
+from repro.backend.protocol import DTypeLike
+from repro.embeddings.base import EmbeddingBagBase
+from repro.embeddings.protocol import SpecParamValue
 from repro.embeddings.tt_core import TTCores, TTSpec
 from repro.embeddings.tt_indices import row_index_to_tt
 from repro.utils.factorize import suggest_tt_shapes
 from repro.utils.rng import RngLike
 
-__all__ = ["TTEmbeddingBag", "tt_chain_forward", "tt_chain_backward"]
+__all__ = [
+    "TTBagBase",
+    "TTEmbeddingBag",
+    "tt_chain_forward",
+    "tt_chain_backward",
+]
 
 
 def tt_chain_forward(
@@ -165,27 +167,16 @@ def tt_chain_backward(
     return slice_grads
 
 
-class TTEmbeddingBag(EmbeddingBagBase):
-    """Tensor-Train embedding bag with naive (TT-Rec-style) kernels.
+class TTBagBase(EmbeddingBagBase):
+    """What the TT-Rec and Eff-TT bags share: the cores and their bookkeeping.
 
-    Parameters
-    ----------
-    num_embeddings, embedding_dim:
-        Logical table shape; rows are padded up to a balanced TT
-        factorization (padding rows are never addressed).
-    tt_rank:
-        Scalar TT rank or explicit internal rank list.
-    num_cores:
-        Number of TT cores ``d`` (paper uses 3).
-    row_shape, col_shape:
-        Optional explicit factorizations overriding the automatic ones.
-    seed:
-        RNG for core initialization.
-    dtype:
-        Core / gradient floating dtype (default ``np.float64``, the
-        historical behavior).  The whole forward/backward/update path
-        stays at this dtype — no silent float64 upcasts.
+    Factorization choice and validation, core storage, serving-time
+    reconstruction and the footprint figures are the same for both;
+    the lookup/backward/update kernels — the paper's subject — are not,
+    and stay in the two subclasses.
     """
+
+    config_knobs = ("tt_rank",)
 
     def __init__(
         self,
@@ -196,7 +187,7 @@ class TTEmbeddingBag(EmbeddingBagBase):
         row_shape: Optional[Sequence[int]] = None,
         col_shape: Optional[Sequence[int]] = None,
         seed: RngLike = 0,
-        dtype: np.dtype = np.float64,
+        dtype: DTypeLike = np.float64,
     ) -> None:
         super().__init__(num_embeddings, embedding_dim)
         if row_shape is None or col_shape is None:
@@ -218,115 +209,23 @@ class TTEmbeddingBag(EmbeddingBagBase):
         self.spec = TTSpec.create(row_shape, col_shape, tt_rank)
         self.dtype = np.dtype(dtype)
         self.tt = TTCores.random_init(self.spec, seed=seed, dtype=self.dtype)
-        #: Monotonic core-update counter.  Serving-time views snapshot
-        #: it to detect stale materialized rows (see
-        #: :class:`~repro.embeddings.inference.HotRowCachedLookup`).
-        self.version = 0
-        self._saved: Optional[dict] = None
-        self._core_grads: Optional[List[np.ndarray]] = None
 
-    # -- forward -------------------------------------------------------
-    def forward(
-        self, indices: np.ndarray, offsets: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        idx, boundaries = self._validate_inputs(indices, offsets)
-        tt_idx = row_index_to_tt(idx, self.spec.row_shape)
-        rows, left_partials = tt_chain_forward(self.tt.cores, tt_idx)
-        self._saved = {
-            "tt_idx": tt_idx,
-            "left_partials": left_partials,
-            "boundaries": boundaries,
-        }
-        return segment_sum(rows, boundaries)
-
-    # -- backward ----------------------------------------------------------
-    def backward(self, grad_output: np.ndarray) -> None:
-        if self._saved is None:
-            raise RuntimeError("backward called before forward")
-        saved = self._saved
-        boundaries = saved["boundaries"]
-        bk = get_backend()
-        grad_output = bk.asarray(grad_output, dtype=self.dtype)
-        num_bags = boundaries.size - 1
-        if grad_output.shape != (num_bags, self.embedding_dim):
-            raise ValueError(
-                f"expected grad_output shape {(num_bags, self.embedding_dim)}, "
-                f"got {grad_output.shape}"
-            )
-        bag_ids = expand_bag_ids(boundaries)
-        with bk.zone(ZONE_TT_BACKWARD):
-            row_grads = bk.gather_rows(grad_output, bag_ids)  # one per occurrence
-        slice_grads = tt_chain_backward(
-            self.tt.cores,
-            saved["tt_idx"],
-            saved["left_partials"],
-            row_grads,
-            self.spec.col_shape,
-        )
-        # TT-Rec path: materialize full-size core gradients (the extra
-        # allocation + scatter the paper's fused update avoids).
-        with bk.zone(ZONE_TT_BACKWARD):
-            core_grads = [
-                bk.zeros(core.shape, dtype=core.dtype) for core in self.tt.cores
-            ]
-            for k, grads_k in enumerate(slice_grads):
-                bk.scatter_add_rows(core_grads[k], saved["tt_idx"][k], grads_k)
-        self._core_grads = core_grads
-        self._saved = None
-
-    def step(self, lr: float) -> None:
-        if self._core_grads is None:
-            raise RuntimeError("step called before backward")
-        # Separate dense optimizer pass over whole cores.
-        bk = get_backend()
-        with bk.zone(ZONE_OPTIMIZER):
-            for core, grad in zip(self.tt.cores, self._core_grads):
-                bk.axpy(core, grad, -lr)
-        self._core_grads = None
-        self.version += 1
-
-    # -- CompressedEmbedding protocol -------------------------------------
-    def reconstruct_rows(self, indices: np.ndarray) -> np.ndarray:
-        """Pure row materialization (no training state touched)."""
-        return self.tt.reconstruct_rows(indices)
-
-    def memory_bytes(self) -> int:
-        return int(self.tt.nbytes)
+    def _reconstruct(self, idx: np.ndarray) -> np.ndarray:
+        return self.tt.reconstruct_rows(idx)
 
     def state_arrays(self) -> Dict[str, np.ndarray]:
         """Live TT cores keyed ``core{k}`` (callers copy to persist)."""
         return {f"core{k}": core for k, core in enumerate(self.tt.cores)}
 
-    def load_state_arrays(self, arrays: Mapping[str, np.ndarray]) -> None:
-        for k, core in enumerate(self.tt.cores):
-            stored = np.asarray(arrays[f"core{k}"], dtype=core.dtype)
-            if stored.shape != core.shape:
-                raise ValueError(
-                    f"core{k} shape {stored.shape} != {core.shape}"
-                )
-        for k, core in enumerate(self.tt.cores):
-            core[...] = np.asarray(arrays[f"core{k}"], dtype=core.dtype)
-        self.version += 1
+    def _spec_params(self) -> Dict[str, SpecParamValue]:
+        return {
+            "row_shape": tuple(self.spec.row_shape),
+            "col_shape": tuple(self.spec.col_shape),
+            "tt_rank": tuple(self.spec.ranks),
+        }
 
-    def compression_spec(self) -> CompressionSpec:
-        return CompressionSpec.create(
-            "tt",
-            self.num_embeddings,
-            self.embedding_dim,
-            {
-                "row_shape": tuple(self.spec.row_shape),
-                "col_shape": tuple(self.spec.col_shape),
-                "ranks": tuple(self.spec.ranks),
-            },
-        )
-
-    # -- introspection ----------------------------------------------------
-    @property
-    def nbytes(self) -> int:
-        return self.tt.nbytes
-
-    def nbytes_as(self, dtype: np.dtype = np.float32) -> int:
-        """Footprint if cores were stored at ``dtype``."""
+    def nbytes_as(self, dtype: DTypeLike = np.float32) -> int:
+        """Footprint if cores were stored at ``dtype`` (no optimizer state)."""
         return self.spec.num_params * np.dtype(dtype).itemsize
 
     def compression_ratio(self) -> float:
@@ -337,3 +236,62 @@ class TTEmbeddingBag(EmbeddingBagBase):
     def materialize(self) -> np.ndarray:
         """Reconstruct the logical table (tests / small tables only)."""
         return self.tt.reconstruct()[: self.num_embeddings]
+
+
+class TTEmbeddingBag(TTBagBase):
+    """Tensor-Train embedding bag with naive (TT-Rec-style) kernels.
+
+    Parameters
+    ----------
+    num_embeddings, embedding_dim:
+        Logical table shape; rows are padded up to a balanced TT
+        factorization (padding rows are never addressed).
+    tt_rank:
+        Scalar TT rank or explicit internal rank list.
+    num_cores:
+        Number of TT cores ``d`` (paper uses 3).
+    row_shape, col_shape:
+        Optional explicit factorizations overriding the automatic ones.
+    seed:
+        RNG for core initialization.
+    dtype:
+        Core / gradient floating dtype (default ``np.float64``, the
+        historical behavior).  The whole forward/backward/update path
+        stays at this dtype — no silent float64 upcasts.
+    """
+
+    kind = "tt"
+    grad_zone = ZONE_TT_BACKWARD
+
+    def _lookup(self, idx: np.ndarray) -> Tuple[np.ndarray, Dict[str, Any]]:
+        tt_idx = row_index_to_tt(idx, self.spec.row_shape)
+        rows, left_partials = tt_chain_forward(self.tt.cores, tt_idx)
+        return rows, {"tt_idx": tt_idx, "left_partials": left_partials}
+
+    def _accumulate(
+        self, saved: Dict[str, Any], row_grads: np.ndarray
+    ) -> List[np.ndarray]:
+        slice_grads = tt_chain_backward(
+            self.tt.cores,
+            saved["tt_idx"],
+            saved["left_partials"],
+            row_grads,
+            self.spec.col_shape,
+        )
+        # TT-Rec path: materialize full-size core gradients (the extra
+        # allocation + scatter the paper's fused update avoids).
+        bk = get_backend()
+        with bk.zone(ZONE_TT_BACKWARD):
+            core_grads = [
+                bk.zeros(core.shape, dtype=core.dtype) for core in self.tt.cores
+            ]
+            for k, grads_k in enumerate(slice_grads):
+                bk.scatter_add_rows(core_grads[k], saved["tt_idx"][k], grads_k)
+        return core_grads
+
+    def _apply(self, core_grads: List[np.ndarray], lr: float) -> None:
+        # Separate dense optimizer pass over whole cores.
+        bk = get_backend()
+        with bk.zone(ZONE_OPTIMIZER):
+            for core, grad in zip(self.tt.cores, core_grads):
+                bk.axpy(core, grad, -lr)

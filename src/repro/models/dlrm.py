@@ -20,12 +20,7 @@ import numpy as np
 
 from repro.data.dataloader import Batch
 from repro.embeddings.base import EmbeddingBagBase
-from repro.embeddings.dense import DenseEmbeddingBag
-from repro.embeddings.eff_tt_embedding import EffTTEmbeddingBag
-from repro.embeddings.hash_embedding import HashEmbeddingBag
-from repro.embeddings.pq_embedding import PQEmbeddingBag
-from repro.embeddings.robe_embedding import RobeEmbeddingBag
-from repro.embeddings.tt_embedding import TTEmbeddingBag
+from repro.embeddings.registry import bag_class, build_bag
 from repro.models.config import DLRMConfig, EmbeddingBackend
 from repro.nn.interaction import DotInteraction
 from repro.nn.loss import BCEWithLogitsLoss
@@ -48,39 +43,22 @@ def build_embedding_bag(
 ) -> EmbeddingBagBase:
     """Construct one embedding bag of the requested backend.
 
-    ``compress_rate`` sizes the hash/ROBE backends' default parameters
-    (ignored by dense/TT); explicit strategy kwargs (``num_buckets``,
-    ``array_size``, ``num_codes``, ...) pass through and override it.
+    ``tt_rank`` and ``compress_rate`` reach only the strategies that
+    declare them (:attr:`EmbeddingBagBase.config_knobs`: TT tables take
+    the rank, hash/ROBE size their defaults from the rate); explicit
+    strategy kwargs (``num_buckets``, ``array_size``, ``num_codes``,
+    ...) pass through and override them.
     """
-    if backend is EmbeddingBackend.DENSE:
-        return DenseEmbeddingBag(num_rows, embedding_dim, seed=seed)
-    if backend is EmbeddingBackend.TT:
-        return TTEmbeddingBag(
-            num_rows, embedding_dim, tt_rank=tt_rank, seed=seed, **kwargs
-        )
-    if backend is EmbeddingBackend.EFF_TT:
-        return EffTTEmbeddingBag(
-            num_rows, embedding_dim, tt_rank=tt_rank, seed=seed, **kwargs
-        )
-    if backend is EmbeddingBackend.HASH:
-        return HashEmbeddingBag(
-            num_rows,
-            embedding_dim,
-            compress_rate=compress_rate,
-            seed=seed,
-            **kwargs,
-        )
-    if backend is EmbeddingBackend.ROBE:
-        return RobeEmbeddingBag(
-            num_rows,
-            embedding_dim,
-            compress_rate=compress_rate,
-            seed=seed,
-            **kwargs,
-        )
-    if backend is EmbeddingBackend.PQ:
-        return PQEmbeddingBag(num_rows, embedding_dim, seed=seed, **kwargs)
-    raise ValueError(f"unknown backend {backend!r}")
+    kind = EmbeddingBackend(backend).value
+    knobs = {"tt_rank": tt_rank, "compress_rate": compress_rate}
+    return build_bag(
+        kind,
+        num_rows,
+        embedding_dim,
+        seed=seed,
+        **{name: knobs[name] for name in bag_class(kind).config_knobs},
+        **kwargs,
+    )
 
 
 @dataclass(frozen=True)

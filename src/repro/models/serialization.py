@@ -26,9 +26,12 @@ zoo (``hash`` / ``robe`` / ``pq``): those bags store a ``bag{t}/spec``
 JSON entry (their :class:`~repro.embeddings.protocol.CompressionSpec`,
 including hash constants) plus their ``state_arrays()`` under
 ``bag{t}/{name}``, and restore bitwise through
-:func:`~repro.embeddings.autotune.build_bag_from_spec`.  The dense/TT
+:func:`~repro.embeddings.registry.build_bag_from_spec`.  The dense/TT
 entry layout is unchanged from v3, so pre-existing checkpoints load
-byte-for-byte identically.
+byte-for-byte identically.  Every kind and format restores the same
+way: recover the bag's spec (the JSON entry, the TT shape arrays, or
+nothing for dense), build it through the registry, then
+``load_state_arrays``.
 
 Host-backed bags (parameter-server tables) own no local state; their
 weights live in the server and must be checkpointed there — attempting
@@ -45,14 +48,8 @@ from typing import Dict, Union
 
 import numpy as np
 
-from repro.embeddings.autotune import build_bag_from_spec
-from repro.embeddings.dense import DenseEmbeddingBag
-from repro.embeddings.eff_tt_embedding import EffTTEmbeddingBag
-from repro.embeddings.hash_embedding import HashEmbeddingBag
-from repro.embeddings.pq_embedding import PQEmbeddingBag
 from repro.embeddings.protocol import CompressionSpec
-from repro.embeddings.robe_embedding import RobeEmbeddingBag
-from repro.embeddings.tt_embedding import TTEmbeddingBag
+from repro.embeddings.registry import BAG_CLASSES, build_bag_from_spec
 from repro.models.config import DLRMConfig, EmbeddingBackend
 from repro.models.dlrm import DLRM
 
@@ -93,18 +90,12 @@ def entry_crc32(value: np.ndarray) -> int:
         return zlib.crc32(payload.encode("utf-8"))
     return zlib.crc32(np.ascontiguousarray(arr).tobytes())
 
-_BAG_KINDS = {
-    DenseEmbeddingBag: "dense",
-    TTEmbeddingBag: "tt",
-    EffTTEmbeddingBag: "eff_tt",
-    HashEmbeddingBag: "hash",
-    RobeEmbeddingBag: "robe",
-    PQEmbeddingBag: "pq",
-}
 
-#: Kinds serialized via spec JSON + ``state_arrays()`` (v4); dense/TT
-#: keep their explicit v2/v3 entry layout for byte-stable checkpoints.
+#: Kinds whose spec is stored as one JSON entry (v4).  Dense needs no
+#: spec and the TT kinds keep their v2/v3 layout (three shape arrays
+#: plus the cores), so pre-existing checkpoints stay byte-stable.
 _SPEC_KINDS = ("hash", "robe", "pq")
+_TT_KINDS = ("tt", "eff_tt")
 
 
 def _config_to_json(config: DLRMConfig) -> str:
@@ -150,28 +141,29 @@ def save_checkpoint(model: DLRM, path: Union[str, "io.IOBase"]) -> None:
     for name, param in model.named_parameters():
         arrays[f"param/{name}"] = param.data
     for t, bag in enumerate(model.embedding_bags):
-        kind = _BAG_KINDS.get(type(bag))
-        if kind is None:
+        kind = bag.compression_spec().kind
+        if kind not in BAG_CLASSES:
             raise TypeError(
                 f"bag {t} ({type(bag).__name__}) has no local parameters "
                 "to checkpoint; persist its parameter-server state instead"
             )
         arrays[f"bag{t}/kind"] = np.array([kind], dtype=object)
-        if isinstance(bag, DenseEmbeddingBag):
-            arrays[f"bag{t}/weight"] = bag.weight
-        elif kind in _SPEC_KINDS:
-            arrays[f"bag{t}/spec"] = np.array(
-                [bag.compression_spec().to_json()], dtype=object
-            )
-            for name, value in sorted(bag.state_arrays().items()):
-                arrays[f"bag{t}/{name}"] = value
-        else:
+        if kind in _TT_KINDS:
             spec = bag.spec
             arrays[f"bag{t}/row_shape"] = np.asarray(spec.row_shape)
             arrays[f"bag{t}/col_shape"] = np.asarray(spec.col_shape)
             arrays[f"bag{t}/ranks"] = np.asarray(spec.ranks)
+            # cores only: optimizer state is not part of a model
+            # checkpoint (a restored Eff-TT bag trains with sgd)
             for k, core in enumerate(bag.tt.cores):
                 arrays[f"bag{t}/core{k}"] = core
+            continue
+        if kind in _SPEC_KINDS:
+            arrays[f"bag{t}/spec"] = np.array(
+                [bag.compression_spec().to_json()], dtype=object
+            )
+        for name, value in sorted(bag.state_arrays().items()):
+            arrays[f"bag{t}/{name}"] = value
     crc_map = {
         name: entry_crc32(value) for name, value in sorted(arrays.items())
     }
@@ -181,16 +173,6 @@ def save_checkpoint(model: DLRM, path: Union[str, "io.IOBase"]) -> None:
 
 def _restore_bag(archive, t: int, kind: str, rows: int, dim: int):
     """Build a bag of an explicit kind from its stored state."""
-    if kind == "dense":
-        bag = DenseEmbeddingBag(rows, dim, seed=0)
-        stored = archive[f"bag{t}/weight"]
-        if stored.shape != bag.weight.shape:
-            raise ValueError(
-                f"bag {t} weight shape mismatch: {stored.shape} vs "
-                f"{bag.weight.shape}"
-            )
-        bag.weight = stored.astype(np.float64)
-        return bag
     if kind in _SPEC_KINDS:
         try:
             spec = CompressionSpec.from_json(str(archive[f"bag{t}/spec"][0]))
@@ -207,29 +189,31 @@ def _restore_bag(archive, t: int, kind: str, rows: int, dim: int):
                 f"({spec.num_embeddings}, {spec.embedding_dim}) does not "
                 f"match kind {kind!r} ({rows}, {dim})"
             )
-        bag = build_bag_from_spec(spec, seed=0)
+    elif kind in _TT_KINDS:
+        spec = CompressionSpec.create(
+            kind,
+            rows,
+            dim,
+            {
+                "row_shape": tuple(int(m) for m in archive[f"bag{t}/row_shape"]),
+                "col_shape": tuple(int(n) for n in archive[f"bag{t}/col_shape"]),
+                "tt_rank": tuple(int(r) for r in archive[f"bag{t}/ranks"]),
+            },
+        )
+    elif kind == "dense":
+        spec = CompressionSpec.create(kind, rows, dim)
+    else:
+        raise ValueError(f"bag {t} has unknown kind {kind!r}")
+    bag = build_bag_from_spec(spec, seed=0)
+    try:
         bag.load_state_arrays(
             {
                 name: archive[f"bag{t}/{name}"]
                 for name in sorted(bag.state_arrays())
             }
         )
-        return bag
-    cls = {"tt": TTEmbeddingBag, "eff_tt": EffTTEmbeddingBag}.get(kind)
-    if cls is None:
-        raise ValueError(f"bag {t} has unknown kind {kind!r}")
-    row_shape = [int(m) for m in archive[f"bag{t}/row_shape"]]
-    col_shape = [int(n) for n in archive[f"bag{t}/col_shape"]]
-    ranks = [int(r) for r in archive[f"bag{t}/ranks"]]
-    bag = cls(
-        rows, dim, tt_rank=ranks, row_shape=row_shape, col_shape=col_shape,
-        seed=0,
-    )
-    for k in range(bag.spec.num_cores):
-        core = archive[f"bag{t}/core{k}"]
-        if core.shape != bag.tt.cores[k].shape:
-            raise ValueError(f"bag {t} core {k} shape mismatch")
-        bag.tt.cores[k] = np.ascontiguousarray(core, dtype=np.float64)
+    except ValueError as exc:
+        raise ValueError(f"bag {t} state mismatch: {exc}") from exc
     return bag
 
 
@@ -346,32 +330,10 @@ def load_checkpoint(path) -> DLRM:
                 # config's threshold rule constructs, and TT-SVD warm
                 # starts may have achieved lower ranks than requested).
                 kind = str(archive[kind_key][0])
-                model.embedding_bags[t] = _restore_bag(
-                    archive, t, kind,
-                    bag.num_embeddings, bag.embedding_dim,
-                )
-            elif isinstance(bag, DenseEmbeddingBag):
-                stored = archive[f"bag{t}/weight"]
-                if stored.shape != bag.weight.shape:
-                    raise ValueError(
-                        f"bag {t} weight shape mismatch: {stored.shape} vs "
-                        f"{bag.weight.shape}"
-                    )
-                bag.weight = stored.astype(np.float64)
             else:
-                stored_rows = tuple(archive[f"bag{t}/row_shape"].tolist())
-                if stored_rows != bag.spec.row_shape:
-                    raise ValueError(
-                        f"bag {t} TT row_shape mismatch: {stored_rows} vs "
-                        f"{bag.spec.row_shape}"
-                    )
-                for k in range(bag.spec.num_cores):
-                    core = archive[f"bag{t}/core{k}"]
-                    if core.shape != bag.tt.cores[k].shape:
-                        raise ValueError(
-                            f"bag {t} core {k} shape mismatch"
-                        )
-                    bag.tt.cores[k] = np.ascontiguousarray(
-                        core, dtype=np.float64
-                    )
+                # v1 carries no tags: the config's rule picked the kind.
+                kind = bag.compression_spec().kind
+            model.embedding_bags[t] = _restore_bag(
+                archive, t, kind, bag.num_embeddings, bag.embedding_dim
+            )
         return model

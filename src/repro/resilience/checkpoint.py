@@ -34,7 +34,6 @@ import numpy as np
 
 from repro.models.serialization import CheckpointCorruptError, entry_crc32
 from repro.resilience.faults import FaultInjector, FaultKind
-from repro.system.parameter_server import HostBackedEmbeddingBag
 from repro.system.pipeline import _PSTrainerBase
 
 __all__ = [
@@ -73,15 +72,13 @@ def capture_trainer_arrays(trainer: _PSTrainerBase) -> Dict[str, np.ndarray]:
     the server's own ``state_arrays()`` — ``server/table<s>`` for the
     host server, ``server/table<t>/shard<s>`` (plus error-feedback
     residuals) for the sharded one.  Host-backed bags own nothing
-    local — their rows are a view into the server — so they are
-    skipped.
+    local — their rows are a view into the server — so their
+    ``state_arrays()`` is empty.
     """
     arrays: Dict[str, np.ndarray] = {}
     for name, param in trainer.model.named_parameters():
         arrays[f"param/{name}"] = np.array(param.data, copy=True)
     for t, bag in enumerate(trainer.model.embedding_bags):
-        if isinstance(bag, HostBackedEmbeddingBag):
-            continue
         for name, value in sorted(bag.state_arrays().items()):
             arrays[f"bag{t}/{name}"] = np.array(value, copy=True)
     for name, array in sorted(trainer.server.state_arrays().items()):
@@ -115,8 +112,6 @@ def restore_trainer_arrays(
     for name, param in trainer.model.named_parameters():
         stage(f"param/{name}", param.data)
     for t, bag in enumerate(trainer.model.embedding_bags):
-        if isinstance(bag, HostBackedEmbeddingBag):
-            continue
         # state_arrays() returns the live arrays, so staging them
         # writes the restored state in place.
         for name, value in sorted(bag.state_arrays().items()):

@@ -22,10 +22,9 @@ from __future__ import annotations
 import io
 from typing import Any, List
 
-import numpy as np
-
 from repro.embeddings.base import EmbeddingBagBase
-from repro.embeddings.dense import DenseEmbeddingBag
+from repro.embeddings.protocol import CompressionSpec
+from repro.embeddings.registry import build_bag_from_spec
 from repro.models.dlrm import DLRM
 from repro.models.serialization import load_checkpoint, save_checkpoint
 
@@ -75,11 +74,13 @@ class ModelSnapshot:
             if server_idx is None:
                 bags.append(bag)
                 continue
-            dense = DenseEmbeddingBag(
-                bag.num_embeddings, bag.embedding_dim, seed=0
+            dense = build_bag_from_spec(
+                CompressionSpec.create(
+                    "dense", bag.num_embeddings, bag.embedding_dim
+                )
             )
-            dense.weight = np.array(
-                trainer.server.tables[server_idx], dtype=np.float64
+            dense.load_state_arrays(
+                {"weight": trainer.server.tables[server_idx]}
             )
             bags.append(dense)
         # Assemble a standalone model sharing the trainer's arrays;

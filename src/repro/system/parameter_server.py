@@ -21,11 +21,7 @@ from repro.backend import (
     ZONE_PS_GATHER,
     get_backend,
 )
-from repro.embeddings.base import (
-    EmbeddingBagBase,
-    expand_bag_ids,
-    segment_sum,
-)
+from repro.embeddings.base import EmbeddingBagBase
 from repro.nn.optim import SparseSGD
 from repro.utils.rng import RngLike, spawn_rngs
 from repro.utils.validation import check_1d_int_array
@@ -189,12 +185,13 @@ class HostBackedEmbeddingBag(EmbeddingBagBase):
     :meth:`pop_row_gradients`.
     """
 
+    kind = "host"
+    grad_zone = ZONE_PS_APPLY
+
     def __init__(self, num_embeddings: int, embedding_dim: int) -> None:
         super().__init__(num_embeddings, embedding_dim)
         self._loaded_indices: Optional[np.ndarray] = None
         self._loaded_rows: Optional[np.ndarray] = None
-        self._saved: Optional[dict] = None
-        self._grads: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def load_rows(self, unique_indices: np.ndarray, rows: np.ndarray) -> None:
         """Install the embedding rows for the upcoming batch.
@@ -219,12 +216,9 @@ class HostBackedEmbeddingBag(EmbeddingBagBase):
         self._loaded_indices = idx
         self._loaded_rows = rows
 
-    def forward(
-        self, indices: np.ndarray, offsets: Optional[np.ndarray] = None
-    ) -> np.ndarray:
+    def _lookup(self, idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         if self._loaded_indices is None or self._loaded_rows is None:
             raise RuntimeError("forward called before load_rows")
-        idx, boundaries = self._validate_inputs(indices, offsets)
         positions = np.searchsorted(self._loaded_indices, idx)
         if positions.size and (
             positions.max(initial=0) >= self._loaded_indices.size
@@ -234,47 +228,38 @@ class HostBackedEmbeddingBag(EmbeddingBagBase):
         bk = get_backend()
         with bk.zone(ZONE_PS_GATHER):
             rows = bk.gather_rows(self._loaded_rows, positions)
-        self._saved = {"positions": positions, "boundaries": boundaries}
-        return segment_sum(rows, boundaries)
+        return rows, positions
 
-    def backward(self, grad_output: np.ndarray) -> None:
-        if self._saved is None:
-            raise RuntimeError("backward called before forward")
-        saved = self._saved
-        boundaries = saved["boundaries"]
-        grad_output = np.asarray(grad_output, dtype=np.float64)
-        num_bags = boundaries.size - 1
-        if grad_output.shape != (num_bags, self.embedding_dim):
-            raise ValueError(
-                f"expected grad_output shape {(num_bags, self.embedding_dim)}, "
-                f"got {grad_output.shape}"
-            )
-        bag_ids = expand_bag_ids(boundaries)
+    def _cast_grad(self, grad_output: np.ndarray) -> np.ndarray:
+        return np.asarray(grad_output, dtype=self.dtype)  # host side: no backend
+
+    def _accumulate(
+        self, positions: np.ndarray, row_grads: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
         assert self._loaded_indices is not None
         bk = get_backend()
         with bk.zone(ZONE_PS_APPLY):
             agg = bk.zeros(
                 (self._loaded_indices.size, self.embedding_dim),
-                dtype=grad_output.dtype,
+                dtype=row_grads.dtype,
             )
-            bk.scatter_add_rows(
-                agg, saved["positions"], bk.gather_rows(grad_output, bag_ids)
-            )
-        self._grads = (self._loaded_indices, agg)
-        self._saved = None
+            bk.scatter_add_rows(agg, positions, row_grads)
+        return self._loaded_indices, agg
+
+    def _apply(self, pending: Tuple[np.ndarray, np.ndarray], lr: float) -> None:
+        """Host tables are updated by the server, never by the worker."""
+        raise RuntimeError(
+            "HostBackedEmbeddingBag has no local parameters; route "
+            "gradients through the parameter server"
+        )
+
+    def state_arrays(self) -> Dict[str, np.ndarray]:
+        return {}
 
     def pop_row_gradients(self) -> Tuple[np.ndarray, np.ndarray]:
         """Return and clear ``(unique_indices, aggregated row grads)``."""
-        if self._grads is None:
-            raise RuntimeError("no gradients captured")
-        grads = self._grads
-        self._grads = None
-        return grads
-
-    def peek_row_gradients(self) -> Tuple[np.ndarray, np.ndarray]:
-        if self._grads is None:
-            raise RuntimeError("no gradients captured")
-        return self._grads
+        unique_indices, agg = self._pop_pending()
+        return unique_indices, agg
 
     def compute_updated_rows(self, lr: float) -> Tuple[np.ndarray, np.ndarray]:
         """Fresh row values after this batch's SGD step.
@@ -283,17 +268,10 @@ class HostBackedEmbeddingBag(EmbeddingBagBase):
         so later prefetches can be synchronized (§V-B).  Requires
         un-popped gradients.
         """
-        if self._grads is None or self._loaded_rows is None:
+        if self._pending is None or self._loaded_rows is None:
             raise RuntimeError("compute_updated_rows needs captured gradients")
-        unique_indices, agg = self._grads
+        unique_indices, agg = self._pending
         return unique_indices, self._loaded_rows - lr * agg
-
-    def step(self, lr: float) -> None:
-        """Host tables are updated by the server, never by the worker."""
-        raise RuntimeError(
-            "HostBackedEmbeddingBag has no local parameters; route "
-            "gradients through the parameter server"
-        )
 
     @property
     def nbytes(self) -> int:

@@ -1,28 +1,39 @@
-"""The CompressedEmbedding protocol surface across all six bag types."""
+"""The CompressedEmbedding protocol surface across every registered bag."""
+
+import io
 
 import numpy as np
 import pytest
 
-from repro.embeddings.dense import DenseEmbeddingBag
-from repro.embeddings.eff_tt_embedding import EffTTEmbeddingBag
-from repro.embeddings.hash_embedding import HashEmbeddingBag
-from repro.embeddings.pq_embedding import PQEmbeddingBag
+from repro.backend import InstrumentedBackend, use_backend
+from repro.embeddings.autotune import (
+    COMPRESS_STRATEGIES,
+    build_bag_from_plan,
+    plan_compression,
+)
 from repro.embeddings.protocol import CompressedEmbedding, CompressionSpec
-from repro.embeddings.robe_embedding import RobeEmbeddingBag
-from repro.embeddings.tt_embedding import TTEmbeddingBag
+from repro.embeddings.registry import (
+    BAG_CLASSES,
+    bag_class,
+    build_bag_from_spec,
+)
+from repro.models.config import DLRMConfig, EmbeddingBackend
+from repro.models.dlrm import DLRM, build_embedding_bag
+from repro.models.serialization import load_checkpoint, save_checkpoint
+from repro.reorder.stats import TableStats
 
 ROWS, DIM = 300, 8
 
 
+def make_bag(kind, rows=ROWS, dim=DIM, seed=0):
+    """One bag of a registered kind, small TT rank where it has one."""
+    cls = BAG_CLASSES[kind]
+    knobs = {"tt_rank": 4} if "tt_rank" in cls.config_knobs else {}
+    return cls(rows, dim, seed=seed, **knobs)
+
+
 def make_bags():
-    return [
-        DenseEmbeddingBag(ROWS, DIM, seed=0),
-        TTEmbeddingBag(ROWS, DIM, tt_rank=4, seed=1),
-        EffTTEmbeddingBag(ROWS, DIM, tt_rank=4, seed=2),
-        HashEmbeddingBag(ROWS, DIM, seed=3),
-        RobeEmbeddingBag(ROWS, DIM, seed=4),
-        PQEmbeddingBag(ROWS, DIM, seed=5),
-    ]
+    return [make_bag(kind, seed=i) for i, kind in enumerate(BAG_CLASSES)]
 
 
 def train_once(bag, seed=0):
@@ -88,12 +99,37 @@ class TestProtocolConformance:
         assert bag.version > v0
 
     @pytest.mark.parametrize("bag", make_bags(), ids=lambda b: type(b).__name__)
+    def test_load_validates_before_writing(self, bag):
+        arrays = {k: v.copy() for k, v in bag.state_arrays().items()}
+        before = {k: v.copy() for k, v in arrays.items()}
+        last = sorted(arrays)[-1]
+        arrays = {k: v + 1 for k, v in arrays.items()}
+        arrays[last] = np.zeros((1, 1, 1, 1, 1))
+        with pytest.raises(ValueError, match=last):
+            bag.load_state_arrays(arrays)
+        for name, value in bag.state_arrays().items():
+            np.testing.assert_array_equal(value, before[name])
+        assert bag.version == 0
+
+    @pytest.mark.parametrize("bag", make_bags(), ids=lambda b: type(b).__name__)
     def test_reconstruct_rows_pure(self, bag):
         idx = np.array([0, 5, ROWS - 1], dtype=np.int64)
         first = bag.reconstruct_rows(idx)
         assert first.shape == (3, DIM)
         np.testing.assert_array_equal(first, bag.reconstruct_rows(idx))
         assert bag.version == 0  # reading reconstructs, never updates
+
+    @pytest.mark.parametrize("kind", list(BAG_CLASSES))
+    @pytest.mark.parametrize("bad", [-1, 10, 11])
+    def test_reconstruct_rows_rejects_out_of_range(self, kind, bad):
+        # 10 rows: numpy would wrap -1 to the last row, and a TT table
+        # pads to 12+ rows, so row 11 exists in the cores.
+        bag = make_bag(kind, rows=10)
+        backend = InstrumentedBackend()
+        with use_backend(backend):
+            with pytest.raises(ValueError):
+                bag.reconstruct_rows(np.array([3, bad]))
+        assert backend.totals().calls == 0  # rejected before any gather
 
     @pytest.mark.parametrize("bag", make_bags(), ids=lambda b: type(b).__name__)
     def test_forward_pools_reconstructed_rows(self, bag):
@@ -103,6 +139,157 @@ class TestProtocolConformance:
         rows = bag.reconstruct_rows(idx)
         np.testing.assert_allclose(pooled[0], rows[0] + rows[1], atol=1e-12)
         np.testing.assert_allclose(pooled[1], rows[2] + rows[3], atol=1e-12)
+
+    @pytest.mark.parametrize("bag", make_bags(), ids=lambda b: type(b).__name__)
+    def test_call_order_guards(self, bag):
+        with pytest.raises(RuntimeError, match="before forward"):
+            bag.backward(np.zeros((1, DIM)))
+        with pytest.raises(RuntimeError, match="before backward"):
+            bag.step(0.1)
+        bag.forward(np.array([1, 2]), np.array([0, 1]))
+        with pytest.raises(ValueError, match="grad_output shape"):
+            bag.backward(np.zeros((3, DIM)))
+        bag.backward(np.zeros((2, DIM)))
+        with pytest.raises(RuntimeError, match="before forward"):
+            bag.backward(np.zeros((2, DIM)))  # one backward per forward
+        bag.step(0.1)
+        with pytest.raises(RuntimeError, match="before backward"):
+            bag.step(0.1)
+
+
+class TestGradientsMatchFiniteDifferences:
+    """``backward`` + ``step`` against central differences of ``forward``."""
+
+    FD_ROWS, FD_DIM = 40, 4
+    # bags: [3, 3, 7] (duplicate inside), [] (empty), [7, 1] (duplicate
+    # across bags), [3] (again), [0, 39, 39]
+    INDICES = np.array([3, 3, 7, 7, 1, 3, 0, 39, 39], dtype=np.int64)
+    OFFSETS = np.array([0, 3, 3, 5, 6, 9], dtype=np.int64)
+
+    def _loss(self, bag, weights):
+        return float((bag.forward(self.INDICES, self.OFFSETS) * weights).sum())
+
+    def _analytic(self, bag, weights):
+        """Parameter gradients read off one lr=1 SGD step, then undone."""
+        before = {k: v.copy() for k, v in bag.state_arrays().items()}
+        bag.forward(self.INDICES, self.OFFSETS)
+        bag.backward(weights)
+        bag.step(lr=1.0)
+        grads = {
+            k: before[k] - v
+            for k, v in bag.state_arrays().items()
+            if v.dtype.kind == "f"
+        }
+        bag.load_state_arrays(before)
+        return grads
+
+    @pytest.mark.parametrize("kind", list(BAG_CLASSES))
+    def test_every_float_parameter(self, kind):
+        bag = make_bag(kind, rows=self.FD_ROWS, dim=self.FD_DIM, seed=11)
+        weights = np.random.default_rng(5).standard_normal(
+            (self.OFFSETS.size - 1, self.FD_DIM)
+        )
+        analytic = self._analytic(bag, weights)
+        assert analytic and any(np.abs(g).max() > 0 for g in analytic.values())
+        eps = 1e-6
+        for name, grad in analytic.items():
+            flat = bag.state_arrays()[name].reshape(-1)  # live view
+            numeric = np.zeros_like(flat)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + eps
+                plus = self._loss(bag, weights)
+                flat[i] = orig - eps
+                minus = self._loss(bag, weights)
+                flat[i] = orig
+                numeric[i] = (plus - minus) / (2 * eps)
+            np.testing.assert_allclose(
+                grad.reshape(-1), numeric, rtol=1e-5, atol=1e-7,
+                err_msg=f"{kind}/{name}",
+            )
+
+    @pytest.mark.parametrize(
+        "toggles",
+        [
+            dict(enable_reuse=r, enable_grad_aggregation=g, enable_fused_update=f)
+            for r in (True, False) for g in (True, False) for f in (True, False)
+        ],
+        ids=lambda t: "".join(str(int(v)) for v in t.values()),
+    )
+    def test_eff_tt_matches_tt_rec_reference(self, toggles):
+        # TT-Rec semantics are the oracle for the TT pair: same cores,
+        # same batch, same update, whatever Eff-TT optimization is on.
+        reference = make_bag("tt", rows=self.FD_ROWS, dim=self.FD_DIM, seed=11)
+        eff = bag_class("eff_tt")(
+            self.FD_ROWS, self.FD_DIM, tt_rank=4, seed=99, **toggles
+        )
+        eff.load_state_arrays(reference.state_arrays())
+        weights = np.random.default_rng(5).standard_normal(
+            (self.OFFSETS.size - 1, self.FD_DIM)
+        )
+        expected = self._analytic(reference, weights)
+        actual = self._analytic(eff, weights)
+        assert expected.keys() == actual.keys()
+        for name in expected:
+            np.testing.assert_allclose(
+                actual[name], expected[name], rtol=1e-10, atol=1e-12
+            )
+
+
+class TestRegistryCompleteness:
+    """Every strategy name used anywhere resolves through one table."""
+
+    def test_every_model_backend_is_registered(self):
+        assert {b.value for b in EmbeddingBackend} == set(BAG_CLASSES)
+        for backend in EmbeddingBackend:
+            bag = build_embedding_bag(backend, ROWS, DIM, 4, seed=0)
+            assert type(bag) is BAG_CLASSES[backend.value]
+
+    def test_every_planner_strategy_is_registered(self):
+        stats = [TableStats.from_spec(0, 5000, 1.05)]
+        for strategy in COMPRESS_STRATEGIES:
+            if strategy == "dense":
+                continue  # never forced; covered by the backend test
+            plan = plan_compression(stats, DIM, 5000 * DIM, strategy=strategy)
+            bag = build_bag_from_plan(plan.tables[0], DIM, seed=0)
+            kind = bag.compression_spec().kind
+            assert type(bag) is BAG_CLASSES[kind]
+            # the planner's "tt" is the paper's table, not the TT-Rec one
+            assert kind == ("eff_tt" if strategy == "tt" else strategy)
+
+    @pytest.mark.parametrize("kind", list(BAG_CLASSES))
+    def test_checkpoint_kind_tag_resolves(self, kind):
+        cfg = DLRMConfig(
+            num_dense=2, table_rows=(ROWS,), embedding_dim=DIM,
+            bottom_mlp=(4,), top_mlp=(4,), backend=EmbeddingBackend.DENSE,
+        )
+        model = DLRM(cfg, seed=0, embedding_bags=[make_bag(kind, seed=3)])
+        buffer = io.BytesIO()
+        save_checkpoint(model, buffer)
+        with np.load(io.BytesIO(buffer.getvalue()), allow_pickle=True) as npz:
+            assert str(npz["bag0/kind"][0]) == kind
+        buffer.seek(0)
+        restored = load_checkpoint(buffer).embedding_bags[0]
+        assert type(restored) is BAG_CLASSES[kind]
+
+    @pytest.mark.parametrize("kind", list(BAG_CLASSES))
+    def test_spec_rebuilds_a_bag_that_accepts_the_state(self, kind):
+        bag = make_bag(kind, seed=3)
+        train_once(bag)
+        clone = build_bag_from_spec(bag.compression_spec(), seed=77)
+        assert type(clone) is type(bag)
+        assert clone.compression_spec() == bag.compression_spec()
+        clone.load_state_arrays(bag.state_arrays())
+        for name, value in bag.state_arrays().items():
+            np.testing.assert_array_equal(clone.state_arrays()[name], value)
+        idx = np.array([0, 5, ROWS - 1], dtype=np.int64)
+        np.testing.assert_array_equal(
+            clone.reconstruct_rows(idx), bag.reconstruct_rows(idx)
+        )
+
+    def test_unknown_kind_is_a_value_error(self):
+        with pytest.raises(ValueError, match="unknown embedding kind"):
+            bag_class("nope")
 
 
 class TestCompressionSpec:

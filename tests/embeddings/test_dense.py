@@ -79,6 +79,15 @@ class TestBackwardStep:
         with pytest.raises(RuntimeError):
             bag.pop_row_gradients()
 
+    def test_row_gradients_keep_storage_dtype(self):
+        # float64 in, float32 bag: gradients land at the bag's dtype
+        # like every other strategy (they used to stay float64).
+        bag = DenseEmbeddingBag(5, 2, seed=0, dtype=np.float32)
+        bag.forward(np.array([2, 4]), np.array([0, 1]))
+        bag.backward(np.ones((2, 2), dtype=np.float64))
+        _, grads = bag.pop_row_gradients()
+        assert grads.dtype == np.float32
+
 
 class TestFootprint:
     def test_nbytes(self):

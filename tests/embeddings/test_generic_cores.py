@@ -96,7 +96,7 @@ class TestGenericCoreCount:
         g = rng.standard_normal((8, dim))
         bag.forward(idx)
         bag.backward(g)
-        analytic = [c.copy() for c in bag._core_grads]
+        analytic = [c.copy() for c in bag._pending]
         for k in range(d):
             core0 = bag.tt.cores[k].copy()
 

@@ -67,7 +67,7 @@ class TestBackward:
 
         bag.forward(idx, off)
         bag.backward(g)
-        analytic = [c.copy() for c in bag._core_grads]
+        analytic = [c.copy() for c in bag._pending]
 
         for k in range(3):
             core0 = bag.tt.cores[k].copy()

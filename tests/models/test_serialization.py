@@ -1,6 +1,8 @@
 """Tests for DLRM checkpointing."""
 
 import io
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -274,3 +276,51 @@ class TestCorruption:
     def test_missing_file_is_not_corruption(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_checkpoint(str(tmp_path / "absent.npz"))
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "v1_config_tt",
+        "v1_config_efftt",
+        "v2_dense_tt_efftt",
+        "v3_dense_tt_efftt",
+        "v4_all_kinds",
+    ],
+)
+class TestParentWrittenCheckpoints:
+    """Archives written before the embedding-shell refactor still load.
+
+    ``fixtures/`` (see ``make_fixtures.py`` there) holds checkpoints in
+    every readable format, written by the pre-refactor tree, plus what
+    that tree's load -> save round trip wrote back and predicted.
+    """
+
+    def _expected(self, name):
+        return json.loads((FIXTURES / "expected.json").read_text())[name]
+
+    def test_resaves_entry_for_entry(self, name):
+        model = load_checkpoint(str(FIXTURES / f"{name}.npz"))
+        buffer = io.BytesIO()
+        save_checkpoint(model, buffer)
+        buffer.seek(0)
+        with np.load(buffer, allow_pickle=True) as archive:
+            crc = json.loads(str(archive["__crc__"][0]))
+            assert sorted(archive.files) == sorted([*crc, "__crc__"])
+        # the manifest is a CRC32 of every entry (load_checkpoint checks
+        # each one against it): equal manifests mean the same entry
+        # names holding the same bytes
+        assert crc == self._expected(name)["resaved_crc"]
+        buffer.seek(0)
+        load_checkpoint(buffer)
+
+    def test_predicts_bitwise(self, name):
+        from tests.models.fixtures.make_fixtures import probe_batch
+
+        model = load_checkpoint(str(FIXTURES / f"{name}.npz"))
+        assert model.forward(probe_batch()).tolist() == (
+            self._expected(name)["logits"]
+        )

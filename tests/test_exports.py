@@ -17,6 +17,8 @@ import pytest
         "repro.backend",
         "repro.analysis",
         "repro.analysis.perfcheck",
+        "repro.embeddings",
+        "repro.system",
     ],
 )
 def test_all_names_resolve(package):
@@ -30,3 +32,41 @@ def test_lazy_serving_exports_are_advertised():
     import repro.serving as serving
 
     assert set(serving._LAZY_EXPORTS) <= set(serving.__all__)
+
+
+def test_embeddings_public_names():
+    import repro.embeddings as embeddings
+
+    assert sorted(embeddings.__all__) == sorted(
+        [
+            "EmbeddingBagBase", "normalize_offsets", "segment_sum",
+            "CompressedEmbedding", "CompressionSpec",
+            "DenseEmbeddingBag", "HashEmbeddingBag", "RobeEmbeddingBag",
+            "PQEmbeddingBag", "TTEmbeddingBag", "EffTTEmbeddingBag",
+            "BAG_CLASSES", "bag_class", "build_bag_from_spec",
+            "CompressionPlan", "TablePlan", "plan_compression",
+            "build_bag_from_plan",
+            "row_index_to_tt", "tt_to_row_index", "prefix_keys",
+            "TTSpec", "TTCores", "tt_svd", "ReusePlan", "build_reuse_plan",
+            "EmbeddingCache", "HotRowCachedLookup", "StaleCacheError",
+            "EmbeddingCollection",
+        ]
+    )
+
+
+def test_system_public_names():
+    import repro.system as system
+
+    assert sorted(system.__all__) == sorted(
+        [
+            "DeviceSpec", "HostProfile", "KernelCostModel", "calibrate_host",
+            "CPU_HOST", "TESLA_V100", "TESLA_T4",
+            "BoundedQueue", "QueueClosed",
+            "PlacementDecision", "PlacementPlan", "plan_placement",
+            "HostParameterServer", "HostBackedEmbeddingBag",
+            "SequentialPSTrainer", "PipelinedPSTrainer", "pipeline_schedule",
+            "DataParallelTrainer", "ring_allreduce_time", "all2all_time",
+            "allgather_time",
+            "Simulator", "Resource", "PipelineTrace", "simulate_pipeline_trace",
+        ]
+    )
