@@ -42,7 +42,6 @@ from repro.analysis.linter import (
 )
 from repro.analysis.perfcheck import (
     PERF_RULES,
-    build_fusion_plan,
     perfcheck_paths,
     perfcheck_source,
     run_calibration,
@@ -91,6 +90,5 @@ __all__ = [
     "PERF_RULES",
     "perfcheck_paths",
     "perfcheck_source",
-    "build_fusion_plan",
     "run_calibration",
 ]

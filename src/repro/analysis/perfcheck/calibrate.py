@@ -1,7 +1,7 @@
 """Calibration gate: static cost formulas vs. measured zone counters.
 
-Perfcheck's FusionPlan numbers are only trustworthy if the *formulas*
-behind them match what :class:`~repro.backend.counter.CostCounter`
+Perfcheck's static costs are only trustworthy if the *formulas* behind
+them match what :class:`~repro.backend.counter.CostCounter`
 actually measures.  :class:`CostModelPricer` closes that loop: it is an
 interposer observer that prices each forwarded call with the perfcheck
 cost model applied to the *runtime* shapes — the same code path the
@@ -69,6 +69,14 @@ class CostModelPricer(CostCounter):
         if op == "matmul":
             a, b = args
             return costmodel.matmul_cost(*_sd(a), *_sd(b), *_sd(out))
+        if op == "gather_matmul":
+            a, table, groups = args
+            return costmodel.gather_matmul_cost(
+                *_sd(a), *_sd(table), groups.num_groups, *_sd(out)
+            )
+        if op == "matmul_segment_sum":
+            a, b, _ = args
+            return costmodel.matmul_segment_sum_cost(*_sd(a), *_sd(b), *_sd(out))
         if op == "einsum":
             subscripts, operands, plan = args
             if plan is None:

@@ -11,8 +11,8 @@ the same one-sided posture the PERF rules take.
 
 The calibration gate (:mod:`repro.analysis.perfcheck.calibrate`) runs
 these same functions against runtime shapes and checks the totals match
-``CostCounter`` per-zone counters, so the static numbers embedded
-in a FusionPlan are anchored to measurement.
+``CostCounter`` per-zone counters, so the static numbers are anchored
+to measurement.
 
 TT chain costs
 --------------
@@ -38,12 +38,13 @@ __all__ = [
     "ZERO",
     "cost_add",
     "cost_scale",
-    "cost_to_json",
     "size_cost",
     "nbytes_cost",
     "alloc_cost",
     "asarray_cost",
     "matmul_cost",
+    "gather_matmul_cost",
+    "matmul_segment_sum_cost",
     "einsum_cost",
     "einsum_flops_for_shapes",
     "gather_cost",
@@ -135,13 +136,6 @@ def cost_scale(cost: Optional[Cost], factor: int) -> Optional[Cost]:
     return Cost(tuple((symbols, coeff * factor) for symbols, coeff in cost.terms))
 
 
-def cost_to_json(cost: Optional[Cost]) -> Dict[str, object]:
-    """JSON form used by FusionPlan: ``{"expr": ..., "value": ...}``."""
-    if cost is None:
-        return {"expr": None, "value": None}
-    return {"expr": cost.expr, "value": cost.value}
-
-
 def itemsize_of(dtype: Optional[str]) -> Dim:
     """Element size in bytes; a symbolic dim when the dtype is unknown."""
     if dtype is None:
@@ -197,6 +191,59 @@ def matmul_cost(
         n: Dim = b_shape[-1] if len(b_shape) >= 2 else 1
         batch = out_shape[:-2] if len(out_shape) > 2 else ()
         flops = Cost.product(2, (m, k, n) + tuple(batch))
+    traffic = cost_add(
+        nbytes_cost(a_shape, a_dtype),
+        nbytes_cost(b_shape, b_dtype),
+        nbytes_cost(out_shape, out_dtype),
+    )
+    return OpCost(flops=flops, bytes=traffic)
+
+
+def _segment_gemm_flops(a_shape: ShapeLike, n: Dim) -> Optional[Cost]:
+    """``2 * rows * m * k * n`` for ``a`` of shape ``(rows, m, k)``."""
+    if a_shape is None or len(a_shape) != 3:
+        return None
+    return Cost.product(2, tuple(a_shape) + (n,))
+
+
+def gather_matmul_cost(
+    a_shape: ShapeLike,
+    a_dtype: Optional[str],
+    table_shape: ShapeLike,
+    table_dtype: Optional[str],
+    num_groups: Dim,
+    out_shape: ShapeLike,
+    out_dtype: Optional[str],
+) -> OpCost:
+    """The per-row matmul's FLOPs; each *distinct* slice is read once.
+
+    ``num_groups`` is how many distinct table slices the rows address —
+    known only at run time, so a static call site leaves the bytes
+    unknown.
+    """
+    if table_shape is None or len(table_shape) != 3:
+        return OpCost(flops=None, bytes=None)
+    _, k, n = table_shape
+    traffic = cost_add(
+        nbytes_cost(a_shape, a_dtype),
+        nbytes_cost((num_groups, k, n), table_dtype),
+        nbytes_cost(out_shape, out_dtype),
+    )
+    return OpCost(flops=_segment_gemm_flops(a_shape, n), bytes=traffic)
+
+
+def matmul_segment_sum_cost(
+    a_shape: ShapeLike,
+    a_dtype: Optional[str],
+    b_shape: ShapeLike,
+    b_dtype: Optional[str],
+    out_shape: ShapeLike,
+    out_dtype: Optional[str],
+) -> OpCost:
+    """The per-row matmul's FLOPs; operands once, one block per group out."""
+    flops = None
+    if b_shape is not None and len(b_shape) == 3:
+        flops = _segment_gemm_flops(a_shape, b_shape[1])
     traffic = cost_add(
         nbytes_cost(a_shape, a_dtype),
         nbytes_cost(b_shape, b_dtype),

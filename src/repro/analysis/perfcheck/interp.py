@@ -2,32 +2,22 @@
 
 Subclasses the shapecheck interpreter (same abstract domain, same
 soundness posture) but repurposes the walk: instead of shape findings it
-records one dataflow :class:`~.graph.OpNode` per ``ArrayBackend``/tensor
-call site — with zone, loop context, symbolic output shape and a static
+records one :class:`OpNode` per ``ArrayBackend`` call site — with zone,
+loop and branch context, symbolic output shape and a static
 :class:`~.costmodel.OpCost` — and runs one-sided performance rules over
-the resulting per-zone graph.  SHP findings are dropped (shapecheck owns
+the recorded sequence.  SHP findings are dropped (shapecheck owns
 them); perfcheck emits only PERF findings.
 
 Rules (the PERF catalog)
 ------------------------
 ``PERF001 hot-loop-alloc``       loop-invariant allocation inside a kernel-zone loop
-``PERF002 unfused-contraction``  dead intermediate between two contractions (fusable)
 ``PERF003 layout-churn``         copy-forcing transpose/reshape chains in kernel files
 ``PERF004 plan-cache-bypass``    kernel-zone einsum whose subscripts are provably dynamic
 ``PERF005 batch-python-loop``    Python for-loop over an abstract tensor's leading dim in a zone
 ``PERF006 redundant-gather``     provably duplicate gather_rows with no intervening write
 ``PERF007 dtype-churn``          redundant or immediately-overwritten astype in a zone
 
-Liveness accounting
--------------------
-Every recorded op's output value is *tracked*: syntactic ``Name`` reads
-are counted against *claims* made by recorded consumers (including
-metadata reads of ``.shape``/``.dtype``/``.ndim``/``.size``).  A value
-whose reads are all claimed and that never escapes (returned, stored
-into an attribute/subscript, aliased by ``copy()``, read outside its
-binding loop, or read by an opaque construct) is a *dead intermediate* —
-the fusable links that PERF002 and the FusionPlan chains are built from.
-Everything uncertain escapes, so the analysis stays one-sided.
+Rule ids are stable: the gap at 002 is a retired advisory.
 """
 
 from __future__ import annotations
@@ -44,22 +34,19 @@ from ..shapecheck.domain import (
     DottedVal,
     SymDim,
     TensorVal,
-    TupleVal,
     format_shape,
 )
 from ..shapecheck.interp import _ZONE_CONSTANTS, _STARRED, _Interpreter
 from . import costmodel
-from .costmodel import OpCost
-from .graph import (
-    CONTRACTION_OPS,
-    LAYOUT_OPS,
-    Chain,
-    OpNode,
-    ValueRec,
-    extract_chains,
-)
+from .costmodel import Cost, OpCost
 
-__all__ = ["PERF_RULES", "PerfRuleInfo", "PerfModuleResult", "interpret_module_perf"]
+__all__ = [
+    "PERF_RULES",
+    "PerfRuleInfo",
+    "OpNode",
+    "PerfModuleResult",
+    "interpret_module_perf",
+]
 
 
 @dataclass(frozen=True)
@@ -87,13 +74,6 @@ PERF_RULES: Dict[str, PerfRuleInfo] = {
             Severity.ERROR,
             "loop-invariant array allocation inside a kernel-zone loop: "
             "the same buffer is re-allocated every iteration",
-        ),
-        PerfRuleInfo(
-            "PERF002",
-            "unfused-contraction",
-            Severity.WARNING,
-            "a contraction's result is a dead intermediate consumed only "
-            "by an adjacent contraction: the pair is fusable",
         ),
         PerfRuleInfo(
             "PERF003",
@@ -135,22 +115,25 @@ PERF_RULES: Dict[str, PerfRuleInfo] = {
 
 _ALLOC_METHODS = ("zeros", "ones", "empty", "full")
 _NP_ALLOCS = _ALLOC_METHODS + ("zeros_like", "ones_like", "empty_like", "full_like")
-_REDUCTION_METHODS = ("sum", "mean", "max", "min", "prod", "std", "var")
 _NDARRAY_ANNOTATIONS = ("np.ndarray", "numpy.ndarray", "ndarray")
-_META_ATTRS = ("shape", "dtype", "ndim", "size")
-# Opaque constructs whose inner Name reads the base interpreter skips;
-# perfcheck scans them so tracked values read inside conservatively
-# escape instead of looking dead.
-_OPAQUE_EXPRS = (
-    ast.ListComp,
-    ast.SetComp,
-    ast.DictComp,
-    ast.GeneratorExp,
-    ast.Lambda,
-    ast.JoinedStr,
-    ast.Dict,
-    ast.Set,
-)
+
+
+@dataclass
+class OpNode:
+    """One recorded backend call site."""
+
+    index: int
+    op: str
+    line: int
+    col: int
+    zone: Optional[str]
+    branch: Tuple[int, ...]
+    out_shape: Optional[Tuple[Dim, ...]]
+    out_dtype: Optional[str]
+    flops: Optional[Cost]
+    bytes: Optional[Cost]
+    # Free-form per-op annotations (e.g. gather operand texts for PERF006).
+    texts: Tuple[str, ...] = ()
 
 
 @dataclass
@@ -169,36 +152,22 @@ class _GatherSite:
 
 @dataclass
 class PerfModuleResult:
-    """Findings + dataflow graph of one module's perfcheck run."""
+    """Findings + priced backend call sites of one module's perfcheck run."""
 
     findings: List[Finding]
     nodes: List[OpNode]
-    recs_by_node: Dict[int, ValueRec]
-    chains: List[Chain]
 
 
 class _PerfInterpreter(_Interpreter):
-    def __init__(
-        self,
-        ctx: RuleContext,
-        zone_overrides: Optional[Dict[str, str]] = None,
-        collect_findings: bool = True,
-    ) -> None:
+    def __init__(self, ctx: RuleContext) -> None:
         super().__init__(ctx)
         self.perf_findings: List[Finding] = []
-        self._collect = collect_findings
-        self._zone_overrides = zone_overrides or {}
         self._nodes: List[OpNode] = []
-        self._tracked: Dict[int, ValueRec] = {}
-        self._recs_by_node: Dict[int, ValueRec] = {}
         self._loops: List[_LoopFrame] = []
         self._branches: List[int] = []
         self._branch_counter = 0
-        self._fn_stack: List[ast.AST] = []
         self._bind_events: List[Tuple[int, str]] = []
         self._gathers: List[_GatherSite] = []
-        # name -> sorted Load linenos, cached per enclosing function node.
-        self._load_lines: Dict[int, Dict[str, List[int]]] = {}
 
     # -- findings ------------------------------------------------------
     def _emit(self, rule_name: str, node: ast.AST, message: str, hint: str) -> None:
@@ -209,27 +178,17 @@ class _PerfInterpreter(_Interpreter):
     def _emit_perf(
         self, rule_name: str, node: ast.AST, message: str, hint: str
     ) -> None:
-        if not self._collect:
-            return
-        rule = PERF_RULES[rule_name]
-        self.perf_findings.append(
-            Finding(
-                rule=rule.name,
-                rule_id=rule.id,
-                severity=rule.severity,
-                path=self.ctx.path,
-                line=getattr(node, "lineno", 1),
-                col=getattr(node, "col_offset", 0),
-                message=message,
-                hint=hint,
-            )
+        self._emit_perf_at(
+            rule_name,
+            getattr(node, "lineno", 1),
+            getattr(node, "col_offset", 0),
+            message,
+            hint,
         )
 
     def _emit_perf_at(
         self, rule_name: str, line: int, col: int, message: str, hint: str
     ) -> None:
-        if not self._collect:
-            return
         rule = PERF_RULES[rule_name]
         self.perf_findings.append(
             Finding(
@@ -244,47 +203,20 @@ class _PerfInterpreter(_Interpreter):
             )
         )
 
-    # -- liveness accounting -------------------------------------------
-    def _rec_of(self, value: Any) -> Optional[ValueRec]:
-        rec = self._tracked.get(id(value))
-        if rec is not None and rec.value is value:
-            return rec
-        return None
-
-    def _escape(self, value: Any) -> None:
-        if isinstance(value, TupleVal):
-            for item in value.items:
-                self._escape(item)
-            return
-        rec = self._rec_of(value)
-        if rec is not None:
-            rec.escaped = True
-
-    def _claim(self, value: Any, consumer: Optional[OpNode]) -> None:
-        rec = self._rec_of(value)
-        if rec is not None:
-            rec.claims += 1
-            if consumer is not None:
-                rec.consumers.append(consumer)
-
     def _record(
         self,
         node: ast.AST,
         op: str,
-        inputs: Sequence[Any],
         out: Any,
         cost: OpCost,
         texts: Tuple[str, ...] = (),
     ) -> OpNode:
-        zone = self._zone.name if self._zone is not None else None
         op_node = OpNode(
             index=len(self._nodes),
             op=op,
-            rel=self.ctx.rel,
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
-            zone=zone,
-            loop_depth=len(self._loops),
+            zone=self._zone.name if self._zone is not None else None,
             branch=tuple(self._branches),
             out_shape=out.shape if isinstance(out, TensorVal) else None,
             out_dtype=out.dtype if isinstance(out, TensorVal) else None,
@@ -293,33 +225,7 @@ class _PerfInterpreter(_Interpreter):
             texts=texts,
         )
         self._nodes.append(op_node)
-        for value in inputs:
-            self._claim(value, op_node)
-        if isinstance(out, TensorVal):
-            self._tracked[id(out)] = ValueRec(value=out, node=op_node)
-            self._recs_by_node[op_node.index] = self._tracked[id(out)]
         return op_node
-
-    # -- loop-positional escape ----------------------------------------
-    def _scope_node(self) -> ast.AST:
-        return self._fn_stack[-1] if self._fn_stack else self.ctx.tree
-
-    def _name_load_lines(self, name: str) -> List[int]:
-        scope = self._scope_node()
-        cache = self._load_lines.get(id(scope))
-        if cache is None:
-            cache = {}
-            for child in ast.walk(scope):
-                if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
-                    cache.setdefault(child.id, []).append(child.lineno)
-            self._load_lines[id(scope)] = cache
-        return cache.get(name, [])
-
-    def _name_read_outside_loops(self, name: str) -> bool:
-        outer = self._loops[0].stmt
-        start = outer.lineno
-        end = getattr(outer, "end_lineno", None) or start
-        return any(line < start or line > end for line in self._name_load_lines(name))
 
     # ==================================================================
     # statements
@@ -347,9 +253,6 @@ class _PerfInterpreter(_Interpreter):
                 self._loops.pop()
             self._exec_block(stmt.orelse, env)
             self._havoc(stmt, env)
-        elif isinstance(stmt, ast.Return):
-            if stmt.value is not None:
-                self._escape(self._eval(stmt.value, env))
         else:
             super()._exec_stmt(stmt, env)
 
@@ -366,7 +269,6 @@ class _PerfInterpreter(_Interpreter):
             if default is not None:
                 default_vals[arg.arg] = self._eval(default, env)
         fn_env: Dict[str, Any] = {}
-        override_zone = self._zone_overrides.get(node.name)
         for arg in [
             *positional,
             *args.kwonlyargs,
@@ -374,30 +276,25 @@ class _PerfInterpreter(_Interpreter):
             *([args.kwarg] if args.kwarg else []),
         ]:
             value: Any = TOP
-            if override_zone is not None and arg.arg == "zone":
-                value = override_zone
-            else:
-                default = default_vals.get(arg.arg)
-                if isinstance(default, DottedVal) and default.tail in _ZONE_CONSTANTS:
-                    # zone=ZONE_TT_BACKWARD-style defaults: analyze the
-                    # body under the zone it declares.
-                    value = default
-                elif isinstance(default, str) and default in _ZONE_CONSTANTS.values():
-                    value = default
-                elif arg.annotation is not None and ast.unparse(
-                    arg.annotation
-                ) in _NDARRAY_ANNOTATIONS:
-                    value = TensorVal(None, None)
+            default = default_vals.get(arg.arg)
+            if isinstance(default, DottedVal) and default.tail in _ZONE_CONSTANTS:
+                # zone=ZONE_TT_BACKWARD-style defaults: analyze the
+                # body under the zone it declares.
+                value = default
+            elif isinstance(default, str) and default in _ZONE_CONSTANTS.values():
+                value = default
+            elif arg.annotation is not None and ast.unparse(
+                arg.annotation
+            ) in _NDARRAY_ANNOTATIONS:
+                value = TensorVal(None, None)
             fn_env[arg.arg] = value
         # A nested def's body does not run where it is defined: suspend
         # the loop/zone/branch context for the duration.
         saved = (self._loops, self._zones, self._branches)
         self._loops, self._zones, self._branches = [], [], []
-        self._fn_stack.append(node)
         try:
             self._exec_block(node.body, fn_env)
         finally:
-            self._fn_stack.pop()
             self._loops, self._zones, self._branches = saved
 
     def _exec_branches(
@@ -427,53 +324,11 @@ class _PerfInterpreter(_Interpreter):
                 env[key] = TOP
 
     def _bind(self, target: ast.expr, value: Any, env: Dict[str, Any]) -> None:
-        if isinstance(target, ast.Name):
-            self._bind_events.append((len(self._nodes), target.id))
-            rec = self._rec_of(value)
-            if rec is not None and self._loops and self._name_read_outside_loops(
-                target.id
-            ):
-                rec.escaped = True
-        elif isinstance(target, ast.Attribute):
-            self._escape(value)
-            if isinstance(target.value, ast.Name):
-                self._bind_events.append((len(self._nodes), target.value.id))
-        elif isinstance(target, ast.Subscript):
-            self._escape(value)
-            if isinstance(target.value, ast.Name):
-                self._bind_events.append((len(self._nodes), target.value.id))
+        # PERF006 needs to know when a gather operand was rebound.
+        name = target.value if isinstance(target, (ast.Attribute, ast.Subscript)) else target
+        if isinstance(name, ast.Name):
+            self._bind_events.append((len(self._nodes), name.id))
         super()._bind(target, value, env)
-
-    # ==================================================================
-    # expressions
-    # ==================================================================
-    def _eval(self, node: ast.expr, env: Dict[str, Any]) -> Any:
-        if isinstance(node, _OPAQUE_EXPRS):
-            # The base interpreter treats these as opaque without reading
-            # their subexpressions; count the reads so tracked values
-            # used inside escape rather than looking dead.
-            for child in ast.walk(node):
-                if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
-                    rec = self._rec_of(env.get(child.id))
-                    if rec is not None:
-                        rec.reads += 1
-            return TOP
-        if isinstance(node, (ast.Yield, ast.YieldFrom, ast.Await)):
-            if node.value is not None:
-                self._escape(self._eval(node.value, env))
-            return TOP
-        value = super()._eval(node, env)
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            rec = self._rec_of(value)
-            if rec is not None:
-                rec.reads += 1
-        return value
-
-    def _attribute_value(self, node: ast.Attribute, base: Any) -> Any:
-        if isinstance(base, TensorVal) and node.attr in _META_ATTRS:
-            # Metadata reads don't keep the array's data alive.
-            self._claim(base, None)
-        return super()._attribute_value(node, base)
 
     # ==================================================================
     # recorded ops
@@ -505,22 +360,19 @@ class _PerfInterpreter(_Interpreter):
             self._check_hot_alloc(node, f"np.{tail}")
             if isinstance(result, TensorVal):
                 shaped = self._symbolized_alloc(node, tail, result)
-                self._record(node, tail.replace("_like", ""), [a for a in args if isinstance(a, TensorVal)], shaped, costmodel.alloc_cost(shaped.shape, shaped.dtype))
+                self._record(
+                    node,
+                    tail.replace("_like", ""),
+                    shaped,
+                    costmodel.alloc_cost(shaped.shape, shaped.dtype),
+                )
                 return shaped
             return result
         if tail in ("matmul", "dot", "einsum", "maximum", "minimum", "where"):
             return self._after_op_call(node, f"np.{tail}", tail, args, kwargs, result)
         if tail in ("asarray", "ascontiguousarray", "array"):
             if isinstance(result, TensorVal):
-                fresh = TensorVal(result.shape, result.dtype, result.int_values)
-                self._record(
-                    node,
-                    "asarray",
-                    [a for a in args if isinstance(a, TensorVal)],
-                    fresh,
-                    costmodel.asarray_cost(),
-                )
-                return fresh
+                self._record(node, "asarray", result, costmodel.asarray_cost())
             return result
         return result
 
@@ -533,62 +385,59 @@ class _PerfInterpreter(_Interpreter):
         kwargs: Dict[str, Any],
         result: Any,
     ) -> Any:
-        tensor_args = [a for a in args if isinstance(a, TensorVal)]
+        def sd(value: Any) -> Tuple[Optional[Tuple[Dim, ...]], Optional[str]]:
+            if isinstance(value, TensorVal):
+                return value.shape, value.dtype
+            return None, None
+
+        out = result if isinstance(result, TensorVal) else TensorVal(None, None)
         if method in _ALLOC_METHODS:
             self._check_hot_alloc(node, display)
             if isinstance(result, TensorVal):
                 shaped = self._symbolized_alloc(node, method, result)
                 self._record(
-                    node, method, [], shaped, costmodel.alloc_cost(shaped.shape, shaped.dtype)
+                    node, method, shaped, costmodel.alloc_cost(shaped.shape, shaped.dtype)
                 )
                 return shaped
             return result
         if method == "asarray":
             if isinstance(result, TensorVal):
-                fresh = TensorVal(result.shape, result.dtype, result.int_values)
-                self._record(node, "asarray", tensor_args, fresh, costmodel.asarray_cost())
-                return fresh
+                self._record(node, "asarray", result, costmodel.asarray_cost())
             return result
         if method in ("matmul", "dot") and len(args) == 2:
-            out = result if isinstance(result, TensorVal) else TensorVal(None, None)
-            a, b = args
-            cost = costmodel.matmul_cost(
-                a.shape if isinstance(a, TensorVal) else None,
-                a.dtype if isinstance(a, TensorVal) else None,
-                b.shape if isinstance(b, TensorVal) else None,
-                b.dtype if isinstance(b, TensorVal) else None,
-                out.shape,
-                out.dtype,
+            cost = costmodel.matmul_cost(*sd(args[0]), *sd(args[1]), *sd(out))
+            self._record(node, "matmul", out, cost)
+            return out
+        if method == "gather_matmul" and len(args) == 3:
+            # How many distinct slices a batch addresses is run-time data.
+            cost = costmodel.gather_matmul_cost(
+                *sd(args[0]), *sd(args[1]), None, *sd(out)
             )
-            self._record(node, "matmul", tensor_args, out, cost)
+            self._record(node, method, out, cost)
+            return out
+        if method == "matmul_segment_sum" and len(args) == 3:
+            cost = costmodel.matmul_segment_sum_cost(
+                *sd(args[0]), *sd(args[1]), *sd(out)
+            )
+            self._record(node, method, out, cost)
             return out
         if method == "einsum" and args:
             operands = [a for a in args[1:] if a is not _STARRED]
-            out = result if isinstance(result, TensorVal) else TensorVal(None, None)
             subscripts = args[0] if isinstance(args[0], str) else None
             cost = costmodel.einsum_cost(
                 subscripts,
-                [op.shape if isinstance(op, TensorVal) else None for op in operands],
-                [op.dtype if isinstance(op, TensorVal) else None for op in operands],
-                out.shape,
-                out.dtype,
+                [sd(op)[0] for op in operands],
+                [sd(op)[1] for op in operands],
+                *sd(out),
             )
-            self._record(
-                node,
-                "einsum",
-                [op for op in operands if isinstance(op, TensorVal)],
-                out,
-                cost,
-            )
+            self._record(node, "einsum", out, cost)
             return out
         if method == "gather_rows" and len(args) == 2:
-            out = result if isinstance(result, TensorVal) else TensorVal(None, None)
             op_node = self._record(
                 node,
                 "gather_rows",
-                tensor_args,
                 out,
-                costmodel.gather_cost(out.shape, out.dtype),
+                costmodel.gather_cost(*sd(out)),
                 texts=tuple(ast.unparse(a) for a in node.args[:2]),
             )
             loop_assigned: Set[str] = set()
@@ -604,7 +453,6 @@ class _PerfInterpreter(_Interpreter):
             )
             return out
         if method == "scatter_add_rows" and len(args) >= 3:
-            values = args[2]
             scale = kwargs.get("scale", args[3] if len(args) > 3 else None)
             if scale is None:
                 scale_is_one: Optional[bool] = True
@@ -612,45 +460,22 @@ class _PerfInterpreter(_Interpreter):
                 scale_is_one = scale == 1.0
             else:
                 scale_is_one = None
-            cost = costmodel.scatter_cost(
-                values.shape if isinstance(values, TensorVal) else None,
-                values.dtype if isinstance(values, TensorVal) else None,
-                scale_is_one,
-            )
-            self._record(node, "scatter_add_rows", tensor_args, None, cost)
+            cost = costmodel.scatter_cost(*sd(args[2]), scale_is_one)
+            self._record(node, "scatter_add_rows", None, cost)
             return result
         if method == "exp" and args:
-            source = args[0]
-            out = result if isinstance(result, TensorVal) else TensorVal(None, None)
-            cost = costmodel.elementwise_cost(
-                "exp",
-                source.shape if isinstance(source, TensorVal) else None,
-                source.dtype if isinstance(source, TensorVal) else None,
-                out.shape,
-                out.dtype,
-            )
-            self._record(node, "exp", tensor_args, out, cost)
+            cost = costmodel.elementwise_cost("exp", *sd(args[0]), *sd(out))
+            self._record(node, "exp", out, cost)
             return out
-        if method in ("maximum", "minimum") and len(args) == 2:
-            out = result if isinstance(result, TensorVal) else TensorVal(None, None)
-            cost = costmodel.elementwise_cost(method, None, None, out.shape, out.dtype)
-            self._record(node, method, tensor_args, out, cost)
-            return out
-        if method == "where" and len(args) == 3:
-            out = result if isinstance(result, TensorVal) else TensorVal(None, None)
-            cost = costmodel.elementwise_cost("where", None, None, out.shape, out.dtype)
-            self._record(node, "where", tensor_args, out, cost)
+        if (method in ("maximum", "minimum") and len(args) == 2) or (
+            method == "where" and len(args) == 3
+        ):
+            cost = costmodel.elementwise_cost(method, None, None, *sd(out))
+            self._record(node, method, out, cost)
             return out
         if method == "axpy" and len(args) >= 2:
-            values = args[1]
-            cost = costmodel.elementwise_cost(
-                "axpy",
-                values.shape if isinstance(values, TensorVal) else None,
-                values.dtype if isinstance(values, TensorVal) else None,
-                None,
-                None,
-            )
-            self._record(node, "axpy", tensor_args, None, cost)
+            cost = costmodel.elementwise_cost("axpy", *sd(args[1]), None, None)
+            self._record(node, "axpy", None, cost)
             return result
         return result
 
@@ -663,18 +488,10 @@ class _PerfInterpreter(_Interpreter):
         kwargs: Dict[str, Any],
     ) -> Any:
         result = super()._tensor_method(node, base, method, args, kwargs)
-        if method == "copy":
-            # copy() hands the data to an alias we do not track.
-            self._escape(base)
-            return TensorVal(base.shape, base.dtype, base.int_values)
-        if method not in ("reshape", "transpose", "astype") and method not in _REDUCTION_METHODS:
-            return result
         if not isinstance(result, TensorVal):
             return result
-        if result is base:
-            result = TensorVal(base.shape, base.dtype, base.int_values)
         if method == "reshape":
-            result = self._symbolized_reshape(node, result)
+            return self._symbolized_reshape(node, result)
         if method == "astype" and self._zones:
             target = result.dtype
             if target is not None and base.dtype is not None and target == base.dtype:
@@ -686,7 +503,6 @@ class _PerfInterpreter(_Interpreter):
                     "drop the redundant cast (or cast once at the zone "
                     "boundary)",
                 )
-        self._record(node, method, [base], result, OpCost(costmodel.ZERO, costmodel.ZERO))
         return result
 
     # -- symbolic shape refinement -------------------------------------
@@ -806,39 +622,6 @@ class _PerfInterpreter(_Interpreter):
         )
 
     # -- post-run passes -----------------------------------------------
-    def _finalize_unfused(self) -> None:
-        for node in self._nodes:
-            if node.op not in CONTRACTION_OPS or node.zone is None:
-                continue
-            rec = self._recs_by_node.get(node.index)
-            if rec is None or not rec.dead or len(rec.consumers) != 1:
-                continue
-            cursor = rec.consumers[0]
-            hops = [cursor.op]
-            while cursor.op in LAYOUT_OPS and cursor.zone == node.zone:
-                next_rec = self._recs_by_node.get(cursor.index)
-                if next_rec is None or not next_rec.dead or len(next_rec.consumers) != 1:
-                    cursor = None  # type: ignore[assignment]
-                    break
-                cursor = next_rec.consumers[0]
-                hops.append(cursor.op)
-            if cursor is None or cursor.op not in CONTRACTION_OPS:
-                continue
-            if cursor.zone != node.zone:
-                continue
-            via = "directly" if len(hops) == 1 else f"via {'/'.join(hops[:-1])}"
-            self._emit_perf_at(
-                "unfused-contraction",
-                node.line,
-                node.col,
-                f"{node.op} result in zone {node.zone!r} is a dead "
-                f"intermediate feeding the {cursor.op} at line "
-                f"{cursor.line} {via}: the pair is fusable",
-                "a fused backend can contract the chain without "
-                "materializing the intermediate (see the FusionPlan for "
-                "this zone)",
-            )
-
     def _finalize_redundant_gathers(self) -> None:
         groups: Dict[Tuple[Any, ...], List[_GatherSite]] = {}
         for site in self._gathers:
@@ -994,21 +777,12 @@ def _syntactic_findings(ctx: RuleContext) -> List[Finding]:
     return findings
 
 
-def interpret_module_perf(
-    ctx: RuleContext,
-    zone_overrides: Optional[Dict[str, str]] = None,
-    collect_findings: bool = True,
-) -> PerfModuleResult:
+def interpret_module_perf(ctx: RuleContext) -> PerfModuleResult:
     """Run the perf interpreter + syntactic rules over one module."""
-    interp = _PerfInterpreter(
-        ctx, zone_overrides=zone_overrides, collect_findings=collect_findings
-    )
+    interp = _PerfInterpreter(ctx)
     interp.run()
-    interp._finalize_unfused()
     interp._finalize_redundant_gathers()
-    findings = list(interp.perf_findings)
-    if collect_findings:
-        findings.extend(_syntactic_findings(ctx))
+    findings = interp.perf_findings + _syntactic_findings(ctx)
     # Branch re-execution (Try bodies run once per handler) can duplicate
     # findings at identical positions; keep one.
     seen: Set[Tuple[str, int, int, str]] = set()
@@ -1020,10 +794,4 @@ def interpret_module_perf(
         seen.add(key)
         unique.append(finding)
     unique.sort(key=lambda f: f.sort_key)
-    chains = extract_chains(interp._nodes, interp._recs_by_node)
-    return PerfModuleResult(
-        findings=unique,
-        nodes=interp._nodes,
-        recs_by_node=interp._recs_by_node,
-        chains=chains,
-    )
+    return PerfModuleResult(findings=unique, nodes=interp._nodes)

@@ -527,10 +527,6 @@ class _Interpreter:
             if dotted is not None:
                 return dotted
         base = self._eval(node.value, env)
-        return self._attribute_value(node, base)
-
-    def _attribute_value(self, node: ast.Attribute, base: Any) -> Any:
-        """Attribute lookup on an already-evaluated base (subclass seam)."""
         if isinstance(base, DottedVal):
             return DottedVal(f"{base.name}.{node.attr}")
         if isinstance(base, TensorVal):
@@ -926,6 +922,8 @@ class _Interpreter:
             return TensorVal(None, dtype)
         if method == "matmul" and len(args) == 2:
             return self._check_matmul(node, args[0], args[1], "backend.matmul")
+        if method in ("gather_matmul", "matmul_segment_sum") and len(args) == 3:
+            return self._check_segment_gemm(node, method, args[0], args[1])
         if method == "einsum":
             if starred or not args:
                 return TOP
@@ -1139,6 +1137,39 @@ class _Interpreter:
             return TensorVal(batch + (a.shape[-2], b.shape[-1]), dtype)
         # Rank-1 semantics collapse an axis; keep only the dtype.
         return TensorVal(None, dtype)
+
+    def _check_segment_gemm(
+        self, node: ast.AST, method: str, a: Any, other: Any
+    ) -> TensorVal:
+        """``gather_matmul(a, table, groups)`` / ``matmul_segment_sum(a, b, groups)``.
+
+        ``a`` is ``(L, M, K)``; the table is ``(T, K, N)`` and yields
+        ``(L, M, N)``, ``b`` is ``(L, N, K)`` and yields one ``(M, N)``
+        block per distinct id (a count only the run knows).
+        """
+        op = f"backend.{method}"
+        self._note_operands(node, op, a, other)
+        tensors = [v for v in (a, other) if isinstance(v, TensorVal)]
+        dtype = promote_dtypes(*(t.dtype for t in tensors))
+        if len(tensors) < 2 or any(
+            t.shape is None or len(t.shape) != 3 for t in tensors
+        ):
+            return TensorVal(None, dtype)
+        gathers = method == "gather_matmul"
+        contracted = other.shape[1] if gathers else other.shape[2]
+        if dims_conflict(a.shape[2], contracted):
+            self._emit(
+                "matmul-shape",
+                node,
+                f"{op} inner dimensions disagree: {format_shape(a.shape)} "
+                f"against {format_shape(other.shape)} contracts "
+                f"{a.shape[2]} against {contracted}",
+                "a is (L, M, K); the table is (T, K, N), b is (L, N, K)",
+            )
+            return TensorVal(None, dtype)
+        if gathers:
+            return TensorVal((a.shape[0], a.shape[1], other.shape[2]), dtype)
+        return TensorVal((None, a.shape[1], other.shape[1]), dtype)
 
     def _check_gather(self, node: ast.AST, table: Any, indices: Any) -> Any:
         index_values: Optional[Tuple[int, ...]] = None

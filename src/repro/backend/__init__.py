@@ -33,6 +33,7 @@ import contextlib
 from typing import Callable, Dict, Iterator, Tuple, Union
 
 from .counter import CostCounter, DtypeViolation, InstrumentedBackend, KernelStats
+from .groups import RowGroups, group_rows
 from .interposer import Interposer, Observer
 from .numpy_backend import NumpyBackend
 from .numsan import NumericSanitizer, NumericTrapError, SanitizerBackend, TrapRecord
@@ -91,6 +92,8 @@ __all__ = [
     "ChainStage",
     "EinsumPlan",
     "ContractionPlanCache",
+    "RowGroups",
+    "group_rows",
     "get_plan_cache",
     "reset_plan_cache",
     "BACKEND_NAMES",

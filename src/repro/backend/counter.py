@@ -16,6 +16,10 @@ Cost model
 ----------
 * ``matmul`` — ``2 * prod(batch) * m * k * n`` FLOPs from the runtime
   operand shapes; bytes = operands read + result written.
+* ``gather_matmul`` / ``matmul_segment_sum`` — the same
+  ``2 * rows * m * k * n`` as the per-row ``matmul`` they replace (the
+  fusion moves bytes, not multiply-adds); bytes = operands once + each
+  *distinct* table slice once + result.
 * ``einsum`` — the supplied plan's precomputed FLOP count when one is
   given; otherwise the plan cache derives one for the signature (so
   even un-planned calls are costed consistently).
@@ -125,6 +129,16 @@ class CostCounter(Observer):
             n = b.shape[-1] if b.ndim >= 2 else 1
             batch = int(np.prod(out.shape[:-2], dtype=np.int64)) if out.ndim > 2 else 1
             return 2 * batch * m * k * n, a.nbytes + b.nbytes + out.nbytes
+        if op == "gather_matmul":
+            a, table, groups = args
+            rows, m, k = a.shape
+            n = table.shape[2]
+            slices = groups.num_groups * k * n * table.itemsize
+            return 2 * rows * m * k * n, a.nbytes + slices + out.nbytes
+        if op == "matmul_segment_sum":
+            a, b, _ = args
+            rows, m, k = a.shape
+            return 2 * rows * m * k * b.shape[1], a.nbytes + b.nbytes + out.nbytes
         if op == "einsum":
             subscripts, operands, plan = args
             if plan is None:

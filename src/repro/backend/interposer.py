@@ -30,6 +30,7 @@ from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple, Typ
 
 import numpy as np
 
+from .groups import RowGroups
 from .numpy_backend import NumpyBackend
 from .plan_cache import EinsumPlan
 from .protocol import UNZONED, ArrayBackend, DTypeLike, Shape
@@ -133,6 +134,17 @@ class Interposer:
             return self.inner.einsum(spec, *arrays, plan=plan)
 
         return self._observed("einsum", call, subscripts, operands, plan)
+
+    def gather_matmul(
+        self, a: np.ndarray, table: np.ndarray, groups: RowGroups
+    ) -> np.ndarray:
+        return self._observed("gather_matmul", self.inner.gather_matmul, a, table, groups)
+
+    def matmul_segment_sum(
+        self, a: np.ndarray, b: np.ndarray, groups: RowGroups
+    ) -> np.ndarray:
+        call = self.inner.matmul_segment_sum
+        return self._observed("matmul_segment_sum", call, a, b, groups)
 
     # -- sparse movement -----------------------------------------------
     def gather_rows(self, table: np.ndarray, indices: np.ndarray) -> np.ndarray:

@@ -26,6 +26,7 @@ from typing import Any, Iterator, Optional, cast
 import numpy as np
 
 from ..utils.scatter import scatter_add_rows as _scatter_add_rows
+from .groups import RowGroups
 from .plan_cache import EinsumPlan
 from .protocol import DTypeLike, Shape
 
@@ -63,6 +64,40 @@ class NumpyBackend:
         # optimize=False always: bitwise identity with the historical
         # call sites trumps the planned contraction order here.
         return cast(np.ndarray, np.einsum(subscripts, *operands, optimize=False))
+
+    def gather_matmul(
+        self, a: np.ndarray, table: np.ndarray, groups: RowGroups
+    ) -> np.ndarray:
+        rows, m, k = a.shape
+        n = table.shape[2]
+        # Sorted by slice id, the rows of one group are one contiguous
+        # (rows_j * m, k) matrix: a single GEMM against table[id].
+        a_sorted = np.ascontiguousarray(a[groups.order]).reshape(rows * m, k)
+        out_sorted = np.empty((rows * m, n), dtype=np.result_type(a, table))
+        bounds = (groups.boundaries * m).tolist()
+        for j, slice_id in enumerate(groups.ids.tolist()):
+            lo, hi = bounds[j], bounds[j + 1]
+            np.matmul(a_sorted[lo:hi], table[slice_id], out=out_sorted[lo:hi])
+        out = np.empty((rows, m, n), dtype=out_sorted.dtype)
+        out[groups.order] = out_sorted.reshape(rows, m, n)
+        return out
+
+    def matmul_segment_sum(
+        self, a: np.ndarray, b: np.ndarray, groups: RowGroups
+    ) -> np.ndarray:
+        m, n = a.shape[1], b.shape[1]
+        out = np.empty((groups.num_groups, m, n), dtype=np.result_type(a, b))
+        a_sorted, b_sorted = a[groups.order], b[groups.order]
+        bounds = groups.boundaries.tolist()
+        for j in range(groups.num_groups):
+            lo, hi = bounds[j], bounds[j + 1]
+            # Contract over (row, k) at once: the group's rows laid side
+            # by side along the contraction axis, so the per-row product
+            # and the sum over duplicates are the same GEMM.
+            out[j] = np.tensordot(
+                a_sorted[lo:hi], b_sorted[lo:hi], axes=([0, 2], [0, 2])
+            )
+        return out
 
     # -- sparse movement -----------------------------------------------
     def gather_rows(self, table: np.ndarray, indices: np.ndarray) -> np.ndarray:

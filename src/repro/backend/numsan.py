@@ -147,6 +147,15 @@ class NumericSanitizer(Observer):
         if op == "gather_rows":
             table, indices = args
             self._trap(zone, op, "gather-index", _bad_index(indices, table.shape[0]))
+        elif op in ("gather_matmul", "matmul_segment_sum"):
+            a, other, groups = args
+            # A record built for another index list addresses rows that
+            # are not there; numpy would wrap or raise past the zone.
+            self._trap(zone, op, "gather-index", _bad_index(groups.order, a.shape[0]))
+            if op == "gather_matmul":
+                self._trap(
+                    zone, op, "gather-index", _bad_index(groups.ids, other.shape[0])
+                )
         elif op == "scatter_add_rows":
             target, indices, values, _ = args
             self._trap(zone, op, "gather-index", _bad_index(indices, target.shape[0]))
@@ -173,6 +182,8 @@ class NumericSanitizer(Observer):
             self._trap(zone, op, "dtype-drift", _drift(out, *operands))
         elif op in ("matmul", "maximum"):
             self._trap(zone, op, "dtype-drift", _drift(out, *args))
+        elif op in ("gather_matmul", "matmul_segment_sum"):
+            self._trap(zone, op, "dtype-drift", _drift(out, *args[:2]))  # not groups
         elif op == "where":
             self._trap(zone, op, "dtype-drift", _drift(out, *args[1:]))  # not cond
         # full/asarray/gather_rows/exp are finite-checked only.  The

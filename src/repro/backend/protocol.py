@@ -16,6 +16,12 @@ calling numpy directly.  The backend is deliberately a small surface:
 * **contraction** — ``matmul`` (the batched-GEMM workhorse of every TT
   kernel) and ``einsum`` with an optional precompiled
   :class:`~repro.backend.plan_cache.EinsumPlan`;
+* **segment GEMM** — ``gather_matmul`` (gather→GEMM) and
+  ``matmul_segment_sum`` (GEMM→scatter): one GEMM per *distinct* TT
+  slice over the rows a :class:`~repro.backend.groups.RowGroups` record
+  says share it, so neither the gathered ``table[idx]`` operand nor the
+  per-row products are ever materialised (the Eff-TT reuse/aggregated
+  path, paper §III);
 * **sparse movement** — ``gather_rows`` / ``scatter_add_rows``, the two
   primitives embedding tables live on;
 * **elementwise** — the handful of ufuncs the activation/optimizer
@@ -49,6 +55,8 @@ from __future__ import annotations
 from typing import Any, ContextManager, Optional, Protocol, Sequence, Tuple, Union
 
 import numpy as np
+
+from .groups import RowGroups
 
 __all__ = [
     "ArrayBackend",
@@ -172,6 +180,33 @@ class ArrayBackend(Protocol):
     def einsum(
         self, subscripts: str, *operands: np.ndarray, plan: Optional[Any] = None
     ) -> np.ndarray:
+        ...
+
+    def gather_matmul(
+        self, a: np.ndarray, table: np.ndarray, groups: RowGroups
+    ) -> np.ndarray:
+        """``out[l] = a[l] @ table[idx[l]]`` without forming ``table[idx]``.
+
+        ``a`` is ``(L, M, K)``, ``table`` is ``(T, K, N)`` (any strides),
+        ``groups = group_rows(idx)``; returns ``(L, M, N)`` in row
+        order.  One GEMM per distinct id, the group's rows stacked
+        along M.
+        """
+        ...
+
+    def matmul_segment_sum(
+        self, a: np.ndarray, b: np.ndarray, groups: RowGroups
+    ) -> np.ndarray:
+        """``out[j] = sum(a[l] @ b[l].T for l in group j)``, one block per id.
+
+        ``a`` is ``(L, M, K)``, ``b`` is ``(L, N, K)``; returns
+        ``(G, M, N)`` aligned with ``groups.ids`` — already coalesced.
+        One GEMM per distinct id, the group's rows stacked along the
+        contraction axis, so the duplicate reduction costs nothing
+        extra.  The summation order inside a group is the BLAS's, not
+        row order: results agree with ``matmul`` + ``scatter_add_rows``
+        to rounding, not bitwise.
+        """
         ...
 
     # -- sparse movement -----------------------------------------------

@@ -22,6 +22,7 @@ from typing import Any, Iterator, Optional
 
 import numpy as np
 
+from .groups import RowGroups
 from .plan_cache import EinsumPlan
 from .protocol import BackendUnavailableError, DTypeLike, Shape
 
@@ -101,6 +102,45 @@ class TorchBackend:
     ) -> np.ndarray:
         tensors = [self._to_torch(op) for op in operands]
         return self._to_numpy(self._torch.einsum(subscripts, *tensors))
+
+    def gather_matmul(
+        self, a: np.ndarray, table: np.ndarray, groups: RowGroups
+    ) -> np.ndarray:
+        torch = self._torch
+        order = torch.from_numpy(groups.order)
+        a_sorted = self._to_torch(a).index_select(0, order)
+        table_t = self._to_torch(table)
+        out_sorted = torch.empty(
+            (*a_sorted.shape[:2], table_t.shape[2]),
+            dtype=torch.result_type(a_sorted, table_t),
+        )
+        bounds = groups.boundaries.tolist()
+        for j, slice_id in enumerate(groups.ids.tolist()):
+            lo, hi = bounds[j], bounds[j + 1]
+            # (rows_j, M, K) @ (K, N): torch folds the rows into M.
+            out_sorted[lo:hi] = torch.matmul(a_sorted[lo:hi], table_t[slice_id])
+        out = torch.empty_like(out_sorted)
+        out.index_copy_(0, order, out_sorted)
+        return self._to_numpy(out)
+
+    def matmul_segment_sum(
+        self, a: np.ndarray, b: np.ndarray, groups: RowGroups
+    ) -> np.ndarray:
+        torch = self._torch
+        order = torch.from_numpy(groups.order)
+        a_sorted = self._to_torch(a).index_select(0, order)
+        b_sorted = self._to_torch(b).index_select(0, order)
+        out = torch.empty(
+            (groups.num_groups, a_sorted.shape[1], b_sorted.shape[1]),
+            dtype=torch.result_type(a_sorted, b_sorted),
+        )
+        bounds = groups.boundaries.tolist()
+        for j in range(groups.num_groups):
+            lo, hi = bounds[j], bounds[j + 1]
+            out[j] = torch.tensordot(
+                a_sorted[lo:hi], b_sorted[lo:hi], dims=([0, 2], [0, 2])
+            )
+        return self._to_numpy(out)
 
     # -- sparse movement -----------------------------------------------
     def gather_rows(self, table: np.ndarray, indices: np.ndarray) -> np.ndarray:

@@ -1073,7 +1073,7 @@ def _analyzers() -> Tuple[_Analyzer, ...]:
         ),
         _Analyzer(
             "perf", "perfcheck", "perfcheck", PERF_RULES, perfcheck_paths,
-            "run the static kernel-zone cost & fusion analyzer",
+            "run the static kernel-zone cost analyzer",
             "files or directories to check", "PERF",
         ),
     )
@@ -1112,17 +1112,6 @@ def _cmd_analyzer(args: argparse.Namespace) -> int:
     except (FileNotFoundError, KeyError) as exc:
         print(f"{analyzer.command}: {exc}", file=sys.stderr)
         return 2
-    if getattr(args, "fusion_plan", None):
-        import json
-        from pathlib import Path
-
-        from repro.analysis import build_fusion_plan
-
-        plan = build_fusion_plan(paths)
-        Path(args.fusion_plan).write_text(
-            json.dumps(plan, indent=2) + "\n", encoding="utf-8"
-        )
-        print(f"fusion plan written to {args.fusion_plan}", file=sys.stderr)
     if args.format == "json":
         print(result.to_json())
     elif args.format == "sarif":
@@ -1391,11 +1380,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         checker.add_argument(
             "--format", choices=["text", "json", "sarif"], default="text",
         )
-    sub.choices["perfcheck"].add_argument(
-        "--fusion-plan", metavar="OUT.json", default=None,
-        help="also build the interprocedural FusionPlan over the same "
-        "paths and write it here as JSON",
-    )
     analyze = sub.add_parser(
         "analyze",
         help="umbrella gate: lint + shapecheck + detcheck + perfcheck "

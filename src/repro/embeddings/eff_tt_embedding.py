@@ -8,14 +8,19 @@ toggleable for the ablation studies (Figures 14, 17, 18):
     Two-level intermediate-result reuse (§III-A).  The forward pass
     deduplicates full rows across the batch (sample- *and* batch-level)
     and computes the partial product of the first ``d-1`` cores once
-    per unique TT-index prefix via one batched einsum over the Reuse
-    Buffer — the NumPy analog of Algorithm 1's pointer preparation +
-    ``cublasGemmBatchedEx`` call.
+    per unique TT-index prefix — the Reuse Buffer — with one
+    ``gather_matmul`` per core: a GEMM per *distinct* TT slice over the
+    prefixes that address it, never a gathered copy of the slices.  The
+    row groups come ready-made on the :class:`ReusePlan` (Algorithm 1's
+    pointer preparation).
 ``enable_grad_aggregation``
     In-advance gradient aggregation (§III-B).  Embedding-row gradients
     are summed over unique indices *before* the chain-rule contraction
     into TT cores, shrinking the expensive per-row tensor
-    multiplications from one per occurrence to one per unique row.
+    multiplications from one per occurrence to one per unique row; the
+    contraction then reduces over the rows sharing a TT slice inside
+    the GEMM itself (``matmul_segment_sum``), so the pending update
+    holds one gradient block per distinct slice, not one per row.
 ``enable_fused_update``
     Fused TT-core update (§III-B).  The SGD step scatters
     ``-lr * slice_grad`` directly into the live cores instead of
@@ -37,7 +42,9 @@ from repro.backend import (
     get_backend,
     get_plan_cache,
 )
+from repro.backend.plan_cache import ChainStage
 from repro.backend.protocol import DTypeLike
+from repro.embeddings.base import segment_sum
 from repro.embeddings.protocol import SpecParamValue
 from repro.embeddings.reuse_buffer import ReusePlan, build_reuse_plan
 from repro.embeddings.tt_core import TTCores
@@ -173,10 +180,11 @@ class EffTTEmbeddingBag(TTBagBase):
         plan = build_reuse_plan(idx, self.spec.row_shape)
         self.last_plan = plan
         if self.enable_reuse:
-            rows_unique, left_stages = self._forward_reused(plan)
+            rows_unique, left_stages, last_left = self._forward_reused(plan)
             return rows_unique[plan.row_inverse], {
                 "plan": plan,
                 "left_stages": left_stages,  # per unique prefix
+                "last_left": last_left,  # the last stage, per unique row
                 "reused": True,
             }
         occ_tt_idx = row_index_to_tt(idx, self.spec.row_shape)
@@ -188,71 +196,111 @@ class EffTTEmbeddingBag(TTBagBase):
             "reused": False,
         }
 
+    def _chain_stages(self, kind: str) -> Tuple[ChainStage, ...]:
+        plan = get_plan_cache().chain_plan(
+            kind, tuple(c.shape for c in self.tt.cores)
+        )
+        return plan.stages
+
+    def _slice_table(self, stage: ChainStage) -> np.ndarray:
+        """Core ``k`` viewed as one ``(R_{k-1}, n_k * R_k)`` matrix per slice."""
+        core = self.tt.cores[stage.core_index]
+        return core.reshape(core.shape[0], stage.r_in, stage.out_width)
+
+    def _reuse_buffer(
+        self, plan: ReusePlan, stages: Sequence[ChainStage], zone: str
+    ) -> Tuple[List[np.ndarray], np.ndarray]:
+        """Fill the Reuse Buffer for the plan's unique prefixes.
+
+        Entry ``k`` is the product of cores ``0..k`` per unique prefix,
+        ``(P, n_1 * ... * n_k, R_k)``, for ``k = 0..d-2``.  Each stage is
+        one GEMM per distinct slice of core ``k`` over the prefixes that
+        address it (Algorithm 1's batched GEMM over pointer lists).
+        Also returns the last entry handed out per unique *row*,
+        ``(U, A, R_{d-1})`` — what the final core multiplies in the
+        forward and what its slice gradient contracts in the backward.
+        """
+        bk = get_backend()
+        num_prefixes = plan.num_unique_prefixes
+        with bk.zone(zone):
+            left = bk.gather_rows(self.tt.cores[0], plan.prefix_tt_indices[0])
+            left = left.reshape(num_prefixes, stages[0].n_k, stages[0].r_out)
+            buffer = [left]
+            for stage in stages[1:-1]:
+                left = bk.gather_matmul(
+                    left,
+                    self._slice_table(stage),
+                    plan.prefix_slice_groups[stage.core_index],
+                ).reshape(num_prefixes, stage.prefix_width * stage.n_k, stage.r_out)
+                buffer.append(left)
+            return buffer, bk.gather_rows(left, plan.prefix_ids)
+
     def _forward_reused(
         self, plan: ReusePlan
-    ) -> Tuple[np.ndarray, List[np.ndarray]]:
+    ) -> Tuple[np.ndarray, List[np.ndarray], np.ndarray]:
         """Compute unique rows via the prefix Reuse Buffer.
 
-        Returns ``(unique_rows_values, left_stages)`` where
+        Returns ``(unique_rows_values, left_stages, last_left)`` where
         ``left_stages[k]`` is the product of cores ``0..k`` for each
-        unique prefix (the Reuse Buffer content at stage ``k``).
+        unique prefix (the Reuse Buffer content at stage ``k``) and
+        ``last_left`` its last entry per unique row.
         """
-        cores = self.tt.cores
-        d = self.spec.num_cores
+        stages = self._chain_stages("chain_forward")
+        left_stages, last_left = self._reuse_buffer(plan, stages, ZONE_EFFTT_FORWARD)
+        last = stages[-1]
         bk = get_backend()
-        plan_chain = get_plan_cache().chain_plan(
-            "chain_forward", tuple(c.shape for c in cores)
-        )
         with bk.zone(ZONE_EFFTT_FORWARD):
-            # Batched partial product over unique prefixes only.
-            left = bk.gather_rows(cores[0], plan.prefix_tt_indices[0])  # (P,1,n1,R1)
-            num_prefixes = left.shape[0]
-            left = left.reshape(num_prefixes, -1, left.shape[-1])
-            left_stages = [left]
-            for stage in plan_chain.stages[1 : d - 1]:
-                k = stage.core_index
-                slice_k = bk.gather_rows(cores[k], plan.prefix_tt_indices[k])
-                # batched GEMM over unique prefixes only (the Reuse Buffer
-                # fill of Algorithm 1).
-                left = bk.matmul(
-                    left, slice_k.reshape(num_prefixes, stage.r_in, stage.out_width)
-                ).reshape(num_prefixes, -1, stage.r_out)
-                left_stages.append(left)
-            # Final core applied per unique row, gathering its prefix partial.
-            partial = bk.gather_rows(left, plan.prefix_ids)  # (U, A, R_{d-1})
-            last = bk.gather_rows(cores[d - 1], plan.tt_indices[d - 1])
-            last = last.reshape(last.shape[0], last.shape[1], -1)
-            rows_unique = bk.matmul(partial, last)  # (U, A, n_d)
-            rows_unique = rows_unique.reshape(rows_unique.shape[0], -1)
-        return rows_unique, left_stages
+            # Final core applied per unique row.
+            rows_unique = bk.gather_matmul(
+                last_left, self._slice_table(last), plan.slice_groups[last.core_index]
+            )  # (U, A, n_d)
+        return (
+            rows_unique.reshape(plan.num_unique_rows, self.embedding_dim),
+            left_stages,
+            last_left,
+        )
 
     # ------------------------------------------------------------------
     # backward
     # ------------------------------------------------------------------
+    def _occurrence_grads(
+        self, grad_output: np.ndarray, bag_ids: np.ndarray
+    ) -> np.ndarray:
+        if self.enable_grad_aggregation:
+            # Expand the bags straight into unique-row order: the
+            # aggregation then sums contiguous segments, and the
+            # occurrence list is neither copied nor sorted a second time.
+            assert self._saved is not None
+            plan: ReusePlan = self._saved[0]["plan"]
+            bag_ids = bag_ids[plan.occurrence_groups.order]
+        return super()._occurrence_grads(grad_output, bag_ids)
+
     def _accumulate(
         self, saved: Dict[str, Any], row_grads: np.ndarray
     ) -> Dict[str, Any]:
+        """Slice gradients from what :meth:`_occurrence_grads` gathered.
+
+        ``row_grads`` is one row per occurrence — in unique-row order
+        when aggregating, in index order otherwise.
+        """
         plan: ReusePlan = saved["plan"]
         bk = get_backend()
 
         if self.enable_grad_aggregation:
-            # In-advance aggregation: sum occurrence gradients into one
-            # gradient per *unique* row before the expensive chain rule.
-            with bk.zone(ZONE_EFFTT_BACKWARD):
-                agg = bk.zeros(
-                    (plan.num_unique_rows, self.embedding_dim),
-                    dtype=row_grads.dtype,
+            if saved["reused"]:
+                left_stages, last_left = saved["left_stages"], saved["last_left"]
+            else:
+                left_stages, last_left = self._reuse_buffer(
+                    plan, self._chain_stages("chain_forward"), ZONE_EFFTT_BACKWARD
                 )
-                bk.scatter_add_rows(agg, plan.row_inverse, row_grads)
-            tt_idx = plan.tt_indices
-            left_partials = self._unique_left_partials(saved, plan)
-            slice_grads = tt_chain_backward(
-                self.tt.cores,
-                tt_idx,
-                left_partials,
-                agg,
-                self.spec.col_shape,
-                zone=ZONE_EFFTT_BACKWARD,
+            # In-advance aggregation: one summed gradient per unique row.
+            agg = segment_sum(row_grads, plan.occurrence_groups.boundaries)
+            # One gradient block per *distinct* slice, already coalesced.
+            tt_idx: Sequence[np.ndarray] = tuple(
+                groups.ids for groups in plan.slice_groups
+            )
+            slice_grads = self._aggregated_slice_grads(
+                plan, left_stages, last_left, agg
             )
         else:
             # Ablation path: per-occurrence chain rule, as TT-Rec does.
@@ -293,22 +341,74 @@ class EffTTEmbeddingBag(TTBagBase):
                 bk.scatter_add_rows(core_grads[k], tt_idx[k], grads_k)
         return {"mode": "dense", "core_grads": core_grads}
 
-    def _unique_left_partials(
-        self, saved: Dict[str, Any], plan: ReusePlan
+    def _aggregated_slice_grads(
+        self,
+        plan: ReusePlan,
+        left_stages: List[np.ndarray],
+        last_left: np.ndarray,
+        agg: np.ndarray,
     ) -> List[np.ndarray]:
-        """Left-partial chain per unique row for the backward contraction."""
-        if saved["reused"]:
-            bk = get_backend()
-            with bk.zone(ZONE_EFFTT_BACKWARD):
-                return [
-                    bk.gather_rows(stage, plan.prefix_ids)
-                    for stage in saved["left_stages"]
-                ]
-        # Reuse disabled: recompute the (cheaper) chain over unique rows.
-        _, left_partials = tt_chain_forward(
-            self.tt.cores, plan.tt_indices, zone=ZONE_EFFTT_BACKWARD
-        )
-        return left_partials
+        """Equation 6 over unique rows, reduced per distinct TT slice.
+
+        Same contractions as :func:`tt_chain_backward`, but no slice is
+        gathered and no per-row slice gradient is written: the suffix
+        chain multiplies against each distinct slice in place
+        (``gather_matmul``) and the last GEMM of every core sums over
+        the rows sharing a slice as it goes (``matmul_segment_sum``).
+        Returns, per core, ``(G_k, R_{k-1}, n_k, R_k)`` aligned with
+        ``plan.slice_groups[k].ids``.
+        """
+        cores = self.tt.cores
+        bk = get_backend()
+        stages = self._chain_stages("chain_backward")
+        num_rows = plan.num_unique_rows
+        with bk.zone(ZONE_EFFTT_BACKWARD):
+            ones_seed = bk.ones((num_rows, 1, 1), dtype=agg.dtype)
+            # Suffix partials: rights[k] = product of slices k+1..d-1,
+            # (U, R_k, prod_{l>k} n_l).
+            right = ones_seed
+            rights = [ones_seed] * len(stages)
+            for stage in reversed(stages[1:]):
+                k = stage.core_index
+                # right^T (c, s) @ slice^T (s, r*b): the slice stays where
+                # it is, read through a transposed view.
+                slice_t = cores[k].reshape(
+                    -1, stage.r_in * stage.n_k, stage.r_out
+                ).transpose(0, 2, 1)
+                product = bk.gather_matmul(
+                    right.transpose(0, 2, 1), slice_t, plan.slice_groups[k]
+                )  # (U, c, r*b)
+                # The contracted axis moves from last (s) to first (r)
+                # between stages, so this one relayout is inherent.
+                right = product.transpose(0, 2, 1).reshape(  # reprolint: disable=layout-churn
+                    num_rows, stage.r_in, stage.n_k * right.shape[2]
+                )
+                rights[k - 1] = right
+
+            slice_grads: List[np.ndarray] = []
+            for stage in stages:
+                k = stage.core_index
+                suffix_cols = self.embedding_dim // (stage.prefix_width * stage.n_k)
+                grad_tensor = agg.reshape(
+                    num_rows, stage.prefix_width, stage.n_k * suffix_cols
+                )
+                if k == 0:
+                    left = ones_seed
+                elif stage is stages[-1]:
+                    left = last_left
+                else:
+                    left = bk.gather_rows(left_stages[k - 1], plan.prefix_ids)
+                # dSlice[j] = sum_{l in group j} (left^T G)[l] right[l]^T
+                tmp = bk.matmul(left.transpose(0, 2, 1), grad_tensor)
+                grad_k = bk.matmul_segment_sum(
+                    tmp.reshape(num_rows, stage.r_in * stage.n_k, suffix_cols),
+                    rights[k],
+                    plan.slice_groups[k],
+                )
+                slice_grads.append(
+                    grad_k.reshape(-1, stage.r_in, stage.n_k, stage.r_out)
+                )
+        return slice_grads
 
     # ------------------------------------------------------------------
     # update
@@ -360,8 +460,9 @@ class EffTTEmbeddingBag(TTBagBase):
     def _apply_adagrad(self, pending: Dict[str, Any], lr: float) -> None:
         """Fused row-wise Adagrad over TT slices.
 
-        Sparse gradients are coalesced (duplicate slice rows summed)
-        before squaring — PyTorch's sparse-Adagrad convention — then
+        Sparse gradients are coalesced (duplicate slice rows summed;
+        a no-op for the aggregated path, whose blocks arrive one per
+        slice) before squaring — PyTorch's sparse-Adagrad convention — then
         the accumulator and cores are updated with one gather/scatter
         per core.
         """

@@ -43,8 +43,15 @@ __all__ = [
 
 # The backend ops whose FLOPs constitute "chain contraction work" for
 # cross-checks against the analytic counts below (gather/scatter are
-# traffic, not FLOPs, in this accounting).
-CONTRACTION_OPS: Tuple[str, ...] = ("matmul", "einsum")
+# traffic, not FLOPs, in this accounting).  The segment-GEMM ops issue
+# the multiply-adds of the per-row matmul they replace, so the analytic
+# counts do not know which of the two a kernel used.
+CONTRACTION_OPS: Tuple[str, ...] = (
+    "matmul",
+    "einsum",
+    "gather_matmul",
+    "matmul_segment_sum",
+)
 
 
 def measured_zone_flops(

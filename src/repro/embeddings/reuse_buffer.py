@@ -4,20 +4,24 @@ The paper's CUDA implementation prepares pointer lists so a batched
 GEMM computes the partial product of the first TT cores exactly once
 per *unique* TT-index prefix in the batch, storing results in a Reuse
 Buffer.  The NumPy equivalent of pointer preparation is this module's
-:func:`build_reuse_plan`: one pass of ``np.unique`` bookkeeping that
-yields, for a batch of embedding indices,
+:func:`build_reuse_plan`: one stable sort per index list that yields,
+for a batch of embedding indices,
 
 * the unique row indices and the occurrence->unique scatter map
-  (sample- and batch-level full-row reuse), and
+  (sample- and batch-level full-row reuse),
 * the unique prefix keys among those rows and the row->prefix gather
-  map (the Reuse Buffer contents).
+  map (the Reuse Buffer contents), and
+* for every one of those lists, the
+  :class:`~repro.backend.groups.RowGroups` record of which entries
+  share an id — what the segment-GEMM kernels and the in-advance
+  gradient aggregation consume, so no list is sorted twice in a step.
 
 The plan is consumed by :class:`~repro.embeddings.eff_tt_embedding.EffTTEmbeddingBag`
 and reported by the locality statistics in :mod:`repro.reorder.stats`.
 
 Backend note: this module is deliberately *outside* the
 :mod:`repro.backend` routing.  It performs integer index bookkeeping
-only — ``np.unique``, mixed-radix prefix decoding — with no float
+only — sorting, mixed-radix prefix decoding — with no float
 contractions or row movement to instrument; the gathers and GEMMs the
 plan drives execute in ``eff_tt_embedding`` under the ``efftt_*``
 kernel zones, and the plan's FLOP consequences are costed there (and
@@ -31,6 +35,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from repro.backend.groups import RowGroups, group_rows
 from repro.embeddings.tt_indices import prefix_keys, row_index_to_tt
 
 __all__ = ["ReusePlan", "build_reuse_plan"]
@@ -60,6 +65,15 @@ class ReusePlan:
         Per-core TT indices of the unique prefixes, ``d-1`` arrays of
         shape ``(P,)`` (the gather lists for the batched partial GEMM —
         the ``Ptr_a`` / ``Ptr_b`` analog of Algorithm 1).
+    occurrence_groups:
+        The ``L`` occurrences grouped by unique row (``ids`` is
+        ``unique_rows``): drives the in-advance gradient aggregation.
+    slice_groups:
+        Per core, the ``U`` unique rows grouped by the TT slice they
+        address (``group_rows(tt_indices[k])``).
+    prefix_slice_groups:
+        Per reuse-buffer core, the ``P`` unique prefixes grouped by TT
+        slice (``group_rows(prefix_tt_indices[k])``).
     """
 
     unique_rows: np.ndarray
@@ -68,6 +82,9 @@ class ReusePlan:
     prefix_ids: np.ndarray
     num_unique_prefixes: int
     prefix_tt_indices: Tuple[np.ndarray, ...]
+    occurrence_groups: RowGroups
+    slice_groups: Tuple[RowGroups, ...]
+    prefix_slice_groups: Tuple[RowGroups, ...]
 
     @property
     def num_occurrences(self) -> int:
@@ -121,9 +138,9 @@ def build_reuse_plan(
 
     Notes
     -----
-    Sorting inside ``np.unique`` plays the role of Algorithm 1's
-    parallel duplicate detection: both identify, per distinct prefix,
-    a single representative computation.
+    The sort inside :func:`~repro.backend.groups.group_rows` plays the
+    role of Algorithm 1's parallel duplicate detection: both identify,
+    per distinct prefix, a single representative computation.
     """
     idx = np.asarray(indices, dtype=np.int64).ravel()
     d = len(row_shape)
@@ -134,28 +151,30 @@ def build_reuse_plan(
             f"prefix_depth must be in [1, {d - 1}], got {prefix_depth}"
         )
 
-    unique_rows, row_inverse = np.unique(idx, return_inverse=True)
+    occurrences = group_rows(idx)
+    unique_rows = occurrences.ids
     tt_idx: List[np.ndarray] = row_index_to_tt(unique_rows, row_shape)
 
-    keys = prefix_keys(tt_idx, row_shape, depth=prefix_depth)
-    unique_keys, prefix_ids = np.unique(keys, return_inverse=True)
+    prefixes = group_rows(prefix_keys(tt_idx, row_shape, depth=prefix_depth))
 
     # Recover the per-core indices of each unique prefix by decoding the
     # packed key (the keys were built with mixed-radix packing over the
     # first `prefix_depth` row factors).
     prefix_tt: List[np.ndarray] = []
-    remaining = unique_keys.copy()
-    radices = list(row_shape[:prefix_depth])
+    remaining = prefixes.ids
     for k in range(prefix_depth - 1, -1, -1):
-        prefix_tt.append(remaining % radices[k])
-        remaining //= radices[k]
+        remaining, digit = np.divmod(remaining, row_shape[k])
+        prefix_tt.append(digit)
     prefix_tt.reverse()
 
     return ReusePlan(
         unique_rows=unique_rows,
-        row_inverse=row_inverse.astype(np.int64),
+        row_inverse=occurrences.inverse(),
         tt_indices=tuple(tt_idx),
-        prefix_ids=prefix_ids.astype(np.int64),
-        num_unique_prefixes=int(unique_keys.size),
+        prefix_ids=prefixes.inverse(),
+        num_unique_prefixes=prefixes.num_groups,
         prefix_tt_indices=tuple(prefix_tt),
+        occurrence_groups=occurrences,
+        slice_groups=tuple(group_rows(part) for part in tt_idx),
+        prefix_slice_groups=tuple(group_rows(part) for part in prefix_tt),
     )

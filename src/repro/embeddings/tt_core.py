@@ -280,7 +280,7 @@ class TTCores:
             # left: (L, prefix_cols, R_k) accumulated product.
             left = bk.gather_rows(self.cores[0], tt_idx[0])  # (L, 1, n_1, R_1)
             batch = left.shape[0]
-            left = left.reshape(batch, -1, self.spec.ranks[1])
+            left = left.reshape(batch, self.spec.col_shape[0], self.spec.ranks[1])
             for k in range(1, self.spec.num_cores):
                 slice_k = bk.gather_rows(self.cores[k], tt_idx[k])
                 plan = pc.einsum_plan("lar,lrbs->labs", left, slice_k)

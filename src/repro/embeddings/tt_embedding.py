@@ -71,7 +71,9 @@ def tt_chain_forward(
     with bk.zone(zone):
         left = bk.gather_rows(cores[0], tt_idx[0])  # (L, 1, n_1, R_1)
         batch = left.shape[0]
-        left = left.reshape(batch, -1, left.shape[-1])
+        # Widths come from the plan, never from -1: an all-empty batch
+        # (L == 0) leaves reshape nothing to infer a dimension from.
+        left = left.reshape(batch, plan.stages[0].n_k, plan.stages[0].r_out)
         left_partials = [left]
         for stage in plan.stages[1:]:
             k = stage.core_index
@@ -81,9 +83,9 @@ def tt_chain_forward(
             left = bk.matmul(
                 left, slice_k.reshape(batch, stage.r_in, stage.out_width)
             )
-            left = left.reshape(batch, -1, stage.r_out)
+            left = left.reshape(batch, stage.prefix_width * stage.n_k, stage.r_out)
             left_partials.append(left)
-        rows = left.reshape(batch, -1)
+        rows = left.reshape(batch, left.shape[1] * left.shape[2])
     return rows, left_partials
 
 
@@ -139,7 +141,7 @@ def tt_chain_backward(
             # (L, r*b, s) @ (L, s, c) -> (L, r*b, c) -> (L, r, b*c)
             right = bk.matmul(
                 slice_k.reshape(batch, r_prev * n_k, r_next), right
-            ).reshape(batch, r_prev, -1)
+            ).reshape(batch, r_prev, n_k * right.shape[2])
             rights[k - 1] = right
 
         slice_grads: List[np.ndarray] = []

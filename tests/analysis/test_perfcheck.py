@@ -1,4 +1,4 @@
-"""Unit tests for the perfcheck analyzer, cost model, and FusionPlan."""
+"""Unit tests for the perfcheck analyzer and its cost model."""
 
 import pytest
 
@@ -7,7 +7,9 @@ from repro.analysis.perfcheck.costmodel import (
     Cost,
     cost_add,
     cost_scale,
+    gather_matmul_cost,
     matmul_cost,
+    matmul_segment_sum_cost,
     nbytes_cost,
     tt_chain_flops_per_row,
 )
@@ -55,6 +57,26 @@ class TestCostModel:
         assert cost.flops.value == 2 * 3 * 4 * 5 * 6
         assert cost.bytes.value == 4 * (3 * 4 * 5 + 3 * 5 * 6 + 3 * 4 * 6)
 
+    def test_segment_gemm_costs_match_instrumented_formulas(self):
+        # 7 rows of (4, 5) against 3 distinct (5, 6) slices of a 9-slice
+        # table: the per-row matmul's FLOPs, each distinct slice read once.
+        gathered = gather_matmul_cost(
+            (7, 4, 5), "float64", (9, 5, 6), "float64", 3, (7, 4, 6), "float64"
+        )
+        assert gathered.flops.value == 2 * 7 * 4 * 5 * 6
+        assert gathered.bytes.value == 8 * (7 * 4 * 5 + 3 * 5 * 6 + 7 * 4 * 6)
+        # a (7, 4, 5) @ b (7, 6, 5)^T summed into 3 blocks.
+        summed = matmul_segment_sum_cost(
+            (7, 4, 5), "float32", (7, 6, 5), "float32", (3, 4, 6), "float32"
+        )
+        assert summed.flops.value == 2 * 7 * 4 * 5 * 6
+        assert summed.bytes.value == 4 * (7 * 4 * 5 + 7 * 6 * 5 + 3 * 4 * 6)
+        # Statically the group count is unknown, so the bytes are too.
+        static = gather_matmul_cost(
+            (SymDim("U"), 4, 5), None, (9, 5, 6), None, None, None, None
+        )
+        assert static.flops.expr == "240*U" and static.bytes is None
+
     def test_tt_chain_flops_match_plan_cache(self):
         core_shapes = ((4, 1, 5, 8), (4, 8, 5, 8), (4, 8, 5, 1))
         plan = get_plan_cache().chain_plan("unit", core_shapes)
@@ -65,7 +87,8 @@ class TestRuleCatalog:
     def test_catalog_ids_are_unique_and_complete(self):
         ids = [rule.id for rule in PERF_RULES.values()]
         assert len(ids) == len(set(ids))
-        assert {f"PERF{n:03d}" for n in range(8)} == set(ids)
+        # 002 (the unfused-contraction advisory) is retired, not reused.
+        assert {f"PERF{n:03d}" for n in (0, 1, 3, 4, 5, 6, 7)} == set(ids)
 
     def test_unknown_select_raises(self):
         with pytest.raises(KeyError):
@@ -107,21 +130,6 @@ class TestRules:
         assert _rules(HOT_ALLOC, select=["layout-churn"]) == []
         assert "PERF001" in _rules(HOT_ALLOC, select=["PERF001"])
 
-    def test_unfused_contraction_is_warning(self):
-        src = """
-from repro.backend import get_backend
-from repro.backend.protocol import ZONE_TT_FORWARD
-
-def f(a, b, c):
-    bk = get_backend()
-    with bk.zone(ZONE_TT_FORWARD):
-        tmp = bk.matmul(a, b)
-        return bk.matmul(tmp, c)
-"""
-        result = perfcheck_source(src, path=ZONE_REL, rel=ZONE_REL)
-        assert [f.rule_id for f in result.findings] == ["PERF002"]
-        assert result.ok, "PERF002 is advisory and must not fail the gate"
-
     def test_layout_churn_only_in_kernel_paths(self):
         src = "def f(x):\n    return x.transpose(0, 2, 1).reshape(4, 6)\n"
         assert "PERF003" in _rules(src)
@@ -144,48 +152,23 @@ def kernel(g, zone=ZONE_TT_BACKWARD):
         assert "PERF001" in _rules(src)
 
 
-class TestFusionGraph:
-    def _result(self, source, rel=ZONE_REL):
-        ctx = build_context(rel, rel, source)
-        return interpret_module_perf(ctx)
-
-    def test_chain_extracted_with_symbolic_shapes(self):
+class TestOpNodes:
+    def test_nodes_carry_symbolic_shapes_and_costs(self):
         src = """
+import numpy as np
 from repro.backend import get_backend
-from repro.backend.protocol import ZONE_EFFTT_FORWARD
+from repro.backend.protocol import ZONE_EFFTT_BACKWARD
 
-def forward(table, idx, core, batch, r):
+def backward(tmp: np.ndarray, right: np.ndarray, groups, U, m, n, k):
     bk = get_backend()
-    with bk.zone(ZONE_EFFTT_FORWARD):
-        rows = bk.gather_rows(table, idx)
-        flat = rows.reshape(batch, r)
-        return bk.matmul(flat, core)
+    with bk.zone(ZONE_EFFTT_BACKWARD):
+        return bk.matmul_segment_sum(
+            tmp.reshape(U, m, k), right.reshape(U, n, k), groups
+        )
 """
-        result = self._result(src)
-        chains = [c for c in result.chains if c.zone == "efftt_forward"]
-        assert len(chains) == 1
-        ops = [node.op for node in chains[0].nodes]
-        assert ops == ["gather_rows", "reshape", "matmul"]
-        reshape_node = chains[0].nodes[1]
-        assert reshape_node.out_shape == (SymDim("batch"), SymDim("r"))
-
-    def test_escaped_value_breaks_chain(self):
-        src = """
-from repro.backend import get_backend
-from repro.backend.protocol import ZONE_EFFTT_FORWARD
-
-state = {}
-
-def forward(table, idx, core, batch, r):
-    bk = get_backend()
-    with bk.zone(ZONE_EFFTT_FORWARD):
-        rows = bk.gather_rows(table, idx)
-        state["rows"] = rows
-        flat = rows.reshape(batch, r)
-        return bk.matmul(flat, core)
-"""
-        result = self._result(src)
-        for chain in result.chains:
-            assert [n.op for n in chain.nodes] != [
-                "gather_rows", "reshape", "matmul"
-            ], "escaped gather result must not start a fusable chain"
+        ctx = build_context(ZONE_REL, ZONE_REL, src)
+        (node,) = interpret_module_perf(ctx).nodes
+        assert (node.op, node.zone) == ("matmul_segment_sum", "efftt_backward")
+        assert node.out_shape == (None, SymDim("m"), SymDim("n"))
+        assert node.flops.expr == "2*U*k*m*n"
+        assert node.bytes is None  # one block per distinct id: run-time data

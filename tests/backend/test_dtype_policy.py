@@ -34,6 +34,19 @@ class TestFloat32StaysFloat32:
         for core in bag.tt.cores:
             assert core.dtype == np.float32
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_segment_gemms_return_the_operand_dtype(self, dtype):
+        from repro.backend.groups import group_rows
+
+        inst = InstrumentedBackend()
+        groups = group_rows(np.array([2, 0, 2, 2]))
+        a = np.ones((4, 3, 5), dtype=dtype)
+        with inst.expect_dtype(dtype):
+            out = inst.gather_matmul(a, np.ones((3, 5, 2), dtype=dtype), groups)
+            blocks = inst.matmul_segment_sum(a, np.ones((4, 2, 5), dtype=dtype), groups)
+        assert out.dtype == dtype and blocks.dtype == dtype
+        assert inst.dtype_violations == []
+
     def test_mlp_train_step_never_upcasts(self):
         inst = InstrumentedBackend()
         with use_backend(inst):

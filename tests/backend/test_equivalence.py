@@ -211,6 +211,14 @@ class TestInstrumentedZones:
         fused = inst.zone_stats[ZONE_FUSED_UPDATE]
         assert forward.flops > 0 and forward.bytes > 0
         assert fused.flops > 0 and fused.bytes > 0
+        # The reuse/aggregated path contracts through the segment-GEMM
+        # ops only: no per-row matmul against gathered slices is left in
+        # the forward zone, and every core's gradient is segment-summed.
+        ops = {key: stats.calls for key, stats in inst.op_stats.items()}
+        assert (ZONE_EFFTT_FORWARD, "matmul") not in ops
+        assert ops[(ZONE_EFFTT_FORWARD, "gather_matmul")] == 2 * 2  # 2 forwards
+        assert ops[("efftt_backward", "gather_matmul")] == 2  # suffix chain
+        assert ops[("efftt_backward", "matmul_segment_sum")] == 3  # one per core
 
     def test_pipeline_covers_expected_zones(self):
         inst = InstrumentedBackend()

@@ -118,6 +118,27 @@ class TestNumpyBackendOps:
         np.add.at(expected, idx, rows)
         np.testing.assert_array_equal(target, expected)
 
+    def test_segment_gemms_match_the_ops_they_fuse(self):
+        from repro.backend.groups import group_rows
+
+        idx = np.array([1, 3, 3, 7, 1, 3])
+        groups = group_rows(idx)
+        a = self.rng.standard_normal((6, 2, 4))
+        table = self.rng.standard_normal((8, 4, 3))
+        np.testing.assert_allclose(
+            self.bk.gather_matmul(a, table, groups),
+            np.matmul(a, table[idx]),
+            rtol=1e-12,
+        )
+        b = self.rng.standard_normal((6, 3, 4))
+        expected = np.zeros((8, 2, 3))
+        np.add.at(expected, idx, np.matmul(a, b.transpose(0, 2, 1)))
+        np.testing.assert_allclose(
+            self.bk.matmul_segment_sum(a, b, groups),
+            expected[groups.ids],
+            rtol=1e-12,
+        )
+
     def test_axpy_matches_inplace_subtract(self):
         x = self.rng.standard_normal((4, 3))
         u = self.rng.standard_normal((4, 3))

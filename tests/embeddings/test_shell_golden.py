@@ -1,4 +1,4 @@
-"""Bit-preservation gate for the shared sum-pooling shell.
+"""Bit-preservation gate for the shared sum-pooling shell and its codecs.
 
 ``golden_shell_parent.json`` holds what the tree *before* the shell
 refactor (the six hand-rolled bags) produced for :func:`compute_golden`:
@@ -6,10 +6,22 @@ the loss of every step of a short ``DLRM.train_step`` run, the ``fsum``
 of every ``state_arrays()`` entry afterwards, and the instrumented
 backend's per-zone and per-(zone, op) calls/flops/bytes — for every
 strategy, Eff-TT under all eight toggle combinations and ``adagrad``,
-at float64 and float32.  The shell must reproduce all of it exactly:
-same numerics, same backend calls in the same zones.
+at float64 and float32.  That file is frozen.  Everything whose
+arithmetic has not changed since — dense, TT-Rec, hash, ROBE, PQ and
+Eff-TT with reuse and aggregation both off (the per-occurrence
+``tt_chain_*`` kernels) — must still reproduce it exactly: same
+numerics, same backend calls in the same zones.
 
-Regenerate (only from a tree whose numerics are the reference)::
+The Eff-TT cases with reuse or aggregation on run on the segment-GEMM
+kernels (``gather_matmul`` / ``matmul_segment_sum``), whose BLAS-blocked
+reduction over duplicate slices rounds differently from the
+``reduceat`` it replaced.  For those the parent file is the *numerical*
+reference — losses and state sums within ``rtol`` 1e-12 (float64) /
+1e-5 (float32) — and ``golden_shell_segment_gemm.json`` pins today's
+values and per-zone costs exactly.
+
+Regenerate the second file (only from a tree whose numerics are the
+reference; the parent file is never rewritten)::
 
     PYTHONPATH=src python tests/embeddings/test_shell_golden.py
 """
@@ -33,7 +45,11 @@ from repro.embeddings.tt_embedding import TTEmbeddingBag
 from repro.models.config import DLRMConfig, EmbeddingBackend
 from repro.models.dlrm import DLRM
 
-GOLDEN_PATH = Path(__file__).with_name("golden_shell_parent.json")
+PARENT_GOLDEN_PATH = Path(__file__).with_name("golden_shell_parent.json")
+SEGMENT_GEMM_GOLDEN_PATH = Path(__file__).with_name(
+    "golden_shell_segment_gemm.json"
+)
+PARENT_RTOL = {"float64": 1e-12, "float32": 1e-5}
 
 TABLE_ROWS = (40, 150, 300)
 DIM = 8
@@ -139,36 +155,52 @@ def run_case(name, dtype):
     return {"losses": losses, "state": state, "zones": zones, "ops": ops}
 
 
+def on_segment_gemm(name):
+    """Eff-TT with reuse or aggregation on: the cases that left the parent's bits."""
+    return name.startswith("eff_tt") and "reuse0_agg0" not in name
+
+
 def compute_golden():
     return {
         f"{name}/{np.dtype(dtype).name}": run_case(name, dtype)
-        for name in sorted(CASES)
+        for name in sorted(filter(on_segment_gemm, CASES))
         for dtype in (np.float64, np.float32)
     }
 
 
-def _golden():
-    return json.loads(GOLDEN_PATH.read_text())
+def _golden(path):
+    return json.loads(path.read_text())
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_matches_parent_bitwise(name, dtype):
-    expected = _golden()[f"{name}/{dtype}"]
+    parent = _golden(PARENT_GOLDEN_PATH)[f"{name}/{dtype}"]
     actual = run_case(name, np.dtype(dtype).type)
-    assert actual["losses"] == expected["losses"]
-    assert actual["state"] == expected["state"]
-    assert actual["zones"] == expected["zones"]
-    assert actual["ops"] == expected["ops"]
+    if not on_segment_gemm(name):
+        assert actual == parent
+        return
+    rtol = PARENT_RTOL[dtype]
+    np.testing.assert_allclose(actual["losses"], parent["losses"], rtol=rtol)
+    assert actual["state"].keys() == parent["state"].keys()
+    for key, value in actual["state"].items():
+        np.testing.assert_allclose(
+            value, parent["state"][key], rtol=rtol, err_msg=key
+        )
+    assert actual == _golden(SEGMENT_GEMM_GOLDEN_PATH)[f"{name}/{dtype}"]
 
 
 def test_golden_covers_every_case():
-    assert set(_golden()) == {
+    every = {
         f"{name}/{dtype}" for name in CASES for dtype in ("float64", "float32")
+    }
+    assert set(_golden(PARENT_GOLDEN_PATH)) == every
+    assert set(_golden(SEGMENT_GEMM_GOLDEN_PATH)) == {
+        key for key in every if on_segment_gemm(key.split("/")[0])
     }
 
 
 if __name__ == "__main__":
-    GOLDEN_PATH.write_text(
+    SEGMENT_GEMM_GOLDEN_PATH.write_text(
         json.dumps(compute_golden(), indent=1, sort_keys=True) + "\n"
     )
