@@ -28,7 +28,6 @@ import numpy as np
 
 from ...backend.counter import CostCounter, KernelStats
 from ...backend.interposer import Interposer
-from ...backend.plan_cache import get_plan_cache
 from . import costmodel
 
 __all__ = ["CostModelPricer", "ZoneComparison", "CalibrationReport", "run_calibration"]
@@ -78,18 +77,9 @@ class CostModelPricer(CostCounter):
             a, b, _ = args
             return costmodel.matmul_segment_sum_cost(*_sd(a), *_sd(b), *_sd(out))
         if op == "einsum":
-            subscripts, operands, plan = args
-            if plan is None:
-                plan = get_plan_cache().einsum_plan_for_shapes(
-                    subscripts, [_sd(x)[0] for x in operands]
-                )
-            traffic = costmodel.cost_add(
-                *(costmodel.nbytes_cost(*_sd(x)) for x in operands),
-                costmodel.nbytes_cost(*_sd(out)),
-            )
-            return costmodel.OpCost(
-                flops=costmodel.Cost.concrete(plan.flop_count), bytes=traffic
-            )
+            subscripts, operands = args
+            shapes, dtypes = zip(*(_sd(x) for x in operands))
+            return costmodel.einsum_cost(subscripts, shapes, dtypes, *_sd(out))
         if op == "gather_rows":
             return costmodel.gather_cost(*_sd(out))
         if op == "scatter_add_rows":

@@ -20,9 +20,8 @@ Cost model
   ``2 * rows * m * k * n`` as the per-row ``matmul`` they replace (the
   fusion moves bytes, not multiply-adds); bytes = operands once + each
   *distinct* table slice once + result.
-* ``einsum`` — the supplied plan's precomputed FLOP count when one is
-  given; otherwise the plan cache derives one for the signature (so
-  even un-planned calls are costed consistently).
+* ``einsum`` — the FLOP count of the plan the plan cache derives for
+  the call's signature.
 * ``gather_rows`` / ``scatter_add_rows`` — pure traffic: rows read and
   written (scatter counts read-modify-write on the target rows, plus
   one FLOP per added element and one per scaled element).
@@ -140,9 +139,8 @@ class CostCounter(Observer):
             rows, m, k = a.shape
             return 2 * rows * m * k * b.shape[1], a.nbytes + b.nbytes + out.nbytes
         if op == "einsum":
-            subscripts, operands, plan = args
-            if plan is None:
-                plan = get_plan_cache().einsum_plan(subscripts, *operands)
+            subscripts, operands = args
+            plan = get_plan_cache().einsum_plan(subscripts, *operands)
             return plan.flop_count, sum(x.nbytes for x in operands) + out.nbytes
         if op == "gather_rows":
             return 0, 2 * out.nbytes

@@ -19,7 +19,7 @@ negative index.
 Operand convention (``args`` in the hooks): the op's positional
 arguments in protocol order with defaults filled in —
 ``scatter_add_rows`` is ``(target, indices, values, scale)`` — except
-``einsum``, which is ``(subscripts, operands, plan)``.  ``out`` is the
+``einsum``, which is ``(subscripts, operands)``.  ``out`` is the
 inner result (``None`` for the in-place ops).
 """
 
@@ -32,7 +32,6 @@ import numpy as np
 
 from .groups import RowGroups
 from .numpy_backend import NumpyBackend
-from .plan_cache import EinsumPlan
 from .protocol import UNZONED, ArrayBackend, DTypeLike, Shape
 
 __all__ = ["Interposer", "Observer"]
@@ -125,15 +124,11 @@ class Interposer:
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self._observed("matmul", self.inner.matmul, a, b)
 
-    def einsum(
-        self, subscripts: str, *operands: np.ndarray, plan: Optional[EinsumPlan] = None
-    ) -> np.ndarray:
-        def call(
-            spec: str, arrays: Tuple[np.ndarray, ...], plan: Optional[EinsumPlan]
-        ) -> np.ndarray:
-            return self.inner.einsum(spec, *arrays, plan=plan)
+    def einsum(self, subscripts: str, *operands: np.ndarray) -> np.ndarray:
+        def call(spec: str, arrays: Tuple[np.ndarray, ...]) -> np.ndarray:
+            return self.inner.einsum(spec, *arrays)
 
-        return self._observed("einsum", call, subscripts, operands, plan)
+        return self._observed("einsum", call, subscripts, operands)
 
     def gather_matmul(
         self, a: np.ndarray, table: np.ndarray, groups: RowGroups

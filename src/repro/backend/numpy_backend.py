@@ -10,12 +10,9 @@ call it replaced.  The file-level reprolint pragma above opts this one
 module out of REP005 (``direct-numpy-in-kernel-zone``): the reference
 backend is the single place direct numpy contraction calls are allowed.
 
-``einsum`` accepts a precompiled :class:`~repro.backend.plan_cache.EinsumPlan`
-but deliberately ignores it for execution: ``np.einsum(..., optimize=path)``
+``einsum`` always evaluates unoptimized: ``np.einsum(..., optimize=path)``
 routes through BLAS ``tensordot`` and produces bitwise-*different*
-results from the unoptimized evaluation that defines this repo's
-numerics.  Plans exist for instrumentation and for backends with a
-tolerance-based numeric contract.
+results from the evaluation that defines this repo's numerics.
 """
 
 from __future__ import annotations
@@ -27,7 +24,6 @@ import numpy as np
 
 from ..utils.scatter import scatter_add_rows as _scatter_add_rows
 from .groups import RowGroups
-from .plan_cache import EinsumPlan
 from .protocol import DTypeLike, Shape
 
 __all__ = ["NumpyBackend"]
@@ -58,11 +54,9 @@ class NumpyBackend:
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return cast(np.ndarray, np.matmul(a, b))
 
-    def einsum(
-        self, subscripts: str, *operands: np.ndarray, plan: Optional[EinsumPlan] = None
-    ) -> np.ndarray:
+    def einsum(self, subscripts: str, *operands: np.ndarray) -> np.ndarray:
         # optimize=False always: bitwise identity with the historical
-        # call sites trumps the planned contraction order here.
+        # call sites trumps any planned contraction order.
         return cast(np.ndarray, np.einsum(subscripts, *operands, optimize=False))
 
     def gather_matmul(

@@ -177,7 +177,7 @@ class NumericSanitizer(Observer):
             self._trap(zone, op, "nonfinite", _nonfinite(args[0], "updated target"))
             return
         if op == "einsum":
-            subscripts, operands, _ = args
+            subscripts, operands = args
             op = f"einsum[{subscripts}]"
             self._trap(zone, op, "dtype-drift", _drift(out, *operands))
         elif op in ("matmul", "maximum"):

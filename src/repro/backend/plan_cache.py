@@ -14,9 +14,9 @@ it:
 * :class:`ChainPlan` — the left-to-right batched-GEMM schedule of a TT
   chain (forward or backward sweep), one :class:`ChainStage` per core,
   with per-stage FLOP/byte costs derived purely from shapes;
-* :class:`EinsumPlan` — a precomputed ``np.einsum_path`` contraction
-  order + cost metadata for a concrete ``(subscripts, operand shapes)``
-  signature;
+* :class:`EinsumPlan` — ``np.einsum_path`` contraction order + FLOP
+  count for a concrete ``(subscripts, operand shapes)`` signature: how
+  the cost counter and the static cost model price an ``einsum`` call;
 * :class:`ContractionPlanCache` — an LRU-bounded cache over both plan
   kinds, with hit/miss counters surfaced by the bench harness and the
   pipeline ``TrainLog``.
@@ -33,20 +33,18 @@ keyed on the full ``(subscripts, operand shapes)`` signature because
 
 Numeric note
 ------------
-The reference :class:`~repro.backend.numpy_backend.NumpyBackend`
-deliberately executes einsum with ``optimize=False`` even when a plan
-is supplied: ``np.einsum(..., optimize=path)`` dispatches through BLAS
-``tensordot`` and is *not* bitwise-identical to the unoptimized
-evaluation that defines this repo's numerics.  The plan is metadata —
-contraction order and cost — consumed by the instrumented wrapper and
-by accelerated backends whose numeric contract is tolerance-based.
+No backend executes an :class:`EinsumPlan`.  The one ``einsum`` left on
+a hot path (``TTCores.reconstruct_rows``, serving) runs unoptimized:
+``np.einsum(..., optimize=path)`` dispatches through BLAS ``tensordot``
+and is *not* bitwise-identical to the evaluation that defines a served
+row's value.  Einsum plans are cost metadata only.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, cast
+from typing import Any, Callable, Dict, Sequence, Tuple, TypeVar, cast
 
 _PlanT = TypeVar("_PlanT")
 
@@ -118,15 +116,10 @@ class EinsumPlan:
     subscripts: str
     operand_shapes: Tuple[Tuple[int, ...], ...]
     # np.einsum_path contraction list (first element "einsum_path" tag
-    # included) — consumable directly as einsum's optimize= argument by
-    # backends whose numeric contract permits optimized evaluation.
+    # included).
     path: Tuple[Any, ...]
     # Cost metadata parsed from the path report.
     flop_count: int
-
-    @property
-    def optimize_arg(self) -> List[Any]:
-        return list(self.path)
 
 
 def _chain_stages(core_shapes: CoreShapes) -> Tuple[ChainStage, ...]:
@@ -163,8 +156,8 @@ class ContractionPlanCache:
     """LRU cache of :class:`ChainPlan` / :class:`EinsumPlan` objects.
 
     A process-wide instance (:func:`get_plan_cache`) backs the TT chain
-    kernels and the backend ``einsum`` call sites; hit/miss counters
-    feed the bench harness and ``TrainLog``.
+    kernels and the einsum pricing of the cost observers; hit/miss
+    counters feed the bench harness and ``TrainLog``.
     """
 
     def __init__(self, max_entries: int = 256) -> None:
@@ -219,32 +212,19 @@ class ContractionPlanCache:
 
     # -- einsum plans --------------------------------------------------
     def einsum_plan(self, subscripts: str, *operands: np.ndarray) -> EinsumPlan:
-        shapes = tuple(tuple(int(d) for d in op.shape) for op in operands)
-        key = ("einsum", subscripts, shapes)
-
-        def build() -> EinsumPlan:
-            path, report = np.einsum_path(subscripts, *operands, optimize="optimal")
-            return EinsumPlan(
-                subscripts=subscripts,
-                operand_shapes=shapes,
-                path=tuple(path),
-                flop_count=_einsum_flops_from_report(report, shapes),
-            )
-
-        return self._get_or_build(key, build)
+        """Plan for a call's signature (the cost counter's pricing seam)."""
+        return self.einsum_plan_for_shapes(subscripts, [op.shape for op in operands])
 
     def einsum_plan_for_shapes(
         self, subscripts: str, shapes: Sequence[Tuple[int, ...]]
     ) -> EinsumPlan:
         """Plan for a signature given only operand *shapes*.
 
-        Shares the cache key with :meth:`einsum_plan` (``np.einsum_path``
-        output depends only on shapes), so a plan built here is the plan
-        a later real call hits — this is the introspection seam the
-        static perfcheck analyzer and its calibration backend use to
-        cost einsum sites without materialising operands.  The probe
-        operands are stride-0 broadcast views of a scalar: no
-        shape-sized allocation happens.
+        ``np.einsum_path`` output depends only on shapes, so this is the
+        whole plan builder: the static perfcheck analyzer and its
+        calibration observer cost einsum sites through it without
+        materialising operands.  The probe operands are stride-0
+        broadcast views of a scalar: no shape-sized allocation happens.
         """
         norm = tuple(tuple(int(d) for d in shape) for shape in shapes)
         key = ("einsum", subscripts, norm)

@@ -14,8 +14,7 @@ calling numpy directly.  The backend is deliberately a small surface:
   :meth:`~repro.backend.counter.CostCounter.expect_dtype` for backend
   allocations);
 * **contraction** — ``matmul`` (the batched-GEMM workhorse of every TT
-  kernel) and ``einsum`` with an optional precompiled
-  :class:`~repro.backend.plan_cache.EinsumPlan`;
+  kernel) and ``einsum``;
 * **segment GEMM** — ``gather_matmul`` (gather→GEMM) and
   ``matmul_segment_sum`` (GEMM→scatter): one GEMM per *distinct* TT
   slice over the rows a :class:`~repro.backend.groups.RowGroups` record
@@ -177,9 +176,7 @@ class ArrayBackend(Protocol):
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         ...
 
-    def einsum(
-        self, subscripts: str, *operands: np.ndarray, plan: Optional[Any] = None
-    ) -> np.ndarray:
+    def einsum(self, subscripts: str, *operands: np.ndarray) -> np.ndarray:
         ...
 
     def gather_matmul(

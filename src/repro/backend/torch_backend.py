@@ -23,7 +23,6 @@ from typing import Any, Iterator, Optional
 import numpy as np
 
 from .groups import RowGroups
-from .plan_cache import EinsumPlan
 from .protocol import BackendUnavailableError, DTypeLike, Shape
 
 __all__ = ["TorchBackend", "torch_available"]
@@ -97,9 +96,7 @@ class TorchBackend:
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self._to_numpy(self._torch.matmul(self._to_torch(a), self._to_torch(b)))
 
-    def einsum(
-        self, subscripts: str, *operands: np.ndarray, plan: Optional[EinsumPlan] = None
-    ) -> np.ndarray:
+    def einsum(self, subscripts: str, *operands: np.ndarray) -> np.ndarray:
         tensors = [self._to_torch(op) for op in operands]
         return self._to_numpy(self._torch.einsum(subscripts, *tensors))
 

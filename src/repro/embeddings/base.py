@@ -20,7 +20,13 @@ from repro.backend.protocol import DTypeLike
 from repro.embeddings.protocol import CompressionSpec, SpecParamValue
 from repro.utils.validation import check_1d_int_array
 
-__all__ = ["normalize_offsets", "segment_sum", "EmbeddingBagBase"]
+__all__ = [
+    "normalize_offsets",
+    "bag_boundaries",
+    "segment_sum",
+    "pool_bags",
+    "EmbeddingBagBase",
+]
 
 
 def normalize_offsets(
@@ -46,6 +52,31 @@ def normalize_offsets(
     return off
 
 
+def bag_boundaries(
+    offsets: Optional[np.ndarray], num_indices: int
+) -> Optional[np.ndarray]:
+    """Boundary-form offsets, or ``None`` when every bag holds one index.
+
+    The one place bags of one are detected.  With pooling factor 1 (the
+    paper's datasets, every serving lookup) sum pooling and its backward
+    expansion are the identity, so callers skip both when this returns
+    ``None``: the number of bags is then ``num_indices``.  ``offsets is
+    None`` is that case by construction; an explicit offsets array is it
+    when it normalises to ``arange(num_indices + 1)``.  Any other
+    offsets — a bag of two, an empty bag — come back in boundary form.
+    """
+    if offsets is None:
+        return None
+    boundaries = normalize_offsets(offsets, num_indices)
+    # Non-decreasing from 0 to num_indices in num_indices steps: every
+    # step is 1 unless some step is 0.
+    if boundaries.size == num_indices + 1 and bool(
+        (boundaries[1:] > boundaries[:-1]).all()
+    ):
+        return None
+    return boundaries
+
+
 def segment_sum(values: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
     """Sum ``values`` rows within each ``[boundaries[b], boundaries[b+1])`` span.
 
@@ -60,20 +91,27 @@ def segment_sum(values: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
     -------
     ``(B, dim)`` pooled array; empty segments yield zero rows.
     """
-    num_bags = boundaries.size - 1
-    dim = values.shape[1]
-    out = np.zeros((num_bags, dim), dtype=values.dtype)
-    if values.shape[0] == 0:
-        return out
     non_empty = boundaries[:-1] < boundaries[1:]
-    if not non_empty.any():
-        return out
-    # reduceat needs strictly valid start positions; restrict to
-    # non-empty segments then scatter back.
-    starts = boundaries[:-1][non_empty]
-    pooled = np.add.reduceat(values, starts, axis=0)
-    out[non_empty] = pooled
+    if non_empty.all() and non_empty.size:
+        # No empty bag: every start is a valid reduceat position.
+        return np.add.reduceat(values, boundaries[:-1], axis=0)
+    num_bags = boundaries.size - 1
+    out = np.zeros((num_bags, values.shape[1]), dtype=values.dtype)
+    if non_empty.any():
+        # reduceat needs strictly valid start positions; restrict to
+        # non-empty segments then scatter back.
+        out[non_empty] = np.add.reduceat(
+            values, boundaries[:-1][non_empty], axis=0
+        )
     return out
+
+
+def pool_bags(rows: np.ndarray, boundaries: Optional[np.ndarray]) -> np.ndarray:
+    """Sum-pool per-index ``rows`` into bags (see :func:`bag_boundaries`).
+
+    Bags of one (``boundaries is None``) pool to ``rows`` itself.
+    """
+    return rows if boundaries is None else segment_sum(rows, boundaries)
 
 
 def expand_bag_ids(boundaries: np.ndarray) -> np.ndarray:
@@ -140,8 +178,9 @@ class EmbeddingBagBase:
         self.embedding_dim = embedding_dim
         self.dtype = np.dtype(np.float64)
         self.version = 0
-        #: ``(codec context, boundaries)`` of the forward awaiting backward
-        self._saved: Optional[Tuple[Any, np.ndarray]] = None
+        #: ``(codec context, boundaries, num_bags)`` of the forward
+        #: awaiting backward; ``boundaries`` is ``None`` for bags of one
+        self._saved: Optional[Tuple[Any, Optional[np.ndarray], int]] = None
         #: the codec's accumulated update awaiting ``step`` (or a pop)
         self._pending: Optional[Any] = None
 
@@ -173,8 +212,15 @@ class EmbeddingBagBase:
         return get_backend().asarray(grad_output, dtype=self.dtype)
 
     def _occurrence_grads(
-        self, grad_output: np.ndarray, bag_ids: np.ndarray
+        self, grad_output: np.ndarray, bag_ids: Optional[np.ndarray]
     ) -> np.ndarray:
+        """One gradient row per index occurrence.
+
+        ``bag_ids`` names each occurrence's bag; ``None`` means bags of
+        one, where ``grad_output`` already is that array.
+        """
+        if bag_ids is None:
+            return grad_output
         bk = get_backend()
         with bk.zone(self.grad_zone):
             return bk.gather_rows(grad_output, bag_ids)
@@ -182,16 +228,11 @@ class EmbeddingBagBase:
     # -- helpers -------------------------------------------------------
     def _validate_inputs(
         self, indices: np.ndarray, offsets: Optional[np.ndarray]
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         idx = check_1d_int_array(
             indices, "indices", min_value=0, max_value=self.num_embeddings - 1
         )
-        if offsets is None:
-            # One index per bag.
-            boundaries = np.arange(idx.size + 1, dtype=np.int64)
-        else:
-            boundaries = normalize_offsets(offsets, idx.size)
-        return idx, boundaries
+        return idx, bag_boundaries(offsets, idx.size)
 
     def _pop_pending(self) -> Any:
         """Detach the captured update without applying it.
@@ -211,23 +252,24 @@ class EmbeddingBagBase:
         """Pooled lookup: returns ``(num_bags, embedding_dim)``."""
         idx, boundaries = self._validate_inputs(indices, offsets)
         rows, context = self._lookup(idx)
-        self._saved = (context, boundaries)
-        return segment_sum(rows, boundaries)
+        num_bags = idx.size if boundaries is None else boundaries.size - 1
+        self._saved = (context, boundaries, num_bags)
+        return pool_bags(rows, boundaries)
 
     def backward(self, grad_output: np.ndarray) -> None:
         """Capture the sparse update for the most recent forward."""
         if self._saved is None:
             raise RuntimeError("backward called before forward")
-        context, boundaries = self._saved
+        context, boundaries, num_bags = self._saved
         grad_output = self._cast_grad(grad_output)
-        num_bags = boundaries.size - 1
         if grad_output.shape != (num_bags, self.embedding_dim):
             raise ValueError(
                 f"expected grad_output shape {(num_bags, self.embedding_dim)}, "
                 f"got {grad_output.shape}"
             )
         # Sum pooling: every member of a bag receives the bag's gradient.
-        row_grads = self._occurrence_grads(grad_output, expand_bag_ids(boundaries))
+        bag_ids = None if boundaries is None else expand_bag_ids(boundaries)
+        row_grads = self._occurrence_grads(grad_output, bag_ids)
         self._pending = self._accumulate(context, row_grads)
         self._saved = None
 

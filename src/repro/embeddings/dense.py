@@ -6,7 +6,7 @@ memory-footprint reference for Table III's compression ratios.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -61,9 +61,9 @@ class DenseEmbeddingBag(EmbeddingBagBase):
         return np.asarray(grad_output, dtype=self.dtype)
 
     def _occurrence_grads(
-        self, grad_output: np.ndarray, bag_ids: np.ndarray
+        self, grad_output: np.ndarray, bag_ids: Optional[np.ndarray]
     ) -> np.ndarray:
-        return grad_output[bag_ids]
+        return grad_output if bag_ids is None else grad_output[bag_ids]
 
     def _apply(self, pending: Tuple[np.ndarray, np.ndarray], lr: float) -> None:
         indices, row_grads = pending

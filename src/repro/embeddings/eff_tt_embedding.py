@@ -264,7 +264,7 @@ class EffTTEmbeddingBag(TTBagBase):
     # backward
     # ------------------------------------------------------------------
     def _occurrence_grads(
-        self, grad_output: np.ndarray, bag_ids: np.ndarray
+        self, grad_output: np.ndarray, bag_ids: Optional[np.ndarray]
     ) -> np.ndarray:
         if self.enable_grad_aggregation:
             # Expand the bags straight into unique-row order: the
@@ -272,7 +272,8 @@ class EffTTEmbeddingBag(TTBagBase):
             # occurrence list is neither copied nor sorted a second time.
             assert self._saved is not None
             plan: ReusePlan = self._saved[0]["plan"]
-            bag_ids = bag_ids[plan.occurrence_groups.order]
+            order = plan.occurrence_groups.order
+            bag_ids = order if bag_ids is None else bag_ids[order]
         return super()._occurrence_grads(grad_output, bag_ids)
 
     def _accumulate(

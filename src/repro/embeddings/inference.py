@@ -31,7 +31,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from repro.backend import ZONE_SERVING_LOOKUP, get_backend
-from repro.embeddings.base import normalize_offsets, segment_sum
+from repro.embeddings.base import bag_boundaries, pool_bags
 from repro.embeddings.dense import DenseEmbeddingBag
 from repro.embeddings.eff_tt_embedding import EffTTEmbeddingBag
 from repro.embeddings.protocol import CompressedEmbedding
@@ -185,12 +185,8 @@ class HotRowCachedLookup:
             indices, "indices", min_value=0,
             max_value=self.bag.num_embeddings - 1,
         )
-        if offsets is None:
-            boundaries = np.arange(idx.size + 1, dtype=np.int64)
-        else:
-            boundaries = normalize_offsets(offsets, idx.size)
-        rows = self.lookup_rows(idx)
-        return segment_sum(rows, boundaries)
+        boundaries = bag_boundaries(offsets, idx.size)
+        return pool_bags(self.lookup_rows(idx), boundaries)
 
     __call__ = forward
 

@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.backend import ZONE_TT_RECONSTRUCT, get_backend, get_plan_cache
+from repro.backend import ZONE_TT_RECONSTRUCT, get_backend
 from repro.embeddings.tt_indices import row_index_to_tt
 from repro.utils.rng import RngLike, ensure_rng
 
@@ -275,7 +275,6 @@ class TTCores:
         idx = np.asarray(indices, dtype=np.int64)
         tt_idx = row_index_to_tt(idx, self.spec.row_shape)
         bk = get_backend()
-        pc = get_plan_cache()
         with bk.zone(ZONE_TT_RECONSTRUCT):
             # left: (L, prefix_cols, R_k) accumulated product.
             left = bk.gather_rows(self.cores[0], tt_idx[0])  # (L, 1, n_1, R_1)
@@ -283,8 +282,7 @@ class TTCores:
             left = left.reshape(batch, self.spec.col_shape[0], self.spec.ranks[1])
             for k in range(1, self.spec.num_cores):
                 slice_k = bk.gather_rows(self.cores[k], tt_idx[k])
-                plan = pc.einsum_plan("lar,lrbs->labs", left, slice_k)
-                left = bk.einsum("lar,lrbs->labs", left, slice_k, plan=plan)
+                left = bk.einsum("lar,lrbs->labs", left, slice_k)
                 batch_, a, b, s = left.shape
                 left = left.reshape(batch_, a * b, s)
             return left.reshape(batch, self.spec.embedding_dim)

@@ -4,6 +4,11 @@ The interaction layer takes the bottom-MLP output plus one pooled
 embedding per sparse feature (all with the same dimension ``d``),
 computes dot products of all feature pairs, and concatenates the
 strictly-lower-triangular results with the original dense feature.
+
+Both contractions are batched GEMMs on the ``(B, F, d)`` feature stack
+(``torch.bmm`` in the reference DLRM): one ``(F, d) x (d, F)`` product
+*per sample*, so a sample's output never depends on what else shares
+its batch — serving's micro-batches rely on that.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend import ZONE_INTERACTION, get_backend, get_plan_cache
+from repro.backend import ZONE_INTERACTION, get_backend
 from repro.nn.module import Module
 
 __all__ = ["DotInteraction"]
@@ -22,7 +27,7 @@ class DotInteraction(Module):
     """Pairwise dot-product interaction with self-interaction excluded.
 
     Given dense feature ``x`` of shape ``(B, d)`` and ``k`` embeddings
-    each of shape ``(B, d)``, stacks them into ``T`` of shape
+    each of shape ``(B, d)``, writes them into ``T`` of shape
     ``(B, k+1, d)``, forms ``Z = T @ T^T`` and emits
     ``concat([x, Z[lower_triangle]])`` with output width
     ``d + (k+1) * k / 2``.
@@ -30,7 +35,7 @@ class DotInteraction(Module):
 
     def __init__(self) -> None:
         super().__init__()
-        self._cached: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self._cached: Optional[np.ndarray] = None
 
     @staticmethod
     def output_dim(dense_dim: int, num_embeddings: int) -> int:
@@ -50,43 +55,56 @@ class DotInteraction(Module):
                 raise ValueError(
                     f"embedding {i} has shape {emb.shape}, expected {(batch, dim)}"
                 )
+        num_features = len(embeddings) + 1
+        # Every feature lands in its slot of the one (B, F, d) stack.
+        stacked = np.empty((batch, num_features, dim), dtype=np.float64)
+        stacked[:, 0, :] = dense
+        for i, emb in enumerate(embeddings, start=1):
+            stacked[:, i, :] = emb
         bk = get_backend()
-        stacked = np.stack([dense, *embeddings], axis=1)  # (B, F, d)
-        num_features = stacked.shape[1]
         with bk.zone(ZONE_INTERACTION):
-            plan = get_plan_cache().einsum_plan("bfd,bgd->bfg", stacked, stacked)
-            z = bk.einsum("bfd,bgd->bfg", stacked, stacked, plan=plan)
+            z = bk.matmul(stacked, stacked.transpose(0, 2, 1))  # (B, F, F)
+        # The strict lower triangle, as one flat take per sample.
         rows, cols = np.tril_indices(num_features, k=-1)
-        interactions = z[:, rows, cols]  # (B, F*(F-1)/2)
-        self._cached = (stacked, rows, cols)
-        return np.concatenate([dense, interactions], axis=1)
+        out = np.empty((batch, dim + rows.size), dtype=np.float64)
+        out[:, :dim] = dense
+        out[:, dim:] = np.take(
+            z.reshape(batch, num_features * num_features),
+            rows * num_features + cols,
+            axis=1,
+        )
+        self._cached = stacked
+        return out
 
     def backward(self, grad_output: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
         """Return ``(grad_dense, [grad_emb_1, ..., grad_emb_k])``."""
         if self._cached is None:
             raise RuntimeError("backward called before forward")
-        stacked, rows, cols = self._cached
+        stacked = self._cached
         batch, num_features, dim = stacked.shape
         grad_output = np.asarray(grad_output, dtype=np.float64)
-        expected = dim + rows.size
+        expected = self.output_dim(dim, num_features - 1)
         if grad_output.shape != (batch, expected):
             raise ValueError(
                 f"expected grad_output of shape {(batch, expected)}, "
                 f"got {grad_output.shape}"
             )
+        # Z is symmetric in its two T factors: dT = (dZ + dZ^T) @ T.  The
+        # symmetric operand is one gather of the pair gradients: entry
+        # (f, g) reads the grad_output column of pair {f, g}.  Its
+        # diagonal is zero, so those entries read column 0 and are
+        # overwritten.
+        rows, cols = np.tril_indices(num_features, k=-1)
+        columns = np.zeros((num_features, num_features), dtype=np.int64)
+        columns[rows, cols] = columns[cols, rows] = dim + np.arange(rows.size)
+        sym = np.take(grad_output, columns.reshape(-1), axis=1)  # (B, F*F)
+        sym[:, :: num_features + 1] = 0.0
         bk = get_backend()
-        grad_dense_direct = grad_output[:, :dim]
-        grad_inter = grad_output[:, dim:]
         with bk.zone(ZONE_INTERACTION):
-            grad_z = bk.zeros(
-                (batch, num_features, num_features), dtype=grad_output.dtype
+            grad_stacked = bk.matmul(
+                sym.reshape(batch, num_features, num_features), stacked
             )
-            grad_z[:, rows, cols] = grad_inter
-            # Z is symmetric in its two T factors: dT = (dZ + dZ^T) @ T.
-            sym = grad_z + grad_z.transpose(0, 2, 1)
-            plan = get_plan_cache().einsum_plan("bfg,bgd->bfd", sym, stacked)
-            grad_stacked = bk.einsum("bfg,bgd->bfd", sym, stacked, plan=plan)
-        grad_dense = grad_stacked[:, 0, :] + grad_dense_direct
+        grad_dense = grad_stacked[:, 0, :] + grad_output[:, :dim]
         grad_embeddings = [grad_stacked[:, i, :] for i in range(1, num_features)]
         self._cached = None
         return grad_dense, grad_embeddings

@@ -220,6 +220,18 @@ class TestInstrumentedZones:
         assert ops[("efftt_backward", "gather_matmul")] == 2  # suffix chain
         assert ops[("efftt_backward", "matmul_segment_sum")] == 3  # one per core
 
+    def test_interaction_zone_is_two_batched_gemms(self):
+        inst = InstrumentedBackend()
+        _interaction_workload(inst)
+        ops = {
+            op: stats for (zone, op), stats in inst.op_stats.items()
+            if zone == "interaction"
+        }
+        assert set(ops) == {"matmul"}  # no einsum, no (B, F, F) zeros
+        assert ops["matmul"].calls == 2
+        # forward T.T^T and backward (dZ + dZ^T).T: 2*B*F*F*d each
+        assert ops["matmul"].flops == 2 * (2 * 16 * 4 * 4 * 8)
+
     def test_pipeline_covers_expected_zones(self):
         inst = InstrumentedBackend()
         _pipeline_workload(inst, num_batches=2)

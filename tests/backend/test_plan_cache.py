@@ -69,9 +69,10 @@ class TestEinsumPlans:
         a = np.ones((8, 3, 4))
         plan = cache.einsum_plan("bfd,bgd->bfg", a, a)
         assert plan.flop_count > 0
-        assert plan.optimize_arg[0] == "einsum_path"
+        assert plan.flop_count == 2 * 8 * 3 * 3 * 4
+        assert plan.path[0] == "einsum_path"
         # The path must be consumable as einsum's optimize= argument.
-        out = np.einsum("bfd,bgd->bfg", a, a, optimize=plan.optimize_arg)
+        out = np.einsum("bfd,bgd->bfg", a, a, optimize=list(plan.path))
         assert out.shape == (8, 3, 3)
 
 

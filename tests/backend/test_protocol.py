@@ -95,17 +95,15 @@ class TestNumpyBackendOps:
         b = self.rng.standard_normal((5, 3, 2))
         np.testing.assert_array_equal(self.bk.matmul(a, b), np.matmul(a, b))
 
-    def test_einsum_ignores_plan_for_execution(self):
-        from repro.backend import get_plan_cache
-
+    def test_einsum_matches_unoptimized_numpy(self):
         a = self.rng.standard_normal((6, 3, 4))
-        plan = get_plan_cache().einsum_plan("bfd,bgd->bfg", a, a)
-        planned = self.bk.einsum("bfd,bgd->bfg", a, a, plan=plan)
-        unplanned = self.bk.einsum("bfd,bgd->bfg", a, a)
-        np.testing.assert_array_equal(planned, unplanned)
         np.testing.assert_array_equal(
-            planned, np.einsum("bfd,bgd->bfg", a, a, optimize=False)
+            self.bk.einsum("bfd,bgd->bfg", a, a),
+            np.einsum("bfd,bgd->bfg", a, a, optimize=False),
         )
+        with pytest.raises(TypeError):
+            # no backend executes a plan: the keyword is gone, not ignored
+            self.bk.einsum("bfd,bgd->bfg", a, a, plan=None)
 
     def test_gather_scatter_round_trip(self):
         table = self.rng.standard_normal((8, 4))

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.embeddings.base import (
+    bag_boundaries,
     expand_bag_ids,
     normalize_offsets,
+    pool_bags,
     segment_sum,
 )
 
@@ -77,6 +79,72 @@ class TestSegmentSum:
             ]
         )
         np.testing.assert_allclose(fast, slow)
+
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_no_empty_bag_is_the_scatter_path_bit_for_bit(self, dtype):
+        # With no empty bag the reduceat result is returned as it is; it
+        # must be what zero-fill + masked scatter used to produce.
+        rng = np.random.default_rng(1)
+        boundaries = np.array([0, 3, 4, 9, 11], dtype=np.int64)
+        values = rng.standard_normal((11, 5)).astype(dtype)
+        scattered = np.zeros((4, 5), dtype=dtype)
+        scattered[np.ones(4, dtype=bool)] = np.add.reduceat(
+            values, boundaries[:-1], axis=0
+        )
+        out = segment_sum(values, boundaries)
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out, scattered)
+
+    def test_zero_bags(self):
+        out = segment_sum(np.zeros((0, 3)), np.array([0], dtype=np.int64))
+        assert out.shape == (0, 3)
+
+
+class TestBagBoundaries:
+    """The one detection site for bags of one."""
+
+    @pytest.mark.parametrize(
+        "offsets",
+        [None, np.arange(6), np.arange(5), [0, 1, 2, 3, 4]],
+        ids=["none", "boundary_form", "pytorch_form", "list"],
+    )
+    def test_one_index_per_bag_is_none(self, offsets):
+        assert bag_boundaries(offsets, 5) is None
+
+    @pytest.mark.parametrize(
+        "offsets, expected",
+        [
+            ([0, 2, 3, 4], [0, 2, 3, 4, 5]),  # a bag of two
+            ([0, 1, 1, 2, 3, 4], [0, 1, 1, 2, 3, 4, 5]),  # an empty bag
+            ([0, 0, 2, 3, 4, 5], [0, 0, 2, 3, 4, 5]),  # 5 bags, 5 indices, not one each
+            ([0], [0, 5]),  # one bag of everything
+        ],
+    )
+    def test_anything_else_is_boundary_form(self, offsets, expected):
+        out = bag_boundaries(np.array(offsets), 5)
+        np.testing.assert_array_equal(out, expected)
+        assert out.dtype == np.int64
+
+    def test_no_indices(self):
+        assert bag_boundaries(None, 0) is None
+        assert bag_boundaries(np.array([0]), 0) is None  # zero bags of one
+        np.testing.assert_array_equal(
+            bag_boundaries(np.array([0, 0, 0]), 0), [0, 0, 0]
+        )
+
+    def test_still_validates(self):
+        with pytest.raises(ValueError, match="non-decreasing"):
+            bag_boundaries(np.array([0, 2, 1]), 3)
+        with pytest.raises(ValueError, match="start at 0"):
+            bag_boundaries(np.array([1, 2, 3]), 3)
+
+    def test_pool_bags(self):
+        rows = np.arange(8.0).reshape(4, 2)
+        assert pool_bags(rows, None) is rows
+        np.testing.assert_array_equal(
+            pool_bags(rows, np.array([0, 3, 4])), [[6.0, 9.0], [6.0, 7.0]]
+        )
 
 
 class TestExpandBagIds:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.backend import InstrumentedBackend, use_backend
+from repro.embeddings import base
 from repro.embeddings.autotune import (
     COMPRESS_STRATEGIES,
     build_bag_from_plan,
@@ -21,15 +22,16 @@ from repro.models.config import DLRMConfig, EmbeddingBackend
 from repro.models.dlrm import DLRM, build_embedding_bag
 from repro.models.serialization import load_checkpoint, save_checkpoint
 from repro.reorder.stats import TableStats
+from repro.system.parameter_server import HostBackedEmbeddingBag
 
 ROWS, DIM = 300, 8
 
 
-def make_bag(kind, rows=ROWS, dim=DIM, seed=0):
+def make_bag(kind, rows=ROWS, dim=DIM, seed=0, **keywords):
     """One bag of a registered kind, small TT rank where it has one."""
     cls = BAG_CLASSES[kind]
     knobs = {"tt_rank": 4} if "tt_rank" in cls.config_knobs else {}
-    return cls(rows, dim, seed=seed, **knobs)
+    return cls(rows, dim, seed=seed, **knobs, **keywords)
 
 
 def make_bags():
@@ -173,6 +175,203 @@ class TestProtocolConformance:
         assert bag.version == 1
         for name, value in bag.state_arrays().items():
             np.testing.assert_array_equal(value, before[name], err_msg=name)
+
+
+ALL_KINDS = [*BAG_CLASSES, "host"]
+BAG_DTYPES = [
+    (kind, dtype)
+    for kind in ALL_KINDS
+    for dtype in (np.float64, np.float32)
+    if not (kind == "host" and dtype is np.float32)  # host rows are float64
+]
+
+
+def make_any_bag(kind, dtype=np.float64, seed=0):
+    """A registered bag, or a host-backed one with every row loaded."""
+    if kind == "host":
+        bag = HostBackedEmbeddingBag(ROWS, DIM)
+        rows = np.random.default_rng(seed).standard_normal((ROWS, DIM))
+        bag.load_rows(np.arange(ROWS, dtype=np.int64), rows)
+        return bag
+    return make_bag(kind, seed=seed, dtype=dtype)
+
+
+def arrays_of(value):
+    """Every array inside a pending update (tuple / list / dict nests)."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, dict):
+        value = [value[k] for k in sorted(value)]
+    if isinstance(value, (list, tuple)):
+        return [a for item in value for a in arrays_of(item)]
+    return []
+
+
+def lifecycle(bag, idx, offsets, grad):
+    """forward / backward / step; returns (output, copy of the pending update)."""
+    out = bag.forward(idx, offsets)
+    bag.backward(grad)
+    pending = [a.copy() for a in arrays_of(bag._pending)]
+    if bag.kind != "host":  # host tables are updated by the server
+        bag.step(lr=0.05)
+    return out, pending
+
+
+def assert_same_bits(left, right):
+    assert len(left) == len(right)
+    for got, want in zip(left, right):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+class PoolingSpy:
+    """Counts the shell's pooling / expansion calls (not the codecs' own)."""
+
+    def __init__(self, monkeypatch):
+        self.pooled = self.expanded = 0
+        real_sum, real_expand = base.segment_sum, base.expand_bag_ids
+
+        def spy_sum(values, boundaries):
+            self.pooled += 1
+            return real_sum(values, boundaries)
+
+        def spy_expand(boundaries):
+            self.expanded += 1
+            return real_expand(boundaries)
+
+        monkeypatch.setattr(base, "segment_sum", spy_sum)
+        monkeypatch.setattr(base, "expand_bag_ids", spy_expand)
+
+
+class TestBagsOfOne:
+    """Pooling factor 1 skips pooling and expansion, bit for bit.
+
+    The reference is the general path run on the same batch: a twin bag
+    for which the detection is switched off (``bag_boundaries`` always
+    returns boundaries), i.e. ``segment_sum`` over the codec's rows and
+    a gather by ``expand_bag_ids``.
+    """
+
+    L = 24
+
+    def _batch(self, dtype):
+        rng = np.random.default_rng(3)
+        # duplicates on purpose: rows 5 and 17 occur three times each
+        idx = rng.integers(0, ROWS, size=self.L).astype(np.int64)
+        idx[[0, 7, 9]] = 5
+        idx[[2, 3, 20]] = 17
+        grad = rng.standard_normal((self.L, DIM)).astype(dtype)
+        return idx, grad
+
+    @staticmethod
+    def _general_path(monkeypatch):
+        def always_boundaries(offsets, num_indices):
+            if offsets is None:
+                offsets = np.arange(num_indices + 1, dtype=np.int64)
+            return base.normalize_offsets(offsets, num_indices)
+
+        monkeypatch.setattr(base, "bag_boundaries", always_boundaries)
+
+    OFFSETS = {
+        "none": lambda n: None,
+        "boundaries": lambda n: np.arange(n + 1, dtype=np.int64),
+        "pytorch": lambda n: np.arange(n, dtype=np.int64),
+    }
+
+    @pytest.mark.parametrize("form", sorted(OFFSETS))
+    @pytest.mark.parametrize(
+        "kind, dtype", BAG_DTYPES, ids=lambda v: getattr(v, "__name__", v)
+    )
+    def test_identity_path_equals_general_path(self, kind, dtype, form, monkeypatch):
+        idx, grad = self._batch(dtype)
+        offsets = self.OFFSETS[form](self.L)
+        fast, twin = make_any_bag(kind, dtype), make_any_bag(kind, dtype)
+
+        spy = PoolingSpy(monkeypatch)
+        out, pending = lifecycle(fast, idx, offsets, grad)
+        assert (spy.pooled, spy.expanded) == (0, 0)
+
+        with monkeypatch.context() as patch:
+            self._general_path(patch)
+            ref_out, ref_pending = lifecycle(twin, idx, offsets, grad)
+        assert (spy.pooled, spy.expanded) == (1, 1)
+
+        assert out.dtype == ref_out.dtype
+        np.testing.assert_array_equal(out, ref_out)
+        assert_same_bits(pending, ref_pending)
+        assert fast.version == twin.version
+        assert fast.state_arrays().keys() == twin.state_arrays().keys()
+        for name, value in fast.state_arrays().items():
+            np.testing.assert_array_equal(
+                value, twin.state_arrays()[name], err_msg=name
+            )
+
+    @pytest.mark.parametrize(
+        "offsets",
+        [
+            # 23 bags over 24 indices: bag 4 holds two
+            np.delete(np.arange(25), 5),
+            # 25 bags over 24 indices: bag 10 is empty
+            np.insert(np.arange(25), 10, 10),
+            # 24 bags over 24 indices, but not one each
+            np.array([0, 0, *range(2, 25)]),
+        ],
+        ids=["bag_of_two", "empty_bag", "empty_and_two"],
+    )
+    @pytest.mark.parametrize(
+        "kind, dtype", BAG_DTYPES, ids=lambda v: getattr(v, "__name__", v)
+    )
+    def test_other_offsets_take_the_general_path(
+        self, kind, dtype, offsets, monkeypatch
+    ):
+        idx, _ = self._batch(dtype)
+        offsets = offsets.astype(np.int64)
+        num_bags = offsets.size - 1
+        grad = np.random.default_rng(4).standard_normal((num_bags, DIM)).astype(dtype)
+        pooled, twin = make_any_bag(kind, dtype), make_any_bag(kind, dtype)
+
+        spy = PoolingSpy(monkeypatch)
+        out, pending = lifecycle(pooled, idx, offsets, grad)
+        assert (spy.pooled, spy.expanded) == (1, 1)
+
+        # the same update, spelled with bags of one: rows pooled by hand,
+        # the bag gradient expanded to one row per occurrence by hand
+        rows, ref_pending = lifecycle(
+            twin, idx, None, grad[base.expand_bag_ids(offsets)]
+        )
+        np.testing.assert_array_equal(out, base.segment_sum(rows, offsets))
+        assert_same_bits(pending, ref_pending)
+        for name, value in pooled.state_arrays().items():
+            np.testing.assert_array_equal(
+                value, twin.state_arrays()[name], err_msg=name
+            )
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_returned_rows_do_not_alias_parameters(self, kind):
+        bag = make_any_bag(kind)
+        idx, _ = self._batch(np.float64)
+        out = bag.forward(idx)
+        owned = [*bag.state_arrays().values()]
+        if kind == "host":
+            owned.append(bag._loaded_rows)
+        for array in owned:
+            assert not np.shares_memory(out, array)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_popped_update_survives_the_next_step(self, kind):
+        # The PS gradient queue holds a popped update across steps, so
+        # nothing in it may be a scratch buffer the bag writes again.
+        bag = make_any_bag(kind)
+        idx, grad = self._batch(np.float64)
+        bag.forward(idx)
+        bag.backward(grad)
+        pop = getattr(bag, "pop_row_gradients", bag._pop_pending)
+        held = arrays_of(pop())
+        assert held
+        snapshot = [a.copy() for a in held]
+        bag.forward(idx[::-1].copy())
+        bag.backward(grad * 3.0)
+        assert_same_bits(held, snapshot)
 
 
 class TestGradientsMatchFiniteDifferences:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.embeddings.base import segment_sum
 from repro.embeddings.dense import DenseEmbeddingBag
 from repro.embeddings.eff_tt_embedding import EffTTEmbeddingBag
 from repro.embeddings.inference import HotRowCachedLookup, StaleCacheError
@@ -28,6 +29,22 @@ class TestHotRowCachedLookup:
         off = np.arange(0, 30, 3)
         np.testing.assert_allclose(
             view.forward(idx, off), bag.forward(idx, off), atol=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "offsets", [None, np.arange(31), np.arange(30)],
+        ids=["none", "boundary_form", "pytorch_form"],
+    )
+    def test_one_index_per_bag_serves_the_rows_themselves(self, bag, rng, offsets):
+        # serving lookups are bags of one: pooling is skipped, bit for bit
+        view = HotRowCachedLookup(bag, hot_rows=np.arange(100))
+        idx = rng.integers(0, 500, size=30)
+        np.testing.assert_array_equal(
+            view.forward(idx, offsets), view.lookup_rows(idx)
+        )
+        np.testing.assert_array_equal(
+            view.forward(idx, offsets),
+            segment_sum(view.lookup_rows(idx), np.arange(31)),
         )
 
     def test_hit_miss_accounting(self, bag):

@@ -320,7 +320,14 @@ class TestParentWrittenCheckpoints:
     def test_predicts_bitwise(self, name):
         from tests.models.fixtures.make_fixtures import probe_batch
 
+        # The restored parameters are the parent's bits (the CRC test
+        # above); the logits pass through the interaction GEMMs, whose
+        # BLAS-blocked sums round differently from the parent's einsum
+        # (DESIGN.md §8), so they are held to the documented tolerance.
         model = load_checkpoint(str(FIXTURES / f"{name}.npz"))
-        assert model.forward(probe_batch()).tolist() == (
-            self._expected(name)["logits"]
+        np.testing.assert_allclose(
+            model.forward(probe_batch()),
+            self._expected(name)["logits"],
+            rtol=1e-12,
+            atol=0.0,
         )
