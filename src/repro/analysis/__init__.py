@@ -44,7 +44,6 @@ from repro.analysis.perfcheck import (
     PERF_RULES,
     perfcheck_paths,
     perfcheck_source,
-    run_calibration,
 )
 from repro.analysis.rules import RULE_REGISTRY, Rule, RuleContext, register
 from repro.analysis.sarif import result_to_sarif, results_to_sarif_bundle
@@ -90,5 +89,4 @@ __all__ = [
     "PERF_RULES",
     "perfcheck_paths",
     "perfcheck_source",
-    "run_calibration",
 ]

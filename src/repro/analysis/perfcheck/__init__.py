@@ -1,19 +1,13 @@
-"""perfcheck: static kernel-zone cost analyzer.
+"""perfcheck: static kernel-zone performance analyzer.
 
-Records the ``ArrayBackend`` call sites of every kernel zone, prices
-each with a symbolic cost model (``costmodel``) and reports one-sided
-PERF findings.  The calibration gate (``calibrate``) keeps the model honest: one training
-run under the backend interposer, watched by the hand-written
-``CostCounter`` and by ``CostModelPricer`` (the cost model applied to
-runtime shapes), compared zone by zone.  See DESIGN.md §14.
+Walks every module with the shapecheck interpreter, records the
+``ArrayBackend`` call sites of each kernel zone (which op, in which
+zone, loop and branch) and reports one-sided PERF findings.  It prices
+nothing: what an op costs is measured, by
+:class:`~repro.backend.counter.CostCounter` from the op table's
+formulas.  See DESIGN.md §14.
 """
 
-from .calibrate import (
-    CalibrationReport,
-    CostModelPricer,
-    ZoneComparison,
-    run_calibration,
-)
 from .checker import perfcheck_paths, perfcheck_source
 from .interp import PERF_RULES, PerfRuleInfo
 
@@ -22,8 +16,4 @@ __all__ = [
     "PerfRuleInfo",
     "perfcheck_paths",
     "perfcheck_source",
-    "CostModelPricer",
-    "CalibrationReport",
-    "ZoneComparison",
-    "run_calibration",
 ]

@@ -2,11 +2,10 @@
 
 Subclasses the shapecheck interpreter (same abstract domain, same
 soundness posture) but repurposes the walk: instead of shape findings it
-records one :class:`OpNode` per ``ArrayBackend`` call site — with zone,
-loop and branch context, symbolic output shape and a static
-:class:`~.costmodel.OpCost` — and runs one-sided performance rules over
-the recorded sequence.  SHP findings are dropped (shapecheck owns
-them); perfcheck emits only PERF findings.
+records one :class:`OpNode` per ``ArrayBackend`` call site that fits its
+row of the op table — which op, in which zone and branch — and runs
+one-sided performance rules over the recorded sequence.  SHP findings
+are dropped (shapecheck owns them); perfcheck emits only PERF findings.
 
 Rules (the PERF catalog)
 ------------------------
@@ -24,21 +23,12 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..findings import Finding, Severity
 from ..rules import KERNEL_ZONES, RuleContext
-from ..shapecheck.domain import (
-    TOP,
-    Dim,
-    DottedVal,
-    SymDim,
-    TensorVal,
-    format_shape,
-)
-from ..shapecheck.interp import _ZONE_CONSTANTS, _STARRED, _Interpreter
-from . import costmodel
-from .costmodel import Cost, OpCost
+from ..shapecheck.domain import TOP, DottedVal, TensorVal, format_shape
+from ..shapecheck.interp import _ZONE_CONSTANTS, _Interpreter, _bind_backend_call
 
 __all__ = [
     "PERF_RULES",
@@ -113,8 +103,10 @@ PERF_RULES: Dict[str, PerfRuleInfo] = {
     )
 }
 
-_ALLOC_METHODS = ("zeros", "ones", "empty", "full")
-_NP_ALLOCS = _ALLOC_METHODS + ("zeros_like", "ones_like", "empty_like", "full_like")
+_NP_ALLOCS = (
+    "zeros", "ones", "empty", "full",
+    "zeros_like", "ones_like", "empty_like", "full_like",
+)
 _NDARRAY_ANNOTATIONS = ("np.ndarray", "numpy.ndarray", "ndarray")
 
 
@@ -128,12 +120,6 @@ class OpNode:
     col: int
     zone: Optional[str]
     branch: Tuple[int, ...]
-    out_shape: Optional[Tuple[Dim, ...]]
-    out_dtype: Optional[str]
-    flops: Optional[Cost]
-    bytes: Optional[Cost]
-    # Free-form per-op annotations (e.g. gather operand texts for PERF006).
-    texts: Tuple[str, ...] = ()
 
 
 @dataclass
@@ -145,14 +131,15 @@ class _LoopFrame:
 @dataclass
 class _GatherSite:
     node: OpNode
-    arg_nodes: Tuple[ast.expr, ...]
+    arg_nodes: Tuple[ast.expr, ...]  # the table and indices expressions
+    texts: Tuple[str, ...]  # ... as source text: equal texts, same gather
     loop_key: Tuple[int, ...]
     loop_assigned: Set[str]
 
 
 @dataclass
 class PerfModuleResult:
-    """Findings + priced backend call sites of one module's perfcheck run."""
+    """Findings + recorded backend call sites of one module's perfcheck run."""
 
     findings: List[Finding]
     nodes: List[OpNode]
@@ -203,14 +190,7 @@ class _PerfInterpreter(_Interpreter):
             )
         )
 
-    def _record(
-        self,
-        node: ast.AST,
-        op: str,
-        out: Any,
-        cost: OpCost,
-        texts: Tuple[str, ...] = (),
-    ) -> OpNode:
+    def _record(self, node: ast.AST, op: str) -> OpNode:
         op_node = OpNode(
             index=len(self._nodes),
             op=op,
@@ -218,11 +198,6 @@ class _PerfInterpreter(_Interpreter):
             col=getattr(node, "col_offset", 0),
             zone=self._zone.name if self._zone is not None else None,
             branch=tuple(self._branches),
-            out_shape=out.shape if isinstance(out, TensorVal) else None,
-            out_dtype=out.dtype if isinstance(out, TensorVal) else None,
-            flops=cost.flops,
-            bytes=cost.bytes,
-            texts=texts,
         )
         self._nodes.append(op_node)
         return op_node
@@ -342,9 +317,15 @@ class _PerfInterpreter(_Interpreter):
         starred: bool,
     ) -> Any:
         result = super()._backend_call(node, method, args, kwargs, starred)
-        return self._after_op_call(
-            node, f"backend.{method}", method, args, kwargs, result
-        )
+        # Bind the operand *expressions* by the same rule as the values.
+        keywords = {kw.arg: kw.value for kw in node.keywords if kw.arg is not None}
+        operands = _bind_backend_call(method, node.args, keywords, starred)
+        if operands is not None:
+            op_node = self._record(node, method)
+            after = _AFTER_OP.get(method)
+            if after is not None:
+                after(self, node, op_node, operands)
+        return result
 
     def _numpy_call(
         self,
@@ -354,130 +335,32 @@ class _PerfInterpreter(_Interpreter):
         kwargs: Dict[str, Any],
         starred: bool,
     ) -> Any:
-        result = super()._numpy_call(node, name, args, kwargs, starred)
         tail = name.rsplit(".", 1)[-1]
         if tail in _NP_ALLOCS:
             self._check_hot_alloc(node, f"np.{tail}")
-            if isinstance(result, TensorVal):
-                shaped = self._symbolized_alloc(node, tail, result)
-                self._record(
-                    node,
-                    tail.replace("_like", ""),
-                    shaped,
-                    costmodel.alloc_cost(shaped.shape, shaped.dtype),
-                )
-                return shaped
-            return result
-        if tail in ("matmul", "dot", "einsum", "maximum", "minimum", "where"):
-            return self._after_op_call(node, f"np.{tail}", tail, args, kwargs, result)
-        if tail in ("asarray", "ascontiguousarray", "array"):
-            if isinstance(result, TensorVal):
-                self._record(node, "asarray", result, costmodel.asarray_cost())
-            return result
-        return result
+        return super()._numpy_call(node, name, args, kwargs, starred)
 
-    def _after_op_call(
-        self,
-        node: ast.Call,
-        display: str,
-        method: str,
-        args: List[Any],
-        kwargs: Dict[str, Any],
-        result: Any,
-    ) -> Any:
-        def sd(value: Any) -> Tuple[Optional[Tuple[Dim, ...]], Optional[str]]:
-            if isinstance(value, TensorVal):
-                return value.shape, value.dtype
-            return None, None
+    def _after_alloc(
+        self, node: ast.Call, op_node: OpNode, operands: Dict[str, Any]
+    ) -> None:
+        self._check_hot_alloc(node, f"backend.{op_node.op}")
 
-        out = result if isinstance(result, TensorVal) else TensorVal(None, None)
-        if method in _ALLOC_METHODS:
-            self._check_hot_alloc(node, display)
-            if isinstance(result, TensorVal):
-                shaped = self._symbolized_alloc(node, method, result)
-                self._record(
-                    node, method, shaped, costmodel.alloc_cost(shaped.shape, shaped.dtype)
-                )
-                return shaped
-            return result
-        if method == "asarray":
-            if isinstance(result, TensorVal):
-                self._record(node, "asarray", result, costmodel.asarray_cost())
-            return result
-        if method in ("matmul", "dot") and len(args) == 2:
-            cost = costmodel.matmul_cost(*sd(args[0]), *sd(args[1]), *sd(out))
-            self._record(node, "matmul", out, cost)
-            return out
-        if method == "gather_matmul" and len(args) == 3:
-            # How many distinct slices a batch addresses is run-time data.
-            cost = costmodel.gather_matmul_cost(
-                *sd(args[0]), *sd(args[1]), None, *sd(out)
+    def _after_gather_rows(
+        self, node: ast.Call, op_node: OpNode, operands: Dict[str, Any]
+    ) -> None:
+        loop_assigned: Set[str] = set()
+        for frame in self._loops:
+            loop_assigned |= frame.assigned
+        arg_nodes = (operands["table"], operands["indices"])
+        self._gathers.append(
+            _GatherSite(
+                node=op_node,
+                arg_nodes=arg_nodes,
+                texts=tuple(ast.unparse(arg) for arg in arg_nodes),
+                loop_key=tuple(id(f.stmt) for f in self._loops),
+                loop_assigned=loop_assigned,
             )
-            self._record(node, method, out, cost)
-            return out
-        if method == "matmul_segment_sum" and len(args) == 3:
-            cost = costmodel.matmul_segment_sum_cost(
-                *sd(args[0]), *sd(args[1]), *sd(out)
-            )
-            self._record(node, method, out, cost)
-            return out
-        if method == "einsum" and args:
-            operands = [a for a in args[1:] if a is not _STARRED]
-            subscripts = args[0] if isinstance(args[0], str) else None
-            cost = costmodel.einsum_cost(
-                subscripts,
-                [sd(op)[0] for op in operands],
-                [sd(op)[1] for op in operands],
-                *sd(out),
-            )
-            self._record(node, "einsum", out, cost)
-            return out
-        if method == "gather_rows" and len(args) == 2:
-            op_node = self._record(
-                node,
-                "gather_rows",
-                out,
-                costmodel.gather_cost(*sd(out)),
-                texts=tuple(ast.unparse(a) for a in node.args[:2]),
-            )
-            loop_assigned: Set[str] = set()
-            for frame in self._loops:
-                loop_assigned |= frame.assigned
-            self._gathers.append(
-                _GatherSite(
-                    node=op_node,
-                    arg_nodes=tuple(node.args[:2]),
-                    loop_key=tuple(id(f.stmt) for f in self._loops),
-                    loop_assigned=loop_assigned,
-                )
-            )
-            return out
-        if method == "scatter_add_rows" and len(args) >= 3:
-            scale = kwargs.get("scale", args[3] if len(args) > 3 else None)
-            if scale is None:
-                scale_is_one: Optional[bool] = True
-            elif isinstance(scale, (int, float)):
-                scale_is_one = scale == 1.0
-            else:
-                scale_is_one = None
-            cost = costmodel.scatter_cost(*sd(args[2]), scale_is_one)
-            self._record(node, "scatter_add_rows", None, cost)
-            return result
-        if method == "exp" and args:
-            cost = costmodel.elementwise_cost("exp", *sd(args[0]), *sd(out))
-            self._record(node, "exp", out, cost)
-            return out
-        if (method in ("maximum", "minimum") and len(args) == 2) or (
-            method == "where" and len(args) == 3
-        ):
-            cost = costmodel.elementwise_cost(method, None, None, *sd(out))
-            self._record(node, method, out, cost)
-            return out
-        if method == "axpy" and len(args) >= 2:
-            cost = costmodel.elementwise_cost("axpy", *sd(args[1]), None, None)
-            self._record(node, "axpy", None, cost)
-            return result
-        return result
+        )
 
     def _tensor_method(
         self,
@@ -490,8 +373,6 @@ class _PerfInterpreter(_Interpreter):
         result = super()._tensor_method(node, base, method, args, kwargs)
         if not isinstance(result, TensorVal):
             return result
-        if method == "reshape":
-            return self._symbolized_reshape(node, result)
         if method == "astype" and self._zones:
             target = result.dtype
             if target is not None and base.dtype is not None and target == base.dtype:
@@ -504,49 +385,6 @@ class _PerfInterpreter(_Interpreter):
                     "boundary)",
                 )
         return result
-
-    # -- symbolic shape refinement -------------------------------------
-    def _dim_symbols_from_ast(
-        self, elems: Sequence[ast.expr], shape: Optional[Tuple[Dim, ...]]
-    ) -> Optional[Tuple[Dim, ...]]:
-        if shape is None or len(elems) != len(shape):
-            return shape
-        out: List[Dim] = []
-        for elem, dim in zip(elems, shape):
-            if dim is None:
-                text = ast.unparse(elem)
-                if text != "-1":
-                    dim = SymDim(text)
-            out.append(dim)
-        return tuple(out)
-
-    def _shape_arg_elems(self, arg: ast.expr) -> Optional[List[ast.expr]]:
-        if isinstance(arg, (ast.Tuple, ast.List)):
-            return list(arg.elts)
-        return [arg]
-
-    def _symbolized_alloc(
-        self, node: ast.Call, method: str, result: TensorVal
-    ) -> TensorVal:
-        if not node.args or method.endswith("_like"):
-            return TensorVal(result.shape, result.dtype, result.int_values)
-        elems = self._shape_arg_elems(node.args[0])
-        shape = result.shape
-        if shape is None and elems is not None:
-            shape = tuple([None] * len(elems))
-        if elems is not None:
-            shape = self._dim_symbols_from_ast(elems, shape)
-        return TensorVal(shape, result.dtype, result.int_values)
-
-    def _symbolized_reshape(self, node: ast.Call, result: TensorVal) -> TensorVal:
-        elems: List[ast.expr] = list(node.args)
-        if len(elems) == 1 and isinstance(elems[0], (ast.Tuple, ast.List)):
-            elems = list(elems[0].elts)
-        shape = result.shape
-        if shape is None and elems:
-            shape = tuple([None] * len(elems))
-        shape = self._dim_symbols_from_ast(elems, shape)
-        return TensorVal(shape, result.dtype, result.int_values)
 
     # ==================================================================
     # rule checks
@@ -627,7 +465,7 @@ class _PerfInterpreter(_Interpreter):
         for site in self._gathers:
             if site.node.zone is None:
                 continue
-            key = (site.node.zone, site.node.texts, site.loop_key)
+            key = (site.node.zone, site.texts, site.loop_key)
             groups.setdefault(key, []).append(site)
         for sites in groups.values():
             if len(sites) < 2:
@@ -660,12 +498,25 @@ class _PerfInterpreter(_Interpreter):
                     "redundant-gather",
                     b.line,
                     b.col,
-                    f"gather_rows({', '.join(a.texts)}) in zone {a.zone!r} "
+                    f"gather_rows({', '.join(first.texts)}) in zone {a.zone!r} "
                     f"repeats the gather at line {a.line} with no "
                     "intervening write to the table or operands",
                     "reuse the first gather's result (the Eff-TT reuse "
                     "path exists for exactly this)",
                 )
+
+
+# What a PERF rule needs from a recorded call site beyond (op, zone,
+# branch), keyed like the op table: ``after(interp, node, op_node,
+# operands)`` with the operand expressions bound by OpSpec.bind.
+_AFTER_OP: Dict[str, Callable[..., None]] = {
+    "zeros": _PerfInterpreter._after_alloc,
+    "ones": _PerfInterpreter._after_alloc,
+    "empty": _PerfInterpreter._after_alloc,
+    "full": _PerfInterpreter._after_alloc,
+    "gather_rows": _PerfInterpreter._after_gather_rows,
+}
+
 
 def _syntactic_findings(ctx: RuleContext) -> List[Finding]:
     """AST-only PERF rules: layout churn, plan-cache bypass, cast chains."""

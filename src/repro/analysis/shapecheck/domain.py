@@ -28,7 +28,6 @@ __all__ = [
     "DTypeVal",
     "DottedVal",
     "BackendVal",
-    "PlanCacheVal",
     "SpecVal",
     "CoresVal",
     "CoreListVal",
@@ -158,13 +157,6 @@ class BackendVal:
 
     def __repr__(self) -> str:
         return "<backend>"
-
-
-class PlanCacheVal:
-    """The process-wide :class:`ContractionPlanCache`."""
-
-    def __repr__(self) -> str:
-        return "<plan-cache>"
 
 
 @dataclass(frozen=True)

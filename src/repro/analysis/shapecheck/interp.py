@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.rules import RuleContext
@@ -46,7 +46,6 @@ from repro.analysis.shapecheck.domain import (
     Dim,
     DottedVal,
     DTypeVal,
-    PlanCacheVal,
     SpecVal,
     SymbolFactory,
     TensorVal,
@@ -59,6 +58,7 @@ from repro.analysis.shapecheck.domain import (
     resolve_dtype,
 )
 from repro.analysis.shapecheck.einsum import check_einsum
+from repro.backend.ops import OPS
 
 __all__ = ["SHAPE_RULES", "ShapeRuleInfo", "interpret_module"]
 
@@ -134,7 +134,7 @@ SHAPE_RULES: Dict[str, ShapeRuleInfo] = {
     )
 }
 
-# Dotted-name tails that yield the active backend / plan cache.
+# Dotted-name tails that yield the active backend.
 _BACKEND_FACTORIES = (
     "get_backend",
     "resolve_backend",
@@ -173,6 +173,24 @@ def _zone_constants() -> Dict[str, str]:
 _ZONE_CONSTANTS = _zone_constants()
 
 _STARRED = object()  # marker: a *args element of unknown arity
+
+
+def _bind_backend_call(
+    method: str, args: Sequence[Any], kwargs: Dict[str, Any], starred: bool
+) -> Optional[Dict[str, Any]]:
+    """A backend call's operands by protocol name, defaults filled.
+
+    ``None`` when ``method`` is not a backend op or the call does not fit
+    its row of the op table (wrong arity, unknown keyword, a ``*args`` of
+    unknown length): such a call is not modelled.
+    """
+    spec = OPS.get(method)
+    if spec is None or starred:
+        return None
+    try:
+        return spec.bind(args, kwargs)
+    except TypeError:
+        return None
 
 
 class _ZoneFrame:
@@ -709,10 +727,6 @@ class _Interpreter:
             method = func.attr
             if isinstance(base, BackendVal):
                 return self._backend_call(node, method, args, kwargs, starred)
-            if isinstance(base, PlanCacheVal):
-                if method == "einsum_plan" and not starred and args:
-                    self._einsum_call(node, args[0], args[1:])
-                return TOP
             if isinstance(base, TensorVal):
                 return self._tensor_method(node, base, method, args, kwargs)
             if isinstance(base, SpecVal):
@@ -748,8 +762,6 @@ class _Interpreter:
         tail = name.rsplit(".", 1)[-1]
         if tail in _BACKEND_FACTORIES or tail == "use_backend":
             return BackendVal()
-        if tail == "get_plan_cache":
-            return PlanCacheVal()
         if name.startswith("numpy.") or name == "numpy":
             return self._numpy_call(node, name, args, kwargs, starred)
         if tail == "prod" and args and isinstance(args[0], TupleVal):
@@ -896,57 +908,34 @@ class _Interpreter:
         kwargs: Dict[str, Any],
         starred: bool,
     ) -> Any:
-        if method in ("zeros", "ones", "empty"):
-            shape = self._shape_from_val(args[0]) if args else None
-            dtype = resolve_dtype(
-                kwargs.get("dtype", args[1] if len(args) > 1 else None)
-            )
-            self._note_zone_dtype(node, dtype, f"backend.{method}")
-            return TensorVal(shape, dtype)
-        if method == "full":
-            shape = self._shape_from_val(args[0]) if args else None
-            dtype = resolve_dtype(
-                kwargs.get("dtype", args[2] if len(args) > 2 else None)
-            )
-            self._note_zone_dtype(node, dtype, "backend.full")
-            return TensorVal(shape, dtype)
-        if method == "asarray":
-            source = args[0] if args else None
-            dtype = resolve_dtype(
-                kwargs.get("dtype", args[1] if len(args) > 1 else None)
-            )
-            if isinstance(source, TensorVal):
-                return TensorVal(source.shape, dtype or source.dtype, source.int_values)
-            if isinstance(source, TupleVal):
-                return self._tensor_from_literal(source, dtype)
-            return TensorVal(None, dtype)
-        if method == "matmul" and len(args) == 2:
-            return self._check_matmul(node, args[0], args[1], "backend.matmul")
-        if method in ("gather_matmul", "matmul_segment_sum") and len(args) == 3:
-            return self._check_segment_gemm(node, method, args[0], args[1])
-        if method == "einsum":
-            if starred or not args:
-                return TOP
-            return self._einsum_call(node, args[0], args[1:])
-        if method == "gather_rows" and len(args) == 2:
-            return self._check_gather(node, args[0], args[1])
-        if method == "scatter_add_rows" and len(args) >= 3:
-            self._check_scatter(node, args[0], args[1], args[2])
-            return None
-        if method == "exp" and args:
-            source = args[0]
-            if isinstance(source, TensorVal):
-                self._note_operands(node, "backend.exp", source)
-                return TensorVal(source.shape, source.dtype)
+        bound = _bind_backend_call(method, args, kwargs, starred)
+        handler = _BACKEND_HANDLERS.get(method)
+        if bound is None or handler is None:
             return TOP
-        if method in ("maximum", "minimum") and len(args) == 2:
-            return self._elementwise(node, args[0], args[1], f"backend.{method}")
-        if method == "where" and len(args) == 3:
-            return self._where(node, args[0], args[1], args[2])
-        if method == "axpy" and len(args) >= 2:
-            self._elementwise(node, args[0], args[1], "backend.axpy")
-            return None
+        # Operands arrive positionally, in the row's protocol order.
+        return handler(self, node, method, *bound.values())
+
+    def _op_alloc(self, node: ast.AST, method: str, shape: Any, dtype: Any) -> TensorVal:
+        resolved = resolve_dtype(dtype)
+        self._note_zone_dtype(node, resolved, f"backend.{method}")
+        return TensorVal(self._shape_from_val(shape), resolved)
+
+    def _op_asarray(self, node: ast.AST, method: str, a: Any, dtype: Any) -> TensorVal:
+        resolved = resolve_dtype(dtype)
+        if isinstance(a, TensorVal):
+            return TensorVal(a.shape, resolved or a.dtype, a.int_values)
+        if isinstance(a, TupleVal):
+            return self._tensor_from_literal(a, resolved)
+        return TensorVal(None, resolved)
+
+    def _op_exp(self, node: ast.AST, method: str, a: Any) -> Any:
+        if isinstance(a, TensorVal):
+            self._note_operands(node, f"backend.{method}", a)
+            return TensorVal(a.shape, a.dtype)
         return TOP
+
+    def _op_axpy(self, node: ast.AST, method: str, target: Any, values: Any, scale: Any) -> None:
+        self._elementwise(node, target, values, f"backend.{method}")
 
     def _where(self, node: ast.AST, cond: Any, a: Any, b: Any) -> TensorVal:
         result = self._elementwise(node, a, b, "where")
@@ -1139,7 +1128,7 @@ class _Interpreter:
         return TensorVal(None, dtype)
 
     def _check_segment_gemm(
-        self, node: ast.AST, method: str, a: Any, other: Any
+        self, node: ast.AST, method: str, a: Any, other: Any, groups: Any
     ) -> TensorVal:
         """``gather_matmul(a, table, groups)`` / ``matmul_segment_sum(a, b, groups)``.
 
@@ -1299,6 +1288,40 @@ class _Interpreter:
                     out.append(None)
             return tuple(out)
         return None
+
+
+# One transfer function per modelled row of the op table, called as
+# ``handler(interp, node, op, *operands)`` with the operands bound by
+# OpSpec.bind.  A backend op without an entry evaluates to TOP.
+_BACKEND_HANDLERS: Dict[str, Callable[..., Any]] = {
+    "zeros": _Interpreter._op_alloc,
+    "ones": _Interpreter._op_alloc,
+    "empty": _Interpreter._op_alloc,
+    "full": lambda self, node, op, shape, fill_value, dtype: self._op_alloc(
+        node, op, shape, dtype
+    ),
+    "asarray": _Interpreter._op_asarray,
+    "matmul": lambda self, node, op, a, b: self._check_matmul(
+        node, a, b, f"backend.{op}"
+    ),
+    "einsum": lambda self, node, op, subscripts, operands: self._einsum_call(
+        node, subscripts, list(operands)
+    ),
+    "gather_matmul": _Interpreter._check_segment_gemm,
+    "matmul_segment_sum": _Interpreter._check_segment_gemm,
+    "gather_rows": lambda self, node, op, table, indices: self._check_gather(
+        node, table, indices
+    ),
+    "scatter_add_rows": lambda self, node, op, target, indices, values, scale: (
+        self._check_scatter(node, target, indices, values)
+    ),
+    "exp": _Interpreter._op_exp,
+    "maximum": lambda self, node, op, a, b: self._elementwise(
+        node, a, b, f"backend.{op}"
+    ),
+    "where": lambda self, node, op, cond, a, b: self._where(node, cond, a, b),
+    "axpy": _Interpreter._op_axpy,
+}
 
 
 def interpret_module(ctx: RuleContext) -> List[Finding]:

@@ -25,6 +25,10 @@ the same run, compose them::
     with backend.use_backend(Interposer(observers=[counter, sanitizer])):
         model.train_step(batch)
     counter.zone_stats["efftt_forward"], sanitizer.traps
+
+What the interposer forwards, what an op costs and what the sanitizer
+checks are all one table, :data:`OPS` (one :class:`OpSpec` row per
+protocol method, :mod:`repro.backend.ops`).
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from .groups import RowGroups, group_rows
 from .interposer import Interposer, Observer
 from .numpy_backend import NumpyBackend
 from .numsan import NumericSanitizer, NumericTrapError, SanitizerBackend, TrapRecord
+from .ops import OPS, OpSpec
 from .plan_cache import (
     ChainPlan,
     ChainStage,
@@ -78,6 +83,8 @@ __all__ = [
     "NumpyBackend",
     "Interposer",
     "Observer",
+    "OPS",
+    "OpSpec",
     "CostCounter",
     "NumericSanitizer",
     "InstrumentedBackend",

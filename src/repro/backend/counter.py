@@ -5,29 +5,11 @@ accumulating a :class:`KernelStats` per *kernel zone* (see
 :data:`repro.backend.protocol.KERNEL_ZONE_NAMES`) and per ``(zone, op)``
 from the runtime shapes of every call the interposer forwards.  The
 counters feed the bench harness (``repro bench --backend
-instrumented``), cross-check the analytic model in
-:mod:`repro.embeddings.flops`, and are the measured side of perfcheck's
-calibration gate — so the formulas below are hand-written and do not
-import the static cost model they are compared against.
+instrumented``) and cross-check the analytic model in
+:mod:`repro.embeddings.flops`; the per-op formulas are the ``cost``
+column of the op table (:mod:`repro.backend.ops`).
 :class:`InstrumentedBackend` is the interposer pre-configured with one
 counter.
-
-Cost model
-----------
-* ``matmul`` — ``2 * prod(batch) * m * k * n`` FLOPs from the runtime
-  operand shapes; bytes = operands read + result written.
-* ``gather_matmul`` / ``matmul_segment_sum`` — the same
-  ``2 * rows * m * k * n`` as the per-row ``matmul`` they replace (the
-  fusion moves bytes, not multiply-adds); bytes = operands once + each
-  *distinct* table slice once + result.
-* ``einsum`` — the FLOP count of the plan the plan cache derives for
-  the call's signature.
-* ``gather_rows`` / ``scatter_add_rows`` — pure traffic: rows read and
-  written (scatter counts read-modify-write on the target rows, plus
-  one FLOP per added element and one per scaled element).
-* elementwise (``exp``/``maximum``/``where``/``axpy``) — one FLOP per
-  output element (two for ``axpy``: multiply + add), read/write
-  traffic from operand sizes.
 
 Dtype drift
 -----------
@@ -48,7 +30,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from .interposer import Interposer, Observer
-from .plan_cache import get_plan_cache
+from .ops import OPS
 from .protocol import ArrayBackend, DTypeLike
 
 __all__ = ["KernelStats", "DtypeViolation", "CostCounter", "InstrumentedBackend"]
@@ -115,50 +97,8 @@ class CostCounter(Observer):
         finally:
             self._expected_dtype = previous
 
-    def cost(self, op: str, args: Tuple[Any, ...], out: Any) -> Tuple[int, int]:
-        """``(flops, bytes)`` of one forwarded call."""
-        if op in ("zeros", "ones", "empty", "full"):
-            return 0, out.nbytes
-        if op == "asarray":
-            return 0, 0
-        if op == "matmul":
-            a, b = args
-            m = a.shape[-2] if a.ndim >= 2 else 1
-            k = a.shape[-1]
-            n = b.shape[-1] if b.ndim >= 2 else 1
-            batch = int(np.prod(out.shape[:-2], dtype=np.int64)) if out.ndim > 2 else 1
-            return 2 * batch * m * k * n, a.nbytes + b.nbytes + out.nbytes
-        if op == "gather_matmul":
-            a, table, groups = args
-            rows, m, k = a.shape
-            n = table.shape[2]
-            slices = groups.num_groups * k * n * table.itemsize
-            return 2 * rows * m * k * n, a.nbytes + slices + out.nbytes
-        if op == "matmul_segment_sum":
-            a, b, _ = args
-            rows, m, k = a.shape
-            return 2 * rows * m * k * b.shape[1], a.nbytes + b.nbytes + out.nbytes
-        if op == "einsum":
-            subscripts, operands = args
-            plan = get_plan_cache().einsum_plan(subscripts, *operands)
-            return plan.flop_count, sum(x.nbytes for x in operands) + out.nbytes
-        if op == "gather_rows":
-            return 0, 2 * out.nbytes
-        if op == "scatter_add_rows":
-            _, _, values, scale = args
-            flops = values.size if scale == 1.0 else 2 * values.size
-            return flops, 3 * values.nbytes
-        if op == "exp":
-            return out.size, args[0].nbytes + out.nbytes
-        if op in ("maximum", "where"):
-            return out.size, 2 * out.nbytes
-        if op == "axpy":
-            values = args[1]
-            return 2 * values.size, 3 * values.nbytes
-        raise ValueError(f"no cost formula for backend op {op!r}")
-
     def after(self, zone: str, op: str, args: Tuple[Any, ...], out: Any) -> None:
-        flops, nbytes = self.cost(op, args, out)
+        flops, nbytes = OPS[op].cost(out, *args)
         self.zone_stats.setdefault(zone, KernelStats()).add(flops, nbytes)
         self.op_stats.setdefault((zone, op), KernelStats()).add(flops, nbytes)
         expected = self._expected_dtype

@@ -6,8 +6,8 @@ default) and forwards every protocol call to it unchanged — results are
 bitwise-identical to the wrapped backend.  It alone owns the kernel-zone
 stack; everything that wants to *watch* the calls is an
 :class:`Observer` handed the innermost open zone, the op name, the
-operands and the result — the cost counter (:mod:`.counter`), the
-numeric sanitizer (:mod:`.numsan`), perfcheck's cost-model pricer.
+operands and the result — the cost counter (:mod:`.counter`) and the
+numeric sanitizer (:mod:`.numsan`).
 
 Observers compose in one pass: ``Interposer(observers=[counter,
 sanitizer])`` counts and checks the same run, and both see the same
@@ -16,27 +16,27 @@ the inner op, then every :meth:`Observer.after`; ``before`` exists
 because a row-index range check must run before numpy silently wraps a
 negative index.
 
-Operand convention (``args`` in the hooks): the op's positional
-arguments in protocol order with defaults filled in —
-``scatter_add_rows`` is ``(target, indices, values, scale)`` — except
-``einsum``, which is ``(subscripts, operands)``.  ``out`` is the
-inner result (``None`` for the in-place ops).
+The forwarding methods are generated, one per row of the op table
+(:data:`repro.backend.ops.OPS`), with the row's signature.  Operand
+convention (``args`` in the hooks): the op's arguments in protocol order
+with defaults filled in, however the caller spelled them —
+``scatter_add_rows`` is ``(target, indices, values, scale)`` — and
+``einsum`` is ``(subscripts, operands)``.  ``out`` is the inner result
+(``None`` for the in-place ops).  An observer reads what the operands
+*mean* from the op's row, ``OPS[op]``.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple, TypeVar
+import inspect
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from .groups import RowGroups
 from .numpy_backend import NumpyBackend
-from .protocol import UNZONED, ArrayBackend, DTypeLike, Shape
+from .ops import OPS, OpSpec
+from .protocol import UNZONED, ArrayBackend
 
 __all__ = ["Interposer", "Observer"]
-
-T = TypeVar("T")
 
 
 class Observer:
@@ -95,75 +95,27 @@ class Interposer:
         finally:
             self._zone_stack.pop()
 
-    def _observed(self, op: str, call: Callable[..., T], *args: Any) -> T:
+
+def _forwarder(spec: OpSpec) -> Callable[..., Any]:
+    """The interposer's method for one row of the op table."""
+
+    def method(self: Interposer, *args: Any, **kwargs: Any) -> Any:
+        operands = tuple(spec.bind(args, kwargs).values())
         zone = self.current_zone
         for observer in self.observers:
-            observer.before(zone, op, args)
-        out = call(*args)
+            observer.before(zone, spec.name, operands)
+        out = spec.call(self.inner, operands)
         for observer in self.observers:
-            observer.after(zone, op, args, out)
+            observer.after(zone, spec.name, operands, out)
         return out
 
-    # -- allocation ----------------------------------------------------
-    def zeros(self, shape: Shape, dtype: DTypeLike) -> np.ndarray:
-        return self._observed("zeros", self.inner.zeros, shape, dtype)
+    self_param = inspect.Parameter("self", inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    method.__name__ = spec.name
+    method.__signature__ = spec.signature.replace(  # type: ignore[attr-defined]
+        parameters=[self_param, *spec.signature.parameters.values()]
+    )
+    return method
 
-    def ones(self, shape: Shape, dtype: DTypeLike) -> np.ndarray:
-        return self._observed("ones", self.inner.ones, shape, dtype)
 
-    def empty(self, shape: Shape, dtype: DTypeLike) -> np.ndarray:
-        return self._observed("empty", self.inner.empty, shape, dtype)
-
-    def full(self, shape: Shape, fill_value: float, dtype: DTypeLike) -> np.ndarray:
-        return self._observed("full", self.inner.full, shape, fill_value, dtype)
-
-    def asarray(self, a: Any, dtype: Optional[DTypeLike] = None) -> np.ndarray:
-        return self._observed("asarray", self.inner.asarray, a, dtype)
-
-    # -- contraction ---------------------------------------------------
-    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self._observed("matmul", self.inner.matmul, a, b)
-
-    def einsum(self, subscripts: str, *operands: np.ndarray) -> np.ndarray:
-        def call(spec: str, arrays: Tuple[np.ndarray, ...]) -> np.ndarray:
-            return self.inner.einsum(spec, *arrays)
-
-        return self._observed("einsum", call, subscripts, operands)
-
-    def gather_matmul(
-        self, a: np.ndarray, table: np.ndarray, groups: RowGroups
-    ) -> np.ndarray:
-        return self._observed("gather_matmul", self.inner.gather_matmul, a, table, groups)
-
-    def matmul_segment_sum(
-        self, a: np.ndarray, b: np.ndarray, groups: RowGroups
-    ) -> np.ndarray:
-        call = self.inner.matmul_segment_sum
-        return self._observed("matmul_segment_sum", call, a, b, groups)
-
-    # -- sparse movement -----------------------------------------------
-    def gather_rows(self, table: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        return self._observed("gather_rows", self.inner.gather_rows, table, indices)
-
-    def scatter_add_rows(
-        self,
-        target: np.ndarray,
-        indices: np.ndarray,
-        values: np.ndarray,
-        scale: float = 1.0,
-    ) -> None:
-        scatter = self.inner.scatter_add_rows
-        self._observed("scatter_add_rows", scatter, target, indices, values, scale)
-
-    # -- elementwise ---------------------------------------------------
-    def exp(self, a: np.ndarray) -> np.ndarray:
-        return self._observed("exp", self.inner.exp, a)
-
-    def maximum(self, a: Any, b: Any) -> np.ndarray:
-        return self._observed("maximum", self.inner.maximum, a, b)
-
-    def where(self, cond: np.ndarray, a: Any, b: Any) -> np.ndarray:
-        return self._observed("where", self.inner.where, cond, a, b)
-
-    def axpy(self, target: np.ndarray, values: np.ndarray, scale: float) -> None:
-        self._observed("axpy", self.inner.axpy, target, values, scale)
+for _spec in OPS.values():
+    setattr(Interposer, _spec.name, _forwarder(_spec))

@@ -4,11 +4,10 @@
 that *checks* what flows through the interposer — it never touches a
 value, so results stay bitwise-identical to the wrapped backend:
 
-* **non-finite outputs** — any NaN/Inf in a floating result of
-  ``matmul``/``einsum``/``exp``/``maximum``/``where``/``gather_rows``
-  (and in ``axpy``/``scatter_add_rows`` inputs and updated targets)
-  trips a ``nonfinite`` trap.  ``empty()`` results are exempt: their
-  bits are uninitialized by contract.
+* **non-finite outputs** — any NaN/Inf in a floating result (and in the
+  inputs and updated target of an in-place op) trips a ``nonfinite``
+  trap.  ``empty()`` results are exempt: their bits are uninitialized
+  by contract.
 * **out-of-range gather/scatter indices** — checked *before* the inner
   call, because numpy silently wraps negative indices to the end of the
   table; a wrapped read is precisely the bug the paper's gather/scatter
@@ -16,6 +15,10 @@ value, so results stay bitwise-identical to the wrapped backend:
 * **dtype drift** — a floating result wider than the widest floating
   operand means an implicit upcast (the float64 default leaking in);
   trips a ``dtype-drift`` trap.
+
+Which operand plays which part — index into which table, bound on the
+result dtype, written in place — is the op's row in the op table
+(:mod:`repro.backend.ops`); this module names no op.
 
 Every trap is tagged with the innermost open kernel zone (see
 ``ArrayBackend.zone``), so a report reads "``nonfinite`` in
@@ -28,22 +31,19 @@ forwarded verbatim, so a hard out-of-bounds index that numpy itself
 rejects will raise ``IndexError`` from the inner backend right after
 the trap is recorded — the record tells you *which zone* it came from.
 :class:`SanitizerBackend` is the interposer pre-configured with one
-sanitizer.
-
-This is the dynamic half of the shapecheck story: the static checker
-(:mod:`repro.analysis.shapecheck`) proves what it can at the AST level,
-and the sanitizer enforces the same contracts on the values the static
-domain had to leave symbolic.
+sanitizer.  It is the dynamic half of :mod:`repro.analysis.shapecheck`:
+the same contracts, enforced on the values the static domain left symbolic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .interposer import Interposer, Observer
+from .ops import OPS, OpSpec
 from .protocol import ArrayBackend
 
 __all__ = ["NumericSanitizer", "NumericTrapError", "SanitizerBackend", "TrapRecord"]
@@ -85,16 +85,22 @@ def _drift(out: np.ndarray, *operands: Any) -> Optional[str]:
         return None
     widest = 0
     for operand in operands:
-        if isinstance(operand, np.ndarray) and np.issubdtype(
-            operand.dtype, np.floating
-        ):
-            widest = max(widest, operand.dtype.itemsize)
+        # A variadic operand (einsum's arrays) arrives as one tuple.
+        for x in operand if isinstance(operand, tuple) else (operand,):
+            if isinstance(x, np.ndarray) and np.issubdtype(x.dtype, np.floating):
+                widest = max(widest, x.dtype.itemsize)
     if not widest or out.dtype.itemsize <= widest:
         return None
     return (
         f"result dtype {out.dtype} is wider than the widest "
         f"floating operand ({widest * 8}-bit): implicit upcast"
     )
+
+
+def _nonfinite_input(value: Any, role: str) -> Optional[str]:
+    if np.ndim(value) == 0:
+        return None if np.isfinite(value) else f"{role} is {value!r}"
+    return _nonfinite(np.asarray(value), role)
 
 
 def _bad_index(indices: np.ndarray, rows: int) -> Optional[str]:
@@ -111,6 +117,13 @@ def _bad_index(indices: np.ndarray, rows: int) -> Optional[str]:
     if hi >= rows:
         return f"row index {hi} out of range for a table with {rows} rows"
     return None
+
+
+def _row(op: str, args: Tuple[Any, ...]) -> Tuple[OpSpec, Dict[str, Any], str]:
+    """The op's table row, its operands by name, and the name a trap reports."""
+    spec = OPS[op]
+    bound = dict(zip(spec.params, args))
+    return spec, bound, spec.trap_label.format(**bound) if spec.trap_label else op
 
 
 class NumericSanitizer(Observer):
@@ -144,52 +157,26 @@ class NumericSanitizer(Observer):
             raise NumericTrapError(record)
 
     def before(self, zone: str, op: str, args: Tuple[Any, ...]) -> None:
-        if op == "gather_rows":
-            table, indices = args
-            self._trap(zone, op, "gather-index", _bad_index(indices, table.shape[0]))
-        elif op in ("gather_matmul", "matmul_segment_sum"):
-            a, other, groups = args
-            # A record built for another index list addresses rows that
-            # are not there; numpy would wrap or raise past the zone.
-            self._trap(zone, op, "gather-index", _bad_index(groups.order, a.shape[0]))
-            if op == "gather_matmul":
-                self._trap(
-                    zone, op, "gather-index", _bad_index(groups.ids, other.shape[0])
-                )
-        elif op == "scatter_add_rows":
-            target, indices, values, _ = args
-            self._trap(zone, op, "gather-index", _bad_index(indices, target.shape[0]))
-            self._trap(zone, op, "nonfinite", _nonfinite(np.asarray(values), "values"))
-            self._trap(zone, op, "dtype-drift", _drift(target, values))
-        elif op == "axpy":
-            target, values, scale = args
-            self._trap(zone, op, "nonfinite", _nonfinite(np.asarray(values), "values"))
-            if not np.isfinite(scale):
-                self._trap(zone, op, "nonfinite", f"scale is {scale!r}")
-            self._trap(zone, op, "dtype-drift", _drift(target, values))
+        spec, bound, op = _row(op, args)
+        for path, table in spec.index_roles:
+            name, _, attr = path.partition(".")
+            indices = getattr(bound[name], attr) if attr else bound[name]
+            self._trap(zone, op, "gather-index", _bad_index(indices, bound[table].shape[0]))
+        for name in spec.finite_inputs:
+            self._trap(zone, op, "nonfinite", _nonfinite_input(bound[name], name))
+        if spec.in_place is not None:
+            drift = _drift(bound[spec.in_place], *map(bound.get, spec.drift_operands))
+            self._trap(zone, op, "dtype-drift", drift)
 
     def after(self, zone: str, op: str, args: Tuple[Any, ...], out: Any) -> None:
-        if op in ("zeros", "ones", "empty"):
-            # Fresh allocations; empty() is uninitialized by contract
-            # and must never be finite-checked.
-            return
-        if op in ("scatter_add_rows", "axpy"):
-            self._trap(zone, op, "nonfinite", _nonfinite(args[0], "updated target"))
-            return
-        if op == "einsum":
-            subscripts, operands = args
-            op = f"einsum[{subscripts}]"
-            self._trap(zone, op, "dtype-drift", _drift(out, *operands))
-        elif op in ("matmul", "maximum"):
-            self._trap(zone, op, "dtype-drift", _drift(out, *args))
-        elif op in ("gather_matmul", "matmul_segment_sum"):
-            self._trap(zone, op, "dtype-drift", _drift(out, *args[:2]))  # not groups
-        elif op == "where":
-            self._trap(zone, op, "dtype-drift", _drift(out, *args[1:]))  # not cond
-        # full/asarray/gather_rows/exp are finite-checked only.  The
-        # repo's stable-sigmoid only exponentiates non-positive
-        # arguments, so a non-finite exp output is always a bug.
-        self._trap(zone, op, "nonfinite", _nonfinite(out))
+        spec, bound, op = _row(op, args)
+        if spec.in_place is not None:
+            updated = _nonfinite(bound[spec.in_place], "updated target")
+            self._trap(zone, op, "nonfinite", updated)
+        elif spec.checks_result:
+            drift = _drift(out, *map(bound.get, spec.drift_operands))
+            self._trap(zone, op, "dtype-drift", drift)
+            self._trap(zone, op, "nonfinite", _nonfinite(out))
 
 
 class SanitizerBackend(Interposer):

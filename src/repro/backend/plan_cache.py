@@ -16,7 +16,7 @@ it:
   with per-stage FLOP/byte costs derived purely from shapes;
 * :class:`EinsumPlan` — ``np.einsum_path`` contraction order + FLOP
   count for a concrete ``(subscripts, operand shapes)`` signature: how
-  the cost counter and the static cost model price an ``einsum`` call;
+  the cost counter prices an ``einsum`` call;
 * :class:`ContractionPlanCache` — an LRU-bounded cache over both plan
   kinds, with hit/miss counters surfaced by the bench harness and the
   pipeline ``TrainLog``.
@@ -156,7 +156,7 @@ class ContractionPlanCache:
     """LRU cache of :class:`ChainPlan` / :class:`EinsumPlan` objects.
 
     A process-wide instance (:func:`get_plan_cache`) backs the TT chain
-    kernels and the einsum pricing of the cost observers; hit/miss
+    kernels and the einsum pricing of the cost counter; hit/miss
     counters feed the bench harness and ``TrainLog``.
     """
 
@@ -212,34 +212,26 @@ class ContractionPlanCache:
 
     # -- einsum plans --------------------------------------------------
     def einsum_plan(self, subscripts: str, *operands: np.ndarray) -> EinsumPlan:
-        """Plan for a call's signature (the cost counter's pricing seam)."""
-        return self.einsum_plan_for_shapes(subscripts, [op.shape for op in operands])
+        """Plan for a call's signature (the cost counter's pricing seam).
 
-    def einsum_plan_for_shapes(
-        self, subscripts: str, shapes: Sequence[Tuple[int, ...]]
-    ) -> EinsumPlan:
-        """Plan for a signature given only operand *shapes*.
-
-        ``np.einsum_path`` output depends only on shapes, so this is the
-        whole plan builder: the static perfcheck analyzer and its
-        calibration observer cost einsum sites through it without
-        materialising operands.  The probe operands are stride-0
-        broadcast views of a scalar: no shape-sized allocation happens.
+        ``np.einsum_path`` output depends only on shapes, so the probe
+        operands are stride-0 broadcast views of a scalar: no shape-sized
+        allocation happens.
         """
-        norm = tuple(tuple(int(d) for d in shape) for shape in shapes)
-        key = ("einsum", subscripts, norm)
+        shapes = tuple(tuple(int(d) for d in op.shape) for op in operands)
+        key = ("einsum", subscripts, shapes)
 
         def build() -> EinsumPlan:
-            operands = [
+            probes = [
                 np.broadcast_to(np.zeros((), dtype=np.float32), shape)
-                for shape in norm
+                for shape in shapes
             ]
-            path, report = np.einsum_path(subscripts, *operands, optimize="optimal")
+            path, report = np.einsum_path(subscripts, *probes, optimize="optimal")
             return EinsumPlan(
                 subscripts=subscripts,
-                operand_shapes=norm,
+                operand_shapes=shapes,
                 path=tuple(path),
-                flop_count=_einsum_flops_from_report(report, norm),
+                flop_count=_einsum_flops_from_report(report, shapes),
             )
 
         return self._get_or_build(key, build)

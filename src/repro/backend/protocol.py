@@ -43,7 +43,10 @@ Implementations
     bytes per kernel zone, optional dtype-drift record),
     ``SanitizerBackend()`` the interposer with a
     :class:`~repro.backend.numsan.NumericSanitizer` (NaN/Inf, row-index
-    and implicit-upcast traps).
+    and implicit-upcast traps).  Its forwarding methods, the cost
+    formulas and the sanitizer's operand roles all come from the op
+    table :data:`repro.backend.ops.OPS`: a method added here needs one
+    row there, and nothing else outside the two real backends.
 :class:`~repro.backend.torch_backend.TorchBackend`
     Optional PyTorch execution; import-guards cleanly when torch is
     absent (:class:`BackendUnavailableError`).

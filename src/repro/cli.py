@@ -613,35 +613,12 @@ def _cmd_quickcheck(args: argparse.Namespace) -> int:
     status = "ok" if comp_ok else "FAILED (compression broke training)"
     print(f"compress {comp_detail}  [{status}]")
 
-    # Static checks: the four analyzers over the installed package, the
-    # calibration gate, then mypy on the strict modules when the tool
-    # is available.
+    # Static checks: the four analyzers over the installed package,
+    # then mypy on the strict modules when the tool is available.
     for analyzer in _analyzers():
         result = analyzer.runner(_analysis_paths())
         ok = ok and result.ok
         _report_static_gate(analyzer.name, result)
-
-    from repro.analysis import run_calibration
-
-    calib = run_calibration(steps=2)
-    calib_ok = calib.ok
-    ok = ok and calib_ok
-    status = "ok" if calib_ok else "FAILED (static cost model drifted)"
-    print(
-        f"calib    {len(calib.zones)} zones, max rel err "
-        f"{calib.max_rel_err:.2%} (tol {calib.tolerance:.0%})  [{status}]"
-    )
-    if not calib_ok:
-        for zone in calib.zones:
-            if (
-                zone.flops_rel_err > calib.tolerance
-                or zone.bytes_rel_err > calib.tolerance
-            ):
-                print(
-                    f"  {zone.zone}: flops {zone.static_flops} vs "
-                    f"{zone.measured_flops}, bytes {zone.static_bytes} vs "
-                    f"{zone.measured_bytes}"
-                )
 
     mypy_status = _run_mypy_step()
     if mypy_status is None:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Sequence, Tuple
 
+from repro.backend.ops import OPS
 from repro.embeddings.reuse_buffer import ReusePlan
 from repro.embeddings.tt_core import TTSpec
 
@@ -46,11 +47,8 @@ __all__ = [
 # traffic, not FLOPs, in this accounting).  The segment-GEMM ops issue
 # the multiply-adds of the per-row matmul they replace, so the analytic
 # counts do not know which of the two a kernel used.
-CONTRACTION_OPS: Tuple[str, ...] = (
-    "matmul",
-    "einsum",
-    "gather_matmul",
-    "matmul_segment_sum",
+CONTRACTION_OPS: Tuple[str, ...] = tuple(
+    name for name, spec in OPS.items() if spec.family == "contraction"
 )
 
 

@@ -70,3 +70,16 @@ def test_system_public_names():
             "Simulator", "Resource", "PipelineTrace", "simulate_pipeline_trace",
         ]
     )
+
+
+def test_op_table_is_exported_and_the_calibration_names_are_gone():
+    import repro.analysis as analysis
+    import repro.analysis.perfcheck as perfcheck
+    import repro.backend as backend
+
+    assert {"OPS", "OpSpec"} <= set(backend.__all__)
+    assert sorted(perfcheck.__all__) == [
+        "PERF_RULES", "PerfRuleInfo", "perfcheck_paths", "perfcheck_source",
+    ]
+    gone = {"CostModelPricer", "CalibrationReport", "ZoneComparison", "run_calibration"}
+    assert not gone & (set(analysis.__all__) | set(perfcheck.__all__))
