@@ -11,12 +11,13 @@ Rules (the PERF catalog)
 ------------------------
 ``PERF001 hot-loop-alloc``       loop-invariant allocation inside a kernel-zone loop
 ``PERF003 layout-churn``         copy-forcing transpose/reshape chains in kernel files
-``PERF004 plan-cache-bypass``    kernel-zone einsum whose subscripts are provably dynamic
 ``PERF005 batch-python-loop``    Python for-loop over an abstract tensor's leading dim in a zone
 ``PERF006 redundant-gather``     provably duplicate gather_rows with no intervening write
 ``PERF007 dtype-churn``          redundant or immediately-overwritten astype in a zone
 
-Rule ids are stable: the gap at 002 is a retired advisory.
+Rule ids are stable: the gaps are retired rules (002 the unfused-
+contraction advisory; 004 plan-cache-bypass, which guarded the
+``einsum`` op's plan key and left with it).
 """
 
 from __future__ import annotations
@@ -71,13 +72,6 @@ PERF_RULES: Dict[str, PerfRuleInfo] = {
             Severity.ERROR,
             "chained transpose/reshape in a kernel file forces an "
             "intermediate copy (layout churn)",
-        ),
-        PerfRuleInfo(
-            "PERF004",
-            "plan-cache-bypass",
-            Severity.ERROR,
-            "kernel-zone einsum with provably dynamic subscripts: the "
-            "signature can never hit the ContractionPlanCache",
         ),
         PerfRuleInfo(
             "PERF005",
@@ -456,7 +450,7 @@ class _PerfInterpreter(_Interpreter):
             f"Python for-loop in kernel zone {zone!r} {evidence}: the "
             "batch dimension is executed one row per interpreter step",
             "replace the loop with a batched backend op "
-            "(gather_rows/matmul/einsum over the whole batch)",
+            "(gather_rows/matmul over the whole batch)",
         )
 
     # -- post-run passes -----------------------------------------------
@@ -519,7 +513,7 @@ _AFTER_OP: Dict[str, Callable[..., None]] = {
 
 
 def _syntactic_findings(ctx: RuleContext) -> List[Finding]:
-    """AST-only PERF rules: layout churn, plan-cache bypass, cast chains."""
+    """AST-only PERF rules: layout churn, cast chains."""
     findings: List[Finding] = []
     if not ctx.in_zone(KERNEL_ZONES):
         return findings
@@ -596,35 +590,6 @@ def _syntactic_findings(ctx: RuleContext) -> List[Finding]:
                 "dtype survives",
                 "cast once to the final dtype",
             )
-        elif attr == "einsum" and node.args:
-            sub = node.args[0]
-            dynamic = isinstance(sub, ast.JoinedStr)
-            if isinstance(sub, ast.BinOp) and isinstance(
-                sub.op, (ast.Add, ast.Mod)
-            ):
-                for side in (sub.left, sub.right):
-                    if isinstance(side, ast.JoinedStr) or (
-                        isinstance(side, ast.Constant)
-                        and isinstance(side.value, str)
-                    ):
-                        dynamic = True
-            if (
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Attribute)
-                and sub.func.attr in ("format", "join")
-            ):
-                dynamic = True
-            if dynamic:
-                emit(
-                    "plan-cache-bypass",
-                    node,
-                    "einsum subscripts are built dynamically at the call "
-                    "site: every call computes a fresh signature and the "
-                    "ContractionPlanCache key never repeats",
-                    "precompute the subscript string once (module "
-                    "constant or per-spec cache) so the plan cache can "
-                    "hit",
-                )
     return findings
 
 

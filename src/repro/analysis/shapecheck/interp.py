@@ -1304,9 +1304,6 @@ _BACKEND_HANDLERS: Dict[str, Callable[..., Any]] = {
     "matmul": lambda self, node, op, a, b: self._check_matmul(
         node, a, b, f"backend.{op}"
     ),
-    "einsum": lambda self, node, op, subscripts, operands: self._einsum_call(
-        node, subscripts, list(operands)
-    ),
     "gather_matmul": _Interpreter._check_segment_gemm,
     "matmul_segment_sum": _Interpreter._check_segment_gemm,
     "gather_rows": lambda self, node, op, table, indices: self._check_gather(

@@ -46,7 +46,6 @@ from .plan_cache import (
     ChainPlan,
     ChainStage,
     ContractionPlanCache,
-    EinsumPlan,
     get_plan_cache,
     reset_plan_cache,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "DtypeViolation",
     "ChainPlan",
     "ChainStage",
-    "EinsumPlan",
     "ContractionPlanCache",
     "RowGroups",
     "group_rows",

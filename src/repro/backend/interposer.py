@@ -20,8 +20,8 @@ The forwarding methods are generated, one per row of the op table
 (:data:`repro.backend.ops.OPS`), with the row's signature.  Operand
 convention (``args`` in the hooks): the op's arguments in protocol order
 with defaults filled in, however the caller spelled them —
-``scatter_add_rows`` is ``(target, indices, values, scale)`` — and
-``einsum`` is ``(subscripts, operands)``.  ``out`` is the inner result
+``scatter_add_rows`` is ``(target, indices, values, scale)``.  ``out``
+is the inner result
 (``None`` for the in-place ops).  An observer reads what the operands
 *mean* from the op's row, ``OPS[op]``.
 """
@@ -104,7 +104,7 @@ def _forwarder(spec: OpSpec) -> Callable[..., Any]:
         zone = self.current_zone
         for observer in self.observers:
             observer.before(zone, spec.name, operands)
-        out = spec.call(self.inner, operands)
+        out = getattr(self.inner, spec.name)(*operands)
         for observer in self.observers:
             observer.after(zone, spec.name, operands, out)
         return out

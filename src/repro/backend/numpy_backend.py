@@ -3,16 +3,12 @@
 
 This module is the numeric ground truth of the repository.  Every
 method forwards to the *same* numpy call the pre-backend code used —
-``np.matmul``, plain ``np.einsum`` with ``optimize=False``, fancy-index
-gather, :func:`repro.utils.scatter.scatter_add_rows` — so routing a
-kernel through :class:`NumpyBackend` is bitwise-identical to the direct
-call it replaced.  The file-level reprolint pragma above opts this one
+``np.matmul``, fancy-index gather,
+:func:`repro.utils.scatter.scatter_add_rows` — so routing a kernel
+through :class:`NumpyBackend` is bitwise-identical to the direct call it
+replaced.  The file-level reprolint pragma above opts this one
 module out of REP005 (``direct-numpy-in-kernel-zone``): the reference
 backend is the single place direct numpy contraction calls are allowed.
-
-``einsum`` always evaluates unoptimized: ``np.einsum(..., optimize=path)``
-routes through BLAS ``tensordot`` and produces bitwise-*different*
-results from the evaluation that defines this repo's numerics.
 """
 
 from __future__ import annotations
@@ -53,11 +49,6 @@ class NumpyBackend:
     # -- contraction ---------------------------------------------------
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return cast(np.ndarray, np.matmul(a, b))
-
-    def einsum(self, subscripts: str, *operands: np.ndarray) -> np.ndarray:
-        # optimize=False always: bitwise identity with the historical
-        # call sites trumps any planned contraction order.
-        return cast(np.ndarray, np.einsum(subscripts, *operands, optimize=False))
 
     def gather_matmul(
         self, a: np.ndarray, table: np.ndarray, groups: RowGroups

@@ -84,11 +84,9 @@ def _drift(out: np.ndarray, *operands: Any) -> Optional[str]:
     if not np.issubdtype(out.dtype, np.floating):
         return None
     widest = 0
-    for operand in operands:
-        # A variadic operand (einsum's arrays) arrives as one tuple.
-        for x in operand if isinstance(operand, tuple) else (operand,):
-            if isinstance(x, np.ndarray) and np.issubdtype(x.dtype, np.floating):
-                widest = max(widest, x.dtype.itemsize)
+    for x in operands:
+        if isinstance(x, np.ndarray) and np.issubdtype(x.dtype, np.floating):
+            widest = max(widest, x.dtype.itemsize)
     if not widest or out.dtype.itemsize <= widest:
         return None
     return (
@@ -119,11 +117,10 @@ def _bad_index(indices: np.ndarray, rows: int) -> Optional[str]:
     return None
 
 
-def _row(op: str, args: Tuple[Any, ...]) -> Tuple[OpSpec, Dict[str, Any], str]:
-    """The op's table row, its operands by name, and the name a trap reports."""
+def _row(op: str, args: Tuple[Any, ...]) -> Tuple[OpSpec, Dict[str, Any]]:
+    """The op's table row and its operands by name."""
     spec = OPS[op]
-    bound = dict(zip(spec.params, args))
-    return spec, bound, spec.trap_label.format(**bound) if spec.trap_label else op
+    return spec, dict(zip(spec.params, args))
 
 
 class NumericSanitizer(Observer):
@@ -157,7 +154,7 @@ class NumericSanitizer(Observer):
             raise NumericTrapError(record)
 
     def before(self, zone: str, op: str, args: Tuple[Any, ...]) -> None:
-        spec, bound, op = _row(op, args)
+        spec, bound = _row(op, args)
         for path, table in spec.index_roles:
             name, _, attr = path.partition(".")
             indices = getattr(bound[name], attr) if attr else bound[name]
@@ -169,7 +166,7 @@ class NumericSanitizer(Observer):
             self._trap(zone, op, "dtype-drift", drift)
 
     def after(self, zone: str, op: str, args: Tuple[Any, ...], out: Any) -> None:
-        spec, bound, op = _row(op, args)
+        spec, bound = _row(op, args)
         if spec.in_place is not None:
             updated = _nonfinite(bound[spec.in_place], "updated target")
             self._trap(zone, op, "nonfinite", updated)

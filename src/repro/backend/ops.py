@@ -4,7 +4,7 @@
 ``zone``), in protocol order — everything the code *around* the two real
 backends needs to know about the op:
 
-* ``params`` / ``defaults`` / ``variadic`` — the call signature: the
+* ``params`` / ``defaults`` — the call signature: the
   interposer generates its forwarding method from it and the static
   analyzers bind a call site's arguments by it (:meth:`OpSpec.bind`);
 * ``family`` — ``alloc`` / ``contraction`` / ``movement`` /
@@ -26,8 +26,7 @@ Cost formulas: allocation is the bytes written (``asarray`` is free);
 ``matmul`` is ``2 * prod(batch) * m * k * n`` FLOPs over operands read +
 result written; the segment GEMMs issue the ``2 * rows * m * k * n`` of
 the per-row ``matmul`` they replace and move operands once + each
-*distinct* table slice once + result; ``einsum`` is the FLOP count of
-the plan the plan cache derives for the signature; gather/scatter are
+*distinct* table slice once + result; gather/scatter are
 traffic (scatter is read-modify-write, one FLOP per added and one per
 scaled element); elementwise ops are one FLOP per output element (two
 for ``axpy``).
@@ -41,8 +40,6 @@ from functools import cached_property
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-
-from .plan_cache import get_plan_cache
 
 __all__ = ["OPS", "OpSpec"]
 
@@ -58,24 +55,20 @@ class OpSpec:
     params: Tuple[str, ...]
     cost: Callable[..., Cost]
     defaults: Mapping[str, Any] = field(default_factory=dict)
-    variadic: bool = False  # the last parameter collects ``*operands``
     index_roles: Tuple[Tuple[str, str], ...] = ()  # (index operand[.attr], table)
     finite_inputs: Tuple[str, ...] = ()
     drift_operands: Tuple[str, ...] = ()
     in_place: Optional[str] = None
     checks_result: bool = True
-    trap_label: Optional[str] = None  # op name in a trap; formatted with the operands
 
     @cached_property
     def signature(self) -> inspect.Signature:
         """The method's signature without ``self``."""
-        kinds = [inspect.Parameter.POSITIONAL_OR_KEYWORD] * len(self.params)
-        if self.variadic:
-            kinds[-1] = inspect.Parameter.VAR_POSITIONAL
+        kind = inspect.Parameter.POSITIONAL_OR_KEYWORD
         empty = inspect.Parameter.empty
         return inspect.Signature(
             inspect.Parameter(name, kind, default=self.defaults.get(name, empty))
-            for name, kind in zip(self.params, kinds)
+            for name in self.params
         )
 
     def bind(self, args: Sequence[Any], kwargs: Mapping[str, Any]) -> Dict[str, Any]:
@@ -83,13 +76,6 @@ class OpSpec:
         bound = self.signature.bind(*args, **kwargs)
         bound.apply_defaults()
         return dict(bound.arguments)
-
-    def call(self, backend: Any, args: Tuple[Any, ...]) -> Any:
-        """Invoke the op on ``backend`` with :meth:`bind`-ordered ``args``."""
-        method = getattr(backend, self.name)
-        if self.variadic:
-            return method(*args[:-1], *args[-1])
-        return method(*args)
 
 
 # -- cost formulas: cost(out, *args) -> (flops, bytes) ---------------------
@@ -115,11 +101,6 @@ def _gather_matmul(out: np.ndarray, a: np.ndarray, table: np.ndarray, groups: An
 def _matmul_segment_sum(out: np.ndarray, a: np.ndarray, b: np.ndarray, groups: Any) -> Cost:
     rows, m, k = a.shape
     return 2 * rows * m * k * b.shape[1], a.nbytes + b.nbytes + out.nbytes
-
-
-def _einsum(out: np.ndarray, subscripts: str, operands: Tuple[np.ndarray, ...]) -> Cost:
-    plan = get_plan_cache().einsum_plan(subscripts, *operands)
-    return plan.flop_count, sum(x.nbytes for x in operands) + out.nbytes
 
 
 def _gather_rows(out: np.ndarray, *_: Any) -> Cost:
@@ -151,12 +132,6 @@ _ROWS = (
     OpSpec("asarray", "alloc", ("a", "dtype"), lambda *_: (0, 0), defaults={"dtype": None}),
     # -- contraction ---------------------------------------------------
     OpSpec("matmul", "contraction", ("a", "b"), _matmul, drift_operands=("a", "b")),
-    OpSpec(
-        "einsum", "contraction", ("subscripts", "operands"), _einsum,
-        variadic=True,
-        drift_operands=("operands",),
-        trap_label="einsum[{subscripts}]",
-    ),
     # A RowGroups record built for another index list addresses rows
     # that are not there; numpy would wrap or raise past the zone.
     OpSpec(

@@ -1,4 +1,4 @@
-"""Precompiled contraction plans for TT chain kernels and einsum calls.
+"""Precompiled contraction plans for the TT chain kernels.
 
 The EL-Rec hot loop contracts the same TT chain thousands of times: the
 two-level-reuse forward (§III-A) and the in-advance-aggregation
@@ -14,12 +14,9 @@ it:
 * :class:`ChainPlan` — the left-to-right batched-GEMM schedule of a TT
   chain (forward or backward sweep), one :class:`ChainStage` per core,
   with per-stage FLOP/byte costs derived purely from shapes;
-* :class:`EinsumPlan` — ``np.einsum_path`` contraction order + FLOP
-  count for a concrete ``(subscripts, operand shapes)`` signature: how
-  the cost counter prices an ``einsum`` call;
-* :class:`ContractionPlanCache` — an LRU-bounded cache over both plan
-  kinds, with hit/miss counters surfaced by the bench harness and the
-  pipeline ``TrainLog``.
+* :class:`ContractionPlanCache` — an LRU-bounded cache of chain plans,
+  with hit/miss counters surfaced by the bench harness and the pipeline
+  ``TrainLog``.
 
 Keying
 ------
@@ -27,33 +24,26 @@ Chain plans are keyed on ``(kind, core_shapes)`` only.  The contraction
 *order* of the TT chain is fixed left-to-right and its per-row cost
 depends only on the core shapes, not on how many unique rows a
 particular batch produced — so the second batch of a training run hits
-the cache even when its unique-row count differs.  Einsum plans are
-keyed on the full ``(subscripts, operand shapes)`` signature because
-``np.einsum_path`` output is shape-dependent.
+the cache even when its unique-row count differs.
 
 Numeric note
 ------------
-No backend executes an :class:`EinsumPlan`.  The one ``einsum`` left on
-a hot path (``TTCores.reconstruct_rows``, serving) runs unoptimized:
-``np.einsum(..., optimize=path)`` dispatches through BLAS ``tensordot``
-and is *not* bitwise-identical to the evaluation that defines a served
-row's value.  Einsum plans are cost metadata only.
+A plan is a schedule, not a different evaluation: every chain — the
+TT-Rec forward, the Eff-TT fallback and serving's
+``TTCores.reconstruct_rows`` — runs the same stacked ``matmul`` stages
+in the same order, one GEMM per row per core, so a row's value depends
+on its own slices only.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Sequence, Tuple, TypeVar, cast
-
-_PlanT = TypeVar("_PlanT")
-
-import numpy as np
+from typing import Dict, Tuple
 
 __all__ = [
     "ChainStage",
     "ChainPlan",
-    "EinsumPlan",
     "ContractionPlanCache",
     "get_plan_cache",
     "reset_plan_cache",
@@ -109,19 +99,6 @@ class ChainPlan:
         return batch * self.flops_per_row
 
 
-@dataclass(frozen=True)
-class EinsumPlan:
-    """Precomputed contraction order for one einsum signature."""
-
-    subscripts: str
-    operand_shapes: Tuple[Tuple[int, ...], ...]
-    # np.einsum_path contraction list (first element "einsum_path" tag
-    # included).
-    path: Tuple[Any, ...]
-    # Cost metadata parsed from the path report.
-    flop_count: int
-
-
 def _chain_stages(core_shapes: CoreShapes) -> Tuple[ChainStage, ...]:
     stages = []
     prefix_width = 1
@@ -136,35 +113,20 @@ def _chain_stages(core_shapes: CoreShapes) -> Tuple[ChainStage, ...]:
     return tuple(stages)
 
 
-def _einsum_flops_from_report(report: str, operand_shapes: Sequence[Tuple[int, ...]]) -> int:
-    # np.einsum_path reports "Optimized FLOP count: 1.2e+05"; fall back
-    # to a dense upper bound if the report format ever changes.
-    for line in report.splitlines():
-        if "FLOP count" in line:
-            try:
-                return int(float(line.split(":")[-1].strip()))
-            except ValueError:
-                break
-    bound = 1
-    for shape in operand_shapes:
-        for extent in shape:
-            bound *= max(extent, 1)
-    return 2 * bound
-
-
 class ContractionPlanCache:
-    """LRU cache of :class:`ChainPlan` / :class:`EinsumPlan` objects.
+    """LRU cache of :class:`ChainPlan` objects.
 
     A process-wide instance (:func:`get_plan_cache`) backs the TT chain
-    kernels and the einsum pricing of the cost counter; hit/miss
-    counters feed the bench harness and ``TrainLog``.
+    kernels; hit/miss counters feed the bench harness and ``TrainLog``.
     """
 
     def __init__(self, max_entries: int = 256) -> None:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = max_entries
-        self._entries: "OrderedDict[Tuple[Any, ...], Any]" = OrderedDict()
+        self._entries: "OrderedDict[Tuple[str, CoreShapes], ChainPlan]" = (
+            OrderedDict()
+        )
         self.hits = 0
         self.misses = 0
 
@@ -180,22 +142,6 @@ class ContractionPlanCache:
         self.hits = 0
         self.misses = 0
 
-    def _get_or_build(
-        self, key: Tuple[Any, ...], build: Callable[[], _PlanT]
-    ) -> _PlanT:
-        entry = self._entries.get(key)
-        if entry is not None:
-            self.hits += 1
-            self._entries.move_to_end(key)
-            return cast(_PlanT, entry)
-        self.misses += 1
-        built = build()
-        self._entries[key] = built
-        if len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-        return built
-
-    # -- chain plans ---------------------------------------------------
     def chain_plan(self, kind: str, core_shapes: CoreShapes) -> ChainPlan:
         """Plan for a left-to-right TT chain sweep over ``core_shapes``.
 
@@ -204,37 +150,20 @@ class ContractionPlanCache:
         the key keeps them separable for backends that fuse
         differently).
         """
-        key = ("chain", kind, core_shapes)
-        return self._get_or_build(
-            key,
-            lambda: ChainPlan(kind=kind, core_shapes=core_shapes, stages=_chain_stages(core_shapes)),
+        key = (kind, core_shapes)
+        plan = self._entries.get(key)
+        if plan is not None:
+            self.hits += 1
+            self._entries.move_to_end(key)
+            return plan
+        self.misses += 1
+        plan = ChainPlan(
+            kind=kind, core_shapes=core_shapes, stages=_chain_stages(core_shapes)
         )
-
-    # -- einsum plans --------------------------------------------------
-    def einsum_plan(self, subscripts: str, *operands: np.ndarray) -> EinsumPlan:
-        """Plan for a call's signature (the cost counter's pricing seam).
-
-        ``np.einsum_path`` output depends only on shapes, so the probe
-        operands are stride-0 broadcast views of a scalar: no shape-sized
-        allocation happens.
-        """
-        shapes = tuple(tuple(int(d) for d in op.shape) for op in operands)
-        key = ("einsum", subscripts, shapes)
-
-        def build() -> EinsumPlan:
-            probes = [
-                np.broadcast_to(np.zeros((), dtype=np.float32), shape)
-                for shape in shapes
-            ]
-            path, report = np.einsum_path(subscripts, *probes, optimize="optimal")
-            return EinsumPlan(
-                subscripts=subscripts,
-                operand_shapes=shapes,
-                path=tuple(path),
-                flop_count=_einsum_flops_from_report(report, shapes),
-            )
-
-        return self._get_or_build(key, build)
+        self._entries[key] = plan
+        if len(self._entries) > self.max_entries:
+            self._entries.popitem(last=False)
+        return plan
 
 
 _PLAN_CACHE = ContractionPlanCache()

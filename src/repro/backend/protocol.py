@@ -14,7 +14,7 @@ calling numpy directly.  The backend is deliberately a small surface:
   :meth:`~repro.backend.counter.CostCounter.expect_dtype` for backend
   allocations);
 * **contraction** — ``matmul`` (the batched-GEMM workhorse of every TT
-  kernel) and ``einsum``;
+  kernel);
 * **segment GEMM** — ``gather_matmul`` (gather→GEMM) and
   ``matmul_segment_sum`` (GEMM→scatter): one GEMM per *distinct* TT
   slice over the rows a :class:`~repro.backend.groups.RowGroups` record
@@ -177,9 +177,6 @@ class ArrayBackend(Protocol):
 
     # -- contraction ---------------------------------------------------
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        ...
-
-    def einsum(self, subscripts: str, *operands: np.ndarray) -> np.ndarray:
         ...
 
     def gather_matmul(

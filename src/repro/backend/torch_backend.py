@@ -96,10 +96,6 @@ class TorchBackend:
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self._to_numpy(self._torch.matmul(self._to_torch(a), self._to_torch(b)))
 
-    def einsum(self, subscripts: str, *operands: np.ndarray) -> np.ndarray:
-        tensors = [self._to_torch(op) for op in operands]
-        return self._to_numpy(self._torch.einsum(subscripts, *tensors))
-
     def gather_matmul(
         self, a: np.ndarray, table: np.ndarray, groups: RowGroups
     ) -> np.ndarray:

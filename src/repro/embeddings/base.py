@@ -67,6 +67,18 @@ def bag_boundaries(
     """
     if offsets is None:
         return None
+    off = np.asarray(offsets)
+    if (
+        off.ndim == 1
+        and off.dtype.kind in "iu"
+        and 0 < num_indices <= off.size <= num_indices + 1
+        and off[0] == 0
+        and off[-1] == off.size - 1
+        and bool((off[1:] > off[:-1]).all())
+    ):
+        # Integers rising strictly from 0 to size-1 are arange(size):
+        # valid offsets in either form, decided without normalising.
+        return None
     boundaries = normalize_offsets(offsets, num_indices)
     # Non-decreasing from 0 to num_indices in num_indices steps: every
     # step is 1 unless some step is 0.

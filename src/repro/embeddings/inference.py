@@ -26,12 +26,13 @@ experiments).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+import copy
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.backend import ZONE_SERVING_LOOKUP, get_backend
-from repro.embeddings.base import bag_boundaries, pool_bags
+from repro.embeddings.base import EmbeddingBagBase, bag_boundaries, pool_bags
 from repro.embeddings.dense import DenseEmbeddingBag
 from repro.embeddings.eff_tt_embedding import EffTTEmbeddingBag
 from repro.embeddings.protocol import CompressedEmbedding
@@ -101,6 +102,13 @@ class HotRowCachedLookup:
                 f"on_stale must be one of {_STALE_POLICIES}, got {on_stale!r}"
             )
         self.bag = bag
+        #: Cold rows for indices the view already range-checked: the
+        #: shell's codec hook, so the check is not repeated per miss.
+        self._cold_rows: Callable[[np.ndarray], np.ndarray] = (
+            bag._reconstruct
+            if isinstance(bag, EmbeddingBagBase)
+            else bag.reconstruct_rows
+        )
         self.on_stale = on_stale
         hot = np.unique(
             check_1d_int_array(
@@ -126,6 +134,23 @@ class HotRowCachedLookup:
             )
         self._cached_version = self.bag.version
         self.refreshes += 1
+
+    def view(self) -> "HotRowCachedLookup":
+        """A lookup over the same bag and hot-row table, counting afresh.
+
+        The table is shared, not copied: what a view owns is its
+        ``hits`` / ``misses`` / ``refreshes``.  A later :meth:`refresh`
+        rebinds the refreshing view's table and leaves its siblings'.
+        """
+        twin = copy.copy(self)
+        twin.hits = twin.misses = twin.refreshes = 0
+        return twin
+
+    def freeze(self) -> None:
+        """Make the hot-row ids and values read-only (shared state)."""
+        assert self._hot_values is not None
+        self._hot_rows.setflags(write=False)
+        self._hot_values.setflags(write=False)
 
     @property
     def is_stale(self) -> bool:
@@ -157,36 +182,41 @@ class HotRowCachedLookup:
             is_hot = np.zeros(idx.size, dtype=bool)
         return is_hot, pos
 
-    def lookup_rows(self, indices: np.ndarray) -> np.ndarray:
-        """Un-pooled row lookup, cache-accelerated."""
-        self._check_fresh()
-        idx = check_1d_int_array(
+    def _validated(self, indices: np.ndarray) -> np.ndarray:
+        """The view's one range check; nothing below it re-validates."""
+        return check_1d_int_array(
             indices, "indices", min_value=0,
             max_value=self.bag.num_embeddings - 1,
         )
+
+    def _rows(self, idx: np.ndarray) -> np.ndarray:
+        """One row per validated index: hot from the table, cold rebuilt."""
+        self._check_fresh()
         is_hot, pos = self._split(idx)
         bk = get_backend()
+        num_hot = int(np.count_nonzero(is_hot))
+        num_cold = idx.size - num_hot
         with bk.zone(ZONE_SERVING_LOOKUP):
             rows = bk.empty((idx.size, self.bag.embedding_dim), dtype=np.float64)
-            if is_hot.any():
+            if num_hot:
                 rows[is_hot] = bk.gather_rows(self._hot_values, pos[is_hot])
-            cold = ~is_hot
-            if cold.any():
-                rows[cold] = self.bag.reconstruct_rows(idx[cold])
-        self.hits += int(is_hot.sum())
-        self.misses += int(cold.sum())
+            if num_cold:
+                cold = ~is_hot
+                rows[cold] = self._cold_rows(idx[cold])
+        self.hits += num_hot
+        self.misses += num_cold
         return rows
+
+    def lookup_rows(self, indices: np.ndarray) -> np.ndarray:
+        """Un-pooled row lookup, cache-accelerated."""
+        return self._rows(self._validated(indices))
 
     def forward(
         self, indices: np.ndarray, offsets: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """Pooled lookup with EmbeddingBag semantics (sum pooling)."""
-        idx = check_1d_int_array(
-            indices, "indices", min_value=0,
-            max_value=self.bag.num_embeddings - 1,
-        )
-        boundaries = bag_boundaries(offsets, idx.size)
-        return pool_bags(self.lookup_rows(idx), boundaries)
+        idx = self._validated(indices)
+        return pool_bags(self._rows(idx), bag_boundaries(offsets, idx.size))
 
     __call__ = forward
 

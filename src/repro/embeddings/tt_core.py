@@ -18,11 +18,16 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.backend import ZONE_TT_RECONSTRUCT, get_backend
-from repro.embeddings.tt_indices import row_index_to_tt
+from repro.backend import (
+    ZONE_TT_FORWARD,
+    ZONE_TT_RECONSTRUCT,
+    get_backend,
+    get_plan_cache,
+)
+from repro.embeddings.tt_indices import row_index_to_tt, row_strides
 from repro.utils.rng import RngLike, ensure_rng
 
-__all__ = ["TTSpec", "TTCores", "tt_svd", "clamp_ranks"]
+__all__ = ["TTSpec", "TTCores", "tt_chain_forward", "tt_svd", "clamp_ranks"]
 
 
 def clamp_ranks(
@@ -87,11 +92,15 @@ class TTSpec:
         dimension.
     ranks:
         Boundary ranks ``[1, R_1, ..., R_{d-1}, 1]``.
+    row_strides:
+        Mixed-radix strides of ``row_shape`` (derived, not an argument):
+        ``row_strides[k] = prod(row_shape[k+1:])``.
     """
 
     row_shape: Tuple[int, ...]
     col_shape: Tuple[int, ...]
     ranks: Tuple[int, ...]
+    row_strides: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "row_shape", tuple(int(m) for m in self.row_shape))
@@ -108,6 +117,9 @@ class TTSpec:
             raise ValueError("boundary ranks R_0 and R_d must be 1")
         if any(v < 1 for v in (*self.row_shape, *self.col_shape, *self.ranks)):
             raise ValueError("all shape entries and ranks must be >= 1")
+        object.__setattr__(
+            self, "row_strides", tuple(int(s) for s in row_strides(self.row_shape))
+        )
 
     @classmethod
     def create(
@@ -122,6 +134,18 @@ class TTSpec:
             tuple(col_shape),
             tuple(clamp_ranks(row_shape, col_shape, rank)),
         )
+
+    def tt_indices(self, idx: np.ndarray) -> List[np.ndarray]:
+        """Per-core TT indices (Equation 3) of range-checked int64 rows.
+
+        :func:`~repro.embeddings.tt_indices.row_index_to_tt` without the
+        range check and the stride recomputation: for callers whose
+        shell validated ``idx`` against the logical row count already.
+        """
+        return [
+            (idx // stride) % m_k
+            for stride, m_k in zip(self.row_strides, self.row_shape)
+        ]
 
     @property
     def num_cores(self) -> int:
@@ -266,26 +290,17 @@ class TTCores:
 
     # -- reconstruction ----------------------------------------------------
     def reconstruct_rows(self, indices: np.ndarray) -> np.ndarray:
-        """Reference row reconstruction by sequential TT contraction.
+        """Row reconstruction by sequential TT contraction.
 
-        This is the *naive* (non-reused) lookup used to validate the
-        optimized kernels; complexity is linear in the number of index
-        occurrences.
+        The *naive* (non-reused) lookup: one chain per index occurrence,
+        through the same batched-GEMM kernel as the TT-Rec forward
+        (:func:`tt_chain_forward`).  Each row is computed from its own
+        slices only, so its bits do not depend on the rows it is
+        batched with.
         """
         idx = np.asarray(indices, dtype=np.int64)
         tt_idx = row_index_to_tt(idx, self.spec.row_shape)
-        bk = get_backend()
-        with bk.zone(ZONE_TT_RECONSTRUCT):
-            # left: (L, prefix_cols, R_k) accumulated product.
-            left = bk.gather_rows(self.cores[0], tt_idx[0])  # (L, 1, n_1, R_1)
-            batch = left.shape[0]
-            left = left.reshape(batch, self.spec.col_shape[0], self.spec.ranks[1])
-            for k in range(1, self.spec.num_cores):
-                slice_k = bk.gather_rows(self.cores[k], tt_idx[k])
-                left = bk.einsum("lar,lrbs->labs", left, slice_k)
-                batch_, a, b, s = left.shape
-                left = left.reshape(batch_, a * b, s)
-            return left.reshape(batch, self.spec.embedding_dim)
+        return tt_chain_forward(self.cores, tt_idx, ZONE_TT_RECONSTRUCT)[0]
 
     def reconstruct(self) -> np.ndarray:
         """Materialize the full ``(padded_rows, embedding_dim)`` table.
@@ -300,6 +315,54 @@ class TTCores:
         return TTCores(
             self.spec, [c.copy() for c in self.cores], dtype=self.dtype
         )
+
+
+def tt_chain_forward(
+    cores: Sequence[np.ndarray],
+    tt_idx: Sequence[np.ndarray],
+    zone: str = ZONE_TT_FORWARD,
+) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """Sequential TT contraction for a list of per-core indices.
+
+    The one chain kernel: the TT-Rec forward, the Eff-TT fallback and
+    serving's :meth:`TTCores.reconstruct_rows` (which drops the
+    partials) all run it.
+
+    Returns ``(rows, left_partials)`` where ``rows`` is
+    ``(L, embedding_dim)`` and ``left_partials[k]`` is the accumulated
+    product of cores ``0..k`` gathered at the given indices, shape
+    ``(L, prod_{l<=k} n_l, R_{k+1})`` — cached for the backward chain.
+
+    ``zone`` names the kernel zone the contraction is attributed to
+    (callers such as the Eff-TT bag re-tag the shared chain kernel).
+    The batched-GEMM schedule is fetched from the process-wide
+    :class:`~repro.backend.plan_cache.ContractionPlanCache`, keyed on
+    the core shapes only — the second batch of a run hits the cache
+    regardless of its occurrence count.
+    """
+    bk = get_backend()
+    plan = get_plan_cache().chain_plan(
+        "chain_forward", tuple(c.shape for c in cores)
+    )
+    with bk.zone(zone):
+        left = bk.gather_rows(cores[0], tt_idx[0])  # (L, 1, n_1, R_1)
+        batch = left.shape[0]
+        # Widths come from the plan, never from -1: an all-empty batch
+        # (L == 0) leaves reshape nothing to infer a dimension from.
+        left = left.reshape(batch, plan.stages[0].n_k, plan.stages[0].r_out)
+        left_partials = [left]
+        for stage in plan.stages[1:]:
+            k = stage.core_index
+            slice_k = bk.gather_rows(cores[k], tt_idx[k])  # (L, R_{k-1}, n_k, R_k)
+            # (L, a, r) @ (L, r, n*s) -> (L, a*n, s): one batched GEMM per
+            # core, the cublasGemmBatchedEx shape of the paper's kernel.
+            left = bk.matmul(
+                left, slice_k.reshape(batch, stage.r_in, stage.out_width)
+            )
+            left = left.reshape(batch, stage.prefix_width * stage.n_k, stage.r_out)
+            left_partials.append(left)
+        rows = left.reshape(batch, left.shape[1] * left.shape[2])
+    return rows, left_partials
 
 
 def tt_svd(

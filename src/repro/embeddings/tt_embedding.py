@@ -25,14 +25,14 @@ import numpy as np
 from repro.backend import (
     ZONE_OPTIMIZER,
     ZONE_TT_BACKWARD,
-    ZONE_TT_FORWARD,
+    ZONE_TT_RECONSTRUCT,
     get_backend,
     get_plan_cache,
 )
 from repro.backend.protocol import DTypeLike
 from repro.embeddings.base import EmbeddingBagBase
 from repro.embeddings.protocol import SpecParamValue
-from repro.embeddings.tt_core import TTCores, TTSpec
+from repro.embeddings.tt_core import TTCores, TTSpec, tt_chain_forward
 from repro.embeddings.tt_indices import row_index_to_tt
 from repro.utils.factorize import suggest_tt_shapes
 from repro.utils.rng import RngLike
@@ -43,50 +43,6 @@ __all__ = [
     "tt_chain_forward",
     "tt_chain_backward",
 ]
-
-
-def tt_chain_forward(
-    cores: List[np.ndarray],
-    tt_idx: Sequence[np.ndarray],
-    zone: str = ZONE_TT_FORWARD,
-) -> Tuple[np.ndarray, List[np.ndarray]]:
-    """Sequential TT contraction for a list of per-core indices.
-
-    Returns ``(rows, left_partials)`` where ``rows`` is
-    ``(L, embedding_dim)`` and ``left_partials[k]`` is the accumulated
-    product of cores ``0..k`` gathered at the given indices, shape
-    ``(L, prod_{l<=k} n_l, R_{k+1})`` — cached for the backward chain.
-
-    ``zone`` names the kernel zone the contraction is attributed to
-    (callers such as the Eff-TT bag re-tag the shared chain kernel).
-    The batched-GEMM schedule is fetched from the process-wide
-    :class:`~repro.backend.plan_cache.ContractionPlanCache`, keyed on
-    the core shapes only — the second batch of a run hits the cache
-    regardless of its occurrence count.
-    """
-    bk = get_backend()
-    plan = get_plan_cache().chain_plan(
-        "chain_forward", tuple(c.shape for c in cores)
-    )
-    with bk.zone(zone):
-        left = bk.gather_rows(cores[0], tt_idx[0])  # (L, 1, n_1, R_1)
-        batch = left.shape[0]
-        # Widths come from the plan, never from -1: an all-empty batch
-        # (L == 0) leaves reshape nothing to infer a dimension from.
-        left = left.reshape(batch, plan.stages[0].n_k, plan.stages[0].r_out)
-        left_partials = [left]
-        for stage in plan.stages[1:]:
-            k = stage.core_index
-            slice_k = bk.gather_rows(cores[k], tt_idx[k])  # (L, R_{k-1}, n_k, R_k)
-            # (L, a, r) @ (L, r, n*s) -> (L, a*n, s): one batched GEMM per
-            # core, the cublasGemmBatchedEx shape of the paper's kernel.
-            left = bk.matmul(
-                left, slice_k.reshape(batch, stage.r_in, stage.out_width)
-            )
-            left = left.reshape(batch, stage.prefix_width * stage.n_k, stage.r_out)
-            left_partials.append(left)
-        rows = left.reshape(batch, left.shape[1] * left.shape[2])
-    return rows, left_partials
 
 
 def tt_chain_backward(
@@ -213,7 +169,10 @@ class TTBagBase(EmbeddingBagBase):
         self.tt = TTCores.random_init(self.spec, seed=seed, dtype=self.dtype)
 
     def _reconstruct(self, idx: np.ndarray) -> np.ndarray:
-        return self.tt.reconstruct_rows(idx)
+        # The shell range-checked idx; the spec carries the strides.
+        return tt_chain_forward(
+            self.tt.cores, self.tt.spec.tt_indices(idx), ZONE_TT_RECONSTRUCT
+        )[0]
 
     def state_arrays(self) -> Dict[str, np.ndarray]:
         """Live TT cores keyed ``core{k}`` (callers copy to persist)."""

@@ -310,7 +310,24 @@ def load_checkpoint(path) -> DLRM:
                 f"unsupported checkpoint version {version!r}"
             )
         config = _config_from_json(str(archive["__config__"][0]))
-        model = DLRM(config, seed=0)
+        bags = []
+        for t, rows in enumerate(config.table_rows):
+            kind_key = f"bag{t}/kind"
+            if kind_key in archive:
+                # v2: the stored kind is authoritative — rebuild the bag
+                # exactly as checkpointed (it may differ from what the
+                # config's threshold rule constructs, and TT-SVD warm
+                # starts may have achieved lower ranks than requested).
+                kind = str(archive[kind_key][0])
+            else:
+                # v1 carries no tags: the config's rule picked the kind.
+                kind = config.backend_for_table(t).value
+            bags.append(
+                _restore_bag(archive, t, kind, rows, config.embedding_dim)
+            )
+        # Each bag is built once, from its stored kind and spec, and
+        # handed in; the model constructs only its MLPs.
+        model = DLRM(config, seed=0, embedding_bags=bags)
         for name, param in model.named_parameters():
             key = f"param/{name}"
             if key not in archive:
@@ -322,18 +339,4 @@ def load_checkpoint(path) -> DLRM:
                     f"{stored.shape} vs model {param.data.shape}"
                 )
             param.data = stored.astype(np.float64)
-        for t, bag in enumerate(model.embedding_bags):
-            kind_key = f"bag{t}/kind"
-            if kind_key in archive:
-                # v2: the stored kind is authoritative — rebuild the bag
-                # exactly as checkpointed (it may differ from what the
-                # config's threshold rule constructs, and TT-SVD warm
-                # starts may have achieved lower ranks than requested).
-                kind = str(archive[kind_key][0])
-            else:
-                # v1 carries no tags: the config's rule picked the kind.
-                kind = bag.compression_spec().kind
-            model.embedding_bags[t] = _restore_bag(
-                archive, t, kind, bag.num_embeddings, bag.embedding_dim
-            )
         return model

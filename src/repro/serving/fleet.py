@@ -1,15 +1,24 @@
 """The serving engine: N replica executors, one queue, zero shared fate.
 
 This is the repo's only serving event loop.  A :class:`ServingFleet`
-runs N :class:`ReplicaExecutor`\\ s — each with its **own**
-materialized model, its own
-:class:`~repro.resilience.circuit.CircuitBreaker`, and its own
-degradation ladder — pulling micro-batches from a shared MPMC
+runs N :class:`ReplicaExecutor`\\ s — each with its own
+:class:`~repro.resilience.circuit.CircuitBreaker`, in-flight table,
+lifecycle state, lookup counters and degradation ladder — pulling
+micro-batches from a shared MPMC
 :class:`BatchingQueue`, with dispatch decided by the health-aware
 :class:`~repro.serving.router.FleetRouter`.  One replica crashing,
 sticking, or tripping its breaker redirects *its* work; it never
 trips the fleet.  A single server is the ``num_replicas=1`` fleet
 (``AdmissionConfig.max_in_flight`` is its worker-pool depth).
+
+A replica's fault domain is the state that can differ between
+replicas, not a private copy of bytes that cannot: the immutable part
+of a model — restored MLP parameters, TT cores / codec arrays, the
+reconstructed hot-row tables — is materialized once per
+:class:`~repro.serving.snapshot.ModelSnapshot` and hot-row map, marked
+read-only, and handed to every replica, every ``fleet.run`` and every
+swap install as a thin view
+(:meth:`~repro.serving.snapshot.ModelSnapshot.serving_model`).
 
 The degradation ladder lives in :meth:`_FleetRun.service_cycle`:
 **healthy** — a replica whose breaker allows it serves the batch on
@@ -29,7 +38,7 @@ micro-batches move into the shared queue on arrival/deadline events
 alone, so the (batch id → request ids) composition of a run depends
 only on the request stream and the batching policy — not on which
 replicas are up.  A redirected batch is re-dispatched *intact*, and
-every replica materializes byte-identical model state from the same
+every replica serves from the same read-only arrays of the same
 :class:`~repro.serving.snapshot.ModelSnapshot`, so killing any single
 replica mid-traffic yields bitwise-identical predictions for every
 delivered request versus the uninterrupted run.  That is the fleet's
@@ -37,9 +46,10 @@ chaos invariant, and ``repro chaos --plan fleet-replica-sweep``
 checks it at every injection point.
 
 Rolling hot-swap propagates a new snapshot one replica at a time:
-each target drains its in-flight batches, installs the new version
-(guarded — a stale snapshot never displaces a newer acknowledged
-one), and rejoins before the next target drains; the fleet never has
+each target drains its in-flight batches, installs a view of the new
+version (guarded — a stale snapshot never displaces a newer
+acknowledged one; the new snapshot is materialized by the first
+install only), and rejoins before the next target drains; the fleet never has
 fewer than ⌈N/2⌉ replicas admitting.  SLO-headroom autoscaling rides
 the same health-probe ticks: sustained latency above the high
 watermark adds a replica from the current snapshot, sustained
@@ -176,7 +186,12 @@ class _InFlight:
 
 
 class ReplicaExecutor:
-    """One fault domain: a model copy, a breaker, a degradation ladder.
+    """One fault domain: a model view, a breaker, a degradation ladder.
+
+    ``snapshot`` and ``hot_rows`` select the shared, read-only serving
+    state (:meth:`ModelSnapshot.serving_model`); what the executor owns
+    is its view's hit/miss counters, its breaker, its in-flight table
+    and its lifecycle state.
 
     The executor is passive — the fleet event loop drives it with
     explicit timestamps.  ``begin`` runs the real DLRM forward and
@@ -195,11 +210,7 @@ class ReplicaExecutor:
         service_time: ServiceTimeModel,
     ) -> None:
         self.replica_id = replica_id
-        self.serving_model = ServingModel(
-            snapshot.materialize(),
-            hot_rows=hot_rows or {},
-            version=snapshot.version,
-        )
+        self.serving_model = snapshot.serving_model(hot_rows)
         self.breaker = CircuitBreaker(breaker_config)
         self.service_time = service_time
         self.state = ReplicaState.LIVE
@@ -240,11 +251,7 @@ class ReplicaExecutor:
         time: float,
     ) -> None:
         """Register this replica's bounded-staleness fallback model."""
-        self._fallback = ServingModel(
-            snapshot.materialize(),
-            hot_rows=hot_rows or {},
-            version=snapshot.version,
-        )
+        self._fallback = snapshot.serving_model(hot_rows)
         self._fallback_time = float(time)
 
     def fallback_age(self, now: float) -> Optional[float]:
@@ -362,11 +369,7 @@ class ReplicaExecutor:
             hot_rows if hot_rows is not None
             else self.serving_model.hot_rows
         )
-        self.serving_model = ServingModel(
-            snapshot.materialize(),
-            hot_rows=effective,
-            version=snapshot.version,
-        )
+        self.serving_model = snapshot.serving_model(effective)
         self.swap_times.append((snapshot.version, now))
         self.state = ReplicaState.LIVE
         self.pending_action = None
@@ -554,9 +557,11 @@ class ServingFleet:
     Parameters
     ----------
     snapshot:
-        The initial model every replica materializes independently.
+        The initial model.  It is materialized once; every replica
+        serves from that state through its own view.
     hot_rows:
-        Hot-row map shared by every replica's cached lookups.
+        Hot-row map of every replica's cached lookups; the hot-row
+        tables are built once per snapshot and shared.
     config:
         Fleet shape: replica count, batching, admission, probing,
         degradation, retry, and optional autoscaling.

@@ -16,8 +16,9 @@ that drives these lives in :mod:`repro.serving.fleet`.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Protocol, Sequence
+from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -33,10 +34,25 @@ from repro.serving.metrics import ServedBatch
 __all__ = [
     "ServiceTimeModel",
     "ServingModel",
+    "hot_rows_key",
     "replay_batches",
 ]
 
 HotRowMap = Dict[int, np.ndarray]
+
+
+def hot_rows_key(hot_rows: Optional[HotRowMap]) -> Tuple[Any, ...]:
+    """Hashable identity of a hot-row map's *contents*.
+
+    Two maps get the same key exactly when they name the same tables
+    with equal id arrays (dtype, shape and bytes), whatever dict or
+    array objects carry them.
+    """
+    entries = []
+    for t, rows in sorted((hot_rows or {}).items()):
+        arr = np.asarray(rows)
+        entries.append((int(t), arr.dtype.str, arr.shape, arr.tobytes()))
+    return tuple(entries)
 
 
 class _LookupView(Protocol):
@@ -169,6 +185,40 @@ class ServingModel:
         """Re-materialize every cache from the current cores."""
         for view in self.cached_views:
             view.refresh()
+
+    # -- sharing -------------------------------------------------------
+    def freeze(self) -> None:
+        """Mark every array this view serves from read-only.
+
+        MLP parameters, every bag's state arrays (TT cores, codec
+        tables) and the hot-row tables.  After this, training the
+        wrapped model or writing through any :meth:`view` raises
+        instead of changing what the other views serve.
+        """
+        for param in self.model.parameters():
+            param.data.setflags(write=False)
+        for bag in self.model.embedding_bags:
+            for name, array in sorted(bag.state_arrays().items()):
+                array.setflags(write=False)
+        for cached in self.cached_views:
+            cached.freeze()
+
+    def view(self) -> "ServingModel":
+        """A serving model over the same arrays with its own counters.
+
+        Shares the wrapped model and the hot-row tables; owns its
+        ``version`` stamp and each cached arm's hit/miss counters, so
+        per-view lookup accounting is exact however many views serve.
+        """
+        twin = copy.copy(self)
+        twin._views = [
+            v.view() if isinstance(v, HotRowCachedLookup) else v
+            for v in self._views
+        ]
+        twin.cached_views = [
+            v for v in twin._views if isinstance(v, HotRowCachedLookup)
+        ]
+        return twin
 
     # -- cache accounting ----------------------------------------------
     @property

@@ -10,6 +10,13 @@ call yields an independent model that nobody else can touch.  npz
 round-trips float64 losslessly, so a materialized model's predictions
 are bit-identical to the snapshotted one's.
 
+Serving does not need independence, it needs the bytes once:
+:meth:`ModelSnapshot.serving_model` materializes a snapshot a single
+time per hot-row map, marks every array read-only, and hands each
+caller (replica, fleet run, swap install, fallback) a thin view with
+its own lookup counters.  That state is held by the snapshot object
+and goes away with it.
+
 :meth:`ModelSnapshot.from_trainer` bridges the parameter-server
 topology to the serving one: host-resident tables (which own no local
 weights) are materialized from the server's current state into plain
@@ -20,13 +27,14 @@ needs no parameter server.
 from __future__ import annotations
 
 import io
-from typing import Any, List
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.embeddings.base import EmbeddingBagBase
 from repro.embeddings.protocol import CompressionSpec
 from repro.embeddings.registry import build_bag_from_spec
 from repro.models.dlrm import DLRM
 from repro.models.serialization import load_checkpoint, save_checkpoint
+from repro.serving.server import HotRowMap, ServingModel, hot_rows_key
 
 __all__ = ["ModelSnapshot"]
 
@@ -48,6 +56,9 @@ class ModelSnapshot:
             raise ValueError("snapshot payload must be non-empty")
         self._payload = bytes(payload)
         self.version = int(version)
+        #: The frozen serving state per hot-row map contents; lives and
+        #: dies with the snapshot.
+        self._serving: Dict[Tuple[Any, ...], ServingModel] = {}
 
     # -- capture -------------------------------------------------------
     @classmethod
@@ -97,6 +108,26 @@ class ModelSnapshot:
     def materialize(self) -> DLRM:
         """Rebuild an independent model from the frozen bytes."""
         return load_checkpoint(io.BytesIO(self._payload))
+
+    def serving_model(self, hot_rows: Optional[HotRowMap]) -> ServingModel:
+        """A serving view of this snapshot's one materialized state.
+
+        The first call for a hot-row map (by contents) decodes the
+        bytes and reconstructs the hot-row tables once, then marks every
+        array read-only; that call and every later one return a thin
+        :meth:`ServingModel.view` over those arrays with its own
+        hit/miss counters.  Replicas, fleet runs and swap installs of
+        one snapshot therefore share one copy of the immutable state.
+        """
+        key = hot_rows_key(hot_rows)
+        shared = self._serving.get(key)
+        if shared is None:
+            shared = ServingModel(
+                self.materialize(), hot_rows=hot_rows, version=self.version
+            )
+            shared.freeze()
+            self._serving[key] = shared
+        return shared.view()
 
     # -- persistence ---------------------------------------------------
     def save(self, path: str) -> None:

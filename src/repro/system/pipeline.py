@@ -98,7 +98,7 @@ class TrainLog:
     cache_misses: int = 0
     stale_rows_consumed: int = 0
     #: Contraction-plan-cache traffic accrued during this run (the TT
-    #: chain plans and einsum paths; see repro.backend.plan_cache).
+    #: chain plans; see repro.backend.plan_cache).
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
 

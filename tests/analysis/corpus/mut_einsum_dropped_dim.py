@@ -22,4 +22,4 @@ def chain_first_hop():
         left = bk.gather_rows(cores[0], idx).reshape(3, 2, 3)
         core_slice = bk.gather_rows(cores[1], idx)
         # MUTATION: "lar" -> "la" (rank axis dropped from the term)
-        return bk.einsum("la,lrbs->labs", left, core_slice)
+        return np.einsum("la,lrbs->labs", left, core_slice)

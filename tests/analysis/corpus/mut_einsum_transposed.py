@@ -23,4 +23,4 @@ def chain_first_hop():
         left = bk.gather_rows(cores[0], idx).reshape(3, 2, 3)
         core_slice = bk.gather_rows(cores[1], idx)
         # MUTATION: "lrbs" -> "lsrb" (rank contracted against columns)
-        return bk.einsum("lar,lsrb->labs", left, core_slice)
+        return np.einsum("lar,lsrb->labs", left, core_slice)

@@ -21,8 +21,9 @@ class TestRuleCatalog:
     def test_catalog_ids_are_unique_and_complete(self):
         ids = [rule.id for rule in PERF_RULES.values()]
         assert len(ids) == len(set(ids))
-        # 002 (the unfused-contraction advisory) is retired, not reused.
-        assert {f"PERF{n:03d}" for n in (0, 1, 3, 4, 5, 6, 7)} == set(ids)
+        # 002 (unfused-contraction) and 004 (plan-cache-bypass) are
+        # retired, not reused.
+        assert {f"PERF{n:03d}" for n in (0, 1, 3, 5, 6, 7)} == set(ids)
 
     def test_unknown_select_raises(self):
         with pytest.raises(KeyError):

@@ -22,7 +22,6 @@ ZONE_DIR = "repro/embeddings"
 EXPECTED = {
     f"{ZONE_DIR}/mut_perf001_hot_loop_alloc.py": [("PERF001", 14)],
     f"{ZONE_DIR}/mut_perf003_layout_churn.py": [("PERF003", 7)],
-    f"{ZONE_DIR}/mut_perf004_plan_cache_bypass.py": [("PERF004", 10)],
     f"{ZONE_DIR}/mut_perf005_batch_python_loop.py": [("PERF005", 13)],
     f"{ZONE_DIR}/mut_perf006_redundant_gather.py": [("PERF006", 13)],
     f"{ZONE_DIR}/mut_perf007_dtype_churn.py": [("PERF007", 13)],
@@ -31,7 +30,6 @@ EXPECTED = {
 CLEAN_TWINS = [
     f"{ZONE_DIR}/clean_perf001_loop_variant_alloc.py",
     f"{ZONE_DIR}/clean_perf003_reshape_first.py",
-    f"{ZONE_DIR}/clean_perf004_literal_subscripts.py",
     f"{ZONE_DIR}/clean_perf005_batched_op.py",
     f"{ZONE_DIR}/clean_perf006_write_between.py",
     f"{ZONE_DIR}/clean_perf007_real_cast.py",
@@ -51,8 +49,9 @@ def test_manifest_matches_corpus_directory():
 
 def test_every_perf_rule_is_exercised():
     fired = {rule_id for hits in EXPECTED.values() for rule_id, _ in hits}
-    # 002 is a retired id (the unfused-contraction advisory).
-    assert fired == {f"PERF{n:03d}" for n in (1, 3, 4, 5, 6, 7)}
+    # Retired ids: 002 (the unfused-contraction advisory) and 004
+    # (plan-cache-bypass, gone with the backend's einsum op).
+    assert fired == {f"PERF{n:03d}" for n in (1, 3, 5, 6, 7)}
 
 
 @pytest.mark.parametrize("rel", sorted(EXPECTED))

@@ -148,7 +148,7 @@ idx = np.array([0, 1, 2])
 bk = get_backend()
 with bk.zone(ZONE_TT_FORWARD):
     left = bk.gather_rows(cores[0], idx).reshape(3, 2, 3)
-    out = bk.einsum("lar,lrbs->labs", left, bk.gather_rows(cores[1], idx))
+    out = np.einsum("lar,lrbs->labs", left, bk.gather_rows(cores[1], idx))
 """
         assert shapecheck_source(src).findings == []
         # One transposed term makes the same chain provably wrong.
@@ -196,7 +196,7 @@ bk = get_backend()
 left = bk.zeros((8, 2, 3), dtype=np.float32)
 with bk.zone(ZONE_TT_FORWARD):
     for k in range(3):
-        left = bk.einsum("lar,lrbs->labs", left, slices[k])
+        left = np.einsum("lar,lrbs->labs", left, slices[k])
 """
         assert shapecheck_source(src).findings == []
 

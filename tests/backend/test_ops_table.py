@@ -72,8 +72,7 @@ class TestTableMatchesTheBackends:
         assert {
             p.name: p.default for p in params[1:] if p.default is not p.empty
         } == dict(spec.defaults)
-        variadic = [p.name for p in params if p.kind is p.VAR_POSITIONAL]
-        assert variadic == ([spec.params[-1]] if spec.variadic else [])
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
 
     def test_every_backend_implements_every_row(self):
         for backend in (NumpyBackend, TorchBackend, Interposer):
@@ -89,17 +88,12 @@ class TestTableMatchesTheBackends:
             assert named <= set(spec.params), spec.name
 
     def test_contraction_family_is_what_the_flop_model_sums(self):
-        assert CONTRACTION_OPS == (
-            "matmul", "einsum", "gather_matmul", "matmul_segment_sum"
-        )
+        assert CONTRACTION_OPS == ("matmul", "gather_matmul", "matmul_segment_sum")
 
     def test_bind_is_pythons_call_rule(self):
         scatter = OPS["scatter_add_rows"]
         assert scatter.bind(("t", "i"), {"values": "v"}) == {
             "target": "t", "indices": "i", "values": "v", "scale": 1.0
-        }
-        assert OPS["einsum"].bind(("ab,bc->ac", 1, 2), {}) == {
-            "subscripts": "ab,bc->ac", "operands": (1, 2)
         }
         for args, kwargs in ((("t",), {}), (("t", "i", "v", 1.0, 2), {}), (("t", "i", "v"), {"lr": 1})):
             with pytest.raises(TypeError):
@@ -121,8 +115,8 @@ class TestTableMatchesTheBackends:
         bk.scatter_add_rows(
             np.zeros((4, 2)), values=np.ones((1, 2)), indices=np.array([1])
         )
-        bk.einsum("ij,jk->ik", np.ones((2, 3)), np.ones((3, 2)))
-        assert seen == [("scatter_add_rows", 4), ("einsum", 2)]
+        bk.asarray([1.0])
+        assert seen == [("scatter_add_rows", 4), ("asarray", 2)]
         with pytest.raises(TypeError):
             bk.matmul(np.ones((2, 2)))
 

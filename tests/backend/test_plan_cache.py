@@ -1,6 +1,5 @@
 """Contraction-plan cache: keying, LRU bounds, and FLOP metadata."""
 
-import numpy as np
 import pytest
 
 from repro.backend import (
@@ -48,32 +47,6 @@ class TestChainPlans:
         cache.chain_plan("chain_forward", CORE_SHAPES)
         cache.chain_plan("chain_backward", CORE_SHAPES)
         assert cache.misses == 2
-
-
-class TestEinsumPlans:
-    def test_plan_caches_on_signature(self):
-        cache = ContractionPlanCache()
-        a = np.ones((8, 3, 4))
-        cache.einsum_plan("bfd,bgd->bfg", a, a)
-        cache.einsum_plan("bfd,bgd->bfg", a, a)
-        assert cache.stats == {"hits": 1, "misses": 1, "entries": 1}
-
-    def test_different_shapes_miss(self):
-        cache = ContractionPlanCache()
-        cache.einsum_plan("bfd,bgd->bfg", np.ones((8, 3, 4)), np.ones((8, 3, 4)))
-        cache.einsum_plan("bfd,bgd->bfg", np.ones((4, 3, 4)), np.ones((4, 3, 4)))
-        assert cache.misses == 2
-
-    def test_flop_count_positive_and_path_usable(self):
-        cache = ContractionPlanCache()
-        a = np.ones((8, 3, 4))
-        plan = cache.einsum_plan("bfd,bgd->bfg", a, a)
-        assert plan.flop_count > 0
-        assert plan.flop_count == 2 * 8 * 3 * 3 * 4
-        assert plan.path[0] == "einsum_path"
-        # The path must be consumable as einsum's optimize= argument.
-        out = np.einsum("bfd,bgd->bfg", a, a, optimize=list(plan.path))
-        assert out.shape == (8, 3, 3)
 
 
 class TestLruBehaviour:

@@ -95,15 +95,10 @@ class TestNumpyBackendOps:
         b = self.rng.standard_normal((5, 3, 2))
         np.testing.assert_array_equal(self.bk.matmul(a, b), np.matmul(a, b))
 
-    def test_einsum_matches_unoptimized_numpy(self):
-        a = self.rng.standard_normal((6, 3, 4))
-        np.testing.assert_array_equal(
-            self.bk.einsum("bfd,bgd->bfg", a, a),
-            np.einsum("bfd,bgd->bfg", a, a, optimize=False),
-        )
-        with pytest.raises(TypeError):
-            # no backend executes a plan: the keyword is gone, not ignored
-            self.bk.einsum("bfd,bgd->bfg", a, a, plan=None)
+    def test_einsum_is_not_a_backend_op(self):
+        # Retired with its last caller: every contraction is a matmul
+        # or a segment GEMM, so a stray call fails loudly.
+        assert not hasattr(self.bk, "einsum")
 
     def test_gather_scatter_round_trip(self):
         table = self.rng.standard_normal((8, 4))

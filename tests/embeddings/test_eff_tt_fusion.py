@@ -47,8 +47,7 @@ class ArraySizes(Observer):
                 self.largest[zone] = (array.size, op)
 
     def before(self, zone, op, args):
-        operands = args[1] if op == "einsum" else args
-        self._see(zone, op, operands)
+        self._see(zone, op, args)
         if op == "scatter_add_rows":
             self.scatter_indices.append((zone, np.array(args[1])))
 
