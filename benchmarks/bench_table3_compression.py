@@ -8,38 +8,49 @@ placement planning itself (TT shape selection over all 26 tables).
 
 from __future__ import annotations
 
+from collections import Counter
+
 from conftest import emit
 from repro.bench.harness import format_table
 from repro.data.datasets import avazu_like, criteo_kaggle_like, criteo_tb_like
+from repro.embeddings.planner import (
+    STRATEGY_KINDS,
+    build_bags,
+    plan_hbm_pack,
+    plan_under_budget,
+)
+from repro.reorder.stats import analytic_table_stats
 from repro.system.devices import TESLA_V100
-from repro.system.memory import PlacementDecision, plan_placement
 
 EMBEDDING_DIM = 64
 TT_RANK = 128  # paper's V100 setting
 TT_THRESHOLD = 1_000_000
 
 
+def plan_on_v100(spec):
+    """The paper's placement of ``spec`` on one whole V100 (fp32)."""
+    return plan_hbm_pack(
+        analytic_table_stats([t.num_rows for t in spec.tables]),
+        EMBEDDING_DIM,
+        int(TESLA_V100.hbm_bytes),
+        tt_rank=TT_RANK,
+        tt_threshold_rows=TT_THRESHOLD,
+    )
+
+
 def build_table3() -> str:
     rows = []
     for spec in (avazu_like(), criteo_tb_like(), criteo_kaggle_like()):
-        table_rows = [t.num_rows for t in spec.tables]
         dense_gb = spec.embedding_footprint_bytes(EMBEDDING_DIM) / 1e9
-        plan = plan_placement(
-            table_rows,
-            EMBEDDING_DIM,
-            TESLA_V100,
-            tt_rank=TT_RANK,
-            tt_threshold_rows=TT_THRESHOLD,
-            hbm_fraction=1.0,
-        )
-        compressed_bytes = sum(p.nbytes for p in plan.placements)
+        plan = plan_on_v100(spec)
+        compressed_bytes = plan.device_bytes + plan.server_bytes
         rows.append(
             [
                 spec.name,
                 f"{dense_gb:.2f}",
                 f"{compressed_bytes / 1e9:.4f}",
                 f"{dense_gb * 1e9 / compressed_bytes:.1f}x",
-                len(plan.tt_tables),
+                sum(t.kind == "eff_tt" for t in plan.tables),
                 "yes" if compressed_bytes <= TESLA_V100.hbm_bytes else "no",
             ]
         )
@@ -62,23 +73,9 @@ def build_table3() -> str:
 
 def test_table3_compression(benchmark):
     spec = criteo_tb_like()
-    table_rows = [t.num_rows for t in spec.tables]
-
-    def plan():
-        return plan_placement(
-            table_rows,
-            EMBEDDING_DIM,
-            TESLA_V100,
-            tt_rank=TT_RANK,
-            tt_threshold_rows=TT_THRESHOLD,
-            hbm_fraction=1.0,
-        )
-
-    result = benchmark(plan)
+    result = benchmark(lambda: plan_on_v100(spec))
     # the paper's claim: the largest public DLRM dataset fits one GPU
-    assert all(
-        p.decision is not PlacementDecision.HOST_DENSE for p in result.placements
-    )
+    assert not result.server_positions()
     emit("table3_compression", build_table3())
 
 
@@ -101,12 +98,11 @@ import pytest
 
 MATRIX_STRATEGIES = ("tt", "hash", "robe", "pq", "auto")
 MATRIX_FRACTIONS = (0.5, 0.1, 0.02)
+#: registry kind -> the ``--compress-strategy`` name the tables print
+STRATEGY_OF_KIND = {kind: name for name, kind in STRATEGY_KINDS.items()}
 
 
 def build_strategy_budget_matrix() -> str:
-    from repro.embeddings.autotune import plan_compression
-    from repro.sharding.trainer import analytic_table_stats
-
     spec = criteo_kaggle_like()
     stats = analytic_table_stats([t.num_rows for t in spec.tables])
     dense_bytes = sum(s.num_rows for s in stats) * EMBEDDING_DIM * 8
@@ -114,18 +110,23 @@ def build_strategy_budget_matrix() -> str:
     for strategy in MATRIX_STRATEGIES:
         for fraction in MATRIX_FRACTIONS:
             budget = int(dense_bytes * fraction)
-            plan = plan_compression(
+            plan = plan_under_budget(
                 stats, EMBEDDING_DIM, budget, strategy=strategy
             )
             counts = ", ".join(
-                f"{k}:{v}" for k, v in sorted(plan.strategy_counts().items())
+                f"{k}:{v}"
+                for k, v in sorted(
+                    Counter(
+                        STRATEGY_OF_KIND[t.kind] for t in plan.tables
+                    ).items()
+                )
             )
             rows.append(
                 [
                     strategy,
                     f"{fraction:.0%}",
-                    f"{plan.total_bytes / 1e9:.4f}",
-                    f"{plan.dense_total_bytes / max(1, plan.total_bytes):.1f}x",
+                    f"{plan.device_bytes / 1e9:.4f}",
+                    f"{plan.dense_bytes / max(1, plan.device_bytes):.1f}x",
                     "yes" if plan.feasible else "NO",
                     counts,
                 ]
@@ -142,30 +143,25 @@ def build_strategy_budget_matrix() -> str:
 
 @pytest.mark.compress_slow
 def test_strategy_budget_matrix_plans():
-    from repro.embeddings.autotune import plan_compression
-    from repro.sharding.trainer import analytic_table_stats
-
     spec = criteo_kaggle_like()
     stats = analytic_table_stats([t.num_rows for t in spec.tables])
     dense_bytes = sum(s.num_rows for s in stats) * EMBEDDING_DIM * 8
     for strategy in MATRIX_STRATEGIES:
         for fraction in MATRIX_FRACTIONS:
             budget = int(dense_bytes * fraction)
-            plan = plan_compression(
+            plan = plan_under_budget(
                 stats, EMBEDDING_DIM, budget, strategy=strategy
             )
             if plan.feasible:
-                assert plan.total_bytes <= budget, (strategy, fraction)
+                assert plan.device_bytes <= budget, (strategy, fraction)
     emit("strategy_budget_matrix", build_strategy_budget_matrix())
 
 
 @pytest.mark.compress_slow
 def test_strategy_budget_matrix_training():
     from repro.data.dataloader import SyntheticClickLog
-    from repro.embeddings.autotune import build_bag_from_plan, plan_compression
     from repro.models.config import DLRMConfig, EmbeddingBackend
     from repro.models.dlrm import DLRM
-    from repro.sharding.trainer import analytic_table_stats
     from repro.utils.rng import spawn_rngs
 
     spec = criteo_kaggle_like(scale=2e-4)
@@ -189,7 +185,7 @@ def test_strategy_budget_matrix_training():
     for strategy in MATRIX_STRATEGIES:
         for fraction in MATRIX_FRACTIONS:
             budget = int(dense_bytes * fraction)
-            plan = plan_compression(
+            plan = plan_under_budget(
                 stats, cfg.embedding_dim, budget, strategy=strategy
             )
             if not plan.feasible:
@@ -197,11 +193,8 @@ def test_strategy_budget_matrix_training():
                     [strategy, f"{fraction:.0%}", "infeasible", "-"]
                 )
                 continue
-            rngs = spawn_rngs(0, len(plan.tables))
-            bags = [
-                build_bag_from_plan(entry, cfg.embedding_dim, seed=rng)
-                for entry, rng in zip(plan.tables, rngs)
-            ]
+            # the published table's seeds: table t at child t
+            bags = build_bags(plan, spawn_rngs(0, len(plan.tables)))
             realized = sum(b.memory_bytes() for b in bags)
             assert realized <= budget, (strategy, fraction)
             loss = run(bags)

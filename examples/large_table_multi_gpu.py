@@ -13,9 +13,10 @@ import numpy as np
 
 from repro.data.datasets import DatasetSpec, TableSpec
 from repro.data.dataloader import SyntheticClickLog
-from repro.embeddings import EffTTEmbeddingBag
+from repro.embeddings import EffTTEmbeddingBag, plan_hbm_pack
 from repro.models import DLRMConfig, EmbeddingBackend
-from repro.system import TESLA_V100, plan_placement
+from repro.reorder import analytic_table_stats
+from repro.system import TESLA_V100
 from repro.system.multi_gpu import DataParallelTrainer
 
 ROWS_FULL = 40_000_000
@@ -34,9 +35,13 @@ def main() -> None:
     print(f"Eff-TT footprint: {tt_gb:6.3f} GB  (rank {TT_RANK}, "
           f"{bag_spec.compression_ratio():.0f}x smaller -> fits easily)")
 
-    plan = plan_placement([ROWS_FULL], DIM, TESLA_V100, tt_rank=TT_RANK,
-                          tt_threshold_rows=1_000_000)
-    print(f"placement plan  : {plan.summary()}")
+    plan = plan_hbm_pack(
+        analytic_table_stats([ROWS_FULL]), DIM,
+        int(TESLA_V100.hbm_bytes * 0.8), tt_rank=TT_RANK,
+        tt_threshold_rows=1_000_000,
+    )
+    print("placement plan  :")
+    print(plan.format_table())
 
     # --- functional data-parallel training (scaled) ------------------
     print("\n== functional 4-replica data-parallel training (scaled) ==")

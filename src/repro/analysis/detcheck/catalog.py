@@ -176,14 +176,15 @@ STATE_SINK_METHODS: FrozenSet[str] = frozenset(
     {"apply_gradients", "step_rows", "load_state_arrays"}
 )
 
-#: Constructors assembling placement plans; tainted arguments mean the
-#: table placement itself becomes seed/host dependent.
+#: Constructors assembling table plans — every policy in
+#: ``repro.embeddings.planner`` returns these two; tainted arguments
+#: mean the table placement itself becomes seed/host dependent.
 PLACEMENT_CONSTRUCTORS: FrozenSet[str] = frozenset(
     {
-        "repro.sharding.placement.PlacementDecision",
-        "repro.sharding.placement.PlacementPlan",
-        "PlacementDecision",
-        "PlacementPlan",
+        "repro.embeddings.planner.TablePlan",
+        "repro.embeddings.planner.ModelPlan",
+        "TablePlan",
+        "ModelPlan",
     }
 )
 

@@ -830,6 +830,7 @@ class FunctionInterpreter:
                     self._check_tainted_sink(
                         node, value, "a placement-plan record"
                     )
+                    self.sink_params |= value.param_deps
                 return Value.combine(tuple(all_vals))
             if resolved.rsplit(".", 1)[-1].endswith("Queue"):
                 return Value(container="queue")
@@ -903,7 +904,7 @@ class FunctionInterpreter:
                 self._check_tainted_sink(
                     node,
                     value,
-                    f"a checkpoint payload via {display}()",
+                    f"a checkpoint payload or table plan via {display}()",
                 )
 
         out = Value(

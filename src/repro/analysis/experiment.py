@@ -18,19 +18,15 @@ Exposed on the CLI as ``python -m repro hazards [--inject]``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.analysis.hazards import HazardReport
 from repro.analysis.shims import PipelineProbe
 from repro.data.dataloader import SyntheticClickLog
 from repro.data.datasets import criteo_kaggle_like
 from repro.models.config import DLRMConfig, EmbeddingBackend
-from repro.models.dlrm import DLRM, build_embedding_bag
-from repro.system.parameter_server import (
-    HostBackedEmbeddingBag,
-    HostParameterServer,
-)
-from repro.system.pipeline import PipelinedPSTrainer, TrainLog
+from repro.sharding.trainer import build_sharded_ps_trainer
+from repro.system.pipeline import TrainLog
 
 __all__ = ["HazardExperimentResult", "run_hazard_experiment"]
 
@@ -68,10 +64,10 @@ class HazardExperimentResult:
         return "\n".join(lines)
 
 
-def _build_pipeline(
-    seed: int, lr: float
-) -> Tuple[DLRM, HostParameterServer, Dict[int, int], SyntheticClickLog]:
-    """Small two-host-table DLRM over a scaled Criteo-like schema."""
+def _harness(seed: int) -> Tuple[DLRMConfig, List[int], SyntheticClickLog]:
+    """Small DLRM config over a scaled Criteo-like schema, its two
+    largest tables (the ones the harness keeps behind the server), and
+    the click log."""
     spec = criteo_kaggle_like(scale=2e-5)
     log = SyntheticClickLog(spec, batch_size=64, seed=seed)
     cfg = DLRMConfig.from_dataset(
@@ -84,27 +80,8 @@ def _build_pipeline(
         top_mlp=(16,),
     )
     rows = list(cfg.table_rows)
-    host_positions = sorted(range(len(rows)), key=lambda t: -rows[t])[:2]
-    host_map = {p: i for i, p in enumerate(host_positions)}
-    bags: List[object] = []
-    for t, num_rows in enumerate(cfg.table_rows):
-        if t in host_map:
-            bags.append(HostBackedEmbeddingBag(num_rows, cfg.embedding_dim))
-        else:
-            bags.append(
-                build_embedding_bag(
-                    cfg.backend_for_table(t),
-                    num_rows,
-                    cfg.embedding_dim,
-                    cfg.tt_rank,
-                    seed=(200 + t),
-                )
-            )
-    model = DLRM(cfg, seed=7, embedding_bags=bags)
-    server = HostParameterServer(
-        [rows[p] for p in host_positions], cfg.embedding_dim, lr=lr, seed=3
-    )
-    return model, server, host_map, log
+    two_largest = sorted(range(len(rows)), key=lambda t: -rows[t])[:2]
+    return cfg, two_largest, log
 
 
 def run_hazard_experiment(
@@ -122,18 +99,17 @@ def run_hazard_experiment(
     detector must then flag RAW hazards.  All inputs are seeded, so
     repeated runs produce identical traces and identical reports.
     """
-    model, server, host_map, log = _build_pipeline(seed=seed, lr=lr)
+    cfg, two_largest, log = _harness(seed)
     probe = PipelineProbe()
-    trainer = PipelinedPSTrainer(
-        model,
-        server,
-        host_map,
+    trainer = build_sharded_ps_trainer(
+        cfg,
+        host_positions=two_largest,
+        probe=probe,
         lr=lr,
         prefetch_depth=prefetch_depth,
         grad_queue_depth=grad_queue_depth,
         use_cache=not inject_fault,
-        probe=probe,
-    )
+    ).trainer
     train_log = trainer.train(log, num_batches)
     return HazardExperimentResult(
         report=probe.report(),

@@ -235,42 +235,32 @@ def _train_sharded(args: argparse.Namespace, spec, log, cfg) -> int:
     trajectory is bitwise-independent of N.
     """
     from repro.backend import get_backend
-    from repro.reorder import table_stats_from_log
+    from repro.reorder import profile_tables
     from repro.sharding import LinkCompressionConfig, build_sharded_ps_trainer
-    from repro.sharding.placement import StatsDrivenStrategy
 
-    strategy = None
-    if args.compress_strategy not in ("none", "tt"):
-        if args.compress_strategy in ("auto", "dense"):
-            print(
-                f"--compress-strategy {args.compress_strategy} is not "
-                "supported with --shards (the placement planner picks "
-                "one compressed on-device form); pick hash, robe, or pq",
-                file=sys.stderr,
-            )
-            return 2
-        strategy = StatsDrivenStrategy(
-            compress_strategy=args.compress_strategy,
-            compress_rate=cfg.compress_rate,
+    if args.compress_strategy in ("auto", "dense"):
+        print(
+            f"--compress-strategy {args.compress_strategy} is not "
+            "supported with --shards (the placement planner picks "
+            "one compressed on-device form); pick hash, robe, or pq",
+            file=sys.stderr,
         )
-    profile_batches = max(1, min(args.steps, 8))
-    stats = [
-        table_stats_from_log(log, t, num_batches=profile_batches)
-        for t in range(spec.num_sparse)
-    ]
-    compression = LinkCompressionConfig(
-        mode=args.compress, topk_fraction=args.topk_fraction
-    )
+        return 2
     setup = build_sharded_ps_trainer(
         cfg,
         num_shards=args.shards,
-        compression=compression,
-        stats=stats,
-        strategy=strategy,
+        compression=LinkCompressionConfig(
+            mode=args.compress, topk_fraction=args.topk_fraction
+        ),
+        stats=profile_tables(log, max(1, min(args.steps, 8))),
+        compress_strategy=(
+            "tt" if args.compress_strategy == "none"
+            else args.compress_strategy
+        ),
         device_budget_bytes=args.device_budget_mb * 1_000_000,
         lr=args.lr,
     )
-    print(f"placement plan ({setup.plan.strategy}, {args.shards} shard(s)):")
+    print(f"placement plan ({args.shards} shard(s)):")
     print(setup.plan.format_table())
     print(
         f"server tables at positions {setup.host_positions} "
@@ -303,15 +293,12 @@ def _train_compressed(args: argparse.Namespace, spec, log, cfg) -> int:
 
     Profiles a training-data prefix into measured per-table stats, runs
     the memory-budget auto-tuner
-    (:func:`~repro.embeddings.autotune.plan_compression`), builds the
+    (:func:`~repro.embeddings.planner.plan_under_budget`), builds the
     planned bags, and trains the DLRM on them end-to-end, reporting the
     realized embedding footprint against the budget.
     """
     from repro.backend import get_backend
-    from repro.embeddings import build_bag_from_plan, plan_compression
-    from repro.models.dlrm import DLRM
-    from repro.reorder import table_stats_from_log
-    from repro.utils.rng import spawn_rngs
+    from repro.reorder import profile_tables
 
     if args.memory_budget_mb is None:
         print(
@@ -320,34 +307,24 @@ def _train_compressed(args: argparse.Namespace, spec, log, cfg) -> int:
             file=sys.stderr,
         )
         return 2
-    profile_batches = max(1, min(args.steps, 8))
-    stats = [
-        table_stats_from_log(log, t, num_batches=profile_batches)
-        for t in range(spec.num_sparse)
-    ]
-    budget = int(args.memory_budget_mb * 1_000_000)
-    plan = plan_compression(
-        stats, cfg.embedding_dim, budget, strategy=args.compress_strategy
+    model, plan = _planned_model(
+        cfg,
+        profile_tables(log, max(1, min(args.steps, 8))),
+        int(args.memory_budget_mb * 1_000_000),
+        args.compress_strategy,
+        args.seed,
     )
+    budget = plan.budget_bytes
     print(
         f"compression plan ('{args.compress_strategy}', "
         f"budget {args.memory_budget_mb:g} MB):"
     )
     print(plan.format_table())
-    # Same child-RNG convention as DLRM's own construction (table t at
-    # rngs[2 + t]), so a plan that picks the config's backend for every
-    # table reproduces the uncompressed model exactly.
-    rngs = spawn_rngs(args.seed, 2 + cfg.num_tables)
-    bags = [
-        build_bag_from_plan(entry, cfg.embedding_dim, seed=rngs[2 + t])
-        for t, entry in enumerate(plan.tables)
-    ]
-    model = DLRM(cfg, seed=args.seed, embedding_bags=bags)
     losses = [
         model.train_step(log.batch(i), lr=args.lr).loss
         for i in range(args.steps)
     ]
-    realized = sum(bag.memory_bytes() for bag in bags)
+    realized = sum(bag.memory_bytes() for bag in model.embedding_bags)
     print(
         f"trained {args.steps} steps on {args.dataset} "
         f"({get_backend().name} backend, '{args.compress_strategy}' "
@@ -358,7 +335,7 @@ def _train_compressed(args: argparse.Namespace, spec, log, cfg) -> int:
         f"embedding memory: {realized / 1e6:.2f} MB realized of "
         f"{budget / 1e6:.2f} MB budget "
         f"({'within' if within else 'OVER'}; dense would be "
-        f"{plan.dense_total_bytes / 1e6:.2f} MB)"
+        f"{plan.dense_bytes / 1e6:.2f} MB)"
     )
     if not plan.feasible:
         print(
@@ -369,11 +346,28 @@ def _train_compressed(args: argparse.Namespace, spec, log, cfg) -> int:
     return 0 if losses[-1] < losses[0] and (within or not plan.feasible) else 1
 
 
+def _planned_model(cfg, stats, budget_bytes: int, strategy: str, seed: int):
+    """``(model, plan)`` for ``--compress-strategy`` / ``--memory-budget-mb``.
+
+    The bags take the child RNGs ``DLRM(cfg, seed)`` would have given
+    them, so a plan that picks the config's backend for every table
+    reproduces the uncompressed model exactly.
+    """
+    from repro.embeddings import build_bags, plan_under_budget
+    from repro.models.dlrm import DLRM, table_seeds
+
+    plan = plan_under_budget(
+        stats, cfg.embedding_dim, budget_bytes, strategy=strategy
+    )
+    bags = build_bags(plan, table_seeds(seed, cfg.num_tables))
+    return DLRM(cfg, seed=seed, embedding_bags=bags), plan
+
+
 def _plan_summary(strategy: str, plan) -> str:
     """One-line size-vs-budget summary of a compression plan."""
     return (
         f"embeddings: '{strategy}' plan, "
-        f"{plan.total_bytes / 1e6:.2f} MB of "
+        f"{plan.device_bytes / 1e6:.2f} MB of "
         f"{plan.budget_bytes / 1e6:.2f} MB budget"
     )
 
@@ -395,9 +389,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         bottom_mlp=(16,), top_mlp=(16,),
     )
     if args.compress_strategy != "none":
-        from repro.embeddings import build_bag_from_plan, plan_compression
-        from repro.reorder import table_stats_from_log
-        from repro.utils.rng import spawn_rngs
+        from repro.reorder import profile_tables
 
         if args.memory_budget_mb is None:
             print(
@@ -405,22 +397,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        stats = [
-            table_stats_from_log(log, t, num_batches=4)
-            for t in range(spec.num_sparse)
-        ]
-        comp_plan = plan_compression(
-            stats,
-            cfg.embedding_dim,
+        model, comp_plan = _planned_model(
+            cfg,
+            profile_tables(log, 4),
             int(args.memory_budget_mb * 1_000_000),
-            strategy=args.compress_strategy,
+            args.compress_strategy,
+            args.seed,
         )
-        rngs = spawn_rngs(args.seed, 2 + cfg.num_tables)
-        bags = [
-            build_bag_from_plan(entry, cfg.embedding_dim, seed=rngs[2 + t])
-            for t, entry in enumerate(comp_plan.tables)
-        ]
-        model = DLRM(cfg, seed=args.seed, embedding_bags=bags)
         print(_plan_summary(args.compress_strategy, comp_plan))
     else:
         model = DLRM(cfg, seed=args.seed)
@@ -702,11 +685,9 @@ def _compression_equivalence_gate() -> tuple:
     """(ok, detail) for the quickcheck compressed-embedding gate."""
     from repro.data.dataloader import SyntheticClickLog
     from repro.data.datasets import criteo_kaggle_like
-    from repro.embeddings import build_bag_from_plan, plan_compression
     from repro.models.config import DLRMConfig, EmbeddingBackend
     from repro.models.dlrm import DLRM
-    from repro.reorder import table_stats_from_log
-    from repro.utils.rng import spawn_rngs
+    from repro.reorder import profile_tables
 
     steps = 8
     spec = criteo_kaggle_like(scale=2e-5)
@@ -737,25 +718,14 @@ def _compression_equivalence_gate() -> tuple:
         spec, embedding_dim=8, backend=EmbeddingBackend.DENSE, tt_rank=8,
         bottom_mlp=(16,), top_mlp=(16,),
     )
-    stats = [
-        table_stats_from_log(log, t, num_batches=4)
-        for t in range(spec.num_sparse)
-    ]
+    stats = profile_tables(log, 4)
     dense_total = sum(st.num_rows for st in stats) * cfg.embedding_dim * 8
     budget = max(1, dense_total // 2)
-    plan = plan_compression(
-        stats, cfg.embedding_dim, budget, strategy="auto"
-    )
-    rngs = spawn_rngs(0, 2 + cfg.num_tables)
-    bags = [
-        build_bag_from_plan(entry, cfg.embedding_dim, seed=rngs[2 + t])
-        for t, entry in enumerate(plan.tables)
-    ]
-    model = DLRM(cfg, seed=0, embedding_bags=bags)
+    model, _ = _planned_model(cfg, stats, budget, "auto", 0)
     auto_losses = [
         model.train_step(log.batch(i), lr=0.1).loss for i in range(steps)
     ]
-    realized = sum(bag.memory_bytes() for bag in bags)
+    realized = sum(bag.memory_bytes() for bag in model.embedding_bags)
     within = realized <= budget
     drift = abs(auto_losses[-1] - dense_losses[-1]) / abs(dense_losses[-1])
     bounded = drift <= _AUTO_TUNED_LOSS_RTOL and auto_losses[-1] < auto_losses[0]
@@ -783,7 +753,7 @@ MYPY_STRICT_MODULES = (
     "repro.embeddings.hash_embedding",
     "repro.embeddings.robe_embedding",
     "repro.embeddings.pq_embedding",
-    "repro.embeddings.autotune",
+    "repro.embeddings.planner",
     "repro.utils.factorize",
     "repro.analysis.*",
     "repro.backend.protocol",
@@ -875,26 +845,19 @@ def _run_serving(
         bottom_mlp=(16,), top_mlp=(16,),
     )
     if compress_strategy != "none":
-        from repro.embeddings import build_bag_from_plan, plan_compression
-        from repro.sharding.trainer import analytic_table_stats
-        from repro.utils.rng import spawn_rngs
+        from repro.reorder import analytic_table_stats
 
         if memory_budget_mb is None:
             raise ValueError(
                 "--compress-strategy requires --memory-budget-mb"
             )
-        comp_plan = plan_compression(
+        model, comp_plan = _planned_model(
+            config,
             analytic_table_stats(list(config.table_rows)),
-            config.embedding_dim,
             int(memory_budget_mb * 1_000_000),
-            strategy=compress_strategy,
+            compress_strategy,
+            seed,
         )
-        rngs = spawn_rngs(seed, 2 + config.num_tables)
-        bags = [
-            build_bag_from_plan(entry, config.embedding_dim, seed=rngs[2 + t])
-            for t, entry in enumerate(comp_plan.tables)
-        ]
-        model = DLRM(config, seed=seed, embedding_bags=bags)
         print(_plan_summary(compress_strategy, comp_plan))
     else:
         model = DLRM(config, seed=seed)
@@ -1466,8 +1429,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     chaos.add_argument(
         "--shards", type=int, default=0,
         help="run the harness on a sharded parameter server with this "
-        "many shards (0 = legacy host server); recovery invariants "
-        "must hold either way",
+        "many shards (0 = one shard, bitwise the single host server); "
+        "recovery invariants must hold either way",
     )
     chaos.add_argument("--seed", type=int, default=0)
     chaos.add_argument(

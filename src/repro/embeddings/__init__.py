@@ -25,8 +25,9 @@ state arrays, spec, version counter, pure row reconstruction) that
 serialization, serving, resilience and placement program against.  A
 strategy class supplies only its row codec, and every name -> class
 decision goes through the registry (:data:`BAG_CLASSES`,
-:func:`bag_class`, :func:`build_bag_from_spec`).  The memory-budget
-auto-tuner lives in :mod:`repro.embeddings.autotune`.
+:func:`bag_class`, :func:`build_bag_from_spec`).  Which table gets
+which strategy, and where it lives, is decided in
+:mod:`repro.embeddings.planner`.
 """
 
 from repro.embeddings.base import EmbeddingBagBase, normalize_offsets, segment_sum
@@ -46,13 +47,15 @@ from repro.embeddings.reuse_buffer import ReusePlan, build_reuse_plan
 from repro.embeddings.eff_tt_embedding import EffTTEmbeddingBag
 from repro.embeddings.registry import BAG_CLASSES, bag_class, build_bag_from_spec
 from repro.embeddings.cache import EmbeddingCache
-from repro.embeddings.collection import EmbeddingCollection
 from repro.embeddings.inference import HotRowCachedLookup, StaleCacheError
-from repro.embeddings.autotune import (
-    CompressionPlan,
+from repro.embeddings.planner import (
+    ModelPlan,
     TablePlan,
-    build_bag_from_plan,
-    plan_compression,
+    build_bags,
+    plan_fixed_fraction,
+    plan_hbm_pack,
+    plan_under_budget,
+    table_bytes,
 )
 
 __all__ = [
@@ -67,10 +70,13 @@ __all__ = [
     "PQEmbeddingBag",
     "BAG_CLASSES",
     "bag_class",
-    "CompressionPlan",
     "TablePlan",
-    "plan_compression",
-    "build_bag_from_plan",
+    "ModelPlan",
+    "table_bytes",
+    "plan_hbm_pack",
+    "plan_fixed_fraction",
+    "plan_under_budget",
+    "build_bags",
     "build_bag_from_spec",
     "row_index_to_tt",
     "tt_to_row_index",
@@ -85,5 +91,4 @@ __all__ = [
     "EmbeddingCache",
     "HotRowCachedLookup",
     "StaleCacheError",
-    "EmbeddingCollection",
 ]

@@ -11,7 +11,7 @@ index -> rows, how row gradients -> parameter update.
 
 from __future__ import annotations
 
-from typing import Any, ClassVar, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, ClassVar, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -180,6 +180,13 @@ class EmbeddingBagBase:
     #: ``build_embedding_bag`` knobs (``tt_rank`` / ``compress_rate``)
     #: this strategy's constructor takes.
     config_knobs: ClassVar[Tuple[str, ...]] = ()
+    #: ``estimate_bytes(num_embeddings, embedding_dim, dtype_bytes=8,
+    #: **constructor keywords)``: the ``memory_bytes()`` of the bag
+    #: those keywords would build, without building it.  Every
+    #: registered strategy defines it; the table planner sizes tables
+    #: through it (``planner.table_bytes``), so a plan's bytes are the
+    #: built bag's bytes.
+    estimate_bytes: ClassVar[Callable[..., int]]
 
     def __init__(self, num_embeddings: int, embedding_dim: int) -> None:
         if num_embeddings < 1:

@@ -81,3 +81,10 @@ class DenseEmbeddingBag(EmbeddingBagBase):
 
     def state_arrays(self) -> Dict[str, np.ndarray]:
         return {"weight": self.weight}
+
+    @staticmethod
+    def estimate_bytes(
+        num_embeddings: int, embedding_dim: int, dtype_bytes: int = 8
+    ) -> int:
+        """``memory_bytes()`` of the bag these constructor keywords build."""
+        return int(num_embeddings) * int(embedding_dim) * int(dtype_bytes)

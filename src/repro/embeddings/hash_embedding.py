@@ -123,7 +123,13 @@ class HashEmbeddingBag(EmbeddingBagBase):
 
     @staticmethod
     def estimate_bytes(
-        num_buckets: int, embedding_dim: int, dtype_bytes: int = 8
+        num_embeddings: int,
+        embedding_dim: int,
+        dtype_bytes: int = 8,
+        num_buckets: Optional[int] = None,
+        compress_rate: float = 0.25,
     ) -> int:
-        """Planner-side footprint formula (matches ``memory_bytes``)."""
+        """``memory_bytes()`` of the bag these constructor keywords build."""
+        if num_buckets is None:
+            num_buckets = default_hash_buckets(num_embeddings, compress_rate)
         return int(num_buckets) * int(embedding_dim) * int(dtype_bytes)

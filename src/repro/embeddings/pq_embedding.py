@@ -182,11 +182,15 @@ class PQEmbeddingBag(EmbeddingBagBase):
     def estimate_bytes(
         num_embeddings: int,
         embedding_dim: int,
-        num_subspaces: int,
-        num_codes: int,
         dtype_bytes: int = 8,
+        num_subspaces: Optional[int] = None,
+        num_codes: Optional[int] = None,
     ) -> int:
-        """Planner-side footprint formula (matches ``memory_bytes``)."""
+        """``memory_bytes()`` of the bag these constructor keywords build."""
+        if num_subspaces is None:
+            num_subspaces = default_pq_subspaces(embedding_dim)
+        if num_codes is None:
+            num_codes = default_pq_codes(num_embeddings, num_subspaces)
         subspace_dim = embedding_dim // num_subspaces
         codebooks = num_subspaces * num_codes * subspace_dim * dtype_bytes
         codes = num_embeddings * num_subspaces * np.dtype(np.int32).itemsize

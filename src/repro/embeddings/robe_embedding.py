@@ -205,6 +205,16 @@ class RobeEmbeddingBag(EmbeddingBagBase):
         )
 
     @staticmethod
-    def estimate_bytes(array_size: int, dtype_bytes: int = 8) -> int:
-        """Planner-side footprint formula (matches ``memory_bytes``)."""
+    def estimate_bytes(
+        num_embeddings: int,
+        embedding_dim: int,
+        dtype_bytes: int = 8,
+        array_size: Optional[int] = None,
+        compress_rate: float = 0.25,
+    ) -> int:
+        """``memory_bytes()`` of the bag these constructor keywords build."""
+        if array_size is None:
+            array_size = default_robe_size(
+                num_embeddings, embedding_dim, compress_rate
+            )
         return int(array_size) * int(dtype_bytes)

@@ -148,6 +148,23 @@ class TTBagBase(EmbeddingBagBase):
         dtype: DTypeLike = np.float64,
     ) -> None:
         super().__init__(num_embeddings, embedding_dim)
+        self.spec = self._resolve_spec(
+            num_embeddings, embedding_dim, tt_rank, num_cores,
+            row_shape, col_shape,
+        )
+        self.dtype = np.dtype(dtype)
+        self.tt = TTCores.random_init(self.spec, seed=seed, dtype=self.dtype)
+
+    @staticmethod
+    def _resolve_spec(
+        num_embeddings: int,
+        embedding_dim: int,
+        tt_rank: Union[int, Sequence[int]],
+        num_cores: int,
+        row_shape: Optional[Sequence[int]],
+        col_shape: Optional[Sequence[int]],
+    ) -> TTSpec:
+        """The (rank-clamped) spec the constructor keywords describe."""
         if row_shape is None or col_shape is None:
             auto_rows, auto_cols, _ = suggest_tt_shapes(
                 num_embeddings, embedding_dim, num_cores
@@ -164,9 +181,24 @@ class TTBagBase(EmbeddingBagBase):
                 f"prod(col_shape)={math.prod(col_shape)} != embedding_dim="
                 f"{embedding_dim}"
             )
-        self.spec = TTSpec.create(row_shape, col_shape, tt_rank)
-        self.dtype = np.dtype(dtype)
-        self.tt = TTCores.random_init(self.spec, seed=seed, dtype=self.dtype)
+        return TTSpec.create(row_shape, col_shape, tt_rank)
+
+    @staticmethod
+    def estimate_bytes(
+        num_embeddings: int,
+        embedding_dim: int,
+        dtype_bytes: int = 8,
+        tt_rank: Union[int, Sequence[int]] = 64,
+        num_cores: int = 3,
+        row_shape: Optional[Sequence[int]] = None,
+        col_shape: Optional[Sequence[int]] = None,
+    ) -> int:
+        """``memory_bytes()`` of the bag these constructor keywords build."""
+        spec = TTBagBase._resolve_spec(
+            num_embeddings, embedding_dim, tt_rank, num_cores,
+            row_shape, col_shape,
+        )
+        return spec.num_params * int(dtype_bytes)
 
     def _reconstruct(self, idx: np.ndarray) -> np.ndarray:
         # The shell range-checked idx; the spec carries the strides.

@@ -8,21 +8,19 @@ gradients (backward), plus the MLP AllReduce — the "intensive
 peer-to-peer communication" the paper contrasts with EL-Rec's
 replication (§VI-B, Figure 13).
 
-The memory layout is no longer hand-rolled here: feasibility comes from
-the shared :class:`~repro.sharding.placement.RowShardedStrategy`, the
-same mod-N placement the sharded parameter-server tier executes, so the
-analytical framework model and the functional simulation agree on what
-fits where.
+Feasibility is :func:`~repro.embeddings.planner.row_shard_device_bytes`,
+the same mod-N block arithmetic the table planner's row-shard rule and
+the sharded parameter-server tier use, so the analytical framework
+model and the functional simulation agree on what fits where.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
+from repro.embeddings.planner import row_shard_device_bytes
 from repro.frameworks.base import Framework, TimeBreakdown, WorkloadProfile
 from repro.frameworks.dlrm_ps import _mlp_param_bytes
-from repro.reorder.stats import TableStats
-from repro.sharding.placement import PlacementPlan, RowShardedStrategy
 from repro.system.devices import DeviceSpec
 from repro.system.multi_gpu import all2all_time, ring_allreduce_time
 
@@ -33,43 +31,10 @@ __all__ = ["HugeCTR"]
 _SYNC_OVERHEAD_S = 50e-6
 
 
-def _profile_stats(profile: WorkloadProfile) -> List[TableStats]:
-    """Size-only stats for placement (HugeCTR ignores access skew)."""
-    return [
-        TableStats(
-            table_idx=t,
-            num_rows=int(rows),
-            zipf_alpha=0.0,
-            hot_fraction=0.1,
-            hot_mass=0.0,
-        )
-        for t, rows in enumerate(profile.table_rows)
-    ]
-
-
 class HugeCTR(Framework):
     """Row-wise model-parallel embedding training."""
 
     name = "HugeCTR"
-
-    #: The pluggable placement policy this framework models: every
-    #: table mod-N row-sharded across the GPUs, no statistics consulted.
-    placement = RowShardedStrategy()
-
-    def placement_plan(
-        self,
-        profile: WorkloadProfile,
-        device: DeviceSpec,
-        num_gpus: int = 1,
-    ) -> PlacementPlan:
-        """The row-sharded layout for ``profile`` on ``num_gpus``."""
-        return self.placement.plan(
-            _profile_stats(profile),
-            num_devices=num_gpus,
-            device_budget_bytes=int(device.hbm_bytes * 0.8),
-            embedding_dim=profile.embedding_dim,
-            dtype_bytes=profile.dtype_bytes,
-        )
 
     def iteration_time(
         self,
@@ -77,12 +42,17 @@ class HugeCTR(Framework):
         device: DeviceSpec,
         num_gpus: int = 1,
     ) -> TimeBreakdown:
-        plan = self.placement_plan(profile, device, num_gpus)
-        if not plan.feasible:
+        shard_bytes = row_shard_device_bytes(
+            profile.table_rows,
+            num_gpus,
+            profile.embedding_dim,
+            profile.dtype_bytes,
+        )
+        if shard_bytes > int(device.hbm_bytes * 0.8):
             return self._infeasible(
                 device,
                 num_gpus,
-                f"row shard ({plan.per_device_bytes / 1e9:.1f} GB) exceeds "
+                f"row shard ({shard_bytes / 1e9:.1f} GB) exceeds "
                 "HBM; HugeCTR scales GPUs until the table fits",
             )
         shard = profile.shard(num_gpus)

@@ -49,8 +49,7 @@ class DLRMConfig:
         Target physical/dense size ratio for the hash/ROBE backends'
         default parameter sizing (Hetu-style global knob; explicit
         per-table parameters from a
-        :class:`~repro.embeddings.autotune.CompressionPlan` override
-        it).
+        :class:`~repro.embeddings.planner.ModelPlan` override it).
     """
 
     num_dense: int

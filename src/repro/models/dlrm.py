@@ -29,7 +29,21 @@ from repro.nn.module import Module
 from repro.nn.optim import SGD
 from repro.utils.rng import RngLike, spawn_rngs
 
-__all__ = ["DLRM", "TrainStepResult", "build_embedding_bag"]
+__all__ = [
+    "DLRM",
+    "TrainStepResult",
+    "build_embedding_bag",
+    "backend_knobs",
+    "table_seeds",
+]
+
+
+def backend_knobs(
+    kind: str, tt_rank: int, compress_rate: float
+) -> Dict[str, float]:
+    """The config knobs ``kind``'s constructor declares (``config_knobs``)."""
+    knobs = {"tt_rank": tt_rank, "compress_rate": compress_rate}
+    return {name: knobs[name] for name in bag_class(kind).config_knobs}
 
 
 def build_embedding_bag(
@@ -50,15 +64,24 @@ def build_embedding_bag(
     ...) pass through and override them.
     """
     kind = EmbeddingBackend(backend).value
-    knobs = {"tt_rank": tt_rank, "compress_rate": compress_rate}
     return build_bag(
         kind,
         num_rows,
         embedding_dim,
         seed=seed,
-        **{name: knobs[name] for name in bag_class(kind).config_knobs},
+        **backend_knobs(kind, tt_rank, compress_rate),
         **kwargs,
     )
+
+
+def table_seeds(seed: RngLike, num_tables: int) -> List[np.random.Generator]:
+    """The per-table child generators ``DLRM(config, seed)`` builds its bags from.
+
+    Children 0 and 1 of the master seed go to the two MLPs; table ``t``
+    takes child ``2 + t``.  Bags built from these are the bags a
+    same-seed model builds for itself.
+    """
+    return spawn_rngs(seed, 2 + num_tables)[2:]
 
 
 @dataclass(frozen=True)

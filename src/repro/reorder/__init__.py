@@ -24,8 +24,10 @@ from repro.reorder.bijection import (
 )
 from repro.reorder.stats import (
     TableStats,
+    analytic_table_stats,
     batch_locality_stats,
     measure_table_stats,
+    profile_tables,
     reuse_improvement,
     table_stats_from_log,
 )
@@ -41,6 +43,8 @@ __all__ = [
     "batch_locality_stats",
     "reuse_improvement",
     "TableStats",
+    "analytic_table_stats",
     "measure_table_stats",
     "table_stats_from_log",
+    "profile_tables",
 ]

@@ -9,7 +9,7 @@ reordering saves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -22,8 +22,10 @@ __all__ = [
     "batch_locality_stats",
     "reuse_improvement",
     "TableStats",
+    "analytic_table_stats",
     "measure_table_stats",
     "table_stats_from_log",
+    "profile_tables",
 ]
 
 
@@ -117,8 +119,8 @@ def reuse_improvement(
 class TableStats:
     """Access-distribution summary of one sparse table.
 
-    The statistics the RecShard-style placement planner
-    (:mod:`repro.sharding.placement`) consumes: cardinality, measured
+    The statistics the table planner
+    (:mod:`repro.embeddings.planner`) consumes: cardinality, measured
     Zipf skew, and hot-set mass.  Built either from an observed index
     stream (:func:`measure_table_stats` /
     :func:`table_stats_from_log`) or analytically from a dataset
@@ -188,6 +190,19 @@ class TableStats:
         )
 
 
+def analytic_table_stats(
+    table_rows: Sequence[int], alpha: float = 1.05
+) -> List[TableStats]:
+    """Analytic per-table stats when no profiling window is available.
+
+    The default skew matches the synthetic data generators' default.
+    """
+    return [
+        TableStats.from_spec(t, rows, alpha)
+        for t, rows in enumerate(table_rows)
+    ]
+
+
 def measure_table_stats(
     indices: np.ndarray,
     num_rows: int,
@@ -253,14 +268,42 @@ def table_stats_from_log(
     profiling window, mirroring how RecShard profiles a training-data
     prefix before planning placement.
     """
+    return _window_stats(
+        log, _window(log, num_batches), table_idx, hot_fraction
+    )
+
+
+def profile_tables(
+    log, num_batches: int, hot_fraction: float = 0.1
+) -> List[TableStats]:
+    """:func:`table_stats_from_log` for every table, one pass over the log.
+
+    Each batch of the window is generated once and shared by all
+    tables.
+    """
+    window = _window(log, num_batches)
+    return [
+        _window_stats(log, window, t, hot_fraction)
+        for t in range(len(log.spec.tables))
+    ]
+
+
+def _window(log, num_batches: int) -> list:
     if num_batches < 1:
         raise ValueError(f"num_batches must be >= 1, got {num_batches}")
-    streams = [
-        np.asarray(log.batch(i).sparse_indices[table_idx], dtype=np.int64)
-        for i in range(num_batches)
-    ]
+    return [log.batch(i) for i in range(num_batches)]
+
+
+def _window_stats(
+    log, window: list, table_idx: int, hot_fraction: float
+) -> TableStats:
     return measure_table_stats(
-        np.concatenate(streams),
+        np.concatenate(
+            [
+                np.asarray(batch.sparse_indices[table_idx], dtype=np.int64)
+                for batch in window
+            ]
+        ),
         num_rows=log.spec.tables[table_idx].num_rows,
         table_idx=table_idx,
         hot_fraction=hot_fraction,

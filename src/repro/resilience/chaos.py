@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 from repro.data.dataloader import SyntheticClickLog
 from repro.data.datasets import criteo_kaggle_like
 from repro.models.config import DLRMConfig, EmbeddingBackend
-from repro.models.dlrm import DLRM, build_embedding_bag
+from repro.models.dlrm import DLRM
 from repro.resilience.checkpoint import CheckpointStore
 from repro.resilience.circuit import BreakerConfig, BreakerState
 from repro.resilience.degradation import DegradationPolicy
@@ -51,10 +51,7 @@ from repro.resilience.supervisor import (
 from repro.serving.batcher import BatchingPolicy
 from repro.serving.requests import RequestGenerator
 from repro.serving.snapshot import ModelSnapshot
-from repro.system.parameter_server import (
-    HostBackedEmbeddingBag,
-    HostParameterServer,
-)
+from repro.sharding.trainer import build_sharded_ps_trainer
 from repro.system.pipeline import PipelinedPSTrainer
 
 if TYPE_CHECKING:  # repro.serving.fleet imports this package back
@@ -153,10 +150,11 @@ class ChaosHarnessConfig:
     #: this.
     p99_budget_factor: float = 10.0
     max_restarts: int = 8
-    #: 0 = legacy single-table :class:`HostParameterServer`; >= 1 puts
-    #: the host tables behind a
-    #: :class:`~repro.sharding.server.ShardedParameterServer` with that
-    #: many shards (bitwise-identical trajectories, compression off).
+    #: Shards of the :class:`~repro.sharding.server.ShardedParameterServer`
+    #: behind the host tables; 0 and 1 both mean one shard, which is
+    #: bitwise the single-table
+    #: :class:`~repro.system.parameter_server.HostParameterServer`
+    #: (trajectories are identical for any count, compression off).
     num_shards: int = 0
 
 
@@ -216,39 +214,14 @@ def _build_harness(config: ChaosHarnessConfig):
     )
     rows = list(model_cfg.table_rows)
     host_positions = sorted(range(len(rows)), key=lambda t: -rows[t])[:2]
-    host_map = {p: i for i, p in enumerate(host_positions)}
-    server_rows = [rows[p] for p in host_positions]
 
     def factory(probe) -> PipelinedPSTrainer:
-        bags = []
-        for t, r in enumerate(model_cfg.table_rows):
-            if t in host_map:
-                bags.append(HostBackedEmbeddingBag(r, model_cfg.embedding_dim))
-            else:
-                bags.append(
-                    build_embedding_bag(
-                        model_cfg.backend_for_table(t), r,
-                        model_cfg.embedding_dim, model_cfg.tt_rank,
-                        seed=(200 + t),
-                    )
-                )
-        model = DLRM(model_cfg, seed=7, embedding_bags=bags)
-        if config.num_shards >= 1:
-            from repro.sharding.server import ShardedParameterServer
-
-            server = ShardedParameterServer(
-                server_rows, model_cfg.embedding_dim, lr=0.05,
-                num_shards=config.num_shards, seed=3,
-            )
-        else:
-            server = HostParameterServer(
-                server_rows, model_cfg.embedding_dim, lr=0.05, seed=3
-            )
-        return PipelinedPSTrainer(
-            model, server, host_map, lr=0.05,
-            prefetch_depth=3, grad_queue_depth=2, use_cache=True,
+        return build_sharded_ps_trainer(
+            model_cfg,
+            num_shards=max(1, config.num_shards),
+            host_positions=host_positions,
             probe=probe,
-        )
+        ).trainer
 
     return spec, log, factory
 

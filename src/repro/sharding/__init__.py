@@ -1,4 +1,4 @@
-"""Sharded parameter-server tier with statistics-driven placement.
+"""Sharded parameter-server tier.
 
 EL-Rec's PS-pipelined training (paper §V) assumes one host-resident
 parameter server.  This package scales that tier out to ``N`` simulated
@@ -7,12 +7,6 @@ determinism:
 
 * :mod:`repro.sharding.partitioner` — deterministic mod-N row routing
   between global ids and per-shard blocks.
-* :mod:`repro.sharding.placement` — RecShard-style placement planning:
-  per-table :class:`~repro.reorder.stats.TableStats` (cardinality,
-  Zipf skew, hot-set mass) decide between dense-on-device, TT
-  compression, hot/cold split, row sharding, and host overflow under a
-  per-device memory budget, behind a pluggable
-  :class:`~repro.sharding.placement.PlacementStrategy` protocol.
 * :mod:`repro.sharding.server` — the
   :class:`~repro.sharding.server.ShardedParameterServer`, a drop-in
   for :class:`~repro.system.parameter_server.HostParameterServer` with
@@ -20,8 +14,10 @@ determinism:
 * :mod:`repro.sharding.compression` — optional top-k error-feedback
   gradient compression and int8 pull quantization on the PS links
   (both off by default; the default path is bitwise).
-* :mod:`repro.sharding.trainer` — glue that plans a placement and
-  assembles the standard pipelined PS trainer on the sharded tier.
+* :mod:`repro.sharding.trainer` — glue that plans a placement
+  (:func:`repro.embeddings.planner.plan_fixed_fraction`, whose
+  worker/server split does not move with ``N``) and assembles the
+  standard pipelined PS trainer on the sharded tier.
 
 With compression off, ``N``-shard training is bit-identical to the
 single-table baseline for any ``N`` — the property the quickcheck
@@ -36,33 +32,14 @@ from repro.sharding.compression import (
     TopKErrorFeedback,
 )
 from repro.sharding.partitioner import ShardPartitioner
-from repro.sharding.placement import (
-    PlacementDecision,
-    PlacementKind,
-    PlacementPlan,
-    PlacementStrategy,
-    RowShardedStrategy,
-    StatsDrivenStrategy,
-    server_resident,
-    tt_core_bytes,
-)
 from repro.sharding.server import LinkStats, ShardedParameterServer
 from repro.sharding.trainer import (
     ShardedTrainerSetup,
-    analytic_table_stats,
     build_sharded_ps_trainer,
 )
 
 __all__ = [
     "ShardPartitioner",
-    "PlacementKind",
-    "PlacementDecision",
-    "PlacementPlan",
-    "PlacementStrategy",
-    "StatsDrivenStrategy",
-    "RowShardedStrategy",
-    "server_resident",
-    "tt_core_bytes",
     "ShardedParameterServer",
     "LinkStats",
     "LinkCompressionConfig",
@@ -71,6 +48,5 @@ __all__ = [
     "TopKErrorFeedback",
     "PullQuantizer",
     "ShardedTrainerSetup",
-    "analytic_table_stats",
     "build_sharded_ps_trainer",
 ]

@@ -1,65 +1,41 @@
 """Assemble a PS-pipeline trainer on top of the sharded server tier.
 
 :func:`build_sharded_ps_trainer` is the one-stop constructor the CLI,
-the chaos harness, and the scaling benchmark share: it runs the
-placement planner over per-table statistics, puts the server-resident
-tables behind a :class:`~repro.sharding.server.ShardedParameterServer`,
-and wires the standard :class:`~repro.system.pipeline.PipelinedPSTrainer`
-around them.  Seeds follow the established harness conventions (model
-7, server 3, worker bags ``200 + table``), so a 1-shard build is
+the chaos harness, the hazard experiment and the scaling benchmark
+share: it runs the N-invariant placement policy
+(:func:`~repro.embeddings.planner.plan_fixed_fraction`) over per-table
+statistics, puts the server-resident tables behind a
+:class:`~repro.sharding.server.ShardedParameterServer`, and wires the
+standard :class:`~repro.system.pipeline.PipelinedPSTrainer` around
+them.  Seeds follow the established harness conventions (model 7,
+server 3, worker bags ``200 + table``), so a 1-shard build is
 bitwise-identical to the legacy
 :class:`~repro.system.parameter_server.HostParameterServer` harness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
-from repro.models.config import DLRMConfig, EmbeddingBackend
-from repro.models.dlrm import DLRM, build_embedding_bag
-from repro.reorder.stats import TableStats
-from repro.sharding.compression import LinkCompressionConfig
-from repro.sharding.placement import (
-    PlacementKind,
-    PlacementPlan,
-    PlacementStrategy,
-    StatsDrivenStrategy,
+from repro.embeddings.planner import (
+    SERVER_KIND,
+    STRATEGY_KINDS,
+    ModelPlan,
+    TablePlan,
+    build_bags,
+    plan_fixed_fraction,
+    table_bytes,
 )
+from repro.models.config import DLRMConfig
+from repro.models.dlrm import DLRM, backend_knobs
+from repro.reorder.stats import TableStats, analytic_table_stats
+from repro.sharding.compression import LinkCompressionConfig
 from repro.sharding.server import ShardedParameterServer
 from repro.system.devices import TESLA_V100
-from repro.system.parameter_server import HostBackedEmbeddingBag
 from repro.system.pipeline import PipelinedPSTrainer, TraceProbe
 
-__all__ = [
-    "ShardedTrainerSetup",
-    "build_sharded_ps_trainer",
-    "analytic_table_stats",
-]
-
-#: Default skew for analytic stats when no index stream was profiled
-#: (matches the synthetic data generators' default).
-_DEFAULT_ALPHA = 1.05
-
-#: Worker-resident compressed placement kinds -> the embedding backend
-#: that realizes them.  Kinds outside this map (dense / TT / the
-#: server-resident ones) keep the model config's per-table backend,
-#: which preserves the pre-zoo construction bit for bit.
-_KIND_BACKENDS = {
-    PlacementKind.HASH_DEVICE: EmbeddingBackend.HASH,
-    PlacementKind.ROBE_DEVICE: EmbeddingBackend.ROBE,
-    PlacementKind.PQ_DEVICE: EmbeddingBackend.PQ,
-}
-
-
-def analytic_table_stats(
-    table_rows: Sequence[int], alpha: float = _DEFAULT_ALPHA
-) -> List[TableStats]:
-    """Analytic per-table stats when no profiling window is available."""
-    return [
-        TableStats.from_spec(t, rows, alpha)
-        for t, rows in enumerate(table_rows)
-    ]
+__all__ = ["ShardedTrainerSetup", "build_sharded_ps_trainer"]
 
 
 @dataclass
@@ -69,7 +45,7 @@ class ShardedTrainerSetup:
     model: DLRM
     server: ShardedParameterServer
     trainer: PipelinedPSTrainer
-    plan: PlacementPlan
+    plan: ModelPlan
     host_positions: List[int]
     host_table_map: Dict[int, int]
     stats: List[TableStats]
@@ -80,7 +56,7 @@ def build_sharded_ps_trainer(
     num_shards: int = 1,
     compression: Optional[LinkCompressionConfig] = None,
     stats: Optional[Sequence[TableStats]] = None,
-    strategy: Optional[PlacementStrategy] = None,
+    compress_strategy: str = "tt",
     device_budget_bytes: Optional[int] = None,
     host_positions: Optional[Sequence[int]] = None,
     probe: Optional[TraceProbe] = None,
@@ -94,14 +70,20 @@ def build_sharded_ps_trainer(
 ) -> ShardedTrainerSetup:
     """Build a pipelined PS trainer backed by a sharded server.
 
-    The placement plan decides which tables sit behind the PS tier
+    The placement policy decides which tables sit behind the PS tier
     (``host_positions`` overrides it — the chaos harness pins the two
     largest tables for backward-compatible trajectories).  When the
-    plan puts *every* table on-device, the two largest tables are
+    policy puts *every* table on-device, the two largest tables are
     forced server-side anyway: this is a PS trainer and an empty
-    server would degenerate to plain local training.
+    server would degenerate to plain local training.  A worker table
+    takes the policy's form only when that is ``hash`` / ``robe`` /
+    ``pq`` (``compress_strategy``); otherwise it keeps the model
+    config's backend.  The returned plan is the policy's with every
+    such override written into it, so each entry describes the bag
+    that was built.
     """
     rows = list(model_cfg.table_rows)
+    dim = model_cfg.embedding_dim
     table_stats = (
         list(stats) if stats is not None else analytic_table_stats(rows)
     )
@@ -109,54 +91,74 @@ def build_sharded_ps_trainer(
         raise ValueError(
             f"got {len(table_stats)} stats for {len(rows)} tables"
         )
-    planner = strategy if strategy is not None else StatsDrivenStrategy()
-    budget = (
+    policy_plan = plan_fixed_fraction(
+        table_stats,
+        dim,
         int(device_budget_bytes)
         if device_budget_bytes is not None
-        else int(TESLA_V100.hbm_bytes * 0.8)
-    )
-    plan = planner.plan(
-        table_stats,
+        else int(TESLA_V100.hbm_bytes * 0.8),
         num_devices=num_shards,
-        device_budget_bytes=budget,
-        embedding_dim=model_cfg.embedding_dim,
-        dtype_bytes=8,
         tt_rank=model_cfg.tt_rank,
+        compress_strategy=compress_strategy,
+        compress_rate=model_cfg.compress_rate,
     )
 
     if host_positions is not None:
         positions = sorted(int(p) for p in host_positions)
+        moved = "pinned by host_positions"
     else:
-        positions = sorted(plan.server_table_positions())
+        positions = policy_plan.server_positions()
+        moved = "forced server-side: a PS trainer needs a server table"
         if not positions:
             positions = sorted(
                 sorted(range(len(rows)), key=lambda t: -rows[t])[:2]
             )
     host_map = {p: i for i, p in enumerate(positions)}
-    server_rows = [rows[p] for p in positions]
 
-    bags = []
-    for t, r in enumerate(rows):
+    # the one policy form a worker table takes over the config's backend
+    zoo_kind = (
+        None if compress_strategy == "tt"
+        else STRATEGY_KINDS[compress_strategy]
+    )
+    tables: List[TablePlan] = []
+    for entry in policy_plan.tables:
+        t = entry.table_idx
         if t in host_map:
-            bags.append(HostBackedEmbeddingBag(r, model_cfg.embedding_dim))
-        else:
-            backend = _KIND_BACKENDS.get(
-                plan.kind_of(t), model_cfg.backend_for_table(t)
-            )
-            bags.append(
-                build_embedding_bag(
-                    backend,
-                    r,
-                    model_cfg.embedding_dim,
-                    model_cfg.tt_rank,
-                    seed=(bag_seed_base + t),
-                    compress_rate=model_cfg.compress_rate,
+            if not entry.on_server:
+                entry = replace(
+                    entry,
+                    kind=SERVER_KIND,
+                    params=(),
+                    device_bytes=0,
+                    server_bytes=table_bytes("dense", rows[t], dim),
+                    reason=moved,
                 )
+        elif entry.kind != zoo_kind:
+            kind = model_cfg.backend_for_table(t).value
+            params = backend_knobs(
+                kind, model_cfg.tt_rank, model_cfg.compress_rate
             )
-    model = DLRM(model_cfg, seed=model_seed, embedding_bags=bags)
+            entry = replace(
+                entry,
+                kind=kind,
+                params=tuple(sorted(params.items())),
+                device_bytes=table_bytes(kind, rows[t], dim, **params),
+                server_bytes=0,
+                reason=f"config backend {kind}",
+            )
+        tables.append(entry)
+    plan = replace(policy_plan, tables=tuple(tables))
+
+    model = DLRM(
+        model_cfg,
+        seed=model_seed,
+        embedding_bags=build_bags(
+            plan, [bag_seed_base + t for t in range(len(rows))]
+        ),
+    )
     server = ShardedParameterServer(
-        server_rows,
-        model_cfg.embedding_dim,
+        [rows[p] for p in positions],
+        dim,
         lr=lr,
         num_shards=num_shards,
         seed=server_seed,

@@ -32,7 +32,6 @@ from repro.system.devices import (
     calibrate_host,
 )
 from repro.system.queues import BoundedQueue, QueueClosed
-from repro.system.memory import PlacementDecision, PlacementPlan, plan_placement
 from repro.system.parameter_server import (
     HostBackedEmbeddingBag,
     HostParameterServer,
@@ -65,9 +64,6 @@ __all__ = [
     "TESLA_T4",
     "BoundedQueue",
     "QueueClosed",
-    "PlacementDecision",
-    "PlacementPlan",
-    "plan_placement",
     "HostParameterServer",
     "HostBackedEmbeddingBag",
     "SequentialPSTrainer",

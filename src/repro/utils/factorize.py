@@ -15,6 +15,7 @@ implements that policy.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 __all__ = [
@@ -182,6 +183,26 @@ def suggest_tt_shapes(
     >>> padded >= 1000000 and len(rows) == len(cols) == 3
     True
     """
+    row_shape, col_shape, padded_rows = _suggest_tt_shapes(
+        num_rows, embedding_dim, num_cores, max_padding_ratio
+    )
+    return list(row_shape), list(col_shape), padded_rows
+
+
+@lru_cache(maxsize=4096)
+def _suggest_tt_shapes(
+    num_rows: int,
+    embedding_dim: int,
+    num_cores: int,
+    max_padding_ratio: float,
+) -> Tuple[Tuple[int, ...], Tuple[int, ...], int]:
+    """The scan behind :func:`suggest_tt_shapes`, memoised.
+
+    It costs tens of milliseconds on a 10^7-row table and the table
+    planner's rank search asks for the same table's shapes hundreds of
+    times; the cache holds immutable tuples, the public function hands
+    every caller fresh lists.
+    """
     if num_rows < 1 or embedding_dim < 1:
         raise ValueError("num_rows and embedding_dim must be >= 1")
     if num_cores < 1:
@@ -212,4 +233,4 @@ def suggest_tt_shapes(
             break
     assert best is not None
     _, padded_rows, row_shape = best
-    return row_shape, col_shape, padded_rows
+    return tuple(row_shape), tuple(col_shape), padded_rows

@@ -20,6 +20,8 @@ CORPUS = Path(__file__).resolve().parent / "corpus" / "det"
 # relative path -> exact (rule_id, line) hits, in sort order
 EXPECTED = {
     "mut_det001_tainted_state.py": [("DET001", 11), ("DET001", 12)],
+    # interprocedural: the taint meets the ModelPlan sink in the callee
+    "mut_det001_tainted_plan.py": [("DET001", 28)],
     "mut_det002_unordered_accum.py": [("DET002", 9)],
     "mut_det003_unordered_payload.py": [("DET003", 11)],
     "mut_det006_queue_mutation.py": [("DET006", 10)],
@@ -29,6 +31,7 @@ EXPECTED = {
 
 CLEAN_TWINS = [
     "clean_det001_seeded_state.py",
+    "clean_det001_configured_plan.py",
     "clean_det002_sorted_accum.py",
     "clean_det003_sorted_payload.py",
     "clean_det006_queue_copy.py",

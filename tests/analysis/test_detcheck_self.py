@@ -31,7 +31,7 @@ def test_self_check_covers_the_state_plumbing():
         PKG / "resilience" / "checkpoint.py",
         PKG / "models" / "serialization.py",
         PKG / "sharding" / "server.py",
-        PKG / "sharding" / "placement.py",
+        PKG / "embeddings" / "planner.py",
         PKG / "frameworks" / "base.py",
     ]
     result = detcheck_paths(targets)

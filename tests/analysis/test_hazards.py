@@ -150,20 +150,19 @@ class TestPipelineRuns:
 
     def test_instrumentation_is_passive(self):
         """Probe on vs. probe off: bit-identical training."""
-        from repro.analysis.experiment import _build_pipeline
-        from repro.system.pipeline import PipelinedPSTrainer
+        from repro.analysis.experiment import _harness
+        from repro.sharding.trainer import build_sharded_ps_trainer
 
         losses = []
         tables = []
         for probe in (None, PipelineProbe()):
-            model, server, host_map, log = _build_pipeline(seed=0, lr=0.05)
-            trainer = PipelinedPSTrainer(
-                model, server, host_map, lr=0.05,
-                prefetch_depth=3, grad_queue_depth=2, probe=probe,
+            cfg, two_largest, log = _harness(seed=0)
+            setup = build_sharded_ps_trainer(
+                cfg, host_positions=two_largest, probe=probe
             )
-            result = trainer.train(log, 10)
+            result = setup.trainer.train(log, 10)
             losses.append(result.losses)
-            tables.append([t.copy() for t in server.tables])
+            tables.append([np.array(t) for t in setup.server.tables])
         np.testing.assert_array_equal(losses[0], losses[1])
         for bare, probed in zip(tables[0], tables[1]):
             np.testing.assert_array_equal(bare, probed)

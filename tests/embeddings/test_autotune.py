@@ -1,19 +1,19 @@
-"""The memory-budget compression planner (embeddings/autotune.py)."""
+"""The under-budget policy: one global rate bisected until the total fits."""
 
-import numpy as np
 import pytest
 
-from repro.embeddings.autotune import (
-    COMPRESS_STRATEGIES,
+from repro.embeddings.planner import (
+    STRATEGY_KINDS,
     binary_search_max,
-    build_bag_from_plan,
-    build_bag_from_spec,
-    plan_compression,
+    build_bags,
+    plan_under_budget,
 )
 from repro.embeddings.protocol import CompressedEmbedding
+from repro.embeddings.registry import build_bag_from_spec
 from repro.reorder.stats import TableStats
 
 DIM = 8
+COMPRESS_STRATEGIES = tuple(STRATEGY_KINDS)
 
 
 def make_stats(rows=(1000, 50000, 300, 120000), alpha=1.05):
@@ -41,45 +41,44 @@ class TestBudgetCompliance:
     def test_total_within_budget(self, strategy, fraction):
         stats = make_stats()
         budget = int(dense_bytes(stats) * fraction)
-        plan = plan_compression(stats, DIM, budget, strategy=strategy)
+        plan = plan_under_budget(stats, DIM, budget, strategy=strategy)
         if not plan.feasible:
             # Only honest infeasibility is allowed: dense cannot shrink
             # at all, and PQ's int32 code table (rows x M x 4 bytes at
             # M=1) is an irreducible floor.  The emitted plan must be
             # the strategy's minimal configuration.
             assert strategy in ("dense", "pq")
-            floor = plan_compression(stats, DIM, 1, strategy=strategy)
-            assert plan.total_bytes == floor.total_bytes
-            assert plan.total_bytes > budget
+            floor = plan_under_budget(stats, DIM, 1, strategy=strategy)
+            assert plan.device_bytes == floor.device_bytes
+            assert plan.device_bytes > budget
             return
-        assert plan.total_bytes <= budget
+        assert plan.device_bytes <= budget
 
     @pytest.mark.parametrize("strategy", ("auto", "hash", "robe", "pq", "tt"))
     def test_realized_equals_planned(self, strategy):
         stats = make_stats()
         budget = int(dense_bytes(stats) * 0.1)
-        plan = plan_compression(stats, DIM, budget, strategy=strategy)
-        for entry in plan.tables:
-            bag = build_bag_from_plan(entry, DIM, seed=3)
+        plan = plan_under_budget(stats, DIM, budget, strategy=strategy)
+        for entry, bag in zip(plan.tables, build_bags(plan, [3] * 4)):
             assert isinstance(bag, CompressedEmbedding)
-            assert bag.memory_bytes() == entry.memory_bytes
+            assert bag.memory_bytes() == entry.device_bytes
             assert bag.num_embeddings == entry.num_rows
+            assert bag.compression_spec().kind == entry.kind
 
     def test_infeasible_budget_flagged(self):
         stats = make_stats()
-        plan = plan_compression(stats, DIM, 16, strategy="auto")
+        plan = plan_under_budget(stats, DIM, 16, strategy="auto")
         assert not plan.feasible
         # minimal plan still materializes
-        for entry in plan.tables:
-            build_bag_from_plan(entry, DIM, seed=0)
+        assert len(build_bags(plan, [0] * 4)) == 4
 
 
 class TestDeterminism:
     def test_permutation_invariant(self):
         stats = make_stats()
         budget = int(dense_bytes(stats) * 0.2)
-        forward = plan_compression(stats, DIM, budget, strategy="auto")
-        reverse = plan_compression(
+        forward = plan_under_budget(stats, DIM, budget, strategy="auto")
+        reverse = plan_under_budget(
             list(reversed(stats)), DIM, budget, strategy="auto"
         )
         assert forward == reverse
@@ -87,43 +86,43 @@ class TestDeterminism:
     def test_repeat_identical(self):
         stats = make_stats()
         budget = int(dense_bytes(stats) * 0.2)
-        a = plan_compression(stats, DIM, budget)
-        b = plan_compression(stats, DIM, budget)
+        a = plan_under_budget(stats, DIM, budget)
+        b = plan_under_budget(stats, DIM, budget)
         assert a == b
 
     def test_duplicate_table_idx_rejected(self):
         stats = make_stats()
         stats.append(stats[0])
         with pytest.raises(ValueError):
-            plan_compression(stats, DIM, 10_000)
+            plan_under_budget(stats, DIM, 10_000)
 
 
 class TestAutoStrategy:
     def test_generous_budget_stays_dense(self):
         stats = make_stats()
-        plan = plan_compression(
+        plan = plan_under_budget(
             stats, DIM, dense_bytes(stats) * 2, strategy="auto"
         )
-        assert all(t.strategy == "dense" for t in plan.tables)
-        assert plan.total_bytes == dense_bytes(stats)
+        assert all(t.kind == "dense" for t in plan.tables)
+        assert plan.rate == 1.0
+        assert plan.device_bytes == dense_bytes(stats)
 
     def test_tight_budget_compresses_large_tables(self):
         stats = make_stats()
         budget = int(dense_bytes(stats) * 0.05)
-        plan = plan_compression(stats, DIM, budget, strategy="auto")
-        strategies = {t.num_rows: t.strategy for t in plan.tables}
+        plan = plan_under_budget(stats, DIM, budget, strategy="auto")
+        strategies = {t.num_rows: t.kind for t in plan.tables}
         # the big tables cannot stay dense at 5% of dense bytes
         assert strategies[120000] != "dense"
         assert strategies[50000] != "dense"
 
     def test_format_table_renders(self):
         stats = make_stats()
-        plan = plan_compression(
+        plan = plan_under_budget(
             stats, DIM, int(dense_bytes(stats) * 0.2)
         )
         text = plan.format_table()
-        assert "budget" in text
-        assert str(len(stats)) not in ("",)  # smoke: non-empty
+        assert "under_budget" in text and "rate=" in text
         assert len(text.splitlines()) >= len(stats) + 2
 
 
@@ -131,10 +130,10 @@ class TestBuildFromSpec:
     @pytest.mark.parametrize("strategy", ("hash", "robe", "pq", "tt"))
     def test_spec_rebuild_matches_shape(self, strategy):
         stats = make_stats()
-        plan = plan_compression(
+        plan = plan_under_budget(
             stats, DIM, int(dense_bytes(stats) * 0.1), strategy=strategy
         )
-        bag = build_bag_from_plan(plan.tables[-1], DIM, seed=5)
+        bag = build_bags(plan, [5] * 4)[-1]
         clone = build_bag_from_spec(bag.compression_spec(), seed=5)
         assert type(clone) is type(bag)
         state, cstate = bag.state_arrays(), clone.state_arrays()

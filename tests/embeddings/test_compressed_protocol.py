@@ -7,10 +7,10 @@ import pytest
 
 from repro.backend import InstrumentedBackend, use_backend
 from repro.embeddings import base
-from repro.embeddings.autotune import (
-    COMPRESS_STRATEGIES,
-    build_bag_from_plan,
-    plan_compression,
+from repro.embeddings.planner import (
+    STRATEGY_KINDS,
+    build_bags,
+    plan_under_budget,
 )
 from repro.embeddings.protocol import CompressedEmbedding, CompressionSpec
 from repro.embeddings.registry import (
@@ -496,15 +496,15 @@ class TestRegistryCompleteness:
 
     def test_every_planner_strategy_is_registered(self):
         stats = [TableStats.from_spec(0, 5000, 1.05)]
-        for strategy in COMPRESS_STRATEGIES:
+        for strategy, kind in STRATEGY_KINDS.items():
             if strategy == "dense":
                 continue  # never forced; covered by the backend test
-            plan = plan_compression(stats, DIM, 5000 * DIM, strategy=strategy)
-            bag = build_bag_from_plan(plan.tables[0], DIM, seed=0)
-            kind = bag.compression_spec().kind
+            plan = plan_under_budget(stats, DIM, 5000 * DIM, strategy=strategy)
+            (bag,) = build_bags(plan, [0])
             assert type(bag) is BAG_CLASSES[kind]
-            # the planner's "tt" is the paper's table, not the TT-Rec one
-            assert kind == ("eff_tt" if strategy == "tt" else strategy)
+            assert bag.compression_spec().kind == kind
+        # the planner's "tt" is the paper's table, not the TT-Rec one
+        assert STRATEGY_KINDS["tt"] == "eff_tt"
 
     @pytest.mark.parametrize("kind", list(BAG_CLASSES))
     def test_checkpoint_kind_tag_resolves(self, kind):

@@ -1,7 +1,7 @@
 """Whole-system integration: every major subsystem in one scenario.
 
 A miniature end-to-end EL-Rec deployment exercising, in one flow:
-placement planning → collection construction → index reordering →
+placement planning → bag construction → index reordering →
 pipelined PS training with the embedding cache → checkpointing the
 worker and the server → restoring both and continuing training
 bit-identically.
@@ -14,19 +14,14 @@ import pytest
 
 from repro.data.dataloader import SyntheticClickLog
 from repro.data.datasets import criteo_kaggle_like
-from repro.embeddings.collection import EmbeddingCollection
+from repro.embeddings.planner import build_bags, plan_hbm_pack
 from repro.models.config import DLRMConfig, EmbeddingBackend
-from repro.models.dlrm import DLRM
-from repro.reorder import build_bijection
-from repro.system.devices import DeviceSpec
-from repro.system.memory import plan_placement
+from repro.models.dlrm import DLRM, table_seeds
+from repro.reorder import analytic_table_stats, build_bijection
 from repro.system.parameter_server import HostParameterServer
 from repro.system.pipeline import PipelinedPSTrainer, SequentialPSTrainer
 
-TINY_GPU = DeviceSpec(
-    name="tiny", peak_gflops=1000.0, mem_bw_gbps=100.0, hbm_bytes=10e3,
-    h2d_gbps=10.0, p2p_gbps=10.0,
-)
+TINY_HBM = 8_000  # bytes: one TT table, most small tables, a few spills
 LR = 0.05
 
 
@@ -35,95 +30,87 @@ def scenario():
     spec = criteo_kaggle_like(scale=2e-5)
     log = SyntheticClickLog(spec, batch_size=64, seed=0)
     rows = [t.num_rows for t in spec.tables]
-    plan = plan_placement(rows, 8, TINY_GPU, tt_rank=8, tt_threshold_rows=100)
+    plan = plan_hbm_pack(
+        analytic_table_stats(rows), 8, TINY_HBM, tt_rank=8,
+        tt_threshold_rows=100,
+    )
+    assert {t.kind for t in plan.tables} == {"eff_tt", "dense", "host"}
     cfg = DLRMConfig.from_dataset(
         spec, embedding_dim=8, backend=EmbeddingBackend.EFF_TT, tt_rank=8,
         bottom_mlp=(16,), top_mlp=(16,),
     )
     # offline reordering for the TT tables only
-    from repro.system.memory import PlacementDecision
-
-    bijections = []
-    for placement in plan.placements:
-        if placement.decision is PlacementDecision.GPU_TT:
-            stream = log.table_index_stream(placement.table_idx, 6)
-            bijections.append(
-                build_bijection(stream, placement.num_rows, hot_ratio=0.05,
-                                seed=0)
-            )
-        else:
-            bijections.append(None)
+    bijections = [
+        build_bijection(
+            log.table_index_stream(entry.table_idx, 6), entry.num_rows,
+            hot_ratio=0.05, seed=0,
+        )
+        if entry.kind == "eff_tt"
+        else None
+        for entry in plan.tables
+    ]
     return spec, log, plan, cfg, bijections
 
 
+class _Remapped:
+    """The log seen through the per-table bijections."""
+
+    def __init__(self, log, bijections):
+        self.log, self.bijections = log, bijections
+
+    def batch(self, i):
+        return self.log.batch(i).remap(self.bijections)
+
+
 def _build(scenario, seed=11):
+    """(host_table_map, model, server) the plan describes."""
     spec, log, plan, cfg, bijections = scenario
-    collection = EmbeddingCollection.from_placement(
-        plan, 8, tt_rank=8, seed=seed, bijections=bijections
+    model = DLRM(
+        cfg, seed=seed,
+        embedding_bags=build_bags(plan, table_seeds(seed, cfg.num_tables)),
     )
-    model = DLRM(cfg, seed=seed, embedding_bags=collection.bags)
+    positions = plan.server_positions()
     server = HostParameterServer(
-        collection.host_table_rows(), 8, lr=LR, seed=seed
+        [cfg.table_rows[p] for p in positions], 8, lr=LR, seed=seed
     )
-    return collection, model, server
+    return {p: i for i, p in enumerate(positions)}, model, server
 
 
 class TestFullSystem:
     def test_pipelined_training_with_reordering(self, scenario):
-        spec, log, plan, cfg, _ = scenario
-        collection, model, server = _build(scenario)
+        spec, log, plan, cfg, bijections = scenario
+        host_map, model, server = _build(scenario)
         trainer = PipelinedPSTrainer(
-            model, server, collection.host_table_map, lr=LR,
+            model, server, host_map, lr=LR,
             prefetch_depth=3, grad_queue_depth=2, use_cache=True,
         )
-
-        # remap batches through the collection's bijections by wrapping
-        # the log (the trainers consume log.batch(i))
-        class RemappedLog:
-            def batch(self, i):
-                return collection.remap(log.batch(i))
-
-        result = trainer.train(RemappedLog(), 12)
+        result = trainer.train(_Remapped(log, bijections), 12)
         assert len(result.losses) == 12
         assert np.isfinite(result.losses).all()
         assert result.cache_hits + result.cache_misses > 0
 
     def test_pipeline_equals_sequential_in_full_scenario(self, scenario):
-        spec, log, plan, cfg, _ = scenario
-        col_a, model_a, server_a = _build(scenario)
-        col_b, model_b, server_b = _build(scenario)
-
-        class RemapA:
-            def batch(self, i):
-                return col_a.remap(log.batch(i))
-
-        class RemapB:
-            def batch(self, i):
-                return col_b.remap(log.batch(i))
-
+        spec, log, plan, cfg, bijections = scenario
+        map_a, model_a, server_a = _build(scenario)
+        map_b, model_b, server_b = _build(scenario)
+        remapped = _Remapped(log, bijections)
         seq = SequentialPSTrainer(
-            model_a, server_a, col_a.host_table_map, lr=LR
-        ).train(RemapA(), 10)
+            model_a, server_a, map_a, lr=LR
+        ).train(remapped, 10)
         pipe = PipelinedPSTrainer(
-            model_b, server_b, col_b.host_table_map, lr=LR,
+            model_b, server_b, map_b, lr=LR,
             prefetch_depth=4, grad_queue_depth=2, use_cache=True,
-        ).train(RemapB(), 10)
+        ).train(remapped, 10)
         np.testing.assert_array_equal(seq.losses, pipe.losses)
         for a, b in zip(server_a.tables, server_b.tables):
             np.testing.assert_array_equal(a, b)
 
     def test_checkpoint_worker_and_server_resume(self, scenario, tmp_path):
-        spec, log, plan, cfg, _ = scenario
-        collection, model, server = _build(scenario)
-
-        class Remapped:
-            def batch(self, i):
-                return collection.remap(log.batch(i))
-
-        trainer = SequentialPSTrainer(
-            model, server, collection.host_table_map, lr=LR
-        )
-        trainer.train(Remapped(), 5)
+        spec, log, plan, cfg, bijections = scenario
+        host_map, model, server = _build(scenario)
+        remapped = _Remapped(log, bijections)
+        trainer = SequentialPSTrainer(model, server, host_map, lr=LR)
+        trainer.train(remapped, 5)
 
         # Checkpoint the server; the worker model contains
         # HostBackedEmbeddingBags, so worker checkpointing applies to
@@ -138,7 +125,7 @@ class TestFullSystem:
         # Training continues cleanly after the snapshot, and the saved
         # copy is a true point-in-time snapshot: it keeps the
         # pre-continuation values while the live server moves on.
-        cont = trainer.train(Remapped(), 2, start=5)
+        cont = trainer.train(remapped, 2, start=5)
         assert np.isfinite(cont.losses).all()
         # the restored snapshot still matches the *pre-continuation*
         # state (the save is a true point-in-time copy)

@@ -1,8 +1,8 @@
 """Sharded PS training with hash/ROBE/PQ worker-resident bags.
 
-The placement tier can now keep a table on-device under any
-compression strategy (``StatsDrivenStrategy(compress_strategy=...)``),
-so the 2-shard trainer must (a) actually build those bags, (b) train
+The placement policy can keep a table on-device under any compression
+strategy (``build_sharded_ps_trainer(compress_strategy=...)``), so the
+2-shard trainer must (a) actually build those bags, (b) train
 deterministically, and (c) round-trip bitwise through the resilience
 capture/restore path.
 """
@@ -23,20 +23,21 @@ from repro.resilience.checkpoint import (
     restore_trainer_arrays,
 )
 from repro.sharding import build_sharded_ps_trainer
-from repro.sharding.placement import PlacementKind, StatsDrivenStrategy
 
 _NUM_BATCHES = 4
 
 _BAG_TYPES = {
-    "hash": (PlacementKind.HASH_DEVICE, HashEmbeddingBag),
-    "robe": (PlacementKind.ROBE_DEVICE, RobeEmbeddingBag),
-    "pq": (PlacementKind.PQ_DEVICE, PQEmbeddingBag),
+    "hash": HashEmbeddingBag,
+    "robe": RobeEmbeddingBag,
+    "pq": PQEmbeddingBag,
 }
 
 
 @pytest.fixture(scope="module")
 def workload():
-    spec = criteo_kaggle_like(scale=2e-5)
+    # Large enough that four tables pass the 4,096 rows the policy
+    # starts compressing at.
+    spec = criteo_kaggle_like(scale=1e-3)
     log = SyntheticClickLog(spec, batch_size=32, seed=0)
     cfg = DLRMConfig.from_dataset(
         spec, embedding_dim=8, backend=EmbeddingBackend.EFF_TT, tt_rank=8,
@@ -47,32 +48,30 @@ def workload():
 
 def _build(workload, strategy_name):
     log, cfg = workload
-    # Budget/threshold sized so the larger tables cannot stay dense
-    # (5% of 40 kB < their dense bytes) but the compressed form fits
-    # (10% of 40 kB), making the strategy's kind appear in the plan.
+    # Budget sized so the larger tables cannot stay dense (5% of 2 MB
+    # < their dense bytes) but the quarter-size compressed form fits
+    # (10% of 2 MB), making the strategy's kind appear in the plan.
     return build_sharded_ps_trainer(
         cfg,
         num_shards=2,
-        strategy=StatsDrivenStrategy(
-            compress_strategy=strategy_name, tt_threshold_rows=100
-        ),
-        device_budget_bytes=40_000,
+        compress_strategy=strategy_name,
+        device_budget_bytes=2_000_000,
     )
 
 
 @pytest.mark.parametrize("strategy_name", sorted(_BAG_TYPES))
 class TestCompressedWorkerBags:
     def test_plan_places_compressed_kind(self, workload, strategy_name):
-        kind, bag_type = _BAG_TYPES[strategy_name]
         setup = _build(workload, strategy_name)
         placed = [
-            t
-            for t in range(setup.model.config.num_tables)
-            if setup.plan.kind_of(t) == kind
+            entry for entry in setup.plan.tables
+            if entry.kind == strategy_name
         ]
-        assert placed, f"budget never produced a {kind.value} table"
-        for t in placed:
-            assert isinstance(setup.model.embedding_bags[t], bag_type)
+        assert placed, f"budget never produced a {strategy_name} table"
+        for entry in placed:
+            bag = setup.model.embedding_bags[entry.table_idx]
+            assert type(bag) is _BAG_TYPES[strategy_name]
+            assert bag.memory_bytes() == entry.device_bytes
 
     def test_training_is_deterministic(self, workload, strategy_name):
         log, _ = workload

@@ -8,14 +8,19 @@ import pytest
 from repro.data.dataloader import SyntheticClickLog
 from repro.data.datasets import criteo_kaggle_like
 from repro.models.config import DLRMConfig, EmbeddingBackend
+from repro.models.dlrm import DLRM, build_embedding_bag
 from repro.resilience.chaos import (
     FAULT_PLANS,
     ChaosHarnessConfig,
-    _build_harness,
     resume_determinism_check,
     run_chaos,
 )
 from repro.sharding import LinkCompressionConfig, build_sharded_ps_trainer
+from repro.system.parameter_server import (
+    HostBackedEmbeddingBag,
+    HostParameterServer,
+)
+from repro.system.pipeline import PipelinedPSTrainer
 
 _NUM_BATCHES = 10
 
@@ -35,10 +40,28 @@ def workload():
 
 @pytest.fixture(scope="module")
 def host_baseline(workload):
-    """Legacy HostParameterServer trajectory on the same harness."""
-    log, _, _ = workload
-    _, _, factory = _build_harness(ChaosHarnessConfig())
-    trainer = factory(None)
+    """The single-table ``HostParameterServer`` harness, assembled by
+    hand — the reference every sharded build (and with it the chaos and
+    hazard harnesses, which are 1-shard builds) must match bitwise."""
+    log, cfg, positions = workload
+    host_map = {p: i for i, p in enumerate(positions)}
+    bags = [
+        HostBackedEmbeddingBag(rows, cfg.embedding_dim)
+        if t in host_map
+        else build_embedding_bag(
+            cfg.backend_for_table(t), rows, cfg.embedding_dim, cfg.tt_rank,
+            seed=200 + t,
+        )
+        for t, rows in enumerate(cfg.table_rows)
+    ]
+    server = HostParameterServer(
+        [cfg.table_rows[p] for p in positions], cfg.embedding_dim,
+        lr=0.05, seed=3,
+    )
+    trainer = PipelinedPSTrainer(
+        DLRM(cfg, seed=7, embedding_bags=bags), server, host_map, lr=0.05,
+        prefetch_depth=3, grad_queue_depth=2, use_cache=True,
+    )
     losses = [float(x) for x in trainer.train(log, _NUM_BATCHES).losses]
     return trainer, losses
 

@@ -8,7 +8,13 @@ import pytest
 from repro.data.dataloader import SyntheticClickLog
 from repro.data.datasets import criteo_kaggle_like
 from repro.data.synthetic import ZipfSampler, analytic_hot_mass
-from repro.reorder import TableStats, measure_table_stats, table_stats_from_log
+from repro.reorder import (
+    TableStats,
+    analytic_table_stats,
+    measure_table_stats,
+    profile_tables,
+    table_stats_from_log,
+)
 
 
 def test_analytic_hot_mass_matches_exact_cdf():
@@ -89,6 +95,35 @@ def test_table_stats_from_log_matches_manual_concat():
         manual, num_rows=spec.tables[0].num_rows, table_idx=0
     )
     assert stats == expected
+
+
+def test_profile_tables_is_one_pass_over_the_log():
+    spec = criteo_kaggle_like(scale=2e-5)
+    log = SyntheticClickLog(spec, batch_size=32, seed=0)
+
+    class CountingLog:
+        spec = log.spec
+        calls = []
+
+        def batch(self, i):
+            self.calls.append(i)
+            return log.batch(i)
+
+    counting = CountingLog()
+    profiled = profile_tables(counting, num_batches=4)
+    assert counting.calls == [0, 1, 2, 3]  # not 26 tables x 4 batches
+    assert profiled == [
+        table_stats_from_log(log, table_idx=t, num_batches=4)
+        for t in range(spec.num_sparse)
+    ]
+    with pytest.raises(ValueError):
+        profile_tables(log, num_batches=0)
+
+
+def test_analytic_table_stats_numbers_tables_in_order():
+    stats = analytic_table_stats([10, 10_000])
+    assert [st.table_idx for st in stats] == [0, 1]
+    assert stats[1] == TableStats.from_spec(1, 10_000, 1.05)
 
 
 def test_from_spec_analytic():

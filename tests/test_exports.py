@@ -5,6 +5,8 @@ table, so a stale entry stays invisible until somebody touches it.
 """
 
 import importlib
+import inspect
+import pkgutil
 
 import pytest
 
@@ -44,12 +46,11 @@ def test_embeddings_public_names():
             "DenseEmbeddingBag", "HashEmbeddingBag", "RobeEmbeddingBag",
             "PQEmbeddingBag", "TTEmbeddingBag", "EffTTEmbeddingBag",
             "BAG_CLASSES", "bag_class", "build_bag_from_spec",
-            "CompressionPlan", "TablePlan", "plan_compression",
-            "build_bag_from_plan",
+            "TablePlan", "ModelPlan", "table_bytes", "plan_hbm_pack",
+            "plan_fixed_fraction", "plan_under_budget", "build_bags",
             "row_index_to_tt", "tt_to_row_index", "prefix_keys",
             "TTSpec", "TTCores", "tt_svd", "ReusePlan", "build_reuse_plan",
             "EmbeddingCache", "HotRowCachedLookup", "StaleCacheError",
-            "EmbeddingCollection",
         ]
     )
 
@@ -62,7 +63,6 @@ def test_system_public_names():
             "DeviceSpec", "HostProfile", "KernelCostModel", "calibrate_host",
             "CPU_HOST", "TESLA_V100", "TESLA_T4",
             "BoundedQueue", "QueueClosed",
-            "PlacementDecision", "PlacementPlan", "plan_placement",
             "HostParameterServer", "HostBackedEmbeddingBag",
             "SequentialPSTrainer", "PipelinedPSTrainer", "pipeline_schedule",
             "DataParallelTrainer", "ring_allreduce_time", "all2all_time",
@@ -83,3 +83,43 @@ def test_op_table_is_exported_and_the_calibration_names_are_gone():
     ]
     gone = {"CostModelPricer", "CalibrationReport", "ZoneComparison", "run_calibration"}
     assert not gone & (set(analysis.__all__) | set(perfcheck.__all__))
+
+
+def test_no_two_public_classes_share_a_name():
+    """``from repro.x import Plan`` must mean one thing whatever ``x`` is:
+    a name in any ``repro.*.__all__`` is bound to one class (re-exports
+    of the same object are fine)."""
+    import repro
+
+    owners = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        module = importlib.import_module(info.name)
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            if inspect.isclass(obj):
+                owners.setdefault(name, set()).add(
+                    f"{obj.__module__}.{obj.__qualname__}"
+                )
+    assert {n: sorted(o) for n, o in owners.items() if len(o) > 1} == {}
+
+
+def test_the_four_planner_modules_are_gone():
+    for gone in (
+        "repro.system.memory", "repro.sharding.placement",
+        "repro.embeddings.autotune", "repro.embeddings.collection",
+    ):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(gone)
+    import repro.embeddings as embeddings
+    import repro.sharding as sharding
+    import repro.system as system
+
+    retired = {
+        "PlacementPlan", "PlacementDecision", "PlacementKind",
+        "PlacementStrategy", "StatsDrivenStrategy", "RowShardedStrategy",
+        "CompressionPlan", "EmbeddingCollection", "plan_placement",
+        "plan_compression", "build_bag_from_plan", "tt_core_bytes",
+        "server_resident",
+    }
+    for package in (embeddings, sharding, system):
+        assert not retired & set(dir(package)), package.__name__
