@@ -25,6 +25,22 @@ from .protocol import DTypeLike, Shape
 __all__ = ["NumpyBackend"]
 
 
+def _sorted_rows(x: np.ndarray, groups: RowGroups) -> np.ndarray:
+    """``x[groups.order]`` as one C-contiguous array, in a single pass.
+
+    Presorted groups read a contiguous ``x`` in place.  Otherwise the
+    rows are written through the inverse permutation, which gathers and
+    re-lays out a strided ``x`` (a transposed view) in the same pass.
+    """
+    if groups.presorted:
+        return np.ascontiguousarray(x)
+    out = np.empty(x.shape, dtype=x.dtype)
+    inverse = np.empty(groups.order.size, dtype=np.int64)
+    inverse[groups.order] = np.arange(groups.order.size, dtype=np.int64)
+    out[inverse] = x
+    return out
+
+
 class NumpyBackend:
     """The reference :class:`~repro.backend.protocol.ArrayBackend`."""
 
@@ -55,33 +71,38 @@ class NumpyBackend:
     ) -> np.ndarray:
         rows, m, k = a.shape
         n = table.shape[2]
+        dtype = np.result_type(a, table)
         # Sorted by slice id, the rows of one group are one contiguous
         # (rows_j * m, k) matrix: a single GEMM against table[id].
-        a_sorted = np.ascontiguousarray(a[groups.order]).reshape(rows * m, k)
-        out_sorted = np.empty((rows * m, n), dtype=np.result_type(a, table))
+        a_sorted = _sorted_rows(a, groups).reshape(rows * m, k)
+        out_sorted = np.empty((rows * m, n), dtype=dtype)
         bounds = (groups.boundaries * m).tolist()
         for j, slice_id in enumerate(groups.ids.tolist()):
             lo, hi = bounds[j], bounds[j + 1]
             np.matmul(a_sorted[lo:hi], table[slice_id], out=out_sorted[lo:hi])
-        out = np.empty((rows, m, n), dtype=out_sorted.dtype)
+        if groups.presorted:
+            return out_sorted.reshape(rows, m, n)
+        out = np.empty((rows, m, n), dtype=dtype)
         out[groups.order] = out_sorted.reshape(rows, m, n)
         return out
 
     def matmul_segment_sum(
         self, a: np.ndarray, b: np.ndarray, groups: RowGroups
     ) -> np.ndarray:
-        m, n = a.shape[1], b.shape[1]
+        rows, m, k = a.shape
+        n = b.shape[1]
         out = np.empty((groups.num_groups, m, n), dtype=np.result_type(a, b))
-        a_sorted, b_sorted = a[groups.order], b[groups.order]
-        bounds = groups.boundaries.tolist()
+        # Contraction-major: with each row stored (k, m) / (k, n), a
+        # group's rows laid end to end are one (rows_j * k, .) matrix, so
+        # the per-row products and the sum over duplicates are the same
+        # 2-D GEMM.  An operand handed over as the transposed view of
+        # such an array is read where it lies.
+        a_k = _sorted_rows(a.transpose(0, 2, 1), groups).reshape(rows * k, m)
+        b_k = _sorted_rows(b.transpose(0, 2, 1), groups).reshape(rows * k, n)
+        bounds = (groups.boundaries * k).tolist()
         for j in range(groups.num_groups):
             lo, hi = bounds[j], bounds[j + 1]
-            # Contract over (row, k) at once: the group's rows laid side
-            # by side along the contraction axis, so the per-row product
-            # and the sum over duplicates are the same GEMM.
-            out[j] = np.tensordot(
-                a_sorted[lo:hi], b_sorted[lo:hi], axes=([0, 2], [0, 2])
-            )
+            np.matmul(a_k[lo:hi].T, b_k[lo:hi], out=out[j])
         return out
 
     # -- sparse movement -----------------------------------------------

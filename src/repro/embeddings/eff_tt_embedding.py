@@ -351,12 +351,13 @@ class EffTTEmbeddingBag(TTBagBase):
     ) -> List[np.ndarray]:
         """Equation 6 over unique rows, reduced per distinct TT slice.
 
-        Same contractions as :func:`tt_chain_backward`, but no slice is
-        gathered and no per-row slice gradient is written: the suffix
-        chain multiplies against each distinct slice in place
-        (``gather_matmul``) and the last GEMM of every core sums over
-        the rows sharing a slice as it goes (``matmul_segment_sum``).
-        Returns, per core, ``(G_k, R_{k-1}, n_k, R_k)`` aligned with
+        Same contractions as :func:`tt_chain_backward` less its two
+        products against the ones seed, but no slice is gathered per row
+        and no per-row slice gradient is written: the suffix chain
+        multiplies against each *distinct* slice (``gather_matmul``) and
+        the last GEMM of every core sums over the rows sharing a slice
+        as it goes (``matmul_segment_sum``).  Returns, per core,
+        ``(G_k, R_{k-1}, n_k, R_k)`` aligned with
         ``plan.slice_groups[k].ids``.
         """
         cores = self.tt.cores
@@ -364,46 +365,59 @@ class EffTTEmbeddingBag(TTBagBase):
         stages = self._chain_stages("chain_backward")
         num_rows = plan.num_unique_rows
         with bk.zone(ZONE_EFFTT_BACKWARD):
-            ones_seed = bk.ones((num_rows, 1, 1), dtype=agg.dtype)
-            # Suffix partials: rights[k] = product of slices k+1..d-1,
-            # (U, R_k, prod_{l>k} n_l).
-            right = ones_seed
-            rights = [ones_seed] * len(stages)
+            # Suffix partials, contraction-major: rights[k][l] is the
+            # product of slices k+1..d-1 stored (prod_{l>k} n_l, R_k).
+            # Both readers take that layout where it lies: the next
+            # suffix GEMM as its left operand, matmul_segment_sum as the
+            # transposed view of its right one.
+            right = bk.ones((num_rows, 1, 1), dtype=agg.dtype)
+            rights = [right] * len(stages)
             for stage in reversed(stages[1:]):
                 k = stage.core_index
-                # right^T (c, s) @ slice^T (s, r*b): the slice stays where
-                # it is, read through a transposed view.
-                slice_t = cores[k].reshape(
-                    -1, stage.r_in * stage.n_k, stage.r_out
-                ).transpose(0, 2, 1)
-                product = bk.gather_matmul(
-                    right.transpose(0, 2, 1), slice_t, plan.slice_groups[k]
-                )  # (U, c, r*b)
-                # The contracted axis moves from last (s) to first (r)
-                # between stages, so this one relayout is inherent.
-                right = product.transpose(0, 2, 1).reshape(  # reprolint: disable=layout-churn
-                    num_rows, stage.r_in, stage.n_k * right.shape[2]
-                )
+                if stage is stages[-1]:
+                    # Against the ones seed the product is the slice.
+                    right = bk.gather_rows(
+                        cores[k].reshape(-1, stage.r_in, stage.n_k).transpose(0, 2, 1),
+                        plan.tt_indices[k],
+                    )
+                else:
+                    # The chain runs right to left, so each distinct
+                    # slice is read with its axes reversed, (R_k, n_k *
+                    # R_{k-1}): the product then comes out with R_{k-1}
+                    # innermost and no per-row relayout follows it.
+                    groups = plan.slice_groups[k]
+                    flipped = bk.gather_rows(cores[k], groups.ids).transpose(  # reprolint: disable=layout-churn
+                        0, 3, 2, 1
+                    ).reshape(groups.num_groups, stage.r_out, stage.n_k * stage.r_in)
+                    right = bk.gather_matmul(
+                        right, flipped, groups.over_distinct()
+                    ).reshape(num_rows, right.shape[1] * stage.n_k, stage.r_in)
                 rights[k - 1] = right
 
             slice_grads: List[np.ndarray] = []
+            grad_nd = agg.reshape(num_rows, *self.spec.col_shape)
             for stage in stages:
                 k = stage.core_index
                 suffix_cols = self.embedding_dim // (stage.prefix_width * stage.n_k)
-                grad_tensor = agg.reshape(
-                    num_rows, stage.prefix_width, stage.n_k * suffix_cols
-                )
+                # The suffix chain appended its column factors right to
+                # left, so the gradient's are read in that order too (a
+                # small copy, and only where two or more follow n_k).
+                grad_tensor = grad_nd.transpose(  # reprolint: disable=layout-churn
+                    *range(k + 2), *range(len(stages), k + 1, -1)
+                ).reshape(num_rows, stage.prefix_width, stage.n_k * suffix_cols)
                 if k == 0:
-                    left = ones_seed
-                elif stage is stages[-1]:
-                    left = last_left
+                    tmp = grad_tensor  # left is the ones seed
                 else:
-                    left = bk.gather_rows(left_stages[k - 1], plan.prefix_ids)
+                    left = (
+                        last_left
+                        if stage is stages[-1]
+                        else bk.gather_rows(left_stages[k - 1], plan.prefix_ids)
+                    )
+                    tmp = bk.matmul(left.transpose(0, 2, 1), grad_tensor)
                 # dSlice[j] = sum_{l in group j} (left^T G)[l] right[l]^T
-                tmp = bk.matmul(left.transpose(0, 2, 1), grad_tensor)
                 grad_k = bk.matmul_segment_sum(
                     tmp.reshape(num_rows, stage.r_in * stage.n_k, suffix_cols),
-                    rights[k],
+                    rights[k].transpose(0, 2, 1),
                     plan.slice_groups[k],
                 )
                 slice_grads.append(

@@ -150,16 +150,30 @@ def tt_backward_flops(spec: TTSpec, num_items: int) -> int:
     return _backward_per_item_flops(spec) * num_items
 
 
+def _ones_seed_flops(spec: TTSpec) -> int:
+    """The two GEMMs of :func:`_backward_per_item_flops` against the ones seed.
+
+    The first suffix stage (``slice_{d-1} @ 1``) and core 0's
+    ``tmp = 1^T G`` multiply by one; the aggregated kernel reads the
+    slice and the gradient instead.
+    """
+    last = spec.num_cores - 1
+    return 2 * spec.ranks[last] * spec.col_shape[last] + 2 * spec.embedding_dim
+
+
 def efftt_backward_flops(spec: TTSpec, num_unique_rows: int) -> int:
     """Eff-TT backward FLOPs after in-advance gradient aggregation.
 
     The aggregation itself is additions over the embedding dimension
     (memory-bound, negligible FLOPs next to the chain); the chain then
-    runs once per *unique* row (paper §III-B, Figure 6b).
+    runs once per *unique* row (paper §III-B, Figure 6b), without the
+    two products against the ones seed.
     """
     if num_unique_rows < 0:
         raise ValueError(f"num_unique_rows must be >= 0, got {num_unique_rows}")
-    return _backward_per_item_flops(spec) * num_unique_rows
+    return (
+        _backward_per_item_flops(spec) - _ones_seed_flops(spec)
+    ) * num_unique_rows
 
 
 def plan_forward_flops(spec: TTSpec, plan: ReusePlan, reuse: bool = True) -> int:

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Sequence, Tuple
 
 from repro.data.datasets import DatasetSpec
+from repro.embeddings.planner import table_bytes
+from repro.embeddings.registry import bag_class
 from repro.nn.interaction import DotInteraction
 
-__all__ = ["EmbeddingBackend", "DLRMConfig"]
+__all__ = ["EmbeddingBackend", "DLRMConfig", "backend_knobs"]
 
 
 class EmbeddingBackend(str, enum.Enum):
@@ -21,6 +23,14 @@ class EmbeddingBackend(str, enum.Enum):
     HASH = "hash"      # mod-hash bucket table
     ROBE = "robe"      # ROBE shared-array table
     PQ = "pq"          # product-quantization table
+
+
+def backend_knobs(
+    kind: str, tt_rank: int, compress_rate: float
+) -> Dict[str, float]:
+    """The config knobs ``kind``'s constructor declares (``config_knobs``)."""
+    knobs = {"tt_rank": tt_rank, "compress_rate": compress_rate}
+    return {name: knobs[name] for name in bag_class(kind).config_knobs}
 
 
 @dataclass(frozen=True)
@@ -44,7 +54,9 @@ class DLRMConfig:
     tt_threshold_rows:
         Tables larger than this use the compressed backend, smaller
         ones stay dense (the paper compresses tables with more than 1M
-        rows in the end-to-end comparison, §VI-A).
+        rows in the end-to-end comparison, §VI-A).  Above the threshold
+        a table is still kept dense when the compressed form would not
+        be smaller (:meth:`backend_for_table`).
     compress_rate:
         Target physical/dense size ratio for the hash/ROBE backends'
         default parameter sizing (Hetu-style global knob; explicit
@@ -100,13 +112,28 @@ class DLRMConfig:
         return (self.interaction_dim, *self.top_mlp, 1)
 
     def backend_for_table(self, table_idx: int) -> EmbeddingBackend:
-        """Resolve the backend for one table, honoring the TT threshold."""
+        """Resolve the backend for one table.
+
+        A table is compressed only where compression compresses: it
+        stays dense at or below ``tt_threshold_rows`` and whenever the
+        compressed bag would weigh at least what the dense table does
+        (Hetu's ``min(orimem, newmem)``; a rank-clamped TT table of a
+        few rows is larger than the rows themselves).  Both sides are
+        the one :func:`~repro.embeddings.planner.table_bytes`.
+        """
         rows = self.table_rows[table_idx]
-        if self.backend is EmbeddingBackend.DENSE:
+        if self.backend is EmbeddingBackend.DENSE or rows <= self.tt_threshold_rows:
             return EmbeddingBackend.DENSE
-        if rows > self.tt_threshold_rows:
-            return self.backend
-        return EmbeddingBackend.DENSE
+        kind = self.backend.value
+        compressed = table_bytes(
+            kind,
+            rows,
+            self.embedding_dim,
+            **backend_knobs(kind, self.tt_rank, self.compress_rate),
+        )
+        if compressed >= table_bytes("dense", rows, self.embedding_dim):
+            return EmbeddingBackend.DENSE
+        return self.backend
 
     @classmethod
     def from_dataset(

@@ -20,8 +20,8 @@ import numpy as np
 
 from repro.data.dataloader import Batch
 from repro.embeddings.base import EmbeddingBagBase
-from repro.embeddings.registry import bag_class, build_bag
-from repro.models.config import DLRMConfig, EmbeddingBackend
+from repro.embeddings.registry import build_bag
+from repro.models.config import DLRMConfig, EmbeddingBackend, backend_knobs
 from repro.nn.interaction import DotInteraction
 from repro.nn.loss import BCEWithLogitsLoss
 from repro.nn.mlp import MLP
@@ -33,17 +33,8 @@ __all__ = [
     "DLRM",
     "TrainStepResult",
     "build_embedding_bag",
-    "backend_knobs",
     "table_seeds",
 ]
-
-
-def backend_knobs(
-    kind: str, tt_rank: int, compress_rate: float
-) -> Dict[str, float]:
-    """The config knobs ``kind``'s constructor declares (``config_knobs``)."""
-    knobs = {"tt_rank": tt_rank, "compress_rate": compress_rate}
-    return {name: knobs[name] for name in bag_class(kind).config_knobs}
 
 
 def build_embedding_bag(

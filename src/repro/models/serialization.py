@@ -11,7 +11,8 @@ bag types even when they differ from what the config's
 threshold rule would construct — the case for serving snapshots, where
 host-resident parameter-server tables are materialized into local
 dense bags (:mod:`repro.serving.snapshot`).  Version-1 checkpoints
-(no kind tags) still load with the config-derived types.
+(no kind tags) still load: a bag stored as cores is the config's TT
+kind, one stored as a weight is dense, whatever rule picked them.
 
 Format version 3 adds an integrity manifest: a ``__crc__`` entry
 holding a per-array CRC32 map.  :func:`load_checkpoint` verifies every
@@ -320,8 +321,15 @@ def load_checkpoint(path) -> DLRM:
                 # starts may have achieved lower ranks than requested).
                 kind = str(archive[kind_key][0])
             else:
-                # v1 carries no tags: the config's rule picked the kind.
-                kind = config.backend_for_table(t).value
+                # v1 carries no tags, and the rule that picked the kind
+                # is the writer's, not today's backend_for_table: the
+                # stored arrays say which bag they are (v1 predates the
+                # zoo, so cores are the config's TT kind).
+                kind = (
+                    config.backend.value
+                    if f"bag{t}/core0" in archive
+                    else "dense"
+                )
             bags.append(
                 _restore_bag(archive, t, kind, rows, config.embedding_dim)
             )

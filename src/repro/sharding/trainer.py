@@ -27,8 +27,8 @@ from repro.embeddings.planner import (
     plan_fixed_fraction,
     table_bytes,
 )
-from repro.models.config import DLRMConfig
-from repro.models.dlrm import DLRM, backend_knobs
+from repro.models.config import DLRMConfig, backend_knobs
+from repro.models.dlrm import DLRM
 from repro.reorder.stats import TableStats, analytic_table_stats
 from repro.sharding.compression import LinkCompressionConfig
 from repro.sharding.server import ShardedParameterServer

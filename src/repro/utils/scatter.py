@@ -12,9 +12,22 @@ efficiency.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.backend.groups import RowGroups
+
 __all__ = ["scatter_add_rows", "coalesce_rows"]
+
+
+def _group_rows(idx: np.ndarray) -> "RowGroups":
+    """One stable sort: the order, distinct ids and segment starts."""
+    # repro.backend's reference backend imports this module.
+    from repro.backend.groups import group_rows
+
+    return group_rows(idx)
 
 
 def coalesce_rows(indices: np.ndarray, values: np.ndarray):
@@ -32,16 +45,11 @@ def coalesce_rows(indices: np.ndarray, values: np.ndarray):
         width = int(np.prod(vals.shape[1:])) if vals.ndim > 1 else 1
         return idx.astype(np.int64), vals.reshape(0, max(width, 1))
     flat_vals = vals.reshape(idx.size, -1)
-    unique, inverse = np.unique(idx, return_inverse=True)
-    if unique.size == idx.size:
-        order = np.argsort(idx, kind="stable")
-        return idx[order].astype(np.int64), flat_vals[order]
-    order = np.argsort(inverse, kind="stable")
-    sorted_vals = flat_vals[order]
-    sorted_inv = inverse[order]
-    starts = np.concatenate([[0], np.flatnonzero(np.diff(sorted_inv)) + 1])
-    summed = np.add.reduceat(sorted_vals, starts, axis=0)
-    return unique.astype(np.int64), summed
+    groups = _group_rows(idx)
+    if groups.num_groups == idx.size:
+        return groups.ids, flat_vals[groups.order]
+    summed = np.add.reduceat(flat_vals[groups.order], groups.starts, axis=0)
+    return groups.ids, summed
 
 
 def scatter_add_rows(
@@ -72,8 +80,8 @@ def scatter_add_rows(
     idx = np.asarray(indices)
     if idx.size == 0:
         return
-    unique, inverse = np.unique(idx, return_inverse=True)
-    if unique.size == idx.size:
+    groups = _group_rows(idx)
+    if groups.num_groups == idx.size:
         # No duplicates: plain fancy-indexed (scaled) add is exact.
         if scale == 1.0:
             target[idx] += values
@@ -81,12 +89,8 @@ def scatter_add_rows(
             target[idx] += scale * values
         return
     flat_vals = values.reshape(idx.size, -1)
-    order = np.argsort(inverse, kind="stable")
-    sorted_vals = flat_vals[order]
-    sorted_inv = inverse[order]
-    starts = np.concatenate([[0], np.flatnonzero(np.diff(sorted_inv)) + 1])
-    summed = np.add.reduceat(sorted_vals, starts, axis=0)
+    summed = np.add.reduceat(flat_vals[groups.order], groups.starts, axis=0)
     if scale != 1.0:
         summed *= scale  # applied post-reduction: one small array
     target_flat = target.reshape(target.shape[0], -1)
-    target_flat[unique] += summed
+    target_flat[groups.ids] += summed

@@ -9,6 +9,8 @@ rows of a group sums in the BLAS's order, the composition row by row.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.backend import (
     ZONE_EFFTT_BACKWARD,
@@ -129,6 +131,145 @@ class TestAgainstComposition:
         )
         np.testing.assert_array_equal(
             bk.matmul_segment_sum(a, b, groups), bk.matmul_segment_sum(a, b, groups)
+        )
+
+
+# ---------------------------------------------------------------------------
+# properties: any group structure, any shape, any operand layout
+# ---------------------------------------------------------------------------
+
+#: dtype -> bound on |kernel - per-row reference| / (sum of |products|):
+#: a few ulps per accumulated term, whatever order the BLAS sums in.
+ULPS = {np.float64: 1e-13, np.float32: 1e-4}
+
+
+@st.composite
+def _cases(draw):
+    """An id list (empty, one group, presorted or shuffled) plus shapes."""
+    num_slices = draw(st.integers(1, 7))
+    ids = np.array(
+        draw(st.lists(st.integers(0, num_slices - 1), min_size=0, max_size=40)),
+        dtype=np.int64,
+    )
+    if draw(st.booleans()):
+        ids = np.sort(ids)
+    m, k, n = (draw(st.integers(1, 5)) for _ in range(3))
+    return {
+        "ids": ids,
+        "num_slices": num_slices,
+        "shape": (m, k, n),
+        "dtype": draw(st.sampled_from([np.float64, np.float32])),
+        # hand each operand over C-contiguous or as a transposed view
+        "transposed": tuple(draw(st.booleans()) for _ in range(2)),
+        "seed": draw(st.integers(0, 2**16)),
+    }
+
+
+def _laid_out(x, transposed):
+    """The same values; ``transposed`` stores the last two axes swapped."""
+    if not transposed:
+        return x
+    return np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1)
+
+
+class TestKernelProperties:
+    @given(_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_gather_matmul_is_the_per_row_product(self, case):
+        ids, (m, k, n), dtype = case["ids"], case["shape"], case["dtype"]
+        rng = np.random.default_rng(case["seed"])
+        a = rng.standard_normal((ids.size, m, k)).astype(dtype)
+        table = rng.standard_normal((case["num_slices"], k, n)).astype(dtype)
+        out = NumpyBackend().gather_matmul(
+            _laid_out(a, case["transposed"][0]),
+            _laid_out(table, case["transposed"][1]),
+            group_rows(ids),
+        )
+        assert out.shape == (ids.size, m, n) and out.dtype == dtype
+        for row, slice_id in enumerate(ids):
+            wide_a = a[row].astype(np.float64)
+            wide_t = table[slice_id].astype(np.float64)
+            np.testing.assert_allclose(
+                out[row], wide_a @ wide_t,
+                rtol=0, atol=ULPS[dtype] * (np.abs(wide_a) @ np.abs(wide_t)).max() + 1e-300,
+            )
+
+    @given(_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matmul_segment_sum_is_the_per_row_sum(self, case):
+        ids, (m, k, n), dtype = case["ids"], case["shape"], case["dtype"]
+        rng = np.random.default_rng(case["seed"])
+        a = rng.standard_normal((ids.size, m, k)).astype(dtype)
+        b = rng.standard_normal((ids.size, n, k)).astype(dtype)
+        groups = group_rows(ids)
+        out = NumpyBackend().matmul_segment_sum(
+            _laid_out(a, case["transposed"][0]),
+            _laid_out(b, case["transposed"][1]),
+            groups,
+        )
+        assert out.shape == (groups.num_groups, m, n) and out.dtype == dtype
+        for j, slice_id in enumerate(groups.ids):
+            members = np.flatnonzero(ids == slice_id)
+            wide_a = a[members].astype(np.float64)
+            wide_b = b[members].astype(np.float64)
+            expected = sum(x @ y.T for x, y in zip(wide_a, wide_b))
+            scale = sum(np.abs(x) @ np.abs(y).T for x, y in zip(wide_a, wide_b))
+            np.testing.assert_allclose(
+                out[j], expected, rtol=0, atol=ULPS[dtype] * scale.max() + 1e-300
+            )
+
+    @given(_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_presorted_means_the_order_is_the_identity(self, case):
+        ids = case["ids"]
+        groups = group_rows(ids)
+        identity = np.array_equal(groups.order, np.arange(ids.size))
+        assert groups.presorted == identity == bool(np.all(np.diff(ids) >= 0))
+        np.testing.assert_array_equal(groups.order, np.argsort(ids, kind="stable"))
+        np.testing.assert_array_equal(groups.ids, np.unique(ids))
+        np.testing.assert_array_equal(
+            groups.boundaries[1:] - groups.boundaries[:-1],
+            np.unique(ids, return_counts=True)[1],
+        )
+
+    @given(_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_observed_backends_stay_bitwise(self, case):
+        """numsan and the cost counter watch; they never change a bit."""
+        ids, (m, k, n), dtype = case["ids"], case["shape"], case["dtype"]
+        rng = np.random.default_rng(case["seed"])
+        a = _laid_out(rng.standard_normal((ids.size, m, k)).astype(dtype), case["transposed"][0])
+        b = _laid_out(rng.standard_normal((ids.size, n, k)).astype(dtype), case["transposed"][1])
+        table = rng.standard_normal((case["num_slices"], k, n)).astype(dtype)
+        groups = group_rows(ids)
+        plain = NumpyBackend()
+        for watched in (InstrumentedBackend(), SanitizerBackend()):
+            np.testing.assert_array_equal(
+                watched.gather_matmul(a, table, groups),
+                plain.gather_matmul(a, table, groups),
+            )
+            np.testing.assert_array_equal(
+                watched.matmul_segment_sum(a, b, groups),
+                plain.matmul_segment_sum(a, b, groups),
+            )
+
+    def test_ids_too_wide_for_the_radix_sort_group_the_same(self):
+        rng = np.random.default_rng(0)
+        narrow = rng.integers(0, 50, size=300)
+        for wide in (narrow * 100_000, narrow - 25):  # >= 2**16, negative
+            groups, reference = group_rows(wide), group_rows(narrow)
+            np.testing.assert_array_equal(groups.order, reference.order)
+            np.testing.assert_array_equal(groups.starts, reference.starts)
+            np.testing.assert_array_equal(groups.ids, np.unique(wide))
+
+    def test_over_distinct_addresses_the_gathered_slices(self):
+        ids = np.array([9, 2, 9, 4, 2, 9], dtype=np.int64)
+        a, _, table = _operands(ids, np.float64)
+        groups = group_rows(ids)
+        bk = NumpyBackend()
+        np.testing.assert_array_equal(
+            bk.gather_matmul(a, table[groups.ids], groups.over_distinct()),
+            bk.gather_matmul(a, table, groups),
         )
 
 

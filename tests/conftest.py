@@ -41,3 +41,25 @@ def assert_grad_close(
     atol: float = 1e-7,
 ) -> None:
     np.testing.assert_allclose(analytic, numeric, rtol=rtol, atol=atol)
+
+
+def all_tt_model(config, seed=0):
+    """``config``'s model with *every* table Eff-TT, however few its rows.
+
+    ``DLRM(config)`` keeps a table dense when TT would not shrink it;
+    the all-TT model is an explicit plan — the paper's threshold rule at
+    0 rows — built from the same per-table seeds.
+    """
+    from repro.embeddings.planner import build_bags, plan_hbm_pack
+    from repro.models.dlrm import DLRM, table_seeds
+    from repro.reorder.stats import analytic_table_stats
+
+    plan = plan_hbm_pack(
+        analytic_table_stats(config.table_rows),
+        config.embedding_dim,
+        budget_bytes=1 << 62,
+        tt_rank=config.tt_rank,
+        tt_threshold_rows=0,
+    )
+    bags = build_bags(plan, table_seeds(seed, config.num_tables))
+    return DLRM(config, seed=seed, embedding_bags=bags)

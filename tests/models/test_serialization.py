@@ -286,6 +286,8 @@ FIXTURES = Path(__file__).parent / "fixtures"
     [
         "v1_config_tt",
         "v1_config_efftt",
+        "v1_config_efftt_small",
+        "v2_config_efftt_small",
         "v2_dense_tt_efftt",
         "v3_dense_tt_efftt",
         "v4_all_kinds",
@@ -326,8 +328,24 @@ class TestParentWrittenCheckpoints:
         # (DESIGN.md §8), so they are held to the documented tolerance.
         model = load_checkpoint(str(FIXTURES / f"{name}.npz"))
         np.testing.assert_allclose(
-            model.forward(probe_batch()),
+            model.forward(probe_batch(table_rows=model.config.table_rows)),
             self._expected(name)["logits"],
             rtol=1e-12,
             atol=0.0,
         )
+
+
+@pytest.mark.parametrize("name", ["v1_config_efftt_small", "v2_config_efftt_small"])
+def test_a_checkpoint_loads_by_what_it_stores_not_by_todays_rule(name):
+    """Tables the footprint rule would now keep dense were saved as Eff-TT.
+
+    v1 has no kind tags, so the loader reads the kind off the stored
+    array names; v2+ carries ``bag{t}/kind`` and never consulted the
+    rule.  Either way the bags come back as the cores that were saved.
+    """
+    model = load_checkpoint(str(FIXTURES / f"{name}.npz"))
+    config = model.config
+    assert [config.backend_for_table(t).value for t in range(config.num_tables)] == [
+        "dense", "dense", "dense", "eff_tt",
+    ]
+    assert [bag.kind for bag in model.embedding_bags] == ["eff_tt"] * 4

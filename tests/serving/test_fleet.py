@@ -28,6 +28,7 @@ from repro.serving.router import AdmissionConfig
 from repro.serving.server import ServiceTimeModel
 from repro.serving.snapshot import ModelSnapshot
 from repro.resilience.degradation import DegradationPolicy
+from tests.conftest import all_tt_model
 
 SPEC = criteo_kaggle_like(scale=2e-5)
 CFG = DLRMConfig.from_dataset(
@@ -61,11 +62,16 @@ def _config(num_replicas=2, **kwargs):
     return FleetConfig(**defaults)
 
 
-def _fleet(world, config, injector=None):
+def _fleet(world, config, injector=None, service_time=None):
     snap_v1, _, hot_rows, _ = world
     return ServingFleet(
         snap_v1, hot_rows=hot_rows, config=config, injector=injector,
+        service_time=service_time,
     )
+
+
+#: 4 ms per batch whatever its lookups cost: every replica holds work.
+BUSY = ServiceTimeModel(base=4e-3)
 
 
 def _crash_plan(replica, time):
@@ -171,7 +177,7 @@ class TestCrashFaultDomain:
         config = _config(
             admission=AdmissionConfig(max_in_flight=1, max_redirects=0),
         )
-        outcome = _fleet(world, config, injector).run(requests)
+        outcome = _fleet(world, config, injector, BUSY).run(requests)
         # every orphaned batch exceeds the 0-redirect budget
         assert outcome.redirects
         assert all(r.action == "shed" for r in outcome.redirects)
@@ -242,7 +248,9 @@ class TestAutoscale:
             degradation=DegradationPolicy(slo_target=2e-3),
             autoscale=AutoscalePolicy(min_replicas=1, max_replicas=4),
         )
-        fleet = ServingFleet(snap_v1, hot_rows=hot_rows, config=config)
+        fleet = ServingFleet(
+            snap_v1, hot_rows=hot_rows, config=config, service_time=BUSY,
+        )
         outcome = fleet.run(requests)
         ups = [e for e in outcome.autoscale_events if e.action == "scale_up"]
         assert ups
@@ -439,7 +447,8 @@ class TestSingleServerGolden:
 
         Literals recorded from the worker-pool server this engine
         replaced, on the quickcheck serving smoke (300 requests @
-        2000/s, batch 16 / 2 ms, two workers, 10% hot coverage).
+        2000/s, batch 16 / 2 ms, two workers, 10% hot coverage) — on
+        the model that server built, every table Eff-TT.
         """
         spec = criteo_kaggle_like(scale=3e-5)
         config = DLRMConfig.from_dataset(
@@ -448,7 +457,7 @@ class TestSingleServerGolden:
         )
         generator = RequestGenerator(spec, rate=2000.0, seed=0)
         fleet = ServingFleet(
-            ModelSnapshot.from_model(DLRM(config, seed=0), version=0),
+            ModelSnapshot.from_model(all_tt_model(config, seed=0), version=0),
             hot_rows={
                 t: generator.hot_rows(t, 0.1)
                 for t in range(spec.num_sparse)

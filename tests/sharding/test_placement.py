@@ -181,24 +181,27 @@ def _assert_plan_is_model(setup):
 
 
 def test_sharded_trainer_plan_describes_the_bags_it_built():
+    config = _default_train_config()
     setup = build_sharded_ps_trainer(
-        _default_train_config(), num_shards=2,
-        device_budget_bytes=1_000_000,
+        config, num_shards=2, device_budget_bytes=1_000_000,
     )
     _assert_plan_is_model(setup)
     reasons = {t.table_idx: t.reason for t in setup.plan.tables}
     # every table is small enough to stay dense on the device, so the
     # two largest are forced behind the server and the rest follow the
-    # config's backend, not the policy's "dense"
+    # config's per-table backend: Eff-TT where it is smaller than the
+    # dense table, dense where it is not
     assert setup.host_positions == [2, 11]
     for t in setup.host_positions:
         assert reasons[t] == (
             "forced server-side: a PS trainer needs a server table"
         )
     worker = [t for t in setup.plan.tables if not t.on_server]
-    assert {t.kind for t in worker} == {"eff_tt"}
-    assert {t.reason for t in worker} == {"config backend eff_tt"}
-    assert all(t.param_dict() == {"tt_rank": 8} for t in worker)
+    for t in worker:
+        assert t.kind == config.backend_for_table(t.table_idx).value
+        assert t.reason == f"config backend {t.kind}"
+        assert t.param_dict() == ({"tt_rank": 8} if t.kind == "eff_tt" else {})
+    assert [t.table_idx for t in worker if t.kind == "eff_tt"] == [15, 20]
 
 
 def test_sharded_trainer_plan_names_a_host_positions_pin():

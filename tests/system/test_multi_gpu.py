@@ -78,8 +78,13 @@ class TestDataParallelTrainer:
         for bag_dp, bag_single in zip(
             dp.replicas[0].embedding_bags, single.embedding_bags
         ):
-            for c_dp, c_single in zip(bag_dp.tt.cores, bag_single.tt.cores):
-                np.testing.assert_allclose(c_dp, c_single, atol=1e-12)
+            # cores of the Eff-TT bags, the weight of the dense ones
+            state_dp, state_single = bag_dp.state_arrays(), bag_single.state_arrays()
+            assert state_dp.keys() == state_single.keys()
+            for name in state_dp:
+                np.testing.assert_allclose(
+                    state_dp[name], state_single[name], atol=1e-12
+                )
 
     def test_loss_is_global_mean(self, setup):
         log, cfg = setup

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.scatter import scatter_add_rows
+from repro.utils.scatter import coalesce_rows, scatter_add_rows
 
 
 class TestScatterAddRows:
@@ -67,3 +67,31 @@ class TestScatterAddRows:
         scatter_add_rows(a, idx, values, scale=scale)
         np.add.at(b, idx, scale * values)
         np.testing.assert_allclose(a, b, atol=1e-12)
+
+
+def _two_sort_segments(idx, values):
+    """The sums as first written: ``unique(return_inverse)``, then a
+    second, stable sort of the inverse.  Kept as the bitwise reference
+    for the one-sort ``group_rows`` path."""
+    unique, inverse = np.unique(idx, return_inverse=True)
+    order = np.argsort(inverse, kind="stable")
+    starts = np.concatenate([[0], np.flatnonzero(np.diff(inverse[order])) + 1])
+    flat = values.reshape(idx.size, -1)
+    return unique, np.add.reduceat(flat[order], starts, axis=0)
+
+
+@pytest.mark.parametrize("rows", [3, 285, 20_000])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_one_sort_sums_are_the_two_sort_sums_bitwise(rows, dtype):
+    rng = np.random.default_rng(rows)
+    idx = rng.integers(0, rows, size=2048)
+    values = rng.standard_normal((2048, 16)).astype(dtype)
+    unique, summed = _two_sort_segments(idx, values)
+    got_unique, got_summed = coalesce_rows(idx, values)
+    np.testing.assert_array_equal(got_unique, unique)
+    np.testing.assert_array_equal(got_summed, summed)
+    target = rng.standard_normal((rows, 16)).astype(dtype)
+    expected = target.copy()
+    expected[unique] += summed * dtype(-0.05)
+    scatter_add_rows(target, idx, values, scale=-0.05)
+    np.testing.assert_array_equal(target, expected)
