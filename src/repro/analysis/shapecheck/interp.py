@@ -934,6 +934,9 @@ class _Interpreter:
             return TensorVal(a.shape, a.dtype)
         return TOP
 
+    def _op_binary(self, node: ast.AST, method: str, a: Any, b: Any) -> Any:
+        return self._elementwise(node, a, b, f"backend.{method}")
+
     def _op_axpy(self, node: ast.AST, method: str, target: Any, values: Any, scale: Any) -> None:
         self._elementwise(node, target, values, f"backend.{method}")
 
@@ -1313,9 +1316,8 @@ _BACKEND_HANDLERS: Dict[str, Callable[..., Any]] = {
         self._check_scatter(node, target, indices, values)
     ),
     "exp": _Interpreter._op_exp,
-    "maximum": lambda self, node, op, a, b: self._elementwise(
-        node, a, b, f"backend.{op}"
-    ),
+    "maximum": _Interpreter._op_binary,
+    "multiply": _Interpreter._op_binary,
     "where": lambda self, node, op, cond, a, b: self._where(node, cond, a, b),
     "axpy": _Interpreter._op_axpy,
 }

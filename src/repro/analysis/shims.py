@@ -123,23 +123,22 @@ class RecordingCache(EmbeddingCache):
 
     def decrement(self, indices: IntArray) -> int:
         idx = np.unique(np.asarray(indices))
-        before = {int(i) for i in idx.tolist() if int(i) in self}
+        before = idx[self._find(idx)[1]]  # the cached ones, ascending
         evicted = super().decrement(indices)
         self._recorder.tick()
-        gone = sorted(i for i in before if i not in self)
-        live = sorted(before - set(gone))
+        live = self._find(before)[1]
         self._recorder.record_rows(
             EventKind.CACHE_DEC,
             stage=STAGE_CACHE,
             table=self._table,
-            rows=live,
+            rows=before[live].tolist(),
             batch=self._current_batch,
         )
         self._recorder.record_rows(
             EventKind.CACHE_EVICT,
             stage=STAGE_CACHE,
             table=self._table,
-            rows=gone,
+            rows=before[~live].tolist(),
             batch=self._current_batch,
         )
         return evicted

@@ -125,6 +125,9 @@ class NumpyBackend:
     def maximum(self, a: Any, b: Any) -> np.ndarray:
         return cast(np.ndarray, np.maximum(a, b))
 
+    def multiply(self, a: Any, b: Any) -> np.ndarray:
+        return cast(np.ndarray, np.multiply(a, b))
+
     def where(self, cond: np.ndarray, a: Any, b: Any) -> np.ndarray:
         return cast(np.ndarray, np.where(cond, a, b))
 

@@ -163,6 +163,7 @@ _ROWS = (
     # a non-finite exp result is always a bug.
     OpSpec("exp", "elementwise", ("a",), _exp),
     OpSpec("maximum", "elementwise", ("a", "b"), _select, drift_operands=("a", "b")),
+    OpSpec("multiply", "elementwise", ("a", "b"), _select, drift_operands=("a", "b")),
     # where's condition is a mask, not a drift operand.
     OpSpec("where", "elementwise", ("cond", "a", "b"), _select, drift_operands=("a", "b")),
     OpSpec(

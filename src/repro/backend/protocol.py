@@ -24,7 +24,8 @@ calling numpy directly.  The backend is deliberately a small surface:
 * **sparse movement** — ``gather_rows`` / ``scatter_add_rows``, the two
   primitives embedding tables live on;
 * **elementwise** — the handful of ufuncs the activation/optimizer
-  paths need (``exp``, ``maximum``, ``where``, ``axpy``);
+  paths need (``exp``, ``maximum``, ``multiply``, ``where``,
+  ``axpy``);
 * **zones** — ``zone(name)`` context manager tagging the *named kernel
   zone* the enclosed ops belong to, so the interposer can tell its
   observers which zone each op ran in.  The reference backend's
@@ -224,6 +225,9 @@ class ArrayBackend(Protocol):
         ...
 
     def maximum(self, a: Any, b: Any) -> np.ndarray:
+        ...
+
+    def multiply(self, a: Any, b: Any) -> np.ndarray:
         ...
 
     def where(self, cond: np.ndarray, a: Any, b: Any) -> np.ndarray:

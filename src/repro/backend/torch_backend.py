@@ -165,6 +165,9 @@ class TorchBackend:
     def maximum(self, a: Any, b: Any) -> np.ndarray:
         return np.maximum(a, b)
 
+    def multiply(self, a: Any, b: Any) -> np.ndarray:
+        return np.multiply(a, b)
+
     def where(self, cond: np.ndarray, a: Any, b: Any) -> np.ndarray:
         return np.where(cond, a, b)
 

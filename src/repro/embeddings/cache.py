@@ -18,13 +18,18 @@ worker:
 The cache therefore only ever holds rows whose updates have not yet
 landed in host memory — the minimal footprint the paper claims.
 
-Rows are stored in one contiguous buffer with a free-list so the
-footprint is explicit and bounded; the index table is a hash map.
+Rows are stored in one contiguous buffer with a free-slot stack so the
+footprint is explicit and bounded.  The index is two parallel arrays —
+the cached row ids kept ascending and the buffer row of each — searched
+with one ``np.searchsorted`` per call, so no operation loops over rows
+in Python and the index grows with occupancy, never with the table (a
+dense ``row -> slot`` map would be O(table rows) on the worker: what
+§V-B exists to avoid).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -64,41 +69,60 @@ class EmbeddingCache:
         check_positive(default_lifecycle, "default_lifecycle")
         self.embedding_dim: int = int(embedding_dim)
         self.default_lifecycle: int = int(default_lifecycle)
-        self._slots: Dict[int, int] = {}  # index -> buffer row
+        self._keys: IntArray = np.empty(0, dtype=np.int64)  # cached ids, ascending
+        self._key_slots: IntArray = np.empty(0, dtype=np.int64)  # their buffer rows
         self._buffer: FloatArray = get_backend().zeros(
             (_INITIAL_CAPACITY, self.embedding_dim), dtype=np.float64
         )
         self._lifecycle: IntArray = np.zeros(_INITIAL_CAPACITY, dtype=np.int64)
-        self._slot_index: IntArray = np.full(
-            _INITIAL_CAPACITY, -1, dtype=np.int64
-        )
-        self._free: List[int] = list(range(_INITIAL_CAPACITY - 1, -1, -1))
+        # Free buffer rows: a stack in ``_free[:_num_free]``, top last.
+        self._free: IntArray = np.arange(_INITIAL_CAPACITY - 1, -1, -1, dtype=np.int64)
+        self._num_free: int = _INITIAL_CAPACITY
         self.hits: int = 0
         self.misses: int = 0
         self.evictions: int = 0
 
-    # -- capacity management -------------------------------------------
-    def _grow(self) -> None:
-        old = self._buffer.shape[0]
-        new = old * 2
-        self._buffer = np.vstack(
-            [
-                self._buffer,
-                get_backend().zeros((old, self.embedding_dim), dtype=np.float64),
-            ]
-        )
-        self._lifecycle = np.concatenate(
-            [self._lifecycle, np.zeros(old, dtype=np.int64)]
-        )
-        self._slot_index = np.concatenate(
-            [self._slot_index, np.full(old, -1, dtype=np.int64)]
-        )
-        self._free.extend(range(new - 1, old - 1, -1))
+    # -- index and capacity management ---------------------------------
+    def _find(self, idx: IntArray) -> Tuple[IntArray, BoolArray]:
+        """Each id's position (or insertion point) in ``_keys`` and if it is there."""
+        pos = np.searchsorted(self._keys, idx)
+        if not self._keys.size:
+            return pos, np.zeros(idx.size, dtype=np.bool_)
+        # An id past the last key clips onto that key, which it exceeds.
+        return pos, self._keys.take(pos, mode="clip") == idx
 
-    def _allocate(self) -> int:
-        if not self._free:
-            self._grow()
-        return self._free.pop()
+    def _slot_of(self, index: int) -> Optional[int]:
+        pos = int(np.searchsorted(self._keys, index))
+        if pos < self._keys.size and self._keys[pos] == index:
+            return int(self._key_slots[pos])
+        return None
+
+    def _allocate(self, count: int) -> IntArray:
+        """Pop ``count`` free buffer rows, doubling the buffer until they exist."""
+        old = capacity = self._buffer.shape[0]
+        while self._num_free + capacity - old < count:
+            capacity *= 2
+        if capacity > old:
+            added = capacity - old
+            self._buffer = np.vstack(
+                [
+                    self._buffer,
+                    get_backend().zeros((added, self.embedding_dim), dtype=np.float64),
+                ]
+            )
+            self._lifecycle = np.concatenate(
+                [self._lifecycle, np.zeros(added, dtype=np.int64)]
+            )
+            # The new rows go *under* the stack: rows freed by evictions
+            # are reused before the buffer's fresh tail, lowest row first.
+            free = np.empty(capacity, dtype=np.int64)
+            free[:added] = np.arange(capacity - 1, old - 1, -1, dtype=np.int64)
+            free[added : added + self._num_free] = self._free[: self._num_free]
+            self._free = free
+            self._num_free += added
+        top = self._num_free
+        self._num_free = top - count
+        return self._free[self._num_free : top][::-1]
 
     # -- cache operations ----------------------------------------------
     def put(self, indices: IntArray, values: FloatArray) -> None:
@@ -114,14 +138,20 @@ class EmbeddingCache:
                 f"values shape {values.shape} does not match "
                 f"({idx.size}, {self.embedding_dim})"
             )
-        for pos, index in enumerate(idx.tolist()):
-            slot = self._slots.get(index)
-            if slot is None:
-                slot = self._allocate()
-                self._slots[index] = slot
-                self._slot_index[slot] = index
-            self._buffer[slot] = values[pos]
-            self._lifecycle[slot] = self.default_lifecycle
+        pos, found = self._find(idx)
+        if not found.all():
+            missing = ~found
+            new_ids, first = np.unique(idx[missing], return_index=True)
+            # New rows take their slots in the order the call first names them.
+            new_slots = np.empty(new_ids.size, dtype=np.int64)
+            new_slots[np.argsort(first)] = self._allocate(new_ids.size)
+            at = pos[missing][first]
+            self._keys = np.insert(self._keys, at, new_ids)
+            self._key_slots = np.insert(self._key_slots, at, new_slots)
+            pos = np.searchsorted(self._keys, idx)
+        slots = self._key_slots[pos]
+        self._buffer[slots] = values  # an id named twice keeps its last value
+        self._lifecycle[slots] = self.default_lifecycle
 
     def synchronize(
         self, indices: IntArray, values: FloatArray
@@ -149,17 +179,16 @@ class EmbeddingCache:
                 f"({idx.size}, {self.embedding_dim})"
             )
         fresh = values.copy()
-        slots = np.array(
-            [self._slots.get(index, -1) for index in idx.tolist()],
-            dtype=np.int64,
-        )
-        hit_mask: BoolArray = slots >= 0
-        if hit_mask.any():
+        pos, hit_mask = self._find(idx)
+        num_hits = int(hit_mask.sum())
+        if num_hits:
             bk = get_backend()
             with bk.zone(ZONE_LC_CACHE):
-                fresh[hit_mask] = bk.gather_rows(self._buffer, slots[hit_mask])
-        self.hits += int(hit_mask.sum())
-        self.misses += int((~hit_mask).sum())
+                fresh[hit_mask] = bk.gather_rows(
+                    self._buffer, self._key_slots[pos[hit_mask]]
+                )
+        self.hits += num_hits
+        self.misses += idx.size - num_hits
         return fresh, hit_mask
 
     def decrement(self, indices: IntArray) -> int:
@@ -170,46 +199,57 @@ class EmbeddingCache:
         (a batch touches each unique row once on the host side).
         Returns the number of evictions.
         """
-        idx = np.unique(check_1d_int_array(indices, "indices", min_value=0))
-        evicted = 0
-        for index in idx.tolist():
-            slot = self._slots.get(index)
-            if slot is None:
-                continue
-            self._lifecycle[slot] -= 1
-            if self._lifecycle[slot] <= 0:
-                del self._slots[index]
-                self._slot_index[slot] = -1
-                self._free.append(slot)
-                evicted += 1
+        idx = check_1d_int_array(indices, "indices", min_value=0)
+        pos, found = self._find(idx)
+        # Mark the keys the call names: a repeated id marks its key once,
+        # and the marks read back in ascending-id order.
+        named = np.zeros(self._keys.size, dtype=np.bool_)
+        named[pos[found]] = True
+        pos = np.flatnonzero(named)
+        slots = self._key_slots[pos]
+        self._lifecycle[slots] -= 1
+        dead = self._lifecycle[slots] <= 0
+        evicted = int(dead.sum())
+        if evicted:
+            # Freed rows go back on the stack in ascending-id order.
+            self._free[self._num_free : self._num_free + evicted] = slots[dead]
+            self._num_free += evicted
+            self._keys = np.delete(self._keys, pos[dead])
+            self._key_slots = np.delete(self._key_slots, pos[dead])
         self.evictions += evicted
         return evicted
 
     def get(self, index: int) -> Optional[FloatArray]:
         """Fetch one cached row (copy), or None on miss."""
-        slot = self._slots.get(int(index))
+        slot = self._slot_of(int(index))
         if slot is None:
             return None
         return self._buffer[slot].copy()
 
     def lifecycle_of(self, index: int) -> Optional[int]:
         """Remaining LC of a cached row, or None if absent."""
-        slot = self._slots.get(int(index))
+        slot = self._slot_of(int(index))
         if slot is None:
             return None
         return int(self._lifecycle[slot])
 
     def __contains__(self, index: int) -> bool:
-        return int(index) in self._slots
+        return self._slot_of(int(index)) is not None
 
     def __len__(self) -> int:
-        return len(self._slots)
+        return int(self._keys.size)
 
     @property
     def nbytes(self) -> int:
-        """Current buffer footprint (allocated capacity, not occupancy)."""
+        """Everything the cache holds: the row buffer, the LC counters
+        and the free-slot stack (allocated capacity, not occupancy) plus
+        the two key arrays (16 bytes per cached row)."""
         return (
-            self._buffer.nbytes + self._lifecycle.nbytes + self._slot_index.nbytes
+            self._buffer.nbytes
+            + self._lifecycle.nbytes
+            + self._free.nbytes
+            + self._keys.nbytes
+            + self._key_slots.nbytes
         )
 
     @property
@@ -219,7 +259,8 @@ class EmbeddingCache:
 
     def clear(self) -> None:
         capacity = self._buffer.shape[0]
-        self._slots.clear()
-        self._slot_index.fill(-1)
+        self._keys = np.empty(0, dtype=np.int64)
+        self._key_slots = np.empty(0, dtype=np.int64)
         self._lifecycle.fill(0)
-        self._free = list(range(capacity - 1, -1, -1))
+        self._free = np.arange(capacity - 1, -1, -1, dtype=np.int64)
+        self._num_free = capacity

@@ -36,14 +36,16 @@ class ReLU(Module):
         bk = get_backend()
         self._mask = inputs > 0
         with bk.zone(ZONE_MLP):
-            return bk.where(self._mask, inputs, 0.0)
+            return bk.maximum(inputs, 0.0)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError("backward called before forward")
         bk = get_backend()
         with bk.zone(ZONE_MLP):
-            grad = bk.where(self._mask, _as_float(grad_output), 0.0)
+            # A product, not a select: np.where on a random mask pays a
+            # branch misprediction per element (DESIGN.md §8).
+            grad = bk.multiply(_as_float(grad_output), self._mask)
         self._mask = None
         return grad
 

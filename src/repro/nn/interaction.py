@@ -6,9 +6,10 @@ computes dot products of all feature pairs, and concatenates the
 strictly-lower-triangular results with the original dense feature.
 
 Both contractions are batched GEMMs on the ``(B, F, d)`` feature stack
-(``torch.bmm`` in the reference DLRM): one ``(F, d) x (d, F)`` product
-*per sample*, so a sample's output never depends on what else shares
-its batch — serving's micro-batches rely on that.
+(``torch.bmm`` in the reference DLRM): one product *per sample* —
+``(F-1, d) x (d, F-1)`` forward, ``(F, F) x (F, d)`` backward — so a
+sample's output never depends on what else shares its batch; serving's
+micro-batches rely on that.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ class DotInteraction(Module):
 
     Given dense feature ``x`` of shape ``(B, d)`` and ``k`` embeddings
     each of shape ``(B, d)``, writes them into ``T`` of shape
-    ``(B, k+1, d)``, forms ``Z = T @ T^T`` and emits
-    ``concat([x, Z[lower_triangle]])`` with output width
-    ``d + (k+1) * k / 2``.
+    ``(B, k+1, d)``, forms ``Z = T[1:] @ T[:-1]^T`` — every pair of
+    distinct features, once — and emits ``concat([x, Z[lower_triangle]])``
+    with output width ``d + (k+1) * k / 2``.
     """
 
     def __init__(self) -> None:
@@ -61,16 +62,22 @@ class DotInteraction(Module):
         stacked[:, 0, :] = dense
         for i, emb in enumerate(embeddings, start=1):
             stacked[:, i, :] = emb
+        # Pair (f, g), g < f, is entry (f - 1, g) of T[1:] @ T[:-1]^T: the
+        # product never reads feature 0 as a row or the last feature as a
+        # column, and its two operands are different views, so numpy
+        # issues a plain GEMM per sample, not the slower a @ a.T syrk.
         bk = get_backend()
         with bk.zone(ZONE_INTERACTION):
-            z = bk.matmul(stacked, stacked.transpose(0, 2, 1))  # (B, F, F)
-        # The strict lower triangle, as one flat take per sample.
-        rows, cols = np.tril_indices(num_features, k=-1)
+            z = bk.matmul(
+                stacked[:, 1:, :], stacked[:, :-1, :].transpose(0, 2, 1)
+            )  # (B, F-1, F-1)
+        # Its lower triangle, diagonal included, as one flat take per sample.
+        rows, cols = np.tril_indices(num_features - 1)
         out = np.empty((batch, dim + rows.size), dtype=np.float64)
         out[:, :dim] = dense
         out[:, dim:] = np.take(
-            z.reshape(batch, num_features * num_features),
-            rows * num_features + cols,
+            z.reshape(batch, (num_features - 1) ** 2),
+            rows * (num_features - 1) + cols,
             axis=1,
         )
         self._cached = stacked

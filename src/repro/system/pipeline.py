@@ -286,9 +286,9 @@ class PipelinedPSTrainer(_PSTrainerBase):
         plan_cache = get_plan_cache()
         hits0, misses0 = plan_cache.hits, plan_cache.misses
         if self.probe is None:
-            prefetch_q: BoundedQueue[Dict[int, PrefetchedRows]] = BoundedQueue(
-                self.prefetch_depth
-            )
+            prefetch_q: BoundedQueue[
+                Tuple[Batch, Dict[int, PrefetchedRows]]
+            ] = BoundedQueue(self.prefetch_depth)
             grad_q: BoundedQueue[_GradEntry] = BoundedQueue(
                 self.grad_queue_depth
             )
@@ -296,7 +296,9 @@ class PipelinedPSTrainer(_PSTrainerBase):
             prefetch_q = self.probe.make_queue(self.prefetch_depth, "prefetch")
             grad_q = self.probe.make_queue(self.grad_queue_depth, "gradient")
 
-        def gather_for(batch_id: int) -> Dict[int, PrefetchedRows]:
+        def gather_for(batch_id: int) -> Tuple[Batch, Dict[int, PrefetchedRows]]:
+            # The batch travels with the rows gathered for it: the step
+            # loop trains on this object, it does not build it again.
             batch = log.batch(batch_id)
             gathered = {
                 pos: self.server.gather(server_idx, batch.sparse_indices[pos])
@@ -307,7 +309,7 @@ class PipelinedPSTrainer(_PSTrainerBase):
                     self.probe.on_gather(
                         batch_id, pos, entry.unique_indices.tolist()
                     )
-            return gathered
+            return batch, gathered
 
         def drain_one() -> None:
             entry = grad_q.get()
@@ -326,11 +328,10 @@ class PipelinedPSTrainer(_PSTrainerBase):
             prefetch_q.put(gather_for(j))
 
         for i in range(start, start + num_batches):
-            batch = log.batch(i)
             if self.probe is not None:
                 self.probe.on_batch_start(i)
             # (1) consume the prefetch entry for batch i.
-            prefetched = prefetch_q.get()
+            batch, prefetched = prefetch_q.get()
             for pos, server_idx, bag in self._host_bags():
                 entry = prefetched[pos]
                 rows = entry.rows

@@ -230,8 +230,9 @@ class TestInstrumentedZones:
         }
         assert set(ops) == {"matmul"}  # no einsum, no (B, F, F) zeros
         assert ops["matmul"].calls == 2
-        # forward T.T^T and backward (dZ + dZ^T).T: 2*B*F*F*d each
-        assert ops["matmul"].flops == 2 * (2 * 16 * 4 * 4 * 8)
+        # forward T[1:].T[:-1]^T is 2*B*(F-1)^2*d, backward (dZ + dZ^T).T
+        # is 2*B*F*F*d
+        assert ops["matmul"].flops == 2 * 16 * 3 * 3 * 8 + 2 * 16 * 4 * 4 * 8
 
     def test_pipeline_covers_expected_zones(self):
         inst = InstrumentedBackend()

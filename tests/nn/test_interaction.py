@@ -179,6 +179,10 @@ class TestBackendTraffic:
             _run(dense, embs, grad)
         in_zone = [c for c in recorder.calls if c[0] == ZONE_INTERACTION]
         assert [op for _, op, _ in in_zone] == ["matmul", "matmul"]
+        # forward is T[1:] @ T[:-1]^T: feature 0 is never a row of the
+        # product and the last feature never a column
+        assert in_zone[0][2] == (batch, num_features - 1, num_features - 1)
+        assert in_zone[1][2] == (batch, num_features, 4)
         # nothing of the (B, F, F) product's shape is allocated: the
         # symmetric gradient operand is gathered, not zero-filled + added
         assert not any(

@@ -8,6 +8,7 @@ training, while naive prefetching (cache off) trains on stale rows.
 import numpy as np
 import pytest
 
+from repro.analysis.shims import PipelineProbe
 from repro.data.dataloader import SyntheticClickLog
 from repro.data.datasets import criteo_kaggle_like
 from repro.models.config import DLRMConfig, EmbeddingBackend
@@ -123,6 +124,41 @@ class TestFunctionalEquivalence:
         server = HostParameterServer(server_rows, cfg.embedding_dim, lr=LR)
         with pytest.raises(ValueError):
             PipelinedPSTrainer(model, server, host_map, lr=LR, prefetch_depth=0)
+
+
+class _CountingLog:
+    """A click log that counts how often a batch is generated."""
+
+    def __init__(self, log):
+        self._log = log
+        self.calls = []
+
+    def batch(self, batch_id):
+        self.calls.append(batch_id)
+        return self._log.batch(batch_id)
+
+
+class TestOneBatchPerStep:
+    """The batch built for the gather travels with the gathered rows."""
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["bare", "probe"])
+    @pytest.mark.parametrize("grad_queue_depth", [1, 2])
+    @pytest.mark.parametrize("prefetch_depth", [1, 2, 4])
+    def test_each_batch_is_generated_once(
+        self, setup, prefetch_depth, grad_queue_depth, traced
+    ):
+        log, cfg, host_map, server_rows = setup
+        steps = 6
+        _, _, sequential = _run(setup, SequentialPSTrainer, num_batches=steps)
+        counting = _CountingLog(log)
+        _, _, pipelined = _run(
+            (counting, cfg, host_map, server_rows), PipelinedPSTrainer,
+            num_batches=steps, prefetch_depth=prefetch_depth,
+            grad_queue_depth=grad_queue_depth, use_cache=True,
+            probe=PipelineProbe() if traced else None,
+        )
+        assert sorted(counting.calls) == list(range(steps))
+        assert pipelined.losses == sequential.losses  # bitwise
 
 
 class TestPipelineSchedule:
