@@ -1,17 +1,16 @@
-"""Correctness tooling: the ``reprolint`` linter + pipeline hazard detector.
+"""Correctness tooling: four static analyzers and a pipeline hazard detector.
 
-Two prongs, one goal — make the reproduction's determinism and
-read-after-write safety *machine-checked* instead of asserted:
+Machine-checks the reproduction's determinism, shapes and kernel hygiene
+instead of asserting them (``python -m repro analyze`` runs them all):
 
-* :mod:`repro.analysis.linter` / :mod:`repro.analysis.rules` — an
-  AST-based lint pass with repo-specific rules (seeded RNG only,
-  SimClock-only zones, explicit kernel dtypes, batch-loop perf
-  advisories).  Run it with ``python -m repro lint src/repro``.
-* :mod:`repro.analysis.hazards` / :mod:`repro.analysis.shims` — an
-  event-recording shim over the pipelined PS trainer that logs
-  per-embedding-row reads/writes with simulated timestamps and detects
-  RAW/WAR hazards; ``python -m repro hazards --inject`` demonstrates
-  the §V raw conflict being caught.
+* ``lint`` (:mod:`.linter`, :mod:`.rules`) — AST rules: seeded RNG only,
+  SimClock-only zones, explicit kernel dtypes, batch-loop advisories;
+* ``shapecheck``, ``perfcheck``, ``detcheck`` — value domains over the
+  one abstract interpreter in :mod:`.walker`: shapes and dtypes, backend
+  op sites for the PERF rules, determinism taint (whole-program);
+* ``hazards`` (:mod:`.hazards`, :mod:`.shims`) — records per-row pipeline
+  reads/writes on a logical clock and reports RAW/WAR hazards;
+  ``python -m repro hazards --inject`` shows the §V conflict caught.
 """
 
 from repro.analysis.experiment import (

@@ -9,8 +9,6 @@ path, placement plans, or SimClock-zone decisions.  See DESIGN.md §12.
 
 from repro.analysis.detcheck.catalog import (
     DET_RULES,
-    DetRuleInfo,
-    SinkKind,
     SourceKind,
 )
 from repro.analysis.detcheck.checker import detcheck_paths, detcheck_source
@@ -18,9 +16,7 @@ from repro.analysis.detcheck.taint import FunctionSummary, Taint, Value
 
 __all__ = [
     "DET_RULES",
-    "DetRuleInfo",
     "SourceKind",
-    "SinkKind",
     "FunctionSummary",
     "Taint",
     "Value",

@@ -18,26 +18,26 @@ data.  Three catalogs:
 * **Zones** — module prefixes (shared with :mod:`repro.analysis.rules`)
   where the escape rules DET004/DET005 apply.
 
-The DET rule table mirrors shapecheck's ``ShapeRuleInfo`` so the SARIF
-emitter and the CLI treat all three analyzers uniformly.
+The DET rule table is a :class:`~repro.analysis.findings.RuleInfo`
+catalog, like every analyzer's, so the SARIF emitter and the CLI treat
+them uniformly.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Tuple
 
-from repro.analysis.findings import Severity
-from repro.analysis.rules import (
+from repro.analysis.findings import RuleInfo, Severity, rule_catalog
+from repro.analysis.rules import (  # the calls REP001 / REP002 ban
     EXCEPTION_ZONES,
+    LEGACY_SAMPLERS,
     SIMCLOCK_ZONES,
+    WALL_CLOCK_CALLS,
 )
 
 __all__ = [
     "SourceKind",
-    "SinkKind",
-    "DetRuleInfo",
     "DET_RULES",
     "ENTROPY_RNG_CALLS",
     "WALL_CLOCK_CALLS",
@@ -49,7 +49,6 @@ __all__ = [
     "PLACEMENT_CONSTRUCTORS",
     "ORDER_INSENSITIVE_REDUCERS",
     "ORDER_SENSITIVE_COMBINERS",
-    "QUEUE_TYPE_MARKERS",
     "COPY_CALLS",
     "RNG_COERCERS",
     "DETERMINISM_ZONES",
@@ -76,61 +75,20 @@ SOURCE_LABEL: Dict[SourceKind, str] = {
 }
 
 
-class SinkKind(enum.Enum):
-    """Where tainted data breaks a bitwise invariant."""
-
-    CHECKPOINT = "checkpoint payload"
-    PS_STATE = "parameter-server state"
-    PLACEMENT = "placement plan"
-
-
 # ---------------------------------------------------------------------------
 # source catalogs (resolved dotted call names)
 # ---------------------------------------------------------------------------
 
-#: Legacy global numpy samplers (mirror of reprolint REP001's list).
-_LEGACY_SAMPLERS: Tuple[str, ...] = (
-    "seed", "rand", "randn", "randint", "random", "random_sample",
-    "choice", "shuffle", "permutation", "uniform", "normal",
-    "standard_normal", "binomial", "poisson", "exponential",
-)
-
 ENTROPY_RNG_CALLS: FrozenSet[str] = frozenset(
-    {f"numpy.random.{name}" for name in _LEGACY_SAMPLERS}
-    | {
-        "os.urandom",
-        "secrets.token_bytes",
-        "secrets.token_hex",
-        "secrets.randbits",
-        "uuid.uuid1",
-        "uuid.uuid4",
-        "random.random",
-        "random.randint",
-        "random.randrange",
-        "random.choice",
-        "random.shuffle",
-        "random.uniform",
-        "random.gauss",
-    }
+    {f"numpy.random.{name}" for name in LEGACY_SAMPLERS}
+    | {"os.urandom", "secrets.token_bytes", "secrets.token_hex",
+       "secrets.randbits", "uuid.uuid1", "uuid.uuid4"}
+    | {f"random.{name}" for name in (
+        "random", "randint", "randrange", "choice", "shuffle", "uniform", "gauss")}
 )
 # ``numpy.random.default_rng`` is entropy-seeded only when called with
 # no arguments; the interpreter checks the argument list itself.
 
-WALL_CLOCK_CALLS: FrozenSet[str] = frozenset(
-    {
-        "time.time",
-        "time.time_ns",
-        "time.perf_counter",
-        "time.perf_counter_ns",
-        "time.monotonic",
-        "time.monotonic_ns",
-        "time.process_time",
-        "time.process_time_ns",
-        "datetime.datetime.now",
-        "datetime.datetime.utcnow",
-        "datetime.date.today",
-    }
-)
 
 ENV_CALLS: FrozenSet[str] = frozenset({"os.getenv", "os.environ.get"})
 #: Attribute reads treated as environment sources.
@@ -144,12 +102,8 @@ ADDRESS_CALLS: FrozenSet[str] = frozenset({"id", "hash", "object.__hash__"})
 #: Generic summaries would have to say "maybe", so they are special-
 #: cased at the call site instead.
 RNG_COERCERS: FrozenSet[str] = frozenset(
-    {
-        "repro.utils.rng.ensure_rng",
-        "repro.utils.rng.spawn_rngs",
-        "ensure_rng",
-        "spawn_rngs",
-    }
+    {"repro.utils.rng.ensure_rng", "repro.utils.rng.spawn_rngs", "ensure_rng",
+     "spawn_rngs"}
 )
 
 # ---------------------------------------------------------------------------
@@ -180,12 +134,8 @@ STATE_SINK_METHODS: FrozenSet[str] = frozenset(
 #: ``repro.embeddings.planner`` returns these two; tainted arguments
 #: mean the table placement itself becomes seed/host dependent.
 PLACEMENT_CONSTRUCTORS: FrozenSet[str] = frozenset(
-    {
-        "repro.embeddings.planner.TablePlan",
-        "repro.embeddings.planner.ModelPlan",
-        "TablePlan",
-        "ModelPlan",
-    }
+    {"repro.embeddings.planner.TablePlan", "repro.embeddings.planner.ModelPlan",
+     "TablePlan", "ModelPlan"}
 )
 
 # ---------------------------------------------------------------------------
@@ -204,19 +154,9 @@ ORDER_INSENSITIVE_REDUCERS: FrozenSet[str] = frozenset(
 #: Array combiners whose output layout follows operand order — feeding
 #: them an unordered-iteration product is DET003.
 ORDER_SENSITIVE_COMBINERS: FrozenSet[str] = frozenset(
-    {
-        "numpy.concatenate",
-        "numpy.stack",
-        "numpy.vstack",
-        "numpy.hstack",
-        "numpy.column_stack",
-    }
+    {"numpy.concatenate", "numpy.stack", "numpy.vstack", "numpy.hstack",
+     "numpy.column_stack"}
 )
-
-#: A constructor call whose resolved name ends with one of these marks
-#: the value as a queue endpoint for DET006 (``.get()`` hands over
-#: ownership; mutation without a copy races the producer).
-QUEUE_TYPE_MARKERS: Tuple[str, ...] = ("Queue",)
 
 #: Calls that produce an owned copy (clear the DET006 seam marker).
 COPY_CALLS: FrozenSet[str] = frozenset(
@@ -242,64 +182,51 @@ SIMCLOCK_DECISION_ZONES: Tuple[str, ...] = SIMCLOCK_ZONES
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DetRuleInfo:
-    """Catalog entry for one detcheck rule (mirrors ShapeRuleInfo)."""
-
-    id: str
-    name: str
-    severity: Severity
-    description: str
-
-
-DET_RULES: Dict[str, DetRuleInfo] = {
-    rule.name: rule
-    for rule in (
-        DetRuleInfo(
-            "DET001",
-            "tainted-state",
-            Severity.ERROR,
-            "a nondeterministic source (entropy RNG, wall clock, "
-            "environment, address identity) flows into checkpointed "
-            "state, the PS apply path, or a placement plan",
-        ),
-        DetRuleInfo(
-            "DET002",
-            "unordered-float-accum",
-            Severity.ERROR,
-            "iteration over a dict/set feeds a float accumulation, so "
-            "the sum depends on insertion/hash order; iterate "
-            "sorted(...) or reduce with math.fsum",
-        ),
-        DetRuleInfo(
-            "DET003",
-            "unordered-reduction",
-            Severity.ERROR,
-            "a checkpoint payload or array combination is assembled "
-            "from unordered dict/set iteration; canonicalize with "
-            "sorted(...) so shard/table reductions are byte-stable",
-        ),
-        DetRuleInfo(
-            "DET004",
-            "entropy-rng-escape",
-            Severity.ERROR,
-            "an entropy-seeded RNG constructed in a helper escapes "
-            "through its return value into a kernel/system zone",
-        ),
-        DetRuleInfo(
-            "DET005",
-            "wall-clock-decision",
-            Severity.ERROR,
-            "a wall-clock reading (possibly via a helper) influences a "
-            "branch decision inside a SimClock-only zone",
-        ),
-        DetRuleInfo(
-            "DET006",
-            "queue-seam-mutation",
-            Severity.ERROR,
-            "an array received from (or handed to) a bounded queue is "
-            "mutated in place without a copy, racing the other side "
-            "of the ownership seam",
-        ),
-    )
-}
+DET_RULES: Dict[str, RuleInfo] = rule_catalog(
+    RuleInfo(
+        "DET001",
+        "tainted-state",
+        Severity.ERROR,
+        "a nondeterministic source (entropy RNG, wall clock, "
+        "environment, address identity) flows into checkpointed "
+        "state, the PS apply path, or a placement plan",
+    ),
+    RuleInfo(
+        "DET002",
+        "unordered-float-accum",
+        Severity.ERROR,
+        "iteration over a dict/set feeds a float accumulation, so "
+        "the sum depends on insertion/hash order; iterate "
+        "sorted(...) or reduce with math.fsum",
+    ),
+    RuleInfo(
+        "DET003",
+        "unordered-reduction",
+        Severity.ERROR,
+        "a checkpoint payload or array combination is assembled "
+        "from unordered dict/set iteration; canonicalize with "
+        "sorted(...) so shard/table reductions are byte-stable",
+    ),
+    RuleInfo(
+        "DET004",
+        "entropy-rng-escape",
+        Severity.ERROR,
+        "an entropy-seeded RNG constructed in a helper escapes "
+        "through its return value into a kernel/system zone",
+    ),
+    RuleInfo(
+        "DET005",
+        "wall-clock-decision",
+        Severity.ERROR,
+        "a wall-clock reading (possibly via a helper) influences a "
+        "branch decision inside a SimClock-only zone",
+    ),
+    RuleInfo(
+        "DET006",
+        "queue-seam-mutation",
+        Severity.ERROR,
+        "an array received from (or handed to) a bounded queue is "
+        "mutated in place without a copy, racing the other side "
+        "of the ownership seam",
+    ),
+)

@@ -1,21 +1,13 @@
-"""The ``detcheck`` runner.
+"""The ``detcheck`` runner: the linter's surface over a whole program.
 
-Mirrors the :mod:`repro.analysis.linter` / shapecheck surface — same
-:class:`Finding`/:class:`LintResult` records, same ``# reprolint:
-disable=`` pragmas, same file discovery — but the analysis underneath
-is *whole-program*: every file handed to one run is parsed into a
-single :class:`~.callgraph.Program`, function summaries are computed
-bottom-up over the call graph, and only then are per-file findings
-reported.  That is what lets DET004 fire at a call site in
-``system/`` when the entropy RNG is minted three calls away in a
-helper module.
-
-Usage surfaces:
-
-* CLI — ``python -m repro detcheck [paths...]`` (exit 1 on errors);
-* pytest — ``tests/analysis/test_detcheck_self.py`` proves
-  ``src/repro`` ships clean while the seeded-mutation corpus is caught;
-* library — :func:`detcheck_paths` / :func:`detcheck_source`.
+Same :class:`Finding`/:class:`LintResult` records, ``# reprolint:
+disable=`` pragmas and file discovery as ``lint``, but every file handed
+to one run is parsed into a single :class:`~.callgraph.Program`, function
+summaries are computed bottom-up over the call graph, and only then are
+per-file findings reported.  That is what lets DET004 fire at a call
+site in ``system/`` when the entropy RNG is minted three calls away in a
+helper module.  Used by ``python -m repro detcheck`` and
+``tests/analysis/test_detcheck_self.py``.
 """
 
 from __future__ import annotations
@@ -49,10 +41,8 @@ def _analyze(
     program: Program = build_program(files)
     summaries, module_envs = compute_summaries(program)
     selected = {rule.name for rule in select_rules(DET_RULES, select, "detcheck")}
-    sources = {str(path): source for path, _, source in files}
     for modname, module in program.modules.items():
-        source = sources.get(module.ctx.path, "")
-        per_line, file_wide = parse_pragmas(source)
+        per_line, file_wide = parse_pragmas(module.ctx.source)
         findings = module_findings(program, modname, summaries, module_envs)
         result.keep((f for f in findings if f.rule in selected), per_line, file_wide)
 

@@ -1,21 +1,25 @@
-"""The determinism-taint interpreter.
+"""The determinism-taint domain over the shared walker.
 
 One :class:`FunctionInterpreter` abstractly executes one function body
 over the :class:`~.taint.Value` lattice.  The same pass serves two
 masters:
 
 * **summary mode** (``report=False``) — runs during the bottom-up
-  fixpoint to produce a :class:`~.taint.FunctionSummary`;
+  fixpoint to produce a :class:`~.taint.FunctionSummary`; its catalog is
+  empty, so the walker drops every finding;
 * **report mode** (``report=True``) — runs once per function after
   summaries converge, emitting :class:`Finding` records for DET001–
   DET006.
 
-Loops are havoc-widened lightly: the body is interpreted twice with the
-environment joined against the pre-loop state between passes, which is
-enough for the accumulate-then-store patterns this codebase uses while
-keeping the pass linear.  Branches interpret both arms on cloned
-environments and join.  Everything unknown stays untainted and ordered
-(one-sided soundness: detcheck never reports from ignorance).
+The walker's control flow is declared for this domain: loop bodies run
+twice with the environment joined against the pre-loop state between
+passes (enough for the accumulate-then-store patterns this codebase uses
+while keeping the pass linear), ``try`` runs the body and then each
+handler joined in, and nested ``def``/``class`` bodies are not descended
+(the whole-program pass runs each indexed function on its own).  Branch
+arms run on cloned environments and join.  Everything unknown stays
+untainted and ordered (one-sided soundness: detcheck never reports from
+ignorance).
 
 Interprocedural glue: call sites resolve through
 :meth:`Program.resolve_callees`; callee summaries inject source taints
@@ -29,7 +33,7 @@ site*, which is where the invariant breaks.
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.analysis.detcheck.callgraph import (
     FunctionInfo,
@@ -64,6 +68,7 @@ from repro.analysis.detcheck.taint import (
 )
 from repro.analysis.findings import Finding
 from repro.analysis.rules import RNG_EXEMPT_FILES
+from repro.analysis.walker import CallArgs, Walker
 
 __all__ = [
     "FunctionInterpreter",
@@ -71,11 +76,14 @@ __all__ = [
     "module_findings",
 ]
 
-#: Loop context: is the innermost loop's iteration order canonical,
-#: and which names did it bind?
-_LoopCtx = Tuple[bool, Set[str]]
-
 _DICT_VIEWS = ("items", "keys", "values")
+#: Calls whose result is a nondeterminism source, by kind.
+_SOURCE_CALLS = (
+    (ENTROPY_RNG_CALLS, SourceKind.ENTROPY_RNG),
+    (WALL_CLOCK_CALLS, SourceKind.WALL_CLOCK),
+    (ENV_CALLS, SourceKind.ENV),
+    (ADDRESS_CALLS, SourceKind.ADDRESS),
+)
 _INPLACE_METHODS = frozenset({"fill", "sort", "partial_fill"})
 _FLOAT_OPS = (ast.Add, ast.Sub)
 
@@ -84,8 +92,27 @@ def _names_in(node: ast.AST) -> Set[str]:
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
 
 
-class FunctionInterpreter:
+def _element(iterable: Value, unordered: bool) -> Value:
+    """What iterating ``iterable`` binds to the loop target."""
+    return Value(
+        taints=set(iterable.taints),
+        is_float=iterable.is_float or iterable.value_is_float,
+        value_is_float=iterable.value_is_float,
+        unordered=unordered,
+        param_deps=set(iterable.param_deps),
+    )
+
+
+def _iterates_unordered(iterable: Value) -> bool:
+    return iterable.unordered or iterable.container in ("dict", "set")
+
+
+class FunctionInterpreter(Walker):
     """Abstractly execute one function body (see module docstring)."""
+
+    LOOP = "join"
+    TRY = "sequence"
+    WALKS_DEFS = False
 
     def __init__(
         self,
@@ -95,18 +122,14 @@ class FunctionInterpreter:
         module_env: Dict[str, Value],
         report: bool,
     ) -> None:
+        module: ModuleInfo = program.modules[fn.module]
+        super().__init__(module.ctx, DET_RULES if report else {})
         self.program = program
         self.fn = fn
-        self.module: ModuleInfo = program.modules[fn.module]
-        self.ctx = self.module.ctx
+        self.module = module
         self.summaries = summaries
         self.module_env = module_env
-        self.report = report
-        self.env: Dict[str, Value] = {}
         self.self_attrs: Dict[str, Value] = {}
-        self.findings: List[Finding] = []
-        self._emitted: Set[Tuple[str, int, int]] = set()
-        self.loop_stack: List[_LoopCtx] = []
         self.returned: List[Value] = []
         self.sink_params: Set[int] = set()
         self.is_payload = self._detect_payload()
@@ -123,17 +146,17 @@ class FunctionInterpreter:
         return False
 
     def run(self) -> FunctionSummary:
+        params: Dict[str, Any] = {}
         for idx, name in enumerate(self.fn.params):
             value = self.fn.param_values[idx].clone()
             value.param_deps = {idx}
-            self.env[name] = value
+            params[name] = value
         if self.fn.class_name is not None:
             for attr, value in self.module.class_attrs.get(
                 self.fn.class_name, {}
             ).items():
                 self.self_attrs[attr] = value.clone()
-        body = getattr(self.fn.node, "body", [])
-        self.exec_block(body)
+        self.run_body(getattr(self.fn.node, "body", []), params)
         return self._summary()
 
     def _summary(self) -> FunctionSummary:
@@ -160,43 +183,13 @@ class FunctionInterpreter:
 
     # -- findings -----------------------------------------------------
 
-    def _emit(
-        self, rule_name: str, node: ast.AST, message: str, hint: str
-    ) -> None:
-        if not self.report:
-            return
-        rule = DET_RULES[rule_name]
-        line = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
-        key = (rule.id, line, col)
-        if key in self._emitted:
-            return
-        self._emitted.add(key)
-        self.findings.append(
-            Finding(
-                rule=rule.name,
-                rule_id=rule.id,
-                severity=rule.severity,
-                path=self.ctx.path,
-                line=line,
-                col=col,
-                message=message,
-                hint=hint,
-            )
-        )
-
     def _taint_detail(self, value: Value) -> str:
-        details = sorted(
-            f"{t.detail} (line {t.line})" for t in value.taints
-        )
-        return "; ".join(details)
+        return "; ".join(sorted(f"{t.detail} (line {t.line})" for t in value.taints))
 
-    def _check_tainted_sink(
-        self, node: ast.AST, value: Value, sink: str
-    ) -> None:
+    def _check_tainted_sink(self, node: ast.AST, value: Value, sink: str) -> None:
         if value.taints:
             labels = sorted(SOURCE_LABEL[k] for k in value.kinds)
-            self._emit(
+            self.emit(
                 "tainted-state",
                 node,
                 f"{' + '.join(labels)} from {self._taint_detail(value)} "
@@ -205,240 +198,14 @@ class FunctionInterpreter:
                 "it from the persisted/applied state)",
             )
 
-    # -- environment helpers ------------------------------------------
-
-    def _join_env(
-        self, left: Dict[str, Value], right: Dict[str, Value]
-    ) -> Dict[str, Value]:
-        out: Dict[str, Value] = {}
-        for key in set(left) | set(right):
-            if key in left and key in right:
-                out[key] = left[key].merge(right[key])
-            else:
-                out[key] = (left.get(key) or right[key]).clone()
-        return out
-
-    def _copy_env(self) -> Dict[str, Value]:
-        return {name: value.clone() for name, value in self.env.items()}
-
-    def _in_unordered_loop(self) -> bool:
-        return any(unordered for unordered, _ in self.loop_stack)
-
-    def _loop_vars(self) -> Set[str]:
-        names: Set[str] = set()
-        for _, bound in self.loop_stack:
-            names |= bound
-        return names
-
-    # -- statements ---------------------------------------------------
-
-    def exec_block(self, stmts: Sequence[ast.stmt]) -> None:
-        for stmt in stmts:
-            self.exec_stmt(stmt)
-
-    def exec_stmt(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, ast.Assign):
-            value = self.eval(stmt.value)
-            for target in stmt.targets:
-                self._assign(target, value, stmt)
-        elif isinstance(stmt, ast.AnnAssign):
-            value = (
-                self.eval(stmt.value) if stmt.value is not None else Value()
-            )
-            ann = annotation_value(stmt.annotation)
-            if ann.container is not None and value.container is None:
-                value.container = ann.container
-            value.is_float = value.is_float or ann.is_float
-            value.value_is_float = value.value_is_float or ann.value_is_float
-            self._assign(stmt.target, value, stmt)
-        elif isinstance(stmt, ast.AugAssign):
-            self._exec_augassign(stmt)
-        elif isinstance(stmt, ast.For):
-            self._exec_for(stmt)
-        elif isinstance(stmt, ast.While):
-            self._check_decision(stmt.test, stmt)
-            self.eval(stmt.test)
-            pre = self._copy_env()
-            self.exec_block(stmt.body)
-            self.env = self._join_env(self.env, pre)
-            self.exec_block(stmt.body)
-            self.env = self._join_env(self.env, pre)
-            self.exec_block(stmt.orelse)
-        elif isinstance(stmt, ast.If):
-            self._check_decision(stmt.test, stmt)
-            self.eval(stmt.test)
-            pre = self._copy_env()
-            self.exec_block(stmt.body)
-            taken = self.env
-            self.env = pre
-            self.exec_block(stmt.orelse)
-            self.env = self._join_env(taken, self.env)
-        elif isinstance(stmt, ast.Return):
-            value = (
-                self.eval(stmt.value) if stmt.value is not None else Value()
-            )
-            self.returned.append(value)
-            if self.is_payload and value.taints:
-                self._check_tainted_sink(
-                    stmt, value, "the returned checkpoint payload"
-                )
-            if self.is_payload:
-                self.sink_params |= value.param_deps
-        elif isinstance(stmt, ast.Expr):
-            self.eval(stmt.value)
-        elif isinstance(stmt, ast.With):
-            for item in stmt.items:
-                value = self.eval(item.context_expr)
-                if item.optional_vars is not None:
-                    self._assign(item.optional_vars, value, stmt)
-            self.exec_block(stmt.body)
-        elif isinstance(stmt, ast.Try):
-            self.exec_block(stmt.body)
-            pre = self._copy_env()
-            for handler in stmt.handlers:
-                saved = self._copy_env()
-                self.exec_block(handler.body)
-                self.env = self._join_env(self.env, saved)
-            self.env = self._join_env(self.env, pre)
-            self.exec_block(stmt.orelse)
-            self.exec_block(stmt.finalbody)
-        elif isinstance(stmt, ast.Raise):
-            if stmt.exc is not None:
-                self.eval(stmt.exc)
-        elif isinstance(stmt, ast.Delete):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    self.env.pop(target.id, None)
-        elif isinstance(stmt, ast.Assert):
-            self.eval(stmt.test)
-        # Nested defs/classes and pass/import/global are not descended.
-
-    def _exec_for(self, stmt: ast.For) -> None:
-        iter_value = self.eval(stmt.iter)
-        unordered = iter_value.unordered or iter_value.container in (
-            "dict",
-            "set",
-        )
-        element = Value(
-            taints=set(iter_value.taints),
-            is_float=iter_value.is_float or iter_value.value_is_float,
-            value_is_float=iter_value.value_is_float,
-            unordered=unordered,
-            param_deps=set(iter_value.param_deps),
-        )
-        bound = _names_in(stmt.target)
-        pre = self._copy_env()
-        self._assign(stmt.target, element, stmt)
-        self.loop_stack.append((unordered, bound))
-        self.exec_block(stmt.body)
-        self.env = self._join_env(self.env, pre)
-        self._assign(stmt.target, element, stmt)
-        self.exec_block(stmt.body)
-        self.loop_stack.pop()
-        self.env = self._join_env(self.env, pre)
-        self.exec_block(stmt.orelse)
-
-    def _exec_augassign(self, stmt: ast.AugAssign) -> None:
-        rhs = self.eval(stmt.value)
-        if isinstance(stmt.target, ast.Name):
-            name = stmt.target.id
-            current = self.env.get(name, Value())
-            if (
-                self._in_unordered_loop()
-                and current.is_float
-                and isinstance(stmt.op, _FLOAT_OPS)
-                and (_names_in(stmt.value) & self._loop_vars())
-            ):
-                self._emit(
-                    "unordered-float-accum",
-                    stmt,
-                    f"float accumulation into {name!r} iterates a "
-                    "dict/set, so the rounding depends on insertion/"
-                    "hash order",
-                    "iterate sorted(...) (canonical order) or collect "
-                    "terms and reduce with math.fsum",
-                )
-            if current.from_queue or current.queue_shared:
-                self._emit(
-                    "queue-seam-mutation",
-                    stmt,
-                    f"in-place update of {name!r}, which is shared "
-                    "across a queue seam",
-                    "operate on an owned .copy() of the dequeued/"
-                    "enqueued array",
-                )
-            merged = current.merge(rhs)
-            merged.is_float = current.is_float or rhs.is_float
-            self.env[name] = merged
-        elif isinstance(stmt.target, ast.Subscript):
-            self._store_subscript(stmt.target, rhs, stmt)
-
-    def _assign(
-        self, target: ast.expr, value: Value, stmt: ast.stmt
-    ) -> None:
-        if isinstance(target, ast.Name):
-            self.env[target.id] = value.clone()
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for element in target.elts:
-                self._assign(element, value, stmt)
-        elif isinstance(target, ast.Subscript):
-            self._store_subscript(target, value, stmt)
-        elif isinstance(target, ast.Attribute):
-            if (
-                isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-            ):
-                self.self_attrs[target.attr] = value.clone()
-        elif isinstance(target, ast.Starred):
-            self._assign(target.value, value, stmt)
-
-    def _store_subscript(
-        self, target: ast.Subscript, value: Value, stmt: ast.stmt
-    ) -> None:
-        base = self.eval(target.value)
-        if base.from_queue or base.queue_shared:
-            seam = "dequeued from" if base.from_queue else "handed to"
-            self._emit(
-                "queue-seam-mutation",
-                stmt,
-                f"in-place element store into an array {seam} a queue",
-                "mutate an owned .copy(); the other side of the queue "
-                "seam still references this buffer",
-            )
-        if base.container == "dict":
-            if self.is_payload and self._in_unordered_loop():
-                self._emit(
-                    "unordered-reduction",
-                    stmt,
-                    "checkpoint payload entries are stored while "
-                    "iterating a dict/set, so the payload's key order "
-                    "is not canonical",
-                    "iterate sorted(...items()) so the serialized "
-                    "payload is byte-stable across construction orders",
-                )
-            if self.is_payload:
-                self._check_tainted_sink(
-                    stmt, value, "a checkpoint payload entry"
-                )
-                self.sink_params |= value.param_deps
-            # Track what flowed into the dict through the named base.
-            if isinstance(target.value, ast.Name):
-                entry = self.env.get(target.value.id)
-                if entry is not None:
-                    entry.taints |= value.taints
-                    entry.value_is_float = (
-                        entry.value_is_float or value.is_float
-                    )
-                    entry.param_deps |= value.param_deps
-
-    def _check_decision(self, test: ast.expr, stmt: ast.stmt) -> None:
-        if not self.ctx.in_zone(SIMCLOCK_DECISION_ZONES):
-            return
-        value = self.eval(test)
-        if SourceKind.WALL_CLOCK in value.kinds:
-            self._emit(
+    def _check_decision(self, value: Value, node: ast.AST) -> None:
+        if (
+            self.ctx.in_zone(SIMCLOCK_DECISION_ZONES)
+            and SourceKind.WALL_CLOCK in value.kinds
+        ):
+            self.emit(
                 "wall-clock-decision",
-                stmt,
+                node,
                 "branch condition derives from "
                 f"{self._taint_detail(value)} inside a SimClock-only "
                 "zone",
@@ -446,85 +213,177 @@ class FunctionInterpreter:
                 "only be *measured*, never acted on, in this zone",
             )
 
-    # -- expressions --------------------------------------------------
+    def _in_unordered_loop(self) -> bool:
+        return any(item is not None and item.unordered for _, item in self.loops)
 
-    def eval(self, node: Optional[ast.expr]) -> Value:
-        if node is None:
-            return Value()
-        if isinstance(node, ast.Constant):
-            return Value(is_float=isinstance(node.value, float))
-        if isinstance(node, ast.Name):
-            if node.id in self.env:
-                return self.env[node.id].clone()
-            if node.id in self.module_env:
-                return self.module_env[node.id].clone()
-            return Value()
-        if isinstance(node, ast.Attribute):
-            return self._eval_attribute(node)
-        if isinstance(node, ast.Subscript):
-            base = self.eval(node.value)
-            self.eval(node.slice)
-            return Value(
-                taints=set(base.taints),
-                is_float=base.is_float or base.value_is_float,
-                param_deps=set(base.param_deps),
+    def _loop_vars(self) -> Set[str]:
+        names: Set[str] = set()
+        for loop, _ in self.loops:
+            if isinstance(loop, (ast.For, ast.AsyncFor)):
+                names |= _names_in(loop.target)
+        return names
+
+    # -- walker hooks: environment ------------------------------------
+
+    def copy_value(self, value: Any) -> Any:
+        return value.clone()
+
+    def join_values(self, values: List[Any], complete: bool) -> Any:
+        joined = values[0]
+        for value in values[1:]:
+            joined = joined.merge(value)
+        return joined.clone() if len(values) == 1 else joined
+
+    def unpack(self, value: Any, target: ast.Tuple | ast.List) -> List[Any]:
+        return [value] * len(target.elts)
+
+    def global_name(self, node: ast.Name) -> Any:
+        if node.id in self.module_env:
+            return self.module_env[node.id].clone()
+        return Value()
+
+    # -- walker hooks: statements -------------------------------------
+
+    def bind_attribute(self, target: ast.Attribute, value: Any) -> None:
+        if isinstance(target.value, ast.Name) and target.value.id == "self":
+            self.self_attrs[target.attr] = value.clone()
+
+    def bind_subscript(self, target: ast.Subscript, value: Any, stmt: ast.AST) -> None:
+        base = self.eval(target.value)
+        if base.from_queue or base.queue_shared:
+            seam = "dequeued from" if base.from_queue else "handed to"
+            self.emit(
+                "queue-seam-mutation",
+                stmt,
+                f"in-place element store into an array {seam} a queue",
+                "mutate an owned .copy(); the other side of the queue "
+                "seam still references this buffer",
             )
-        if isinstance(node, ast.Call):
-            return self._eval_call(node)
-        if isinstance(node, ast.BinOp):
-            return Value.combine(
-                (self.eval(node.left), self.eval(node.right))
+        if base.container != "dict":
+            return
+        if self.is_payload and self._in_unordered_loop():
+            self.emit(
+                "unordered-reduction",
+                stmt,
+                "checkpoint payload entries are stored while "
+                "iterating a dict/set, so the payload's key order "
+                "is not canonical",
+                "iterate sorted(...items()) so the serialized "
+                "payload is byte-stable across construction orders",
             )
-        if isinstance(node, ast.BoolOp):
-            return Value.combine(tuple(self.eval(v) for v in node.values))
-        if isinstance(node, ast.Compare):
-            return Value.combine(
-                (self.eval(node.left),)
-                + tuple(self.eval(c) for c in node.comparators)
+        if self.is_payload:
+            self._check_tainted_sink(stmt, value, "a checkpoint payload entry")
+            self.sink_params |= value.param_deps
+        # Track what flowed into the dict through the named base.
+        if isinstance(target.value, ast.Name):
+            entry = self.env.get(target.value.id)
+            if entry is not None:
+                entry.taints |= value.taints
+                entry.value_is_float = entry.value_is_float or value.is_float
+                entry.param_deps |= value.param_deps
+
+    def ann_assign(self, stmt: ast.AnnAssign, value: Any) -> None:
+        value = value if stmt.value is not None else Value()
+        ann = annotation_value(stmt.annotation)
+        if ann.container is not None and value.container is None:
+            value.container = ann.container
+        value.is_float = value.is_float or ann.is_float
+        value.value_is_float = value.value_is_float or ann.value_is_float
+        self.bind(stmt.target, value, stmt)
+
+    def aug_assign(self, stmt: ast.AugAssign, value: Any) -> None:
+        if isinstance(stmt.target, ast.Subscript):
+            self.bind_subscript(stmt.target, value, stmt)
+        if not isinstance(stmt.target, ast.Name):
+            return
+        name = stmt.target.id
+        current = self.env.get(name, Value())
+        if (
+            self._in_unordered_loop()
+            and current.is_float
+            and isinstance(stmt.op, _FLOAT_OPS)
+            and (_names_in(stmt.value) & self._loop_vars())
+        ):
+            self.emit(
+                "unordered-float-accum",
+                stmt,
+                f"float accumulation into {name!r} iterates a "
+                "dict/set, so the rounding depends on insertion/"
+                "hash order",
+                "iterate sorted(...) (canonical order) or collect "
+                "terms and reduce with math.fsum",
             )
+        if current.from_queue or current.queue_shared:
+            self.emit(
+                "queue-seam-mutation",
+                stmt,
+                f"in-place update of {name!r}, which is shared "
+                "across a queue seam",
+                "operate on an owned .copy() of the dequeued/"
+                "enqueued array",
+            )
+        merged = current.merge(value)
+        merged.is_float = current.is_float or value.is_float
+        self.env[name] = merged
+
+    def returns(self, stmt: ast.Return, value: Any) -> None:
+        value = value if value is not None else Value()
+        self.returned.append(value)
+        if self.is_payload:
+            self._check_tainted_sink(stmt, value, "the returned checkpoint payload")
+            self.sink_params |= value.param_deps
+
+    def condition(self, stmt: ast.If | ast.While) -> None:
+        self._check_decision(self.eval(stmt.test), stmt)
+
+    def loop_item(self, stmt: ast.For | ast.AsyncFor, iterable: Any) -> Any:
+        return _element(iterable, _iterates_unordered(iterable))
+
+    # -- walker hooks: expressions ------------------------------------
+
+    def constant(self, node: ast.Constant) -> Any:
+        return Value(is_float=isinstance(node.value, float))
+
+    def subscript(self, node: ast.Subscript, base: Any) -> Any:
+        self.eval(node.slice)
+        return Value(
+            taints=set(base.taints),
+            is_float=base.is_float or base.value_is_float,
+            param_deps=set(base.param_deps),
+        )
+
+    def sequence(self, node: ast.Tuple | ast.List, items: List[Any]) -> Any:
+        out = Value.combine(tuple(items))
+        out.container = "list"
+        return out
+
+    def operator(self, node: ast.expr, operands: List[Any]) -> Any:
         if isinstance(node, ast.UnaryOp):
-            return self.eval(node.operand)
-        if isinstance(node, ast.IfExp):
-            self._check_decision(node.test, node)
-            test = self.eval(node.test)
-            merged = self.eval(node.body).merge(self.eval(node.orelse))
-            merged.taints |= test.taints
-            merged.param_deps |= test.param_deps
-            return merged
+            return operands[0]
+        return Value.combine(tuple(operands))
+
+    def if_exp(self, node: ast.IfExp, test: Any, body: Any, orelse: Any) -> Any:
+        self._check_decision(test, node)
+        merged = body.merge(orelse)
+        merged.taints |= test.taints
+        merged.param_deps |= test.param_deps
+        return merged
+
+    def other(self, node: ast.expr) -> Any:
         if isinstance(node, ast.Dict):
-            out = Value(container="dict")
-            for value_node in node.values:
-                if value_node is None:
-                    continue
-                value = self.eval(value_node)
-                out.taints |= value.taints
-                out.value_is_float = out.value_is_float or value.is_float
-                out.param_deps |= value.param_deps
-                out.unordered = out.unordered or value.unordered
+            out = Value.combine(tuple(self.eval(value) for value in node.values))
+            out.container, out.value_is_float, out.is_float = "dict", out.is_float, False
             return out
         if isinstance(node, ast.Set):
-            out = Value(container="set")
-            for element in node.elts:
-                value = self.eval(element)
-                out.taints |= value.taints
-                out.param_deps |= value.param_deps
-            return out
-        if isinstance(node, (ast.List, ast.Tuple)):
-            out = Value(container="list")
-            for element in node.elts:
-                value = self.eval(element)
-                out.taints |= value.taints
-                out.param_deps |= value.param_deps
-                out.unordered = out.unordered or value.unordered
-                out.is_float = out.is_float or value.is_float
+            out = Value.flows(self.eval(element) for element in node.elts)
+            out.container = "set"
             return out
         if isinstance(node, (ast.ListComp, ast.GeneratorExp)):
             return self._eval_comp(node, node.elt, "list")
         if isinstance(node, ast.SetComp):
             return self._eval_comp(node, node.elt, "set")
         if isinstance(node, ast.DictComp):
-            out = self._eval_comp(node, node.value, "dict")
-            return out
+            return self._eval_comp(node, node.value, "dict")
         if isinstance(node, ast.JoinedStr):
             return Value.combine(
                 tuple(
@@ -533,50 +392,27 @@ class FunctionInterpreter:
                     if isinstance(v, ast.FormattedValue)
                 )
             )
-        if isinstance(node, ast.NamedExpr):
-            value = self.eval(node.value)
-            self._assign(node.target, value, ast.Pass())
-            return value
-        if isinstance(node, ast.Starred):
-            return self.eval(node.value)
         if isinstance(node, ast.Await):
             return self.eval(node.value)
         if isinstance(node, (ast.Yield, ast.YieldFrom)):
             value = self.eval(node.value) if node.value is not None else Value()
             self.returned.append(value)
-            return Value()
-        if isinstance(node, ast.Lambda):
-            return Value()
+        # Lambdas, slices: opaque.
         return Value()
 
-    def _eval_comp(
-        self,
-        node: ast.expr,
-        elt: ast.expr,
-        container: str,
-    ) -> Value:
-        pre = self._copy_env()
+    def _eval_comp(self, node: Any, elt: ast.expr, container: str) -> Value:
+        """A comprehension, its targets scoped to it."""
+        pre = self.copy_env(self.env)
         unordered = False
         taints: Set[Taint] = set()
         deps: Set[int] = set()
-        generators = getattr(node, "generators", [])
-        for gen in generators:
+        for gen in node.generators:
             iter_value = self.eval(gen.iter)
-            gen_unordered = iter_value.unordered or iter_value.container in (
-                "dict",
-                "set",
-            )
+            gen_unordered = _iterates_unordered(iter_value)
             unordered = unordered or gen_unordered
             taints |= iter_value.taints
             deps |= iter_value.param_deps
-            element = Value(
-                taints=set(iter_value.taints),
-                is_float=iter_value.is_float or iter_value.value_is_float,
-                value_is_float=iter_value.value_is_float,
-                unordered=gen_unordered,
-                param_deps=set(iter_value.param_deps),
-            )
-            self._assign(gen.target, element, ast.Pass())
+            self.bind(gen.target, _element(iter_value, gen_unordered), node)
             for cond in gen.ifs:
                 self.eval(cond)
         elt_value = self.eval(elt)
@@ -591,12 +427,8 @@ class FunctionInterpreter:
             unordered=unordered if container not in ("set",) else False,
             param_deps=deps | elt_value.param_deps,
         )
-        if (
-            container == "dict"
-            and unordered
-            and self.is_payload
-        ):
-            self._emit(
+        if container == "dict" and unordered and self.is_payload:
+            self.emit(
                 "unordered-reduction",
                 node,
                 "a payload/manifest mapping is comprehended from "
@@ -607,19 +439,14 @@ class FunctionInterpreter:
             )
         return out
 
-    def _eval_attribute(self, node: ast.Attribute) -> Value:
+    def attribute(self, node: ast.Attribute, base: Any) -> Any:
         resolved = self.ctx.resolve_call(node)
         if resolved in ENV_ATTRS:
-            return Value(
-                taints={
-                    Taint(SourceKind.ENV, node.lineno, resolved or "os.environ")
-                }
-            )
+            return Value(taints={Taint(SourceKind.ENV, node.lineno, resolved or "os.environ")})
         if isinstance(node.value, ast.Name) and node.value.id == "self":
             if node.attr in self.self_attrs:
                 return self.self_attrs[node.attr].clone()
             return Value()
-        base = self.eval(node.value)
         return Value(
             taints=set(base.taints),
             is_float=base.is_float,
@@ -630,25 +457,18 @@ class FunctionInterpreter:
 
     # -- calls --------------------------------------------------------
 
-    def _eval_call(self, node: ast.Call) -> Value:
+    def call(self, node: ast.Call, call: CallArgs) -> Any:
         resolved = self.ctx.resolve_call(node.func)
-        pos_vals = [self.eval(arg) for arg in node.args]
-        kw_pairs: List[Tuple[Optional[str], Value]] = [
-            (kw.arg, self.eval(kw.value)) for kw in node.keywords
-        ]
+        pos_vals: List[Value] = call.args
+        kw_pairs: List[Tuple[Optional[str], Value]] = call.keywords
         all_vals = pos_vals + [v for _, v in kw_pairs]
         line = node.lineno
-        receiver: Optional[Value] = None
-        if isinstance(node.func, ast.Attribute):
-            receiver = self.eval(node.func.value)
+        receiver: Optional[Value] = call.receiver
 
         # --- receiver-shape method semantics -------------------------
         if isinstance(node.func, ast.Attribute) and receiver is not None:
             attr = node.func.attr
-            if attr in _DICT_VIEWS and receiver.container in (
-                "dict",
-                "sorted",
-            ):
+            if attr in _DICT_VIEWS and receiver.container in ("dict", "sorted"):
                 return Value(
                     taints=set(receiver.taints),
                     is_float=(
@@ -677,10 +497,8 @@ class FunctionInterpreter:
                 owned.from_queue = False
                 owned.queue_shared = False
                 return owned
-            if attr in _INPLACE_METHODS and (
-                receiver.from_queue or receiver.queue_shared
-            ):
-                self._emit(
+            if attr in _INPLACE_METHODS and (receiver.from_queue or receiver.queue_shared):
+                self.emit(
                     "queue-seam-mutation",
                     node,
                     f".{attr}() mutates an array shared across a queue "
@@ -690,40 +508,22 @@ class FunctionInterpreter:
                 return Value()
             if attr in STATE_SINK_METHODS:
                 for value in all_vals:
-                    self._check_tainted_sink(
-                        node, value, f"the {attr}() apply path"
-                    )
+                    self._check_tainted_sink(node, value, f"the {attr}() apply path")
 
         # --- source catalog ------------------------------------------
         if resolved is not None:
-            if resolved in ENTROPY_RNG_CALLS:
-                return Value(
-                    taints={Taint(SourceKind.ENTROPY_RNG, line, resolved)}
-                )
+            for calls, kind in _SOURCE_CALLS:
+                if resolved in calls:
+                    return Value(taints={Taint(kind, line, resolved)})
+            out = Value.combine(tuple(all_vals))
+            first = pos_vals[0] if pos_vals else None
             if resolved == "numpy.random.default_rng":
                 if not node.args and not node.keywords:
                     return Value(
-                        taints={
-                            Taint(
-                                SourceKind.ENTROPY_RNG,
-                                line,
-                                "default_rng()",
-                            )
-                        }
+                        taints={Taint(SourceKind.ENTROPY_RNG, line, "default_rng()")}
                     )
-                return Value.combine(tuple(all_vals))
-            if resolved in WALL_CLOCK_CALLS:
-                return Value(
-                    taints={Taint(SourceKind.WALL_CLOCK, line, resolved)}
-                )
-            if resolved in ENV_CALLS:
-                return Value(taints={Taint(SourceKind.ENV, line, resolved)})
-            if resolved in ADDRESS_CALLS:
-                return Value(
-                    taints={Taint(SourceKind.ADDRESS, line, resolved)}
-                )
+                return out
             if resolved in RNG_COERCERS:
-                out = Value.combine(tuple(all_vals))
                 if any(
                     isinstance(arg, ast.Constant) and arg.value == "entropy"
                     for arg in node.args
@@ -744,24 +544,20 @@ class FunctionInterpreter:
 
             # --- ordering catalog ------------------------------------
             if resolved == "sorted":
-                out = Value.combine(tuple(all_vals))
-                out.container = "sorted"
-                out.unordered = False
-                if pos_vals:
-                    out.value_is_float = pos_vals[0].value_is_float
+                out.container, out.unordered = "sorted", False
+                if first is not None:
+                    out.value_is_float = first.value_is_float
                 return out
             if resolved in ORDER_INSENSITIVE_REDUCERS:
-                out = Value.combine(tuple(all_vals))
                 out.unordered = False
                 if resolved in ("set", "frozenset"):
                     out.container = "set"
                 if resolved == "math.fsum":
                     out.is_float = True
                 return out
-            if resolved == "sum" and pos_vals:
-                arg = pos_vals[0]
-                if arg.unordered and arg.is_float:
-                    self._emit(
+            if resolved == "sum" and first is not None:
+                if first.unordered and first.is_float:
+                    self.emit(
                         "unordered-float-accum",
                         node,
                         "sum() over a dict/set-ordered float iterable "
@@ -769,43 +565,33 @@ class FunctionInterpreter:
                         "use math.fsum (order-insensitive, correctly "
                         "rounded) or sum over sorted(...) keys",
                     )
-                out = Value.combine(tuple(all_vals))
-                out.is_float = arg.is_float
+                out.is_float = first.is_float
                 return out
             if resolved == "dict":
-                out = Value.combine(tuple(all_vals))
                 out.container = "dict"
-                if pos_vals:
-                    out.unordered = pos_vals[0].unordered
-                    out.value_is_float = pos_vals[0].value_is_float
+                if first is not None:
+                    out.unordered = first.unordered
+                    out.value_is_float = first.value_is_float
                 return out
             if resolved in ("list", "tuple"):
-                out = Value.combine(tuple(all_vals))
                 out.container = "list"
-                if pos_vals:
-                    out.unordered = pos_vals[0].unordered or pos_vals[
-                        0
-                    ].container in ("dict", "set")
+                if first is not None:
+                    out.unordered = _iterates_unordered(first)
                 return out
             if resolved in COPY_CALLS:
-                out = Value.combine(tuple(all_vals))
-                out.from_queue = False
-                out.queue_shared = False
-                return out
+                return out  # an owned copy: no queue-seam marker survives
             if resolved in ORDER_SENSITIVE_COMBINERS:
-                for value in all_vals:
-                    if value.unordered:
-                        short = resolved.rsplit(".", 1)[-1]
-                        self._emit(
-                            "unordered-reduction",
-                            node,
-                            f"np.{short}() combines operands collected "
-                            "from unordered dict/set iteration; the "
-                            "result layout is not canonical",
-                            "collect the operands in sorted(...) key "
-                            "order before combining",
-                        )
-                return Value.combine(tuple(all_vals))
+                if any(value.unordered for value in all_vals):
+                    self.emit(
+                        "unordered-reduction",
+                        node,
+                        f"np.{resolved.rsplit('.', 1)[-1]}() combines operands "
+                        "collected from unordered dict/set iteration; the "
+                        "result layout is not canonical",
+                        "collect the operands in sorted(...) key "
+                        "order before combining",
+                    )
+                return out
             if resolved in PAYLOAD_WRITER_CALLS:
                 short = resolved.rsplit(".", 1)[-1]
                 for value in all_vals:
@@ -813,7 +599,7 @@ class FunctionInterpreter:
                         node, value, f"np.{short}() checkpoint output"
                     )
                     if value.unordered:
-                        self._emit(
+                        self.emit(
                             "unordered-reduction",
                             node,
                             f"np.{short}() serializes a payload built "
@@ -831,26 +617,16 @@ class FunctionInterpreter:
                         node, value, "a placement-plan record"
                     )
                     self.sink_params |= value.param_deps
-                return Value.combine(tuple(all_vals))
+                return out
             if resolved.rsplit(".", 1)[-1].endswith("Queue"):
                 return Value(container="queue")
 
         # --- program callees (interprocedural) -----------------------
         callees = self.program.resolve_callees(self.fn, node)
         if callees:
-            out = self._apply_summaries(
-                node, callees, pos_vals, kw_pairs, resolved
-            )
-            if receiver is not None:
-                out.taints |= receiver.taints
-                out.param_deps |= receiver.param_deps
-            return out
-
-        # --- unknown call: propagate source taints only --------------
-        out = Value()
-        for value in all_vals:
-            out.taints |= value.taints
-            out.param_deps |= value.param_deps
+            out = self._apply_summaries(node, callees, pos_vals, kw_pairs, resolved)
+        else:  # unknown call: propagate source taints only
+            out = Value.flows(all_vals)
         if receiver is not None:
             out.taints |= receiver.taints
             out.param_deps |= receiver.param_deps
@@ -888,7 +664,7 @@ class FunctionInterpreter:
             and self.ctx.in_zone(DETERMINISM_ZONES)
             and (resolved not in RNG_COERCERS)
         ):
-            self._emit(
+            self.emit(
                 "entropy-rng-escape",
                 node,
                 f"{display}() returns an entropy-seeded RNG (per its "

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import FrozenSet, Optional, Set, Tuple
+from typing import FrozenSet, Iterable, Optional, Set, Tuple
 
 from repro.analysis.detcheck.catalog import SourceKind
 
@@ -40,7 +40,6 @@ __all__ = [
     "Taint",
     "Value",
     "FunctionSummary",
-    "EMPTY_SUMMARY",
     "annotation_value",
 ]
 
@@ -73,14 +72,8 @@ class Value:
 
     def clone(self) -> "Value":
         return Value(
-            taints=set(self.taints),
-            container=self.container,
-            is_float=self.is_float,
-            value_is_float=self.value_is_float,
-            unordered=self.unordered,
-            from_queue=self.from_queue,
-            queue_shared=self.queue_shared,
-            param_deps=set(self.param_deps),
+            set(self.taints), self.container, self.is_float, self.value_is_float,
+            self.unordered, self.from_queue, self.queue_shared, set(self.param_deps),
         )
 
     def merge(self, other: "Value") -> "Value":
@@ -97,6 +90,15 @@ class Value:
             queue_shared=self.queue_shared or other.queue_shared,
             param_deps=self.param_deps | other.param_deps,
         )
+
+    @staticmethod
+    def flows(values: "Iterable[Value]") -> "Value":
+        """Only the source taints and parameter dependencies of ``values``."""
+        out = Value()
+        for value in values:
+            out.taints |= value.taints
+            out.param_deps |= value.param_deps
+        return out
 
     @staticmethod
     def combine(values: "Tuple[Value, ...]") -> "Value":
@@ -141,8 +143,6 @@ class FunctionSummary:
             | other.checkpoint_sink_params,
         )
 
-
-EMPTY_SUMMARY = FunctionSummary()
 
 
 def _annotation_text(node: ast.expr) -> str:

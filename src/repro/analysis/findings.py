@@ -2,7 +2,9 @@
 
 ``reprolint`` rules emit :class:`Finding` records rather than printing:
 the CLI formats them for humans, the pytest self-check asserts on them,
-and the JSON output mode serializes them for CI annotation.
+and the JSON output mode serializes them for CI annotation.  Every
+analyzer describes its rules with :class:`RuleInfo` records and builds
+its findings with :func:`finding`.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import enum
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Protocol, Tuple
 
-__all__ = ["Severity", "Finding", "RuleMeta"]
+__all__ = ["Severity", "Finding", "RuleMeta", "RuleInfo", "rule_catalog", "finding"]
 
 
 class Severity(enum.IntEnum):
@@ -28,13 +30,28 @@ class Severity(enum.IntEnum):
 
 class RuleMeta(Protocol):
     """What the shared machinery (rule selection, the SARIF catalog) needs
-    from a rule; satisfied by lint ``Rule`` objects and by every
-    analyzer's ``*RuleInfo`` record."""
+    from a rule; satisfied by lint ``Rule`` objects and by
+    :class:`RuleInfo` records."""
 
     id: str
     name: str
     severity: Severity
     description: str
+
+
+@dataclass(frozen=True)
+class RuleInfo:
+    """Catalog entry for one analyzer rule (the lint ``Rule`` fields)."""
+
+    id: str
+    name: str
+    severity: Severity
+    description: str
+
+
+def rule_catalog(*rules: RuleInfo) -> Dict[str, RuleInfo]:
+    """An analyzer's rule table, keyed by symbolic name."""
+    return {rule.name: rule for rule in rules}
 
 
 @dataclass(frozen=True)
@@ -87,3 +104,24 @@ class Finding:
     @property
     def sort_key(self) -> Tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.rule_id)
+
+
+def finding(
+    rule: RuleMeta, path: str, where: Any, message: str, hint: str = ""
+) -> Finding:
+    """A ``rule`` finding at ``where``: an AST node (its ``lineno`` /
+    ``col_offset``, 1 / 0 when it has none) or a ``(line, col)`` pair."""
+    if isinstance(where, tuple):
+        line, col = where
+    else:
+        line, col = getattr(where, "lineno", 1), getattr(where, "col_offset", 0)
+    return Finding(
+        rule=rule.name,
+        rule_id=rule.id,
+        severity=rule.severity,
+        path=path,
+        line=line,
+        col=col,
+        message=message,
+        hint=hint,
+    )

@@ -29,7 +29,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.analysis.findings import Finding, Severity
+from repro.analysis.findings import Finding, RuleInfo, Severity, finding, rule_catalog
 
 __all__ = [
     "EventKind",
@@ -37,7 +37,6 @@ __all__ = [
     "TraceRecorder",
     "Hazard",
     "HazardReport",
-    "HazardRuleInfo",
     "HAZARD_RULES",
     "analyze_trace",
     "hazard_findings",
@@ -61,19 +60,7 @@ class EventKind(enum.Enum):
 
 
 # Event kinds that address a concrete (table, row) pair.
-_ROW_KINDS = frozenset(
-    {
-        EventKind.GATHER,
-        EventKind.CONSUME,
-        EventKind.UPDATE,
-        EventKind.APPLY,
-        EventKind.SYNC_HIT,
-        EventKind.SYNC_MISS,
-        EventKind.CACHE_PUT,
-        EventKind.CACHE_DEC,
-        EventKind.CACHE_EVICT,
-    }
-)
+_ROW_KINDS = frozenset(EventKind) - {EventKind.QUEUE_PUT, EventKind.QUEUE_GET}
 
 
 @dataclass(frozen=True)
@@ -141,16 +128,7 @@ class TraceRecorder:
         batch: int = -1,
     ) -> None:
         """Append one event at the current simulated time."""
-        self.events.append(
-            RowEvent(
-                time=self._clock,
-                kind=kind,
-                stage=stage,
-                table=table,
-                row=row,
-                batch=batch,
-            )
-        )
+        self.events.append(RowEvent(self._clock, kind, stage, table, row, batch))
 
     def record_rows(
         self,
@@ -294,33 +272,15 @@ def analyze_trace(events: Sequence[RowEvent]) -> HazardReport:
             )
             for write_time, writer in writes[key]:
                 if writer < reader and read_time < write_time:
-                    hazard = Hazard(
-                        kind="RAW",
-                        table=table,
-                        row=row,
-                        writer_batch=writer,
-                        reader_batch=reader,
-                        write_time=write_time,
-                        read_time=read_time,
-                        repaired=repaired,
-                    )
+                    kind, healed = "RAW", repaired
                 elif writer > reader and write_time < read_time:
-                    hazard = Hazard(
-                        kind="WAR",
-                        table=table,
-                        row=row,
-                        writer_batch=writer,
-                        reader_batch=reader,
-                        write_time=write_time,
-                        read_time=read_time,
-                        repaired=False,
-                    )
+                    kind, healed = "WAR", False
                 else:
                     continue
-                if hazard.repaired:
-                    report.repaired.append(hazard)
-                else:
-                    report.hazards.append(hazard)
+                hazard = Hazard(
+                    kind, table, row, writer, reader, write_time, read_time, healed
+                )
+                (report.repaired if healed else report.hazards).append(hazard)
 
     def _order(h: Hazard) -> Tuple[int, int, int, int]:
         return (h.table, h.row, h.reader_batch, h.writer_batch)
@@ -335,36 +295,23 @@ def analyze_trace(events: Sequence[RowEvent]) -> HazardReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HazardRuleInfo:
-    """SARIF rule descriptor for one hazard class."""
-
-    id: str
-    name: str
-    severity: Severity
-    description: str
-
-
-HAZARD_RULES: Dict[str, HazardRuleInfo] = {
-    rule.name: rule
-    for rule in (
-        HazardRuleInfo(
-            "HAZ001",
-            "raw-hazard",
-            Severity.ERROR,
-            "a batch gathered an embedding row before an earlier "
-            "batch's gradient landed (paper Fig. 10a), and the LC "
-            "cache did not repair the stale read",
-        ),
-        HazardRuleInfo(
-            "HAZ002",
-            "war-hazard",
-            Severity.ERROR,
-            "a later batch's write landed before an earlier batch's "
-            "gather — the reader observed its future",
-        ),
-    )
-}
+HAZARD_RULES: Dict[str, RuleInfo] = rule_catalog(
+    RuleInfo(
+        "HAZ001",
+        "raw-hazard",
+        Severity.ERROR,
+        "a batch gathered an embedding row before an earlier "
+        "batch's gradient landed (paper Fig. 10a), and the LC "
+        "cache did not repair the stale read",
+    ),
+    RuleInfo(
+        "HAZ002",
+        "war-hazard",
+        Severity.ERROR,
+        "a later batch's write landed before an earlier batch's "
+        "gather — the reader observed its future",
+    ),
+)
 
 
 def hazard_findings(
@@ -376,22 +323,14 @@ def hazard_findings(
     the synthetic trace URI and ``line`` is the reader's gather
     timestamp — the instant the stale value was observed.
     """
-    findings: List[Finding] = []
-    for hazard in report.hazards:
-        rule = HAZARD_RULES[
-            "raw-hazard" if hazard.kind == "RAW" else "war-hazard"
-        ]
-        findings.append(
-            Finding(
-                rule=rule.name,
-                rule_id=rule.id,
-                severity=rule.severity,
-                path=trace_path,
-                line=hazard.read_time,
-                col=0,
-                message=hazard.describe(),
-                hint="enable LC cache management so prefetched rows "
-                "are synced before consumption",
-            )
+    return [
+        finding(
+            HAZARD_RULES["raw-hazard" if hazard.kind == "RAW" else "war-hazard"],
+            trace_path,
+            (hazard.read_time, 0),
+            hazard.describe(),
+            "enable LC cache management so prefetched rows "
+            "are synced before consumption",
         )
-    return findings
+        for hazard in report.hazards
+    ]

@@ -38,7 +38,7 @@ from typing import (
 )
 
 from repro.analysis.findings import Finding, RuleMeta, Severity
-from repro.analysis.rules import RULE_REGISTRY, build_context
+from repro.analysis.rules import RULE_REGISTRY, RuleContext, build_context
 
 __all__ = [
     "LintResult",
@@ -50,6 +50,7 @@ __all__ = [
     "is_suppressed",
     "package_rel",
     "select_rules",
+    "check_module",
     "check_each_file",
     "syntax_error_finding",
 ]
@@ -162,25 +163,42 @@ def select_rules(
     return rules
 
 
+def check_module(
+    source: str,
+    path: str,
+    rel: Optional[str],
+    select: Optional[Sequence[str]],
+    rules: Mapping[str, RuleMeta],
+    tool: str,
+    analyze: Callable[[RuleContext], Iterable[Finding]],
+) -> LintResult:
+    """Run one per-module analyzer over an in-memory module.
+
+    ``rel`` positions the module for zone checks (default: the path's
+    package-relative form); ``select`` keeps the named ``rules`` (the
+    ``KeyError`` for an unknown one names ``tool``); pragmas suppress.
+    """
+    result = LintResult(files_scanned=1)
+    resolved_rel = rel if rel is not None else package_rel(Path(path))
+    ctx = build_context(Path(path), resolved_rel, source)
+    per_line, file_wide = parse_pragmas(source)
+    selected = {rule.name for rule in select_rules(rules, select, tool)}
+    result.keep((f for f in analyze(ctx) if f.rule in selected), per_line, file_wide)
+    result.findings.sort(key=lambda f: f.sort_key)
+    return result
+
+
 def lint_source(
     source: str,
     path: str = "<string>",
     rel: Optional[str] = None,
     select: Optional[Sequence[str]] = None,
 ) -> LintResult:
-    """Lint one in-memory module (unit-test and tooling entry point).
-
-    ``rel`` positions the module for zone checks; it defaults to the
-    path's package-relative form.
-    """
-    result = LintResult(files_scanned=1)
-    resolved_rel = rel if rel is not None else package_rel(Path(path))
-    ctx = build_context(Path(path), resolved_rel, source)
-    per_line, file_wide = parse_pragmas(source)
-    for rule in select_rules(RULE_REGISTRY, select):
-        result.keep(rule.check(ctx), per_line, file_wide)
-    result.findings.sort(key=lambda f: f.sort_key)
-    return result
+    """Lint one in-memory module (unit-test and tooling entry point)."""
+    return check_module(
+        source, path, rel, select, RULE_REGISTRY, "",
+        lambda ctx: (f for rule in RULE_REGISTRY.values() for f in rule.check(ctx)),
+    )
 
 
 def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:

@@ -1,16 +1,8 @@
-"""The ``repro perfcheck`` runner.
+"""The ``perfcheck`` runner: the perf domain over the linter's surface.
 
-Mirrors the shapecheck/detcheck runner surface — same
-:class:`Finding`/:class:`LintResult` records, pragma suppression, and
-file discovery — on top of the perf interpreter in
-:mod:`repro.analysis.perfcheck.interp`.
-
-Usage surfaces:
-
-* CLI — ``python -m repro perfcheck [paths...]``;
-* pytest — ``tests/analysis/test_perfcheck_self.py`` checks ``src/repro``
-  ships clean;
-* library — :func:`perfcheck_paths` / :func:`perfcheck_source`.
+Same :class:`Finding`/:class:`LintResult` records, ``# reprolint:
+disable=`` pragmas and file discovery as ``lint``; used by ``python -m
+repro perfcheck`` and ``tests/analysis/test_perfcheck_self.py``.
 """
 
 from __future__ import annotations
@@ -18,14 +10,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Optional, Sequence
 
-from ..linter import (
-    LintResult,
-    check_each_file,
-    package_rel,
-    parse_pragmas,
-    select_rules,
-)
-from ..rules import build_context
+from ..linter import LintResult, check_each_file, check_module
 from .interp import PERF_RULES, interpret_module_perf
 
 __all__ = ["perfcheck_paths", "perfcheck_source", "PERF_RULES"]
@@ -38,18 +23,10 @@ def perfcheck_source(
     select: Optional[Sequence[str]] = None,
 ) -> LintResult:
     """Perfcheck one in-memory module (unit-test entry point)."""
-    result = LintResult(files_scanned=1)
-    resolved_rel = rel if rel is not None else package_rel(Path(path))
-    ctx = build_context(Path(path), resolved_rel, source)
-    per_line, file_wide = parse_pragmas(source)
-    selected = {rule.name for rule in select_rules(PERF_RULES, select, "perfcheck")}
-    result.keep(
-        (f for f in interpret_module_perf(ctx).findings if f.rule in selected),
-        per_line,
-        file_wide,
+    return check_module(
+        source, path, rel, select, PERF_RULES, "perfcheck",
+        lambda ctx: interpret_module_perf(ctx).findings,
     )
-    result.findings.sort(key=lambda f: f.sort_key)
-    return result
 
 
 def perfcheck_paths(

@@ -1,11 +1,11 @@
-"""The perfcheck abstract interpreter and PERF rule catalog.
+"""The perfcheck domain and PERF rule catalog.
 
-Subclasses the shapecheck interpreter (same abstract domain, same
-soundness posture) but repurposes the walk: instead of shape findings it
+:class:`PerfInterpreter` is the shapecheck domain (same abstract values,
+same soundness posture) with a different catalog: the SHP findings its
+transfer functions raise are dropped by the walker, and instead it
 records one :class:`OpNode` per ``ArrayBackend`` call site that fits its
 row of the op table — which op, in which zone and branch — and runs
-one-sided performance rules over the recorded sequence.  SHP findings
-are dropped (shapecheck owns them); perfcheck emits only PERF findings.
+one-sided performance rules over the recorded sequence.
 
 Rules (the PERF catalog)
 ------------------------
@@ -24,78 +24,65 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
-from ..findings import Finding, Severity
+from ..findings import Finding, RuleInfo, Severity, finding, rule_catalog
 from ..rules import KERNEL_ZONES, RuleContext
 from ..shapecheck.domain import TOP, DottedVal, TensorVal, format_shape
-from ..shapecheck.interp import _ZONE_CONSTANTS, _Interpreter, _bind_backend_call
+from ..shapecheck.interp import ZONE_CONSTANTS, ShapeInterpreter
+from ..walker import Operand, assigned_names
 
 __all__ = [
     "PERF_RULES",
-    "PerfRuleInfo",
     "OpNode",
     "PerfModuleResult",
     "interpret_module_perf",
 ]
 
 
-@dataclass(frozen=True)
-class PerfRuleInfo:
-    """Catalog entry for one perfcheck rule."""
-
-    id: str
-    name: str
-    severity: Severity
-    description: str
-
-
-PERF_RULES: Dict[str, PerfRuleInfo] = {
-    rule.name: rule
-    for rule in (
-        PerfRuleInfo(
-            "PERF000",
-            "syntax-error",
-            Severity.ERROR,
-            "file could not be parsed; perfcheck analyzed nothing",
-        ),
-        PerfRuleInfo(
-            "PERF001",
-            "hot-loop-alloc",
-            Severity.ERROR,
-            "loop-invariant array allocation inside a kernel-zone loop: "
-            "the same buffer is re-allocated every iteration",
-        ),
-        PerfRuleInfo(
-            "PERF003",
-            "layout-churn",
-            Severity.ERROR,
-            "chained transpose/reshape in a kernel file forces an "
-            "intermediate copy (layout churn)",
-        ),
-        PerfRuleInfo(
-            "PERF005",
-            "batch-python-loop",
-            Severity.ERROR,
-            "Python for-loop over an array's leading dimension inside a "
-            "kernel zone (shape-evidenced row-at-a-time execution)",
-        ),
-        PerfRuleInfo(
-            "PERF006",
-            "redundant-gather",
-            Severity.ERROR,
-            "two identical gather_rows calls in one kernel zone with no "
-            "intervening write: the second re-reads the same rows",
-        ),
-        PerfRuleInfo(
-            "PERF007",
-            "dtype-churn",
-            Severity.ERROR,
-            "redundant astype in a kernel zone (cast to the dtype the "
-            "array already has, or a cast immediately re-cast)",
-        ),
-    )
-}
+PERF_RULES: Dict[str, RuleInfo] = rule_catalog(
+    RuleInfo(
+        "PERF000",
+        "syntax-error",
+        Severity.ERROR,
+        "file could not be parsed; perfcheck analyzed nothing",
+    ),
+    RuleInfo(
+        "PERF001",
+        "hot-loop-alloc",
+        Severity.ERROR,
+        "loop-invariant array allocation inside a kernel-zone loop: "
+        "the same buffer is re-allocated every iteration",
+    ),
+    RuleInfo(
+        "PERF003",
+        "layout-churn",
+        Severity.ERROR,
+        "chained transpose/reshape in a kernel file forces an "
+        "intermediate copy (layout churn)",
+    ),
+    RuleInfo(
+        "PERF005",
+        "batch-python-loop",
+        Severity.ERROR,
+        "Python for-loop over an array's leading dimension inside a "
+        "kernel zone (shape-evidenced row-at-a-time execution)",
+    ),
+    RuleInfo(
+        "PERF006",
+        "redundant-gather",
+        Severity.ERROR,
+        "two identical gather_rows calls in one kernel zone with no "
+        "intervening write: the second re-reads the same rows",
+    ),
+    RuleInfo(
+        "PERF007",
+        "dtype-churn",
+        Severity.ERROR,
+        "redundant astype in a kernel zone (cast to the dtype the "
+        "array already has, or a cast immediately re-cast)",
+    ),
+)
 
 _NP_ALLOCS = (
     "zeros", "ones", "empty", "full",
@@ -117,15 +104,9 @@ class OpNode:
 
 
 @dataclass
-class _LoopFrame:
-    stmt: ast.stmt
-    assigned: Set[str]
-
-
-@dataclass
 class _GatherSite:
     node: OpNode
-    arg_nodes: Tuple[ast.expr, ...]  # the table and indices expressions
+    arg_nodes: Tuple[Any, ...]  # the table and indices expressions
     texts: Tuple[str, ...]  # ... as source text: equal texts, same gather
     loop_key: Tuple[int, ...]
     loop_assigned: Set[str]
@@ -139,224 +120,86 @@ class PerfModuleResult:
     nodes: List[OpNode]
 
 
-class _PerfInterpreter(_Interpreter):
+def _free_names(node: ast.AST) -> Set[str]:
+    return {
+        child.id
+        for child in ast.walk(node)
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load)
+    }
+
+
+class PerfInterpreter(ShapeInterpreter):
     def __init__(self, ctx: RuleContext) -> None:
-        super().__init__(ctx)
-        self.perf_findings: List[Finding] = []
-        self._nodes: List[OpNode] = []
-        self._loops: List[_LoopFrame] = []
-        self._branches: List[int] = []
-        self._branch_counter = 0
+        super().__init__(ctx, PERF_RULES)
+        self.nodes: List[OpNode] = []
         self._bind_events: List[Tuple[int, str]] = []
         self._gathers: List[_GatherSite] = []
 
-    # -- findings ------------------------------------------------------
-    def _emit(self, rule_name: str, node: ast.AST, message: str, hint: str) -> None:
-        # Shape findings belong to shapecheck; perfcheck stays silent on
-        # them (same walk, different rule catalog).
-        return
+    def _zone_name(self) -> str:
+        return self.zones[-1].name if self.zones else "<unknown>"
 
-    def _emit_perf(
-        self, rule_name: str, node: ast.AST, message: str, hint: str
-    ) -> None:
-        self._emit_perf_at(
-            rule_name,
-            getattr(node, "lineno", 1),
-            getattr(node, "col_offset", 0),
-            message,
-            hint,
-        )
+    def _loop_assigned(self) -> Set[str]:
+        names: Set[str] = set()
+        for loop, _ in self.loops:
+            names |= assigned_names(loop)
+        return names
 
-    def _emit_perf_at(
-        self, rule_name: str, line: int, col: int, message: str, hint: str
-    ) -> None:
-        rule = PERF_RULES[rule_name]
-        self.perf_findings.append(
-            Finding(
-                rule=rule.name,
-                rule_id=rule.id,
-                severity=rule.severity,
-                path=self.ctx.path,
-                line=line,
-                col=col,
-                message=message,
-                hint=hint,
-            )
-        )
+    # -- walker hooks --------------------------------------------------
+    def param(self, arg: ast.arg, default: Any) -> Any:
+        if isinstance(default, DottedVal) and default.tail in ZONE_CONSTANTS:
+            # zone=ZONE_TT_BACKWARD-style defaults: analyze the body
+            # under the zone it declares.
+            return default
+        if isinstance(default, str) and default in ZONE_CONSTANTS.values():
+            return default
+        if arg.annotation is not None and ast.unparse(arg.annotation) in _NDARRAY_ANNOTATIONS:
+            return TensorVal(None, None)
+        return TOP
 
-    def _record(self, node: ast.AST, op: str) -> OpNode:
-        op_node = OpNode(
-            index=len(self._nodes),
-            op=op,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0),
-            zone=self._zone.name if self._zone is not None else None,
-            branch=tuple(self._branches),
-        )
-        self._nodes.append(op_node)
-        return op_node
-
-    # ==================================================================
-    # statements
-    # ==================================================================
-    def _exec_stmt(self, stmt: ast.stmt, env: Dict[str, Any]) -> None:
-        if isinstance(stmt, (ast.For, ast.AsyncFor)):
-            iter_val = self._eval(stmt.iter, env)
-            self._check_batch_loop(stmt, iter_val, env)
-            self._havoc(stmt, env)
-            self._bind(stmt.target, TOP, env)
-            self._loops.append(_LoopFrame(stmt, self._assigned_names(stmt)))
-            try:
-                self._exec_block(stmt.body, env)
-            finally:
-                self._loops.pop()
-            self._exec_block(stmt.orelse, env)
-            self._havoc(stmt, env)
-        elif isinstance(stmt, ast.While):
-            self._eval(stmt.test, env)
-            self._havoc(stmt, env)
-            self._loops.append(_LoopFrame(stmt, self._assigned_names(stmt)))
-            try:
-                self._exec_block(stmt.body, env)
-            finally:
-                self._loops.pop()
-            self._exec_block(stmt.orelse, env)
-            self._havoc(stmt, env)
-        else:
-            super()._exec_stmt(stmt, env)
-
-    def _exec_function(
-        self, node: ast.FunctionDef | ast.AsyncFunctionDef, env: Dict[str, Any]
-    ) -> None:
-        args = node.args
-        positional = [*args.posonlyargs, *args.args]
-        default_vals: Dict[str, Any] = {}
-        if args.defaults:
-            for arg, default in zip(positional[-len(args.defaults):], args.defaults):
-                default_vals[arg.arg] = self._eval(default, env)
-        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-            if default is not None:
-                default_vals[arg.arg] = self._eval(default, env)
-        fn_env: Dict[str, Any] = {}
-        for arg in [
-            *positional,
-            *args.kwonlyargs,
-            *([args.vararg] if args.vararg else []),
-            *([args.kwarg] if args.kwarg else []),
-        ]:
-            value: Any = TOP
-            default = default_vals.get(arg.arg)
-            if isinstance(default, DottedVal) and default.tail in _ZONE_CONSTANTS:
-                # zone=ZONE_TT_BACKWARD-style defaults: analyze the
-                # body under the zone it declares.
-                value = default
-            elif isinstance(default, str) and default in _ZONE_CONSTANTS.values():
-                value = default
-            elif arg.annotation is not None and ast.unparse(
-                arg.annotation
-            ) in _NDARRAY_ANNOTATIONS:
-                value = TensorVal(None, None)
-            fn_env[arg.arg] = value
-        # A nested def's body does not run where it is defined: suspend
-        # the loop/zone/branch context for the duration.
-        saved = (self._loops, self._zones, self._branches)
-        self._loops, self._zones, self._branches = [], [], []
-        try:
-            self._exec_block(node.body, fn_env)
-        finally:
-            self._loops, self._zones, self._branches = saved
-
-    def _exec_branches(
-        self, env: Dict[str, Any], *branches: Sequence[ast.stmt]
-    ) -> None:
-        snapshots: List[Dict[str, Any]] = []
-        for branch in branches:
-            branch_env = dict(env)
-            self._branch_counter += 1
-            self._branches.append(self._branch_counter)
-            try:
-                self._exec_block(branch, branch_env)
-            finally:
-                self._branches.pop()
-            snapshots.append(branch_env)
-        if not snapshots:
-            return
-        keys: Set[str] = set()
-        for snap in snapshots:
-            keys.update(snap)
-        for key in keys:
-            values = [snap.get(key, TOP) for snap in snapshots]
-            first = values[0]
-            if all(v == first for v in values[1:]):
-                env[key] = first
-            else:
-                env[key] = TOP
-
-    def _bind(self, target: ast.expr, value: Any, env: Dict[str, Any]) -> None:
+    def bind(self, target: ast.expr, value: Any, stmt: ast.AST) -> None:
         # PERF006 needs to know when a gather operand was rebound.
         name = target.value if isinstance(target, (ast.Attribute, ast.Subscript)) else target
         if isinstance(name, ast.Name):
-            self._bind_events.append((len(self._nodes), name.id))
-        super()._bind(target, value, env)
+            self._bind_events.append((len(self.nodes), name.id))
+        super().bind(target, value, stmt)
 
-    # ==================================================================
-    # recorded ops
-    # ==================================================================
-    def _backend_call(
-        self,
-        node: ast.Call,
-        method: str,
-        args: List[Any],
-        kwargs: Dict[str, Any],
-        starred: bool,
-    ) -> Any:
-        result = super()._backend_call(node, method, args, kwargs, starred)
-        # Bind the operand *expressions* by the same rule as the values.
-        keywords = {kw.arg: kw.value for kw in node.keywords if kw.arg is not None}
-        operands = _bind_backend_call(method, node.args, keywords, starred)
-        if operands is not None:
-            op_node = self._record(node, method)
-            after = _AFTER_OP.get(method)
-            if after is not None:
-                after(self, node, op_node, operands)
-        return result
+    def loop_item(self, stmt: ast.For | ast.AsyncFor, iterable: Any) -> Any:
+        self._check_batch_loop(stmt, iterable)
+        return TOP
 
-    def _numpy_call(
-        self,
-        node: ast.Call,
-        name: str,
-        args: List[Any],
-        kwargs: Dict[str, Any],
-        starred: bool,
+    def on_op(self, node: ast.Call, method: str, operands: Dict[str, Operand]) -> None:
+        op_node = OpNode(
+            index=len(self.nodes),
+            op=method,
+            line=node.lineno,
+            col=node.col_offset,
+            zone=self.zones[-1].name if self.zones else None,
+            branch=tuple(self.branch_path),
+        )
+        self.nodes.append(op_node)
+        if method in ("zeros", "ones", "empty", "full"):
+            self._check_hot_alloc(node, f"backend.{method}")
+        elif method == "gather_rows":
+            # table and indices have no defaults: both are expressions.
+            arg_nodes = (operands["table"].expr, operands["indices"].expr)
+            self._gathers.append(
+                _GatherSite(
+                    node=op_node,
+                    arg_nodes=arg_nodes,
+                    texts=tuple(ast.unparse(arg) for arg in arg_nodes),
+                    loop_key=tuple(id(loop) for loop, _ in self.loops),
+                    loop_assigned=self._loop_assigned(),
+                )
+            )
+
+    def numpy_call(
+        self, node: ast.Call, tail: str, args: List[Any], kwargs: Dict[str, Any]
     ) -> Any:
-        tail = name.rsplit(".", 1)[-1]
         if tail in _NP_ALLOCS:
             self._check_hot_alloc(node, f"np.{tail}")
-        return super()._numpy_call(node, name, args, kwargs, starred)
+        return super().numpy_call(node, tail, args, kwargs)
 
-    def _after_alloc(
-        self, node: ast.Call, op_node: OpNode, operands: Dict[str, Any]
-    ) -> None:
-        self._check_hot_alloc(node, f"backend.{op_node.op}")
-
-    def _after_gather_rows(
-        self, node: ast.Call, op_node: OpNode, operands: Dict[str, Any]
-    ) -> None:
-        loop_assigned: Set[str] = set()
-        for frame in self._loops:
-            loop_assigned |= frame.assigned
-        arg_nodes = (operands["table"], operands["indices"])
-        self._gathers.append(
-            _GatherSite(
-                node=op_node,
-                arg_nodes=arg_nodes,
-                texts=tuple(ast.unparse(arg) for arg in arg_nodes),
-                loop_key=tuple(id(f.stmt) for f in self._loops),
-                loop_assigned=loop_assigned,
-            )
-        )
-
-    def _tensor_method(
+    def tensor_method(
         self,
         node: ast.Call,
         base: TensorVal,
@@ -364,51 +207,42 @@ class _PerfInterpreter(_Interpreter):
         args: List[Any],
         kwargs: Dict[str, Any],
     ) -> Any:
-        result = super()._tensor_method(node, base, method, args, kwargs)
-        if not isinstance(result, TensorVal):
-            return result
-        if method == "astype" and self._zones:
-            target = result.dtype
-            if target is not None and base.dtype is not None and target == base.dtype:
-                self._emit_perf(
-                    "dtype-churn",
-                    node,
-                    f"astype({target!r}) on an array that already has dtype "
-                    f"{base.dtype!r} copies without converting",
-                    "drop the redundant cast (or cast once at the zone "
-                    "boundary)",
-                )
+        result = super().tensor_method(node, base, method, args, kwargs)
+        if (
+            method == "astype"
+            and self.zones
+            and isinstance(result, TensorVal)
+            and result.dtype is not None
+            and result.dtype == base.dtype
+        ):
+            self.emit(
+                "dtype-churn",
+                node,
+                f"astype({result.dtype!r}) on an array that already has dtype "
+                f"{base.dtype!r} copies without converting",
+                "drop the redundant cast (or cast once at the zone "
+                "boundary)",
+            )
         return result
 
     # ==================================================================
     # rule checks
     # ==================================================================
     def _check_hot_alloc(self, node: ast.Call, display: str) -> None:
-        if not self._zones or not self._loops:
+        if not self.zones or not self.loops:
             return
-        free = {
-            child.id
-            for child in ast.walk(node)
-            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load)
-        }
-        assigned: Set[str] = set()
-        for frame in self._loops:
-            assigned |= frame.assigned
-        if free & assigned:
+        if _free_names(node) & self._loop_assigned():
             return  # loop-variant: a different buffer each iteration
-        zone = self._zone.name if self._zone is not None else "<unknown>"
-        self._emit_perf(
+        self.emit(
             "hot-loop-alloc",
             node,
             f"{display} allocates a loop-invariant buffer on every "
-            f"iteration inside kernel zone {zone!r}",
+            f"iteration inside kernel zone {self._zone_name()!r}",
             "hoist the allocation out of the loop and reuse the buffer",
         )
 
-    def _check_batch_loop(
-        self, stmt: ast.For | ast.AsyncFor, iter_val: Any, env: Dict[str, Any]
-    ) -> None:
-        if not self._zones:
+    def _check_batch_loop(self, stmt: ast.For | ast.AsyncFor, iter_val: Any) -> None:
+        if not self.zones:
             return
         evidence: Optional[str] = None
         if isinstance(iter_val, TensorVal):
@@ -439,22 +273,21 @@ class _PerfInterpreter(_Interpreter):
                 and bound.slice.value == 0
             ):
                 target = bound.value.value
-            if target is not None and isinstance(self._eval(target, env), TensorVal):
+            if target is not None and isinstance(self.eval(target), TensorVal):
                 evidence = f"loops range over {ast.unparse(target)}'s leading dimension"
         if evidence is None:
             return
-        zone = self._zone.name if self._zone is not None else "<unknown>"
-        self._emit_perf(
+        self.emit(
             "batch-python-loop",
             stmt,
-            f"Python for-loop in kernel zone {zone!r} {evidence}: the "
+            f"Python for-loop in kernel zone {self._zone_name()!r} {evidence}: the "
             "batch dimension is executed one row per interpreter step",
             "replace the loop with a batched backend op "
             "(gather_rows/matmul over the whole batch)",
         )
 
-    # -- post-run passes -----------------------------------------------
-    def _finalize_redundant_gathers(self) -> None:
+    # -- post-run pass -------------------------------------------------
+    def report_redundant_gathers(self) -> None:
         groups: Dict[Tuple[Any, ...], List[_GatherSite]] = {}
         for site in self._gathers:
             if site.node.zone is None:
@@ -466,9 +299,7 @@ class _PerfInterpreter(_Interpreter):
                 continue
             free: Set[str] = set()
             for arg in sites[0].arg_nodes:
-                for child in ast.walk(arg):
-                    if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
-                        free.add(child.id)
+                free |= _free_names(arg)
             if sites[0].loop_key and free & sites[0].loop_assigned:
                 continue  # operands change across iterations
             for first, second in zip(sites, sites[1:]):
@@ -480,7 +311,7 @@ class _PerfInterpreter(_Interpreter):
                     continue  # mutually exclusive branches
                 if any(
                     n.op == "scatter_add_rows" and a.index < n.index < b.index
-                    for n in self._nodes
+                    for n in self.nodes
                 ):
                     continue
                 if any(
@@ -488,10 +319,9 @@ class _PerfInterpreter(_Interpreter):
                     for seq, name in self._bind_events
                 ):
                     continue  # an operand was rebound in between
-                self._emit_perf_at(
+                self.emit(
                     "redundant-gather",
-                    b.line,
-                    b.col,
+                    (b.line, b.col),
                     f"gather_rows({', '.join(first.texts)}) in zone {a.zone!r} "
                     f"repeats the gather at line {a.line} with no "
                     "intervening write to the table or operands",
@@ -500,114 +330,72 @@ class _PerfInterpreter(_Interpreter):
                 )
 
 
-# What a PERF rule needs from a recorded call site beyond (op, zone,
-# branch), keyed like the op table: ``after(interp, node, op_node,
-# operands)`` with the operand expressions bound by OpSpec.bind.
-_AFTER_OP: Dict[str, Callable[..., None]] = {
-    "zeros": _PerfInterpreter._after_alloc,
-    "ones": _PerfInterpreter._after_alloc,
-    "empty": _PerfInterpreter._after_alloc,
-    "full": _PerfInterpreter._after_alloc,
-    "gather_rows": _PerfInterpreter._after_gather_rows,
+#: (method, the method it is called on) -> (rule, message, hint)
+_CHAINS: Dict[Tuple[str, Optional[str]], Tuple[str, str, str]] = {
+    ("reshape", "transpose"): (
+        "layout-churn",
+        "transpose(...).reshape(...) forces a full copy of the "
+        "intermediate (non-contiguous view reshaped)",
+        "restructure the computation to reshape first, keep a "
+        "pre-transposed layout, or suppress with a pragma if the "
+        "relayout is the call's contract",
+    ),
+    ("reshape", "reshape"): (
+        "layout-churn",
+        "reshape(...).reshape(...) — the first reshape is dead layout churn",
+        "collapse the chain into a single reshape",
+    ),
+    ("transpose", "transpose"): (
+        "layout-churn",
+        "transpose(...).transpose(...) — compose the two permutations into one",
+        "merge the permutations (or drop them if they cancel)",
+    ),
+    ("astype", "astype"): (
+        "dtype-churn",
+        "astype(...).astype(...) converts twice; only the last dtype survives",
+        "cast once to the final dtype",
+    ),
 }
 
 
 def _syntactic_findings(ctx: RuleContext) -> List[Finding]:
     """AST-only PERF rules: layout churn, cast chains."""
-    findings: List[Finding] = []
     if not ctx.in_zone(KERNEL_ZONES):
-        return findings
-
-    def emit(rule_name: str, node: ast.AST, message: str, hint: str) -> None:
-        rule = PERF_RULES[rule_name]
-        findings.append(
-            Finding(
-                rule=rule.name,
-                rule_id=rule.id,
-                severity=rule.severity,
-                path=ctx.path,
-                line=getattr(node, "lineno", 1),
-                col=getattr(node, "col_offset", 0),
-                message=message,
-                hint=hint,
-            )
-        )
-
+        return []
+    found: Dict[Tuple[str, int, int, str], Finding] = {}
     for node in ast.walk(ctx.tree):
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
             continue
-        attr = node.func.attr
         inner = node.func.value
-        inner_attr = (
+        called_on = (
             inner.func.attr
             if isinstance(inner, ast.Call) and isinstance(inner.func, ast.Attribute)
             else None
         )
-        if attr == "reshape" and inner_attr == "transpose":
-            emit(
-                "layout-churn",
-                node,
-                "transpose(...).reshape(...) forces a full copy of the "
-                "intermediate (non-contiguous view reshaped)",
-                "restructure the computation to reshape first, keep a "
-                "pre-transposed layout, or suppress with a pragma if the "
-                "relayout is the call's contract",
-            )
-        elif attr == "reshape" and inner_attr == "reshape":
-            emit(
-                "layout-churn",
-                node,
-                "reshape(...).reshape(...) — the first reshape is dead "
-                "layout churn",
-                "collapse the chain into a single reshape",
-            )
-        elif attr == "transpose" and inner_attr == "transpose":
-            emit(
-                "layout-churn",
-                node,
-                "transpose(...).transpose(...) — compose the two "
-                "permutations into one",
-                "merge the permutations (or drop them if they cancel)",
-            )
-        elif attr == "transpose" and node.args:
+        rule = _CHAINS.get((node.func.attr, called_on))
+        if rule is None and node.func.attr == "transpose" and node.args:
             perm = [
                 a.value
                 for a in node.args
                 if isinstance(a, ast.Constant) and isinstance(a.value, int)
             ]
             if len(perm) == len(node.args) and perm == list(range(len(perm))):
-                emit(
+                rule = (
                     "layout-churn",
-                    node,
                     f"transpose{tuple(perm)} is the identity permutation",
                     "drop the no-op transpose",
                 )
-        elif attr == "astype" and inner_attr == "astype":
-            emit(
-                "dtype-churn",
-                node,
-                "astype(...).astype(...) converts twice; only the last "
-                "dtype survives",
-                "cast once to the final dtype",
-            )
-    return findings
+        if rule is not None:
+            new = finding(PERF_RULES[rule[0]], ctx.path, node, rule[1], rule[2])
+            found.setdefault((new.rule_id, new.line, new.col, new.message), new)
+    return list(found.values())
 
 
 def interpret_module_perf(ctx: RuleContext) -> PerfModuleResult:
     """Run the perf interpreter + syntactic rules over one module."""
-    interp = _PerfInterpreter(ctx)
-    interp.run()
-    interp._finalize_redundant_gathers()
-    findings = interp.perf_findings + _syntactic_findings(ctx)
-    # Branch re-execution (Try bodies run once per handler) can duplicate
-    # findings at identical positions; keep one.
-    seen: Set[Tuple[str, int, int, str]] = set()
-    unique: List[Finding] = []
-    for finding in findings:
-        key = (finding.rule_id, finding.line, finding.col, finding.message)
-        if key in seen:
-            continue
-        seen.add(key)
-        unique.append(finding)
-    unique.sort(key=lambda f: f.sort_key)
-    return PerfModuleResult(findings=unique, nodes=interp._nodes)
+    interp = PerfInterpreter(ctx)
+    interp.run_module()
+    interp.report_redundant_gathers()
+    findings = interp.findings + _syntactic_findings(ctx)
+    findings.sort(key=lambda f: f.sort_key)
+    return PerfModuleResult(findings=findings, nodes=interp.nodes)

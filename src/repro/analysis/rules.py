@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Protocol, Tuple
 
-from repro.analysis.findings import Finding, Severity
+from repro.analysis.findings import Finding, Severity, finding
 
 __all__ = [
     "Rule",
@@ -70,6 +70,8 @@ __all__ = [
     "BACKEND_ROUTED_ZONES",
     "EXCEPTION_ZONES",
     "RNG_EXEMPT_FILES",
+    "LEGACY_SAMPLERS",
+    "WALL_CLOCK_CALLS",
 ]
 
 # Module prefixes (posix, rooted at the package dir) where simulated
@@ -211,44 +213,24 @@ def register(rule: "Rule") -> "Rule":
     return rule
 
 
-def _finding(
-    rule: "Rule", ctx: RuleContext, node: ast.AST, message: str, hint: str
-) -> Finding:
-    return Finding(
-        rule=rule.name,
-        rule_id=rule.id,
-        severity=rule.severity,
-        path=ctx.path,
-        line=getattr(node, "lineno", 1),
-        col=getattr(node, "col_offset", 0),
-        message=message,
-        hint=hint,
-    )
+def _calls(ctx: RuleContext) -> Iterator[Tuple[ast.Call, Optional[str]]]:
+    """Every call in the module with its resolved dotted target."""
+    for node in ast.walk(ctx.tree):
+        if isinstance(node, ast.Call):
+            yield node, ctx.resolve_call(node.func)
 
 
 # ---------------------------------------------------------------------------
 # REP001 — unseeded / global RNG
 # ---------------------------------------------------------------------------
 
-_LEGACY_SAMPLERS = frozenset(
+#: numpy's legacy global-state RNG functions (``np.random.<name>``).
+LEGACY_SAMPLERS = frozenset(
     {
-        "seed",
-        "rand",
-        "randn",
-        "randint",
-        "random",
-        "random_sample",
-        "choice",
-        "shuffle",
-        "permutation",
-        "uniform",
-        "normal",
-        "standard_normal",
-        "binomial",
-        "poisson",
-        "exponential",
-        "get_state",
-        "set_state",
+        "seed", "rand", "randn", "randint", "random", "random_sample",
+        "choice", "shuffle", "permutation", "uniform", "normal",
+        "standard_normal", "binomial", "poisson", "exponential",
+        "get_state", "set_state",
     }
 )
 
@@ -267,26 +249,23 @@ class UnseededRngRule:
     def check(self, ctx: RuleContext) -> Iterator[Finding]:
         if ctx.rel in RNG_EXEMPT_FILES:
             return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            target = ctx.resolve_call(node.func)
+        for node, target in _calls(ctx):
             if target is None or not target.startswith("numpy.random."):
                 continue
             tail = target.rsplit(".", 1)[1]
             if tail == "default_rng" and not node.args and not node.keywords:
-                yield _finding(
+                yield finding(
                     self,
-                    ctx,
+                    ctx.path,
                     node,
                     "unseeded np.random.default_rng() is nondeterministic",
                     'use repro.utils.rng.ensure_rng with an int seed, or '
                     'seed="entropy" for an explicit opt-in',
                 )
-            elif tail in _LEGACY_SAMPLERS:
-                yield _finding(
+            elif tail in LEGACY_SAMPLERS:
+                yield finding(
                     self,
-                    ctx,
+                    ctx.path,
                     node,
                     f"legacy global np.random.{tail}() mutates shared "
                     "process state",
@@ -298,18 +277,12 @@ class UnseededRngRule:
 # REP002 — wall clock inside SimClock zones
 # ---------------------------------------------------------------------------
 
-_WALL_CLOCK_CALLS = frozenset(
+WALL_CLOCK_CALLS = frozenset(
     {
-        "time.time",
-        "time.time_ns",
-        "time.perf_counter",
-        "time.perf_counter_ns",
-        "time.monotonic",
-        "time.monotonic_ns",
-        "time.process_time",
-        "time.process_time_ns",
-        "datetime.datetime.now",
-        "datetime.datetime.utcnow",
+        "time.time", "time.time_ns", "time.perf_counter",
+        "time.perf_counter_ns", "time.monotonic", "time.monotonic_ns",
+        "time.process_time", "time.process_time_ns",
+        "datetime.datetime.now", "datetime.datetime.utcnow",
         "datetime.date.today",
     }
 )
@@ -329,14 +302,11 @@ class WallClockRule:
     def check(self, ctx: RuleContext) -> Iterator[Finding]:
         if not ctx.in_zone(SIMCLOCK_ZONES):
             return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            target = ctx.resolve_call(node.func)
-            if target in _WALL_CLOCK_CALLS:
-                yield _finding(
+        for node, target in _calls(ctx):
+            if target in WALL_CLOCK_CALLS:
+                yield finding(
                     self,
-                    ctx,
+                    ctx.path,
                     node,
                     f"{target}() reads the host clock inside a "
                     "SimClock-only zone",
@@ -368,18 +338,15 @@ class ImplicitDtypeRule:
     def check(self, ctx: RuleContext) -> Iterator[Finding]:
         if not ctx.in_zone(KERNEL_ZONES):
             return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            target = ctx.resolve_call(node.func)
+        for node, target in _calls(ctx):
             if target not in _ALLOCATORS:
                 continue
             if any(kw.arg == "dtype" for kw in node.keywords):
                 continue
             short = target.rsplit(".", 1)[1]
-            yield _finding(
+            yield finding(
                 self,
-                ctx,
+                ctx.path,
                 node,
                 f"np.{short}() without an explicit dtype in a kernel module",
                 "pass dtype=np.float64 (or the intended width) explicitly",
@@ -412,9 +379,9 @@ class BatchLoopRule:
                 continue
             segment = ast.get_source_segment(ctx.source, node.iter) or ""
             if _BATCH_ITER.search(segment):
-                yield _finding(
+                yield finding(
                     self,
-                    ctx,
+                    ctx.path,
                     node,
                     f"Python-level loop over batch data ({segment.strip()})",
                     "vectorize with numpy gather/segment ops; loops over "
@@ -444,16 +411,13 @@ class DirectNumpyRule:
     def check(self, ctx: RuleContext) -> Iterator[Finding]:
         if not ctx.in_zone(BACKEND_ROUTED_ZONES):
             return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            target = ctx.resolve_call(node.func)
+        for node, target in _calls(ctx):
             if target not in _CONTRACTIONS:
                 continue
             short = target.rsplit(".", 1)[1]
-            yield _finding(
+            yield finding(
                 self,
-                ctx,
+                ctx.path,
                 node,
                 f"direct np.{short}() bypasses the repro.backend layer",
                 "route through get_backend().matmul/einsum (the reference "
@@ -497,9 +461,9 @@ class SilentExceptRule:
             if not isinstance(node, ast.ExceptHandler):
                 continue
             if node.type is None:
-                yield _finding(
+                yield finding(
                     self,
-                    ctx,
+                    ctx.path,
                     node,
                     "bare `except:` catches SystemExit/KeyboardInterrupt "
                     "and hides the failure's type",
@@ -509,9 +473,9 @@ class SilentExceptRule:
                 continue
             if _is_swallowed(node):
                 segment = ast.get_source_segment(ctx.source, node.type) or ""
-                yield _finding(
+                yield finding(
                     self,
-                    ctx,
+                    ctx.path,
                     node,
                     f"exception handler for {segment.strip() or 'Exception'} "
                     "silently swallows the failure",

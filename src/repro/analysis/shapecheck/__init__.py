@@ -1,11 +1,10 @@
 """Shapecheck: static shape/dtype checking over backend kernel zones.
 
-An AST-level abstract interpreter that symbolically executes module
-code against abstract tensors (symbolic shapes + dtypes), resolving
-``backend.einsum`` signature literals, propagating shapes through
+The shared abstract interpreter (:mod:`repro.analysis.walker`) run over
+abstract tensors (symbolic shapes + dtypes): shapes propagate through
 ``matmul``/``gather_rows``/``scatter_add_rows``/reshape/transpose,
-deriving TT-core chain shapes from :class:`TTSpec` metadata, and
-enforcing the one-float-dtype-per-zone policy.  Findings reuse the
+TT-core chain shapes derive from :class:`TTSpec` metadata, and the
+one-float-dtype-per-zone policy is enforced.  Findings reuse the
 reprolint machinery (severities, pragmas, JSON/SARIF output).
 
 Entry points: :func:`shapecheck_paths`, :func:`shapecheck_source`, and
@@ -26,18 +25,13 @@ from repro.analysis.shapecheck.domain import (
     dims_conflict,
     dims_equal,
 )
-from repro.analysis.shapecheck.einsum import EinsumIssue, check_einsum, parse_subscripts
-from repro.analysis.shapecheck.interp import ShapeRuleInfo, interpret_module
+from repro.analysis.shapecheck.interp import interpret_module
 
 __all__ = [
     "SHAPE_RULES",
-    "ShapeRuleInfo",
     "shapecheck_paths",
     "shapecheck_source",
     "interpret_module",
-    "check_einsum",
-    "parse_subscripts",
-    "EinsumIssue",
     "TensorVal",
     "SymDim",
     "Dim",

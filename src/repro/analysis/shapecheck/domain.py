@@ -15,7 +15,7 @@ mutation corpus (whose shapes are concrete).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple, Union
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "SpecVal",
     "CoresVal",
     "CoreListVal",
-    "SymbolFactory",
     "FLOAT_DTYPES",
     "resolve_dtype",
     "promote_dtypes",
@@ -39,7 +38,6 @@ __all__ = [
     "dims_equal",
     "dim_product",
     "broadcast_shapes",
-    "format_dim",
     "format_shape",
 ]
 
@@ -58,26 +56,8 @@ class SymDim:
 Dim = Union[int, SymDim, None]
 
 
-class SymbolFactory:
-    """Mints fresh :class:`SymDim` symbols for one checked module."""
-
-    def __init__(self) -> None:
-        self._counter = 0
-
-    def fresh(self, hint: str = "s") -> SymDim:
-        self._counter += 1
-        return SymDim(f"{hint}{self._counter}")
-
-
 class Top:
-    """The unknown abstract value (no information)."""
-
-    _instance: Optional["Top"] = None
-
-    def __new__(cls) -> "Top":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """The unknown abstract value (no information); :data:`TOP` is the one instance."""
 
     def __repr__(self) -> str:
         return "TOP"
@@ -90,19 +70,12 @@ FLOAT_DTYPES = ("float16", "float32", "float64")
 # Dotted-name tails that resolve to a concrete dtype (``np.float32``,
 # ``numpy.float64`` via import aliases).
 _DTYPE_TAILS: Dict[str, str] = {
-    "float16": "float16",
-    "float32": "float32",
-    "float64": "float64",
+    **{name: name for name in FLOAT_DTYPES + ("int8", "int16", "int32", "int64", "uint8")},
     "single": "float32",
     "double": "float64",
     "half": "float16",
-    "int8": "int8",
-    "int16": "int16",
-    "int32": "int32",
-    "int64": "int64",
     "intp": "int64",
     "bool_": "bool",
-    "uint8": "uint8",
 }
 
 
@@ -118,13 +91,6 @@ class TensorVal:
     shape: Optional[Tuple[Dim, ...]] = None
     dtype: Optional[str] = None
     int_values: Optional[Tuple[int, ...]] = None
-
-    @property
-    def rank(self) -> Optional[int]:
-        return None if self.shape is None else len(self.shape)
-
-    def with_dtype(self, dtype: Optional[str]) -> "TensorVal":
-        return TensorVal(self.shape, dtype, self.int_values)
 
 
 @dataclass(frozen=True)
@@ -282,15 +248,8 @@ def broadcast_shapes(
     return tuple(out), False
 
 
-def format_dim(dim: Dim) -> str:
-    if dim is None:
-        return "?"
-    return str(dim)
-
-
 def format_shape(shape: Optional[Tuple[Dim, ...]]) -> str:
     if shape is None:
         return "(?)"
-    if len(shape) == 1:
-        return f"({format_dim(shape[0])},)"
-    return "(" + ", ".join(format_dim(d) for d in shape) + ")"
+    dims = ["?" if d is None else str(d) for d in shape]
+    return f"({dims[0]},)" if len(dims) == 1 else "(" + ", ".join(dims) + ")"

@@ -88,16 +88,15 @@ class RecordingCache(EmbeddingCache):
         """Tag subsequent cache events with the active batch id."""
         self._current_batch = int(batch_id)
 
+    def _log(self, kind: EventKind, rows: Iterable[int]) -> None:
+        self._recorder.record_rows(
+            kind, stage=STAGE_CACHE, table=self._table, rows=rows, batch=self._current_batch
+        )
+
     def put(self, indices: IntArray, values: FloatArray) -> None:
         super().put(indices, values)
         self._recorder.tick()
-        self._recorder.record_rows(
-            EventKind.CACHE_PUT,
-            stage=STAGE_CACHE,
-            table=self._table,
-            rows=np.asarray(indices).tolist(),
-            batch=self._current_batch,
-        )
+        self._log(EventKind.CACHE_PUT, np.asarray(indices).tolist())
 
     def synchronize(
         self, indices: IntArray, values: FloatArray
@@ -105,20 +104,8 @@ class RecordingCache(EmbeddingCache):
         fresh, hit_mask = super().synchronize(indices, values)
         self._recorder.tick()
         idx = np.asarray(indices)
-        self._recorder.record_rows(
-            EventKind.SYNC_HIT,
-            stage=STAGE_CACHE,
-            table=self._table,
-            rows=idx[hit_mask].tolist(),
-            batch=self._current_batch,
-        )
-        self._recorder.record_rows(
-            EventKind.SYNC_MISS,
-            stage=STAGE_CACHE,
-            table=self._table,
-            rows=idx[~hit_mask].tolist(),
-            batch=self._current_batch,
-        )
+        self._log(EventKind.SYNC_HIT, idx[hit_mask].tolist())
+        self._log(EventKind.SYNC_MISS, idx[~hit_mask].tolist())
         return fresh, hit_mask
 
     def decrement(self, indices: IntArray) -> int:
@@ -127,20 +114,8 @@ class RecordingCache(EmbeddingCache):
         evicted = super().decrement(indices)
         self._recorder.tick()
         live = self._find(before)[1]
-        self._recorder.record_rows(
-            EventKind.CACHE_DEC,
-            stage=STAGE_CACHE,
-            table=self._table,
-            rows=before[live].tolist(),
-            batch=self._current_batch,
-        )
-        self._recorder.record_rows(
-            EventKind.CACHE_EVICT,
-            stage=STAGE_CACHE,
-            table=self._table,
-            rows=before[~live].tolist(),
-            batch=self._current_batch,
-        )
+        self._log(EventKind.CACHE_DEC, before[live].tolist())
+        self._log(EventKind.CACHE_EVICT, before[~live].tolist())
         return evicted
 
 
@@ -171,57 +146,28 @@ class PipelineProbe:
         return cache
 
     # -- dataflow hooks (called by the trainer) ------------------------
-    def on_gather(
-        self, batch_id: int, table: int, unique_indices: Iterable[int]
+    def _step(
+        self, kind: EventKind, stage: str, batch_id: int, table: int, rows: Iterable[int]
     ) -> None:
+        """One pipeline operation: advance the clock, stamp every row."""
+        self.recorder.tick()
+        self.recorder.record_rows(kind, stage=stage, table=table, rows=rows, batch=batch_id)
+
+    def on_gather(self, batch_id: int, table: int, unique_indices: Iterable[int]) -> None:
         """Server read host rows for a prefetch entry."""
-        self.recorder.tick()
-        self.recorder.record_rows(
-            EventKind.GATHER,
-            stage=STAGE_SERVER_GATHER,
-            table=table,
-            rows=unique_indices,
-            batch=batch_id,
-        )
+        self._step(EventKind.GATHER, STAGE_SERVER_GATHER, batch_id, table, unique_indices)
 
-    def on_consume(
-        self, batch_id: int, table: int, unique_indices: Iterable[int]
-    ) -> None:
+    def on_consume(self, batch_id: int, table: int, unique_indices: Iterable[int]) -> None:
         """Worker loaded the (possibly cache-synced) prefetched rows."""
-        self.recorder.tick()
-        self.recorder.record_rows(
-            EventKind.CONSUME,
-            stage=STAGE_WORKER_TRAIN,
-            table=table,
-            rows=unique_indices,
-            batch=batch_id,
-        )
+        self._step(EventKind.CONSUME, STAGE_WORKER_TRAIN, batch_id, table, unique_indices)
 
-    def on_update(
-        self, batch_id: int, table: int, unique_indices: Iterable[int]
-    ) -> None:
+    def on_update(self, batch_id: int, table: int, unique_indices: Iterable[int]) -> None:
         """Worker produced fresh row values (write intent)."""
-        self.recorder.tick()
-        self.recorder.record_rows(
-            EventKind.UPDATE,
-            stage=STAGE_WORKER_TRAIN,
-            table=table,
-            rows=unique_indices,
-            batch=batch_id,
-        )
+        self._step(EventKind.UPDATE, STAGE_WORKER_TRAIN, batch_id, table, unique_indices)
 
-    def on_apply(
-        self, batch_id: int, table: int, unique_indices: Iterable[int]
-    ) -> None:
+    def on_apply(self, batch_id: int, table: int, unique_indices: Iterable[int]) -> None:
         """Server applied a batch's gradients to host memory."""
-        self.recorder.tick()
-        self.recorder.record_rows(
-            EventKind.APPLY,
-            stage=STAGE_SERVER_APPLY,
-            table=table,
-            rows=unique_indices,
-            batch=batch_id,
-        )
+        self._step(EventKind.APPLY, STAGE_SERVER_APPLY, batch_id, table, unique_indices)
 
     def on_batch_start(self, batch_id: int) -> None:
         """Tag this probe's recording caches with the active batch."""

@@ -22,9 +22,9 @@ Commands
     Train a tiny DLRM on every backend and report losses, verify the
     numpy, instrumented, and sanitizer execution backends agree bit
     for bit (with zero numsan traps), run a few hundred requests
-    through the serving loop, then run the static checks (reprolint,
-    shapecheck, and mypy when installed) — a fast smoke test that the
-    whole stack works on this machine.
+    through the serving loop, then run the static analyzers (reprolint,
+    shapecheck, detcheck, perfcheck) — a fast smoke test that the whole
+    stack works on this machine.
 ``lint``
     Run ``reprolint`` — the repo-specific AST linter (seeded RNG only,
     SimClock-only zones, explicit kernel dtypes, batch-loop perf
@@ -33,9 +33,9 @@ Commands
     machine-readable reports for CI.
 ``shapecheck``
     Run the static shape/dtype abstract interpreter over the given
-    paths: einsum signature resolution, matmul/gather/scatter/reshape
-    shape propagation, TT-core chain shapes from ``TTSpec`` metadata,
-    and the one-float-dtype-per-kernel-zone policy.  Same exit codes
+    paths: matmul/gather/scatter/reshape shape propagation, TT-core
+    chain shapes from ``TTSpec`` metadata, and the
+    one-float-dtype-per-kernel-zone policy.  Same exit codes
     and output formats as ``lint``.
 ``hazards``
     Train an instrumented pipelined-PS run and analyze its
@@ -58,7 +58,7 @@ import argparse
 import sys
 from typing import Any, Callable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-__all__ = ["main", "MYPY_STRICT_MODULES", "mypy_strict_targets"]
+__all__ = ["main"]
 
 
 def _install_backend(name: str) -> bool:
@@ -596,19 +596,11 @@ def _cmd_quickcheck(args: argparse.Namespace) -> int:
     status = "ok" if comp_ok else "FAILED (compression broke training)"
     print(f"compress {comp_detail}  [{status}]")
 
-    # Static checks: the four analyzers over the installed package,
-    # then mypy on the strict modules when the tool is available.
+    # Static checks: the four analyzers over the installed package.
     for analyzer in _analyzers():
         result = analyzer.runner(_analysis_paths())
         ok = ok and result.ok
         _report_static_gate(analyzer.name, result)
-
-    mypy_status = _run_mypy_step()
-    if mypy_status is None:
-        print("mypy     skipped (mypy not installed)")
-    else:
-        ok = ok and mypy_status
-        print(f"mypy     strict modules  [{'ok' if mypy_status else 'FAILED'}]")
     return 0 if ok else 1
 
 
@@ -735,71 +727,6 @@ def _compression_equivalence_gate() -> tuple:
         f"{drift:.2e} (bound {_AUTO_TUNED_LOSS_RTOL:g})"
     )
     return deterministic and within and bounded, detail
-
-
-# Modules held to `mypy --strict`, in the form pyproject.toml's
-# [[tool.mypy.overrides]] spells them (the test suite checks the two
-# agree); quickcheck's mypy step and tests/analysis/test_typecheck.py
-# both check exactly this list.
-MYPY_STRICT_MODULES = (
-    "repro.system.queues",
-    "repro.embeddings.cache",
-    "repro.embeddings.protocol",
-    "repro.embeddings.base",
-    "repro.embeddings.registry",
-    "repro.embeddings.dense",
-    "repro.embeddings.tt_embedding",
-    "repro.embeddings.eff_tt_embedding",
-    "repro.embeddings.hash_embedding",
-    "repro.embeddings.robe_embedding",
-    "repro.embeddings.pq_embedding",
-    "repro.embeddings.planner",
-    "repro.utils.factorize",
-    "repro.analysis.*",
-    "repro.backend.protocol",
-    "repro.backend.plan_cache",
-    "repro.backend.numpy_backend",
-    "repro.backend.interposer",
-    "repro.backend.counter",
-    "repro.backend.numsan",
-    "repro.sharding.*",
-    "repro.serving.*",
-    "repro.resilience.checkpoint",
-    "repro.resilience.circuit",
-    "repro.resilience.degradation",
-)
-
-
-def mypy_strict_targets() -> List[str]:
-    """Filesystem paths of :data:`MYPY_STRICT_MODULES` (``pkg.*`` = the directory)."""
-    from pathlib import Path
-
-    src = Path(__file__).resolve().parents[1]
-    return [
-        str(src.joinpath(*module[:-2].split(".")))
-        if module.endswith(".*")
-        else str(src.joinpath(*module.split(".")).with_suffix(".py"))
-        for module in MYPY_STRICT_MODULES
-    ]
-
-
-def _run_mypy_step() -> Optional[bool]:
-    """Run mypy over the strict modules; None when mypy is unavailable."""
-    import importlib.util
-    import subprocess
-    from pathlib import Path
-
-    if importlib.util.find_spec("mypy") is None:
-        return None
-    proc = subprocess.run(
-        [sys.executable, "-m", "mypy", *mypy_strict_targets()],
-        capture_output=True,
-        text=True,
-        cwd=str(Path(__file__).resolve().parents[2]),
-    )
-    if proc.returncode != 0:
-        print(proc.stdout.strip())
-    return proc.returncode == 0
 
 
 def _run_serving(

@@ -1,0 +1,156 @@
+"""The seeded corpora of all three analyzers, pinned by one manifest.
+
+``tests/analysis/corpus/`` holds one corpus per analyzer: its top level
+for shapecheck, ``det/`` for detcheck and ``perf/`` for perfcheck.
+Each ``mut_*`` file seeds one defect (its docstring explains it) and
+each ``clean_*`` twin does the same computation correctly.  Zone-scoped
+files live under ``<corpus>/repro/<zone>/`` so :func:`package_rel`
+resolves them into the lint zone they target.
+
+:data:`MANIFEST` pins every file to its exact ``(rule_id, line)`` hits —
+``[]`` for a clean twin — so a checker change that moves, drops or
+duplicates a finding fails here, and so does a twin that gains one.
+Each corpus is also checked as a whole (detcheck: as one program, so
+name-merge must not bleed taint from a mutant into its twin).
+"""
+
+from pathlib import Path
+from typing import Dict, List, Tuple
+
+import pytest
+
+from repro.analysis import (
+    DET_RULES,
+    PERF_RULES,
+    SHAPE_RULES,
+    detcheck_paths,
+    perfcheck_paths,
+    shapecheck_paths,
+)
+
+CORPUS = Path(__file__).resolve().parent / "corpus"
+
+#: analyzer -> (corpus directory, runner, rule catalog, recursive?)
+ANALYZERS = {
+    "shapecheck": (CORPUS, shapecheck_paths, SHAPE_RULES, False),
+    "detcheck": (CORPUS / "det", detcheck_paths, DET_RULES, True),
+    "perfcheck": (CORPUS / "perf", perfcheck_paths, PERF_RULES, True),
+}
+
+_EMB = "repro/embeddings"
+
+#: analyzer -> corpus-relative path -> exact (rule_id, line) hits, in order
+MANIFEST: Dict[str, Dict[str, List[Tuple[str, int]]]] = {
+    "shapecheck": {
+        "mut_broadcast.py": [("SHP008", 20)],
+        "mut_float64_literal.py": [("SHP006", 19)],
+        "mut_gather_negative.py": [("SHP007", 20)],
+        "mut_gather_oob.py": [("SHP007", 19)],
+        "mut_matmul_inner.py": [("SHP004", 20)],
+        "mut_reshape_elements.py": [("SHP005", 19)],
+        "mut_scatter_shape.py": [("SHP008", 21)],
+        "clean_broadcast.py": [],
+        "clean_float32_zone.py": [],
+        "clean_gather_mapped.py": [],
+        "clean_gather_slot.py": [],
+        "clean_matmul_transposed.py": [],
+        "clean_reshape_rank.py": [],
+        "clean_scatter_rows.py": [],
+    },
+    "detcheck": {
+        "mut_det001_tainted_state.py": [("DET001", 11), ("DET001", 12)],
+        # interprocedural: the taint meets the ModelPlan sink in the callee
+        "mut_det001_tainted_plan.py": [("DET001", 28)],
+        "mut_det002_unordered_accum.py": [("DET002", 9)],
+        "mut_det003_unordered_payload.py": [("DET003", 11)],
+        "mut_det006_queue_mutation.py": [("DET006", 10)],
+        "repro/system/mut_det004_entropy_escape.py": [("DET004", 11)],
+        "repro/serving/mut_det005_wall_clock.py": [("DET005", 9)],
+        "clean_det001_seeded_state.py": [],
+        "clean_det001_configured_plan.py": [],
+        "clean_det002_sorted_accum.py": [],
+        "clean_det003_sorted_payload.py": [],
+        "clean_det006_queue_copy.py": [],
+        "repro/system/clean_det004_seeded.py": [],
+        "repro/serving/clean_det005_simclock.py": [],
+    },
+    "perfcheck": {
+        f"{_EMB}/mut_perf001_hot_loop_alloc.py": [("PERF001", 14)],
+        f"{_EMB}/mut_perf003_layout_churn.py": [("PERF003", 7)],
+        f"{_EMB}/mut_perf005_batch_python_loop.py": [("PERF005", 13)],
+        f"{_EMB}/mut_perf006_redundant_gather.py": [("PERF006", 13)],
+        f"{_EMB}/mut_perf007_dtype_churn.py": [("PERF007", 13)],
+        f"{_EMB}/clean_perf001_loop_variant_alloc.py": [],
+        f"{_EMB}/clean_perf003_reshape_first.py": [],
+        f"{_EMB}/clean_perf005_batched_op.py": [],
+        f"{_EMB}/clean_perf006_write_between.py": [],
+        f"{_EMB}/clean_perf007_real_cast.py": [],
+    },
+}
+
+#: Catalog ids no mutant exercises: a corpus file must parse.
+UNSEEDED = {"PERF000"}
+
+CASES = [(tool, rel) for tool in MANIFEST for rel in sorted(MANIFEST[tool])]
+
+
+def corpus_files(tool: str) -> List[str]:
+    """The ``.py`` files of ``tool``'s corpus, corpus-relative."""
+    root, _, _, recursive = ANALYZERS[tool]
+    files = root.rglob("*.py") if recursive else root.glob("*.py")
+    return sorted(str(p.relative_to(root)) for p in files)
+
+
+def mutants(tool: str) -> List[str]:
+    return sorted(rel for rel, hits in MANIFEST[tool].items() if hits)
+
+
+def twins(tool: str) -> List[str]:
+    return sorted(rel for rel, hits in MANIFEST[tool].items() if not hits)
+
+
+def hits(tool: str, rel: str) -> List[Tuple[str, int]]:
+    """``(rule_id, line)`` of every finding ``tool`` reports on one file."""
+    root, run, _, _ = ANALYZERS[tool]
+    return [(f.rule_id, f.line) for f in run([root / rel]).findings]
+
+
+def exercised_rules(tool: str) -> set:
+    return {rule_id for hits_ in MANIFEST[tool].values() for rule_id, _ in hits_}
+
+
+def catalog_ids(tool: str) -> set:
+    return {rule.id for rule in ANALYZERS[tool][2].values()} - UNSEEDED
+
+
+def whole_corpus_flags(tool: str) -> Tuple[object, set]:
+    """Run ``tool`` over its whole corpus: (result, flagged files)."""
+    root, run, _, recursive = ANALYZERS[tool]
+    result = run([root] if recursive else sorted(root.glob("*.py")))
+    flagged = {str(Path(f.path).resolve().relative_to(root)) for f in result.findings}
+    return result, flagged
+
+
+def test_manifest_matches_every_corpus_directory():
+    for tool in MANIFEST:
+        assert corpus_files(tool) == sorted(MANIFEST[tool]), tool
+        for rel, pinned in MANIFEST[tool].items():
+            assert Path(rel).name.startswith("mut_" if pinned else "clean_"), rel
+
+
+def test_every_rule_is_exercised_by_a_mutant():
+    for tool in MANIFEST:
+        assert exercised_rules(tool) == catalog_ids(tool), tool
+
+
+@pytest.mark.parametrize("tool,rel", CASES, ids=[f"{t}:{r}" for t, r in CASES])
+def test_file_hits_exactly_its_pinned_lines(tool, rel):
+    assert hits(tool, rel) == MANIFEST[tool][rel]
+
+
+@pytest.mark.parametrize("tool", sorted(MANIFEST))
+def test_whole_corpus_fails_the_gate_on_mutants_only(tool):
+    result, flagged = whole_corpus_flags(tool)
+    assert not result.ok
+    assert result.files_scanned == len(MANIFEST[tool])
+    assert flagged == set(mutants(tool))

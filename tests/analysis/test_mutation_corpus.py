@@ -1,58 +1,41 @@
-"""Mutation corpus: every seeded-bad snippet must be caught.
+"""Shapecheck's share of the seeded corpus, under its original test ids.
 
-Each ``mut_*.py`` file under ``tests/analysis/corpus/`` contains one
-deliberately wrong kernel (docstring explains the mutation) and names
-the rule expected to flag it. This test is the detector's regression
-net: a checker change that stops flagging any corpus file fails here.
+The manifest (exact ``(rule_id, line)`` per file, clean twins included)
+and the checks live in :mod:`tests.analysis.test_corpus`.
 """
-
-from pathlib import Path
 
 import pytest
 
-from repro.analysis.shapecheck import shapecheck_paths
+from tests.analysis.test_corpus import (
+    MANIFEST,
+    catalog_ids,
+    corpus_files,
+    exercised_rules,
+    hits,
+    mutants,
+    whole_corpus_flags,
+)
 
-CORPUS = Path(__file__).resolve().parent / "corpus"
-
-# file stem -> rule id expected to fire on it
-EXPECTED = {
-    "mut_einsum_arity": "SHP001",
-    "mut_einsum_dropped_dim": "SHP002",
-    "mut_einsum_transposed": "SHP003",
-    "mut_matmul_inner": "SHP004",
-    "mut_reshape_elements": "SHP005",
-    "mut_float64_literal": "SHP006",
-    "mut_gather_negative": "SHP007",
-    "mut_gather_oob": "SHP007",
-    "mut_broadcast": "SHP008",
-    "mut_scatter_shape": "SHP008",
-}
+TOOL = "shapecheck"
 
 
 def test_manifest_matches_corpus_directory():
-    stems = sorted(p.stem for p in CORPUS.glob("mut_*.py"))
-    assert stems == sorted(EXPECTED), "corpus files and manifest diverged"
-    assert len(stems) >= 8, "ISSUE requires at least 8 seeded mutations"
+    assert corpus_files(TOOL) == sorted(MANIFEST[TOOL])
 
 
 def test_every_rule_is_exercised_by_some_mutation():
-    assert set(EXPECTED.values()) == {f"SHP{n:03d}" for n in range(1, 9)}
+    # SHP001-SHP003 (einsum) are retired, not reused.
+    assert exercised_rules(TOOL) == catalog_ids(TOOL) == {
+        f"SHP{n:03d}" for n in range(4, 9)
+    }
 
 
-@pytest.mark.parametrize("stem", sorted(EXPECTED))
+@pytest.mark.parametrize("stem", [rel[:-3] for rel in mutants(TOOL)])
 def test_mutation_is_flagged_with_expected_rule(stem):
-    result = shapecheck_paths([CORPUS / f"{stem}.py"])
-    ids = [f.rule_id for f in result.findings]
-    assert EXPECTED[stem] in ids, (
-        f"{stem}.py expected {EXPECTED[stem]}, got {ids or 'no findings'}"
-    )
+    assert hits(TOOL, f"{stem}.py") == MANIFEST[TOOL][f"{stem}.py"]
 
 
 def test_whole_corpus_fails_the_gate():
-    # Top-level files only: corpus/det/ belongs to the detcheck suite.
-    result = shapecheck_paths(sorted(CORPUS.glob("*.py")))
+    result, flagged = whole_corpus_flags(TOOL)
     assert not result.ok
-    assert result.files_scanned == len(EXPECTED)
-    # Exactly one finding per file: mutations are minimal by design.
-    per_file = {f.path for f in result.findings}
-    assert len(per_file) == len(EXPECTED)
+    assert flagged == set(mutants(TOOL))

@@ -2,15 +2,9 @@
 
 import pytest
 
-from repro.analysis.shapecheck import (
-    SHAPE_RULES,
-    check_einsum,
-    parse_subscripts,
-    shapecheck_source,
-)
+from repro.analysis.shapecheck import SHAPE_RULES, shapecheck_source
 from repro.analysis.shapecheck.domain import (
     SymDim,
-    TensorVal,
     broadcast_shapes,
     dims_conflict,
     dims_equal,
@@ -49,55 +43,6 @@ class TestDomain:
         assert promote_dtypes("float32", "float64") == "float64"
         assert promote_dtypes(None, "float32") == "float32"
         assert promote_dtypes(None, None) is None
-
-
-class TestEinsumResolution:
-    def test_parse_rejects_malformed(self):
-        for bad in ("ij->k->m", "i$j,jk->ik", "ij,jk->ii"):
-            parsed, issues = parse_subscripts(bad)
-            assert parsed is None
-            assert issues and issues[0].code == "einsum-subscripts"
-
-    def test_output_letter_must_appear_in_inputs(self):
-        parsed, issues = parse_subscripts("ij,jk->iz")
-        assert parsed is None
-        assert "does not appear" in issues[0].message
-
-    def test_arity_mismatch(self):
-        _, issues = check_einsum("ij,jk->ik", [TensorVal((2, 3))])
-        assert issues and issues[0].code == "einsum-subscripts"
-
-    def test_rank_mismatch(self):
-        _, issues = check_einsum(
-            "ij,jk->ik", [TensorVal((2, 3, 4)), TensorVal((3, 5))]
-        )
-        assert issues and issues[0].code == "einsum-rank"
-
-    def test_dim_conflict_and_result_shape(self):
-        out, issues = check_einsum(
-            "bfd,bgd->bfg", [TensorVal((16, 4, 8)), TensorVal((16, 5, 8))]
-        )
-        assert not issues
-        assert out.shape == (16, 4, 5)
-        _, issues = check_einsum(
-            "bfd,bgd->bfg", [TensorVal((16, 4, 8)), TensorVal((16, 5, 9))]
-        )
-        assert issues and issues[0].code == "einsum-dim"
-
-    def test_size_one_broadcasts_on_repeated_label(self):
-        _, issues = check_einsum(
-            "ij,jk->ik", [TensorVal((2, 1)), TensorVal((5, 3))]
-        )
-        assert not issues
-
-    def test_symbolic_dims_never_conflict(self):
-        b = SymDim("B")
-        out, issues = check_einsum(
-            "lar,lrbs->labs",
-            [TensorVal((b, 2, 3)), TensorVal((b, 3, 2, 3))],
-        )
-        assert not issues
-        assert out.shape == (b, 2, 2, 3)
 
 
 class TestInterpreter:
@@ -148,12 +93,13 @@ idx = np.array([0, 1, 2])
 bk = get_backend()
 with bk.zone(ZONE_TT_FORWARD):
     left = bk.gather_rows(cores[0], idx).reshape(3, 2, 3)
-    out = np.einsum("lar,lrbs->labs", left, bk.gather_rows(cores[1], idx))
+    right = bk.gather_rows(cores[1], idx).reshape(3, 3, 6)
+    out = bk.matmul(left, right)
 """
         assert shapecheck_source(src).findings == []
-        # One transposed term makes the same chain provably wrong.
-        mutated = src.replace("lar,lrbs->labs", "lar,lsrb->labs")
-        assert _rules(shapecheck_source(mutated)) == ["einsum-dim"]
+        # Core 1 folded rank-last makes the same chain provably wrong.
+        mutated = src.replace("reshape(3, 3, 6)", "reshape(3, 6, 3)")
+        assert _rules(shapecheck_source(mutated)) == ["matmul-shape"]
 
     def test_reshape_minus_one_is_inferred(self):
         src = """
@@ -187,18 +133,22 @@ b = bk.zeros((4,), dtype=np.float64)
         assert shapecheck_source(unzoned).findings == []
 
     def test_loop_bodies_are_widened(self):
-        # `left` is reassigned in the loop; checks inside must treat it
-        # as unknown rather than the concrete first-iteration shape.
+        # `left` is reassigned in the loop, so inside the body it is
+        # unknown (a generic iteration), not the concrete pre-loop
+        # shape; a name the loop does not assign keeps its shape.
         src = """
 import numpy as np
 from repro.backend import get_backend, ZONE_TT_FORWARD
 bk = get_backend()
 left = bk.zeros((8, 2, 3), dtype=np.float32)
+core = bk.zeros((8, 4, 5), dtype=np.float32)
 with bk.zone(ZONE_TT_FORWARD):
     for k in range(3):
-        left = np.einsum("lar,lrbs->labs", left, slices[k])
+        left = bk.matmul(left, core)
 """
         assert shapecheck_source(src).findings == []
+        not_carried = src.replace("left = bk.matmul", "out = bk.matmul")
+        assert _rules(shapecheck_source(not_carried)) == ["matmul-shape"]
 
     def test_branches_merge_to_unknown(self):
         src = """
@@ -248,10 +198,9 @@ with bk.zone(ZONE_PS_APPLY):
         assert _rules(shapecheck_source(src)) == ["gather-index"]
 
     def test_rule_catalog_is_complete(self):
+        # SHP001-SHP003 (einsum subscripts/rank/extents) are retired
+        # with the last einsum call, not reused.
         assert {r.id for r in SHAPE_RULES.values()} == {
-            "SHP001",
-            "SHP002",
-            "SHP003",
             "SHP004",
             "SHP005",
             "SHP006",

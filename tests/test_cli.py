@@ -246,7 +246,7 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         driver = payload["runs"][0]["tool"]["driver"]
         assert driver["name"] == "shapecheck"
-        assert {r["id"] for r in driver["rules"]} >= {"SHP001", "SHP008"}
+        assert {r["id"] for r in driver["rules"]} >= {"SHP004", "SHP008"}
 
     def test_shapecheck_select_unknown_rule(self, capsys):
         assert main(["shapecheck", "--select", "bogus"]) == 2

@@ -79,7 +79,7 @@ def test_op_table_is_exported_and_the_calibration_names_are_gone():
 
     assert {"OPS", "OpSpec"} <= set(backend.__all__)
     assert sorted(perfcheck.__all__) == [
-        "PERF_RULES", "PerfRuleInfo", "perfcheck_paths", "perfcheck_source",
+        "PERF_RULES", "perfcheck_paths", "perfcheck_source",
     ]
     gone = {"CostModelPricer", "CalibrationReport", "ZoneComparison", "run_calibration"}
     assert not gone & (set(analysis.__all__) | set(perfcheck.__all__))
@@ -123,3 +123,26 @@ def test_the_four_planner_modules_are_gone():
     }
     for package in (embeddings, sharding, system):
         assert not retired & set(dir(package)), package.__name__
+
+
+def test_one_rule_record_and_no_einsum_checker():
+    """Every analyzer catalog holds the one ``RuleInfo`` record; the four
+    per-analyzer copies and the einsum checker are gone."""
+    import repro.analysis as analysis
+    from repro.analysis.findings import RuleInfo
+
+    for catalog in (
+        analysis.SHAPE_RULES, analysis.PERF_RULES, analysis.DET_RULES,
+        analysis.HAZARD_RULES,
+    ):
+        assert all(type(rule) is RuleInfo for rule in catalog.values())
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.analysis.shapecheck.einsum")
+    public = set()
+    for info in pkgutil.walk_packages(analysis.__path__, "repro.analysis."):
+        public |= set(getattr(importlib.import_module(info.name), "__all__", ()))
+    retired = {
+        "ShapeRuleInfo", "PerfRuleInfo", "DetRuleInfo", "HazardRuleInfo",
+        "check_einsum", "parse_subscripts", "EinsumIssue",
+    }
+    assert not retired & public
