@@ -411,7 +411,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     hits0, misses0 = plan_cache.hits, plan_cache.misses
     for i in range(args.steps):
         model.train_step(log.batch(i), lr=0.1)
-    outcome = _run_serving(
+    outcome, _ = _run_serving(
         spec, num_requests=args.requests, rate=2000.0, workers=2,
         max_batch_size=16, max_wait=2e-3, hot_coverage=0.1,
         train_steps=0, seed=args.seed,
@@ -435,6 +435,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_quickcheck(args: argparse.Namespace) -> int:
+    import numpy as np
+
     from repro.data.dataloader import SyntheticClickLog
     from repro.data.datasets import criteo_kaggle_like
     from repro.models.config import DLRMConfig, EmbeddingBackend
@@ -507,24 +509,44 @@ def _cmd_quickcheck(args: argparse.Namespace) -> int:
             print(f"  {trap.format()}")
 
     # Serving smoke: a few hundred simulated requests through the full
-    # micro-batching loop, sanity-checking the SLO report.
-    report = _run_serving(
+    # micro-batching loop, sanity-checking the SLO report, and every
+    # served prediction against the plain model on its recorded batch
+    # (hot rows are rebuilt, so equal to 1e-12, not bit for bit).
+    serving_outcome, snapshots = _run_serving(
         spec, num_requests=300, rate=2000.0, workers=2,
         max_batch_size=16, max_wait=2e-3, hot_coverage=0.1,
         train_steps=0, seed=0,
-    ).report
-    serving_ok = (
+    )
+    report = serving_outcome.report
+    plain = {version: s.materialize() for version, s in snapshots.items()}
+    worst = max(
+        (
+            float(np.max(np.abs(
+                served.predictions
+                - plain[served.model_version].predict_proba(served.batch)
+            )))
+            for served in serving_outcome.served_batches
+        ),
+        default=0.0,
+    )
+    report_ok = (
         report.completed + report.rejected == report.offered
         and report.completed > 0
         and report.latency_p99 >= report.latency_p50 > 0.0
         and 0.0 <= report.cache_hit_rate <= 1.0
     )
+    serving_ok = report_ok and worst <= 1e-12
     ok = ok and serving_ok
-    status = "ok" if serving_ok else "FAILED (inconsistent SLO report)"
+    status = (
+        "ok" if serving_ok
+        else "FAILED (inconsistent SLO report)" if not report_ok
+        else "FAILED (served predictions differ from the model)"
+    )
     print(
         f"serving  {report.completed}/{report.offered} requests, "
         f"p99 {report.latency_p99 * 1e3:.2f} ms, "
-        f"hit rate {report.cache_hit_rate:.1%}  [{status}]"
+        f"hit rate {report.cache_hit_rate:.1%}, "
+        f"max |p - model| {worst:.1e}  [{status}]"
     )
 
     # Chaos gate: the smoke fault plan (stage crash, corrupted
@@ -750,7 +772,8 @@ def _run_serving(
     turns on SLO-headroom autoscaling up to that many replicas.  With
     ``compress_strategy`` set, the served embedding tables are built
     from an auto-tuner plan over analytic table statistics (hot caches
-    then sit on top of whatever strategy each table got).
+    then sit on top of whatever strategy each table got).  Returns the
+    fleet outcome and the snapshots it served, by version.
     """
     from repro.data.dataloader import SyntheticClickLog
     from repro.models.config import DLRMConfig, EmbeddingBackend
@@ -788,13 +811,13 @@ def _run_serving(
         print(_plan_summary(compress_strategy, comp_plan))
     else:
         model = DLRM(config, seed=seed)
-    snapshot_v0 = ModelSnapshot.from_model(model, version=0)
+    snapshots = {0: ModelSnapshot.from_model(model, version=0)}
     hot_rows = {
         t: generator.hot_rows(t, hot_coverage)
         for t in range(spec.num_sparse)
     }
     fleet = ServingFleet(
-        snapshot_v0,
+        snapshots[0],
         hot_rows=hot_rows,
         config=FleetConfig(
             num_replicas=replicas,
@@ -816,10 +839,10 @@ def _run_serving(
         log = SyntheticClickLog(spec, batch_size=64, seed=seed)
         for i in range(train_steps):
             model.train_step(log.batch(i), lr=0.1)
-        snapshot_v1 = ModelSnapshot.from_model(model, version=1)
+        snapshots[1] = ModelSnapshot.from_model(model, version=1)
         midpoint = requests[len(requests) // 2].arrival_time
-        fleet.schedule_swap(midpoint, snapshot_v1)
-    return fleet.run(requests)
+        fleet.schedule_swap(midpoint, snapshots[1])
+    return fleet.run(requests), snapshots
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -836,7 +859,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
     factory = DATASET_FACTORIES[args.dataset]
     spec = factory(scale=args.scale)
-    outcome = _run_serving(
+    outcome, _ = _run_serving(
         spec,
         num_requests=args.requests,
         rate=args.rate,

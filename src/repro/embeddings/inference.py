@@ -27,23 +27,17 @@ experiments).
 from __future__ import annotations
 
 import copy
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from repro.backend import ZONE_SERVING_LOOKUP, get_backend
 from repro.embeddings.base import EmbeddingBagBase, bag_boundaries, pool_bags
 from repro.embeddings.dense import DenseEmbeddingBag
-from repro.embeddings.eff_tt_embedding import EffTTEmbeddingBag
 from repro.embeddings.protocol import CompressedEmbedding
-from repro.embeddings.tt_embedding import TTEmbeddingBag
 from repro.utils.validation import check_1d_int_array
 
 __all__ = ["HotRowCachedLookup", "StaleCacheError"]
-
-#: Backwards-compatible alias — the cache now accepts any non-dense
-#: :class:`CompressedEmbedding`, not just the TT pair.
-TTBag = Union[TTEmbeddingBag, EffTTEmbeddingBag]
 
 _STALE_POLICIES = ("raise", "refresh", "ignore")
 

@@ -14,6 +14,7 @@ micro-batches rely on that.
 
 from __future__ import annotations
 
+import functools
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -21,7 +22,35 @@ import numpy as np
 from repro.backend import ZONE_INTERACTION, get_backend
 from repro.nn.module import Module
 
-__all__ = ["DotInteraction"]
+__all__ = ["DotInteraction", "place_embedding"]
+
+
+def place_embedding(stacked: np.ndarray, index: int, pooled: np.ndarray) -> None:
+    """Write embedding ``index``'s ``(B, d)`` rows into slot ``1 + index``.
+
+    ``stacked`` is the ``(B, F, d)`` feature stack; a pooled array of
+    any other shape is rejected rather than broadcast into the slot.
+    """
+    expected = (stacked.shape[0], stacked.shape[2])
+    if pooled.shape != expected:
+        raise ValueError(
+            f"embedding {index} has shape {pooled.shape}, expected {expected}"
+        )
+    stacked[:, 1 + index, :] = pooled
+
+
+@functools.lru_cache(maxsize=16)
+def _lower_triangle(size: int) -> np.ndarray:
+    """Flat positions of a ``(size, size)`` block's lower triangle.
+
+    Row-major, diagonal included; read-only, since every caller shares
+    it.  Built once per feature count: building it costs more than a
+    serving micro-batch's whole triangle take.
+    """
+    rows, cols = np.tril_indices(size)
+    flat = rows * size + cols
+    flat.setflags(write=False)
+    return flat
 
 
 class DotInteraction(Module):
@@ -51,17 +80,22 @@ class DotInteraction(Module):
         if dense.ndim != 2:
             raise ValueError(f"dense must be 2-D, got shape {dense.shape}")
         batch, dim = dense.shape
-        for i, emb in enumerate(embeddings):
-            if emb.shape != (batch, dim):
-                raise ValueError(
-                    f"embedding {i} has shape {emb.shape}, expected {(batch, dim)}"
-                )
-        num_features = len(embeddings) + 1
         # Every feature lands in its slot of the one (B, F, d) stack.
-        stacked = np.empty((batch, num_features, dim), dtype=np.float64)
+        stacked = np.empty((batch, len(embeddings) + 1, dim), dtype=np.float64)
         stacked[:, 0, :] = dense
-        for i, emb in enumerate(embeddings, start=1):
-            stacked[:, i, :] = emb
+        for i, emb in enumerate(embeddings):
+            place_embedding(stacked, i, emb)
+        return self.forward_stack(stacked)
+
+    def forward_stack(self, stacked: np.ndarray) -> np.ndarray:
+        """:meth:`forward` over a prebuilt ``(B, F, d)`` float64 stack.
+
+        Slot 0 is the dense feature, slots ``1..F-1`` the embeddings, as
+        :meth:`forward` lays them out; a caller that gathers its rows
+        straight into the slots skips the copy.  The stack is kept, not
+        copied, for :meth:`backward`.
+        """
+        batch, num_features, dim = stacked.shape
         # Pair (f, g), g < f, is entry (f - 1, g) of T[1:] @ T[:-1]^T: the
         # product never reads feature 0 as a row or the last feature as a
         # column, and its two operands are different views, so numpy
@@ -72,13 +106,11 @@ class DotInteraction(Module):
                 stacked[:, 1:, :], stacked[:, :-1, :].transpose(0, 2, 1)
             )  # (B, F-1, F-1)
         # Its lower triangle, diagonal included, as one flat take per sample.
-        rows, cols = np.tril_indices(num_features - 1)
-        out = np.empty((batch, dim + rows.size), dtype=np.float64)
-        out[:, :dim] = dense
+        triangle = _lower_triangle(num_features - 1)
+        out = np.empty((batch, dim + triangle.size), dtype=np.float64)
+        out[:, :dim] = stacked[:, 0, :]
         out[:, dim:] = np.take(
-            z.reshape(batch, (num_features - 1) ** 2),
-            rows * (num_features - 1) + cols,
-            axis=1,
+            z.reshape(batch, (num_features - 1) ** 2), triangle, axis=1
         )
         self._cached = stacked
         return out

@@ -88,9 +88,9 @@ class SparseSGD:
     per-row gradients directly — mirroring how sparse embedding
     gradients flow in the reference DLRM.
 
-    Duplicate row ids are handled with scatter-add semantics
-    (``np.add.at``), matching the accumulate behaviour of
-    ``torch.nn.EmbeddingBag`` sparse gradients.
+    Duplicate row ids accumulate, matching ``torch.nn.EmbeddingBag``
+    sparse gradients: the same sum as ``np.add.at`` up to rounding
+    order; deterministic (see :func:`repro.utils.scatter.scatter_add_rows`).
     """
 
     def __init__(self, lr: float) -> None:

@@ -67,26 +67,39 @@ def coalesce_requests(requests: Sequence[InferenceRequest]) -> Batch:
     Requests keep their order (FIFO within a micro-batch); labels are
     zeros since serving has none.  All requests must agree on table
     count — they come from one generator.
+
+    Every table is built in one pass: one concatenation of all bags in
+    request order, one ``(n, T)`` bag-length array, and one gather that
+    regroups the ids table by table.  A micro-batch is a few hundred
+    ids, so the cost is per call, not per id.  Each table's indices and
+    offsets are views of one id array and one ``(T, n + 1)`` offsets
+    array; both are read-only, so a recorded batch cannot change under
+    a replay.
     """
     if not requests:
         raise ValueError("cannot coalesce zero requests")
     num_tables = requests[0].num_tables
     if any(r.num_tables != num_tables for r in requests):
         raise ValueError("requests disagree on sparse-feature count")
-    dense = np.stack([r.dense for r in requests])
-    sparse_indices: List[np.ndarray] = []
-    sparse_offsets: List[np.ndarray] = []
-    for t in range(num_tables):
-        bags = [r.sparse_indices[t] for r in requests]
-        lengths = np.array([b.size for b in bags], dtype=np.int64)
-        sparse_indices.append(np.concatenate(bags))
-        offsets = np.zeros(len(bags) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
-        sparse_offsets.append(offsets)
+    dense = np.array([r.dense for r in requests])
+    bags = [bag for r in requests for bag in r.sparse_indices]
+    lengths = np.fromiter(map(len, bags), dtype=np.int64, count=len(bags))
+    # Bag (r, t) starts at request_starts[r, t] in the request-major
+    # concatenation; read table-major, bag (t, r) starts at
+    # table_starts[t, r].  Each id moves by its bag's difference.
+    request_starts = (np.cumsum(lengths) - lengths).reshape(-1, num_tables)
+    by_table = lengths.reshape(-1, num_tables).T.ravel()
+    table_starts = np.cumsum(by_table) - by_table
+    shift = np.repeat(request_starts.T.ravel() - table_starts, by_table)
+    ids = np.concatenate(bags)[shift + np.arange(shift.size)]
+    offsets = np.zeros((num_tables, len(requests) + 1), dtype=np.int64)
+    np.cumsum(by_table.reshape(num_tables, -1), axis=1, out=offsets[:, 1:])
+    ids.setflags(write=False)
+    offsets.setflags(write=False)
     return Batch(
         dense=dense,
-        sparse_indices=sparse_indices,
-        sparse_offsets=sparse_offsets,
+        sparse_indices=np.split(ids, np.cumsum(offsets[:-1, -1])),
+        sparse_offsets=list(offsets),
         labels=np.zeros(len(requests)),
         batch_id=requests[0].request_id,
     )

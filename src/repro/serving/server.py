@@ -24,12 +24,15 @@ import numpy as np
 
 from repro.backend import ZONE_SERVING_LOOKUP, get_backend
 from repro.data.dataloader import Batch
+from repro.embeddings.base import bag_boundaries, pool_bags
 from repro.embeddings.dense import DenseEmbeddingBag
 from repro.embeddings.inference import HotRowCachedLookup
 from repro.embeddings.protocol import CompressedEmbedding
 from repro.models.dlrm import DLRM
+from repro.nn.interaction import place_embedding
 from repro.nn.loss import BCEWithLogitsLoss
 from repro.serving.metrics import ServedBatch
+from repro.utils.validation import check_1d_int_array
 
 __all__ = [
     "ServiceTimeModel",
@@ -61,6 +64,20 @@ class _LookupView(Protocol):
     def forward(
         self, indices: np.ndarray, offsets: Optional[np.ndarray] = None
     ) -> np.ndarray: ...
+
+
+def _bags_of_one(
+    ids: Sequence[np.ndarray], offsets: Sequence[np.ndarray], num: int
+) -> bool:
+    """Whether every arm holds ``num`` ids under ``arange(num + 1)`` offsets."""
+    if not all(
+        idx.size == num and isinstance(off, np.ndarray)
+        and off.shape == (num + 1,) and off.dtype.kind in "iu"
+        for idx, off in zip(ids, offsets)
+    ):
+        return False
+    grid = np.concatenate(offsets).reshape(-1, num + 1)
+    return bool((grid == np.arange(num + 1)).all())
 
 
 @dataclass(frozen=True)
@@ -100,9 +117,10 @@ class ServingModel:
 
     Wraps a model so each compressed embedding bag (TT, hash, ROBE,
     PQ, ...) with configured hot rows is served through a
-    :class:`~repro.embeddings.inference.HotRowCachedLookup`; dense bags
-    and uncached compressed bags are used directly.  The wrapped model
-    is treated as frozen — the view never trains it.
+    :class:`~repro.embeddings.inference.HotRowCachedLookup`; uncached
+    compressed bags are used directly, and dense bags are read as one
+    gather each from their current ``weight``.  The wrapped model is
+    treated as frozen — the view never trains it.
 
     Parameters
     ----------
@@ -139,26 +157,39 @@ class ServingModel:
         self.hot_rows = dict(hot_rows or {})
         self._views: List[_LookupView] = []
         self.cached_views: List[HotRowCachedLookup] = []
+        dense_arms: List[Tuple[int, DenseEmbeddingBag]] = []
+        lookup_tables: List[int] = []
         for t, bag in enumerate(model.embedding_bags):
+            view: _LookupView = bag
             rows = self.hot_rows.get(t)
-            if rows is None:
-                self._views.append(bag)
-                continue
-            if isinstance(bag, DenseEmbeddingBag) or not isinstance(
-                bag, CompressedEmbedding
-            ):
-                self._views.append(bag)
-                continue
-            view = HotRowCachedLookup(bag, rows, on_stale=on_stale)
+            if isinstance(bag, DenseEmbeddingBag):
+                dense_arms.append((t, bag))
+            else:
+                lookup_tables.append(t)
+                if rows is not None and isinstance(bag, CompressedEmbedding):
+                    view = HotRowCachedLookup(bag, rows, on_stale=on_stale)
+                    self.cached_views.append(view)
             self._views.append(view)
-            self.cached_views.append(view)
+        #: Dense tables are served by a gather from the bag's live
+        #: ``weight``, every other table by its view's ``forward``.  The
+        #: split is fixed here, so every :meth:`view` shares it.
+        self._dense_arms = tuple(dense_arms)
+        self._lookup_tables = tuple(lookup_tables)
+        #: Largest valid id of each dense arm, in ``_dense_arms`` order.
+        self._dense_max_ids = np.array(
+            [bag.num_embeddings - 1 for _, bag in dense_arms], dtype=np.int64
+        )
 
     def predict_proba(self, batch: Batch) -> np.ndarray:
         """Click probabilities, sparse arms routed through the caches.
 
-        Mirrors :meth:`DLRM.forward` exactly, substituting each cached
-        view for its bag; with no caches configured the output is the
-        model's own ``predict_proba`` bit for bit.
+        Computes :meth:`DLRM.forward`'s arithmetic, substituting each
+        cached view for its bag; with no caches configured the output is
+        the model's own ``predict_proba`` bit for bit.  Every feature is
+        written into its slot of the interaction's ``(n, F, d)`` stack.
+        The dense tables skip their bag's ``forward``: their ids are
+        range-checked together, before anything is gathered, and each
+        table is then one gather from the bag's current ``weight``.
         """
         model = self.model
         if batch.num_tables != model.config.num_tables:
@@ -166,20 +197,70 @@ class ServingModel:
                 f"batch has {batch.num_tables} sparse features, model "
                 f"expects {model.config.num_tables}"
             )
+        dense_inputs = self._dense_inputs(batch)
         # The serving zone is the outer attribution: MLP / interaction /
         # TT kernels re-tag themselves inside it (innermost zone wins),
         # so only otherwise-unzoned serving work lands here.
         with get_backend().zone(ZONE_SERVING_LOOKUP):
             dense_out = model.bottom_mlp.forward(batch.dense)
-            pooled = [
-                view.forward(idx, off)
-                for view, idx, off in zip(
-                    self._views, batch.sparse_indices, batch.sparse_offsets
+            num, dim = dense_out.shape
+            stacked = np.empty((num, 1 + len(self._views), dim), dtype=np.float64)
+            stacked[:, 0, :] = dense_out
+            for (t, bag), (idx, bounds) in zip(self._dense_arms, dense_inputs):
+                rows = bag.weight.take(idx, axis=0)
+                place_embedding(stacked, t, pool_bags(rows, bounds))
+            for t in self._lookup_tables:
+                pooled = self._views[t].forward(
+                    batch.sparse_indices[t], batch.sparse_offsets[t]
                 )
-            ]
-            interacted = model.interaction.forward(dense_out, pooled)
+                place_embedding(stacked, t, pooled)
+            interacted = model.interaction.forward_stack(stacked)
             logits = model.top_mlp.forward(interacted).reshape(-1)
             return BCEWithLogitsLoss.predict_proba(logits)
+
+    def _dense_inputs(
+        self, batch: Batch
+    ) -> List[Tuple[np.ndarray, Optional[np.ndarray]]]:
+        """Each dense arm's ``(ids, bag boundaries)``, checked up front.
+
+        All dense ids are range-checked in one comparison against their
+        tables' row counts, and ``arange(n + 1)`` offsets on every arm
+        (bags of one: every serving micro-batch) are recognised in one
+        more.  Anything else takes each bag's own checks, arm by arm in
+        table order, so a bad batch raises what that bag's ``forward``
+        would have raised — before any row is gathered.
+        """
+        arms = self._dense_arms
+        if not arms:
+            return []
+        ids = [batch.sparse_indices[t] for t, _ in arms]
+        if not self._ids_in_range(ids):
+            ids = [
+                check_1d_int_array(
+                    idx, "indices", min_value=0,
+                    max_value=bag.num_embeddings - 1,
+                )
+                for (_, bag), idx in zip(arms, ids)
+            ]
+        offsets = [batch.sparse_offsets[t] for t, _ in arms]
+        if _bags_of_one(ids, offsets, batch.batch_size):
+            return [(idx, None) for idx in ids]
+        return [
+            (idx, bag_boundaries(off, idx.size))
+            for idx, off in zip(ids, offsets)
+        ]
+
+    def _ids_in_range(self, ids: Sequence[np.ndarray]) -> bool:
+        """Whether every dense arm's ids are 1-D integers within its table."""
+        if not all(
+            isinstance(idx, np.ndarray) and idx.ndim == 1
+            and idx.dtype.kind in "iu"
+            for idx in ids
+        ):
+            return False
+        flat = np.concatenate(ids)
+        limits = np.repeat(self._dense_max_ids, [idx.size for idx in ids])
+        return bool(flat.size == 0 or (flat.min() >= 0 and (flat <= limits).all()))
 
     def refresh(self) -> None:
         """Re-materialize every cache from the current cores."""

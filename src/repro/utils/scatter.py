@@ -75,7 +75,11 @@ def scatter_add_rows(
         without materializing a scaled copy of ``values`` — the data
         movement the paper's fused TT-core update eliminates (§III-B).
 
-    Exactly equivalent to ``np.add.at(target, indices, scale * values)``.
+    The same sum as ``np.add.at(target, indices, scale * values)`` up
+    to rounding order; deterministic.  Not bit for bit: each duplicate
+    group is summed on its own and then added to its row, where
+    ``add.at`` adds the addends to the row one at a time, and ``scale``
+    multiplies the group's sum rather than each addend.
     """
     idx = np.asarray(indices)
     if idx.size == 0:

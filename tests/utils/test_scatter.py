@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.nn.optim import SparseSGD
 from repro.utils.scatter import coalesce_rows, scatter_add_rows
 
 
@@ -67,6 +68,31 @@ class TestScatterAddRows:
         scatter_add_rows(a, idx, values, scale=scale)
         np.add.at(b, idx, scale * values)
         np.testing.assert_allclose(a, b, atol=1e-12)
+
+
+@pytest.mark.parametrize("rows", [3, 285, 20_000])
+@pytest.mark.parametrize("scale", [1.0, -0.05])
+def test_add_at_agreement_is_up_to_rounding(rows, scale):
+    # Group sums are added to the row, and scaled, after the reduction,
+    # so the result is np.add.at's sum in another order: equal to
+    # within rounding, not bit for bit (rows=3 differs by a few ulps).
+    rng = np.random.default_rng(rows)
+    idx = rng.integers(0, rows, size=2048)
+    values = rng.standard_normal((2048, 16))
+    target = rng.standard_normal((rows, 16))
+    expected = target.copy()
+    np.add.at(expected, idx, scale * values)
+    scatter_add_rows(target, idx, values, scale=scale)
+    np.testing.assert_allclose(
+        target, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max()
+    )
+    table = rng.standard_normal((rows, 16))
+    reference = table.copy()
+    SparseSGD(lr=0.05).step_rows(table, idx, values)
+    np.add.at(reference, idx, -0.05 * values)
+    np.testing.assert_allclose(
+        table, reference, rtol=1e-12, atol=1e-12 * np.abs(reference).max()
+    )
 
 
 def _two_sort_segments(idx, values):
