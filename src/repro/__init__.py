@@ -17,8 +17,8 @@ Recommendation Model Training via Tensor-Train Embedding Table*
 * strategy models of the DLRM / FAE / TT-Rec / HugeCTR / TorchRec
   baselines (:mod:`repro.frameworks`);
 * a pluggable execution-backend layer all hot-path kernels route
-  through — reference numpy, an instrumented FLOP/byte counter, and an
-  optional torch backend — with plan-cached TT contractions
+  through — reference numpy, plus an interposer that counts FLOPs/bytes
+  or traps bad numerics — with plan-cached TT contractions
   (:mod:`repro.backend`).
 
 Quickstart::

@@ -110,7 +110,6 @@ _BACKEND_FACTORIES = (
     "Interposer",
     "InstrumentedBackend",
     "SanitizerBackend",
-    "TorchBackend",
 )
 
 _ELEMENTWISE_NUMPY = (

@@ -72,13 +72,10 @@ from .protocol import (
     ZONE_TT_RECONSTRUCT,
     UNZONED,
     ArrayBackend,
-    BackendUnavailableError,
 )
-from .torch_backend import TorchBackend, torch_available
 
 __all__ = [
     "ArrayBackend",
-    "BackendUnavailableError",
     "NumpyBackend",
     "Interposer",
     "Observer",
@@ -90,8 +87,6 @@ __all__ = [
     "SanitizerBackend",
     "NumericTrapError",
     "TrapRecord",
-    "TorchBackend",
-    "torch_available",
     "KernelStats",
     "DtypeViolation",
     "ChainPlan",
@@ -133,7 +128,6 @@ _BACKEND_FACTORIES: Dict[str, Callable[[], ArrayBackend]] = {
     "numpy": NumpyBackend,
     "instrumented": InstrumentedBackend,
     "sanitizer": SanitizerBackend,
-    "torch": TorchBackend,
 }
 BACKEND_NAMES: Tuple[str, ...] = tuple(_BACKEND_FACTORIES)
 
@@ -145,7 +139,6 @@ def resolve_backend(spec: Union[str, ArrayBackend, None]) -> ArrayBackend:
     """Turn a backend name (or backend instance, or None) into a backend.
 
     ``None`` resolves to the currently active backend.  Raises
-    :class:`BackendUnavailableError` for ``"torch"`` without torch, and
     :class:`ValueError` for unknown names.
     """
     if spec is None:

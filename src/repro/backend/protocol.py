@@ -47,10 +47,7 @@ Implementations
     and implicit-upcast traps).  Its forwarding methods, the cost
     formulas and the sanitizer's operand roles all come from the op
     table :data:`repro.backend.ops.OPS`: a method added here needs one
-    row there, and nothing else outside the two real backends.
-:class:`~repro.backend.torch_backend.TorchBackend`
-    Optional PyTorch execution; import-guards cleanly when torch is
-    absent (:class:`BackendUnavailableError`).
+    row there, and nothing else outside the reference backend.
 """
 
 from __future__ import annotations
@@ -63,7 +60,6 @@ from .groups import RowGroups
 
 __all__ = [
     "ArrayBackend",
-    "BackendUnavailableError",
     "DTypeLike",
     "Shape",
     "ZONE_TT_FORWARD",
@@ -140,10 +136,6 @@ KERNEL_ZONE_NAMES: Tuple[str, ...] = (
 
 
 UNZONED = "unzoned"  # where ops issued outside every zone() are filed
-
-
-class BackendUnavailableError(RuntimeError):
-    """Requested backend cannot run in this environment (e.g. no torch)."""
 
 
 class ArrayBackend(Protocol):

@@ -2,79 +2,85 @@
 
 Commands
 --------
-``info``
-    Print the host calibration and device cost-model summary.
-``datasets``
-    Print the Table II dataset schemas.
-``compression``
-    Print the Table III compression summary.
+``info`` / ``datasets`` / ``compression``
+    Host calibration and device cost model; the Table II dataset
+    schemas; the Table III compression summary.
 ``train``
-    Train a small DLRM for a few steps on a synthetic click log;
-    ``--backend instrumented`` additionally prints the per-zone
-    FLOP/byte table and contraction-plan-cache statistics.
+    Train a small DLRM on a synthetic click log: locally, through an
+    N-shard parameter server (``--shards``), or on planner-sized
+    compressed tables (``--compress-strategy``).
 ``bench``
-    Run a fixed training + serving workload and report per-kernel-zone
-    costs — the execution-backend counterpart of ``figures`` (counts,
-    not wall-clock).  Requires ``--backend instrumented`` to produce
-    the zone table; with ``numpy`` it reports only throughput-neutral
-    plan-cache stats.
+    A fixed training + serving workload; with ``--backend
+    instrumented``, its FLOP/byte cost per kernel zone.
 ``quickcheck``
-    Train a tiny DLRM on every backend and report losses, verify the
-    numpy, instrumented, and sanitizer execution backends agree bit
-    for bit (with zero numsan traps), run a few hundred requests
-    through the serving loop, then run the static analyzers (reprolint,
-    shapecheck, detcheck, perfcheck) — a fast smoke test that the whole
-    stack works on this machine.
-``lint``
-    Run ``reprolint`` — the repo-specific AST linter (seeded RNG only,
-    SimClock-only zones, explicit kernel dtypes, batch-loop perf
-    advisories) — over the given paths.  Exits 1 on error-level
-    findings.  ``--format json``/``--format sarif`` emit
-    machine-readable reports for CI.
-``shapecheck``
-    Run the static shape/dtype abstract interpreter over the given
-    paths: matmul/gather/scatter/reshape shape propagation, TT-core
-    chain shapes from ``TTSpec`` metadata, and the
-    one-float-dtype-per-kernel-zone policy.  Same exit codes
-    and output formats as ``lint``.
+    One line per gate of :func:`repro.checks.registry`: the six
+    embedding strategies train, the execution backends agree bit for
+    bit, serving, recovery, sharding and compression hold their
+    invariants, and the static analyzers find no error.
+``lint`` / ``shapecheck`` / ``detcheck`` / ``perfcheck``
+    One static analyzer (repo lint rules, shape/dtype interpretation,
+    determinism taint, kernel-zone cost) over the given paths; exit 1
+    on error-level findings, ``--format json|sarif`` for CI.
+``analyze``
+    All four analyzers plus a clean-run hazard trace, one exit code.
 ``hazards``
-    Train an instrumented pipelined-PS run and analyze its
-    per-embedding-row read/write trace for RAW/WAR hazards;
-    ``--inject`` disables §V-B life-cycle cache management to
-    demonstrate the detector catching the paper's raw conflict.
+    Trace a pipelined-PS run for RAW/WAR hazards on embedding rows;
+    ``--inject`` disables §V-B life-cycle cache management to show the
+    detector catching the paper's conflict.
 ``serve``
-    Simulate the online serving subsystem: Poisson/Zipf traffic,
-    dynamic micro-batching, hot-row caches, an optional mid-stream
-    training→serving hot swap, and an SLO report.
+    Simulate the serving fleet: Poisson/Zipf traffic, micro-batching,
+    hot-row caches, an optional mid-stream hot swap, an SLO report.
+``chaos``
+    Train and serve under a named fault plan; check the recovery
+    invariants.
 ``figures``
-    Regenerate every paper table/figure by invoking the benchmark
-    builders (several minutes; results also land in
-    ``benchmarks/results/`` when run via pytest).
+    Regenerate every paper table/figure from ``benchmarks/``.
 """
 
 from __future__ import annotations
 
 import argparse
+import runpy
 import sys
-from typing import Any, Callable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import List, Optional, Sequence
+
+from repro import checks
 
 __all__ = ["main"]
 
+#: The repository's benchmark modules; absent from an installed package.
+_BENCH_DIR = Path(__file__).resolve().parents[2] / "benchmarks"
 
-def _install_backend(name: str) -> bool:
-    """Install the requested execution backend; False on failure.
+#: ``train`` options only the sharded path reads, with their defaults.
+_SHARDED_ONLY = {"compress": "none", "topk_fraction": 0.1, "device_budget_mb": 1}
 
-    Prints an actionable message (rather than a traceback) when the
-    torch backend is requested in an environment without PyTorch.
-    """
-    from repro.backend import BackendUnavailableError, set_backend
 
-    try:
-        set_backend(name)
-    except BackendUnavailableError as exc:
-        print(f"backend '{name}' unavailable: {exc}", file=sys.stderr)
-        return False
-    return True
+def _usage_error(args: argparse.Namespace) -> Optional[str]:
+    """What makes a parsed command line unrunnable, if anything."""
+    strategy = getattr(args, "compress_strategy", "none")
+    if args.command == "train":
+        if args.shards >= 1:
+            if strategy in ("auto", "dense"):
+                return (
+                    f"--compress-strategy {strategy} is not supported with "
+                    "--shards (the placement planner picks one compressed "
+                    "on-device form); pick hash, robe, or pq"
+                )
+            return None
+        ignored = [
+            "--" + name.replace("_", "-")
+            for name, default in _SHARDED_ONLY.items()
+            if getattr(args, name) != default
+        ]
+        if ignored:
+            return f"{', '.join(ignored)} only take effect with --shards"
+    if strategy != "none" and args.memory_budget_mb is None:
+        return (
+            "--compress-strategy requires --memory-budget-mb (the planner "
+            "sizes every table against that byte budget)"
+        )
+    return None
 
 
 def _print_backend_report() -> bool:
@@ -96,7 +102,7 @@ def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
         "--backend", choices=list(BACKEND_NAMES), default="numpy",
         help="execution backend for all hot-path kernels (instrumented "
         "counts FLOPs/bytes per kernel zone; sanitizer traps NaN/Inf, "
-        "bad gather indices, and dtype drift; torch requires PyTorch)",
+        "bad gather indices, and dtype drift)",
     )
 
 
@@ -116,6 +122,28 @@ def _add_compression_flags(parser: argparse.ArgumentParser) -> None:
         "bisects against (realized memory never exceeds it when a "
         "feasible plan exists)",
     )
+
+
+def _budgeted_model(args: argparse.Namespace, cfg, stats):
+    """``DLRM(cfg)``, or the planner's model under ``--compress-strategy``.
+
+    ``stats`` is called for the per-table statistics only when a plan
+    is made.
+    """
+    from repro.models.dlrm import DLRM
+
+    if args.compress_strategy == "none":
+        return DLRM(cfg, seed=args.seed)
+    model, plan = checks.planned_model(
+        cfg, stats(), int(args.memory_budget_mb * 1_000_000),
+        args.compress_strategy, args.seed,
+    )
+    print(
+        f"embeddings: '{args.compress_strategy}' plan, "
+        f"{plan.device_bytes / 1e6:.2f} MB of "
+        f"{plan.budget_bytes / 1e6:.2f} MB budget"
+    )
+    return model
 
 
 def _cmd_info(_: argparse.Namespace) -> int:
@@ -170,29 +198,39 @@ def _cmd_datasets(_: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_compression(_: argparse.Namespace) -> int:
-    import importlib.util
-    from pathlib import Path
+def _bench_files(pattern: str) -> Optional[List[Path]]:
+    """The repository's ``benchmarks/<pattern>`` modules, made importable.
 
-    bench = Path(__file__).resolve().parents[2] / "benchmarks"
-    spec = importlib.util.spec_from_file_location(
-        "bench_table3", bench / "bench_table3_compression.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)  # type: ignore[union-attr]
-    print(module.build_table3())
+    None, said on stderr, when there is no repository around the package.
+    """
+    if not _BENCH_DIR.is_dir():
+        print(
+            "benchmarks/ directory not found (installed package without "
+            "the repository); clone the repo to regenerate figures",
+            file=sys.stderr,
+        )
+        return None
+    if str(_BENCH_DIR) not in sys.path:
+        sys.path.insert(0, str(_BENCH_DIR))  # the modules import its conftest
+    return sorted(_BENCH_DIR.glob(pattern))
+
+
+def _cmd_compression(_: argparse.Namespace) -> int:
+    paths = _bench_files("bench_table3_compression.py")
+    if paths is None:
+        return 1
+    print(runpy.run_path(str(paths[0]))["build_table3"]())
     return 0
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    from repro.backend import get_backend, get_plan_cache
+    from repro.backend import get_backend, get_plan_cache, set_backend
     from repro.data.dataloader import SyntheticClickLog
     from repro.data.datasets import DATASET_FACTORIES
     from repro.models.config import DLRMConfig, EmbeddingBackend
     from repro.models.dlrm import DLRM
 
-    if not _install_backend(args.backend):
-        return 2
+    set_backend(args.backend)
     spec = DATASET_FACTORIES[args.dataset](scale=args.scale)
     log = SyntheticClickLog(spec, batch_size=args.batch_size, seed=args.seed)
     cfg = DLRMConfig.from_dataset(
@@ -238,14 +276,6 @@ def _train_sharded(args: argparse.Namespace, spec, log, cfg) -> int:
     from repro.reorder import profile_tables
     from repro.sharding import LinkCompressionConfig, build_sharded_ps_trainer
 
-    if args.compress_strategy in ("auto", "dense"):
-        print(
-            f"--compress-strategy {args.compress_strategy} is not "
-            "supported with --shards (the placement planner picks "
-            "one compressed on-device form); pick hash, robe, or pq",
-            file=sys.stderr,
-        )
-        return 2
     setup = build_sharded_ps_trainer(
         cfg,
         num_shards=args.shards,
@@ -300,14 +330,7 @@ def _train_compressed(args: argparse.Namespace, spec, log, cfg) -> int:
     from repro.backend import get_backend
     from repro.reorder import profile_tables
 
-    if args.memory_budget_mb is None:
-        print(
-            "--compress-strategy requires --memory-budget-mb (the "
-            "planner sizes every table against that byte budget)",
-            file=sys.stderr,
-        )
-        return 2
-    model, plan = _planned_model(
+    model, plan = checks.planned_model(
         cfg,
         profile_tables(log, max(1, min(args.steps, 8))),
         int(args.memory_budget_mb * 1_000_000),
@@ -346,41 +369,15 @@ def _train_compressed(args: argparse.Namespace, spec, log, cfg) -> int:
     return 0 if losses[-1] < losses[0] and (within or not plan.feasible) else 1
 
 
-def _planned_model(cfg, stats, budget_bytes: int, strategy: str, seed: int):
-    """``(model, plan)`` for ``--compress-strategy`` / ``--memory-budget-mb``.
-
-    The bags take the child RNGs ``DLRM(cfg, seed)`` would have given
-    them, so a plan that picks the config's backend for every table
-    reproduces the uncompressed model exactly.
-    """
-    from repro.embeddings import build_bags, plan_under_budget
-    from repro.models.dlrm import DLRM, table_seeds
-
-    plan = plan_under_budget(
-        stats, cfg.embedding_dim, budget_bytes, strategy=strategy
-    )
-    bags = build_bags(plan, table_seeds(seed, cfg.num_tables))
-    return DLRM(cfg, seed=seed, embedding_bags=bags), plan
-
-
-def _plan_summary(strategy: str, plan) -> str:
-    """One-line size-vs-budget summary of a compression plan."""
-    return (
-        f"embeddings: '{strategy}' plan, "
-        f"{plan.device_bytes / 1e6:.2f} MB of "
-        f"{plan.budget_bytes / 1e6:.2f} MB budget"
-    )
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.backend import get_backend, get_plan_cache
+    from repro.backend import get_backend, get_plan_cache, set_backend
     from repro.data.dataloader import SyntheticClickLog
     from repro.data.datasets import DATASET_FACTORIES
     from repro.models.config import DLRMConfig, EmbeddingBackend
     from repro.models.dlrm import DLRM
+    from repro.reorder import profile_tables
 
-    if not _install_backend(args.backend):
-        return 2
+    set_backend(args.backend)
     spec = DATASET_FACTORIES[args.dataset](scale=args.scale)
     log = SyntheticClickLog(spec, batch_size=args.batch_size, seed=args.seed)
     cfg = DLRMConfig.from_dataset(
@@ -388,33 +385,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         backend=EmbeddingBackend.EFF_TT, tt_rank=args.tt_rank,
         bottom_mlp=(16,), top_mlp=(16,),
     )
-    if args.compress_strategy != "none":
-        from repro.reorder import profile_tables
-
-        if args.memory_budget_mb is None:
-            print(
-                "--compress-strategy requires --memory-budget-mb",
-                file=sys.stderr,
-            )
-            return 2
-        model, comp_plan = _planned_model(
-            cfg,
-            profile_tables(log, 4),
-            int(args.memory_budget_mb * 1_000_000),
-            args.compress_strategy,
-            args.seed,
-        )
-        print(_plan_summary(args.compress_strategy, comp_plan))
-    else:
-        model = DLRM(cfg, seed=args.seed)
+    model = _budgeted_model(args, cfg, lambda: profile_tables(log, 4))
     plan_cache = get_plan_cache()
     hits0, misses0 = plan_cache.hits, plan_cache.misses
     for i in range(args.steps):
         model.train_step(log.batch(i), lr=0.1)
-    outcome, _ = _run_serving(
-        spec, num_requests=args.requests, rate=2000.0, workers=2,
-        max_batch_size=16, max_wait=2e-3, hot_coverage=0.1,
-        train_steps=0, seed=args.seed,
+    outcome, _ = checks.run_serving(
+        spec,
+        DLRM(checks.small_config(spec, EmbeddingBackend.EFF_TT), seed=args.seed),
+        num_requests=args.requests, seed=args.seed,
     )
     print(
         f"workload: {args.steps} Eff-TT training steps "
@@ -435,432 +414,29 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_quickcheck(args: argparse.Namespace) -> int:
-    import numpy as np
-
-    from repro.data.dataloader import SyntheticClickLog
-    from repro.data.datasets import criteo_kaggle_like
-    from repro.models.config import DLRMConfig, EmbeddingBackend
-    from repro.models.dlrm import DLRM
-
-    spec = criteo_kaggle_like(scale=3e-5)
-    log = SyntheticClickLog(spec, batch_size=128, seed=0)
     ok = True
-    for backend in EmbeddingBackend:
-        cfg = DLRMConfig.from_dataset(
-            spec, embedding_dim=8, backend=backend, tt_rank=8,
-            bottom_mlp=(16,), top_mlp=(16,),
-        )
-        model = DLRM(cfg, seed=0)
-        losses = [
-            model.train_step(log.batch(i), lr=0.1).loss
-            for i in range(args.steps)
-        ]
-        learned = losses[-1] < losses[0]
-        ok = ok and learned
-        status = "ok" if learned else "FAILED (loss did not decrease)"
-        print(
-            f"{backend.value:8s} loss {losses[0]:.4f} -> {losses[-1]:.4f}  "
-            f"[{status}]"
-        )
-
-    # Execution-backend equivalence: the same Eff-TT training run must
-    # be bit-identical under the numpy and instrumented backends, and
-    # the instrumented run must actually see the hot kernel zones.
-    from repro.backend import InstrumentedBackend, SanitizerBackend, use_backend
-
-    eq_cfg = DLRMConfig.from_dataset(
-        spec, embedding_dim=8, backend=EmbeddingBackend.EFF_TT, tt_rank=8,
-        bottom_mlp=(16,), top_mlp=(16,),
-    )
-
-    def _losses_under(backend):
-        with use_backend(backend):
-            eq_model = DLRM(eq_cfg, seed=0)
-            return [
-                eq_model.train_step(log.batch(i), lr=0.1).loss
-                for i in range(5)
-            ]
-
-    instrumented = InstrumentedBackend()
-    reference_losses = _losses_under("numpy")
-    backend_ok = reference_losses == _losses_under(instrumented) and (
-        instrumented.zone_stats.get("efftt_forward") is not None
-        and instrumented.zone_stats["efftt_forward"].flops > 0
-    )
-    ok = ok and backend_ok
-    status = "ok" if backend_ok else "FAILED (backends disagree)"
-    print(f"backend  numpy == instrumented over 5 steps  [{status}]")
-
-    # numsan gate: the sanitizer must be bit-identical to the reference
-    # backend on the same workload *and* observe zero traps — a trap on
-    # clean training data is a sanitizer false positive.
-    sanitizer = SanitizerBackend(mode="record")
-    sanitizer_ok = (
-        reference_losses == _losses_under(sanitizer) and not sanitizer.traps
-    )
-    ok = ok and sanitizer_ok
-    status = "ok" if sanitizer_ok else "FAILED (sanitizer diverged or trapped)"
-    print(
-        f"numsan   numpy == sanitizer over 5 steps, "
-        f"{len(sanitizer.traps)} trap(s)  [{status}]"
-    )
-    if sanitizer.traps:
-        for trap in sanitizer.traps:
-            print(f"  {trap.format()}")
-
-    # Serving smoke: a few hundred simulated requests through the full
-    # micro-batching loop, sanity-checking the SLO report, and every
-    # served prediction against the plain model on its recorded batch
-    # (hot rows are rebuilt, so equal to 1e-12, not bit for bit).
-    serving_outcome, snapshots = _run_serving(
-        spec, num_requests=300, rate=2000.0, workers=2,
-        max_batch_size=16, max_wait=2e-3, hot_coverage=0.1,
-        train_steps=0, seed=0,
-    )
-    report = serving_outcome.report
-    plain = {version: s.materialize() for version, s in snapshots.items()}
-    worst = max(
-        (
-            float(np.max(np.abs(
-                served.predictions
-                - plain[served.model_version].predict_proba(served.batch)
-            )))
-            for served in serving_outcome.served_batches
-        ),
-        default=0.0,
-    )
-    report_ok = (
-        report.completed + report.rejected == report.offered
-        and report.completed > 0
-        and report.latency_p99 >= report.latency_p50 > 0.0
-        and 0.0 <= report.cache_hit_rate <= 1.0
-    )
-    serving_ok = report_ok and worst <= 1e-12
-    ok = ok and serving_ok
-    status = (
-        "ok" if serving_ok
-        else "FAILED (inconsistent SLO report)" if not report_ok
-        else "FAILED (served predictions differ from the model)"
-    )
-    print(
-        f"serving  {report.completed}/{report.offered} requests, "
-        f"p99 {report.latency_p99 * 1e3:.2f} ms, "
-        f"hit rate {report.cache_hit_rate:.1%}, "
-        f"max |p - model| {worst:.1e}  [{status}]"
-    )
-
-    # Chaos gate: the smoke fault plan (stage crash, corrupted
-    # checkpoint, H2D failure, dropped gradient entry, serving
-    # slowdown) must recover to the bitwise reference trajectory with
-    # every invariant green.
-    import tempfile
-
-    from repro.resilience import FAULT_PLANS, ChaosHarnessConfig, run_chaos
-
-    with tempfile.TemporaryDirectory() as scratch:
-        chaos_outcome = run_chaos(
-            FAULT_PLANS["smoke"], scratch, ChaosHarnessConfig()
-        )
-    chaos_ok = chaos_outcome.passed
-    ok = ok and chaos_ok
-    rec = chaos_outcome.recovery
-    status = "ok" if chaos_ok else "FAILED (invariant violated)"
-    print(
-        f"chaos    plan 'smoke': {len(rec.losses) if rec else 0} steps, "
-        f"{rec.restarts if rec else 0} restarts  [{status}]"
-    )
-    if not chaos_ok:
-        for check in chaos_outcome.checks:
-            if not check.ok:
-                print(f"  {check.name}: {check.detail}")
-
-    # Fleet gate: a 2-replica chaos smoke — killing one replica
-    # mid-traffic must deliver bitwise-identical predictions for every
-    # non-shed request versus the fault-free fleet run.
-    from repro.resilience import run_fleet_chaos
-
-    fleet_outcome = run_fleet_chaos("fleet-smoke")
-    fleet_ok = fleet_outcome.passed
-    ok = ok and fleet_ok
-    status = "ok" if fleet_ok else "FAILED (fleet invariant violated)"
-    print(f"fleet    2-replica kill-one chaos smoke is bitwise  [{status}]")
-    if not fleet_ok:
-        for check in fleet_outcome.checks:
-            if not check.ok:
-                print(f"  {check.name}: {check.detail}")
-
-    # Resume-determinism gate: kill-free chunked training through the
-    # snapshot store must be bitwise-identical to one uninterrupted
-    # run — the invariant every crash recovery above relies on.
-    from repro.resilience import resume_determinism_check
-
-    with tempfile.TemporaryDirectory() as scratch:
-        resume_ok = resume_determinism_check(scratch)
-    ok = ok and resume_ok
-    status = "ok" if resume_ok else "FAILED (trajectories diverged)"
-    print(f"resume   snapshot -> restore is bitwise  [{status}]")
-
-    # Sharded-equivalence gate: with link compression off, training on
-    # a 2-shard parameter server must be bitwise-identical to the
-    # 1-shard run; with compression on, the final loss must stay within
-    # the documented accuracy bound (DESIGN.md §11).
-    sharded_ok, sharded_detail = _sharded_equivalence_gate()
-    ok = ok and sharded_ok
-    status = "ok" if sharded_ok else "FAILED (sharding changed the math)"
-    print(f"sharded  {sharded_detail}  [{status}]")
-
-    # Compression-equivalence gate: every compression strategy must
-    # train run-to-run bitwise-deterministically, and an auto-tuned
-    # model under a halved budget must stay within the documented loss
-    # tolerance of the dense reference while respecting the budget.
-    comp_ok, comp_detail = _compression_equivalence_gate()
-    ok = ok and comp_ok
-    status = "ok" if comp_ok else "FAILED (compression broke training)"
-    print(f"compress {comp_detail}  [{status}]")
-
-    # Static checks: the four analyzers over the installed package.
-    for analyzer in _analyzers():
-        result = analyzer.runner(_analysis_paths())
-        ok = ok and result.ok
-        _report_static_gate(analyzer.name, result)
+    for gate in checks.registry(args.steps).values():
+        check = gate()
+        print(checks.format_check(check))
+        ok = ok and check.ok
     return 0 if ok else 1
 
 
-# Accuracy bound for the compression-on quickcheck gate: top-k
-# error-feedback plus int8 pulls may move the final loss of the short
-# gate run by at most this relative amount (DESIGN.md §11 documents the
-# bound; tests/sharding pins it too).
-_COMPRESSED_LOSS_RTOL = 5e-2
-
-
-def _sharded_equivalence_gate() -> tuple:
-    """(ok, detail) for the quickcheck sharded-PS gate."""
-    from repro.data.dataloader import SyntheticClickLog
-    from repro.data.datasets import criteo_kaggle_like
-    from repro.models.config import DLRMConfig, EmbeddingBackend
-    from repro.sharding import LinkCompressionConfig, build_sharded_ps_trainer
-
-    num_batches = 10
-    spec = criteo_kaggle_like(scale=2e-5)
-    log = SyntheticClickLog(spec, batch_size=32, seed=0)
-    cfg = DLRMConfig.from_dataset(
-        spec, embedding_dim=8, backend=EmbeddingBackend.EFF_TT, tt_rank=8,
-        tt_threshold_rows=100, bottom_mlp=(16,), top_mlp=(16,),
-    )
-    rows = list(cfg.table_rows)
-    positions = sorted(range(len(rows)), key=lambda t: -rows[t])[:2]
-
-    def run(num_shards, compression=None):
-        setup = build_sharded_ps_trainer(
-            cfg, num_shards=num_shards, compression=compression,
-            host_positions=positions,
-        )
-        losses = [
-            float(x) for x in setup.trainer.train(log, num_batches).losses
-        ]
-        return losses, setup.server
-
-    base_losses, base_server = run(1)
-    shard_losses, shard_server = run(2)
-    import numpy as np
-
-    base_state = base_server.state_arrays()
-    shard_view = {
-        t: np.asarray(shard_server.tables[t])
-        for t in range(shard_server.num_tables)
-    }
-    bitwise = base_losses == shard_losses and all(
-        np.array_equal(base_state[f"table{t}/shard0"], shard_view[t])
-        for t in range(shard_server.num_tables)
-    )
-
-    comp_losses, comp_server = run(
-        2, LinkCompressionConfig(mode="both", topk_fraction=0.25)
-    )
-    rel = abs(comp_losses[-1] - base_losses[-1]) / abs(base_losses[-1])
-    bounded = rel <= _COMPRESSED_LOSS_RTOL
-    shrunk = comp_server.link_stats.compression_ratio > 1.0
-    detail = (
-        f"2-shard == 1-shard bitwise: {bitwise}; compressed final-loss "
-        f"drift {rel:.2e} (bound {_COMPRESSED_LOSS_RTOL:g}), "
-        f"wire ratio {comp_server.link_stats.compression_ratio:.2f}x"
-    )
-    return bitwise and bounded and shrunk, detail
-
-
-# Loss tolerance for the compression-equivalence quickcheck gate: an
-# auto-tuned model under half the dense budget may move the final loss
-# of the short gate run by at most this relative amount vs the dense
-# reference (DESIGN.md §13 documents the bound).
-_AUTO_TUNED_LOSS_RTOL = 0.15
-
-
-def _compression_equivalence_gate() -> tuple:
-    """(ok, detail) for the quickcheck compressed-embedding gate."""
-    from repro.data.dataloader import SyntheticClickLog
-    from repro.data.datasets import criteo_kaggle_like
-    from repro.models.config import DLRMConfig, EmbeddingBackend
-    from repro.models.dlrm import DLRM
-    from repro.reorder import profile_tables
-
-    steps = 8
-    spec = criteo_kaggle_like(scale=2e-5)
-    log = SyntheticClickLog(spec, batch_size=32, seed=0)
-
-    def run(backend):
-        cfg = DLRMConfig.from_dataset(
-            spec, embedding_dim=8, backend=backend, tt_rank=8,
-            bottom_mlp=(16,), top_mlp=(16,),
-        )
-        model = DLRM(cfg, seed=0)
-        return [
-            model.train_step(log.batch(i), lr=0.1).loss
-            for i in range(steps)
-        ]
-
-    deterministic = all(
-        run(backend) == run(backend)
-        for backend in (
-            EmbeddingBackend.HASH,
-            EmbeddingBackend.ROBE,
-            EmbeddingBackend.PQ,
-        )
-    )
-
-    dense_losses = run(EmbeddingBackend.DENSE)
-    cfg = DLRMConfig.from_dataset(
-        spec, embedding_dim=8, backend=EmbeddingBackend.DENSE, tt_rank=8,
-        bottom_mlp=(16,), top_mlp=(16,),
-    )
-    stats = profile_tables(log, 4)
-    dense_total = sum(st.num_rows for st in stats) * cfg.embedding_dim * 8
-    budget = max(1, dense_total // 2)
-    model, _ = _planned_model(cfg, stats, budget, "auto", 0)
-    auto_losses = [
-        model.train_step(log.batch(i), lr=0.1).loss for i in range(steps)
-    ]
-    realized = sum(bag.memory_bytes() for bag in model.embedding_bags)
-    within = realized <= budget
-    drift = abs(auto_losses[-1] - dense_losses[-1]) / abs(dense_losses[-1])
-    bounded = drift <= _AUTO_TUNED_LOSS_RTOL and auto_losses[-1] < auto_losses[0]
-    detail = (
-        f"strategies deterministic: {deterministic}; auto at half "
-        f"budget: {realized:,}/{budget:,} B, final-loss drift "
-        f"{drift:.2e} (bound {_AUTO_TUNED_LOSS_RTOL:g})"
-    )
-    return deterministic and within and bounded, detail
-
-
-def _run_serving(
-    spec,
-    num_requests: int,
-    rate: float,
-    workers: int,
-    max_batch_size: int,
-    max_wait: float,
-    hot_coverage: float,
-    train_steps: int,
-    seed: int,
-    compress_strategy: str = "none",
-    memory_budget_mb: Optional[float] = None,
-    replicas: int = 1,
-    autoscale_ceiling: Optional[int] = None,
-):
-    """Build a model + traffic and run one serving simulation.
-
-    ``workers`` is each replica's in-flight depth; ``autoscale_ceiling``
-    turns on SLO-headroom autoscaling up to that many replicas.  With
-    ``compress_strategy`` set, the served embedding tables are built
-    from an auto-tuner plan over analytic table statistics (hot caches
-    then sit on top of whatever strategy each table got).  Returns the
-    fleet outcome and the snapshots it served, by version.
-    """
-    from repro.data.dataloader import SyntheticClickLog
-    from repro.models.config import DLRMConfig, EmbeddingBackend
-    from repro.models.dlrm import DLRM
-    from repro.serving import (
-        AdmissionConfig,
-        AutoscalePolicy,
-        BatchingPolicy,
-        FleetConfig,
-        ModelSnapshot,
-        RequestGenerator,
-        ServingFleet,
-    )
-
-    generator = RequestGenerator(spec, rate=rate, seed=seed)
-    requests = generator.generate(num_requests)
-    config = DLRMConfig.from_dataset(
-        spec, embedding_dim=8, backend=EmbeddingBackend.EFF_TT, tt_rank=8,
-        bottom_mlp=(16,), top_mlp=(16,),
-    )
-    if compress_strategy != "none":
-        from repro.reorder import analytic_table_stats
-
-        if memory_budget_mb is None:
-            raise ValueError(
-                "--compress-strategy requires --memory-budget-mb"
-            )
-        model, comp_plan = _planned_model(
-            config,
-            analytic_table_stats(list(config.table_rows)),
-            int(memory_budget_mb * 1_000_000),
-            compress_strategy,
-            seed,
-        )
-        print(_plan_summary(compress_strategy, comp_plan))
-    else:
-        model = DLRM(config, seed=seed)
-    snapshots = {0: ModelSnapshot.from_model(model, version=0)}
-    hot_rows = {
-        t: generator.hot_rows(t, hot_coverage)
-        for t in range(spec.num_sparse)
-    }
-    fleet = ServingFleet(
-        snapshots[0],
-        hot_rows=hot_rows,
-        config=FleetConfig(
-            num_replicas=replicas,
-            batching=BatchingPolicy(
-                max_batch_size=max_batch_size, max_wait=max_wait,
-                queue_capacity=max(512, max_batch_size),
-            ),
-            admission=AdmissionConfig(max_in_flight=workers),
-            autoscale=(
-                AutoscalePolicy(min_replicas=1, max_replicas=autoscale_ceiling)
-                if autoscale_ceiling is not None else None
-            ),
-        ),
-    )
-    if train_steps > 0:
-        # Train past the v0 snapshot, then hot-swap the improved model
-        # in mid-stream (every replica runs on its own materialized
-        # copy, so training here never touches a served array).
-        log = SyntheticClickLog(spec, batch_size=64, seed=seed)
-        for i in range(train_steps):
-            model.train_step(log.batch(i), lr=0.1)
-        snapshots[1] = ModelSnapshot.from_model(model, version=1)
-        midpoint = requests[len(requests) // 2].arrival_time
-        fleet.schedule_swap(midpoint, snapshots[1])
-    return fleet.run(requests), snapshots
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.backend import set_backend
     from repro.data.datasets import DATASET_FACTORIES
+    from repro.models.config import EmbeddingBackend
+    from repro.reorder import analytic_table_stats
     from repro.serving import export_serving_trace
 
-    if not _install_backend(args.backend):
-        return 2
-    if args.compress_strategy != "none" and args.memory_budget_mb is None:
-        print(
-            "--compress-strategy requires --memory-budget-mb",
-            file=sys.stderr,
-        )
-        return 2
-    factory = DATASET_FACTORIES[args.dataset]
-    spec = factory(scale=args.scale)
-    outcome, _ = _run_serving(
+    set_backend(args.backend)
+    spec = DATASET_FACTORIES[args.dataset](scale=args.scale)
+    cfg = checks.small_config(spec, EmbeddingBackend.EFF_TT)
+    outcome, _ = checks.run_serving(
         spec,
+        _budgeted_model(
+            args, cfg, lambda: analytic_table_stats(list(cfg.table_rows))
+        ),
         num_requests=args.requests,
         rate=args.rate,
         workers=args.workers,
@@ -869,8 +445,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         hot_coverage=args.hot_coverage,
         train_steps=args.train_steps,
         seed=args.seed,
-        compress_strategy=args.compress_strategy,
-        memory_budget_mb=args.memory_budget_mb,
         replicas=args.replicas,
         autoscale_ceiling=args.max_replicas if args.autoscale else None,
     )
@@ -920,82 +494,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-class _Analyzer(NamedTuple):
-    """One static analyzer: its CLI subcommand, gate line and SARIF identity."""
-
-    name: str  # gate label on the quickcheck/analyze lines
-    command: str  # CLI subcommand
-    tool: str  # SARIF driver name
-    rules: Mapping[str, Any]  # rule registry
-    runner: Callable[..., Any]  # (paths, select=None) -> LintResult
-    help: str
-    paths_help: str
-    id_prefix: str  # rule-id family named in the --select help
-
-
-def _analyzers() -> Tuple[_Analyzer, ...]:
-    from repro.analysis import (
-        DET_RULES,
-        PERF_RULES,
-        RULE_REGISTRY,
-        SHAPE_RULES,
-        detcheck_paths,
-        lint_paths,
-        perfcheck_paths,
-        shapecheck_paths,
-    )
-
-    return (
-        _Analyzer(
-            "lint", "lint", "reprolint", RULE_REGISTRY, lint_paths,
-            "run reprolint, the repo-specific static analyzer",
-            "files or directories to lint", "REP",
-        ),
-        _Analyzer(
-            "shape", "shapecheck", "shapecheck", SHAPE_RULES, shapecheck_paths,
-            "run the static shape/dtype abstract interpreter",
-            "files or directories to check", "SHP",
-        ),
-        _Analyzer(
-            "det", "detcheck", "detcheck", DET_RULES, detcheck_paths,
-            "run the interprocedural determinism-taint analyzer",
-            "files or directories to check as one program", "DET",
-        ),
-        _Analyzer(
-            "perf", "perfcheck", "perfcheck", PERF_RULES, perfcheck_paths,
-            "run the static kernel-zone cost analyzer",
-            "files or directories to check", "PERF",
-        ),
-    )
-
-
-def _analysis_paths(given: Sequence[str] = ()) -> list:
+def _analysis_paths(given: Sequence[str]) -> List[Path]:
     """The paths given on the command line, else the installed package."""
-    from pathlib import Path
-
-    if given:
-        return [Path(p) for p in given]
-    return [Path(__file__).resolve().parent]
-
-
-def _report_static_gate(name: str, result) -> None:
-    """Print one analyzer's quickcheck/analyze line (+ its errors)."""
-    status = "ok" if result.ok else "FAILED (error-level findings)"
-    print(
-        f"{name:8s} {result.files_scanned} files, "
-        f"{len(result.errors)} errors, "
-        f"{len(result.warnings)} warnings  [{status}]"
-    )
-    if not result.ok:
-        for finding in result.errors:
-            print(f"  {finding.format()}")
+    return [Path(p) for p in given] or [checks.PACKAGE_DIR]
 
 
 def _cmd_analyzer(args: argparse.Namespace) -> int:
     """``repro lint|shapecheck|detcheck|perfcheck``."""
     from repro.analysis import format_findings, result_to_sarif
 
-    analyzer: _Analyzer = args.analyzer
+    analyzer: checks.Analyzer = args.analyzer
     paths = _analysis_paths(args.paths)
     try:
         result = analyzer.runner(paths, select=args.select or None)
@@ -1022,10 +530,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     )
 
     paths = _analysis_paths(args.paths)
-    sarif = getattr(args, "format", "text") == "sarif"
+    sarif = args.format == "sarif"
     ok = True
     sarif_runs = []
-    for analyzer in _analyzers():
+    for analyzer in checks.analyzers():
         try:
             result = analyzer.runner(paths)
         except FileNotFoundError as exc:
@@ -1035,27 +543,16 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         if sarif:
             sarif_runs.append((result, analyzer.tool, analyzer.rules.values()))
         else:
-            _report_static_gate(analyzer.name, result)
+            print(checks.format_check(checks.lint_check(analyzer.name, result)))
 
-    hazard_result = run_hazard_experiment(inject_fault=False)
-    hazards_ok = hazard_result.report.clean
-    ok = ok and hazards_ok
+    report = run_hazard_experiment(inject_fault=False).report
+    ok = ok and report.clean
     if sarif:
-        hazard_lint = LintResult(
-            findings=hazard_findings(hazard_result.report), files_scanned=0
-        )
+        hazard_lint = LintResult(findings=hazard_findings(report), files_scanned=0)
         sarif_runs.append((hazard_lint, "hazards", HAZARD_RULES.values()))
         print(results_to_sarif_bundle(sarif_runs))
-        return 0 if ok else 1
-    status = "ok" if hazards_ok else "FAILED (unrepaired hazards)"
-    print(
-        f"hazards  {hazard_result.report.events_analyzed} events, "
-        f"{len(hazard_result.report.hazards)} unrepaired, "
-        f"{len(hazard_result.report.repaired)} repaired  [{status}]"
-    )
-    if not hazards_ok:
-        for hazard in hazard_result.report.hazards:
-            print(f"  {hazard.describe()}")
+    else:
+        print(checks.format_check(checks.hazard_check(report)))
     return 0 if ok else 1
 
 
@@ -1149,30 +646,17 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_figures(_: argparse.Namespace) -> int:
-    import importlib.util
-    from pathlib import Path
-
-    bench_dir = Path(__file__).resolve().parents[2] / "benchmarks"
-    if not bench_dir.exists():
-        print(
-            "benchmarks/ directory not found (installed package without "
-            "the repository); clone the repo to regenerate figures",
-            file=sys.stderr,
-        )
+    paths = _bench_files("bench_*.py")
+    if paths is None:
         return 1
-    sys.path.insert(0, str(bench_dir))
     failures = 0
-    for path in sorted(bench_dir.glob("bench_*.py")):
-        spec = importlib.util.spec_from_file_location(path.stem, path)
-        module = importlib.util.module_from_spec(spec)
+    for path in paths:
         try:
-            spec.loader.exec_module(module)  # type: ignore[union-attr]
-            builders = [
-                name for name in dir(module) if name.startswith("build_")
-            ]
-            for name in builders:
-                print(getattr(module, name)())
-                print()
+            namespace = runpy.run_path(str(path))
+            for builder in sorted(namespace):
+                if builder.startswith("build_"):
+                    print(namespace[builder]())
+                    print()
         except Exception as exc:  # pragma: no cover - CLI robustness
             failures += 1
             print(f"[{path.name}] failed: {exc}", file=sys.stderr)
@@ -1220,17 +704,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     train.add_argument(
         "--compress", choices=["none", "topk", "quant", "both"],
-        default="none",
+        default=_SHARDED_ONLY["compress"],
         help="PS-link compression: top-k error-feedback gradient "
         "pushes and/or int8-quantized row pulls (requires --shards)",
     )
     train.add_argument(
-        "--topk-fraction", type=float, default=0.1,
+        "--topk-fraction", type=float,
+        default=_SHARDED_ONLY["topk_fraction"],
         help="fraction of unique rows sent per step under --compress "
-        "topk/both",
+        "topk/both (requires --shards)",
     )
     train.add_argument(
-        "--device-budget-mb", type=int, default=1,
+        "--device-budget-mb", type=int,
+        default=_SHARDED_ONLY["device_budget_mb"],
         help="per-device memory budget for the placement planner "
         "(sharded path only)",
     )
@@ -1253,7 +739,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_compression_flags(bench)
     _add_backend_flag(bench)
     sub.add_parser("figures", help="regenerate every paper table/figure")
-    analyzers = _analyzers()
+    analyzers = checks.analyzers()
     for analyzer in analyzers:
         checker = sub.add_parser(analyzer.command, help=analyzer.help)
         checker.set_defaults(analyzer=analyzer)
@@ -1389,6 +875,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
 
     args = parser.parse_args(argv)
+    error = _usage_error(args)
+    if error is not None:
+        print(error, file=sys.stderr)
+        return 2
     handlers = {
         "info": _cmd_info,
         "datasets": _cmd_datasets,

@@ -15,7 +15,6 @@ policy, circuit breaker and fault injection.  See DESIGN.md §10.
 from repro.resilience.chaos import (
     FAULT_PLANS,
     FLEET_CHAOS_PLANS,
-    ChaosCheck,
     ChaosHarnessConfig,
     ChaosOutcome,
     FleetChaosConfig,
@@ -61,7 +60,6 @@ from repro.resilience.supervisor import (
 __all__ = [
     "FAULT_PLANS",
     "FLEET_CHAOS_PLANS",
-    "ChaosCheck",
     "ChaosHarnessConfig",
     "ChaosOutcome",
     "FleetChaosConfig",

@@ -29,9 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
+from repro.checks import Check, small_config
 from repro.data.dataloader import SyntheticClickLog
 from repro.data.datasets import criteo_kaggle_like
-from repro.models.config import DLRMConfig, EmbeddingBackend
+from repro.models.config import EmbeddingBackend
 from repro.models.dlrm import DLRM
 from repro.resilience.checkpoint import CheckpointStore
 from repro.resilience.circuit import BreakerConfig, BreakerState
@@ -60,7 +61,6 @@ if TYPE_CHECKING:  # repro.serving.fleet imports this package back
 __all__ = [
     "FAULT_PLANS",
     "FLEET_CHAOS_PLANS",
-    "ChaosCheck",
     "ChaosOutcome",
     "ChaosHarnessConfig",
     "FleetChaosConfig",
@@ -123,15 +123,6 @@ FAULT_PLANS: Dict[str, FaultPlan] = {
 
 
 @dataclass(frozen=True)
-class ChaosCheck:
-    """One verified invariant."""
-
-    name: str
-    ok: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
 class ChaosHarnessConfig:
     """Workload knobs for a chaos run (defaults sized for CI)."""
 
@@ -163,7 +154,7 @@ class ChaosOutcome:
     """Everything one chaos run produced."""
 
     plan: FaultPlan
-    checks: List[ChaosCheck] = field(default_factory=list)
+    checks: List[Check] = field(default_factory=list)
     recovery: Optional[RecoveryReport] = None
     serving_baseline: Optional["FleetOutcome"] = None
     serving_degraded: Optional["FleetOutcome"] = None
@@ -208,10 +199,7 @@ def _build_harness(config: ChaosHarnessConfig):
     """The standard small PS-pipeline workload (mirrors the test suite)."""
     spec = criteo_kaggle_like(scale=config.scale)
     log = SyntheticClickLog(spec, batch_size=config.batch_size, seed=0)
-    model_cfg = DLRMConfig.from_dataset(
-        spec, embedding_dim=8, backend=EmbeddingBackend.EFF_TT, tt_rank=8,
-        tt_threshold_rows=100, bottom_mlp=(16,), top_mlp=(16,),
-    )
+    model_cfg = small_config(spec, EmbeddingBackend.EFF_TT, tt_threshold_rows=100)
     rows = list(model_cfg.table_rows)
     host_positions = sorted(range(len(rows)), key=lambda t: -rows[t])[:2]
 
@@ -253,17 +241,17 @@ def _check_training(
     outcome.recovery = report
 
     checks = outcome.checks
-    checks.append(ChaosCheck(
+    checks.append(Check(
         "bitwise loss trajectory",
         report.losses == ref_losses,
         f"{len(report.losses)} committed vs {len(ref_losses)} reference",
     ))
-    checks.append(ChaosCheck(
+    checks.append(Check(
         "no lost steps",
         len(report.losses) == config.num_batches,
         f"{len(report.losses)}/{config.num_batches}",
     ))
-    checks.append(ChaosCheck(
+    checks.append(Check(
         "no duplicate applies",
         not report.duplicate_applies,
         f"{len(report.duplicate_applies)} duplicates",
@@ -271,19 +259,19 @@ def _check_training(
     train_pending = [
         s for s in injector.pending if s.kind is not FaultKind.SLOWDOWN
     ]
-    checks.append(ChaosCheck(
+    checks.append(Check(
         "all trainer faults fired",
         not train_pending,
         f"{len(train_pending)} never fired",
     ))
     recoveries = report.restarts + report.rollbacks
-    checks.append(ChaosCheck(
+    checks.append(Check(
         "recovery within budget",
         recoveries <= config.max_restarts,
         f"{recoveries} recoveries, budget {config.max_restarts}",
     ))
     expected_backoff = sum(policy.schedule(report.restarts))
-    checks.append(ChaosCheck(
+    checks.append(Check(
         "deterministic backoff schedule",
         abs(report.total_backoff - expected_backoff) < 1e-12,
         f"waited {report.total_backoff:.4f}s",
@@ -356,19 +344,19 @@ def _check_serving(
         + len(degraded.rejected_ids)
         + len(degraded.shed_ids)
     )
-    checks.append(ChaosCheck(
+    checks.append(Check(
         "all requests accounted",
         offered == accounted and offered == config.num_requests,
         f"{accounted}/{offered} (completed {degraded.report.completed})",
     ))
-    checks.append(ChaosCheck(
+    checks.append(Check(
         "bounded fallback staleness",
         degraded.max_fallback_age <= _SERVE_POLICY.max_staleness,
         f"max age {degraded.max_fallback_age:.4f}s "
         f"(bound {_SERVE_POLICY.max_staleness:g}s)",
     ))
     p99_bound = baseline.report.latency_p99 * config.p99_budget_factor
-    checks.append(ChaosCheck(
+    checks.append(Check(
         "p99 degradation bounded",
         degraded.report.latency_p99 <= p99_bound,
         f"p99 {degraded.report.latency_p99 * 1e3:.3f}ms vs bound "
@@ -378,23 +366,23 @@ def _check_serving(
         opened = any(
             tr.dst is BreakerState.OPEN for tr in replica.breaker_transitions
         )
-        checks.append(ChaosCheck(
+        checks.append(Check(
             "breaker opened under slowdown",
             opened,
             f"{len(replica.breaker_transitions)} transitions",
         ))
-        checks.append(ChaosCheck(
+        checks.append(Check(
             "breaker recovered after window",
             replica.final_breaker_state is BreakerState.CLOSED,
             f"final state {replica.final_breaker_state.value}",
         ))
-        checks.append(ChaosCheck(
+        checks.append(Check(
             "fallback actually served",
             replica.fallback_batches > 0,
             f"{replica.fallback_batches} stale batches",
         ))
     else:
-        checks.append(ChaosCheck(
+        checks.append(Check(
             "breaker stayed closed (no serve faults)",
             replica.final_breaker_state is BreakerState.CLOSED
             and not replica.breaker_transitions,
@@ -515,10 +503,7 @@ class FleetChaosConfig:
 def _build_fleet_world(config: FleetChaosConfig):
     """(spec, snapshot_v1, snapshot_v2, hot_rows, requests) for one gate."""
     spec = criteo_kaggle_like(scale=config.scale)
-    model_cfg = DLRMConfig.from_dataset(
-        spec, embedding_dim=8, backend=EmbeddingBackend.EFF_TT, tt_rank=8,
-        bottom_mlp=(16,), top_mlp=(16,),
-    )
+    model_cfg = small_config(spec, EmbeddingBackend.EFF_TT)
     snapshot_v1 = ModelSnapshot.from_model(DLRM(model_cfg, seed=7), version=1)
     snapshot_v2 = ModelSnapshot.from_model(DLRM(model_cfg, seed=9), version=2)
     generator = RequestGenerator(spec, rate=config.request_rate, seed=5)
@@ -621,7 +606,7 @@ def run_fleet_chaos(
         )
 
     reference = fleet().run(requests)
-    checks.append(ChaosCheck(
+    checks.append(Check(
         "reference fleet run clean",
         not reference.rejected_ids
         and not reference.shed_ids
@@ -657,7 +642,7 @@ def run_fleet_chaos(
 
     if plan_name == "fleet-smoke":
         ok, detail = crash_run(0, 0.5)
-        checks.append(ChaosCheck("kill-one-replica bitwise", ok, detail))
+        checks.append(Check("kill-one-replica bitwise", ok, detail))
         return outcome
 
     # fleet-replica-sweep -------------------------------------------------
@@ -669,7 +654,7 @@ def run_fleet_chaos(
             ok, detail = crash_run(replica, fraction)
             if not ok:
                 failures.append(detail)
-    checks.append(ChaosCheck(
+    checks.append(Check(
         "kill-any-replica bitwise at every injection point",
         not failures,
         f"{runs - len(failures)}/{runs} runs bitwise"
@@ -689,7 +674,7 @@ def run_fleet_chaos(
     stuck_run = fleet(stuck_plan.injector()).run(requests)
     stuck_report = stuck_run.replicas[0]
     stuck_bitwise, stuck_detail = _delivered_bitwise(reference, stuck_run)
-    checks.append(ChaosCheck(
+    checks.append(Check(
         "stuck replica declared dead, work re-served bitwise",
         stuck_bitwise
         and stuck_report.stuck_declared
@@ -714,7 +699,7 @@ def run_fleet_chaos(
         for rep in slow_run.replicas if rep.replica_id != 0
     )
     slow_bitwise, slow_detail = _delivered_bitwise(reference, slow_run)
-    checks.append(ChaosCheck(
+    checks.append(Check(
         "slow replica isolated (siblings stay closed, bitwise)",
         slow_bitwise and not sibling_opened
         and slow_run.unaccounted == 0,
@@ -751,7 +736,7 @@ def run_fleet_chaos(
         if batch.start_time > completed_at
     )
     versions = sorted(swap_run.report.requests_per_version)
-    checks.append(ChaosCheck(
+    checks.append(Check(
         "rolling swap: zero drops, live floor held, stale rejected",
         swap_ok and monotonic,
         f"served versions {versions}, "

@@ -10,7 +10,9 @@ the whole-program pass, through name-merge call resolution).  This test
 re-runs the stored file list and requires the same
 ``(rule_id, path, line, col, message)`` rows and suppressed counts,
 except what left on purpose: SHP001-SHP003 with the three ``einsum``
-corpus files that seeded them, and the einsum module itself.
+corpus files that seeded them, and the einsum module itself.  The
+fixture listed 315 files; the deleted torch backend module, which had
+no findings, has since been taken off its list by hand.
 """
 
 import json
@@ -32,7 +34,7 @@ RETIRED_FILES = {
 
 
 def test_golden_has_the_parent_counts():
-    assert len(GOLDEN["files"]) == 315
+    assert len(GOLDEN["files"]) == 314
     counts = {name: len(GOLDEN[name]["findings"]) for name in ANALYZERS}
     assert counts == {"shapecheck": 16, "perfcheck": 5, "detcheck": 48}
     assert GOLDEN["perfcheck"]["suppressed"] == 3

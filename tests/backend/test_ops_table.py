@@ -24,7 +24,6 @@ from repro.backend import (
     InstrumentedBackend,
     Interposer,
     NumpyBackend,
-    TorchBackend,
     use_backend,
 )
 from repro.embeddings.eff_tt_embedding import EffTTEmbeddingBag
@@ -60,11 +59,9 @@ class TestTableMatchesTheBackends:
         assert list(OPS) == protocol_ops
         assert all(OPS[name].name == name for name in OPS)
 
-    @pytest.mark.parametrize("backend", [ArrayBackend, NumpyBackend, TorchBackend, Interposer])
+    @pytest.mark.parametrize("backend", [ArrayBackend, NumpyBackend, Interposer])
     @pytest.mark.parametrize("op", sorted(OPS))
     def test_signature_matches_the_row(self, backend, op):
-        # Class attribute only: TorchBackend cannot be constructed
-        # without torch, but its signatures are still checkable.
         spec = OPS[op]
         params = list(inspect.signature(getattr(backend, op)).parameters.values())
         assert params[0].name == "self"
@@ -75,7 +72,7 @@ class TestTableMatchesTheBackends:
         assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
 
     def test_every_backend_implements_every_row(self):
-        for backend in (NumpyBackend, TorchBackend, Interposer):
+        for backend in (NumpyBackend, Interposer):
             assert _public_methods(backend) >= set(OPS), backend
 
     def test_roles_name_declared_parameters(self):

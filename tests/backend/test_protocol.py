@@ -1,4 +1,4 @@
-"""Backend registry, protocol conformance, and the torch import guard."""
+"""Backend registry and protocol conformance."""
 
 import numpy as np
 import pytest
@@ -6,18 +6,15 @@ import pytest
 from repro.backend import (
     BACKEND_NAMES,
     KERNEL_ZONE_NAMES,
-    BackendUnavailableError,
     CostCounter,
     InstrumentedBackend,
     Interposer,
     NumericSanitizer,
     NumpyBackend,
     SanitizerBackend,
-    TorchBackend,
     get_backend,
     resolve_backend,
     set_backend,
-    torch_available,
     use_backend,
 )
 
@@ -61,19 +58,7 @@ class TestRegistry:
             resolve_backend("cuda")
 
     def test_backend_names_catalog(self):
-        assert BACKEND_NAMES == ("numpy", "instrumented", "sanitizer", "torch")
-
-
-class TestTorchGuard:
-    @pytest.mark.skipif(torch_available(), reason="torch is installed")
-    def test_torch_unavailable_raises_with_guidance(self):
-        with pytest.raises(BackendUnavailableError, match="--backend numpy"):
-            TorchBackend()
-
-    @pytest.mark.skipif(torch_available(), reason="torch is installed")
-    def test_resolve_torch_surfaces_guard(self):
-        with pytest.raises(BackendUnavailableError):
-            resolve_backend("torch")
+        assert BACKEND_NAMES == ("numpy", "instrumented", "sanitizer")
 
 
 class TestNumpyBackendOps:

@@ -23,8 +23,6 @@ from repro.backend import (
     NumpyBackend,
     Observer,
     SanitizerBackend,
-    TorchBackend,
-    torch_available,
 )
 from repro.backend.groups import group_rows
 
@@ -403,19 +401,3 @@ class TestInterposerForwarding:
             composed.matmul_segment_sum(a, b, groups),
             NumpyBackend().matmul_segment_sum(a, b, groups),
         )
-
-
-@pytest.mark.skipif(not torch_available(), reason="torch not installed")
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-class TestTorchParity:
-    def test_matches_numpy_backend(self, ids, dtype):
-        a, b, table = _operands(ids, dtype)
-        groups = group_rows(ids)
-        ref, bk = NumpyBackend(), TorchBackend()
-        for op, other in (("gather_matmul", table), ("matmul_segment_sum", b)):
-            out = getattr(bk, op)(a, other, groups)
-            expected = getattr(ref, op)(a, other, groups)
-            assert out.dtype == dtype and out.shape == expected.shape
-            np.testing.assert_allclose(
-                out, expected, rtol=RTOL[dtype], atol=200 * RTOL[dtype]
-            )

@@ -7,7 +7,6 @@ from repro.backend import (
     ZONE_INTERACTION,
     Interposer,
     Observer,
-    torch_available,
     use_backend,
 )
 from repro.nn.interaction import DotInteraction
@@ -201,15 +200,3 @@ class TestBackendTraffic:
         layer.backward(grad * 2.0)
         for got, want in zip(held, snapshot):
             np.testing.assert_array_equal(got, want)
-
-
-@pytest.mark.skipif(not torch_available(), reason="torch not installed")
-def test_torch_backend_parity(rng):
-    dense, embs, grad = _problem(rng, 9, 4, 8)
-    want = _run(dense, embs, grad)
-    with use_backend("torch"):
-        got = _run(dense, embs, grad)
-    np.testing.assert_allclose(got[0], want[0], rtol=1e-10)
-    np.testing.assert_allclose(got[1], want[1], rtol=1e-10)
-    for g, w in zip(got[2], want[2]):
-        np.testing.assert_allclose(g, w, rtol=1e-10)

@@ -1,0 +1,157 @@
+"""The gate registry: every gate green once, every execution gate red
+under a seeded mutant.
+
+``test_gate_is_green`` is where tier-1 runs the real gates
+(``test_cli.py::test_quickcheck`` drives the quickcheck loop over
+stand-ins).  Each mutant is a monkeypatch that breaks the one behaviour
+its gate guards, and must turn that gate's :class:`~repro.checks.Check`
+red rather than raise.  The analyzer gates are shown red by their seeded
+corpora under ``tests/analysis/corpus``.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from repro import checks
+from repro.backend import CostCounter, NumpyBackend
+from repro.embeddings.hash_embedding import HashEmbeddingBag
+from repro.nn.loss import BCEWithLogitsLoss
+from repro.resilience.supervisor import PipelineSupervisor
+from repro.serving.fleet import _FleetRun
+from repro.serving.server import ServingModel
+from repro.sharding.partitioner import ShardPartitioner
+from repro.sharding.server import ShardedParameterServer
+
+GATES = checks.registry(steps=5)
+
+
+@pytest.mark.parametrize("name", list(GATES))
+def test_gate_is_green(name):
+    check = GATES[name]()
+    assert check.name == name
+    assert check.ok, checks.format_check(check)
+
+
+def test_registry_is_quickchecks_eighteen_lines_in_order():
+    assert list(GATES) == [
+        "dense", "tt", "eff_tt", "hash", "robe", "pq",
+        "backend", "numsan", "serving", "chaos", "fleet", "resume",
+        "sharded", "compress", "lint", "shape", "det", "perf",
+    ]
+
+
+def test_format_check_puts_the_status_after_the_summary():
+    assert checks.format_check(checks.Check("serving", True, "300/300")) == (
+        "serving  300/300  [ok]"
+    )
+    assert checks.format_check(
+        checks.Check("compress", False, "drift 1.0\n  why")
+    ) == "compress drift 1.0  [FAILED]\n  why"
+
+
+def _training_ascends(monkeypatch):
+    backward = BCEWithLogitsLoss.backward
+    monkeypatch.setattr(BCEWithLogitsLoss, "backward", lambda self: -backward(self))
+
+
+def _counter_records_nothing(monkeypatch):
+    monkeypatch.setattr(CostCounter, "after", lambda self, *call: None)
+
+
+def _nan_leaks_out_of_relu(monkeypatch):
+    maximum = NumpyBackend.maximum
+
+    def leaky(self, a, b):
+        out = maximum(self, a, b)
+        out.flat[0] = np.nan
+        return out
+
+    monkeypatch.setattr(NumpyBackend, "maximum", leaky)
+
+
+def _dense_arm_gathers_the_next_row(monkeypatch):
+    dense_inputs = ServingModel._dense_inputs
+
+    def shifted(self, batch):
+        (idx, bounds), *rest = dense_inputs(self, batch)
+        rows = self._dense_arms[0][1].num_embeddings
+        return [((idx + 1) % rows, bounds), *rest]
+
+    monkeypatch.setattr(ServingModel, "_dense_inputs", shifted)
+
+
+def _supervisor_skips_a_replay(monkeypatch):
+    rollback = PipelineSupervisor._rollback
+
+    def resume_one_late(self, report):
+        step, arrays = rollback(self, report)
+        return step + 1, arrays
+
+    monkeypatch.setattr(PipelineSupervisor, "_rollback", resume_one_late)
+
+
+def _fleet_drops_a_redirect(monkeypatch):
+    def forget(self, fleet_batch, from_replica):
+        self.outstanding -= fleet_batch.size
+
+    monkeypatch.setattr(_FleetRun, "_redirect", forget)
+
+
+def _restore_skips_a_table(monkeypatch):
+    load = ShardedParameterServer.load_state_arrays
+
+    def keep_table0(self, arrays):
+        fresh = {
+            key: block.copy()
+            for key, block in self.state_arrays().items()
+            if key.startswith("table0/")
+        }
+        load(self, {**arrays, **fresh})
+
+    monkeypatch.setattr(ShardedParameterServer, "load_state_arrays", keep_table0)
+
+
+def _partitioner_misroutes_a_row(monkeypatch):
+    route = ShardPartitioner.route
+
+    def misroute(self, global_indices):
+        shard_ids, local = route(self, global_indices)
+        if self.num_shards > 1 and shard_ids.size:
+            shard_ids[0] = (shard_ids[0] + 1) % self.num_shards
+            local[0] = 0
+        return shard_ids, local
+
+    monkeypatch.setattr(ShardPartitioner, "route", misroute)
+
+
+def _hash_bag_reseeds_per_call(monkeypatch):
+    lookup = HashEmbeddingBag._lookup
+    seeds = itertools.count(1)
+
+    def reseeded(self, idx):
+        return lookup(self, (idx + next(seeds)) % self.num_embeddings)
+
+    monkeypatch.setattr(HashEmbeddingBag, "_lookup", reseeded)
+
+
+MUTANTS = {
+    "eff_tt": _training_ascends,
+    "backend": _counter_records_nothing,
+    "numsan": _nan_leaks_out_of_relu,
+    "serving": _dense_arm_gathers_the_next_row,
+    "chaos": _supervisor_skips_a_replay,
+    "fleet": _fleet_drops_a_redirect,
+    "resume": _restore_skips_a_table,
+    "sharded": _partitioner_misroutes_a_row,
+    "compress": _hash_bag_reseeds_per_call,
+}
+
+
+@pytest.mark.parametrize("name", list(MUTANTS))
+def test_mutant_turns_its_gate_red(monkeypatch, name):
+    MUTANTS[name](monkeypatch)
+    check = GATES[name]()
+    assert check.name == name
+    assert not check.ok, checks.format_check(check)

@@ -1,11 +1,25 @@
 """Smoke tests for the ``python -m repro`` CLI."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
+from repro import checks, cli
 from repro.cli import main
+
+
+def _stub_registry(monkeypatch, *stubs):
+    """Replace the gate registry by ``stubs``; returns the steps it was asked for."""
+    asked = []
+
+    def registry(steps):
+        asked.append(steps)
+        return {stub.name: (lambda stub=stub: stub) for stub in stubs}
+
+    monkeypatch.setattr(checks, "registry", registry)
+    return asked
 
 
 class TestCli:
@@ -21,17 +35,35 @@ class TestCli:
         assert "criteo-tb" in out
         assert "45,840,617" in out  # Criteo Kaggle samples
 
-    def test_quickcheck(self, capsys):
+    def test_quickcheck(self, capsys, monkeypatch):
+        # The real gates run once each in tests/test_checks.py; this
+        # drives the loop over stand-ins.
+        asked = _stub_registry(
+            monkeypatch,
+            checks.Check("first", True, "one"),
+            checks.Check("second", True, "two"),
+        )
         assert main(["quickcheck", "--steps", "5"]) == 0
-        out = capsys.readouterr().out
-        assert "eff_tt" in out
-        assert "serving" in out  # serving smoke rides along
-        assert "numpy == instrumented" in out  # backend equivalence gate
-        assert "numpy == sanitizer" in out  # numsan equivalence gate
-        assert "0 trap(s)" in out
-        assert "shape" in out  # static shapecheck gate
-        assert "det" in out  # determinism-taint gate
-        assert "FAILED" not in out
+        assert asked == [5]
+        assert capsys.readouterr().out == (
+            "first    one  [ok]\n"
+            "second   two  [ok]\n"
+        )
+
+    def test_quickcheck_runs_every_gate_and_fails_on_a_red_one(
+        self, capsys, monkeypatch
+    ):
+        _stub_registry(
+            monkeypatch,
+            checks.Check("red", False, "summary\n  why it failed"),
+            checks.Check("green", True, "after"),
+        )
+        assert main(["quickcheck"]) == 1
+        assert capsys.readouterr().out == (
+            "red      summary  [FAILED]\n"
+            "  why it failed\n"
+            "green    after  [ok]\n"
+        )
 
     def test_train(self, capsys):
         assert main(["train", "--steps", "5"]) == 0
@@ -112,15 +144,40 @@ class TestCli:
         out = capsys.readouterr().out
         assert "--backend instrumented" in out
 
-    def test_torch_backend_unavailable_message(self, capsys):
-        from repro.backend import torch_available
-
-        if torch_available():
-            pytest.skip("torch is installed")
-        assert main(["train", "--steps", "2", "--backend", "torch"]) == 2
+    @pytest.mark.parametrize("command", ["train", "bench", "serve"])
+    def test_compress_strategy_requires_a_budget(self, capsys, command):
+        assert main([command, "--compress-strategy", "hash"]) == 2
         err = capsys.readouterr().err
-        assert "backend 'torch' unavailable" in err
-        assert "--backend numpy" in err
+        assert "--compress-strategy requires --memory-budget-mb" in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--compress", "both"], ["--topk-fraction", "0.25"],
+         ["--device-budget-mb", "4"]],
+    )
+    def test_sharded_only_train_flags_require_shards(self, capsys, flags):
+        assert main(["train", "--steps", "2", *flags]) == 2
+        err = capsys.readouterr().err
+        assert flags[0] in err and "--shards" in err
+
+    def test_sharded_train_rejects_per_table_strategies(self, capsys):
+        assert main(
+            ["train", "--shards", "2", "--compress-strategy", "auto"]
+        ) == 2
+        assert "pick hash, robe, or pq" in capsys.readouterr().err
+
+    def test_compression_table(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        assert main(["compression"]) == 0
+        assert "Table III" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["compression", "figures"])
+    def test_bench_commands_without_the_repository(
+        self, capsys, monkeypatch, tmp_path, command
+    ):
+        monkeypatch.setattr(cli, "_BENCH_DIR", tmp_path / "benchmarks")
+        assert main([command]) == 1
+        assert "benchmarks/ directory not found" in capsys.readouterr().err
 
     def test_serve_instrumented_backend(self, capsys):
         assert main(
