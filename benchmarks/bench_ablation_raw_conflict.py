@@ -20,10 +20,8 @@ from repro.data.dataloader import SyntheticClickLog
 from repro.data.datasets import criteo_kaggle_like
 from repro.models.config import DLRMConfig, EmbeddingBackend
 from repro.models.dlrm import DLRM, build_embedding_bag
-from repro.system.parameter_server import (
-    HostBackedEmbeddingBag,
-    HostParameterServer,
-)
+from repro.sharding import ShardedParameterServer
+from repro.system.parameter_server import HostBackedEmbeddingBag
 from repro.system.pipeline import PipelinedPSTrainer, SequentialPSTrainer
 
 LR = 0.3  # aggressive rate magnifies the staleness effect
@@ -59,7 +57,7 @@ def _train(depth, use_cache):
                 )
             )
     model = DLRM(cfg, seed=13, embedding_bags=bags)
-    server = HostParameterServer(server_rows, cfg.embedding_dim, lr=LR, seed=2)
+    server = ShardedParameterServer(server_rows, cfg.embedding_dim, lr=LR, seed=2)
     if depth == 0:
         trainer = SequentialPSTrainer(model, server, host_map, lr=LR)
     else:
@@ -122,7 +120,7 @@ def test_raw_conflict_step(benchmark):
                 )
             )
     model = DLRM(cfg, seed=13, embedding_bags=bags)
-    server = HostParameterServer(server_rows, cfg.embedding_dim, lr=LR, seed=2)
+    server = ShardedParameterServer(server_rows, cfg.embedding_dim, lr=LR, seed=2)
     trainer = PipelinedPSTrainer(
         model, server, host_map, lr=LR, prefetch_depth=4,
         grad_queue_depth=2, use_cache=True,

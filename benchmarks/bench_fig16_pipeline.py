@@ -24,10 +24,8 @@ from repro.frameworks import DlrmPS, ELRec
 from repro.models.config import DLRMConfig, EmbeddingBackend
 from repro.models.dlrm import DLRM, build_embedding_bag
 from repro.system.devices import TESLA_V100
-from repro.system.parameter_server import (
-    HostBackedEmbeddingBag,
-    HostParameterServer,
-)
+from repro.sharding import ShardedParameterServer
+from repro.system.parameter_server import HostBackedEmbeddingBag
 from repro.system.pipeline import PipelinedPSTrainer, SequentialPSTrainer
 
 HOST_FRACTION = 0.6  # share of embedding work served from host memory
@@ -93,7 +91,7 @@ def _functional_setup():
                 )
             )
     model = DLRM(cfg, seed=5, embedding_bags=bags)
-    server = HostParameterServer(
+    server = ShardedParameterServer(
         [rows[p] for p in host_positions], cfg.embedding_dim, lr=0.05, seed=1
     )
     return log, model, server, host_map

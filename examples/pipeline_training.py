@@ -16,9 +16,9 @@ import numpy as np
 from repro import SyntheticClickLog, criteo_kaggle_like
 from repro.models import DLRM, DLRMConfig, EmbeddingBackend
 from repro.models.dlrm import build_embedding_bag
+from repro.sharding import ShardedParameterServer
 from repro.system import (
     HostBackedEmbeddingBag,
-    HostParameterServer,
     PipelinedPSTrainer,
     SequentialPSTrainer,
 )
@@ -66,7 +66,7 @@ def main() -> None:
         ("pipeline, naive prefetch (no cache)", True, False),
     ):
         model = build(cfg, host_map)
-        server = HostParameterServer(
+        server = ShardedParameterServer(
             server_rows, cfg.embedding_dim, lr=LR, seed=3
         )
         if pipelined:

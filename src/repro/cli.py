@@ -75,6 +75,8 @@ def _usage_error(args: argparse.Namespace) -> Optional[str]:
         ]
         if ignored:
             return f"{', '.join(ignored)} only take effect with --shards"
+    if args.command == "chaos" and args.shards < 1:
+        return f"--shards must be >= 1, got {args.shards}"
     if strategy != "none" and args.memory_budget_mb is None:
         return (
             "--compress-strategy requires --memory-budget-mb (the planner "
@@ -863,10 +865,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     chaos.add_argument("--num-faults", type=int, default=3,
                        help="fault count for --plan random")
     chaos.add_argument(
-        "--shards", type=int, default=0,
-        help="run the harness on a sharded parameter server with this "
-        "many shards (0 = one shard, bitwise the single host server); "
-        "recovery invariants must hold either way",
+        "--shards", type=int, default=1,
+        help="shards of the parameter server behind the harness's host "
+        "tables; recovery invariants must hold for any count",
     )
     chaos.add_argument("--seed", type=int, default=0)
     chaos.add_argument(

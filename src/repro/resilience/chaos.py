@@ -142,11 +142,9 @@ class ChaosHarnessConfig:
     p99_budget_factor: float = 10.0
     max_restarts: int = 8
     #: Shards of the :class:`~repro.sharding.server.ShardedParameterServer`
-    #: behind the host tables; 0 and 1 both mean one shard, which is
-    #: bitwise the single-table
-    #: :class:`~repro.system.parameter_server.HostParameterServer`
-    #: (trajectories are identical for any count, compression off).
-    num_shards: int = 0
+    #: behind the host tables (trajectories are identical for any count,
+    #: compression off).
+    num_shards: int = 1
 
 
 @dataclass
@@ -206,7 +204,7 @@ def _build_harness(config: ChaosHarnessConfig):
     def factory(probe) -> PipelinedPSTrainer:
         return build_sharded_ps_trainer(
             model_cfg,
-            num_shards=max(1, config.num_shards),
+            num_shards=config.num_shards,
             host_positions=host_positions,
             probe=probe,
         ).trainer

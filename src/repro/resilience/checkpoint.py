@@ -69,9 +69,9 @@ def capture_trainer_arrays(trainer: _PSTrainerBase) -> Dict[str, np.ndarray]:
     ``bag<t>/weight`` for dense/hash, ``bag<t>/core<k>`` plus optional
     ``bag<t>/adagrad<k>`` for TT, codebooks + codes for PQ), and the
     parameter server's state under a ``server/`` prefix, as named by
-    the server's own ``state_arrays()`` — ``server/table<s>`` for the
-    host server, ``server/table<t>/shard<s>`` (plus error-feedback
-    residuals) for the sharded one.  Host-backed bags own nothing
+    the server's own ``state_arrays()`` — ``server/table<t>/shard<s>``
+    for each shard's rows, plus ``server/ef<t>`` error-feedback
+    residuals when top-k compression is on.  Host-backed bags own nothing
     local — their rows are a view into the server — so their
     ``state_arrays()`` is empty.
     """

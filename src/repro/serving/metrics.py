@@ -7,10 +7,8 @@ operator would alert on.  Percentiles come from the shared
 :mod:`repro.utils.timer` implementation so serving reports and kernel
 benches can never disagree on definition.
 
-Also exports the served-batch timeline in the same Chrome Trace Event
-JSON that :mod:`repro.system.trace_export` writes for the training
-pipeline, so a serving run and a training run can be inspected with
-the same ``chrome://tracing`` / Perfetto workflow.
+Also exports the served-batch timeline as Chrome Trace Event JSON, for
+the ``chrome://tracing`` / Perfetto workflow.
 """
 
 from __future__ import annotations
@@ -220,8 +218,7 @@ def serving_trace_events(
 
     One ``"X"`` (complete) event per served batch on its worker's
     timeline row, one global instant event per hot swap, plus
-    thread-name metadata — the same conventions as
-    :func:`repro.system.trace_export.pipeline_trace_events`.
+    thread-name metadata.
     """
     events: List[Dict] = []
     workers = set()

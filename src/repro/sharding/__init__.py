@@ -1,16 +1,16 @@
-"""Sharded parameter-server tier.
+"""The parameter-server tier.
 
-EL-Rec's PS-pipelined training (paper §V) assumes one host-resident
-parameter server.  This package scales that tier out to ``N`` simulated
-devices while preserving the repo's foundation invariant — bitwise
-determinism:
+EL-Rec's PS-pipelined training (paper §V) keeps the overflow tables in
+host memory behind one CPU parameter server.  This package holds that
+server and simulates sharding it across ``N`` devices while preserving
+the repo's foundation invariant — bitwise determinism:
 
 * :mod:`repro.sharding.partitioner` — deterministic mod-N row routing
-  between global ids and per-shard blocks.
+  between global ids and shards.
 * :mod:`repro.sharding.server` — the
-  :class:`~repro.sharding.server.ShardedParameterServer`, a drop-in
-  for :class:`~repro.system.parameter_server.HostParameterServer` with
-  per-shard-link byte accounting and exactly-once gradient counters.
+  :class:`~repro.sharding.server.ShardedParameterServer`: one array per
+  table, with per-shard-link byte accounting and exactly-once gradient
+  counters (``num_shards=1`` by default).
 * :mod:`repro.sharding.compression` — optional top-k error-feedback
   gradient compression and int8 pull quantization on the PS links
   (both off by default; the default path is bitwise).
@@ -19,9 +19,10 @@ determinism:
   worker/server split does not move with ``N``) and assembles the
   standard pipelined PS trainer on the sharded tier.
 
-With compression off, ``N``-shard training is bit-identical to the
-single-table baseline for any ``N`` — the property the quickcheck
-sharded-equivalence gate and ``tests/sharding`` pin.
+A shard is the strided view ``table[s::N]`` of one array, so with
+compression off ``N``-shard training is bit-identical to 1-shard
+training for any ``N`` — the property the quickcheck sharded gate and
+``tests/sharding`` pin.
 """
 
 from repro.sharding.compression import (

@@ -16,11 +16,12 @@ stays bitwise-identical to the single-table baseline:
   so the worker trains on values carrying real quantization error
   while the arrays stay float64 end to end.
 
-Wire accounting is explicit: every compressor reports the bytes a real
-link would carry (values + row ids + scales), which the
-:class:`~repro.sharding.server.ShardedParameterServer` attributes per
-shard link.  All compression math runs under the ``link_compress``
-kernel zone.
+Wire accounting is explicit: :data:`ROW_ID_BYTES`,
+:func:`exact_row_bytes` and :func:`int8_row_bytes` are the bytes a real
+link carries per row, and the
+:class:`~repro.sharding.server.ShardedParameterServer` meters every
+shard link with them.  All compression math runs under the
+``link_compress`` kernel zone.
 """
 
 from __future__ import annotations
@@ -39,14 +40,24 @@ __all__ = [
     "TopKErrorFeedback",
     "PullQuantizer",
     "COMPRESSION_MODES",
+    "ROW_ID_BYTES",
+    "exact_row_bytes",
+    "int8_row_bytes",
 ]
 
-#: Bytes of one float64 value / one int64 row id on the wire.
-_VALUE_BYTES = 8
-_INDEX_BYTES = 8
-#: Bytes of one int8 quantized value + per-row float64 scale.
-_QUANT_VALUE_BYTES = 1
-_QUANT_SCALE_BYTES = 8
+#: Bytes of the int64 id that travels with every row on a link.
+ROW_ID_BYTES = 8
+
+
+def exact_row_bytes(dim: int) -> int:
+    """Link bytes of one row's values sent exact (float64)."""
+    return dim * 8
+
+
+def int8_row_bytes(dim: int) -> int:
+    """Link bytes of one row's values sent as int8 plus a float64 scale."""
+    return dim * 1 + 8
+
 
 #: ``--compress`` vocabulary: which knobs each mode enables.
 COMPRESSION_MODES: Dict[str, Tuple[bool, bool]] = {
@@ -95,16 +106,10 @@ class LinkCompressionConfig:
 
 @dataclass
 class CompressedPush:
-    """One compressed gradient push: selected rows plus wire cost."""
+    """One compressed gradient push: the rows selected to cross the link."""
 
     unique_indices: np.ndarray
     row_grads: np.ndarray
-    raw_bytes: int
-    wire_bytes: int
-
-
-def _push_raw_bytes(num_rows: int, dim: int) -> int:
-    return num_rows * (dim * _VALUE_BYTES + _INDEX_BYTES)
 
 
 class TopKErrorFeedback:
@@ -171,12 +176,7 @@ class TopKErrorFeedback:
             sent = corrected[kept_positions]
             residual[uidx[kept_positions]] = 0.0
             residual[uidx[dropped_positions]] = corrected[dropped_positions]
-        return CompressedPush(
-            unique_indices=uidx[kept_positions],
-            row_grads=sent,
-            raw_bytes=_push_raw_bytes(uidx.size, self.embedding_dim),
-            wire_bytes=_push_raw_bytes(kept_positions.size, self.embedding_dim),
-        )
+        return CompressedPush(unique_indices=uidx[kept_positions], row_grads=sent)
 
     # -- checkpoint support --------------------------------------------
     def state_arrays(self) -> Dict[str, np.ndarray]:
@@ -208,16 +208,11 @@ class PullQuantizer:
         check_positive(embedding_dim, "embedding_dim")
         self.embedding_dim = int(embedding_dim)
 
-    def apply(self, rows: np.ndarray) -> Tuple[np.ndarray, int, int]:
-        """Quantize-dequantize ``rows``; returns (rows', raw, wire) bytes."""
+    def apply(self, rows: np.ndarray) -> np.ndarray:
+        """Quantize-dequantize ``rows`` (each row on its own scale)."""
         rows = np.asarray(rows, dtype=np.float64)
-        num = rows.shape[0]
-        raw = num * self.embedding_dim * _VALUE_BYTES
-        wire = num * (
-            self.embedding_dim * _QUANT_VALUE_BYTES + _QUANT_SCALE_BYTES
-        )
-        if num == 0:
-            return rows, raw, wire
+        if rows.shape[0] == 0:
+            return rows
         bk = get_backend()
         with bk.zone(ZONE_LINK_COMPRESS):
             scale = np.abs(rows).max(axis=1, keepdims=True) / 127.0
@@ -225,7 +220,7 @@ class PullQuantizer:
             safe = bk.where(scale > 0.0, scale, 1.0)
             quantized = np.rint(rows / safe)
             dequantized = quantized * safe
-        return dequantized, raw, wire
+        return dequantized
 
 
 def build_push_compressor(

@@ -1,18 +1,12 @@
 """Deterministic row -> shard routing for sharded embedding tables.
 
 Rows are routed with plain modular arithmetic: global row ``g`` lives on
-shard ``g % N`` at local offset ``g // N``.  Two properties make this
-the right partition for the reproduction:
-
-* **Zipf balance** — popular rows are spread by *id*, and the data
-  generators scatter popularity ranks through a random permutation, so
-  mod-N routing balances both capacity and access load without a
-  directory.
-* **Bitwise reassembly** — within one shard, locals sorted ascending
-  correspond to globals sorted ascending, so a per-shard gather of a
-  sorted unique index set can be scattered back into globally sorted
-  order without re-sorting.  That is what keeps N-shard training
-  bit-identical to the single-table baseline.
+shard ``g % N`` at local offset ``g // N``, so shard ``s`` of a table is
+its strided view ``table[s::N]``.  Popular rows are spread by *id*, and
+the data generators scatter popularity ranks through a random
+permutation, so mod-N routing balances both capacity and access load
+without a directory.  The parameter server reads it for accounting
+only: which shard link a row crosses and which shard an apply touches.
 
 The routing math runs under the ``shard_route`` kernel zone so the
 instrumented backend can attribute its cost.
@@ -54,17 +48,6 @@ class ShardPartitioner:
             raise ValueError(f"num_rows must be >= 0, got {num_rows}")
         # Globals owned by shard s are s, s+N, s+2N, ...
         return (num_rows - shard + self.num_shards - 1) // self.num_shards
-
-    def split_table(self, table: np.ndarray) -> List[np.ndarray]:
-        """Scatter a full table into per-shard blocks (copies).
-
-        Block ``s`` row ``l`` holds global row ``l * N + s``; blocks of
-        an ``R``-row table have ``shard_rows(R, s)`` rows each.
-        """
-        return [
-            np.array(table[s :: self.num_shards], copy=True)
-            for s in range(self.num_shards)
-        ]
 
     # -- routing -------------------------------------------------------
     def route(

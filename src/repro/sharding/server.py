@@ -1,46 +1,48 @@
-"""Sharded parameter server: host tables split across simulated devices.
+"""The parameter server for host-resident embedding tables (§V-A).
 
-:class:`ShardedParameterServer` duck-types
-:class:`~repro.system.parameter_server.HostParameterServer` — same
-``gather`` / ``apply_gradients`` / ``tables`` surface — so the existing
-sequential and pipelined PS trainers drive it unchanged.  Internally
-every table is split across ``num_shards`` simulated devices by the
-mod-N :class:`~repro.sharding.partitioner.ShardPartitioner`; a gather
-fans out to the owning shards and reassembles rows in globally sorted
-order, an apply fans the aggregated row gradients back out.
+:class:`ShardedParameterServer` owns one float64 table per server-
+resident embedding table and runs the sparse operations on the CPU
+side: :meth:`~ShardedParameterServer.gather` pulls the unique rows a
+batch needs into the prefetch queue, and
+:meth:`~ShardedParameterServer.apply_gradients` applies one batch's
+aggregated row gradients from the gradient queue.  The sequential and
+pipelined PS trainers drive it.
 
-Three invariants the tests pin:
+``num_shards`` simulates row-sharding the tables across N devices.
+Shard ``s`` owns global rows ``s, s+N, s+2N, ...`` (the mod-N
+:class:`~repro.sharding.partitioner.ShardPartitioner`), which is the
+strided view ``tables[t][s::N]``.  The rows stay in one array per
+table, so training is bit-identical for every N by construction; N
+changes only the accounting the tests pin:
 
-* **Bitwise equivalence** — with link compression off, training against
-  an N-shard server is bit-identical to the single-table baseline for
-  any N: tables are initialized *before* splitting with the exact
-  HostParameterServer RNG stream, per-shard blocks are strided views'
-  copies (``table[s::N]``), and both fan-out directions preserve sorted
-  order, so every float op matches the unsharded execution.
 * **Exactly-once accounting** — each ``apply_gradients`` call is one
-  logical update; per-shard apply counters track which devices actually
-  received rows, and their sum over a run equals the number of
-  non-empty (table, shard) pushes.  The resilience ledger's replay
-  therefore reconciles against ``update_count`` exactly as it does for
-  the host server.
+  logical update (``update_count``); ``shard_apply_counts[s]`` counts
+  the calls that sent shard ``s`` at least one row.  The resilience
+  ledger's replay reconciles against ``update_count``.
 * **Explicit wire accounting** — every pull (gather) and push
-  (gradient) is metered per shard link in raw vs on-wire bytes, so the
-  scaling benchmark can show compression shrinking PS traffic.
+  (gradient) is metered per shard link in raw vs on-wire bytes, at the
+  per-row costs :mod:`repro.sharding.compression` defines.
+* **Checkpoint layout** — :meth:`~ShardedParameterServer.state_arrays`
+  names each shard's rows ``table{t}/shard{s}``, so an N-shard snapshot
+  restores into an N-shard server.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.backend import ZONE_PS_APPLY, ZONE_PS_GATHER, get_backend
 from repro.nn.optim import SparseSGD
 from repro.sharding.compression import (
+    ROW_ID_BYTES,
     LinkCompressionConfig,
     build_pull_quantizer,
     build_push_compressor,
+    exact_row_bytes,
+    int8_row_bytes,
 )
 from repro.sharding.partitioner import ShardPartitioner
 from repro.system.parameter_server import PrefetchedRows
@@ -48,8 +50,6 @@ from repro.utils.rng import RngLike, spawn_rngs
 from repro.utils.validation import check_1d_int_array
 
 __all__ = ["ShardedParameterServer", "LinkStats"]
-
-_ROW_ID_BYTES = 8
 
 
 @dataclass
@@ -65,6 +65,13 @@ class LinkStats:
     def __post_init__(self) -> None:
         for name in ("pull_raw", "pull_wire", "push_raw", "push_wire"):
             setattr(self, name, np.zeros(self.num_shards, dtype=np.int64))
+
+    def charge(
+        self, direction: str, raw: np.ndarray, wire: np.ndarray
+    ) -> None:
+        """Add per-shard ``raw`` / on-``wire`` bytes to ``"pull"`` or ``"push"``."""
+        getattr(self, f"{direction}_raw")[...] += raw
+        getattr(self, f"{direction}_wire")[...] += wire
 
     @property
     def total_raw(self) -> int:
@@ -90,83 +97,6 @@ class LinkStats:
         }
 
 
-class _ShardedTableView:
-    """Read-only global-index view over one table's shard blocks.
-
-    Lets callers that expect a plain ``np.ndarray`` table (the
-    pipeline's no-cache diagnostic, serving snapshots) address rows by
-    global id without knowing the shard layout.
-    """
-
-    def __init__(
-        self,
-        blocks: List[np.ndarray],
-        partitioner: ShardPartitioner,
-        num_rows: int,
-        embedding_dim: int,
-    ) -> None:
-        self._blocks = blocks
-        self._partitioner = partitioner
-        self._num_rows = num_rows
-        self._embedding_dim = embedding_dim
-
-    @property
-    def shape(self) -> Tuple[int, int]:
-        return (self._num_rows, self._embedding_dim)
-
-    @property
-    def nbytes(self) -> int:
-        return sum(b.nbytes for b in self._blocks)
-
-    def __len__(self) -> int:
-        return self._num_rows
-
-    def __getitem__(self, key: Any) -> np.ndarray:
-        idx = np.asarray(key, dtype=np.int64)
-        scalar = idx.ndim == 0
-        flat = idx.reshape(-1)
-        shard_ids, local = self._partitioner.route(flat)
-        out = np.empty(
-            (flat.size, self._embedding_dim), dtype=np.float64
-        )
-        for s, block in enumerate(self._blocks):
-            mask = shard_ids == s
-            if mask.any():
-                out[mask] = block[local[mask]]
-        if scalar:
-            return out[0]
-        return out.reshape(idx.shape + (self._embedding_dim,))
-
-    def __array__(
-        self, dtype: Any = None, copy: Optional[bool] = None
-    ) -> np.ndarray:
-        full = np.empty(
-            (self._num_rows, self._embedding_dim), dtype=np.float64
-        )
-        for s, block in enumerate(self._blocks):
-            full[s :: self._partitioner.num_shards] = block
-        if dtype is not None:
-            return full.astype(dtype)
-        return full
-
-
-class _TableViewList:
-    """List-like ``server.tables`` facade producing shard views."""
-
-    def __init__(self, server: "ShardedParameterServer") -> None:
-        self._server = server
-
-    def __len__(self) -> int:
-        return self._server.num_tables
-
-    def __getitem__(self, table_idx: int) -> _ShardedTableView:
-        return self._server.table_view(table_idx)
-
-    def __iter__(self) -> Iterator[_ShardedTableView]:
-        for t in range(len(self)):
-            yield self[t]
-
-
 class ShardedParameterServer:
     """Parameter server whose tables are row-sharded across N devices.
 
@@ -179,11 +109,11 @@ class ShardedParameterServer:
     lr:
         Learning rate for the server-side sparse update.
     num_shards:
-        Simulated device count (``1`` reduces to the host server's
-        behaviour, still bitwise).
+        Simulated device count; it changes the accounting, never a
+        table's bits.
     seed:
-        RNG for table initialization — the same seed produces tables
-        bitwise-identical to a :class:`HostParameterServer`.
+        RNG for table initialization: table ``t`` draws
+        ``uniform(±1/√rows)`` from the ``t``-th spawned stream.
     compression:
         Optional :class:`LinkCompressionConfig`; ``None`` (or mode
         ``"none"``) keeps both link directions exact.
@@ -204,82 +134,60 @@ class ShardedParameterServer:
         self.lr = float(lr)
         self.partitioner = ShardPartitioner(num_shards)
         self.num_shards = self.partitioner.num_shards
-        self.table_rows: List[int] = [int(r) for r in table_rows]
         self.compression = compression or LinkCompressionConfig()
 
-        # Initialize full tables with the HostParameterServer RNG
-        # stream, *then* split — shard blocks hold bitwise the same
-        # values the unsharded server would.
-        rngs = spawn_rngs(seed, len(self.table_rows))
-        self._shards: List[List[np.ndarray]] = []
-        for rows, rng in zip(self.table_rows, rngs):
+        rows_per_table = [int(r) for r in table_rows]
+        rngs = spawn_rngs(seed, len(rows_per_table))
+        self.tables: List[np.ndarray] = []
+        for rows, rng in zip(rows_per_table, rngs):
             bound = 1.0 / np.sqrt(rows)
-            full = rng.uniform(-bound, bound, size=(rows, embedding_dim))
-            self._shards.append(self.partitioner.split_table(full))
+            self.tables.append(
+                rng.uniform(-bound, bound, size=(rows, self.embedding_dim))
+            )
 
         self._sgd = SparseSGD(lr)
         self._push = build_push_compressor(
-            self.compression, self.table_rows, self.embedding_dim
+            self.compression, rows_per_table, self.embedding_dim
         )
         self._pull = build_pull_quantizer(self.compression, self.embedding_dim)
+        # Link bytes per row: an id plus its exact values, and what a
+        # pull puts on the wire (int8 values when quantized).
+        self._row_bytes = exact_row_bytes(self.embedding_dim) + ROW_ID_BYTES
+        pulled = int8_row_bytes if self._pull is not None else exact_row_bytes
+        self._pull_row_bytes = pulled(self.embedding_dim) + ROW_ID_BYTES
 
         self.gather_count = 0
         self.update_count = 0
         self.shard_apply_counts = np.zeros(self.num_shards, dtype=np.int64)
         self.link_stats = LinkStats(self.num_shards)
 
-    # -- HostParameterServer surface -----------------------------------
     @property
     def num_tables(self) -> int:
-        return len(self.table_rows)
+        return len(self.tables)
 
-    @property
-    def tables(self) -> _TableViewList:
-        return _TableViewList(self)
+    def _checked_ids(
+        self, table_idx: int, ids: np.ndarray, name: str
+    ) -> np.ndarray:
+        rows = self.tables[table_idx].shape[0]
+        return check_1d_int_array(ids, name, min_value=0, max_value=rows - 1)
 
-    def table_view(self, table_idx: int) -> _ShardedTableView:
-        return _ShardedTableView(
-            self._shards[table_idx],
-            self.partitioner,
-            self.table_rows[table_idx],
-            self.embedding_dim,
-        )
-
-    def shard_blocks(self, table_idx: int) -> List[np.ndarray]:
-        """The live per-shard blocks of one table (not copies)."""
-        return self._shards[table_idx]
+    def _rows_per_shard(self, ids: np.ndarray) -> np.ndarray:
+        shard_ids, _ = self.partitioner.route(ids)
+        return np.bincount(shard_ids, minlength=self.num_shards)
 
     def gather(self, table_idx: int, indices: np.ndarray) -> PrefetchedRows:
-        """Gather a batch's unique rows from their owning shards.
-
-        The reassembled ``rows`` array is ordered by ascending global
-        id, exactly as the host server's ``np.unique``-sorted gather.
-        """
-        num_rows = self.table_rows[table_idx]
-        idx = check_1d_int_array(
-            indices, "indices", min_value=0, max_value=num_rows - 1
-        )
-        unique = np.unique(idx)
+        """Gather a batch's unique rows, in ascending id order."""
+        unique = np.unique(self._checked_ids(table_idx, indices, "indices"))
         self.gather_count += 1
-        shard_ids, local = self.partitioner.route(unique)
-        rows = np.empty(
-            (unique.size, self.embedding_dim), dtype=np.float64
-        )
         bk = get_backend()
-        for s, block in enumerate(self._shards[table_idx]):
-            mask = shard_ids == s
-            count = int(mask.sum())
-            if count == 0:
-                continue
-            with bk.zone(ZONE_PS_GATHER):
-                pulled = bk.gather_rows(block, local[mask])
-            raw = count * self.embedding_dim * 8
-            wire = raw
-            if self._pull is not None:
-                pulled, raw, wire = self._pull.apply(pulled)
-            rows[mask] = pulled
-            self.link_stats.pull_raw[s] += raw + count * _ROW_ID_BYTES
-            self.link_stats.pull_wire[s] += wire + count * _ROW_ID_BYTES
+        with bk.zone(ZONE_PS_GATHER):
+            rows = bk.gather_rows(self.tables[table_idx], unique)
+        if self._pull is not None:
+            rows = self._pull.apply(rows)
+        counts = self._rows_per_shard(unique)
+        self.link_stats.charge(
+            "pull", counts * self._row_bytes, counts * self._pull_row_bytes
+        )
         return PrefetchedRows(
             table_idx=table_idx,
             unique_indices=unique,
@@ -289,82 +197,76 @@ class ShardedParameterServer:
     def apply_gradients(
         self, table_idx: int, unique_indices: np.ndarray, row_grads: np.ndarray
     ) -> None:
-        """Route one batch's aggregated row gradients to their shards.
+        """Apply one batch's aggregated row gradients (one logical update).
 
-        With top-k compression enabled, only the top rows by
-        residual-corrected norm cross the links this step; everything
-        else is banked in the error-feedback residual and sent later.
-        The call counts as exactly one logical update regardless of how
-        many shard links it touched.
+        The ids and the gradient shape are checked before anything is
+        written or counted.  With top-k compression enabled, only the
+        top rows by residual-corrected norm cross the links this step;
+        everything else is banked in the error-feedback residual and
+        sent later.
         """
-        uidx = np.asarray(unique_indices, dtype=np.int64)
+        uidx = self._checked_ids(table_idx, unique_indices, "unique_indices")
         grads = np.asarray(row_grads, dtype=np.float64)
-        raw_ids, raw_locals = self.partitioner.route(uidx)
+        if grads.shape != (uidx.size, self.embedding_dim):
+            raise ValueError(
+                f"row_grads shape {grads.shape} does not match "
+                f"({uidx.size}, {self.embedding_dim})"
+            )
+        offered = self._rows_per_shard(uidx)
+        sent = offered
         if self._push is not None:
             pushed = self._push.compress(table_idx, uidx, grads)
-            sent_idx, sent_grads = pushed.unique_indices, pushed.row_grads
-            sent_ids, sent_locals = self.partitioner.route(sent_idx)
-        else:
-            sent_idx, sent_grads = uidx, grads
-            sent_ids, sent_locals = raw_ids, raw_locals
-        per_row_bytes = self.embedding_dim * 8 + _ROW_ID_BYTES
-        blocks = self._shards[table_idx]
-        for s in range(self.num_shards):
-            raw_count = int((raw_ids == s).sum())
-            mask = sent_ids == s
-            count = int(mask.sum())
-            self.link_stats.push_raw[s] += raw_count * per_row_bytes
-            self.link_stats.push_wire[s] += count * per_row_bytes
-            if count == 0:
-                continue
-            self._sgd.step_rows(
-                blocks[s],
-                sent_locals[mask],
-                sent_grads[mask],
-                zone=ZONE_PS_APPLY,
-            )
-            self.shard_apply_counts[s] += 1
+            uidx, grads = pushed.unique_indices, pushed.row_grads
+            sent = self._rows_per_shard(uidx)
+        self._sgd.step_rows(
+            self.tables[table_idx], uidx, grads, zone=ZONE_PS_APPLY
+        )
+        self.link_stats.charge(
+            "push", offered * self._row_bytes, sent * self._row_bytes
+        )
+        self.shard_apply_counts += sent > 0
         self.update_count += 1
 
     def nbytes(self) -> int:
-        return sum(
-            block.nbytes for shards in self._shards for block in shards
-        )
+        return sum(table.nbytes for table in self.tables)
 
     # -- checkpoint support --------------------------------------------
+    def _shard_views(self) -> Dict[str, np.ndarray]:
+        n = self.num_shards
+        return {
+            f"table{t}/shard{s}": table[s::n]
+            for t, table in enumerate(self.tables)
+            for s in range(n)
+        }
+
     def state_arrays(self) -> Dict[str, np.ndarray]:
         """Live state arrays for a trainer snapshot.
 
-        Shard blocks are exposed per (table, shard) so a checkpoint of
-        an N-shard run restores into an N-shard server without
-        re-splitting; error-feedback residuals ride along so recovery
+        Each shard's rows appear as ``table{t}/shard{s}`` (the view
+        ``tables[t][s::N]``) so an N-shard snapshot restores into an
+        N-shard server; error-feedback residuals ride along so recovery
         is bitwise even with compression on.
         """
-        arrays: Dict[str, np.ndarray] = {}
-        for t, shards in enumerate(self._shards):
-            for s, block in enumerate(shards):
-                arrays[f"table{t}/shard{s}"] = block
+        arrays = self._shard_views()
         if self._push is not None:
             for key, residual in sorted(self._push.state_arrays().items()):
                 arrays[key] = residual
         return arrays
 
     def load_state_arrays(self, arrays: Dict[str, np.ndarray]) -> None:
-        """Restore :meth:`state_arrays` output (validate, then write)."""
+        """Restore :meth:`state_arrays` output (validate all, then write)."""
         staged = []
-        for t, shards in enumerate(self._shards):
-            for s, block in enumerate(shards):
-                key = f"table{t}/shard{s}"
-                if key not in arrays:
-                    raise KeyError(f"snapshot missing shard array {key!r}")
-                stored = np.asarray(arrays[key], dtype=np.float64)
-                if stored.shape != block.shape:
-                    raise ValueError(
-                        f"shard {key!r} shape mismatch: "
-                        f"{stored.shape} vs {block.shape}"
-                    )
-                staged.append((block, stored))
-        for block, stored in staged:
-            block[...] = stored
+        for key, view in self._shard_views().items():
+            if key not in arrays:
+                raise KeyError(f"snapshot missing shard array {key!r}")
+            stored = np.asarray(arrays[key], dtype=np.float64)
+            if stored.shape != view.shape:
+                raise ValueError(
+                    f"shard {key!r} shape mismatch: "
+                    f"{stored.shape} vs {view.shape}"
+                )
+            staged.append((view, stored))
         if self._push is not None:
-            self._push.load_state_arrays(arrays)
+            self._push.load_state_arrays(arrays)  # validates, then writes
+        for view, stored in staged:
+            view[...] = stored

@@ -8,9 +8,9 @@ statistics, puts the server-resident tables behind a
 :class:`~repro.sharding.server.ShardedParameterServer`, and wires the
 standard :class:`~repro.system.pipeline.PipelinedPSTrainer` around
 them.  Seeds follow the established harness conventions (model 7,
-server 3, worker bags ``200 + table``), so a 1-shard build is
-bitwise-identical to the legacy
-:class:`~repro.system.parameter_server.HostParameterServer` harness.
+server 3, worker bags ``200 + table``), so a build is
+bitwise-identical to the same trainer assembled by hand (host-backed
+bags, a plain server), for any shard count.
 """
 
 from __future__ import annotations

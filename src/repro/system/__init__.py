@@ -9,11 +9,13 @@ embedding cache.
 Because this reproduction runs on one host, the system layer has two
 personalities:
 
-* **functional** — :mod:`repro.system.parameter_server` and
-  :mod:`repro.system.pipeline` execute *real numerics* through the PS
-  architecture, letting tests prove the paper's correctness claim
-  (pipeline + embedding cache is bit-identical to sequential
-  training, while naive prefetching trains on stale rows);
+* **functional** — :mod:`repro.system.pipeline` executes *real
+  numerics* through the PS architecture (the server is
+  :class:`~repro.sharding.server.ShardedParameterServer`, the worker's
+  host-backed bags live in :mod:`repro.system.parameter_server`),
+  letting tests prove the paper's correctness claim (pipeline +
+  embedding cache is bit-identical to sequential training, while
+  naive prefetching trains on stale rows);
 * **timed** — :mod:`repro.system.devices` calibrates a roofline cost
   model against this host's measured kernel throughput and scales it
   to published GPU specs (V100 / T4), and
@@ -32,10 +34,7 @@ from repro.system.devices import (
     calibrate_host,
 )
 from repro.system.queues import BoundedQueue, QueueClosed
-from repro.system.parameter_server import (
-    HostBackedEmbeddingBag,
-    HostParameterServer,
-)
+from repro.system.parameter_server import HostBackedEmbeddingBag
 from repro.system.pipeline import (
     PipelinedPSTrainer,
     SequentialPSTrainer,
@@ -64,7 +63,6 @@ __all__ = [
     "TESLA_T4",
     "BoundedQueue",
     "QueueClosed",
-    "HostParameterServer",
     "HostBackedEmbeddingBag",
     "SequentialPSTrainer",
     "PipelinedPSTrainer",

@@ -1,18 +1,18 @@
-"""Parameter-server components for host-resident embedding tables (§V-A).
+"""Worker-side half of the parameter-server architecture (§V-A).
 
-The server owns dense embedding tables in host memory and performs the
-sparse operations on the CPU side: gathering rows for upcoming batches
-(prefetch) and applying sparse gradients pulled from the gradient
-queue.  Workers see host tables through
-:class:`HostBackedEmbeddingBag`, a bag whose rows are *loaded* per
-batch rather than owned — the mechanism that lets one DLRM instance mix
-GPU-resident Eff-TT tables with host-resident dense tables.
+The server itself —
+:class:`~repro.sharding.server.ShardedParameterServer` — owns the
+host-resident tables and hands out :class:`PrefetchedRows`.  Workers
+see host tables through :class:`HostBackedEmbeddingBag`, a bag whose
+rows are *loaded* per batch rather than owned — the mechanism that lets
+one DLRM instance mix GPU-resident Eff-TT tables with host-resident
+dense tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -22,11 +22,9 @@ from repro.backend import (
     get_backend,
 )
 from repro.embeddings.base import EmbeddingBagBase
-from repro.nn.optim import SparseSGD
-from repro.utils.rng import RngLike, spawn_rngs
 from repro.utils.validation import check_1d_int_array
 
-__all__ = ["HostParameterServer", "HostBackedEmbeddingBag", "PrefetchedRows"]
+__all__ = ["HostBackedEmbeddingBag", "PrefetchedRows"]
 
 
 @dataclass
@@ -40,139 +38,6 @@ class PrefetchedRows:
     table_idx: int
     unique_indices: np.ndarray
     rows: np.ndarray
-
-
-class HostParameterServer:
-    """CPU-side server owning the host-resident dense tables.
-
-    Parameters
-    ----------
-    table_rows:
-        Cardinality of each host table.
-    embedding_dim:
-        Shared embedding width.
-    lr:
-        Learning rate for the server-side sparse update.
-    seed:
-        RNG for table initialization.
-    """
-
-    def __init__(
-        self,
-        table_rows: Sequence[int],
-        embedding_dim: int,
-        lr: float,
-        seed: RngLike = 0,
-    ) -> None:
-        if lr <= 0:
-            raise ValueError(f"lr must be > 0, got {lr}")
-        self.embedding_dim = int(embedding_dim)
-        self.lr = float(lr)
-        rngs = spawn_rngs(seed, len(table_rows))
-        self.tables: List[np.ndarray] = []
-        for rows, rng in zip(table_rows, rngs):
-            bound = 1.0 / np.sqrt(rows)
-            self.tables.append(
-                rng.uniform(-bound, bound, size=(rows, embedding_dim))
-            )
-        self._sgd = SparseSGD(lr)
-        self.gather_count = 0
-        self.update_count = 0
-
-    @property
-    def num_tables(self) -> int:
-        return len(self.tables)
-
-    def gather(self, table_idx: int, indices: np.ndarray) -> PrefetchedRows:
-        """Gather the unique rows a batch needs (CPU-side lookup)."""
-        table = self.tables[table_idx]
-        idx = check_1d_int_array(
-            indices, "indices", min_value=0, max_value=table.shape[0] - 1
-        )
-        unique = np.unique(idx)
-        self.gather_count += 1
-        bk = get_backend()
-        with bk.zone(ZONE_PS_GATHER):
-            rows = bk.gather_rows(table, unique)
-        return PrefetchedRows(
-            table_idx=table_idx,
-            unique_indices=unique,
-            rows=rows,
-        )
-
-    def apply_gradients(
-        self, table_idx: int, unique_indices: np.ndarray, row_grads: np.ndarray
-    ) -> None:
-        """Apply one batch's aggregated sparse gradients (server update)."""
-        self._sgd.step_rows(
-            self.tables[table_idx], unique_indices, row_grads, zone=ZONE_PS_APPLY
-        )
-        self.update_count += 1
-
-    def nbytes(self) -> int:
-        return sum(t.nbytes for t in self.tables)
-
-    # -- checkpoint support ----------------------------------------------
-    def state_arrays(self) -> Dict[str, np.ndarray]:
-        """Live state arrays for a trainer snapshot (keys ``table{t}``).
-
-        The duck-typed surface the resilience checkpointing layer uses
-        so any server implementation (host or sharded) can be captured
-        and restored without the layer knowing its internal layout.
-        """
-        return {f"table{t}": table for t, table in enumerate(self.tables)}
-
-    def load_state_arrays(self, arrays: Dict[str, np.ndarray]) -> None:
-        """Restore :meth:`state_arrays` output (validate, then write)."""
-        staged = []
-        for t, table in enumerate(self.tables):
-            key = f"table{t}"
-            if key not in arrays:
-                raise KeyError(f"snapshot missing table array {key!r}")
-            stored = np.asarray(arrays[key], dtype=np.float64)
-            if stored.shape != table.shape:
-                raise ValueError(
-                    f"table {key!r} shape mismatch: "
-                    f"{stored.shape} vs {table.shape}"
-                )
-            staged.append((table, stored))
-        for table, stored in staged:
-            table[...] = stored
-
-    # -- persistence -----------------------------------------------------
-    def save(self, path) -> None:
-        """Persist the host-resident tables (and lr) to an .npz file.
-
-        Complements :func:`repro.models.serialization.save_checkpoint`,
-        which covers only worker-local parameters: a PS deployment
-        checkpoints the server tables here and the worker model there.
-        """
-        arrays = {
-            f"table{t}": table for t, table in enumerate(self.tables)
-        }
-        arrays["__lr__"] = np.array([self.lr])
-        np.savez_compressed(path, **arrays)
-
-    @classmethod
-    def load(cls, path, seed: RngLike = 0) -> "HostParameterServer":
-        """Rebuild a server from :meth:`save` output."""
-        with np.load(path) as archive:
-            lr = float(archive["__lr__"][0])
-            tables = []
-            t = 0
-            while f"table{t}" in archive:
-                tables.append(archive[f"table{t}"].astype(np.float64))
-                t += 1
-        if not tables:
-            raise ValueError("checkpoint contains no tables")
-        server = cls(
-            [tab.shape[0] for tab in tables],
-            embedding_dim=tables[0].shape[1],
-            lr=lr,
-            seed=seed,
-        )
-        server.tables = tables
-        return server
 
 
 class HostBackedEmbeddingBag(EmbeddingBagBase):

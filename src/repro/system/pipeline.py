@@ -20,22 +20,30 @@ Two personalities:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
-from repro.backend import get_plan_cache
 from repro.data.dataloader import Batch, SyntheticClickLog
 from repro.embeddings.cache import EmbeddingCache
 from repro.models.dlrm import DLRM
 from repro.nn.optim import SGD
-from repro.system.parameter_server import (
-    HostBackedEmbeddingBag,
-    HostParameterServer,
-    PrefetchedRows,
-)
+from repro.system.parameter_server import HostBackedEmbeddingBag, PrefetchedRows
 from repro.system.queues import BoundedQueue
 from repro.utils.validation import check_positive
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    # repro.sharding imports this module; a runtime import would cycle.
+    from repro.sharding.server import ShardedParameterServer
 
 __all__ = [
     "SequentialPSTrainer",
@@ -97,10 +105,6 @@ class TrainLog:
     cache_hits: int = 0
     cache_misses: int = 0
     stale_rows_consumed: int = 0
-    #: Contraction-plan-cache traffic accrued during this run (the TT
-    #: chain plans; see repro.backend.plan_cache).
-    plan_cache_hits: int = 0
-    plan_cache_misses: int = 0
 
     @property
     def final_loss(self) -> float:
@@ -128,7 +132,7 @@ class _PSTrainerBase:
     def __init__(
         self,
         model: DLRM,
-        server: HostParameterServer,
+        server: ShardedParameterServer,
         host_table_map: Dict[int, int],
         lr: float,
     ) -> None:
@@ -178,13 +182,9 @@ class SequentialPSTrainer(_PSTrainerBase):
         self, log: SyntheticClickLog, num_batches: int, start: int = 0
     ) -> TrainLog:
         result = TrainLog()
-        plan_cache = get_plan_cache()
-        hits0, misses0 = plan_cache.hits, plan_cache.misses
         for i in range(start, start + num_batches):
             batch = log.batch(i)
             result.losses.append(self.train_step(batch))
-        result.plan_cache_hits += plan_cache.hits - hits0
-        result.plan_cache_misses += plan_cache.misses - misses0
         return result
 
     def train_step(self, batch: Batch) -> float:
@@ -251,7 +251,7 @@ class PipelinedPSTrainer(_PSTrainerBase):
     def __init__(
         self,
         model: DLRM,
-        server: HostParameterServer,
+        server: ShardedParameterServer,
         host_table_map: Dict[int, int],
         lr: float,
         prefetch_depth: int = 2,
@@ -283,8 +283,6 @@ class PipelinedPSTrainer(_PSTrainerBase):
         self, log: SyntheticClickLog, num_batches: int, start: int = 0
     ) -> TrainLog:
         result = TrainLog()
-        plan_cache = get_plan_cache()
-        hits0, misses0 = plan_cache.hits, plan_cache.misses
         if self.probe is None:
             prefetch_q: BoundedQueue[
                 Tuple[Batch, Dict[int, PrefetchedRows]]
@@ -377,8 +375,6 @@ class PipelinedPSTrainer(_PSTrainerBase):
         # (4) drain remaining gradients so the host state is final.
         while not grad_q.empty():
             drain_one()
-        result.plan_cache_hits += plan_cache.hits - hits0
-        result.plan_cache_misses += plan_cache.misses - misses0
         return result
 
 

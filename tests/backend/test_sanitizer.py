@@ -49,7 +49,7 @@ def _assert_same(ref, got):
             _assert_same(a, b)
     elif hasattr(ref, "losses"):  # pipeline TrainResult
         np.testing.assert_array_equal(ref.losses, got.losses)
-    elif hasattr(ref, "tables"):  # pipeline HostParameterServer
+    elif hasattr(ref, "tables"):  # pipeline parameter server
         _assert_same(list(ref.tables), list(got.tables))
     else:
         assert ref == got

@@ -19,10 +19,8 @@ from repro.models.config import DLRMConfig, EmbeddingBackend
 from repro.models.dlrm import DLRM, table_seeds
 from repro.reorder.bijection import IndexBijection
 from repro.reorder.stats import analytic_table_stats
-from repro.system.parameter_server import (
-    HostBackedEmbeddingBag,
-    HostParameterServer,
-)
+from repro.sharding import ShardedParameterServer
+from repro.system.parameter_server import HostBackedEmbeddingBag
 from repro.system.pipeline import SequentialPSTrainer
 
 # Sized so the scale-2e-5 Criteo tables split across all three
@@ -82,7 +80,7 @@ class TestFromPlacement:
             embedding_bags=build_bags(plan, table_seeds(0, cfg.num_tables)),
         )
         positions = plan.server_positions()
-        server = HostParameterServer(
+        server = ShardedParameterServer(
             [cfg.table_rows[p] for p in positions], 8, lr=0.1, seed=1
         )
         trainer = SequentialPSTrainer(
@@ -120,7 +118,7 @@ class TestValidation:
     def test_host_map_type_checked(self, spec):
         cfg = dlrm_config(spec, backend=EmbeddingBackend.DENSE)
         model = DLRM(cfg, seed=0)
-        server = HostParameterServer([cfg.table_rows[0]], 8, lr=0.1, seed=1)
+        server = ShardedParameterServer([cfg.table_rows[0]], 8, lr=0.1, seed=1)
         with pytest.raises(TypeError, match="HostBackedEmbeddingBag"):
             SequentialPSTrainer(model, server, {0: 0}, lr=0.1)
 

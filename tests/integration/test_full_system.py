@@ -7,8 +7,6 @@ worker and the server → restoring both and continuing training
 bit-identically.
 """
 
-import io
-
 import numpy as np
 import pytest
 
@@ -18,7 +16,11 @@ from repro.embeddings.planner import build_bags, plan_hbm_pack
 from repro.models.config import DLRMConfig, EmbeddingBackend
 from repro.models.dlrm import DLRM, table_seeds
 from repro.reorder import analytic_table_stats, build_bijection
-from repro.system.parameter_server import HostParameterServer
+from repro.resilience.checkpoint import (
+    capture_trainer_arrays,
+    restore_trainer_arrays,
+)
+from repro.sharding import ShardedParameterServer
 from repro.system.pipeline import PipelinedPSTrainer, SequentialPSTrainer
 
 TINY_HBM = 8_000  # bytes: one TT table, most small tables, a few spills
@@ -70,7 +72,7 @@ def _build(scenario, seed=11):
         embedding_bags=build_bags(plan, table_seeds(seed, cfg.num_tables)),
     )
     positions = plan.server_positions()
-    server = HostParameterServer(
+    server = ShardedParameterServer(
         [cfg.table_rows[p] for p in positions], 8, lr=LR, seed=seed
     )
     return {p: i for i, p in enumerate(positions)}, model, server
@@ -105,31 +107,31 @@ class TestFullSystem:
         for a, b in zip(server_a.tables, server_b.tables):
             np.testing.assert_array_equal(a, b)
 
-    def test_checkpoint_worker_and_server_resume(self, scenario, tmp_path):
+    def test_checkpoint_worker_and_server_resume(self, scenario):
         spec, log, plan, cfg, bijections = scenario
         host_map, model, server = _build(scenario)
         remapped = _Remapped(log, bijections)
         trainer = SequentialPSTrainer(model, server, host_map, lr=LR)
         trainer.train(remapped, 5)
 
-        # Checkpoint the server; the worker model contains
-        # HostBackedEmbeddingBags, so worker checkpointing applies to
-        # purely-local configurations (covered in test_serialization);
-        # here we persist and restore the server half.
-        server_path = tmp_path / "server.npz"
-        server.save(str(server_path))
-        restored_server = HostParameterServer.load(str(server_path))
-        for a, b in zip(server.tables, restored_server.tables):
-            np.testing.assert_array_equal(a, b)
+        # Snapshot worker and server together (the server's tables
+        # arrive through its state_arrays()).
+        snapshot = capture_trainer_arrays(trainer)
 
-        # Training continues cleanly after the snapshot, and the saved
-        # copy is a true point-in-time snapshot: it keeps the
+        # Training continues cleanly after the snapshot, and the
+        # snapshot is a true point-in-time copy: it keeps the
         # pre-continuation values while the live server moves on.
         cont = trainer.train(remapped, 2, start=5)
         assert np.isfinite(cont.losses).all()
-        # the restored snapshot still matches the *pre-continuation*
-        # state (the save is a true point-in-time copy)
-        assert any(
-            not np.array_equal(a, b)
-            for a, b in zip(server.tables, restored_server.tables)
+        assert not np.array_equal(
+            snapshot["server/table0/shard0"], server.tables[0]
         )
+
+        # A fresh trainer restored from the snapshot continues bitwise.
+        host_map_b, model_b, server_b = _build(scenario)
+        resumed = SequentialPSTrainer(model_b, server_b, host_map_b, lr=LR)
+        restore_trainer_arrays(resumed, snapshot)
+        again = resumed.train(remapped, 2, start=5)
+        np.testing.assert_array_equal(cont.losses, again.losses)
+        for a, b in zip(server.tables, server_b.tables):
+            np.testing.assert_array_equal(a, b)

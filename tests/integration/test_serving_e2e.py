@@ -28,10 +28,8 @@ from repro.serving import (
     ServingModel,
     replay_batches,
 )
-from repro.system.parameter_server import (
-    HostBackedEmbeddingBag,
-    HostParameterServer,
-)
+from repro.sharding import ShardedParameterServer
+from repro.system.parameter_server import HostBackedEmbeddingBag
 from repro.system.pipeline import PipelinedPSTrainer
 
 LR = 0.05
@@ -59,7 +57,7 @@ def _trainer():
                 )
             )
     model = DLRM(CFG, seed=9, embedding_bags=bags)
-    server = HostParameterServer(
+    server = ShardedParameterServer(
         [rows[p] for p in host_positions], CFG.embedding_dim, lr=LR, seed=3
     )
     return PipelinedPSTrainer(

@@ -116,7 +116,7 @@ class TestTraceExport:
         complete = [e for e in events if e.get("ph") == "X"]
         assert len(complete) == 1
         event = complete[0]
-        # same field conventions as repro.system.trace_export
+        # Chrome Trace Event fields: microseconds, pid 0, tid = worker + 1
         assert event["ts"] == pytest.approx(0.0)
         assert event["dur"] == pytest.approx(1000.0)  # 1 ms in us
         assert event["pid"] == 0

@@ -10,10 +10,8 @@ from repro.models.config import DLRMConfig, EmbeddingBackend
 from repro.models.dlrm import DLRM, build_embedding_bag
 from repro.models.serialization import load_checkpoint
 from repro.serving.snapshot import ModelSnapshot
-from repro.system.parameter_server import (
-    HostBackedEmbeddingBag,
-    HostParameterServer,
-)
+from repro.sharding import ShardedParameterServer
+from repro.system.parameter_server import HostBackedEmbeddingBag
 from repro.system.pipeline import PipelinedPSTrainer
 
 LR = 0.05
@@ -40,7 +38,7 @@ def _ps_setup():
                 )
             )
     model = DLRM(CFG, seed=7, embedding_bags=bags)
-    server = HostParameterServer(
+    server = ShardedParameterServer(
         [rows[p] for p in host_positions], CFG.embedding_dim, lr=LR, seed=3
     )
     return model, server, host_map

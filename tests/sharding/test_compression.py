@@ -9,6 +9,7 @@ from repro.sharding import (
     COMPRESSION_MODES,
     LinkCompressionConfig,
     PullQuantizer,
+    ShardedParameterServer,
     TopKErrorFeedback,
 )
 from repro.sharding.compression import build_pull_quantizer, build_push_compressor
@@ -93,13 +94,15 @@ def test_topk_keeps_largest_rows():
 
 
 def test_push_wire_byte_accounting():
-    ef = TopKErrorFeedback([100], _DIM, fraction=0.5)
-    uidx = np.arange(10)
-    push = ef.compress(0, uidx, np.ones((10, _DIM)))
+    server = ShardedParameterServer(
+        [100], _DIM, lr=0.1,
+        compression=LinkCompressionConfig(mode="topk", topk_fraction=0.5),
+    )
+    server.apply_gradients(0, np.arange(10), np.ones((10, _DIM)))
+    stats = server.link_stats
     row_bytes = _DIM * 8 + 8  # payload + row id
-    assert push.raw_bytes == 10 * row_bytes
-    assert push.wire_bytes == push.unique_indices.size * row_bytes
-    assert push.wire_bytes < push.raw_bytes
+    assert stats.push_raw.tolist() == [10 * row_bytes]
+    assert stats.push_wire.tolist() == [5 * row_bytes]  # ceil(0.5 * 10) sent
 
 
 def test_ef_state_roundtrip_and_validation():
@@ -127,17 +130,31 @@ def test_pull_quantizer_error_bound():
     quant = PullQuantizer(_DIM)
     rng = np.random.default_rng(3)
     rows = rng.standard_normal((32, _DIM))
-    out, raw, wire = quant.apply(rows)
+    out = quant.apply(rows)
     scale = np.abs(rows).max(axis=1, keepdims=True) / 127.0
     assert np.all(np.abs(out - rows) <= scale / 2 + 1e-12)
     assert out.dtype == np.float64
-    assert raw == 32 * _DIM * 8
-    assert wire == 32 * (_DIM * 1 + 8)
-    assert wire < raw
+    server = ShardedParameterServer(
+        [32], _DIM, lr=0.1, compression=LinkCompressionConfig(mode="quant")
+    )
+    server.gather(0, np.arange(32))
+    stats = server.link_stats
+    assert stats.pull_raw.tolist() == [32 * (_DIM * 8 + 8)]
+    assert stats.pull_wire.tolist() == [32 * (_DIM * 1 + 8 + 8)]
+
+
+def test_pull_quantizer_is_per_row():
+    """A row quantizes to the same bits alone or inside any batch, so
+    quantizing a whole gather equals quantizing it shard by shard."""
+    quant = PullQuantizer(_DIM)
+    rows = np.random.default_rng(4).standard_normal((17, _DIM))
+    whole = quant.apply(rows)
+    for r in range(rows.shape[0]):
+        assert np.array_equal(quant.apply(rows[r : r + 1])[0], whole[r])
 
 
 def test_pull_quantizer_zero_rows_pass_through():
     quant = PullQuantizer(_DIM)
     rows = np.zeros((3, _DIM))
-    out, _, _ = quant.apply(rows)
+    out = quant.apply(rows)
     assert np.array_equal(out, rows)

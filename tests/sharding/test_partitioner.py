@@ -14,18 +14,25 @@ def test_shard_rows_partition_the_table(num_shards, num_rows):
     part = ShardPartitioner(num_shards)
     per_shard = [part.shard_rows(num_rows, s) for s in range(num_shards)]
     assert sum(per_shard) == num_rows
-    table = np.arange(num_rows * 2, dtype=np.float64).reshape(num_rows, 2)
-    blocks = part.split_table(table)
-    assert [b.shape[0] for b in blocks] == per_shard
+    # Shard s of a table is its strided view table[s::N].
+    table = np.zeros((num_rows, 2))
+    assert [table[s::num_shards].shape[0] for s in range(num_shards)] == per_shard
 
 
 def test_split_table_block_layout():
+    """Row ``l`` of shard ``s``'s view ``table[s::N]`` is table row
+    ``l*N + s``, the row :meth:`route` sends to ``(s, l)``."""
     part = ShardPartitioner(3)
     table = np.arange(14, dtype=np.float64).reshape(7, 2)
-    blocks = part.split_table(table)
+    blocks = [table[s::3] for s in range(3)]
     for s, block in enumerate(blocks):
-        for local in range(block.shape[0]):
-            assert np.array_equal(block[local], table[local * 3 + s])
+        local = np.arange(block.shape[0])
+        rows = part.to_global(s, local)
+        assert np.array_equal(rows, local * 3 + s)
+        shard_ids, back = part.route(rows)
+        assert np.all(shard_ids == s) and np.array_equal(back, local)
+        for l in local:
+            assert np.array_equal(block[l], table[l * 3 + s])
 
 
 def test_route_and_to_global_are_inverse():
@@ -41,22 +48,14 @@ def test_route_and_to_global_are_inverse():
 
 
 def test_route_preserves_sorted_order_within_shard():
-    """Sorted globals restricted to one shard have sorted locals —
-    the property that makes per-shard gathers reassemble bitwise."""
+    """Sorted globals restricted to one shard have sorted locals: a
+    shard sees its rows of a gather in ascending order."""
     part = ShardPartitioner(5)
     unique = np.unique(np.random.default_rng(1).integers(0, 500, size=300))
     shard_ids, local = part.route(unique)
     for mask in part.shard_masks(shard_ids):
         locals_s = local[mask]
         assert np.all(np.diff(locals_s) > 0)
-
-
-def test_split_table_returns_copies():
-    part = ShardPartitioner(2)
-    table = np.zeros((4, 2), dtype=np.float64)
-    blocks = part.split_table(table)
-    blocks[0][0, 0] = 7.0
-    assert table[0, 0] == 0.0
 
 
 def test_invalid_arguments():

@@ -17,11 +17,9 @@ from repro.resilience.chaos import (
     run_chaos,
 )
 from repro.sharding import LinkCompressionConfig, build_sharded_ps_trainer
-from repro.system.parameter_server import (
-    HostBackedEmbeddingBag,
-    HostParameterServer,
-)
+from repro.system.parameter_server import HostBackedEmbeddingBag
 from repro.system.pipeline import PipelinedPSTrainer
+from tests.sharding.test_sharded_server import ReferenceServer
 
 _NUM_BATCHES = 10
 
@@ -41,9 +39,10 @@ def workload():
 
 @pytest.fixture(scope="module")
 def host_baseline(workload):
-    """The single-table ``HostParameterServer`` harness, assembled by
-    hand — the reference every sharded build (and with it the chaos and
-    hazard harnesses, which are 1-shard builds) must match bitwise."""
+    """The trainer assembled by hand on the plain-numpy
+    :class:`ReferenceServer` — the reference every sharded build (and
+    with it the chaos and hazard harnesses, which are 1-shard builds)
+    must match bitwise."""
     log, cfg, positions = workload
     host_map = {p: i for i, p in enumerate(positions)}
     bags = [
@@ -55,7 +54,7 @@ def host_baseline(workload):
         )
         for t, rows in enumerate(cfg.table_rows)
     ]
-    server = HostParameterServer(
+    server = ReferenceServer(
         [cfg.table_rows[p] for p in positions], cfg.embedding_dim,
         lr=0.05, seed=3,
     )
@@ -87,11 +86,10 @@ def test_sharded_training_bitwise_matches_host_baseline(
     baseline_trainer, baseline_losses = host_baseline
     setup, losses = _run_sharded(workload, num_shards)
     assert losses == baseline_losses
-    host_state = baseline_trainer.server.state_arrays()
-    for t in range(setup.server.num_tables):
-        assert np.array_equal(
-            np.asarray(setup.server.tables[t]), host_state[f"table{t}"]
-        )
+    for ours, reference in zip(
+        setup.server.tables, baseline_trainer.server.tables, strict=True
+    ):
+        assert np.array_equal(ours, reference)
     # Exactly-once: one logical update per (table, batch).
     assert setup.server.update_count == baseline_trainer.server.update_count
     assert setup.server.shard_apply_counts.sum() > 0

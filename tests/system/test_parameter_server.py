@@ -1,17 +1,15 @@
-"""Tests for the host parameter server and host-backed bags."""
+"""Tests for the host parameter server (one shard) and host-backed bags."""
 
 import numpy as np
 import pytest
 
-from repro.system.parameter_server import (
-    HostBackedEmbeddingBag,
-    HostParameterServer,
-)
+from repro.sharding import ShardedParameterServer
+from repro.system.parameter_server import HostBackedEmbeddingBag
 
 
 @pytest.fixture
 def server():
-    return HostParameterServer([20, 30], embedding_dim=4, lr=0.1, seed=0)
+    return ShardedParameterServer([20, 30], embedding_dim=4, lr=0.1, seed=0)
 
 
 class TestHostParameterServer:
@@ -44,7 +42,7 @@ class TestHostParameterServer:
 
     def test_invalid_lr(self):
         with pytest.raises(ValueError):
-            HostParameterServer([10], 4, lr=0.0)
+            ShardedParameterServer([10], 4, lr=0.0)
 
     def test_nbytes(self, server):
         assert server.nbytes() == (20 + 30) * 4 * 8

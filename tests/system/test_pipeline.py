@@ -13,10 +13,8 @@ from repro.data.dataloader import SyntheticClickLog
 from repro.data.datasets import criteo_kaggle_like
 from repro.models.config import DLRMConfig, EmbeddingBackend
 from repro.models.dlrm import DLRM, build_embedding_bag
-from repro.system.parameter_server import (
-    HostBackedEmbeddingBag,
-    HostParameterServer,
-)
+from repro.sharding import ShardedParameterServer
+from repro.system.parameter_server import HostBackedEmbeddingBag
 from repro.system.pipeline import (
     PipelinedPSTrainer,
     SequentialPSTrainer,
@@ -59,7 +57,7 @@ def _build_model(cfg, host_map):
 def _run(setup, trainer_cls, num_batches=16, **kwargs):
     log, cfg, host_map, server_rows = setup
     model = _build_model(cfg, host_map)
-    server = HostParameterServer(server_rows, cfg.embedding_dim, lr=LR, seed=3)
+    server = ShardedParameterServer(server_rows, cfg.embedding_dim, lr=LR, seed=3)
     trainer = trainer_cls(model, server, host_map, lr=LR, **kwargs)
     result = trainer.train(log, num_batches)
     return model, server, result
@@ -114,14 +112,14 @@ class TestFunctionalEquivalence:
     def test_model_validation(self, setup):
         log, cfg, host_map, server_rows = setup
         model = DLRM(cfg, seed=0)  # no host-backed bags
-        server = HostParameterServer(server_rows, cfg.embedding_dim, lr=LR)
+        server = ShardedParameterServer(server_rows, cfg.embedding_dim, lr=LR)
         with pytest.raises(TypeError):
             SequentialPSTrainer(model, server, host_map, lr=LR)
 
     def test_invalid_depths(self, setup):
         log, cfg, host_map, server_rows = setup
         model = _build_model(cfg, host_map)
-        server = HostParameterServer(server_rows, cfg.embedding_dim, lr=LR)
+        server = ShardedParameterServer(server_rows, cfg.embedding_dim, lr=LR)
         with pytest.raises(ValueError):
             PipelinedPSTrainer(model, server, host_map, lr=LR, prefetch_depth=0)
 

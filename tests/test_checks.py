@@ -21,8 +21,7 @@ from repro.nn.loss import BCEWithLogitsLoss
 from repro.resilience.supervisor import PipelineSupervisor
 from repro.serving.fleet import _FleetRun
 from repro.serving.server import ServingModel
-from repro.sharding.partitioner import ShardPartitioner
-from repro.sharding.server import ShardedParameterServer
+from repro.sharding.server import LinkStats, ShardedParameterServer
 
 GATES = checks.registry(steps=5)
 
@@ -113,17 +112,13 @@ def _restore_skips_a_table(monkeypatch):
     monkeypatch.setattr(ShardedParameterServer, "load_state_arrays", keep_table0)
 
 
-def _partitioner_misroutes_a_row(monkeypatch):
-    route = ShardPartitioner.route
+def _links_meter_wire_as_raw(monkeypatch):
+    charge = LinkStats.charge
 
-    def misroute(self, global_indices):
-        shard_ids, local = route(self, global_indices)
-        if self.num_shards > 1 and shard_ids.size:
-            shard_ids[0] = (shard_ids[0] + 1) % self.num_shards
-            local[0] = 0
-        return shard_ids, local
+    def raw_on_the_wire(self, direction, raw, wire):
+        charge(self, direction, raw, raw)
 
-    monkeypatch.setattr(ShardPartitioner, "route", misroute)
+    monkeypatch.setattr(LinkStats, "charge", raw_on_the_wire)
 
 
 def _hash_bag_reseeds_per_call(monkeypatch):
@@ -144,7 +139,7 @@ MUTANTS = {
     "chaos": _supervisor_skips_a_replay,
     "fleet": _fleet_drops_a_redirect,
     "resume": _restore_skips_a_table,
-    "sharded": _partitioner_misroutes_a_row,
+    "sharded": _links_meter_wire_as_raw,
     "compress": _hash_bag_reseeds_per_call,
 }
 

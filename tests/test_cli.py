@@ -127,6 +127,10 @@ class TestCli:
         assert rc == 0, out
         assert "PASS" in out
 
+    def test_chaos_rejects_zero_shards(self, capsys):
+        assert main(["chaos", "--plan", "none", "--shards", "0"]) == 2
+        assert "--shards must be >= 1, got 0" in capsys.readouterr().err
+
     def test_bench_instrumented(self, capsys):
         assert main(
             [
