@@ -54,6 +54,8 @@ _BENCH_DIR = Path(__file__).resolve().parents[2] / "benchmarks"
 
 #: ``train`` options only the sharded path reads, with their defaults.
 _SHARDED_ONLY = {"compress": "none", "topk_fraction": 0.1, "device_budget_mb": 1}
+#: ``serve --max-replicas`` default; any other value needs ``--autoscale``.
+_AUTOSCALE_CEILING = 8
 
 
 def _usage_error(args: argparse.Namespace) -> Optional[str]:
@@ -77,6 +79,11 @@ def _usage_error(args: argparse.Namespace) -> Optional[str]:
             return f"{', '.join(ignored)} only take effect with --shards"
     if args.command == "chaos" and args.shards < 1:
         return f"--shards must be >= 1, got {args.shards}"
+    if args.command == "serve":
+        if args.max_replicas != _AUTOSCALE_CEILING and not args.autoscale:
+            return "--max-replicas only takes effect with --autoscale"
+        if not 0.0 <= args.hot_coverage <= 1.0:
+            return f"--hot-coverage must be in [0, 1], got {args.hot_coverage:g}"
     if strategy != "none" and args.memory_budget_mb is None:
         return (
             "--compress-strategy requires --memory-budget-mb (the planner "
@@ -816,7 +823,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="enable SLO-headroom autoscaling",
     )
     serve.add_argument(
-        "--max-replicas", type=int, default=8,
+        "--max-replicas", type=int, default=_AUTOSCALE_CEILING,
         help="autoscaling ceiling for --autoscale",
     )
     serve.add_argument("--max-batch-size", type=int, default=32)

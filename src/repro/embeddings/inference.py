@@ -14,19 +14,18 @@ The cache works over any
 dense table, where a "cache" would just duplicate rows a single gather
 already serves — constructing one over a dense bag raises.
 
-The view is read-only, and staleness is *detected*, not trusted to the
-caller: every bag carries a monotonic ``version`` counter that
-increments on any parameter update, and the view snapshots it when the
-hot rows are materialized.  A lookup against a bag that has trained
-since then either raises :class:`StaleCacheError` (``on_stale="raise"``,
-the default), transparently re-materializes (``on_stale="refresh"``),
-or knowingly serves stale rows (``on_stale="ignore"``, for staleness
-experiments).
+The view is read-only and keeps no per-lookup state: how many of a
+batch's ids were hot is a function of the ids and the hot set
+(:meth:`HotRowCachedLookup.count_hot`), not a counter.  Staleness is
+*detected*, not trusted to the caller: every bag carries a monotonic
+``version`` counter that increments on any parameter update, and the
+view snapshots it when the hot rows are materialized.  A lookup against
+a bag that has trained since then raises :class:`StaleCacheError`
+until :meth:`HotRowCachedLookup.refresh` rebuilds the rows.
 """
 
 from __future__ import annotations
 
-import copy
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -38,8 +37,6 @@ from repro.embeddings.protocol import CompressedEmbedding
 from repro.utils.validation import check_1d_int_array
 
 __all__ = ["HotRowCachedLookup", "StaleCacheError"]
-
-_STALE_POLICIES = ("raise", "refresh", "ignore")
 
 
 class StaleCacheError(RuntimeError):
@@ -58,10 +55,6 @@ class HotRowCachedLookup:
         Row indices to materialize (e.g. the most frequent rows from a
         profiling pass, ``ZipfSampler.top_rows(n)``, or
         ``ZipfSampler.rows_covering(0.9)`` many).
-    on_stale:
-        What to do when the bag's ``version`` has moved past the cached
-        one: ``"raise"`` (default), ``"refresh"`` (re-materialize and
-        continue), or ``"ignore"`` (serve stale hot rows knowingly).
 
     Examples
     --------
@@ -72,16 +65,11 @@ class HotRowCachedLookup:
     >>> out = view.forward(np.array([3, 500]), np.array([0, 1]))
     >>> out.shape
     (2, 8)
-    >>> view.hits, view.misses
-    (1, 1)
+    >>> view.count_hot(np.array([3, 500]))
+    1
     """
 
-    def __init__(
-        self,
-        bag: CompressedEmbedding,
-        hot_rows: np.ndarray,
-        on_stale: str = "raise",
-    ) -> None:
+    def __init__(self, bag: CompressedEmbedding, hot_rows: np.ndarray) -> None:
         if isinstance(bag, DenseEmbeddingBag):
             raise TypeError(
                 "dense tables need no hot-row cache — a lookup is already "
@@ -91,10 +79,6 @@ class HotRowCachedLookup:
             raise TypeError(
                 f"bag must be a compressed table, got {type(bag).__name__}"
             )
-        if on_stale not in _STALE_POLICIES:
-            raise ValueError(
-                f"on_stale must be one of {_STALE_POLICIES}, got {on_stale!r}"
-            )
         self.bag = bag
         #: Cold rows for indices the view already range-checked: the
         #: shell's codec hook, so the check is not repeated per miss.
@@ -103,7 +87,6 @@ class HotRowCachedLookup:
             if isinstance(bag, EmbeddingBagBase)
             else bag.reconstruct_rows
         )
-        self.on_stale = on_stale
         hot = np.unique(
             check_1d_int_array(
                 hot_rows, "hot_rows", min_value=0,
@@ -113,9 +96,6 @@ class HotRowCachedLookup:
         self._hot_rows = hot
         self._hot_values: Optional[np.ndarray] = None
         self._cached_version = -1
-        self.hits = 0
-        self.misses = 0
-        self.refreshes = 0
         self.refresh()
 
     def refresh(self) -> None:
@@ -127,18 +107,6 @@ class HotRowCachedLookup:
                 (0, self.bag.embedding_dim), dtype=np.float64
             )
         self._cached_version = self.bag.version
-        self.refreshes += 1
-
-    def view(self) -> "HotRowCachedLookup":
-        """A lookup over the same bag and hot-row table, counting afresh.
-
-        The table is shared, not copied: what a view owns is its
-        ``hits`` / ``misses`` / ``refreshes``.  A later :meth:`refresh`
-        rebinds the refreshing view's table and leaves its siblings'.
-        """
-        twin = copy.copy(self)
-        twin.hits = twin.misses = twin.refreshes = 0
-        return twin
 
     def freeze(self) -> None:
         """Make the hot-row ids and values read-only (shared state)."""
@@ -152,18 +120,12 @@ class HotRowCachedLookup:
         return self.bag.version != self._cached_version
 
     def _check_fresh(self) -> None:
-        if not self.is_stale:
-            return
-        if self.on_stale == "refresh":
-            self.refresh()
-        elif self.on_stale == "raise":
+        if self.is_stale:
             raise StaleCacheError(
                 f"bag at version {self.bag.version} but hot rows were "
                 f"materialized at version {self._cached_version}; call "
-                "refresh() after training, or construct with "
-                "on_stale='refresh'"
+                "refresh() after training"
             )
-        # "ignore": serve the stale rows knowingly.
 
     # ------------------------------------------------------------------
     def _split(self, idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -197,9 +159,11 @@ class HotRowCachedLookup:
             if num_cold:
                 cold = ~is_hot
                 rows[cold] = self._cold_rows(idx[cold])
-        self.hits += num_hot
-        self.misses += num_cold
         return rows
+
+    def count_hot(self, indices: np.ndarray) -> int:
+        """How many of ``indices`` are hot rows (the rest are rebuilt)."""
+        return int(np.count_nonzero(self._split(np.asarray(indices))[0]))
 
     def lookup_rows(self, indices: np.ndarray) -> np.ndarray:
         """Un-pooled row lookup, cache-accelerated."""
@@ -222,8 +186,3 @@ class HotRowCachedLookup:
     @property
     def cache_nbytes(self) -> int:
         return 0 if self._hot_values is None else self._hot_values.nbytes
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

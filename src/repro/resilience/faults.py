@@ -406,15 +406,6 @@ class FaultInjector:
                 out.append((spec.time, spec.replica, spec))
         return tuple(sorted(out, key=lambda entry: entry[0]))
 
-    def fleet_swaps(self) -> Tuple[Tuple[float, FaultSpec], ...]:
-        """(time, spec) for every forced mid-traffic swap, time-sorted."""
-        out: List[Tuple[float, FaultSpec]] = []
-        for spec in self._fleet:
-            if spec.kind is FaultKind.SWAP:
-                assert spec.time is not None
-                out.append((spec.time, spec))
-        return tuple(sorted(out, key=lambda entry: entry[0]))
-
     def fleet_fired(self, spec: FaultSpec, now: float, detail: str) -> None:
         """Record a scheduled fleet fault as fired (once per spec)."""
         for i, candidate in enumerate(self._fleet):

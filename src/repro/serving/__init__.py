@@ -15,16 +15,10 @@ import importlib
 from typing import Any
 
 from repro.serving.batcher import BatchingPolicy, MicroBatch, MicroBatcher
-from repro.serving.health import (
-    HealthMonitor,
-    HealthStatus,
-    ProbeConfig,
-    ReplicaHealth,
-)
+from repro.serving.health import HealthMonitor, HealthStatus, ReplicaHealth
 from repro.serving.metrics import (
     RequestResult,
     ServedBatch,
-    ServingMetrics,
     SLOReport,
     export_serving_trace,
     serving_trace_events,
@@ -92,7 +86,6 @@ __all__ = [
     "SwapReport",
     "HealthMonitor",
     "HealthStatus",
-    "ProbeConfig",
     "ReplicaHealth",
     "AdmissionConfig",
     "FleetRouter",
@@ -100,7 +93,6 @@ __all__ = [
     "RedirectRecord",
     "RequestResult",
     "ServedBatch",
-    "ServingMetrics",
     "SLOReport",
     "export_serving_trace",
     "serving_trace_events",

@@ -76,10 +76,6 @@ class MicroBatch:
     def size(self) -> int:
         return len(self.requests)
 
-    @property
-    def oldest_arrival(self) -> float:
-        return self.requests[0].arrival_time
-
 
 class MicroBatcher:
     """Deterministic request coalescer over a bounded pending queue."""

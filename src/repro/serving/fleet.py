@@ -3,7 +3,7 @@
 This is the repo's only serving event loop.  A :class:`ServingFleet`
 runs N :class:`ReplicaExecutor`\\ s — each with its own
 :class:`~repro.resilience.circuit.CircuitBreaker`, in-flight table,
-lifecycle state, lookup counters and degradation ladder — pulling
+lifecycle state and degradation ladder — pulling
 micro-batches from a shared MPMC
 :class:`BatchingQueue`, with dispatch decided by the health-aware
 :class:`~repro.serving.router.FleetRouter`.  One replica crashing,
@@ -16,9 +16,12 @@ replicas, not a private copy of bytes that cannot: the immutable part
 of a model — restored MLP parameters, TT cores / codec arrays, the
 reconstructed hot-row tables — is materialized once per
 :class:`~repro.serving.snapshot.ModelSnapshot` and hot-row map, marked
-read-only, and handed to every replica, every ``fleet.run`` and every
-swap install as a thin view
-(:meth:`~repro.serving.snapshot.ModelSnapshot.serving_model`).
+read-only, and that one :class:`~repro.serving.server.ServingModel` is
+handed to every replica, every ``fleet.run``, every swap install and
+every fallback
+(:meth:`~repro.serving.snapshot.ModelSnapshot.serving_model`).  It
+keeps no per-call state: a batch's hot/cold lookup split is read off
+the batch (:meth:`~repro.serving.server.ServingModel.lookup_counts`).
 
 The degradation ladder lives in :meth:`_FleetRun.service_cycle`:
 **healthy** — a replica whose breaker allows it serves the batch on
@@ -46,8 +49,8 @@ chaos invariant, and ``repro chaos --plan fleet-replica-sweep``
 checks it at every injection point.
 
 Rolling hot-swap propagates a new snapshot one replica at a time:
-each target drains its in-flight batches, installs a view of the new
-version (guarded — a stale snapshot never displaces a newer
+each target drains its in-flight batches, installs the new version
+(guarded — a stale snapshot never displaces a newer
 acknowledged one; the new snapshot is materialized by the first
 install only), and rejoins before the next target drains; the fleet never has
 fewer than ⌈N/2⌉ replicas admitting.  SLO-headroom autoscaling rides
@@ -76,13 +79,8 @@ from repro.resilience.degradation import DegradationPolicy
 from repro.resilience.faults import FaultInjector, FaultSpec
 from repro.resilience.supervisor import RetryPolicy
 from repro.serving.batcher import BatchingPolicy, MicroBatch, MicroBatcher
-from repro.serving.health import HealthMonitor, ProbeConfig, ReplicaHealth
-from repro.serving.metrics import (
-    RequestResult,
-    ServedBatch,
-    ServingMetrics,
-    SLOReport,
-)
+from repro.serving.health import PROBE_INTERVAL, HealthMonitor, ReplicaHealth
+from repro.serving.metrics import RequestResult, ServedBatch, SLOReport
 from repro.serving.requests import InferenceRequest, coalesce_requests
 from repro.serving.router import (
     AdmissionConfig,
@@ -186,12 +184,11 @@ class _InFlight:
 
 
 class ReplicaExecutor:
-    """One fault domain: a model view, a breaker, a degradation ladder.
+    """One fault domain: a model, a breaker, a degradation ladder.
 
     ``snapshot`` and ``hot_rows`` select the shared, read-only serving
-    state (:meth:`ModelSnapshot.serving_model`); what the executor owns
-    is its view's hit/miss counters, its breaker, its in-flight table
-    and its lifecycle state.
+    model (:meth:`ModelSnapshot.serving_model`); what the executor owns
+    is its breaker, its in-flight table and its lifecycle state.
 
     The executor is passive — the fleet event loop drives it with
     explicit timestamps.  ``begin`` runs the real DLRM forward and
@@ -275,10 +272,8 @@ class ReplicaExecutor:
         model = self._fallback if use_fallback else self.serving_model
         assert model is not None
         coalesced = coalesce_requests(fleet_batch.micro.requests)
-        hot0, cold0 = model.hot_lookups, model.cold_lookups
         predictions = model.predict_proba(coalesced)
-        hot = model.hot_lookups - hot0
-        cold = model.cold_lookups - cold0
+        hot, cold = model.lookup_counts(coalesced)
         duration = self.service_time.duration(fleet_batch.size, hot, cold)
         stuck = False
         if injector is not None and not use_fallback:
@@ -432,7 +427,6 @@ class FleetConfig:
     num_replicas: int = 2
     batching: BatchingPolicy = field(default_factory=BatchingPolicy)
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
-    probe: ProbeConfig = field(default_factory=ProbeConfig)
     degradation: DegradationPolicy = field(
         default_factory=DegradationPolicy
     )
@@ -557,13 +551,13 @@ class ServingFleet:
     Parameters
     ----------
     snapshot:
-        The initial model.  It is materialized once; every replica
-        serves from that state through its own view.
+        The initial model.  It is materialized once, and every replica
+        serves that one frozen state.
     hot_rows:
         Hot-row map of every replica's cached lookups; the hot-row
         tables are built once per snapshot and shared.
     config:
-        Fleet shape: replica count, batching, admission, probing,
+        Fleet shape: replica count, batching, admission,
         degradation, retry, and optional autoscaling.
     service_time:
         Deterministic per-batch latency model (shared by replicas).
@@ -655,9 +649,8 @@ class _FleetRun:
         self.sim = Simulator()
         self.batcher = MicroBatcher(self.cfg.batching)
         self.queue = BatchingQueue(self.cfg.queue_capacity)
-        self.metrics = ServingMetrics()
         self.router = FleetRouter(self.cfg.admission, self.cfg.retry)
-        self.monitor = HealthMonitor(self.cfg.probe)
+        self.monitor = HealthMonitor()
         self.replicas: List[ReplicaExecutor] = [
             fleet._make_executor(i, fleet.snapshot, fleet.hot_rows)
             for i in range(self.cfg.num_replicas)
@@ -666,6 +659,9 @@ class _FleetRun:
         self.next_batch_id = 0
         self.outstanding = 0
         self.remaining_arrivals = len(self.requests)
+        #: The run's one ledger: batches and results in completion order.
+        self.served_batches: List[ServedBatch] = []
+        self.results: List[RequestResult] = []
         self.rejected_ids: List[int] = []
         self.shed_ids: List[int] = []
         self.stale_swaps = 0
@@ -709,7 +705,6 @@ class _FleetRun:
             )
         else:
             self.rejected_ids.append(request.request_id)
-            self.metrics.record_rejection()
         self.service_cycle()
 
     def service_cycle(self) -> None:
@@ -805,7 +800,7 @@ class _FleetRun:
             return  # the replica crashed; this batch was redirected
         now = self.sim.now
         micro = record.fleet_batch.micro
-        self.metrics.record_batch(
+        self.served_batches.append(
             ServedBatch(
                 batch_id=record.fleet_batch.batch_id,
                 request_ids=tuple(
@@ -825,7 +820,7 @@ class _FleetRun:
         for request, prob in zip(micro.requests, record.predictions):
             latency = now - request.arrival_time
             worst = max(worst, latency)
-            self.metrics.record_result(
+            self.results.append(
                 RequestResult(
                     request_id=request.request_id,
                     arrival_time=request.arrival_time,
@@ -897,7 +892,6 @@ class _FleetRun:
     def _shed_batch_requests(self, fleet_batch: FleetBatch) -> None:
         for request in fleet_batch.micro.requests:
             self.shed_ids.append(request.request_id)
-            self.metrics.record_rejection()
         self.outstanding -= fleet_batch.size
 
     def _shed_backlog(self, reason: str) -> None:
@@ -917,7 +911,7 @@ class _FleetRun:
         if self.probe_pending or not self._active():
             return
         self.probe_pending = True
-        self.sim.schedule(self.cfg.probe.interval, self.probe_tick)
+        self.sim.schedule(PROBE_INTERVAL, self.probe_tick)
 
     def probe_tick(self) -> None:
         self.probe_pending = False
@@ -1024,7 +1018,6 @@ class _FleetRun:
     def _finish_swap(self, swap: _ActiveSwap) -> None:
         swap.completed_at = self.sim.now
         self.completed_swaps.append(swap)
-        self.metrics.record_swap(self.sim.now)
         self.fleet_version = swap.snapshot.version
         self.current_snapshot = swap.snapshot
         if swap.hot_rows is not None:
@@ -1144,19 +1137,19 @@ class _FleetRun:
         return self._build_outcome(first_arrival)
 
     def _build_outcome(self, first_arrival: float) -> FleetOutcome:
-        hot = sum(b.hot_lookups for b in self.metrics.served_batches)
-        cold = sum(b.cold_lookups for b in self.metrics.served_batches)
-        num_hot_rows = (
-            self.replicas[0].serving_model.num_hot_rows
-            if self.replicas else 0
-        )
-        report = self.metrics.build_report(
+        report = SLOReport.from_records(
+            self.results,
+            self.served_batches,
+            rejected=len(self.rejected_ids) + len(self.shed_ids),
+            num_swaps=len(self.completed_swaps),
             duration=max(self.end_time - first_arrival, 0.0),
             max_queue_depth=max(
                 self.batcher.max_depth, self.queue.max_depth
             ),
-            cache_hit_rate=hot / (hot + cold) if hot + cold else 0.0,
-            num_hot_rows=num_hot_rows,
+            num_hot_rows=(
+                self.replicas[0].serving_model.num_hot_rows
+                if self.replicas else 0
+            ),
         )
         swaps = [s.report() for s in self.completed_swaps]
         if self.active_swap is not None:
@@ -1180,9 +1173,9 @@ class _FleetRun:
         return FleetOutcome(
             report=report,
             results=tuple(
-                sorted(self.metrics.results, key=lambda r: r.request_id)
+                sorted(self.results, key=lambda r: r.request_id)
             ),
-            served_batches=tuple(self.metrics.served_batches),
+            served_batches=tuple(self.served_batches),
             rejected_ids=tuple(self.rejected_ids),
             shed_ids=tuple(sorted(self.shed_ids)),
             redirects=tuple(self.router.redirects),

@@ -5,11 +5,11 @@ every probe tick (driven by the deterministic Simulator, never wall
 clock) it snapshots each replica's state — executor lifecycle, breaker
 state, in-flight depth, EWMA completion latency — into an append-only
 :class:`ReplicaHealth` history, and runs the *stuck watchdog*: a
-replica whose oldest in-flight batch has aged past ``stuck_timeout``
-is declared dead so the router can redirect its work.  The watchdog is
-what turns a silent fault (a replica that accepts batches but never
-completes them) into an explicit crash the fleet already knows how to
-survive.
+replica whose oldest in-flight batch has aged past
+:data:`STUCK_TIMEOUT` is declared dead so the router can redirect its
+work.  The watchdog is what turns a silent fault (a replica that
+accepts batches but never completes them) into an explicit crash the
+fleet already knows how to survive.
 
 Health rows feed two consumers: the :class:`~repro.serving.router.
 FleetRouter` ranks replicas by the same load signals the monitor
@@ -23,17 +23,29 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.resilience.circuit import BreakerState
-from repro.utils.validation import check_positive
 
 __all__ = [
+    "DEGRADED_LATENCY",
+    "EWMA_ALPHA",
+    "PROBE_INTERVAL",
+    "STUCK_TIMEOUT",
     "HealthStatus",
-    "ProbeConfig",
     "ReplicaHealth",
     "HealthMonitor",
 ]
+
+#: Interval between probe ticks on the simulated clock (seconds).
+PROBE_INTERVAL = 2e-3
+#: Oldest-in-flight age (seconds) beyond which a replica is declared
+#: stuck and treated as crashed (its batches are redirected).
+STUCK_TIMEOUT = 0.05
+#: EWMA smoothing factor for per-replica completion latency.
+EWMA_ALPHA = 0.3
+#: EWMA latency (seconds) above which a live replica reports DEGRADED.
+DEGRADED_LATENCY = 0.02
 
 
 class HealthStatus(str, enum.Enum):
@@ -43,30 +55,6 @@ class HealthStatus(str, enum.Enum):
     DEGRADED = "degraded"     #: live but breaker half-open or latency high
     UNHEALTHY = "unhealthy"   #: live but breaker open (no primary traffic)
     DEAD = "dead"             #: crashed, stuck-declared, or retired
-
-
-@dataclass(frozen=True)
-class ProbeConfig:
-    """Health-probe cadence and watchdog thresholds (seconds)."""
-
-    #: Interval between probe ticks on the simulated clock.
-    interval: float = 2e-3
-    #: Oldest-in-flight age beyond which a replica is declared stuck
-    #: and treated as crashed (its batches are redirected).
-    stuck_timeout: float = 0.05
-    #: EWMA smoothing factor for per-replica completion latency.
-    ewma_alpha: float = 0.3
-    #: EWMA latency above which a live replica reports DEGRADED.
-    degraded_latency: float = 0.02
-
-    def __post_init__(self) -> None:
-        check_positive(self.interval, "interval")
-        check_positive(self.stuck_timeout, "stuck_timeout")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError(
-                f"ewma_alpha must be in (0, 1], got {self.ewma_alpha}"
-            )
-        check_positive(self.degraded_latency, "degraded_latency")
 
 
 @dataclass(frozen=True)
@@ -90,8 +78,7 @@ class HealthMonitor:
     never schedules events itself.
     """
 
-    def __init__(self, config: ProbeConfig | None = None) -> None:
-        self.config = config or ProbeConfig()
+    def __init__(self) -> None:
         self.history: List[ReplicaHealth] = []
         self._ewma: Dict[int, float] = {}
         self._completed: Dict[int, int] = {}
@@ -99,18 +86,14 @@ class HealthMonitor:
     # -- completion feed -----------------------------------------------
     def record_completion(self, replica_id: int, latency: float) -> None:
         """Fold one batch's worst request latency into the EWMA."""
-        alpha = self.config.ewma_alpha
         previous = self._ewma.get(replica_id)
         if previous is None:
             self._ewma[replica_id] = latency
         else:
             self._ewma[replica_id] = (
-                alpha * latency + (1.0 - alpha) * previous
+                EWMA_ALPHA * latency + (1.0 - EWMA_ALPHA) * previous
             )
         self._completed[replica_id] = self._completed.get(replica_id, 0) + 1
-
-    def ewma_latency(self, replica_id: int) -> float:
-        return self._ewma.get(replica_id, 0.0)
 
     # -- probe tick ----------------------------------------------------
     def classify(
@@ -126,7 +109,7 @@ class HealthMonitor:
             return HealthStatus.UNHEALTHY
         if (
             breaker_state is BreakerState.HALF_OPEN
-            or ewma_latency > self.config.degraded_latency
+            or ewma_latency > DEGRADED_LATENCY
         ):
             return HealthStatus.DEGRADED
         return HealthStatus.HEALTHY
@@ -155,12 +138,4 @@ class HealthMonitor:
 
     def is_stuck(self, oldest_start: float, now: float) -> bool:
         """Watchdog: has an in-flight batch aged past the timeout?"""
-        return now - oldest_start > self.config.stuck_timeout
-
-    # -- reporting ------------------------------------------------------
-    def status_counts(self) -> Tuple[Tuple[str, int], ...]:
-        """(status, observations) pairs over the whole history, sorted."""
-        counts: Dict[str, int] = {}
-        for row in self.history:
-            counts[row.status.value] = counts.get(row.status.value, 0) + 1
-        return tuple(sorted(counts.items()))
+        return now - oldest_start > STUCK_TIMEOUT

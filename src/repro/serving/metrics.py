@@ -1,11 +1,11 @@
 """SLO accounting for the serving loop.
 
-Collects the per-request and per-batch records the serving event loop
-emits and condenses them into an :class:`SLOReport` — the p50/p95/p99
-latency, throughput, rejection, and cache-effectiveness summary an
-operator would alert on.  Percentiles come from the shared
-:mod:`repro.utils.timer` implementation so serving reports and kernel
-benches can never disagree on definition.
+The per-request and per-batch records the serving event loop emits,
+and :meth:`SLOReport.from_records`, which condenses one run's records
+into the p50/p95/p99 latency, throughput, rejection, and
+cache-effectiveness summary an operator would alert on.  Percentiles
+come from the shared :mod:`repro.utils.timer` implementation so serving
+reports and kernel benches can never disagree on definition.
 
 Also exports the served-batch timeline as Chrome Trace Event JSON, for
 the ``chrome://tracing`` / Perfetto workflow.
@@ -14,19 +14,19 @@ the ``chrome://tracing`` / Perfetto workflow.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.data.dataloader import Batch
-from repro.utils.timer import LatencyHistogram, percentiles
+from repro.utils.timer import percentiles
 
 __all__ = [
     "RequestResult",
     "ServedBatch",
     "SLOReport",
-    "ServingMetrics",
     "serving_trace_events",
     "export_serving_trace",
 ]
@@ -102,6 +102,57 @@ class SLOReport:
     num_swaps: int
     requests_per_version: Dict[int, int] = field(default_factory=dict)
 
+    @classmethod
+    def from_records(
+        cls,
+        results: Sequence[RequestResult],
+        served_batches: Sequence[ServedBatch],
+        rejected: int,
+        num_swaps: int,
+        duration: float,
+        max_queue_depth: int,
+        num_hot_rows: int,
+    ) -> "SLOReport":
+        """One run's report, computed from the run's own records.
+
+        ``results`` are in completion order (the mean latency is summed
+        in that order); ``served_batches`` supply the batch sizes and
+        the hot/cold lookup split.  Every latency percentile and the
+        mean are zero for a run that completed nothing.
+        """
+        latencies = [float(r.latency) for r in results]
+        if latencies and min(latencies) < 0:
+            raise ValueError(f"latency must be >= 0, got {min(latencies)}")
+        pct = (
+            percentiles(latencies) if latencies
+            else {50.0: 0.0, 95.0: 0.0, 99.0: 0.0}
+        )
+        completed = len(latencies)
+        sizes = [b.size for b in served_batches]
+        hot = sum(b.hot_lookups for b in served_batches)
+        cold = sum(b.cold_lookups for b in served_batches)
+        return cls(
+            offered=completed + rejected,
+            completed=completed,
+            rejected=rejected,
+            duration=duration,
+            throughput_rps=completed / duration if duration > 0 else 0.0,
+            latency_p50=pct[50.0],
+            latency_p95=pct[95.0],
+            latency_p99=pct[99.0],
+            latency_mean=sum(latencies) / completed if completed else 0.0,
+            latency_max=max(latencies, default=0.0),
+            num_batches=len(sizes),
+            mean_batch_size=float(np.mean(sizes)) if sizes else 0.0,
+            max_queue_depth=max_queue_depth,
+            cache_hit_rate=hot / (hot + cold) if hot + cold else 0.0,
+            num_hot_rows=num_hot_rows,
+            num_swaps=num_swaps,
+            requests_per_version=dict(
+                Counter(r.model_version for r in results)
+            ),
+        )
+
     def meets(self, p99_target: float) -> bool:
         """Whether the run's p99 latency met a target (seconds)."""
         if p99_target <= 0:
@@ -147,66 +198,6 @@ class SLOReport:
             rows.append([f"requests @ model v{version}", str(count)])
         return format_table(
             ["metric", "value"], rows, title="Serving SLO report"
-        )
-
-
-class ServingMetrics:
-    """Accumulator the serving event loop feeds record by record."""
-
-    def __init__(self) -> None:
-        self.latencies = LatencyHistogram()
-        self.results: List[RequestResult] = []
-        self.served_batches: List[ServedBatch] = []
-        self.swap_times: List[float] = []
-        self.rejected = 0
-
-    def record_batch(self, served: ServedBatch) -> None:
-        self.served_batches.append(served)
-
-    def record_result(self, result: RequestResult) -> None:
-        self.results.append(result)
-        self.latencies.record(result.latency)
-
-    def record_rejection(self) -> None:
-        self.rejected += 1
-
-    def record_swap(self, time: float) -> None:
-        self.swap_times.append(time)
-
-    # ------------------------------------------------------------------
-    def build_report(
-        self,
-        duration: float,
-        max_queue_depth: int,
-        cache_hit_rate: float,
-        num_hot_rows: int,
-    ) -> SLOReport:
-        summary = self.latencies.summary()
-        completed = len(self.results)
-        sizes = [b.size for b in self.served_batches]
-        per_version: Dict[int, int] = {}
-        for result in self.results:
-            per_version[result.model_version] = (
-                per_version.get(result.model_version, 0) + 1
-            )
-        return SLOReport(
-            offered=completed + self.rejected,
-            completed=completed,
-            rejected=self.rejected,
-            duration=duration,
-            throughput_rps=completed / duration if duration > 0 else 0.0,
-            latency_p50=summary["p50"],
-            latency_p95=summary["p95"],
-            latency_p99=summary["p99"],
-            latency_mean=summary["mean"],
-            latency_max=summary["max"],
-            num_batches=len(self.served_batches),
-            mean_batch_size=float(np.mean(sizes)) if sizes else 0.0,
-            max_queue_depth=max_queue_depth,
-            cache_hit_rate=cache_hit_rate,
-            num_hot_rows=num_hot_rows,
-            num_swaps=len(self.swap_times),
-            requests_per_version=per_version,
         )
 
 

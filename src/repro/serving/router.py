@@ -28,7 +28,7 @@ its redirect budget is spent.  Every decision is appended to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Protocol, Sequence, Tuple
+from typing import List, Optional, Protocol, Sequence
 
 from repro.resilience.circuit import BreakerState, CircuitBreaker
 from repro.resilience.supervisor import RetryPolicy
@@ -184,8 +184,3 @@ class FleetRouter:
             )
         )
         return decision
-
-    # -- reporting ------------------------------------------------------
-    @property
-    def shed_batches(self) -> Tuple[RedirectRecord, ...]:
-        return tuple(r for r in self.redirects if r.action == "shed")

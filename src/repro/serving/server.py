@@ -16,7 +16,6 @@ that drives these lives in :mod:`repro.serving.fleet`.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple
 
@@ -130,7 +129,7 @@ class ServingModel:
         Mapping from table index to hot-row ids for that table.  Tables
         absent from the map get no cache and are served by the bag
         directly; tables mapped to an *empty* array get an empty cache
-        (every lookup counts as a miss), keeping hit-rate denominators
+        (every lookup is cold), keeping hit-rate denominators
         comparable across coverage sweeps.  Entries for dense tables
         are ignored — a dense lookup is already a plain gather, so the
         whole table is effectively hot (this lets one coverage map
@@ -139,10 +138,12 @@ class ServingModel:
     version:
         Monotonic model version stamped onto every prediction, so
         results can be attributed across hot swaps.
-    on_stale:
-        Staleness policy for the underlying caches (serving snapshots
-        are frozen, so the default ``"raise"`` should never fire; it
-        turns accidental in-place training into a loud error).
+
+    Nothing on a serving model changes when it predicts, and
+    :meth:`lookup_counts` reads a batch's hot/cold split off the batch,
+    so one frozen instance (:meth:`freeze`) serves any number of
+    replicas at once.  A cache whose bag trained after it was built
+    raises :class:`~repro.embeddings.inference.StaleCacheError`.
     """
 
     def __init__(
@@ -150,13 +151,12 @@ class ServingModel:
         model: DLRM,
         hot_rows: Optional[HotRowMap] = None,
         version: int = 0,
-        on_stale: str = "raise",
     ) -> None:
         self.model = model
         self.version = int(version)
         self.hot_rows = dict(hot_rows or {})
         self._views: List[_LookupView] = []
-        self.cached_views: List[HotRowCachedLookup] = []
+        cached: List[Tuple[int, HotRowCachedLookup]] = []
         dense_arms: List[Tuple[int, DenseEmbeddingBag]] = []
         lookup_tables: List[int] = []
         for t, bag in enumerate(model.embedding_bags):
@@ -167,12 +167,12 @@ class ServingModel:
             else:
                 lookup_tables.append(t)
                 if rows is not None and isinstance(bag, CompressedEmbedding):
-                    view = HotRowCachedLookup(bag, rows, on_stale=on_stale)
-                    self.cached_views.append(view)
+                    view = HotRowCachedLookup(bag, rows)
+                    cached.append((t, view))
             self._views.append(view)
+        self._cached_tables = tuple(cached)
         #: Dense tables are served by a gather from the bag's live
-        #: ``weight``, every other table by its view's ``forward``.  The
-        #: split is fixed here, so every :meth:`view` shares it.
+        #: ``weight``, every other table by its view's ``forward``.
         self._dense_arms = tuple(dense_arms)
         self._lookup_tables = tuple(lookup_tables)
         #: Largest valid id of each dense arm, in ``_dense_arms`` order.
@@ -262,6 +262,25 @@ class ServingModel:
         limits = np.repeat(self._dense_max_ids, [idx.size for idx in ids])
         return bool(flat.size == 0 or (flat.min() >= 0 and (flat <= limits).all()))
 
+    @property
+    def cached_views(self) -> List[HotRowCachedLookup]:
+        """The hot-row caches, in table order."""
+        return [view for _, view in self._cached_tables]
+
+    def lookup_counts(self, batch: Batch) -> Tuple[int, int]:
+        """``(hot, cold)`` ids of ``batch`` over the cached tables.
+
+        A cached table's id is hot when it is in that table's hot set
+        and cold otherwise; uncached and dense tables count neither.
+        The split depends on the batch alone.
+        """
+        hot = total = 0
+        for t, view in self._cached_tables:
+            idx = batch.sparse_indices[t]
+            hot += view.count_hot(idx)
+            total += idx.size
+        return hot, total - hot
+
     def refresh(self) -> None:
         """Re-materialize every cache from the current cores."""
         for view in self.cached_views:
@@ -273,8 +292,8 @@ class ServingModel:
 
         MLP parameters, every bag's state arrays (TT cores, codec
         tables) and the hot-row tables.  After this, training the
-        wrapped model or writing through any :meth:`view` raises
-        instead of changing what the other views serve.
+        wrapped model raises instead of changing what every replica
+        sharing it serves.
         """
         for param in self.model.parameters():
             param.data.setflags(write=False)
@@ -284,37 +303,7 @@ class ServingModel:
         for cached in self.cached_views:
             cached.freeze()
 
-    def view(self) -> "ServingModel":
-        """A serving model over the same arrays with its own counters.
-
-        Shares the wrapped model and the hot-row tables; owns its
-        ``version`` stamp and each cached arm's hit/miss counters, so
-        per-view lookup accounting is exact however many views serve.
-        """
-        twin = copy.copy(self)
-        twin._views = [
-            v.view() if isinstance(v, HotRowCachedLookup) else v
-            for v in self._views
-        ]
-        twin.cached_views = [
-            v for v in twin._views if isinstance(v, HotRowCachedLookup)
-        ]
-        return twin
-
-    # -- cache accounting ----------------------------------------------
-    @property
-    def hot_lookups(self) -> int:
-        return sum(v.hits for v in self.cached_views)
-
-    @property
-    def cold_lookups(self) -> int:
-        return sum(v.misses for v in self.cached_views)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hot_lookups + self.cold_lookups
-        return self.hot_lookups / total if total else 0.0
-
+    # -- cache footprint -----------------------------------------------
     @property
     def num_hot_rows(self) -> int:
         return sum(v.num_hot_rows for v in self.cached_views)

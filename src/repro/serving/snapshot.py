@@ -12,10 +12,11 @@ are bit-identical to the snapshotted one's.
 
 Serving does not need independence, it needs the bytes once:
 :meth:`ModelSnapshot.serving_model` materializes a snapshot a single
-time per hot-row map, marks every array read-only, and hands each
-caller (replica, fleet run, swap install, fallback) a thin view with
-its own lookup counters.  That state is held by the snapshot object
-and goes away with it.
+time per hot-row map, marks every array read-only, and hands that one
+:class:`~repro.serving.server.ServingModel` to every caller (replica,
+fleet run, swap install, fallback).  Serving keeps no per-call state
+on it, so sharing it is safe; it is held by the snapshot object and
+goes away with it.
 
 :meth:`ModelSnapshot.from_trainer` bridges the parameter-server
 topology to the serving one: host-resident tables (which own no local
@@ -110,14 +111,14 @@ class ModelSnapshot:
         return load_checkpoint(io.BytesIO(self._payload))
 
     def serving_model(self, hot_rows: Optional[HotRowMap]) -> ServingModel:
-        """A serving view of this snapshot's one materialized state.
+        """This snapshot's one frozen serving model for ``hot_rows``.
 
         The first call for a hot-row map (by contents) decodes the
         bytes and reconstructs the hot-row tables once, then marks every
-        array read-only; that call and every later one return a thin
-        :meth:`ServingModel.view` over those arrays with its own
-        hit/miss counters.  Replicas, fleet runs and swap installs of
-        one snapshot therefore share one copy of the immutable state.
+        array read-only; that call and every later one for equal
+        contents return the same :class:`ServingModel` object.
+        Replicas, fleet runs, swap installs and fallbacks of one
+        snapshot therefore share one copy of the immutable state.
         """
         key = hot_rows_key(hot_rows)
         shared = self._serving.get(key)
@@ -127,7 +128,7 @@ class ModelSnapshot:
             )
             shared.freeze()
             self._serving[key] = shared
-        return shared.view()
+        return shared
 
     # -- persistence ---------------------------------------------------
     def save(self, path: str) -> None:

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
-__all__ = ["Timer", "measure_median", "percentiles", "LatencyHistogram"]
+__all__ = ["Timer", "measure_median", "percentiles"]
 
 
 def percentiles(
@@ -45,78 +45,6 @@ def percentiles(
         frac = pos - lo
         out[q] = ordered[lo] * (1.0 - frac) + ordered[hi] * frac
     return out
-
-
-class LatencyHistogram:
-    """Streaming latency accumulator with exact percentiles.
-
-    Keeps the raw samples (latency studies here are at most a few
-    hundred thousand requests, so exactness is affordable) and offers
-    the summary statistics every SLO report needs plus fixed-bucket
-    counts for plotting.
-    """
-
-    def __init__(self) -> None:
-        self.samples: List[float] = []
-
-    def record(self, value: float) -> None:
-        if value < 0:
-            raise ValueError(f"latency must be >= 0, got {value}")
-        self.samples.append(float(value))
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    @property
-    def count(self) -> int:
-        return len(self.samples)
-
-    @property
-    def mean(self) -> float:
-        return sum(self.samples) / len(self.samples) if self.samples else 0.0
-
-    @property
-    def max(self) -> float:
-        return max(self.samples) if self.samples else 0.0
-
-    def percentile(self, q: float) -> float:
-        return percentiles(self.samples, qs=(q,))[q]
-
-    def summary(self) -> Dict[str, float]:
-        """p50/p95/p99 plus mean/max/count (zeros when empty)."""
-        if not self.samples:
-            return {
-                "count": 0, "mean": 0.0, "max": 0.0,
-                "p50": 0.0, "p95": 0.0, "p99": 0.0,
-            }
-        pct = percentiles(self.samples, qs=(50.0, 95.0, 99.0))
-        return {
-            "count": float(len(self.samples)),
-            "mean": self.mean,
-            "max": self.max,
-            "p50": pct[50.0],
-            "p95": pct[95.0],
-            "p99": pct[99.0],
-        }
-
-    def buckets(
-        self, num_buckets: int = 10
-    ) -> List[Tuple[float, float, int]]:
-        """Equal-width ``(lo, hi, count)`` buckets over the sample range."""
-        if num_buckets < 1:
-            raise ValueError(f"num_buckets must be >= 1, got {num_buckets}")
-        if not self.samples:
-            return []
-        lo, hi = min(self.samples), max(self.samples)
-        width = (hi - lo) / num_buckets or 1.0
-        counts = [0] * num_buckets
-        for s in self.samples:
-            slot = min(int((s - lo) / width), num_buckets - 1)
-            counts[slot] += 1
-        return [
-            (lo + b * width, lo + (b + 1) * width, counts[b])
-            for b in range(num_buckets)
-        ]
 
 
 @dataclass

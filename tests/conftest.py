@@ -63,3 +63,16 @@ def all_tt_model(config, seed=0):
     )
     bags = build_bags(plan, table_seeds(seed, config.num_tables))
     return DLRM(config, seed=seed, embedding_bags=bags)
+
+
+def record_cold(view):
+    """The ids a ``HotRowCachedLookup`` rebuilds from its bag, as lookups run."""
+    rebuilt = []
+    rebuild = view._cold_rows
+
+    def recording(idx):
+        rebuilt.extend(idx.tolist())
+        return rebuild(idx)
+
+    view._cold_rows = recording
+    return rebuilt

@@ -8,6 +8,7 @@ from repro.embeddings.dense import DenseEmbeddingBag
 from repro.embeddings.eff_tt_embedding import EffTTEmbeddingBag
 from repro.embeddings.inference import HotRowCachedLookup, StaleCacheError
 from repro.embeddings.tt_embedding import TTEmbeddingBag
+from tests.conftest import record_cold
 
 
 @pytest.fixture
@@ -49,21 +50,26 @@ class TestHotRowCachedLookup:
 
     def test_hit_miss_accounting(self, bag):
         view = HotRowCachedLookup(bag, hot_rows=np.array([1, 2, 3]))
-        view.lookup_rows(np.array([1, 2, 400]))
-        assert view.hits == 2
-        assert view.misses == 1
-        assert view.hit_rate == pytest.approx(2 / 3)
+        rebuilt = record_cold(view)
+        ids = np.array([1, 2, 400, 2])
+        view.lookup_rows(ids)
+        assert view.count_hot(ids) == 3
+        assert rebuilt == [400]
 
     def test_empty_cache_all_misses(self, bag):
         view = HotRowCachedLookup(bag, hot_rows=np.array([], dtype=np.int64))
+        rebuilt = record_cold(view)
         out = view.lookup_rows(np.array([0, 499]))
         assert out.shape == (2, 8)
-        assert view.hits == 0 and view.misses == 2
+        assert view.count_hot(np.array([0, 499])) == 0
+        assert rebuilt == [0, 499]
 
     def test_all_hot(self, bag):
         view = HotRowCachedLookup(bag, hot_rows=np.arange(500))
+        rebuilt = record_cold(view)
         view.lookup_rows(np.array([7, 8]))
-        assert view.misses == 0
+        assert view.count_hot(np.array([7, 8])) == 2
+        assert rebuilt == []
 
     def test_stale_lookup_raises_by_default(self, bag, rng):
         view = HotRowCachedLookup(bag, hot_rows=np.arange(500))
@@ -80,43 +86,12 @@ class TestHotRowCachedLookup:
             view.lookup_rows(np.array([5])), fresh, atol=1e-12
         )
 
-    def test_stale_auto_refresh_policy(self, bag, rng):
-        view = HotRowCachedLookup(
-            bag, hot_rows=np.arange(500), on_stale="refresh"
-        )
-        bag.forward(np.array([5, 5, 9]))
-        bag.backward_and_step(rng.standard_normal((3, 8)), lr=0.5)
-        fresh = bag.tt.reconstruct_rows(np.array([5]))
-        refreshes_before = view.refreshes
-        np.testing.assert_allclose(
-            view.lookup_rows(np.array([5])), fresh, atol=1e-12
-        )
-        assert view.refreshes == refreshes_before + 1
-        assert not view.is_stale
-
-    def test_stale_ignore_policy_serves_old_rows(self, bag, rng):
-        view = HotRowCachedLookup(
-            bag, hot_rows=np.arange(500), on_stale="ignore"
-        )
-        before = view.lookup_rows(np.array([5]))
-        bag.forward(np.array([5, 5, 9]))
-        bag.backward_and_step(rng.standard_normal((3, 8)), lr=0.5)
-        stale = view.lookup_rows(np.array([5]))
-        np.testing.assert_array_equal(stale, before)
-        assert not np.allclose(
-            stale, bag.tt.reconstruct_rows(np.array([5]))
-        )
-
     def test_version_counts_every_update(self, bag, rng):
         assert bag.version == 0
         for expected in (1, 2):
             bag.forward(np.array([1, 2]))
             bag.backward_and_step(rng.standard_normal((2, 8)), lr=0.1)
             assert bag.version == expected
-
-    def test_invalid_stale_policy_rejected(self, bag):
-        with pytest.raises(ValueError, match="on_stale"):
-            HotRowCachedLookup(bag, hot_rows=np.arange(5), on_stale="panic")
 
     def test_works_with_ttrec_bag(self, rng):
         tt = TTEmbeddingBag(200, 8, tt_rank=4, seed=1)
@@ -212,9 +187,10 @@ class TestCacheOverCompressedStrategies:
     def test_hit_miss_accounting(self, name):
         bag = _compressed_factories()[name]()
         view = HotRowCachedLookup(bag, hot_rows=np.array([1, 2, 3]))
+        rebuilt = record_cold(view)
         view.lookup_rows(np.array([1, 2, 400]))
-        assert view.hits == 2
-        assert view.misses == 1
+        assert view.count_hot(np.array([1, 2, 400])) == 2
+        assert rebuilt == [400]
 
     def test_stale_detection_and_refresh(self, name, rng):
         bag = _compressed_factories()[name]()

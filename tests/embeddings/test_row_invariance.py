@@ -19,6 +19,7 @@ from repro.embeddings.tt_embedding import TTEmbeddingBag
 from repro.models.config import DLRMConfig, EmbeddingBackend
 from repro.models.dlrm import DLRM
 from repro.serving.server import ServingModel
+from tests.conftest import record_cold
 
 ROWS, DIM = 5000, 16
 KINDS = sorted(kind for kind in BAG_CLASSES if kind != "dense")
@@ -60,8 +61,10 @@ class TestRowInvariance:
         uncached = HotRowCachedLookup(bag, np.array([], dtype=np.int64))
         idx = _batch_of_17(ROW, 4)
         idx[5] = COLD_ROW
+        rebuilt = record_cold(cached)
         hit, miss = cached.lookup_rows(idx), uncached.lookup_rows(idx)
-        assert cached.hits >= 1 and uncached.hits == 0
+        assert cached.count_hot(idx) >= 1 and uncached.count_hot(idx) == 0
+        assert ROW not in rebuilt and COLD_ROW in rebuilt
         assert hit.tobytes() == miss.tobytes()
         assert hit[4].tobytes() == bag.reconstruct_rows(np.array([ROW]))[0].tobytes()
         # Pooled form, bags of one: the same rows again.
@@ -120,10 +123,11 @@ BAD_INPUTS = [
 def test_bad_indices_raise_what_they_did(kind, bad, error, message):
     bag = _bag(kind)
     view = HotRowCachedLookup(bag, HOT)
+    rebuilt = record_cold(view)
     for call in (bag.reconstruct_rows, view.lookup_rows, view.forward):
         with pytest.raises(error, match=message):
             call(bad)
-    assert (view.hits, view.misses) == (0, 0)
+    assert rebuilt == []
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -168,6 +172,7 @@ class TestAtPredictProba:
     @pytest.mark.parametrize("bad, error, message", BAD_INPUTS[:3])
     def test_bad_indices_raise_what_they_did(self, bad, error, message):
         serving = self._serving()
+        rebuilt = [record_cold(view) for view in serving.cached_views]
         with pytest.raises(error, match=message):
             serving.predict_proba(self._batch(bad))
-        assert (serving.hot_lookups, serving.cold_lookups) == (0, 0)
+        assert rebuilt and not any(rebuilt)

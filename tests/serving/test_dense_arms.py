@@ -13,7 +13,7 @@ import pytest
 from repro.data.dataloader import Batch, SyntheticClickLog
 from repro.data.datasets import DatasetSpec, TableSpec, criteo_kaggle_like
 from repro.embeddings.dense import DenseEmbeddingBag
-from repro.embeddings.inference import StaleCacheError
+from repro.embeddings.inference import HotRowCachedLookup, StaleCacheError
 from repro.models.config import DLRMConfig, EmbeddingBackend
 from repro.models.dlrm import DLRM
 from repro.serving.requests import InferenceRequest, RequestGenerator, coalesce_requests
@@ -145,6 +145,12 @@ def test_bad_dense_id_raises_before_any_gather(case, bad, monkeypatch):
     dense = _dense_tables(model)
     for bag in (model.embedding_bags[t] for t in dense):
         monkeypatch.setattr(bag, "weight", bag.weight.view(_CountingWeight))
+    looked_up = []
+    cached_rows = HotRowCachedLookup._rows
+    monkeypatch.setattr(
+        HotRowCachedLookup, "_rows",
+        lambda self, idx: looked_up.append(idx) or cached_rows(self, idx),
+    )
     for t in (dense[0], dense[len(dense) // 2], dense[-1]):
         batch = _batches(name)[0]
         ids = batch.sparse_indices[t].copy()
@@ -164,7 +170,7 @@ def test_bad_dense_id_raises_before_any_gather(case, bad, monkeypatch):
             serving.predict_proba(bad_batch)
         assert str(raised.value) == str(expected.value)
         assert _CountingWeight.gathers == 0
-        assert serving.hot_lookups == serving.cold_lookups == 0
+        assert looked_up == []  # no cached arm ran before the raise
 
 
 def test_bag_count_mismatch_raises(case):

@@ -9,7 +9,7 @@ from repro.data.dataloader import Batch
 from repro.serving.metrics import (
     RequestResult,
     ServedBatch,
-    ServingMetrics,
+    SLOReport,
     export_serving_trace,
     serving_trace_events,
 )
@@ -46,17 +46,23 @@ def _batch(batch_id, worker=0, start=0.0, finish=0.001, version=0, size=2):
     )
 
 
+def _report(results, batches=(), rejected=0, num_swaps=0, duration=1.0,
+            max_queue_depth=0, num_hot_rows=0):
+    return SLOReport.from_records(
+        results, batches, rejected=rejected, num_swaps=num_swaps,
+        duration=duration, max_queue_depth=max_queue_depth,
+        num_hot_rows=num_hot_rows,
+    )
+
+
 class TestServingMetrics:
+    """:meth:`SLOReport.from_records`, the one place a report is made."""
+
     def test_report_aggregates(self):
-        metrics = ServingMetrics()
-        for i in range(10):
-            metrics.record_result(_result(i, 0.0, 0.001 * (i + 1)))
-        metrics.record_batch(_batch(0, size=4))
-        metrics.record_batch(_batch(1, size=6))
-        metrics.record_rejection()
-        metrics.record_swap(0.5)
-        report = metrics.build_report(
-            duration=2.0, max_queue_depth=7, cache_hit_rate=0.8,
+        report = _report(
+            [_result(i, 0.0, 0.001 * (i + 1)) for i in range(10)],
+            [_batch(0, size=4), _batch(1, size=6)],
+            rejected=1, num_swaps=1, duration=2.0, max_queue_depth=7,
             num_hot_rows=100,
         )
         assert report.offered == 11
@@ -67,45 +73,75 @@ class TestServingMetrics:
         assert report.mean_batch_size == pytest.approx(5.0)
         assert report.num_swaps == 1
         assert report.max_queue_depth == 7
+        assert report.num_hot_rows == 100
+        # hot lookups are size - 1 per batch, cold 1: (3 + 5) / 10
+        assert report.cache_hit_rate == pytest.approx(0.8)
         assert report.latency_p50 == pytest.approx(
             np.percentile([0.001 * (i + 1) for i in range(10)], 50)
         )
 
+    def test_latency_summary_matches_numpy(self):
+        rng = np.random.default_rng(0)
+        finish = rng.exponential(1e-3, size=57)
+        report = _report([_result(i, 0.0, f) for i, f in enumerate(finish)])
+        for q, value in (
+            (50, report.latency_p50), (95, report.latency_p95),
+            (99, report.latency_p99),
+        ):
+            assert value == pytest.approx(np.percentile(finish, q), abs=1e-15)
+        assert report.latency_max == finish.max()
+
+    def test_mean_is_summed_in_completion_order(self):
+        finish = [1.0, 1e-16, 1e-16]
+        results = [_result(i, 0.0, f) for i, f in enumerate(finish)]
+        in_order = (1.0 + 1e-16 + 1e-16) / 3
+        assert in_order != (1e-16 + 1e-16 + 1.0) / 3  # the order shows
+        assert _report(results).latency_mean == in_order
+
+    def test_negative_latency_rejected(self):
+        with pytest.raises(ValueError, match="latency must be >= 0"):
+            _report([_result(0, 0.5, 0.25)])
+
     def test_latency_ordering(self):
-        metrics = ServingMetrics()
-        for i in range(100):
-            metrics.record_result(_result(i, 0.0, 0.001 * (i + 1)))
-        report = metrics.build_report(1.0, 0, 0.0, 0)
+        report = _report(
+            [_result(i, 0.0, 0.001 * (i + 1)) for i in range(100)]
+        )
         assert report.latency_p50 <= report.latency_p95 <= report.latency_p99
         assert report.latency_p99 <= report.latency_max
 
     def test_versions_attributed(self):
-        metrics = ServingMetrics()
-        metrics.record_result(_result(0, 0.0, 0.1, version=0))
-        metrics.record_result(_result(1, 0.0, 0.1, version=1))
-        metrics.record_result(_result(2, 0.0, 0.1, version=1))
-        report = metrics.build_report(1.0, 0, 0.0, 0)
+        report = _report([
+            _result(0, 0.0, 0.1, version=0),
+            _result(1, 0.0, 0.1, version=1),
+            _result(2, 0.0, 0.1, version=1),
+        ])
         assert report.requests_per_version == {0: 1, 1: 2}
 
     def test_empty_run(self):
-        report = ServingMetrics().build_report(0.0, 0, 0.0, 0)
+        report = _report([], duration=0.0)
         assert report.completed == 0
         assert report.throughput_rps == 0.0
         assert report.latency_p99 == 0.0
 
+    def test_empty_run_reports_zero_latencies(self):
+        report = _report([], duration=0.0)
+        assert report.cache_hit_rate == 0.0
+        assert (
+            report.latency_p50, report.latency_p95, report.latency_p99,
+            report.latency_mean, report.latency_max,
+        ) == (0.0, 0.0, 0.0, 0.0, 0.0)
+
     def test_meets_slo(self):
-        metrics = ServingMetrics()
-        metrics.record_result(_result(0, 0.0, 0.002))
-        report = metrics.build_report(1.0, 0, 0.0, 0)
+        report = _report([_result(0, 0.0, 0.002)])
         assert report.meets(0.005)
         assert not report.meets(0.001)
         with pytest.raises(ValueError):
             report.meets(0.0)
 
     def test_format_mentions_all_fields(self):
-        metrics = ServingMetrics()
-        metrics.record_result(_result(0, 0.0, 0.002))
-        text = metrics.build_report(1.0, 3, 0.9, 50).format()
+        text = _report(
+            [_result(0, 0.0, 0.002)], max_queue_depth=3, num_hot_rows=50
+        ).format()
         for token in ("p99", "throughput", "hit_rate", "queue_depth"):
             assert token in text
 

@@ -110,11 +110,19 @@ class TestServingModel:
 
     def test_cache_accounting(self, generator, requests):
         model = DLRM(CFG, seed=0)
-        serving = ServingModel(model, hot_rows=_hot(generator, 0.3))
-        assert serving.hot_lookups == 0
-        serving.predict_proba(coalesce_requests(requests[:16]))
-        assert serving.hot_lookups + serving.cold_lookups > 0
-        assert 0.0 < serving.hit_rate <= 1.0
+        hot_rows = _hot(generator, 0.3)
+        serving = ServingModel(model, hot_rows=hot_rows)
+        batch = coalesce_requests(requests[:16])
+        serving.predict_proba(batch)
+        hot, cold = serving.lookup_counts(batch)
+        cached = [t for t, _ in serving._cached_tables]
+        assert cached  # the 0.3-coverage map caches some compressed arm
+        assert hot + cold == sum(batch.sparse_indices[t].size for t in cached)
+        assert hot == sum(
+            int(np.isin(batch.sparse_indices[t], hot_rows[t]).sum())
+            for t in cached
+        )
+        assert 0 < hot <= hot + cold
         assert serving.num_hot_rows > 0
         assert serving.cache_nbytes > 0
 

@@ -1,10 +1,11 @@
-"""One materialised, read-only serving state per snapshot, shared by views.
+"""One materialised, read-only serving model per snapshot, shared as is.
 
-A replica's fault domain is its breaker, in-flight table, lifecycle and
-hit/miss counters.  The immutable bytes — MLP parameters, TT cores, the
-reconstructed hot-row tables — are built once per ``(snapshot, hot-row
-map contents)`` and every replica, fleet run and swap install serves
-from that one copy through a thin view.
+A replica's fault domain is its breaker, in-flight table and lifecycle.
+The immutable bytes — MLP parameters, TT cores, the reconstructed
+hot-row tables — are built once per ``(snapshot, hot-row map
+contents)``, and every replica, fleet run, swap install and fallback
+holds that one :class:`ServingModel` object, which serving never
+mutates.
 """
 
 import zlib
@@ -160,6 +161,38 @@ class TestSharingIsByHotRowContents:
         _executor(snapshot, {})
         assert counts == {"load": 1, "refresh": 0}
 
+    def test_equal_contents_are_one_object(self):
+        snapshot = _snapshot(7, 1)
+        same = {t: rows.copy() for t, rows in reversed(HOT_ROWS.items())}
+        assert snapshot.serving_model(HOT_ROWS) is snapshot.serving_model(same)
+        assert snapshot.serving_model(None) is snapshot.serving_model({})
+
+    def test_every_replica_swap_install_and_fallback_hold_one_object(
+        self, monkeypatch
+    ):
+        v1, v2, fallback = _snapshot(7, 1), _snapshot(9, 2), _snapshot(3, 0)
+        held = []
+        begin = ReplicaExecutor.begin
+
+        def recording(self, fleet_batch, now, use_fallback, injector):
+            held.append((self.replica_id, self.serving_model, self._fallback))
+            return begin(self, fleet_batch, now, use_fallback, injector)
+
+        monkeypatch.setattr(ReplicaExecutor, "begin", recording)
+        fleet = _busy_fleet(v1)
+        fleet.set_fallback(fallback, HOT_ROWS)
+        fleet.schedule_swap(REQUESTS[120].arrival_time, v2)
+        for _ in range(2):
+            assert fleet.run(REQUESTS).swaps[0].completed
+        assert {replica for replica, _, _ in held} == {0, 1, 2, 3}
+        models = {id(model) for _, model, _ in held}
+        assert models == {
+            id(v1.serving_model(HOT_ROWS)), id(v2.serving_model(HOT_ROWS))
+        }
+        assert {id(fb) for _, _, fb in held} == {
+            id(fallback.serving_model(HOT_ROWS))
+        }
+
 
 def _reachable_arrays(serving_model):
     arrays = [p.data for p in serving_model.model.parameters()]
@@ -202,17 +235,34 @@ class TestReadOnly:
             victim.serving_model.cached_views[0]._hot_values[0] = 0.0
         assert _digest(sibling.serving_model) == before
 
-    def test_a_refresh_rebinds_only_the_refreshing_view(self):
+    def test_serving_changes_no_serving_state(self):
         snapshot = _snapshot(7, 1)
-        a, b = _executor(snapshot), _executor(snapshot, replica_id=1)
-        view_a = a.serving_model.cached_views[0]
-        view_b = b.serving_model.cached_views[0]
-        shared = view_b._hot_values
-        view_a.refresh()
-        assert view_b._hot_values is shared
-        assert view_a._hot_values is not shared
-        np.testing.assert_array_equal(view_a._hot_values, shared)
-        assert (view_a.refreshes, view_b.refreshes) == (1, 0)
+        primary = snapshot.serving_model(HOT_ROWS)
+        fallback = _snapshot(3, 0).serving_model({2: HOT_ROWS[2]})
+        states = [primary, fallback, *primary.cached_views, *fallback.cached_views]
+        before = [_attributes(obj) for obj in states]
+        fleet = ServingFleet(snapshot, hot_rows=HOT_ROWS, config=_config(2))
+        batches = fleet.run(REQUESTS[:60]).served_batches
+        for served in batches:
+            for model in (primary, fallback):
+                model.predict_proba(served.batch)
+                model.lookup_counts(served.batch)
+        assert [_attributes(obj) for obj in states] == before
+
+
+def _attributes(obj):
+    """An object's ``__dict__`` by identity (and containers by members)."""
+    out = {}
+    for name, value in vars(obj).items():
+        if isinstance(value, (bool, int, float, str, type(None))):
+            out[name] = value
+        elif isinstance(value, (list, tuple)):
+            out[name] = (id(value), [id(v) for v in value])
+        elif isinstance(value, dict):
+            out[name] = (id(value), [(k, id(v)) for k, v in value.items()])
+        else:
+            out[name] = id(value)
+    return out
 
 
 def _kill_one(replica, time):
@@ -233,7 +283,7 @@ def _busy_fleet(snapshot, num_replicas=4, injector=None):
 
 
 class TestPerReplicaAccounting:
-    """Counters are per view, so sharing the tables changes no number.
+    """Lookup counts come from each batch, so sharing changes no number.
 
     On the all-TT model (an explicit plan): that is what the commit the
     numbers come from built for ``CFG``, and with every table behind a

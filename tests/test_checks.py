@@ -81,6 +81,18 @@ def _dense_arm_gathers_the_next_row(monkeypatch):
     monkeypatch.setattr(ServingModel, "_dense_inputs", shifted)
 
 
+def _fleet_loses_a_result(monkeypatch):
+    complete = _FleetRun.complete
+    lost = []
+
+    def lossy(self, replica, token):
+        complete(self, replica, token)
+        if self.results and not lost:
+            lost.append(self.results.pop())
+
+    monkeypatch.setattr(_FleetRun, "complete", lossy)
+
+
 def _supervisor_skips_a_replay(monkeypatch):
     rollback = PipelineSupervisor._rollback
 
@@ -150,3 +162,12 @@ def test_mutant_turns_its_gate_red(monkeypatch, name):
     check = GATES[name]()
     assert check.name == name
     assert not check.ok, checks.format_check(check)
+
+
+def test_a_lost_result_turns_serving_red(monkeypatch):
+    # The report's offered is completed + rejected, so only the count
+    # of generated requests can show a result that went missing.
+    _fleet_loses_a_result(monkeypatch)
+    check = GATES["serving"]()
+    assert not check.ok, checks.format_check(check)
+    assert "299/299 requests" in check.detail

@@ -164,6 +164,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert flags[0] in err and "--shards" in err
 
+    def test_serve_max_replicas_requires_autoscale(self, capsys):
+        assert main(["serve", "--max-replicas", "4"]) == 2
+        err = capsys.readouterr().err
+        assert "--max-replicas only takes effect with --autoscale" in err
+
+    @pytest.mark.parametrize("coverage", ["1.5", "-0.1"])
+    def test_serve_rejects_hot_coverage_outside_unit_interval(
+        self, capsys, coverage
+    ):
+        assert main(["serve", "--hot-coverage", coverage]) == 2
+        err = capsys.readouterr().err
+        assert f"--hot-coverage must be in [0, 1], got {coverage}" in err
+
     def test_sharded_train_rejects_per_table_strategies(self, capsys):
         assert main(
             ["train", "--shards", "2", "--compress-strategy", "auto"]

@@ -1,7 +1,10 @@
 """Committed artifacts that prose and ledgers quote must stay in step."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,6 +43,26 @@ def test_fig11_table_is_the_results_file():
                 f"{framework}; benchmarks/results/fig11_end_to_end.txt has "
                 f"{results[(device, dataset, framework)]}"
             )
+
+
+def test_serving_slo_tables_are_the_results_files():
+    """Both SLO sweeps run on SimClock, so a rebuild prints the committed text."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
+    )
+    rebuilt = subprocess.run(
+        [sys.executable, "benchmarks/bench_serving_slo.py"],
+        cwd=REPO, env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    committed = "".join(
+        (REPO / f"benchmarks/results/{name}.txt").read_text()
+        for name in ("serving_slo", "fleet_slo")
+    )
+    assert rebuilt == committed, (
+        "benchmarks/results/serving_slo.txt + fleet_slo.txt differ from "
+        "`python benchmarks/bench_serving_slo.py`; regenerate them"
+    )
 
 
 LEDGERS = sorted(REPO.glob("BENCH_*.json"))

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.utils.timer import (
-    LatencyHistogram,
     Timer,
     measure_median,
     percentiles,
@@ -91,45 +90,3 @@ class TestPercentiles:
     def test_invalid_quantile_rejected(self):
         with pytest.raises(ValueError):
             percentiles([1.0], qs=(101.0,))
-
-
-class TestLatencyHistogram:
-    def test_summary_fields(self):
-        hist = LatencyHistogram()
-        for value in (0.001, 0.002, 0.003, 0.010):
-            hist.record(value)
-        summary = hist.summary()
-        assert summary["count"] == 4
-        assert summary["mean"] == pytest.approx(0.004)
-        assert summary["max"] == pytest.approx(0.010)
-        assert summary["p50"] <= summary["p95"] <= summary["p99"]
-        assert len(hist) == 4
-
-    def test_percentile_query(self):
-        hist = LatencyHistogram()
-        for i in range(100):
-            hist.record(float(i))
-        assert hist.percentile(50.0) == pytest.approx(
-            np.percentile(np.arange(100.0), 50.0)
-        )
-
-    def test_empty_summary_is_zeros(self):
-        summary = LatencyHistogram().summary()
-        assert summary == {
-            "count": 0, "mean": 0.0, "max": 0.0,
-            "p50": 0.0, "p95": 0.0, "p99": 0.0,
-        }
-
-    def test_buckets_partition_samples(self):
-        hist = LatencyHistogram()
-        for value in (0.0, 0.25, 0.5, 0.75, 1.0):
-            hist.record(value)
-        buckets = hist.buckets(2)
-        assert len(buckets) == 2
-        assert sum(count for _, _, count in buckets) == 5
-        assert buckets[0][0] == pytest.approx(0.0)
-        assert buckets[-1][1] == pytest.approx(1.0)
-
-    def test_negative_sample_rejected(self):
-        with pytest.raises(ValueError):
-            LatencyHistogram().record(-1.0)
