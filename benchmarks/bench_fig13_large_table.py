@@ -5,9 +5,9 @@ HugeCTR must shard rows and TorchRec must shard columns across GPUs,
 paying per-iteration collectives, while EL-Rec TT-compresses the table
 onto every GPU and trains data-parallel with only a gradient AllReduce.
 
-The substrate measurement uses a 1M-row stand-in (kernels are
-batch-size bound, not table-size bound); feasibility and communication
-use the true 40M-row footprint.
+The dense gather + update is measured on a 1M-row stand-in (the kernel
+is batch-size bound, not table-size bound); the TT kernels' FLOPs,
+feasibility and communication use the true 40M-row table.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import pytest
 from conftest import emit, run_once
 from repro.bench.harness import format_table
 from repro.embeddings.eff_tt_embedding import EffTTEmbeddingBag
-from repro.embeddings.tt_embedding import TTEmbeddingBag
 from repro.frameworks import ELRec, HugeCTR, TorchRec, WorkloadProfile
 from repro.system.devices import TESLA_V100
 from repro.utils.timer import measure_median
@@ -38,30 +37,6 @@ def _measure_profile() -> WorkloadProfile:
 
     sampler = ZipfSampler(ROWS_MEASURE, alpha=1.05, seed=0)
     idx = sampler.sample(BATCH, rng)
-    grad = rng.standard_normal((BATCH, DIM))
-
-    eff = EffTTEmbeddingBag(ROWS_MEASURE, DIM, tt_rank=TT_RANK, seed=0)
-    tt = TTEmbeddingBag(ROWS_MEASURE, DIM, tt_rank=TT_RANK, seed=0)
-
-    def eff_fwd():
-        eff.forward(idx)
-
-    def eff_cycle():
-        eff.forward(idx)
-        eff.backward_and_step(grad, 0.01)
-
-    def tt_fwd():
-        tt.forward(idx)
-
-    def tt_cycle():
-        tt.forward(idx)
-        tt.backward(grad)
-        tt.step(0.01)
-
-    t_eff_fwd = measure_median(eff_fwd, repeats=3)
-    t_eff_cycle = measure_median(eff_cycle, repeats=3)
-    t_tt_fwd = measure_median(tt_fwd, repeats=3)
-    t_tt_cycle = measure_median(tt_cycle, repeats=3)
 
     # dense gather+update time for the sharded baselines (memory-bound)
     table = np.zeros((ROWS_MEASURE, DIM), dtype=np.float32)
@@ -76,12 +51,11 @@ def _measure_profile() -> WorkloadProfile:
     # analytic FLOP counts at the *full* cardinality (at 40M rows a 4K
     # batch has essentially no duplicate indices, so reuse statistics
     # are computed on a representative full-size plan).
-    from repro.data.synthetic import ZipfSampler as _ZS
     from repro.embeddings.flops import plan_backward_flops, plan_forward_flops
     from repro.embeddings.reuse_buffer import build_reuse_plan
 
     full_spec = EffTTEmbeddingBag(ROWS_FULL, DIM, tt_rank=TT_RANK, seed=0).spec
-    full_idx = _ZS(ROWS_FULL, alpha=1.05, seed=1).sample(
+    full_idx = ZipfSampler(ROWS_FULL, alpha=1.05, seed=1).sample(
         BATCH, np.random.default_rng(2)
     )
     full_plan = build_reuse_plan(full_idx, full_spec.row_shape)
@@ -93,10 +67,6 @@ def _measure_profile() -> WorkloadProfile:
         indices_per_batch=BATCH,
         host_mlp_time=1e-9,  # single-table experiment: no MLP
         host_dense_emb_time=t_dense,
-        host_tt_fwd_time=t_tt_fwd,
-        host_tt_bwd_time=max(t_tt_cycle - t_tt_fwd, 1e-9),
-        host_efftt_fwd_time=t_eff_fwd,
-        host_efftt_bwd_time=max(t_eff_cycle - t_eff_fwd, 1e-9),
         tt_param_bytes=full_spec.num_params * 4,
         tt_kernel_launches=8,
         efftt_kernel_launches=3,

@@ -10,12 +10,10 @@ from repro.bench.harness import (
     format_series,
     format_table,
     measure_workload,
-    workload_for_dataset,
 )
 
 __all__ = [
     "measure_workload",
-    "workload_for_dataset",
     "format_table",
     "format_series",
 ]

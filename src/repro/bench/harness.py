@@ -2,16 +2,17 @@
 
 ``measure_workload`` is the bridge between the real substrate and the
 framework cost models: it builds actual tables and MLPs at a scaled
-cardinality, runs the real NumPy kernels on real synthetic batches, and
-records their median wall-clock times into a
+cardinality, runs the real NumPy MLP and dense-embedding kernels on a
+real synthetic batch, counts the TT kernels' FLOPs on that batch's
+reuse plan, and records both into a
 :class:`~repro.frameworks.base.WorkloadProfile`.  Framework models then
-compose those *measured* numbers with device scaling and communication
-costs — no component of an end-to-end figure is a made-up constant.
+compose those numbers with device scaling and communication costs — no
+component of an end-to-end figure is a made-up constant.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from repro.utils.timer import measure_median
 
 __all__ = [
     "measure_workload",
-    "workload_for_dataset",
     "format_table",
     "format_series",
 ]
@@ -60,35 +60,23 @@ def _measure_mlp(
 
 
 def _measure_bags(
-    bags: Sequence, batch: Batch, table_ids: Sequence[int], repeats: int,
-    split_fwd_bwd: bool, lr: float = 0.01,
-) -> Tuple[float, float]:
-    """Real (forward, backward+update) times over the given tables."""
+    bags: Sequence, batch: Batch, repeats: int, lr: float = 0.01
+) -> float:
+    """Real forward then backward + update time of one bag per table."""
     rng = np.random.default_rng(1)
     grads = [
         rng.standard_normal((batch.batch_size, bag.embedding_dim))
         for bag in bags
     ]
 
-    def fwd() -> None:
-        for bag, t in zip(bags, table_ids):
+    def fwd_bwd() -> None:
+        for t, bag in enumerate(bags):
             bag.forward(batch.sparse_indices[t], batch.sparse_offsets[t])
-
-    def bwd() -> None:
         for bag, g in zip(bags, grads):
             bag.backward(g)
             bag.step(lr)
 
-    t_fwd = measure_median(fwd, repeats=repeats, warmup=1)
-    if not split_fwd_bwd:
-        return t_fwd, 0.0
-    # backward needs a fresh forward before each run
-    def fwd_bwd() -> None:
-        fwd()
-        bwd()
-
-    t_total = measure_median(fwd_bwd, repeats=repeats, warmup=1)
-    return t_fwd, max(t_total - t_fwd, 1e-9)
+    return measure_median(fwd_bwd, repeats=repeats, warmup=1)
 
 
 def measure_workload(
@@ -96,32 +84,24 @@ def measure_workload(
     batch_size: int = 2048,
     embedding_dim: int = 32,
     tt_rank: int = 32,
-    tt_threshold_rows: int | None = None,
-    measure_scale: float = 1.0,
     repeats: int = 3,
-    seed: int = 0,
-    hot_fraction: float = 0.75,
 ) -> WorkloadProfile:
     """Measure one dataset's kernels into a :class:`WorkloadProfile`.
 
     Parameters
     ----------
     spec:
-        Dataset schema (usually already scaled down; ``measure_scale``
-        additionally shrinks the tables actually built for timing).
+        Dataset schema (usually already scaled down).
     batch_size, embedding_dim, tt_rank:
         Training configuration to measure.
-    tt_threshold_rows:
-        Tables above this row count are measured with the TT backends;
-        defaults to the paper's 1M rows scaled by the spec's scale.
     repeats:
         Timing repeats per kernel (median is recorded).
-    hot_fraction:
-        FAE hot-batch fraction recorded into the profile.
+
+    Tables above the paper's 1M rows, scaled by the spec's scale, are
+    TT-compressed; their kernels are priced by FLOP count, not timed.
     """
-    if tt_threshold_rows is None:
-        tt_threshold_rows = max(1, int(1_000_000 * spec.scale * measure_scale))
-    log = SyntheticClickLog(spec, batch_size=batch_size, seed=seed)
+    tt_threshold_rows = max(1, int(1_000_000 * spec.scale))
+    log = SyntheticClickLog(spec, batch_size=batch_size, seed=0)
     batch = log.batch(0)
 
     config = DLRMConfig.from_dataset(
@@ -133,38 +113,29 @@ def measure_workload(
     dense_bags = [
         build_embedding_bag(
             EmbeddingBackend.DENSE, t.num_rows, embedding_dim, tt_rank,
-            seed=(seed, 2, i),
+            seed=(0, 2, i),
         )
         for i, t in enumerate(spec.tables)
     ]
     all_ids = list(range(spec.num_sparse))
-    d_fwd, d_bwd = _measure_bags(dense_bags, batch, all_ids, repeats, True)
+    t_dense = _measure_bags(dense_bags, batch, repeats)
 
-    # Compressed paths over the large tables only (paper §VI-A: tables
-    # above the threshold are decomposed, the rest stay dense — the
-    # dense remainder's cost is shared and excluded from both).
+    # Compressed tables: the large ones only (paper §VI-A: tables above
+    # the threshold are decomposed, the rest stay dense).  The Eff-TT
+    # bags give the TT footprint and the shapes the FLOPs are counted on.
     tt_ids = [
         i for i, t in enumerate(spec.tables) if t.num_rows > tt_threshold_rows
     ]
     if not tt_ids:
         # Degenerate tiny spec: compress the single largest table.
         tt_ids = [max(all_ids, key=lambda i: spec.tables[i].num_rows)]
-    tt_bags = [
-        build_embedding_bag(
-            EmbeddingBackend.TT, spec.tables[i].num_rows, embedding_dim,
-            tt_rank, seed=(seed, 3, i),
-        )
-        for i in tt_ids
-    ]
-    tt_fwd, tt_bwd = _measure_bags(tt_bags, batch, tt_ids, repeats, True)
     eff_bags = [
         build_embedding_bag(
             EmbeddingBackend.EFF_TT, spec.tables[i].num_rows, embedding_dim,
-            tt_rank, seed=(seed, 3, i),
+            tt_rank, seed=(0, 3, i),
         )
         for i in tt_ids
     ]
-    eff_fwd, eff_bwd = _measure_bags(eff_bags, batch, tt_ids, repeats, True)
 
     tt_param_bytes = sum(bag.nbytes_as(np.float32) for bag in eff_bags) + sum(
         spec.tables[i].num_rows * embedding_dim * 4
@@ -198,12 +169,7 @@ def measure_workload(
         table_rows=tuple(t.num_rows for t in spec.tables),
         indices_per_batch=indices_per_batch,
         host_mlp_time=t_mlp,
-        host_dense_emb_time=d_fwd + d_bwd,
-        host_tt_fwd_time=tt_fwd,
-        host_tt_bwd_time=tt_bwd,
-        host_efftt_fwd_time=eff_fwd,
-        host_efftt_bwd_time=eff_bwd,
-        hot_fraction=hot_fraction,
+        host_dense_emb_time=t_dense,
         tt_kernel_launches=8 * num_tt_tables,
         efftt_kernel_launches=3 * num_tt_tables,
         tt_param_bytes=int(tt_param_bytes),
@@ -212,23 +178,6 @@ def measure_workload(
         efftt_gflops_fwd=eff_fwd_flops / 1e9,
         efftt_gflops_bwd=eff_bwd_flops / 1e9,
     )
-
-
-def workload_for_dataset(
-    dataset: str,
-    scale: float = 2e-4,
-    **kwargs,
-) -> WorkloadProfile:
-    """Convenience: build + measure a named dataset's workload."""
-    from repro.data.datasets import DATASET_FACTORIES
-
-    if dataset not in DATASET_FACTORIES:
-        raise KeyError(
-            f"unknown dataset {dataset!r}; choose from "
-            f"{sorted(DATASET_FACTORIES)}"
-        )
-    spec = DATASET_FACTORIES[dataset](scale=scale)
-    return measure_workload(spec, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -165,7 +165,6 @@ def _cmd_info(_: argparse.Namespace) -> int:
     profile = calibrate_host()
     print("host calibration:")
     print(f"  large-GEMM throughput : {profile.gemm_gflops:10.1f} GFLOP/s")
-    print(f"  batched-GEMM (TT)     : {profile.batched_gemm_gflops:10.1f} GFLOP/s")
     print(f"  gather bandwidth      : {profile.gather_gbps:10.1f} GB/s")
     for device in (TESLA_V100, TESLA_T4):
         print(f"device {device.name}:")

@@ -17,8 +17,9 @@ shared substrate:
   exchanges [18].
 * :class:`TorchRec` — column-wise sharding with allgather assembly [40].
 
-All frameworks consume one :class:`WorkloadProfile` of *measured* host
-kernel times and one :class:`~repro.system.devices.DeviceSpec`, so
+All frameworks consume one :class:`WorkloadProfile` — *measured* host
+times for the MLP and dense-embedding kernels, analytic FLOP counts for
+the TT kernels — and one :class:`~repro.system.devices.DeviceSpec`, so
 relative results depend only on strategy.
 """
 

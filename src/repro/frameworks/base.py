@@ -5,23 +5,32 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Optional, Tuple
 
 from repro.system.devices import DeviceSpec, KernelCostModel
 from repro.utils.validation import check_positive
 
-__all__ = ["WorkloadProfile", "TimeBreakdown", "Framework"]
+__all__ = [
+    "WorkloadProfile", "TimeBreakdown", "Framework",
+    "SYNC_OVERHEAD_S", "HBM_USABLE_FRACTION", "mlp_param_bytes",
+]
+
+# Per-collective synchronization cost (stream sync + NCCL coordination)
+# observed on real multi-GPU training stacks.
+SYNC_OVERHEAD_S = 50e-6
+# Share of a device's HBM a framework may fill with embeddings (the
+# rest holds activations, workspace and the allocator's slack).
+HBM_USABLE_FRACTION = 0.8
 
 
 @dataclass(frozen=True)
 class WorkloadProfile:
-    """One DLRM workload with *measured* host kernel times.
+    """One DLRM workload: *measured* host times plus analytic TT FLOPs.
 
-    The benchmark harness measures each kernel class once on real
-    NumPy implementations (the substrate), and every framework composes
-    iteration time from the same measurements — strategies differ, the
+    The benchmark harness measures the MLP and dense-embedding kernels
+    once on real NumPy implementations (the substrate) and counts the
+    TT kernels' FLOPs on the same batch; every framework composes
+    iteration time from the same profile — strategies differ, the
     substrate does not.
 
     Attributes
@@ -40,12 +49,6 @@ class WorkloadProfile:
         Host seconds for dense gather + pool + sparse update over all
         tables (the CPU-side PS work and the GPU dense-lookup kernel,
         scaled per roofline axis).
-    host_tt_fwd_time / host_tt_bwd_time:
-        Host seconds for TT-Rec-style naive TT kernels over all
-        compressed tables.
-    host_efftt_fwd_time / host_efftt_bwd_time:
-        Host seconds for Eff-TT kernels (reuse + aggregation + fused
-        update) over all compressed tables.
     hot_fraction:
         Fraction of batches that touch only GPU-cached hot rows (FAE's
         profiling; the paper reports ~75%).
@@ -61,20 +64,16 @@ class WorkloadProfile:
     indices_per_batch: int
     host_mlp_time: float
     host_dense_emb_time: float
-    host_tt_fwd_time: float
-    host_tt_bwd_time: float
-    host_efftt_fwd_time: float
-    host_efftt_bwd_time: float
     hot_fraction: float = 0.75
     tt_kernel_launches: int = 24
     efftt_kernel_launches: int = 8
     tt_param_bytes: int = 0
     dtype_bytes: int = 4
     # Analytic per-iteration FLOP counts for the TT kernels (GFLOPs,
-    # summed over all compressed tables).  When > 0, framework models
-    # project TT kernel times as flops / batched-GEMM throughput,
-    # which removes the interpreter overhead baked into host wall
-    # clocks; 0 falls back to scaling the measured host time.
+    # summed over all compressed tables): TT-Rec's naive kernels and
+    # Eff-TT's reuse + aggregation kernels.  Framework models price a
+    # TT kernel as flops / batched-GEMM throughput, free of the
+    # interpreter overhead a host wall clock would carry.
     tt_gflops_fwd: float = 0.0
     tt_gflops_bwd: float = 0.0
     efftt_gflops_fwd: float = 0.0
@@ -87,14 +86,7 @@ class WorkloadProfile:
             raise ValueError(
                 f"hot_fraction must be in [0, 1], got {self.hot_fraction}"
             )
-        for attr in (
-            "host_mlp_time",
-            "host_dense_emb_time",
-            "host_tt_fwd_time",
-            "host_tt_bwd_time",
-            "host_efftt_fwd_time",
-            "host_efftt_bwd_time",
-        ):
+        for attr in ("host_mlp_time", "host_dense_emb_time"):
             check_positive(getattr(self, attr), attr, strict=False)
 
     @property
@@ -131,10 +123,6 @@ class WorkloadProfile:
             indices_per_batch=max(1, self.indices_per_batch // num_shards),
             host_mlp_time=self.host_mlp_time * f,
             host_dense_emb_time=self.host_dense_emb_time * f,
-            host_tt_fwd_time=self.host_tt_fwd_time * f,
-            host_tt_bwd_time=self.host_tt_bwd_time * f,
-            host_efftt_fwd_time=self.host_efftt_fwd_time * f,
-            host_efftt_bwd_time=self.host_efftt_bwd_time * f,
             tt_gflops_fwd=self.tt_gflops_fwd * f,
             tt_gflops_bwd=self.tt_gflops_bwd * f,
             efftt_gflops_fwd=self.efftt_gflops_fwd * f,
@@ -197,10 +185,11 @@ class Framework(abc.ABC):
         """Embedding bytes this framework must place in one GPU's HBM."""
         return profile.dense_table_bytes
 
-    def fits_single_gpu(
-        self, profile: WorkloadProfile, device: DeviceSpec, hbm_fraction: float = 0.8
-    ) -> bool:
-        return self.gpu_embedding_bytes(profile) <= device.hbm_bytes * hbm_fraction
+    def fits_single_gpu(self, profile: WorkloadProfile, device: DeviceSpec) -> bool:
+        return (
+            self.gpu_embedding_bytes(profile)
+            <= device.hbm_bytes * HBM_USABLE_FRACTION
+        )
 
     def _breakdown(
         self, device: DeviceSpec, num_gpus: int, **components: float
@@ -223,3 +212,15 @@ class Framework(abc.ABC):
             feasible=False,
             infeasible_reason=reason,
         )
+
+
+def mlp_param_bytes(profile: WorkloadProfile) -> int:
+    """Rough dense-parameter footprint for the MLP AllReduce payload.
+
+    DLRM MLPs are small relative to embeddings; a fixed estimate from
+    the standard configuration (a few MB) is accurate enough for the
+    collective's cost.
+    """
+    hidden = 512
+    layers = 6
+    return layers * hidden * hidden * profile.dtype_bytes

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.frameworks.base import Framework, TimeBreakdown, WorkloadProfile
+from repro.frameworks.base import (
+    HBM_USABLE_FRACTION, SYNC_OVERHEAD_S, Framework, TimeBreakdown,
+    WorkloadProfile, mlp_param_bytes,
+)
 from repro.system.devices import DeviceSpec
 from repro.system.multi_gpu import all2all_time, ring_allreduce_time
 
 __all__ = ["DlrmPS"]
-
-# Per-collective synchronization cost (stream sync + NCCL coordination).
-_SYNC_OVERHEAD_S = 50e-6
 
 
 class DlrmPS(Framework):
@@ -64,7 +64,7 @@ class DlrmPS(Framework):
         pooled embeddings to the data-parallel MLP shards, a second
         all-to-all for their gradients, and an MLP gradient AllReduce.
         """
-        total_hbm = device.hbm_bytes * 0.8 * num_gpus
+        total_hbm = device.hbm_bytes * HBM_USABLE_FRACTION * num_gpus
         if profile.dense_table_bytes > total_hbm:
             return self._infeasible(
                 device,
@@ -83,7 +83,7 @@ class DlrmPS(Framework):
             num_messages=profile.num_tables,
         )
         gpu_mlp = self.cost.scale_compute(shard.host_mlp_time, device)
-        mlp_bytes = _mlp_param_bytes(profile)
+        mlp_bytes = mlp_param_bytes(profile)
         allreduce = ring_allreduce_time(mlp_bytes, num_gpus, device)
         return self._breakdown(
             device,
@@ -93,7 +93,7 @@ class DlrmPS(Framework):
             gpu_mlp=gpu_mlp,
             all2all_backward=exchange,
             mlp_allreduce=allreduce,
-            collective_sync=3 * _SYNC_OVERHEAD_S,
+            collective_sync=3 * SYNC_OVERHEAD_S,
         )
 
     def gpu_embedding_bytes(self, profile: WorkloadProfile) -> int:
@@ -108,15 +108,3 @@ class DlrmPS(Framework):
             "cpu_gpu_comm_latency": "high",
             "compression_overhead": "n/a",
         }
-
-
-def _mlp_param_bytes(profile: WorkloadProfile) -> int:
-    """Rough dense-parameter footprint for the AllReduce payload.
-
-    DLRM MLPs are small relative to embeddings; a fixed estimate from
-    the standard configuration (a few MB) is accurate enough for the
-    collective's cost.
-    """
-    hidden = 512
-    layers = 6
-    return layers * hidden * hidden * profile.dtype_bytes

@@ -14,7 +14,9 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.frameworks.base import Framework, TimeBreakdown, WorkloadProfile
+from repro.frameworks.base import (
+    SYNC_OVERHEAD_S, Framework, TimeBreakdown, WorkloadProfile,
+)
 from repro.system.devices import DeviceSpec
 from repro.system.multi_gpu import ring_allreduce_time
 from repro.system.pipeline import pipeline_schedule
@@ -34,18 +36,10 @@ class ELRec(Framework):
         num_gpus: int = 1,
     ) -> TimeBreakdown:
         work = profile if num_gpus == 1 else profile.shard(num_gpus)
-        # Eff-TT contractions are batched-small-GEMMs.  Prefer analytic
-        # FLOP-count projection; fall back to scaled host wall clock.
-        if work.efftt_gflops_fwd > 0:
-            eff_fwd = self.cost.batched_kernel_time(
-                work.efftt_gflops_fwd, device
-            )
-            eff_bwd = self.cost.batched_kernel_time(
-                work.efftt_gflops_bwd, device
-            )
-        else:
-            eff_fwd = self.cost.scale_batched(work.host_efftt_fwd_time, device)
-            eff_bwd = self.cost.scale_batched(work.host_efftt_bwd_time, device)
+        # Eff-TT contractions are batched-small-GEMMs, priced from
+        # their FLOP counts.
+        eff_fwd = self.cost.batched_kernel_time(work.efftt_gflops_fwd, device)
+        eff_bwd = self.cost.batched_kernel_time(work.efftt_gflops_bwd, device)
         launches = profile.efftt_kernel_launches * self.cost.launch_time(device)
         gpu_mlp = self.cost.scale_compute(work.host_mlp_time, device)
         components = {
@@ -65,7 +59,7 @@ class ELRec(Framework):
             )
             backward_window = eff_bwd + (2.0 / 3.0) * gpu_mlp
             components["grad_allreduce_exposed"] = (
-                max(0.0, allreduce - backward_window) + 50e-6
+                max(0.0, allreduce - backward_window) + SYNC_OVERHEAD_S
             )
         return self._breakdown(device, num_gpus, **components)
 
@@ -93,15 +87,9 @@ class ELRec(Framework):
         cpu_stage = profile.host_dense_emb_time * host_fraction
         transfer_bytes = profile.embedding_transfer_bytes * host_fraction
         transfer_stage = 2.0 * self.cost.h2d_time(transfer_bytes, device)
-        if profile.efftt_gflops_fwd > 0:
-            tt_time = self.cost.batched_kernel_time(
-                profile.efftt_gflops_fwd + profile.efftt_gflops_bwd, device
-            )
-        else:
-            tt_time = self.cost.scale_batched(
-                profile.host_efftt_fwd_time + profile.host_efftt_bwd_time,
-                device,
-            )
+        tt_time = self.cost.batched_kernel_time(
+            profile.efftt_gflops_fwd + profile.efftt_gflops_bwd, device
+        )
         gpu_stage = (
             self.cost.scale_compute(profile.host_mlp_time, device)
             + tt_time

@@ -19,16 +19,14 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.embeddings.planner import row_shard_device_bytes
-from repro.frameworks.base import Framework, TimeBreakdown, WorkloadProfile
-from repro.frameworks.dlrm_ps import _mlp_param_bytes
+from repro.frameworks.base import (
+    HBM_USABLE_FRACTION, SYNC_OVERHEAD_S, Framework, TimeBreakdown,
+    WorkloadProfile, mlp_param_bytes,
+)
 from repro.system.devices import DeviceSpec
 from repro.system.multi_gpu import all2all_time, ring_allreduce_time
 
 __all__ = ["HugeCTR"]
-
-# Per-collective synchronization cost (stream sync + NCCL coordination)
-# observed on real multi-GPU training stacks.
-_SYNC_OVERHEAD_S = 50e-6
 
 
 class HugeCTR(Framework):
@@ -48,7 +46,7 @@ class HugeCTR(Framework):
             profile.embedding_dim,
             profile.dtype_bytes,
         )
-        if shard_bytes > int(device.hbm_bytes * 0.8):
+        if shard_bytes > int(device.hbm_bytes * HBM_USABLE_FRACTION):
             return self._infeasible(
                 device,
                 num_gpus,
@@ -66,7 +64,7 @@ class HugeCTR(Framework):
         )
         gpu_mlp = self.cost.scale_compute(shard.host_mlp_time, device)
         allreduce = ring_allreduce_time(
-            _mlp_param_bytes(profile), num_gpus, device
+            mlp_param_bytes(profile), num_gpus, device
         )
         return self._breakdown(
             device,
@@ -74,7 +72,7 @@ class HugeCTR(Framework):
             gpu_embedding_lookup=gpu_lookup,
             all2all_forward=exchange,
             gpu_mlp=gpu_mlp,
-            collective_sync=3 * _SYNC_OVERHEAD_S * (num_gpus > 1),
+            collective_sync=3 * SYNC_OVERHEAD_S * (num_gpus > 1),
             all2all_backward=exchange,
             mlp_allreduce=allreduce,
         )

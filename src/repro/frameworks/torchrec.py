@@ -12,16 +12,14 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.frameworks.base import Framework, TimeBreakdown, WorkloadProfile
-from repro.frameworks.dlrm_ps import _mlp_param_bytes
+from repro.frameworks.base import (
+    HBM_USABLE_FRACTION, SYNC_OVERHEAD_S, Framework, TimeBreakdown,
+    WorkloadProfile, mlp_param_bytes,
+)
 from repro.system.devices import DeviceSpec
 from repro.system.multi_gpu import allgather_time, ring_allreduce_time
 
 __all__ = ["TorchRec"]
-
-# Per-collective synchronization cost (stream sync + NCCL coordination)
-# observed on real multi-GPU training stacks.
-_SYNC_OVERHEAD_S = 50e-6
 
 
 class TorchRec(Framework):
@@ -36,7 +34,7 @@ class TorchRec(Framework):
         num_gpus: int = 1,
     ) -> TimeBreakdown:
         per_gpu_bytes = profile.dense_table_bytes / num_gpus
-        if per_gpu_bytes > device.hbm_bytes * 0.8:
+        if per_gpu_bytes > device.hbm_bytes * HBM_USABLE_FRACTION:
             return self._infeasible(
                 device,
                 num_gpus,
@@ -60,7 +58,7 @@ class TorchRec(Framework):
         )
         gpu_mlp = self.cost.scale_compute(shard.host_mlp_time, device)
         allreduce = ring_allreduce_time(
-            _mlp_param_bytes(profile), num_gpus, device
+            mlp_param_bytes(profile), num_gpus, device
         )
         return self._breakdown(
             device,
@@ -68,7 +66,7 @@ class TorchRec(Framework):
             gpu_embedding_lookup=gpu_lookup,
             allgather_forward=gather,
             gpu_mlp=gpu_mlp,
-            collective_sync=3 * _SYNC_OVERHEAD_S * (num_gpus > 1),
+            collective_sync=3 * SYNC_OVERHEAD_S * (num_gpus > 1),
             reduce_scatter_backward=gather,
             mlp_allreduce=allreduce,
         )

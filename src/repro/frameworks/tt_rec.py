@@ -31,15 +31,10 @@ class TTRec(Framework):
         num_gpus: int = 1,
     ) -> TimeBreakdown:
         work = profile if num_gpus == 1 else profile.shard(num_gpus)
-        # TT contractions are batched-small-GEMMs.  Prefer analytic
-        # FLOP-count projection (free of host interpreter overhead);
-        # fall back to scaling the measured host wall clock.
-        if work.tt_gflops_fwd > 0:
-            tt_fwd = self.cost.batched_kernel_time(work.tt_gflops_fwd, device)
-            tt_bwd = self.cost.batched_kernel_time(work.tt_gflops_bwd, device)
-        else:
-            tt_fwd = self.cost.scale_batched(work.host_tt_fwd_time, device)
-            tt_bwd = self.cost.scale_batched(work.host_tt_bwd_time, device)
+        # TT contractions are batched-small-GEMMs, priced from their
+        # FLOP counts (free of host interpreter overhead).
+        tt_fwd = self.cost.batched_kernel_time(work.tt_gflops_fwd, device)
+        tt_bwd = self.cost.batched_kernel_time(work.tt_gflops_bwd, device)
         launches = profile.tt_kernel_launches * self.cost.launch_time(device)
         gpu_mlp = self.cost.scale_compute(work.host_mlp_time, device)
         components = {

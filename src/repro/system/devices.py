@@ -5,13 +5,15 @@ This reproduction has no GPU, so end-to-end *system* comparisons
 
 1. **Host calibration** — :func:`calibrate_host` measures this
    machine's real NumPy GEMM throughput and gather bandwidth once per
-   process.  Every kernel measurement taken by the benchmarks is
-   therefore a *real* wall-clock number.
+   process.  The MLP and dense-embedding times the benchmarks measure
+   are therefore *real* wall-clock numbers.
 2. **Published device specs** — :data:`TESLA_V100` / :data:`TESLA_T4`
    carry peak FP32 throughput, memory bandwidth, HBM capacity, and
-   interconnect rates from Nvidia's datasheets.  A kernel's time on a
-   device is its measured host time scaled by the device/host
-   throughput ratio on the roofline axis that limits it.
+   interconnect rates from Nvidia's datasheets.  A measured kernel's
+   time on a device is its host time scaled by the device/host
+   throughput ratio on the roofline axis that limits it; a TT kernel's
+   is its analytic FLOP count over the device's batched-GEMM
+   throughput.
 
 All frameworks share one cost model, so *relative* results (who wins,
 crossover points) depend only on compute:communication ratios — the
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -67,6 +69,9 @@ class DeviceSpec:
     efficiency:
         Achievable fraction of peak for the paper's GEMM-shaped
         workloads.
+    batched_efficiency:
+        Achievable fraction of peak for batched-small-GEMM kernels; it
+        prices every TT kernel (see :attr:`effective_batched_gflops`).
     """
 
     name: str
@@ -88,8 +93,11 @@ class DeviceSpec:
             "p2p_gbps",
         ):
             check_positive(getattr(self, attr), attr)
-        if not 0 < self.efficiency <= 1:
-            raise ValueError(f"efficiency must be in (0, 1], got {self.efficiency}")
+        for attr in ("efficiency", "batched_efficiency"):
+            value = getattr(self, attr)
+            if not 0 < value <= 1:
+                raise ValueError(f"{attr} must be in (0, 1], got {value}")
+        check_positive(self.kernel_launch_us, "kernel_launch_us", strict=False)
 
     @property
     def effective_gflops(self) -> float:
@@ -139,25 +147,14 @@ TESLA_T4 = DeviceSpec(
 
 @dataclass(frozen=True)
 class HostProfile:
-    """Measured throughput of this host's NumPy kernels.
-
-    ``batched_gemm_gflops`` measures the batched-small-matrix class the
-    TT kernels live in (many independent ~32x32x128 GEMMs), which runs
-    far below large-GEMM peak on every architecture.
-    """
+    """Measured throughput of this host's NumPy kernels."""
 
     gemm_gflops: float
     gather_gbps: float
-    batched_gemm_gflops: float = 0.0
 
     def __post_init__(self) -> None:
         check_positive(self.gemm_gflops, "gemm_gflops")
         check_positive(self.gather_gbps, "gather_gbps")
-        if self.batched_gemm_gflops == 0.0:
-            object.__setattr__(
-                self, "batched_gemm_gflops", self.gemm_gflops * 0.1
-            )
-        check_positive(self.batched_gemm_gflops, "batched_gemm_gflops")
 
 
 @functools.lru_cache(maxsize=1)
@@ -173,22 +170,11 @@ def calibrate_host(gemm_size: int = 768, gather_rows: int = 200_000) -> HostProf
     idx = rng.integers(0, gather_rows, size=gather_rows // 2)
     t_gather = measure_median(lambda: table[idx], repeats=5, warmup=2)
     gbps = idx.size * 64 * 8 / t_gather / 1e9
-
-    # Batched-small-GEMM class (TT-kernel shapes): 2048 independent
-    # (32 x 32) @ (32 x 128) products.
-    a_b = rng.standard_normal((2048, 32, 32))
-    b_b = rng.standard_normal((2048, 32, 128))
-    t_batched = measure_median(lambda: a_b @ b_b, repeats=5, warmup=2)
-    batched_gflops = 2.0 * 2048 * 32 * 32 * 128 / t_batched / 1e9
-    return HostProfile(
-        gemm_gflops=gflops,
-        gather_gbps=gbps,
-        batched_gemm_gflops=batched_gflops,
-    )
+    return HostProfile(gemm_gflops=gflops, gather_gbps=gbps)
 
 
 class KernelCostModel:
-    """Translate measured host kernel times into device times.
+    """Price kernels, transfers and gathers on a device.
 
     Parameters
     ----------
@@ -197,12 +183,15 @@ class KernelCostModel:
 
     Notes
     -----
-    Two scaling axes mirror the roofline model:
+    Measured host times scale on two roofline axes:
 
-    * compute-bound kernels (GEMM-shaped: MLPs, TT contractions) scale
-      by ``host.gemm_gflops / device.effective_gflops``;
+    * compute-bound kernels (GEMM-shaped: MLPs) scale by
+      ``host.gemm_gflops / device.effective_gflops``;
     * memory-bound kernels (gathers, scatters, dense embedding lookup)
       scale by ``host.gather_gbps / device.mem_bw_gbps``.
+
+    TT contractions are not scaled from host time:
+    :meth:`batched_kernel_time` prices them from their FLOP count.
     """
 
     def __init__(self, host: Optional[HostProfile] = None) -> None:
@@ -219,40 +208,6 @@ class KernelCostModel:
         check_positive(host_seconds, "host_seconds", strict=False)
         return host_seconds * self.host.gather_gbps / device.mem_bw_gbps
 
-    def scale_batched(self, host_seconds: float, device: DeviceSpec) -> float:
-        """Device time of a batched-small-GEMM kernel (TT contractions).
-
-        Scales by the ratio of *class-specific* throughputs: the host's
-        measured batched-matmul GFLOP/s against the device's batched
-        efficiency, mirroring how roofline analysis treats kernels that
-        cannot reach large-GEMM peak on either side.
-        """
-        check_positive(host_seconds, "host_seconds", strict=False)
-        return (
-            host_seconds
-            * self.host.batched_gemm_gflops
-            / device.effective_batched_gflops
-        )
-
-    def measure_and_scale(
-        self,
-        fn: Callable[[], object],
-        device: DeviceSpec,
-        bound: str = "compute",
-        repeats: int = 3,
-    ) -> float:
-        """Measure ``fn`` on the host and scale to ``device``."""
-        host_seconds = measure_median(fn, repeats=repeats, warmup=1)
-        if bound == "compute":
-            return self.scale_compute(host_seconds, device)
-        if bound == "memory":
-            return self.scale_memory(host_seconds, device)
-        if bound == "batched":
-            return self.scale_batched(host_seconds, device)
-        raise ValueError(
-            f"bound must be 'compute', 'memory' or 'batched', got {bound!r}"
-        )
-
     # -- analytic kernels --------------------------------------------------
     def batched_kernel_time(
         self, gflops: float, device: DeviceSpec
@@ -260,28 +215,6 @@ class KernelCostModel:
         """Analytic time of a batched-small-GEMM kernel from its FLOPs."""
         check_positive(gflops, "gflops", strict=False)
         return gflops / device.effective_batched_gflops
-
-    def gemm_time(self, m: int, n: int, k: int, device: DeviceSpec) -> float:
-        """Analytic GEMM time: flops / effective throughput + launch."""
-        flops = 2.0 * m * n * k
-        return flops / (device.effective_gflops * 1e9) + self.launch_time(device)
-
-    def mlp_time(
-        self,
-        layer_sizes,
-        batch_size: int,
-        device: DeviceSpec,
-        backward: bool = True,
-    ) -> float:
-        """Forward (+backward) time of an MLP stack.
-
-        Backward costs 2x forward (grad-input GEMM + grad-weight GEMM),
-        the conventional estimate.
-        """
-        total = 0.0
-        for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-            total += self.gemm_time(batch_size, fan_out, fan_in, device)
-        return total * (3.0 if backward else 1.0)
 
     def gather_time(
         self, num_rows: int, row_bytes: int, device: DeviceSpec
@@ -298,8 +231,3 @@ class KernelCostModel:
         """Host-to-device (or back) transfer time over PCIe."""
         check_positive(nbytes, "nbytes", strict=False)
         return nbytes / (device.h2d_gbps * 1e9) + 10e-6
-
-    def p2p_time(self, nbytes: float, device: DeviceSpec) -> float:
-        """Single device-to-device transfer."""
-        check_positive(nbytes, "nbytes", strict=False)
-        return nbytes / (device.p2p_gbps * 1e9) + 10e-6

@@ -9,9 +9,7 @@ from repro.system.multi_gpu import all2all_time, allgather_time
 
 @pytest.fixture(scope="module")
 def cost():
-    return KernelCostModel(
-        HostProfile(gemm_gflops=100.0, gather_gbps=10.0, batched_gemm_gflops=8.0)
-    )
+    return KernelCostModel(HostProfile(gemm_gflops=100.0, gather_gbps=10.0))
 
 
 def _profile(**overrides):
@@ -23,10 +21,10 @@ def _profile(**overrides):
         indices_per_batch=1024,
         host_mlp_time=0.01,
         host_dense_emb_time=0.01,
-        host_tt_fwd_time=0.1,
-        host_tt_bwd_time=0.4,
-        host_efftt_fwd_time=0.05,
-        host_efftt_bwd_time=0.2,
+        tt_gflops_fwd=0.8,
+        tt_gflops_bwd=3.2,
+        efftt_gflops_fwd=0.4,
+        efftt_gflops_bwd=1.6,
         tt_param_bytes=int(1e6),
     )
     base.update(overrides)
@@ -38,16 +36,9 @@ class TestAnalyticProjection:
         with_flops = _profile(
             efftt_gflops_fwd=1.0, efftt_gflops_bwd=2.0
         )
-        without = _profile()
-        el = ELRec(cost)
-        bd_flops = el.iteration_time(with_flops, TESLA_V100)
-        bd_scaled = el.iteration_time(without, TESLA_V100)
+        bd_flops = ELRec(cost).iteration_time(with_flops, TESLA_V100)
         expected = 1.0 / TESLA_V100.effective_batched_gflops
         assert bd_flops.components["efftt_lookup"] == pytest.approx(expected)
-        # fallback path scales the host wall clock instead
-        assert bd_scaled.components["efftt_lookup"] == pytest.approx(
-            0.05 * 8.0 / TESLA_V100.effective_batched_gflops
-        )
 
     def test_tt_rec_flops_path(self, cost):
         prof = _profile(tt_gflops_fwd=2.0, tt_gflops_bwd=4.0)
@@ -85,15 +76,3 @@ class TestCollectiveMessages:
     def test_invalid_messages(self):
         with pytest.raises(ValueError):
             all2all_time(1e6, 4, TESLA_V100, num_messages=0)
-
-
-class TestHostProfileDefaults:
-    def test_batched_default_derived(self):
-        profile = HostProfile(gemm_gflops=100.0, gather_gbps=10.0)
-        assert profile.batched_gemm_gflops == pytest.approx(10.0)
-
-    def test_explicit_batched_kept(self):
-        profile = HostProfile(
-            gemm_gflops=100.0, gather_gbps=10.0, batched_gemm_gflops=3.0
-        )
-        assert profile.batched_gemm_gflops == 3.0

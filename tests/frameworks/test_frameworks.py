@@ -33,11 +33,11 @@ def cost():
 
 @pytest.fixture(scope="module")
 def profile():
-    """A Criteo-Kaggle-shaped workload with representative kernel times.
+    """A Criteo-Kaggle-shaped workload with representative kernel costs.
 
-    Times reflect the measured substrate relationships: Eff-TT is
-    faster than TT-Rec (reuse + aggregation), dense CPU-side work is
-    substantial, MLP dominates GPU compute.
+    Costs reflect the measured substrate relationships: Eff-TT needs
+    fewer FLOPs than TT-Rec (reuse + aggregation), dense CPU-side work
+    is substantial, MLP dominates GPU compute.
     """
     return WorkloadProfile(
         name="criteo-kaggle",
@@ -47,10 +47,10 @@ def profile():
         indices_per_batch=4096 * 26,
         host_mlp_time=0.080,
         host_dense_emb_time=0.060,
-        host_tt_fwd_time=0.050,
-        host_tt_bwd_time=0.500,
-        host_efftt_fwd_time=0.020,
-        host_efftt_bwd_time=0.120,
+        tt_gflops_fwd=0.5,
+        tt_gflops_bwd=5.0,
+        efftt_gflops_fwd=0.2,
+        efftt_gflops_bwd=1.2,
         hot_fraction=0.75,
         tt_param_bytes=int(40e6),
     )
@@ -116,10 +116,10 @@ class TestPaperFig12MultiGpu:
             indices_per_batch=4096,
             host_mlp_time=0.05,
             host_dense_emb_time=0.01,
-            host_tt_fwd_time=0.01,
-            host_tt_bwd_time=0.05,
-            host_efftt_fwd_time=0.005,
-            host_efftt_bwd_time=0.02,
+            tt_gflops_fwd=0.1,
+            tt_gflops_bwd=0.5,
+            efftt_gflops_fwd=0.05,
+            efftt_gflops_bwd=0.2,
             tt_param_bytes=int(10e6),
         )
         bd = DlrmPS(cost).iteration_time(huge, TESLA_V100, num_gpus=4)
@@ -139,10 +139,10 @@ class TestPaperFig13LargeTable:
             indices_per_batch=4096,
             host_mlp_time=0.040,
             host_dense_emb_time=0.010,
-            host_tt_fwd_time=0.008,
-            host_tt_bwd_time=0.060,
-            host_efftt_fwd_time=0.004,
-            host_efftt_bwd_time=0.020,
+            tt_gflops_fwd=0.08,
+            tt_gflops_bwd=0.6,
+            efftt_gflops_fwd=0.04,
+            efftt_gflops_bwd=0.2,
             tt_param_bytes=int(25e6),
         )
 
@@ -225,13 +225,13 @@ class TestWorkloadProfile:
             WorkloadProfile(
                 name="x", batch_size=0, embedding_dim=1, table_rows=(1,),
                 indices_per_batch=1, host_mlp_time=1, host_dense_emb_time=1,
-                host_tt_fwd_time=1, host_tt_bwd_time=1,
-                host_efftt_fwd_time=1, host_efftt_bwd_time=1,
+                tt_gflops_fwd=10, tt_gflops_bwd=10,
+                efftt_gflops_fwd=10, efftt_gflops_bwd=10,
             )
         with pytest.raises(ValueError):
             WorkloadProfile(
                 name="x", batch_size=1, embedding_dim=1, table_rows=(1,),
                 indices_per_batch=1, host_mlp_time=-1, host_dense_emb_time=1,
-                host_tt_fwd_time=1, host_tt_bwd_time=1,
-                host_efftt_fwd_time=1, host_efftt_bwd_time=1,
+                tt_gflops_fwd=10, tt_gflops_bwd=10,
+                efftt_gflops_fwd=10, efftt_gflops_bwd=10,
             )

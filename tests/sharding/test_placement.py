@@ -140,8 +140,8 @@ def test_hugectr_uses_row_sharded_strategy():
         name="big", batch_size=2048, embedding_dim=128,
         table_rows=(40_000_000,), indices_per_batch=2048,
         host_mlp_time=1e-3, host_dense_emb_time=1e-3,
-        host_tt_fwd_time=1e-3, host_tt_bwd_time=1e-3,
-        host_efftt_fwd_time=1e-3, host_efftt_bwd_time=1e-3,
+        tt_gflops_fwd=0.01, tt_gflops_bwd=0.01,
+        efftt_gflops_fwd=0.01, efftt_gflops_bwd=0.01,
         dtype_bytes=4,
     )
     one = fw.iteration_time(profile, TESLA_V100, num_gpus=1)
