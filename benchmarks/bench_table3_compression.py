@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import Counter
 
 from conftest import emit
+from repro.backend import DEFAULT_DTYPE
 from repro.bench.harness import format_table
 from repro.data.datasets import avazu_like, criteo_kaggle_like, criteo_tb_like
 from repro.embeddings.planner import (
@@ -87,11 +88,11 @@ if __name__ == "__main__":
 # Strategy x budget matrix (beyond the paper: the full compression zoo).
 #
 # For every strategy the auto-tuner supports and a sweep of byte
-# budgets (fractions of the dense fp64 footprint), plan the full-scale
-# Criteo-Kaggle schema and report planned bytes, compression ratio,
-# and feasibility; then train a scaled-down DLRM from each plan and
-# report the realized footprint and final loss against dense.  Run
-# with `pytest benchmarks -m compress_slow`.
+# budgets (fractions of the dense footprint at the training dtype),
+# plan the full-scale Criteo-Kaggle schema and report planned bytes,
+# compression ratio and feasibility; then train a scaled-down DLRM from
+# each plan and report the realized footprint and final loss against
+# dense.  Run with `pytest benchmarks -m compress_slow`.
 # ---------------------------------------------------------------------------
 
 import pytest
@@ -105,7 +106,9 @@ STRATEGY_OF_KIND = {kind: name for name, kind in STRATEGY_KINDS.items()}
 def build_strategy_budget_matrix() -> str:
     spec = criteo_kaggle_like()
     stats = analytic_table_stats([t.num_rows for t in spec.tables])
-    dense_bytes = sum(s.num_rows for s in stats) * EMBEDDING_DIM * 8
+    dense_bytes = (
+        sum(s.num_rows for s in stats) * EMBEDDING_DIM * DEFAULT_DTYPE.itemsize
+    )
     rows = []
     for strategy in MATRIX_STRATEGIES:
         for fraction in MATRIX_FRACTIONS:
@@ -136,7 +139,7 @@ def build_strategy_budget_matrix() -> str:
         rows,
         title=(
             f"Compression strategy x budget matrix, "
-            f"criteo-kaggle full schema, dim={EMBEDDING_DIM} (fp64)"
+            f"criteo-kaggle full schema, dim={EMBEDDING_DIM} ({DEFAULT_DTYPE.name})"
         ),
     )
 
@@ -145,7 +148,9 @@ def build_strategy_budget_matrix() -> str:
 def test_strategy_budget_matrix_plans():
     spec = criteo_kaggle_like()
     stats = analytic_table_stats([t.num_rows for t in spec.tables])
-    dense_bytes = sum(s.num_rows for s in stats) * EMBEDDING_DIM * 8
+    dense_bytes = (
+        sum(s.num_rows for s in stats) * EMBEDDING_DIM * DEFAULT_DTYPE.itemsize
+    )
     for strategy in MATRIX_STRATEGIES:
         for fraction in MATRIX_FRACTIONS:
             budget = int(dense_bytes * fraction)
@@ -171,7 +176,9 @@ def test_strategy_budget_matrix_training():
         bottom_mlp=(16,), top_mlp=(16,),
     )
     stats = analytic_table_stats(list(cfg.table_rows))
-    dense_bytes = sum(s.num_rows for s in stats) * cfg.embedding_dim * 8
+    dense_bytes = (
+        sum(s.num_rows for s in stats) * cfg.embedding_dim * DEFAULT_DTYPE.itemsize
+    )
 
     def run(bags):
         model = DLRM(cfg, seed=0, embedding_bags=bags)

@@ -19,10 +19,14 @@ story rests on:
     deterministic.  (Measurement harnesses opt out per line with a
     ``# reprolint: disable=wall-clock`` pragma.)
 ``implicit-dtype`` (REP003, error)
-    Kernel modules (``embeddings/``, ``nn/``) must allocate with an
-    explicit ``dtype``: numpy's float64 default has bitten every
-    mixed-precision port of this code, and implicit dtypes make the
-    Table-III memory accounting wrong.
+    Kernel modules (``embeddings/``, ``nn/``, ``sharding/``) must
+    allocate with an explicit ``dtype``: numpy's float64 default has
+    bitten every mixed-precision port of this code, and implicit dtypes
+    make the Table-III memory accounting wrong.  The same rule flags a
+    hard-coded float64 (``dtype=np.float64``, ``.astype(np.float64)``)
+    there and in ``models/`` and ``serving/``: the model's dtype comes
+    from ``DLRMConfig.dtype``, so a literal float64 is an upcast.  A
+    site that is float64 on purpose carries a pragma saying why.
 ``batch-loop`` (REP004, warning)
     Python-level ``for`` loops over batch-shaped data inside kernel
     modules are the slow path the paper's kernels exist to remove;
@@ -67,6 +71,7 @@ __all__ = [
     "SilentExceptRule",
     "SIMCLOCK_ZONES",
     "KERNEL_ZONES",
+    "FLOAT64_ZONES",
     "BACKEND_ROUTED_ZONES",
     "EXCEPTION_ZONES",
     "RNG_EXEMPT_FILES",
@@ -90,6 +95,13 @@ KERNEL_ZONES: Tuple[str, ...] = (
     "repro/embeddings/",
     "repro/nn/",
     "repro/sharding/",
+)
+
+# Module prefixes where a hard-coded float64 is an upcast of the
+# model's dtype (REP003).
+FLOAT64_ZONES: Tuple[str, ...] = KERNEL_ZONES + (
+    "repro/models/",
+    "repro/serving/",
 )
 
 # Module prefixes whose contractions are routed through repro.backend:
@@ -324,22 +336,44 @@ _ALLOCATORS = frozenset(
 )
 
 
+def _hard_coded_dtypes(node: ast.Call) -> Iterator[ast.expr]:
+    """The dtype expressions a call spells out: ``dtype=`` and ``.astype(x)``."""
+    for kw in node.keywords:
+        if kw.arg == "dtype":
+            yield kw.value
+    if isinstance(node.func, ast.Attribute) and node.func.attr == "astype":
+        yield from node.args[:1]
+
+
 class ImplicitDtypeRule:
-    """Kernel allocations must name their dtype."""
+    """Kernel allocations must name their dtype, and never a literal float64."""
 
     id = "REP003"
     name = "implicit-dtype"
     severity = Severity.ERROR
     description = (
-        "np.zeros/ones/empty/full in embeddings/ and nn/ must pass an "
-        "explicit dtype"
+        "np.zeros/ones/empty/full in embeddings/, nn/ and sharding/ must "
+        "pass an explicit dtype, and there and in models/ and serving/ it "
+        "must not be a hard-coded float64"
     )
 
     def check(self, ctx: RuleContext) -> Iterator[Finding]:
-        if not ctx.in_zone(KERNEL_ZONES):
+        kernel = ctx.in_zone(KERNEL_ZONES)
+        if not (kernel or ctx.in_zone(FLOAT64_ZONES)):
             return
         for node, target in _calls(ctx):
-            if target not in _ALLOCATORS:
+            for value in _hard_coded_dtypes(node):
+                if ctx.resolve_call(value) == "numpy.float64":
+                    yield finding(
+                        self,
+                        ctx.path,
+                        value,
+                        "hard-coded float64 where the model's dtype belongs",
+                        "use the model's or the array's own dtype; a site "
+                        "that is float64 on purpose takes a "
+                        "'# reprolint: disable=REP003 (why)' pragma",
+                    )
+            if not kernel or target not in _ALLOCATORS:
                 continue
             if any(kw.arg == "dtype" for kw in node.keywords):
                 continue
@@ -349,7 +383,7 @@ class ImplicitDtypeRule:
                 ctx.path,
                 node,
                 f"np.{short}() without an explicit dtype in a kernel module",
-                "pass dtype=np.float64 (or the intended width) explicitly",
+                "pass the intended dtype explicitly",
             )
 
 

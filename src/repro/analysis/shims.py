@@ -22,6 +22,7 @@ from repro.analysis.hazards import (
     TraceRecorder,
     analyze_trace,
 )
+from repro.backend.protocol import DEFAULT_DTYPE, DTypeLike
 from repro.embeddings.cache import BoolArray, EmbeddingCache, FloatArray, IntArray
 from repro.system.queues import BoundedQueue
 
@@ -78,8 +79,9 @@ class RecordingCache(EmbeddingCache):
         default_lifecycle: int,
         recorder: TraceRecorder,
         table: int,
+        dtype: DTypeLike = DEFAULT_DTYPE,
     ) -> None:
-        super().__init__(embedding_dim, default_lifecycle)
+        super().__init__(embedding_dim, default_lifecycle, dtype)
         self._recorder = recorder
         self._table = table
         self._current_batch = -1
@@ -137,10 +139,10 @@ class PipelineProbe:
         return RecordingQueue(capacity, self.recorder, name)
 
     def make_cache(
-        self, embedding_dim: int, default_lifecycle: int, table: int
+        self, embedding_dim: int, default_lifecycle: int, table: int, dtype: DTypeLike
     ) -> RecordingCache:
         cache = RecordingCache(
-            embedding_dim, default_lifecycle, self.recorder, table
+            embedding_dim, default_lifecycle, self.recorder, table, dtype
         )
         self._caches.append(cache)
         return cache

@@ -50,6 +50,7 @@ from .plan_cache import (
     reset_plan_cache,
 )
 from .protocol import (
+    DEFAULT_DTYPE,
     KERNEL_ZONE_NAMES,
     ZONE_COMPRESS_UPDATE,
     ZONE_EFFTT_BACKWARD,
@@ -75,6 +76,7 @@ from .protocol import (
 )
 
 __all__ = [
+    "DEFAULT_DTYPE",
     "ArrayBackend",
     "NumpyBackend",
     "Interposer",

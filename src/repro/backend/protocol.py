@@ -60,6 +60,7 @@ from .groups import RowGroups
 
 __all__ = [
     "ArrayBackend",
+    "DEFAULT_DTYPE",
     "DTypeLike",
     "Shape",
     "ZONE_TT_FORWARD",
@@ -87,6 +88,12 @@ __all__ = [
 
 Shape = Union[int, Tuple[int, ...], Sequence[int]]
 DTypeLike = Any  # np.dtype, dtype class, or dtype string
+
+#: The floating dtype every model, bag, layer and server is built at
+#: unless told otherwise: fp32, as the paper trains.  ``DLRMConfig.dtype``
+#: overrides it per model (float64 for finite-difference checks and the
+#: bitwise golden fixtures).
+DEFAULT_DTYPE = np.dtype(np.float32)
 
 # -- named kernel zones ----------------------------------------------------
 # One name per hot-path kernel family.  The cost counter aggregates

@@ -116,7 +116,7 @@ def planned_model(cfg, stats, budget_bytes: int, strategy: str, seed: int):
     plan = plan_under_budget(
         stats, cfg.embedding_dim, budget_bytes, strategy=strategy
     )
-    bags = build_bags(plan, table_seeds(seed, cfg.num_tables))
+    bags = build_bags(plan, table_seeds(seed, cfg.num_tables), cfg.dtype)
     return DLRM(cfg, seed=seed, embedding_bags=bags), plan
 
 
@@ -389,7 +389,9 @@ def compress_check() -> Check:
     dense_losses = run(EmbeddingBackend.DENSE)
     cfg = small_config(spec, EmbeddingBackend.DENSE)
     stats = profile_tables(log, 4)
-    dense_total = sum(st.num_rows for st in stats) * cfg.embedding_dim * 8
+    dense_total = (
+        sum(st.num_rows for st in stats) * cfg.embedding_dim * cfg.dtype.itemsize
+    )
     budget = max(1, dense_total // 2)
     model, _ = planned_model(cfg, stats, budget, "auto", 0)
     auto_losses = train(model)

@@ -56,6 +56,7 @@ def parse_criteo_lines(
         On a line with the wrong field count.
     """
     num_fields = 1 + num_dense + num_sparse
+    # Data stays float64; the model casts a batch to its dtype once, on intake.
     labels = np.empty(len(lines), dtype=np.float64)
     dense = np.zeros((len(lines), num_dense), dtype=np.float64)
     sparse = np.zeros((len(lines), num_sparse), dtype=np.int64)

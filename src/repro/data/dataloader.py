@@ -98,6 +98,7 @@ def _hidden_row_score(table_seed: int, indices: np.ndarray) -> np.ndarray:
         x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
         x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
         x = x ^ (x >> np.uint64(31))
+    # Drawn in float64 like every synthetic feature; the model casts on intake.
     return (x.astype(np.float64) / float(2**64)) * 2.0 - 1.0
 
 
@@ -174,6 +175,7 @@ class SyntheticClickLog:
                 self.spec.num_sparse
             )
         probs = 1.0 / (1.0 + np.exp(-logits))
+        # Data stays float64; the model casts a batch to its dtype once, on intake.
         labels = (rng.random(b) < probs).astype(np.float64)
         return Batch(
             dense=dense,

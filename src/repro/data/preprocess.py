@@ -166,6 +166,7 @@ class DenseNormalizer:
     _sumsq: Optional[np.ndarray] = field(default=None, repr=False)
 
     def _pre(self, dense: np.ndarray) -> np.ndarray:
+        # Data stays float64; the model casts a batch to its dtype once, on intake.
         dense = np.asarray(dense, dtype=np.float64)
         if dense.ndim != 2:
             raise ValueError(f"dense must be 2-D, got shape {dense.shape}")

@@ -49,6 +49,7 @@ def zipf_probabilities(num_rows: int, alpha: float) -> np.ndarray:
     """
     check_positive(num_rows, "num_rows")
     check_positive(alpha, "alpha", strict=False)
+    # float64 on purpose: a float32 Zipf CDF would change which ids are sampled.
     ranks = np.arange(1, num_rows + 1, dtype=np.float64)
     weights = ranks**-alpha
     return weights / weights.sum()

@@ -15,7 +15,7 @@ from typing import Any, Callable, ClassVar, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.backend import get_backend
+from repro.backend import DEFAULT_DTYPE, get_backend
 from repro.backend.protocol import DTypeLike
 from repro.embeddings.protocol import CompressionSpec, SpecParamValue
 from repro.utils.validation import check_1d_int_array
@@ -166,7 +166,8 @@ class EmbeddingBagBase:
     embedding_dim:
         Width of each embedding row.
     dtype:
-        Storage dtype; gradients are cast to it on the way in.
+        Storage dtype (default :data:`~repro.backend.DEFAULT_DTYPE`);
+        gradients are cast to it on the way in.
     version:
         Update counter (every parameter mutation bumps it) that hot-row
         caches compare to detect staleness.
@@ -180,7 +181,7 @@ class EmbeddingBagBase:
     #: ``build_embedding_bag`` knobs (``tt_rank`` / ``compress_rate``)
     #: this strategy's constructor takes.
     config_knobs: ClassVar[Tuple[str, ...]] = ()
-    #: ``estimate_bytes(num_embeddings, embedding_dim, dtype_bytes=8,
+    #: ``estimate_bytes(num_embeddings, embedding_dim, dtype_bytes,
     #: **constructor keywords)``: the ``memory_bytes()`` of the bag
     #: those keywords would build, without building it.  Every
     #: registered strategy defines it; the table planner sizes tables
@@ -188,14 +189,19 @@ class EmbeddingBagBase:
     #: built bag's bytes.
     estimate_bytes: ClassVar[Callable[..., int]]
 
-    def __init__(self, num_embeddings: int, embedding_dim: int) -> None:
+    def __init__(
+        self,
+        num_embeddings: int,
+        embedding_dim: int,
+        dtype: DTypeLike = DEFAULT_DTYPE,
+    ) -> None:
         if num_embeddings < 1:
             raise ValueError(f"num_embeddings must be >= 1, got {num_embeddings}")
         if embedding_dim < 1:
             raise ValueError(f"embedding_dim must be >= 1, got {embedding_dim}")
         self.num_embeddings = num_embeddings
         self.embedding_dim = embedding_dim
-        self.dtype = np.dtype(np.float64)
+        self.dtype = np.dtype(dtype)
         self.version = 0
         #: ``(codec context, boundaries, num_bags)`` of the forward
         #: awaiting backward; ``boundaries`` is ``None`` for bags of one

@@ -34,12 +34,13 @@ from typing import Optional, Tuple
 import numpy as np
 import numpy.typing as npt
 
-from repro.backend import ZONE_LC_CACHE, get_backend
+from repro.backend import DEFAULT_DTYPE, ZONE_LC_CACHE, get_backend
+from repro.backend.protocol import DTypeLike
 from repro.utils.validation import check_1d_int_array, check_positive
 
 __all__ = ["EmbeddingCache"]
 
-FloatArray = npt.NDArray[np.float64]
+FloatArray = npt.NDArray[np.floating]
 IntArray = npt.NDArray[np.int64]
 BoolArray = npt.NDArray[np.bool_]
 
@@ -56,6 +57,9 @@ class EmbeddingCache:
     default_lifecycle:
         LC assigned on ``put`` — set this to the maximum combined
         length of the prefetch and gradient queues (paper §V-B).
+    dtype:
+        Row dtype: the model's, so the rows it stores and hands back
+        are the server's rows without a cast.
 
     Notes
     -----
@@ -64,15 +68,21 @@ class EmbeddingCache:
     survive until *that* batch's gradients reach host memory.
     """
 
-    def __init__(self, embedding_dim: int, default_lifecycle: int) -> None:
+    def __init__(
+        self,
+        embedding_dim: int,
+        default_lifecycle: int,
+        dtype: DTypeLike = DEFAULT_DTYPE,
+    ) -> None:
         check_positive(embedding_dim, "embedding_dim")
         check_positive(default_lifecycle, "default_lifecycle")
         self.embedding_dim: int = int(embedding_dim)
         self.default_lifecycle: int = int(default_lifecycle)
+        self.dtype = np.dtype(dtype)
         self._keys: IntArray = np.empty(0, dtype=np.int64)  # cached ids, ascending
         self._key_slots: IntArray = np.empty(0, dtype=np.int64)  # their buffer rows
         self._buffer: FloatArray = get_backend().zeros(
-            (_INITIAL_CAPACITY, self.embedding_dim), dtype=np.float64
+            (_INITIAL_CAPACITY, self.embedding_dim), dtype=self.dtype
         )
         self._lifecycle: IntArray = np.zeros(_INITIAL_CAPACITY, dtype=np.int64)
         # Free buffer rows: a stack in ``_free[:_num_free]``, top last.
@@ -107,7 +117,7 @@ class EmbeddingCache:
             self._buffer = np.vstack(
                 [
                     self._buffer,
-                    get_backend().zeros((added, self.embedding_dim), dtype=np.float64),
+                    get_backend().zeros((added, self.embedding_dim), dtype=self.dtype),
                 ]
             )
             self._lifecycle = np.concatenate(
@@ -132,7 +142,7 @@ class EmbeddingCache:
         occurrence wins, matching sequential write order.
         """
         idx = check_1d_int_array(indices, "indices", min_value=0)
-        values = np.asarray(values, dtype=np.float64)
+        values = np.asarray(values, dtype=self.dtype)
         if values.shape != (idx.size, self.embedding_dim):
             raise ValueError(
                 f"values shape {values.shape} does not match "
@@ -172,7 +182,7 @@ class EmbeddingCache:
             ``hit_mask[i]`` is True where the cache supplied the row.
         """
         idx = check_1d_int_array(indices, "indices", min_value=0)
-        values = np.asarray(values, dtype=np.float64)
+        values = np.asarray(values, dtype=self.dtype)
         if values.shape != (idx.size, self.embedding_dim):
             raise ValueError(
                 f"values shape {values.shape} does not match "

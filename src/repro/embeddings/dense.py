@@ -10,7 +10,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.backend.protocol import DTypeLike
+from repro.backend.protocol import DEFAULT_DTYPE, DTypeLike
 from repro.embeddings.base import EmbeddingBagBase
 from repro.nn.optim import SparseSGD
 from repro.utils.rng import RngLike, ensure_rng
@@ -31,9 +31,8 @@ class DenseEmbeddingBag(EmbeddingBagBase):
     seed:
         RNG for initialization.
     dtype:
-        Storage dtype (float64 default to match the NN substrate; the
-        footprint accounting in Table III reports float32-equivalent
-        bytes via :meth:`nbytes_as` when comparing with the paper).
+        Storage dtype (default :data:`~repro.backend.DEFAULT_DTYPE`, the
+        fp32 the paper trains and Table III accounts at).
     """
 
     kind = "dense"
@@ -43,10 +42,9 @@ class DenseEmbeddingBag(EmbeddingBagBase):
         num_embeddings: int,
         embedding_dim: int,
         seed: RngLike = 0,
-        dtype: DTypeLike = np.float64,
+        dtype: DTypeLike = DEFAULT_DTYPE,
     ) -> None:
-        super().__init__(num_embeddings, embedding_dim)
-        self.dtype = np.dtype(dtype)
+        super().__init__(num_embeddings, embedding_dim, dtype)
         rng = ensure_rng(seed)
         bound = 1.0 / np.sqrt(num_embeddings)
         self.weight = rng.uniform(
@@ -84,7 +82,9 @@ class DenseEmbeddingBag(EmbeddingBagBase):
 
     @staticmethod
     def estimate_bytes(
-        num_embeddings: int, embedding_dim: int, dtype_bytes: int = 8
+        num_embeddings: int,
+        embedding_dim: int,
+        dtype_bytes: int = DEFAULT_DTYPE.itemsize,
     ) -> int:
         """``memory_bytes()`` of the bag these constructor keywords build."""
         return int(num_embeddings) * int(embedding_dim) * int(dtype_bytes)

@@ -43,7 +43,7 @@ from repro.backend import (
     get_plan_cache,
 )
 from repro.backend.plan_cache import ChainStage
-from repro.backend.protocol import DTypeLike
+from repro.backend.protocol import DEFAULT_DTYPE, DTypeLike
 from repro.embeddings.base import segment_sum
 from repro.embeddings.protocol import SpecParamValue
 from repro.embeddings.reuse_buffer import ReusePlan, build_reuse_plan
@@ -86,9 +86,9 @@ class EffTTEmbeddingBag(TTBagBase):
     seed:
         RNG for core initialization.
     dtype:
-        Core / gradient floating dtype (default ``np.float64``, the
-        historical behavior).  Forward, backward and the fused update
-        all stay at this dtype — no silent float64 upcasts.
+        Core / gradient floating dtype (default
+        :data:`~repro.backend.DEFAULT_DTYPE`).  Forward, backward and
+        the fused update all stay at this dtype — no silent upcasts.
 
     Examples
     --------
@@ -115,7 +115,7 @@ class EffTTEmbeddingBag(TTBagBase):
         optimizer: str = "sgd",
         adagrad_eps: float = 1e-10,
         seed: RngLike = 0,
-        dtype: DTypeLike = np.float64,
+        dtype: DTypeLike = DEFAULT_DTYPE,
     ) -> None:
         super().__init__(
             num_embeddings, embedding_dim, tt_rank, num_cores,
@@ -156,17 +156,20 @@ class EffTTEmbeddingBag(TTBagBase):
         scratch; reconstruction error is the optimal rank-``tt_rank``
         truncation error.
         """
-        table = np.asarray(table, dtype=np.float64)
+        # TT-SVD runs in float64 whatever the bag's dtype; the cores are
+        # cast to it once, at the end.
+        table = np.asarray(table, dtype=np.float64)  # reprolint: disable=REP003 (TT-SVD)
         if table.ndim != 2:
             raise ValueError(f"table must be 2-D, got shape {table.shape}")
         num_rows, dim = table.shape
         bag = cls(
             num_rows, dim, tt_rank=tt_rank, num_cores=num_cores, **kwargs
         )
-        padded = np.zeros((bag.spec.padded_rows, dim), dtype=np.float64)
+        padded = np.zeros((bag.spec.padded_rows, dim), dtype=table.dtype)
         padded[:num_rows] = table
         bag.tt = TTCores.from_dense(
-            padded, bag.spec.row_shape, bag.spec.col_shape, tt_rank
+            padded, bag.spec.row_shape, bag.spec.col_shape, tt_rank,
+            dtype=bag.dtype,
         )
         # TT-SVD may achieve lower ranks than requested.
         bag.spec = bag.tt.spec

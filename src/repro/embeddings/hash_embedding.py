@@ -24,7 +24,7 @@ from repro.backend import (
     ZONE_HASH_LOOKUP,
     get_backend,
 )
-from repro.backend.protocol import DTypeLike
+from repro.backend.protocol import DEFAULT_DTYPE, DTypeLike
 from repro.embeddings.base import EmbeddingBagBase
 from repro.embeddings.protocol import SpecParamValue
 from repro.utils.factorize import ceil_balanced_factors
@@ -66,7 +66,7 @@ class HashEmbeddingBag(EmbeddingBagBase):
     seed:
         RNG for initialization.
     dtype:
-        Storage dtype (float64 default, matching the NN substrate).
+        Storage dtype (default :data:`~repro.backend.DEFAULT_DTYPE`).
     """
 
     kind = "hash"
@@ -80,9 +80,9 @@ class HashEmbeddingBag(EmbeddingBagBase):
         num_buckets: Optional[int] = None,
         compress_rate: float = 0.25,
         seed: RngLike = 0,
-        dtype: DTypeLike = np.float64,
+        dtype: DTypeLike = DEFAULT_DTYPE,
     ) -> None:
-        super().__init__(num_embeddings, embedding_dim)
+        super().__init__(num_embeddings, embedding_dim, dtype)
         if num_buckets is None:
             num_buckets = default_hash_buckets(num_embeddings, compress_rate)
         num_buckets = int(num_buckets)
@@ -92,7 +92,6 @@ class HashEmbeddingBag(EmbeddingBagBase):
                 f"got {num_buckets}"
             )
         self.num_buckets = num_buckets
-        self.dtype = np.dtype(dtype)
         rng = ensure_rng(seed)
         bound = 1.0 / np.sqrt(num_buckets)
         self.weight = rng.uniform(
@@ -125,7 +124,7 @@ class HashEmbeddingBag(EmbeddingBagBase):
     def estimate_bytes(
         num_embeddings: int,
         embedding_dim: int,
-        dtype_bytes: int = 8,
+        dtype_bytes: int = DEFAULT_DTYPE.itemsize,
         num_buckets: Optional[int] = None,
         compress_rate: float = 0.25,
     ) -> int:

@@ -104,7 +104,7 @@ class HotRowCachedLookup:
             self._hot_values = self.bag.reconstruct_rows(self._hot_rows)
         else:
             self._hot_values = np.zeros(
-                (0, self.bag.embedding_dim), dtype=np.float64
+                (0, self.bag.embedding_dim), dtype=self.bag.dtype
             )
         self._cached_version = self.bag.version
 
@@ -153,7 +153,7 @@ class HotRowCachedLookup:
         num_hot = int(np.count_nonzero(is_hot))
         num_cold = idx.size - num_hot
         with bk.zone(ZONE_SERVING_LOOKUP):
-            rows = bk.empty((idx.size, self.bag.embedding_dim), dtype=np.float64)
+            rows = bk.empty((idx.size, self.bag.embedding_dim), dtype=self.bag.dtype)
             if num_hot:
                 rows[is_hot] = bk.gather_rows(self._hot_values, pos[is_hot])
             if num_cold:

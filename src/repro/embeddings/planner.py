@@ -14,8 +14,9 @@ against (budget, device count, dim, dtype) and the totals.
 **Bytes contract.**  :func:`table_bytes` delegates to the bag class's
 own ``estimate_bytes``, so a worker table's ``device_bytes`` *is* the
 ``memory_bytes()`` of the bag :func:`build_bags` builds from the entry
-(at the plan's ``dtype_bytes``; the bags train at float64, which is
-what the two training policies plan at).
+(at the plan's ``dtype_bytes``: every policy plans at the one
+:data:`~repro.backend.DEFAULT_DTYPE` the bags train at, fp32, which is
+also Table III's accounting).
 
 **Policies** — three functions over
 :class:`~repro.reorder.stats.TableStats`, each kept because a caller
@@ -49,6 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.backend.protocol import DEFAULT_DTYPE, DTypeLike
 from repro.embeddings.base import EmbeddingBagBase
 from repro.embeddings.hash_embedding import default_hash_buckets
 from repro.embeddings.pq_embedding import default_pq_codes, default_pq_subspaces
@@ -87,10 +89,9 @@ STRATEGY_KINDS: Dict[str, str] = {
     "pq": "pq",
 }
 
-#: :func:`plan_hbm_pack` accounts in fp32, the paper's Table III.
-_TABLE3_DTYPE_BYTES = 4
-#: The other two policies size the float64 bags that actually train.
-_TRAIN_DTYPE_BYTES = 8
+#: Every policy sizes the bags at the dtype they train at (fp32, as
+#: the paper trains and Table III accounts).
+_DTYPE_BYTES = DEFAULT_DTYPE.itemsize
 
 # plan_fixed_fraction: each rule compares one table against a fixed
 # share of the whole per-device budget, never a running remainder.
@@ -206,7 +207,7 @@ def table_bytes(
     kind: str,
     num_rows: int,
     embedding_dim: int,
-    dtype_bytes: int = _TRAIN_DTYPE_BYTES,
+    dtype_bytes: int = _DTYPE_BYTES,
     **params: SpecParamValue,
 ) -> int:
     """``memory_bytes()`` of ``build_bag(kind, ..., **params)``, unbuilt."""
@@ -322,7 +323,7 @@ def plan_hbm_pack(
     baselines' placement.
     """
     ordered = _check_inputs(stats, embedding_dim, budget_bytes)
-    dtype_bytes = _TABLE3_DTYPE_BYTES
+    dtype_bytes = _DTYPE_BYTES
     candidates = [
         _worker(
             st, "eff_tt", embedding_dim, dtype_bytes,
@@ -400,7 +401,7 @@ def plan_fixed_fraction(
         raise ValueError(
             f"compress_rate must be in (0, 1], got {compress_rate}"
         )
-    dtype_bytes = _TRAIN_DTYPE_BYTES
+    dtype_bytes = _DTYPE_BYTES
 
     def decide(st: TableStats) -> TablePlan:
         dense_bytes = st.num_rows * embedding_dim * dtype_bytes
@@ -611,7 +612,7 @@ def plan_under_budget(
             f"got {strategy!r}"
         )
     ordered = _check_inputs(stats, embedding_dim, budget_bytes)
-    dtype_bytes = _TRAIN_DTYPE_BYTES
+    dtype_bytes = _DTYPE_BYTES
 
     def plan_at(rate: float) -> List[TablePlan]:
         tables = []
@@ -666,15 +667,18 @@ def plan_under_budget(
 
 
 def build_bags(
-    plan: ModelPlan, seeds: Sequence[RngLike]
+    plan: ModelPlan,
+    seeds: Sequence[RngLike],
+    dtype: DTypeLike = DEFAULT_DTYPE,
 ) -> List[EmbeddingBagBase]:
     """The bag list a :class:`~repro.models.dlrm.DLRM` takes, from a plan.
 
     Worker tables become ``build_bag(kind, rows, dim, seed=seeds[i],
-    **params)``; server tables become parameter-less
+    dtype=dtype, **params)``; server tables become parameter-less
     :class:`~repro.system.parameter_server.HostBackedEmbeddingBag`
     views, numbered behind the server in :meth:`ModelPlan.server_positions`
-    order.  ``seeds`` has one entry per table, in plan order.
+    order.  ``seeds`` has one entry per table, in plan order; ``dtype``
+    is the model's (``DLRMConfig.dtype``).
     """
     # system.parameter_server imports embeddings.base, which runs this
     # package's __init__ (and so this module) first.
@@ -685,13 +689,14 @@ def build_bags(
             f"expected {len(plan.tables)} seeds, got {len(seeds)}"
         )
     return [
-        HostBackedEmbeddingBag(entry.num_rows, plan.embedding_dim)
+        HostBackedEmbeddingBag(entry.num_rows, plan.embedding_dim, dtype)
         if entry.on_server
         else build_bag(
             entry.kind,
             entry.num_rows,
             plan.embedding_dim,
             seed=seed,
+            dtype=dtype,
             **entry.param_dict(),
         )
         for entry, seed in zip(plan.tables, seeds)

@@ -32,7 +32,7 @@ from repro.backend import (
     ZONE_PQ_LOOKUP,
     get_backend,
 )
-from repro.backend.protocol import DTypeLike
+from repro.backend.protocol import DEFAULT_DTYPE, DTypeLike
 from repro.embeddings.base import EmbeddingBagBase
 from repro.embeddings.protocol import SpecParamValue
 from repro.utils.factorize import ceil_balanced_factors
@@ -98,9 +98,9 @@ class PQEmbeddingBag(EmbeddingBagBase):
         num_subspaces: Optional[int] = None,
         num_codes: Optional[int] = None,
         seed: RngLike = 0,
-        dtype: DTypeLike = np.float64,
+        dtype: DTypeLike = DEFAULT_DTYPE,
     ) -> None:
-        super().__init__(num_embeddings, embedding_dim)
+        super().__init__(num_embeddings, embedding_dim, dtype)
         if num_subspaces is None:
             num_subspaces = default_pq_subspaces(embedding_dim)
         num_subspaces = int(num_subspaces)
@@ -117,7 +117,6 @@ class PQEmbeddingBag(EmbeddingBagBase):
         self.num_subspaces = num_subspaces
         self.num_codes = num_codes
         self.subspace_dim = embedding_dim // num_subspaces
-        self.dtype = np.dtype(dtype)
         rng = ensure_rng(seed)
         bound = 1.0 / np.sqrt(num_codes)
         self.codebooks: List[np.ndarray] = [
@@ -182,7 +181,7 @@ class PQEmbeddingBag(EmbeddingBagBase):
     def estimate_bytes(
         num_embeddings: int,
         embedding_dim: int,
-        dtype_bytes: int = 8,
+        dtype_bytes: int = DEFAULT_DTYPE.itemsize,
         num_subspaces: Optional[int] = None,
         num_codes: Optional[int] = None,
     ) -> int:

@@ -134,6 +134,8 @@ class CompressedEmbedding(Protocol):
 
     num_embeddings: int
     embedding_dim: int
+    #: the floating dtype its rows come back at
+    dtype: np.dtype
     version: int
 
     def forward(

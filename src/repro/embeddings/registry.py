@@ -12,9 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Type
 
-import numpy as np
-
-from repro.backend.protocol import DTypeLike
+from repro.backend.protocol import DEFAULT_DTYPE, DTypeLike
 from repro.embeddings.base import EmbeddingBagBase
 from repro.embeddings.dense import DenseEmbeddingBag
 from repro.embeddings.eff_tt_embedding import EffTTEmbeddingBag
@@ -62,7 +60,7 @@ def build_bag(
 def build_bag_from_spec(
     spec: CompressionSpec,
     seed: RngLike = 0,
-    dtype: DTypeLike = np.float64,
+    dtype: DTypeLike = DEFAULT_DTYPE,
 ) -> EmbeddingBagBase:
     """Construct an architecturally identical bag from its spec.
 

@@ -28,7 +28,7 @@ from repro.backend import (
     ZONE_ROBE_LOOKUP,
     get_backend,
 )
-from repro.backend.protocol import DTypeLike
+from repro.backend.protocol import DEFAULT_DTYPE, DTypeLike
 from repro.embeddings.base import EmbeddingBagBase
 from repro.embeddings.protocol import SpecParamValue
 from repro.utils.rng import RngLike, ensure_rng
@@ -86,9 +86,9 @@ class RobeEmbeddingBag(EmbeddingBagBase):
         chunk_size: Optional[int] = None,
         hash_params: Optional[Tuple[int, int, int, int, int, int]] = None,
         seed: RngLike = 0,
-        dtype: DTypeLike = np.float64,
+        dtype: DTypeLike = DEFAULT_DTYPE,
     ) -> None:
-        super().__init__(num_embeddings, embedding_dim)
+        super().__init__(num_embeddings, embedding_dim, dtype)
         if array_size is None:
             array_size = default_robe_size(
                 num_embeddings, embedding_dim, compress_rate
@@ -107,7 +107,6 @@ class RobeEmbeddingBag(EmbeddingBagBase):
         self.array_size = array_size
         self.chunk_size = chunk_size
         self.num_chunks = embedding_dim // chunk_size
-        self.dtype = np.dtype(dtype)
         rng = ensure_rng(seed)
         if hash_params is None:
             draws = rng.integers(
@@ -208,7 +207,7 @@ class RobeEmbeddingBag(EmbeddingBagBase):
     def estimate_bytes(
         num_embeddings: int,
         embedding_dim: int,
-        dtype_bytes: int = 8,
+        dtype_bytes: int = DEFAULT_DTYPE.itemsize,
         array_size: Optional[int] = None,
         compress_rate: float = 0.25,
     ) -> int:

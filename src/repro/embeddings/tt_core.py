@@ -24,6 +24,7 @@ from repro.backend import (
     get_backend,
     get_plan_cache,
 )
+from repro.backend.protocol import DEFAULT_DTYPE, DTypeLike
 from repro.embeddings.tt_indices import row_index_to_tt, row_strides
 from repro.utils.rng import RngLike, ensure_rng
 
@@ -178,7 +179,7 @@ class TTSpec:
         dense = self.padded_rows * self.embedding_dim
         return dense / self.num_params if self.num_params else float("inf")
 
-    def nbytes(self, dtype_bytes: int = 8) -> int:
+    def nbytes(self, dtype_bytes: int = DEFAULT_DTYPE.itemsize) -> int:
         return self.num_params * dtype_bytes
 
 
@@ -193,16 +194,15 @@ class TTCores:
         Optional pre-built core arrays (storage layout
         ``(m_k, R_{k-1}, n_k, R_k)``); validated against ``spec``.
     dtype:
-        Floating dtype the cores are stored at (default ``np.float64``,
-        the historical behavior; pass ``np.float32`` for the
-        memory-matched configuration).
+        Floating dtype the cores are stored at (default
+        :data:`~repro.backend.DEFAULT_DTYPE`).
     """
 
     def __init__(
         self,
         spec: TTSpec,
         cores: Optional[List[np.ndarray]] = None,
-        dtype: np.dtype = np.float64,
+        dtype: DTypeLike = DEFAULT_DTYPE,
     ):
         self.spec = spec
         self.dtype = np.dtype(dtype)
@@ -230,7 +230,7 @@ class TTCores:
         spec: TTSpec,
         target_std: Optional[float] = None,
         seed: RngLike = 0,
-        dtype: np.dtype = np.float64,
+        dtype: DTypeLike = DEFAULT_DTYPE,
     ) -> "TTCores":
         """Gaussian cores scaled so reconstructed entries match ``target_std``.
 
@@ -263,10 +263,11 @@ class TTCores:
         row_shape: Sequence[int],
         col_shape: Sequence[int],
         rank: Union[int, Sequence[int]],
+        dtype: DTypeLike = DEFAULT_DTYPE,
     ) -> "TTCores":
         """TT-SVD decomposition of a dense table (see :func:`tt_svd`)."""
         cores, spec = tt_svd(table, row_shape, col_shape, rank)
-        return cls(spec, cores)
+        return cls(spec, cores, dtype=dtype)
 
     # -- accessors -------------------------------------------------------
     @property
@@ -382,7 +383,8 @@ def tt_svd(
     ranks (they may be smaller than requested when the unfolding's
     numerical rank is lower).
     """
-    table = np.asarray(table, dtype=np.float64)
+    # The SVD sweep runs in float64 whatever dtype the cores are kept at.
+    table = np.asarray(table, dtype=np.float64)  # reprolint: disable=REP003 (TT-SVD)
     d = len(row_shape)
     expected = (math.prod(row_shape), math.prod(col_shape))
     if table.shape != expected:
@@ -408,7 +410,7 @@ def tt_svd(
         unfolding = unfolding.reshape(rows, -1)
         u, s, vt = np.linalg.svd(unfolding, full_matrices=False)
         # Drop numerically-zero singular values before rank truncation.
-        tol = s[0] * max(unfolding.shape) * np.finfo(np.float64).eps if s.size else 0.0
+        tol = s[0] * max(unfolding.shape) * np.finfo(unfolding.dtype).eps if s.size else 0.0
         numerical_rank = max(1, int(np.count_nonzero(s > tol)))
         r_k = min(boundary[k + 1], numerical_rank)
         flat_cores.append(u[:, :r_k].reshape(r_prev, mode_sizes[k], r_k))

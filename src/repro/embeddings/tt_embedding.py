@@ -29,7 +29,7 @@ from repro.backend import (
     get_backend,
     get_plan_cache,
 )
-from repro.backend.protocol import DTypeLike
+from repro.backend.protocol import DEFAULT_DTYPE, DTypeLike
 from repro.embeddings.base import EmbeddingBagBase
 from repro.embeddings.protocol import SpecParamValue
 from repro.embeddings.tt_core import TTCores, TTSpec, tt_chain_forward
@@ -145,14 +145,13 @@ class TTBagBase(EmbeddingBagBase):
         row_shape: Optional[Sequence[int]] = None,
         col_shape: Optional[Sequence[int]] = None,
         seed: RngLike = 0,
-        dtype: DTypeLike = np.float64,
+        dtype: DTypeLike = DEFAULT_DTYPE,
     ) -> None:
-        super().__init__(num_embeddings, embedding_dim)
+        super().__init__(num_embeddings, embedding_dim, dtype)
         self.spec = self._resolve_spec(
             num_embeddings, embedding_dim, tt_rank, num_cores,
             row_shape, col_shape,
         )
-        self.dtype = np.dtype(dtype)
         self.tt = TTCores.random_init(self.spec, seed=seed, dtype=self.dtype)
 
     @staticmethod
@@ -187,7 +186,7 @@ class TTBagBase(EmbeddingBagBase):
     def estimate_bytes(
         num_embeddings: int,
         embedding_dim: int,
-        dtype_bytes: int = 8,
+        dtype_bytes: int = DEFAULT_DTYPE.itemsize,
         tt_rank: Union[int, Sequence[int]] = 64,
         num_cores: int = 3,
         row_shape: Optional[Sequence[int]] = None,
@@ -248,9 +247,10 @@ class TTEmbeddingBag(TTBagBase):
     seed:
         RNG for core initialization.
     dtype:
-        Core / gradient floating dtype (default ``np.float64``, the
-        historical behavior).  The whole forward/backward/update path
-        stays at this dtype — no silent float64 upcasts.
+        Core / gradient floating dtype (default
+        :data:`~repro.backend.DEFAULT_DTYPE`).  The whole
+        forward/backward/update path stays at this dtype — no silent
+        upcasts.
     """
 
     kind = "tt"

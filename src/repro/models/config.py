@@ -6,12 +6,19 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
+import numpy as np
+
+from repro.backend import DEFAULT_DTYPE
+from repro.backend.protocol import DTypeLike
 from repro.data.datasets import DatasetSpec
 from repro.embeddings.planner import table_bytes
 from repro.embeddings.registry import bag_class
 from repro.nn.interaction import DotInteraction
 
-__all__ = ["EmbeddingBackend", "DLRMConfig", "backend_knobs"]
+__all__ = ["EmbeddingBackend", "DLRMConfig", "backend_knobs", "MODEL_DTYPES"]
+
+#: The floating dtypes a model trains and serves at.
+MODEL_DTYPES: Tuple[str, ...] = ("float32", "float64")
 
 
 class EmbeddingBackend(str, enum.Enum):
@@ -62,6 +69,11 @@ class DLRMConfig:
         default parameter sizing (Hetu-style global knob; explicit
         per-table parameters from a
         :class:`~repro.embeddings.planner.ModelPlan` override it).
+    dtype:
+        The one floating dtype of the whole model — both MLPs, every
+        bag, the interaction, the loss, the parameter-server tables and
+        the serving stack (one of :data:`MODEL_DTYPES`; default
+        :data:`~repro.backend.DEFAULT_DTYPE`, fp32 as the paper trains).
     """
 
     num_dense: int
@@ -73,6 +85,7 @@ class DLRMConfig:
     tt_rank: int = 16
     tt_threshold_rows: int = 0
     compress_rate: float = 0.25
+    dtype: np.dtype = DEFAULT_DTYPE
 
     def __post_init__(self) -> None:
         if self.num_dense < 1:
@@ -89,6 +102,15 @@ class DLRMConfig:
             raise ValueError(
                 f"compress_rate must be in (0, 1], got {self.compress_rate}"
             )
+        try:
+            dtype = None if self.dtype is None else np.dtype(self.dtype)
+        except TypeError:
+            dtype = None
+        if dtype is None or dtype.name not in MODEL_DTYPES:
+            raise ValueError(
+                f"dtype must be one of {MODEL_DTYPES}, got {self.dtype!r}"
+            )
+        object.__setattr__(self, "dtype", dtype)
         object.__setattr__(self, "table_rows", tuple(int(r) for r in self.table_rows))
         object.__setattr__(self, "bottom_mlp", tuple(int(w) for w in self.bottom_mlp))
         object.__setattr__(self, "top_mlp", tuple(int(w) for w in self.top_mlp))
@@ -125,13 +147,15 @@ class DLRMConfig:
         if self.backend is EmbeddingBackend.DENSE or rows <= self.tt_threshold_rows:
             return EmbeddingBackend.DENSE
         kind = self.backend.value
+        itemsize = self.dtype.itemsize
         compressed = table_bytes(
             kind,
             rows,
             self.embedding_dim,
+            itemsize,
             **backend_knobs(kind, self.tt_rank, self.compress_rate),
         )
-        if compressed >= table_bytes("dense", rows, self.embedding_dim):
+        if compressed >= table_bytes("dense", rows, self.embedding_dim, itemsize):
             return EmbeddingBackend.DENSE
         return self.backend
 
@@ -146,6 +170,7 @@ class DLRMConfig:
         bottom_mlp: Sequence[int] = (64, 32),
         top_mlp: Sequence[int] = (64, 32),
         compress_rate: float = 0.25,
+        dtype: DTypeLike = DEFAULT_DTYPE,
     ) -> "DLRMConfig":
         """Derive a config from a dataset schema."""
         return cls(
@@ -158,4 +183,5 @@ class DLRMConfig:
             tt_rank=tt_rank,
             tt_threshold_rows=tt_threshold_rows,
             compress_rate=compress_rate,
+            dtype=dtype,
         )

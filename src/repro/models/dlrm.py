@@ -98,6 +98,13 @@ class DLRM(Module):
     embedding_bags:
         Pre-built bags to use instead of constructing from the config
         (the parameter-server path injects host-resident tables here).
+        Build them at ``config.dtype``: a bag at another dtype still
+        works, but its rows are cast where the interaction stacks them.
+
+    Every component — both MLPs, every bag, the interaction and the
+    loss — runs at ``config.dtype``; a batch's float64 dense features
+    and labels are cast once, where the bottom MLP and the loss take
+    them in.
     """
 
     def __init__(
@@ -108,15 +115,16 @@ class DLRM(Module):
     ) -> None:
         super().__init__()
         self.config = config
+        dtype = config.dtype
         rngs = spawn_rngs(seed, 2 + config.num_tables)
         self.bottom_mlp = self.register_module(
-            "bottom_mlp", MLP(config.bottom_mlp_sizes, seed=rngs[0])
+            "bottom_mlp", MLP(config.bottom_mlp_sizes, seed=rngs[0], dtype=dtype)
         )
         self.top_mlp = self.register_module(
-            "top_mlp", MLP(config.top_mlp_sizes, seed=rngs[1])
+            "top_mlp", MLP(config.top_mlp_sizes, seed=rngs[1], dtype=dtype)
         )
-        self.interaction = DotInteraction()
-        self.loss_fn = BCEWithLogitsLoss()
+        self.interaction = DotInteraction(dtype=dtype)
+        self.loss_fn = BCEWithLogitsLoss(dtype=dtype)
         if embedding_bags is not None:
             bags = list(embedding_bags)
             if len(bags) != config.num_tables:
@@ -143,6 +151,7 @@ class DLRM(Module):
                     config.tt_rank,
                     seed=rngs[2 + t],
                     compress_rate=config.compress_rate,
+                    dtype=dtype,
                 )
                 for t, rows in enumerate(config.table_rows)
             ]
@@ -170,7 +179,7 @@ class DLRM(Module):
 
     def backward(self, grad_logits: np.ndarray) -> None:
         """Backpropagate a ``(B,)`` logit gradient through all components."""
-        grad = np.asarray(grad_logits, dtype=np.float64).reshape(-1, 1)
+        grad = np.asarray(grad_logits).reshape(-1, 1)
         grad_interacted = self.top_mlp.backward(grad)
         grad_dense_out, grad_pooled = self.interaction.backward(grad_interacted)
         self.bottom_mlp.backward(grad_dense_out)
@@ -234,10 +243,12 @@ class DLRM(Module):
 def roc_auc(labels: np.ndarray, scores: np.ndarray) -> float:
     """Area under the ROC curve via the rank-sum formulation.
 
-    Returns 0.5 when one class is absent (undefined AUC).
+    Returns 0.5 when one class is absent (undefined AUC).  Ranks and
+    their sums are float64 whatever the model's dtype: float32 stops
+    counting exactly at 2**24.
     """
-    labels = np.asarray(labels, dtype=np.float64).reshape(-1)
-    scores = np.asarray(scores, dtype=np.float64).reshape(-1)
+    labels = np.asarray(labels, dtype=np.float64).reshape(-1)  # reprolint: disable=REP003 (AUC)
+    scores = np.asarray(scores, dtype=np.float64).reshape(-1)  # reprolint: disable=REP003 (AUC)
     if labels.shape != scores.shape:
         raise ValueError("labels and scores must have equal shape")
     positives = labels >= 0.5
@@ -246,10 +257,10 @@ def roc_auc(labels: np.ndarray, scores: np.ndarray) -> float:
     if n_pos == 0 or n_neg == 0:
         return 0.5
     order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(labels.size, dtype=np.float64)
+    ranks = np.empty(labels.size, dtype=np.float64)  # reprolint: disable=REP003 (AUC)
     # average ranks for ties
     sorted_scores = scores[order]
-    ranks_sorted = np.arange(1, labels.size + 1, dtype=np.float64)
+    ranks_sorted = np.arange(1, labels.size + 1, dtype=np.float64)  # reprolint: disable=REP003 (AUC)
     boundaries = np.flatnonzero(np.diff(sorted_scores) != 0) + 1
     groups = np.split(ranks_sorted, boundaries)
     ranks[order] = np.concatenate([np.full(g.size, g.mean()) for g in groups])

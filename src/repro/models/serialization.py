@@ -34,6 +34,11 @@ way: recover the bag's spec (the JSON entry, the TT shape arrays, or
 nothing for dense), build it through the registry, then
 ``load_state_arrays``.
 
+Format version 5 records the model's ``dtype`` in the config JSON, and
+every parameter and bag is restored at it.  Earlier files carry no
+``dtype``: they were written by float64 models and load at float64, so
+they still restore bit for bit.
+
 Host-backed bags (parameter-server tables) own no local state; their
 weights live in the server and must be checkpointed there — attempting
 to save a model containing one raises.
@@ -61,8 +66,10 @@ __all__ = [
     "entry_crc32",
 ]
 
-_FORMAT_VERSION = 4
-_READABLE_VERSIONS = (1, 2, 3, 4)
+_FORMAT_VERSION = 5
+_READABLE_VERSIONS = (1, 2, 3, 4, 5)
+#: The dtype of a model written before format v5 recorded one.
+_LEGACY_DTYPE = "float64"
 #: Archive members excluded from the CRC map (the map itself).
 _UNCHECKED_ENTRIES = ("__crc__",)
 
@@ -111,6 +118,7 @@ def _config_to_json(config: DLRMConfig) -> str:
             "tt_rank": config.tt_rank,
             "tt_threshold_rows": config.tt_threshold_rows,
             "compress_rate": config.compress_rate,
+            "dtype": config.dtype.name,
         }
     )
 
@@ -128,6 +136,8 @@ def _config_from_json(payload: str) -> DLRMConfig:
         tt_threshold_rows=raw["tt_threshold_rows"],
         # Absent in checkpoints written before format v4.
         compress_rate=raw.get("compress_rate", 0.25),
+        # Absent before format v5, whose writers were all float64.
+        dtype=raw.get("dtype", _LEGACY_DTYPE),
     )
 
 
@@ -172,8 +182,9 @@ def save_checkpoint(model: DLRM, path: Union[str, "io.IOBase"]) -> None:
     np.savez_compressed(path, **arrays)
 
 
-def _restore_bag(archive, t: int, kind: str, rows: int, dim: int):
+def _restore_bag(archive, t: int, kind: str, config: DLRMConfig):
     """Build a bag of an explicit kind from its stored state."""
+    rows, dim = config.table_rows[t], config.embedding_dim
     if kind in _SPEC_KINDS:
         try:
             spec = CompressionSpec.from_json(str(archive[f"bag{t}/spec"][0]))
@@ -205,7 +216,7 @@ def _restore_bag(archive, t: int, kind: str, rows: int, dim: int):
         spec = CompressionSpec.create(kind, rows, dim)
     else:
         raise ValueError(f"bag {t} has unknown kind {kind!r}")
-    bag = build_bag_from_spec(spec, seed=0)
+    bag = build_bag_from_spec(spec, seed=0, dtype=config.dtype)
     try:
         bag.load_state_arrays(
             {
@@ -312,7 +323,7 @@ def load_checkpoint(path) -> DLRM:
             )
         config = _config_from_json(str(archive["__config__"][0]))
         bags = []
-        for t, rows in enumerate(config.table_rows):
+        for t in range(config.num_tables):
             kind_key = f"bag{t}/kind"
             if kind_key in archive:
                 # v2: the stored kind is authoritative — rebuild the bag
@@ -330,9 +341,7 @@ def load_checkpoint(path) -> DLRM:
                     if f"bag{t}/core0" in archive
                     else "dense"
                 )
-            bags.append(
-                _restore_bag(archive, t, kind, rows, config.embedding_dim)
-            )
+            bags.append(_restore_bag(archive, t, kind, config))
         # Each bag is built once, from its stored kind and spec, and
         # handed in; the model constructs only its MLPs.
         model = DLRM(config, seed=0, embedding_bags=bags)
@@ -346,5 +355,5 @@ def load_checkpoint(path) -> DLRM:
                     f"parameter {name!r} shape mismatch: checkpoint "
                     f"{stored.shape} vs model {param.data.shape}"
                 )
-            param.data = stored.astype(np.float64)
+            param.data = np.asarray(stored, dtype=param.data.dtype)
         return model

@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.backend import ZONE_MLP, get_backend
+from repro.backend import DEFAULT_DTYPE, ZONE_MLP, get_backend
 from repro.nn.module import Module
 
 __all__ = ["ReLU", "Sigmoid"]
@@ -16,11 +16,12 @@ def _as_float(a: np.ndarray) -> np.ndarray:
     """Coerce to a floating array, *preserving* an existing float dtype.
 
     Activations are dtype-transparent: a float32 MLP stays float32
-    through them; integer/bool inputs still promote to float64.
+    through them; integer/bool inputs promote to
+    :data:`~repro.backend.DEFAULT_DTYPE`.
     """
     a = np.asarray(a)
     if not np.issubdtype(a.dtype, np.floating):
-        a = a.astype(np.float64)
+        a = a.astype(DEFAULT_DTYPE)
     return a
 
 

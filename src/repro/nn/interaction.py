@@ -19,7 +19,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend import ZONE_INTERACTION, get_backend
+from repro.backend import DEFAULT_DTYPE, ZONE_INTERACTION, get_backend
+from repro.backend.protocol import DTypeLike
 from repro.nn.module import Module
 
 __all__ = ["DotInteraction", "place_embedding"]
@@ -61,10 +62,14 @@ class DotInteraction(Module):
     ``(B, k+1, d)``, forms ``Z = T[1:] @ T[:-1]^T`` — every pair of
     distinct features, once — and emits ``concat([x, Z[lower_triangle]])``
     with output width ``d + (k+1) * k / 2``.
+
+    ``dtype`` is the model's: :meth:`forward` builds the stack at it, and
+    the output and gradients keep the stack's dtype.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, dtype: DTypeLike = DEFAULT_DTYPE) -> None:
         super().__init__()
+        self.dtype = np.dtype(dtype)
         self._cached: Optional[np.ndarray] = None
 
     @staticmethod
@@ -76,24 +81,24 @@ class DotInteraction(Module):
     def forward(
         self, dense: np.ndarray, embeddings: Sequence[np.ndarray]
     ) -> np.ndarray:
-        dense = np.asarray(dense, dtype=np.float64)
+        dense = np.asarray(dense)
         if dense.ndim != 2:
             raise ValueError(f"dense must be 2-D, got shape {dense.shape}")
         batch, dim = dense.shape
         # Every feature lands in its slot of the one (B, F, d) stack.
-        stacked = np.empty((batch, len(embeddings) + 1, dim), dtype=np.float64)
+        stacked = np.empty((batch, len(embeddings) + 1, dim), dtype=self.dtype)
         stacked[:, 0, :] = dense
         for i, emb in enumerate(embeddings):
             place_embedding(stacked, i, emb)
         return self.forward_stack(stacked)
 
     def forward_stack(self, stacked: np.ndarray) -> np.ndarray:
-        """:meth:`forward` over a prebuilt ``(B, F, d)`` float64 stack.
+        """:meth:`forward` over a prebuilt ``(B, F, d)`` stack.
 
         Slot 0 is the dense feature, slots ``1..F-1`` the embeddings, as
         :meth:`forward` lays them out; a caller that gathers its rows
         straight into the slots skips the copy.  The stack is kept, not
-        copied, for :meth:`backward`.
+        copied, for :meth:`backward`; the output takes its dtype.
         """
         batch, num_features, dim = stacked.shape
         # Pair (f, g), g < f, is entry (f - 1, g) of T[1:] @ T[:-1]^T: the
@@ -107,7 +112,7 @@ class DotInteraction(Module):
             )  # (B, F-1, F-1)
         # Its lower triangle, diagonal included, as one flat take per sample.
         triangle = _lower_triangle(num_features - 1)
-        out = np.empty((batch, dim + triangle.size), dtype=np.float64)
+        out = np.empty((batch, dim + triangle.size), dtype=stacked.dtype)
         out[:, :dim] = stacked[:, 0, :]
         out[:, dim:] = np.take(
             z.reshape(batch, (num_features - 1) ** 2), triangle, axis=1
@@ -121,7 +126,7 @@ class DotInteraction(Module):
             raise RuntimeError("backward called before forward")
         stacked = self._cached
         batch, num_features, dim = stacked.shape
-        grad_output = np.asarray(grad_output, dtype=np.float64)
+        grad_output = np.asarray(grad_output, dtype=stacked.dtype)
         expected = self.output_dim(dim, num_features - 1)
         if grad_output.shape != (batch, expected):
             raise ValueError(

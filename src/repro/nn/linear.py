@@ -6,7 +6,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.backend import ZONE_MLP, get_backend
+from repro.backend import DEFAULT_DTYPE, ZONE_MLP, get_backend
+from repro.backend.protocol import DTypeLike
 from repro.nn.module import Module, Parameter
 from repro.utils.rng import RngLike, ensure_rng
 
@@ -29,7 +30,8 @@ class Linear(Module):
     seed:
         RNG for initialization.
     dtype:
-        Parameter / activation floating dtype (default ``np.float64``).
+        Parameter / activation floating dtype (default
+        :data:`~repro.backend.DEFAULT_DTYPE`).
         Forward and backward coerce to this dtype, so a float32 layer
         never silently upcasts.
     """
@@ -40,7 +42,7 @@ class Linear(Module):
         out_features: int,
         bias: bool = True,
         seed: RngLike = 0,
-        dtype: np.dtype = np.float64,
+        dtype: DTypeLike = DEFAULT_DTYPE,
     ) -> None:
         super().__init__()
         if in_features < 1 or out_features < 1:

@@ -6,6 +6,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.backend import DEFAULT_DTYPE
+from repro.backend.protocol import DTypeLike
+from repro.nn.activations import _as_float
 from repro.nn.module import Module
 
 __all__ = ["BCEWithLogitsLoss"]
@@ -22,15 +25,19 @@ class BCEWithLogitsLoss(Module):
     which never overflows.  ``forward`` returns the scalar loss;
     ``backward`` returns the gradient w.r.t. the logits, already
     divided by the batch size (mean reduction).
+
+    ``dtype`` is the model's: logits and targets are taken in at it (a
+    batch's float64 labels are cast here, once), and so is the gradient.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, dtype: DTypeLike = DEFAULT_DTYPE) -> None:
         super().__init__()
+        self.dtype = np.dtype(dtype)
         self._cached: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def forward(self, logits: np.ndarray, targets: np.ndarray) -> float:
-        logits = np.asarray(logits, dtype=np.float64).reshape(-1)
-        targets = np.asarray(targets, dtype=np.float64).reshape(-1)
+        logits = np.asarray(logits, dtype=self.dtype).reshape(-1)
+        targets = np.asarray(targets, dtype=self.dtype).reshape(-1)
         if logits.shape != targets.shape:
             raise ValueError(
                 f"logits shape {logits.shape} != targets shape {targets.shape}"
@@ -59,8 +66,8 @@ class BCEWithLogitsLoss(Module):
 
     @staticmethod
     def predict_proba(logits: np.ndarray) -> np.ndarray:
-        """Convenience: convert logits to click probabilities."""
-        return _stable_sigmoid(np.asarray(logits, dtype=np.float64).reshape(-1))
+        """Convenience: convert logits to click probabilities (same dtype)."""
+        return _stable_sigmoid(_as_float(logits).reshape(-1))
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:

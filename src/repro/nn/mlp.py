@@ -6,6 +6,7 @@ from typing import List, Sequence
 
 import numpy as np
 
+from repro.backend.protocol import DEFAULT_DTYPE, DTypeLike
 from repro.nn.activations import ReLU, Sigmoid
 from repro.nn.linear import Linear
 from repro.nn.module import Module
@@ -32,7 +33,8 @@ class MLP(Module):
     seed:
         RNG (split across layers) for initialization.
     dtype:
-        Floating dtype shared by all layers (default ``np.float64``).
+        Floating dtype shared by all layers (default
+        :data:`~repro.backend.DEFAULT_DTYPE`).
     """
 
     def __init__(
@@ -40,7 +42,7 @@ class MLP(Module):
         layer_sizes: Sequence[int],
         sigmoid_output: bool = False,
         seed: RngLike = 0,
-        dtype: np.dtype = np.float64,
+        dtype: DTypeLike = DEFAULT_DTYPE,
     ) -> None:
         super().__init__()
         sizes = list(layer_sizes)

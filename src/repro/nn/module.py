@@ -6,6 +6,8 @@ from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
+from repro.backend.protocol import DEFAULT_DTYPE, DTypeLike
+
 __all__ = ["Parameter", "Module"]
 
 
@@ -15,8 +17,8 @@ class Parameter:
     Attributes
     ----------
     data:
-        The parameter value (float64 ndarray unless ``dtype`` says
-        otherwise).  Updated in place by optimizers so views held by
+        The parameter value (a :data:`~repro.backend.DEFAULT_DTYPE`
+        ndarray unless ``dtype`` says otherwise).  Updated in place by optimizers so views held by
         modules stay valid.
     grad:
         Accumulated gradient of the same shape and dtype, or ``None``
@@ -28,7 +30,7 @@ class Parameter:
     __slots__ = ("data", "grad", "name")
 
     def __init__(
-        self, data: np.ndarray, name: str = "", dtype: np.dtype = np.float64
+        self, data: np.ndarray, name: str = "", dtype: DTypeLike = DEFAULT_DTYPE
     ) -> None:
         self.data = np.asarray(data, dtype=dtype)
         self.grad: Optional[np.ndarray] = None

@@ -30,6 +30,7 @@ def _validate_edges(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
+    # Access statistics, not model state: float64 whatever the model's dtype.
     weight = np.asarray(weight, dtype=np.float64)
     if not (src.shape == dst.shape == weight.shape) or src.ndim != 1:
         raise ValueError("src, dst, weight must be 1-D arrays of equal length")

@@ -155,6 +155,7 @@ def build_index_graph(
         unique_keys, counts = np.unique(keys, return_counts=True)
         src = (unique_keys // num_vertices).astype(np.int64)
         dst = (unique_keys % num_vertices).astype(np.int64)
+        # Access statistics, not model state: float64 whatever the model's dtype.
         weight = counts.astype(np.float64)
     else:
         src = np.empty(0, dtype=np.int64)

@@ -230,6 +230,7 @@ def measure_table_stats(
             f"indices out of range [0, {num_rows}) for table {table_idx}"
         )
     counts = np.bincount(idx, minlength=num_rows)
+    # Access statistics, not model state: float64 whatever the model's dtype.
     ordered = np.sort(counts)[::-1].astype(np.float64)
     total = float(ordered.sum())
     hot_rows = int(np.ceil(hot_fraction * num_rows))

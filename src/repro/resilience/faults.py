@@ -33,6 +33,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple, TypeVar
 
+from repro.backend.protocol import DTypeLike
 from repro.embeddings.cache import EmbeddingCache
 from repro.system.queues import BoundedQueue
 from repro.utils.rng import ensure_rng
@@ -550,9 +551,9 @@ class FaultProbe:
         return FaultyQueue(capacity, self.injector, site)
 
     def make_cache(
-        self, embedding_dim: int, default_lifecycle: int, table: int
+        self, embedding_dim: int, default_lifecycle: int, table: int, dtype: DTypeLike
     ) -> EmbeddingCache:
-        return EmbeddingCache(embedding_dim, default_lifecycle)
+        return EmbeddingCache(embedding_dim, default_lifecycle, dtype)
 
     # -- TraceProbe hooks ----------------------------------------------
     def on_batch_start(self, batch_id: int) -> None:

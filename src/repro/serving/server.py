@@ -204,7 +204,7 @@ class ServingModel:
         with get_backend().zone(ZONE_SERVING_LOOKUP):
             dense_out = model.bottom_mlp.forward(batch.dense)
             num, dim = dense_out.shape
-            stacked = np.empty((num, 1 + len(self._views), dim), dtype=np.float64)
+            stacked = np.empty((num, 1 + len(self._views), dim), dtype=model.config.dtype)
             stacked[:, 0, :] = dense_out
             for (t, bag), (idx, bounds) in zip(self._dense_arms, dense_inputs):
                 rows = bag.weight.take(idx, axis=0)

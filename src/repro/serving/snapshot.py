@@ -1,14 +1,15 @@
 """Training→serving model handoff (snapshot + hot swap).
 
 A :class:`ModelSnapshot` is an immutable byte string holding a full
-format-v2 checkpoint (:mod:`repro.models.serialization`): config, MLP
+checkpoint (:mod:`repro.models.serialization`): config, MLP
 parameters, and every embedding bag's state with its concrete kind.
 Freezing the snapshot as *bytes* rather than live arrays makes the
 handoff protocol trivially safe: the trainer can keep mutating its
 model the instant the snapshot is taken, and every ``materialize()``
 call yields an independent model that nobody else can touch.  npz
-round-trips float64 losslessly, so a materialized model's predictions
-are bit-identical to the snapshotted one's.
+stores every array at its own dtype and the config records the model's
+(format v5), so a materialized model is at the snapshotted one's dtype
+and its predictions are bit-identical to it.
 
 Serving does not need independence, it needs the bytes once:
 :meth:`ModelSnapshot.serving_model` materializes a snapshot a single
@@ -89,7 +90,8 @@ class ModelSnapshot:
             dense = build_bag_from_spec(
                 CompressionSpec.create(
                     "dense", bag.num_embeddings, bag.embedding_dim
-                )
+                ),
+                dtype=model.config.dtype,
             )
             dense.load_state_arrays(
                 {"weight": trainer.server.tables[server_idx]}

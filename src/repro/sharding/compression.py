@@ -14,11 +14,11 @@ stays bitwise-identical to the single-table baseline:
   shipping prefetched rows as symmetric per-row int8: each row is
   quantized with scale ``max|row| / 127`` and immediately dequantized,
   so the worker trains on values carrying real quantization error
-  while the arrays stay float64 end to end.
+  while the arrays stay at the server's dtype end to end.
 
 Wire accounting is explicit: :data:`ROW_ID_BYTES`,
 :func:`exact_row_bytes` and :func:`int8_row_bytes` are the bytes a real
-link carries per row, and the
+link carries per row at the table's itemsize, and the
 :class:`~repro.sharding.server.ShardedParameterServer` meters every
 shard link with them.  All compression math runs under the
 ``link_compress`` kernel zone.
@@ -31,7 +31,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.backend import ZONE_LINK_COMPRESS, get_backend
+from repro.backend import DEFAULT_DTYPE, ZONE_LINK_COMPRESS, get_backend
+from repro.backend.protocol import DTypeLike
 from repro.utils.validation import check_positive
 
 __all__ = [
@@ -49,14 +50,14 @@ __all__ = [
 ROW_ID_BYTES = 8
 
 
-def exact_row_bytes(dim: int) -> int:
-    """Link bytes of one row's values sent exact (float64)."""
-    return dim * 8
+def exact_row_bytes(dim: int, itemsize: int) -> int:
+    """Link bytes of one row's values sent exact (``itemsize`` each)."""
+    return dim * itemsize
 
 
-def int8_row_bytes(dim: int) -> int:
-    """Link bytes of one row's values sent as int8 plus a float64 scale."""
-    return dim * 1 + 8
+def int8_row_bytes(dim: int, itemsize: int) -> int:
+    """Link bytes of one row's values sent as int8 plus one scale."""
+    return dim * 1 + itemsize
 
 
 #: ``--compress`` vocabulary: which knobs each mode enables.
@@ -124,6 +125,8 @@ class TopKErrorFeedback:
     fraction:
         Fraction of a step's unique rows that is actually sent
         (at least one row is always sent).
+    dtype:
+        Residual dtype: the server tables'.
 
     Notes
     -----
@@ -139,6 +142,7 @@ class TopKErrorFeedback:
         table_rows: List[int],
         embedding_dim: int,
         fraction: float = 0.1,
+        dtype: DTypeLike = DEFAULT_DTYPE,
     ) -> None:
         if not 0.0 < fraction <= 1.0:
             raise ValueError(f"fraction must be in (0, 1], got {fraction}")
@@ -146,7 +150,7 @@ class TopKErrorFeedback:
         self.fraction = float(fraction)
         self.embedding_dim = int(embedding_dim)
         self.residuals: List[np.ndarray] = [
-            np.zeros((rows, embedding_dim), dtype=np.float64)
+            np.zeros((rows, embedding_dim), dtype=dtype)
             for rows in table_rows
         ]
 
@@ -156,7 +160,7 @@ class TopKErrorFeedback:
         """Select the top-k rows of ``residual + grads``; bank the rest."""
         residual = self.residuals[table_idx]
         uidx = np.asarray(unique_indices, dtype=np.int64)
-        grads = np.asarray(row_grads, dtype=np.float64)
+        grads = np.asarray(row_grads, dtype=residual.dtype)
         if grads.shape != (uidx.size, self.embedding_dim):
             raise ValueError(
                 f"row_grads shape {grads.shape} does not match "
@@ -190,7 +194,7 @@ class TopKErrorFeedback:
             key = f"ef{t}"
             if key not in arrays:
                 raise KeyError(f"snapshot missing residual array {key!r}")
-            stored = np.asarray(arrays[key], dtype=np.float64)
+            stored = np.asarray(arrays[key], dtype=residual.dtype)
             if stored.shape != residual.shape:
                 raise ValueError(
                     f"residual {key!r} shape mismatch: "
@@ -209,8 +213,8 @@ class PullQuantizer:
         self.embedding_dim = int(embedding_dim)
 
     def apply(self, rows: np.ndarray) -> np.ndarray:
-        """Quantize-dequantize ``rows`` (each row on its own scale)."""
-        rows = np.asarray(rows, dtype=np.float64)
+        """Quantize-dequantize ``rows`` (each row on its own scale, same dtype)."""
+        rows = np.asarray(rows)
         if rows.shape[0] == 0:
             return rows
         bk = get_backend()
@@ -227,12 +231,13 @@ def build_push_compressor(
     config: LinkCompressionConfig,
     table_rows: List[int],
     embedding_dim: int,
+    dtype: DTypeLike = DEFAULT_DTYPE,
 ) -> Optional[TopKErrorFeedback]:
     """Push-side compressor for ``config`` (None = send everything)."""
     if not config.push_topk:
         return None
     return TopKErrorFeedback(
-        table_rows, embedding_dim, fraction=config.topk_fraction
+        table_rows, embedding_dim, fraction=config.topk_fraction, dtype=dtype
     )
 
 

@@ -1,9 +1,9 @@
 """The parameter server for host-resident embedding tables (§V-A).
 
-:class:`ShardedParameterServer` owns one float64 table per server-
-resident embedding table and runs the sparse operations on the CPU
-side: :meth:`~ShardedParameterServer.gather` pulls the unique rows a
-batch needs into the prefetch queue, and
+:class:`ShardedParameterServer` owns one table, at the model's dtype,
+per server-resident embedding table and runs the sparse operations on
+the CPU side: :meth:`~ShardedParameterServer.gather` pulls the unique
+rows a batch needs into the prefetch queue, and
 :meth:`~ShardedParameterServer.apply_gradients` applies one batch's
 aggregated row gradients from the gradient queue.  The sequential and
 pipelined PS trainers drive it.
@@ -34,7 +34,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.backend import ZONE_PS_APPLY, ZONE_PS_GATHER, get_backend
+from repro.backend import DEFAULT_DTYPE, ZONE_PS_APPLY, ZONE_PS_GATHER, get_backend
+from repro.backend.protocol import DTypeLike
 from repro.nn.optim import SparseSGD
 from repro.sharding.compression import (
     ROW_ID_BYTES,
@@ -117,6 +118,10 @@ class ShardedParameterServer:
     compression:
         Optional :class:`LinkCompressionConfig`; ``None`` (or mode
         ``"none"``) keeps both link directions exact.
+    dtype:
+        Table dtype: the dtype of the model it serves
+        (``DLRMConfig.dtype``).  Rows are drawn in float64 and cast once,
+        so a seed gives the same initial values at every dtype.
     """
 
     def __init__(
@@ -127,11 +132,13 @@ class ShardedParameterServer:
         num_shards: int = 1,
         seed: RngLike = 0,
         compression: Optional[LinkCompressionConfig] = None,
+        dtype: DTypeLike = DEFAULT_DTYPE,
     ) -> None:
         if lr <= 0:
             raise ValueError(f"lr must be > 0, got {lr}")
         self.embedding_dim = int(embedding_dim)
         self.lr = float(lr)
+        self.dtype = np.dtype(dtype)
         self.partitioner = ShardPartitioner(num_shards)
         self.num_shards = self.partitioner.num_shards
         self.compression = compression or LinkCompressionConfig()
@@ -142,19 +149,22 @@ class ShardedParameterServer:
         for rows, rng in zip(rows_per_table, rngs):
             bound = 1.0 / np.sqrt(rows)
             self.tables.append(
-                rng.uniform(-bound, bound, size=(rows, self.embedding_dim))
+                rng.uniform(
+                    -bound, bound, size=(rows, self.embedding_dim)
+                ).astype(self.dtype)
             )
 
         self._sgd = SparseSGD(lr)
         self._push = build_push_compressor(
-            self.compression, rows_per_table, self.embedding_dim
+            self.compression, rows_per_table, self.embedding_dim, self.dtype
         )
         self._pull = build_pull_quantizer(self.compression, self.embedding_dim)
         # Link bytes per row: an id plus its exact values, and what a
         # pull puts on the wire (int8 values when quantized).
-        self._row_bytes = exact_row_bytes(self.embedding_dim) + ROW_ID_BYTES
+        itemsize = self.dtype.itemsize
+        self._row_bytes = exact_row_bytes(self.embedding_dim, itemsize) + ROW_ID_BYTES
         pulled = int8_row_bytes if self._pull is not None else exact_row_bytes
-        self._pull_row_bytes = pulled(self.embedding_dim) + ROW_ID_BYTES
+        self._pull_row_bytes = pulled(self.embedding_dim, itemsize) + ROW_ID_BYTES
 
         self.gather_count = 0
         self.update_count = 0
@@ -206,7 +216,7 @@ class ShardedParameterServer:
         sent later.
         """
         uidx = self._checked_ids(table_idx, unique_indices, "unique_indices")
-        grads = np.asarray(row_grads, dtype=np.float64)
+        grads = np.asarray(row_grads, dtype=self.dtype)
         if grads.shape != (uidx.size, self.embedding_dim):
             raise ValueError(
                 f"row_grads shape {grads.shape} does not match "
@@ -259,7 +269,7 @@ class ShardedParameterServer:
         for key, view in self._shard_views().items():
             if key not in arrays:
                 raise KeyError(f"snapshot missing shard array {key!r}")
-            stored = np.asarray(arrays[key], dtype=np.float64)
+            stored = np.asarray(arrays[key], dtype=self.dtype)
             if stored.shape != view.shape:
                 raise ValueError(
                     f"shard {key!r} shape mismatch: "

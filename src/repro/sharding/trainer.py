@@ -153,7 +153,7 @@ def build_sharded_ps_trainer(
         model_cfg,
         seed=model_seed,
         embedding_bags=build_bags(
-            plan, [bag_seed_base + t for t in range(len(rows))]
+            plan, [bag_seed_base + t for t in range(len(rows))], model_cfg.dtype
         ),
     )
     server = ShardedParameterServer(
@@ -163,6 +163,7 @@ def build_sharded_ps_trainer(
         num_shards=num_shards,
         seed=server_seed,
         compression=compression,
+        dtype=model_cfg.dtype,
     )
     trainer = PipelinedPSTrainer(
         model,

@@ -28,6 +28,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.backend import DEFAULT_DTYPE
 from repro.utils.timer import measure_median
 from repro.utils.validation import check_positive
 
@@ -159,10 +160,14 @@ class HostProfile:
 
 @functools.lru_cache(maxsize=1)
 def calibrate_host(gemm_size: int = 768, gather_rows: int = 200_000) -> HostProfile:
-    """Measure host GEMM GFLOP/s and gather GB/s (cached per process)."""
+    """Measure host GEMM GFLOP/s and gather GB/s (cached per process).
+
+    The GEMM runs at :data:`~repro.backend.DEFAULT_DTYPE`, the dtype of
+    the host kernels :meth:`KernelCostModel.scale_compute` scales.
+    """
     rng = np.random.default_rng(0)
-    a = rng.standard_normal((gemm_size, gemm_size))
-    b = rng.standard_normal((gemm_size, gemm_size))
+    a = rng.standard_normal((gemm_size, gemm_size)).astype(DEFAULT_DTYPE)
+    b = rng.standard_normal((gemm_size, gemm_size)).astype(DEFAULT_DTYPE)
     t_gemm = measure_median(lambda: a @ b, repeats=5, warmup=2)
     gflops = 2.0 * gemm_size**3 / t_gemm / 1e9
 

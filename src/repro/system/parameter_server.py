@@ -17,10 +17,12 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.backend import (
+    DEFAULT_DTYPE,
     ZONE_PS_APPLY,
     ZONE_PS_GATHER,
     get_backend,
 )
+from repro.backend.protocol import DTypeLike
 from repro.embeddings.base import EmbeddingBagBase
 from repro.utils.validation import check_1d_int_array
 
@@ -47,14 +49,20 @@ class HostBackedEmbeddingBag(EmbeddingBagBase):
     calls :meth:`load_rows` with the (cache-synchronized) prefetched
     rows; backward aggregates per-unique-row gradients which the
     trainer ships through the gradient queue via
-    :meth:`pop_row_gradients`.
+    :meth:`pop_row_gradients`.  Its ``dtype`` is the model's, and the
+    server's tables are built at it, so loading rows casts nothing.
     """
 
     kind = "host"
     grad_zone = ZONE_PS_APPLY
 
-    def __init__(self, num_embeddings: int, embedding_dim: int) -> None:
-        super().__init__(num_embeddings, embedding_dim)
+    def __init__(
+        self,
+        num_embeddings: int,
+        embedding_dim: int,
+        dtype: DTypeLike = DEFAULT_DTYPE,
+    ) -> None:
+        super().__init__(num_embeddings, embedding_dim, dtype)
         self._loaded_indices: Optional[np.ndarray] = None
         self._loaded_rows: Optional[np.ndarray] = None
 
@@ -70,7 +78,7 @@ class HostBackedEmbeddingBag(EmbeddingBagBase):
             min_value=0,
             max_value=self.num_embeddings - 1,
         )
-        rows = np.asarray(rows, dtype=np.float64)
+        rows = np.asarray(rows, dtype=self.dtype)
         if rows.shape != (idx.size, self.embedding_dim):
             raise ValueError(
                 f"rows shape {rows.shape} does not match "

@@ -33,6 +33,7 @@ from typing import (
 
 import numpy as np
 
+from repro.backend.protocol import DTypeLike
 from repro.data.dataloader import Batch, SyntheticClickLog
 from repro.embeddings.cache import EmbeddingCache
 from repro.models.dlrm import DLRM
@@ -69,7 +70,7 @@ class TraceProbe(Protocol):
         ...
 
     def make_cache(
-        self, embedding_dim: int, default_lifecycle: int, table: int
+        self, embedding_dim: int, default_lifecycle: int, table: int, dtype: DTypeLike
     ) -> EmbeddingCache:
         ...
 
@@ -267,15 +268,15 @@ class PipelinedPSTrainer(_PSTrainerBase):
         self.use_cache = use_cache
         self.probe = probe
         lifecycle = self.prefetch_depth + self.grad_queue_depth
-        dim = model.config.embedding_dim
+        dim, dtype = model.config.embedding_dim, model.config.dtype
         if probe is None:
             self.caches: Dict[int, EmbeddingCache] = {
-                pos: EmbeddingCache(dim, lifecycle)
+                pos: EmbeddingCache(dim, lifecycle, dtype)
                 for pos in self.host_table_map
             }
         else:
             self.caches = {
-                pos: probe.make_cache(dim, lifecycle, pos)
+                pos: probe.make_cache(dim, lifecycle, pos, dtype)
                 for pos in self.host_table_map
             }
 
@@ -423,6 +424,7 @@ def pipeline_schedule(
     where the third term models backpressure from a full downstream
     buffer of capacity ``c_s``.
     """
+    # Simulated seconds, not model state: float64 whatever the model's dtype.
     times = np.asarray(stage_times, dtype=np.float64)
     if times.ndim != 2 or times.size == 0:
         raise ValueError(

@@ -153,6 +153,7 @@ def simulate_pipeline_trace(
         Queue capacity between stages.
     """
     check_positive(prefetch_depth, "prefetch_depth")
+    # Simulated seconds, not model state: float64 whatever the model's dtype.
     cpu = np.asarray(cpu_times, dtype=np.float64)
     pcie = np.asarray(transfer_times, dtype=np.float64)
     gpu = np.asarray(gpu_times, dtype=np.float64)

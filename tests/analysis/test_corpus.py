@@ -1,7 +1,8 @@
 """The seeded corpora of all three analyzers, pinned by one manifest.
 
 ``tests/analysis/corpus/`` holds one corpus per analyzer: its top level
-for shapecheck, ``det/`` for detcheck and ``perf/`` for perfcheck.
+for shapecheck, ``det/`` for detcheck, ``perf/`` for perfcheck and
+``lint/`` for reprolint.
 Each ``mut_*`` file seeds one defect (its docstring explains it) and
 each ``clean_*`` twin does the same computation correctly.  Zone-scoped
 files live under ``<corpus>/repro/<zone>/`` so :func:`package_rel`
@@ -22,8 +23,10 @@ import pytest
 from repro.analysis import (
     DET_RULES,
     PERF_RULES,
+    RULE_REGISTRY,
     SHAPE_RULES,
     detcheck_paths,
+    lint_paths,
     perfcheck_paths,
     shapecheck_paths,
 )
@@ -35,6 +38,7 @@ ANALYZERS = {
     "shapecheck": (CORPUS, shapecheck_paths, SHAPE_RULES, False),
     "detcheck": (CORPUS / "det", detcheck_paths, DET_RULES, True),
     "perfcheck": (CORPUS / "perf", perfcheck_paths, PERF_RULES, True),
+    "lint": (CORPUS / "lint", lint_paths, RULE_REGISTRY, True),
 }
 
 _EMB = "repro/embeddings"
@@ -85,6 +89,20 @@ MANIFEST: Dict[str, Dict[str, List[Tuple[str, int]]]] = {
         f"{_EMB}/clean_perf005_batched_op.py": [],
         f"{_EMB}/clean_perf006_write_between.py": [],
         f"{_EMB}/clean_perf007_real_cast.py": [],
+    },
+    "lint": {
+        "repro/data/mut_rep001_unseeded_rng.py": [("REP001", 5)],
+        "repro/system/mut_rep002_wall_clock.py": [("REP002", 7)],
+        "repro/nn/mut_rep003_implicit_zeros.py": [("REP003", 7)],
+        # dtype=np.float64, .astype(np.float64), np.asarray(.., dtype=np.float64)
+        "repro/models/mut_rep003_hard_coded_float64.py": [
+            ("REP003", 7), ("REP003", 11), ("REP003", 15),
+        ],
+        "repro/nn/mut_rep004_batch_loop.py": [("REP004", 6)],
+        "repro/embeddings/mut_rep005_direct_matmul.py": [("REP005", 7)],
+        "repro/serving/mut_rep006_silent_except.py": [("REP006", 7)],
+        # the model's dtype, and a pragma'd float64 that says why
+        "repro/models/clean_rep003_model_dtype.py": [],
     },
 }
 

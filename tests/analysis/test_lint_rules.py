@@ -73,8 +73,42 @@ class TestImplicitDtype:
         assert _rules_of(result) == ["implicit-dtype"]
 
     def test_zeros_with_dtype_ok(self):
-        src = "import numpy as np\nx = np.zeros((4, 4), dtype=np.float64)\n"
+        src = "import numpy as np\nx = np.zeros((4, 4), dtype=np.float32)\n"
         assert not lint_source(src, rel="repro/embeddings/foo.py").findings
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "x = np.zeros((4, 4), dtype=np.float64)",
+            "x = y.astype(np.float64)",
+            "x = np.asarray(y, dtype=np.float64)",
+            "x = np.asarray(y, dtype=f64)",
+        ],
+    )
+    @pytest.mark.parametrize(
+        "zone", ["embeddings", "nn", "sharding", "models", "serving"]
+    )
+    def test_hard_coded_float64_flagged(self, line, zone):
+        src = f"import numpy as np\nfrom numpy import float64 as f64\n{line}\n"
+        result = lint_source(src, rel=f"repro/{zone}/foo.py")
+        assert _rules_of(result) == ["implicit-dtype"]
+        assert result.findings[0].line == 3
+        assert "float64" in result.findings[0].message
+
+    def test_hard_coded_float64_outside_the_zones_ok(self):
+        src = "import numpy as np\nx = np.asarray(y, dtype=np.float64)\n"
+        for zone in ("data", "system", "reorder"):
+            assert not lint_source(src, rel=f"repro/{zone}/foo.py").findings
+
+    def test_model_dtype_and_pragma_ok(self):
+        src = (
+            "import numpy as np\n"
+            "x = np.asarray(y, dtype=z.dtype)\n"
+            "r = np.arange(3, dtype=np.float64)  "
+            "# reprolint: disable=REP003 (AUC rank sums)\n"
+        )
+        result = lint_source(src, rel="repro/models/foo.py")
+        assert not result.findings and result.suppressed == 1
 
     def test_zeros_like_exempt(self):
         src = "import numpy as np\ndef f(y):\n    return np.zeros_like(y)\n"

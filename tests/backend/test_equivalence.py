@@ -178,7 +178,7 @@ class TestBitwiseEquivalence:
         with use_backend(backend):
             bag = TTEmbeddingBag(
                 120, 4, tt_rank=2, row_shape=(4, 5, 6), col_shape=(2, 2, 1),
-                seed=3,
+                seed=3, dtype=np.float64,  # the digest is of float64 bits
             )
             idx = np.arange(0, 120, 7)
             out = bag.forward(idx, np.arange(idx.size))

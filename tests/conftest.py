@@ -61,7 +61,7 @@ def all_tt_model(config, seed=0):
         tt_rank=config.tt_rank,
         tt_threshold_rows=0,
     )
-    bags = build_bags(plan, table_seeds(seed, config.num_tables))
+    bags = build_bags(plan, table_seeds(seed, config.num_tables), config.dtype)
     return DLRM(config, seed=seed, embedding_bags=bags)
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.backend import DEFAULT_DTYPE
 from repro.embeddings.planner import (
     STRATEGY_KINDS,
     binary_search_max,
@@ -23,7 +24,7 @@ def make_stats(rows=(1000, 50000, 300, 120000), alpha=1.05):
 
 
 def dense_bytes(stats):
-    return sum(st.num_rows for st in stats) * DIM * 8
+    return sum(st.num_rows for st in stats) * DIM * DEFAULT_DTYPE.itemsize
 
 
 class TestBinarySearchMax:

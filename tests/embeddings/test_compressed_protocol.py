@@ -425,7 +425,9 @@ class TestGradientsMatchFiniteDifferences:
 
     @pytest.mark.parametrize("kind", list(BAG_CLASSES))
     def test_every_float_parameter(self, kind):
-        bag = make_bag(kind, rows=self.FD_ROWS, dim=self.FD_DIM, seed=11)
+        bag = make_bag(
+            kind, rows=self.FD_ROWS, dim=self.FD_DIM, seed=11, dtype=np.float64
+        )
         self._check_against_central_differences(bag, kind)
 
     # The TT pair at every chain length the kernels are generic in: 2
@@ -443,7 +445,7 @@ class TestGradientsMatchFiniteDifferences:
     @pytest.mark.parametrize("num_cores", TT_CORES)
     @pytest.mark.parametrize("kind", ["tt", "eff_tt"])
     def test_tt_pair_at_every_core_count(self, kind, num_cores):
-        bag = self._tt_pair_bag(kind, num_cores, seed=11)
+        bag = self._tt_pair_bag(kind, num_cores, seed=11, dtype=np.float64)
         self._check_against_central_differences(bag, f"{kind}/d={num_cores}")
 
     @pytest.mark.parametrize(

@@ -92,7 +92,7 @@ class TestBackwardStep:
 class TestFootprint:
     def test_nbytes(self):
         bag = DenseEmbeddingBag(100, 8, seed=0)
-        assert bag.nbytes == 100 * 8 * 8  # float64
+        assert bag.nbytes == 100 * 8 * 4  # float32, the default dtype
 
     def test_nbytes_as_fp32(self):
         bag = DenseEmbeddingBag(100, 8, seed=0)

@@ -28,11 +28,14 @@ class TestGenericCoreCount:
         shapes = CONFIGS[d]
         rows = int(np.prod(shapes["row_shape"]))
         dim = int(np.prod(shapes["col_shape"]))
+        # float64: the pair is held equal at atol 1e-10
         tt = TTEmbeddingBag(
-            rows, dim, tt_rank=4, num_cores=d, seed=seed, **shapes
+            rows, dim, tt_rank=4, num_cores=d, seed=seed, dtype=np.float64,
+            **shapes,
         )
         eff = EffTTEmbeddingBag(
-            rows, dim, tt_rank=4, num_cores=d, seed=seed, **shapes, **flags
+            rows, dim, tt_rank=4, num_cores=d, seed=seed, dtype=np.float64,
+            **shapes, **flags,
         )
         return rows, dim, tt, eff
 

@@ -110,8 +110,8 @@ class TestRobe:
     def test_memory_is_array_size(self):
         size = default_robe_size(ROWS, DIM, 0.1)
         bag = RobeEmbeddingBag(ROWS, DIM, array_size=size, seed=0)
-        assert bag.memory_bytes() == size * 8
-        assert bag.memory_bytes() < ROWS * DIM * 8
+        assert bag.memory_bytes() == size * 4  # float32, the default dtype
+        assert bag.memory_bytes() < ROWS * DIM * 4
 
 
 class TestPQ:

@@ -113,14 +113,15 @@ class TestHotRowCachedLookup:
     def test_cache_footprint(self, bag):
         view = HotRowCachedLookup(bag, hot_rows=np.arange(100))
         assert view.num_hot_rows == 100
-        assert view.cache_nbytes == 100 * 8 * 8
+        assert view.cache_nbytes == 100 * 8 * 4  # float32 rows
 
 
 class TestFromDenseTable:
     def test_full_rank_recovers_table(self, rng):
         table = rng.standard_normal((24, 8))
         bag = EffTTEmbeddingBag.from_dense_table(
-            table, tt_rank=64, row_shape=[4, 3, 2], col_shape=[2, 2, 2]
+            table, tt_rank=64, row_shape=[4, 3, 2], col_shape=[2, 2, 2],
+            dtype=np.float64,
         )
         np.testing.assert_allclose(bag.materialize(), table, atol=1e-10)
 

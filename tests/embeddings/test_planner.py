@@ -40,8 +40,9 @@ def test_table_bytes_is_the_built_bags_memory_bytes(kind, rows):
 
 def test_rank_clamp_example_from_the_issue():
     # 3 rows, dim 64, rank 32: the unclamped (1, r, r, 1) formula the
-    # sharded planner used to apply says 68,608 B; the bag holds 2,688.
-    assert table_bytes("eff_tt", 3, 64, tt_rank=32) == 2_688
+    # sharded planner used to apply says 34,304 B at fp32; the bag holds
+    # 1,344.
+    assert table_bytes("eff_tt", 3, 64, tt_rank=32) == 1_344
 
 
 def test_server_kind_is_the_host_views_kind():

@@ -12,6 +12,13 @@ fired on a clamped shape here — the cascade only compresses tables of
 4,096+ rows, and none of those the pinned budgets send to TT is small
 enough for rank 128 to clamp.  ``test_planner.py`` pins the corrected
 bytes on the small shapes.
+
+The ``cascade/`` and ``rate/`` entries were re-dumped once, from this
+planner, when the bags moved from float64 to float32 training: the two
+training policies now plan at 4 bytes per element instead of 8, and
+their budgets are the same fractions of the dense footprint at 4 bytes
+(``_DENSE_BYTES``).  The ``pack/`` (already fp32) and ``rowshard/``
+entries are the parent's.
 """
 
 import json
@@ -19,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.backend import DEFAULT_DTYPE
 from repro.embeddings.planner import (
     STRATEGY_KINDS,
     plan_fixed_fraction,
@@ -42,6 +50,8 @@ GOLDEN = json.loads(
 )
 INPUTS = pinned_inputs()
 STRATEGY_OF_KIND = {kind: name for name, kind in STRATEGY_KINDS.items()}
+#: Bytes per element the training policies plan at.
+_DENSE_BYTES = DEFAULT_DTYPE.itemsize
 
 
 def _parent_cascade_kind(entry, dense_bytes):
@@ -59,9 +69,9 @@ def _parent_cascade_kind(entry, dense_bytes):
 @pytest.mark.parametrize("name", sorted(INPUTS))
 def test_fixed_fraction_matches_parent_cascade(name):
     stats, dim, ranks, _ = INPUTS[name]
-    dense64 = sum(st.num_rows for st in stats) * dim * 8
+    dense = sum(st.num_rows for st in stats) * dim * _DENSE_BYTES
     for fraction in FRACTIONS:
-        budget = int(dense64 * fraction)
+        budget = int(dense * fraction)
         for devices in DEVICES:
             for form in CASCADE_FORMS:
                 for rank in ranks if form == "tt" else ranks[:1]:
@@ -75,7 +85,7 @@ def test_fixed_fraction_matches_parent_cascade(name):
                     assert [
                         [
                             t.table_idx,
-                            _parent_cascade_kind(t, t.num_rows * dim * 8),
+                            _parent_cascade_kind(t, t.num_rows * dim * _DENSE_BYTES),
                             t.num_rows, t.device_bytes, t.server_bytes,
                             t.reason,
                         ]
@@ -90,7 +100,7 @@ def test_fixed_fraction_matches_parent_cascade(name):
                     assert want["host_bytes"] == sum(
                         t.server_bytes for t in plan.tables
                         if t.on_server and _parent_cascade_kind(
-                            t, t.num_rows * dim * 8
+                            t, t.num_rows * dim * _DENSE_BYTES
                         ) != "row_sharded"
                     )
 
@@ -165,19 +175,19 @@ def test_hbm_pack_matches_parent_plan_placement(name):
 @pytest.mark.parametrize("name", sorted(INPUTS))
 def test_under_budget_matches_parent_plan_compression(name):
     stats, dim, _, _ = INPUTS[name]
-    dense64 = sum(st.num_rows for st in stats) * dim * 8
+    dense = sum(st.num_rows for st in stats) * dim * _DENSE_BYTES
     for fraction in FRACTIONS:
         for strategy in RATE_STRATEGIES:
             key = f"rate/{name}/{fraction}/{strategy}"
             want = GOLDEN[key]
             plan = plan_under_budget(
-                stats, dim, int(dense64 * fraction), strategy=strategy
+                stats, dim, int(dense * fraction), strategy=strategy
             )
             assert [
                 [
                     t.table_idx, t.num_rows, STRATEGY_OF_KIND[t.kind],
                     [list(kv) for kv in t.params], t.device_bytes,
-                    t.num_rows * dim * 8,
+                    t.num_rows * dim * _DENSE_BYTES,
                 ]
                 for t in plan.tables
             ] == want["tables"], key

@@ -93,7 +93,7 @@ def test_tt_forward_on_bags_of_one_is_reconstruct_rows():
 
 
 def test_matmul_chain_agrees_with_the_einsum_it_replaced():
-    bag = TTEmbeddingBag(ROWS, DIM, tt_rank=8, seed=3)
+    bag = TTEmbeddingBag(ROWS, DIM, tt_rank=8, seed=3, dtype=np.float64)
     idx = np.arange(0, ROWS, 7)
     cores = bag.tt.cores
     tt_idx = bag.tt.spec.tt_indices(idx)
@@ -137,7 +137,7 @@ def test_empty_indices_return_no_rows(kind):
     empty = np.array([], dtype=np.int64)
     for call in (bag.reconstruct_rows, view.lookup_rows, view.forward):
         out = call(empty)
-        assert out.shape == (0, DIM) and out.dtype == np.float64
+        assert out.shape == (0, DIM) and out.dtype == np.float32  # the bag's
     assert view.forward(empty, np.array([0, 0, 0])).tolist() == [[0.0] * DIM] * 2
     with pytest.raises(ValueError, match="offsets must contain at least one bag"):
         view.forward(empty, empty)

@@ -140,6 +140,7 @@ def run_case(name, dtype):
     cfg = DLRMConfig(
         num_dense=NUM_DENSE, table_rows=TABLE_ROWS, embedding_dim=DIM,
         bottom_mlp=(16,), top_mlp=(16,), backend=EmbeddingBackend.DENSE,
+        dtype=np.float64,  # the goldens' model: only the bags vary in dtype
     )
     bags = [
         CASES[name](rows, dtype, 10 + t) for t, rows in enumerate(TABLE_ROWS)

@@ -78,12 +78,14 @@ class TestRandomInit:
 class TestTTSVD:
     def test_full_rank_exact(self, rng):
         table = rng.standard_normal((24, 8))
-        cores = TTCores.from_dense(table, [4, 3, 2], [2, 2, 2], rank=64)
+        cores = TTCores.from_dense(
+            table, [4, 3, 2], [2, 2, 2], rank=64, dtype=np.float64
+        )
         np.testing.assert_allclose(cores.reconstruct(), table, atol=1e-10)
 
     def test_two_cores(self, rng):
         table = rng.standard_normal((12, 4))
-        cores = TTCores.from_dense(table, [4, 3], [2, 2], rank=64)
+        cores = TTCores.from_dense(table, [4, 3], [2, 2], rank=64, dtype=np.float64)
         np.testing.assert_allclose(cores.reconstruct(), table, atol=1e-10)
 
     def test_truncation_monotone(self, rng):
@@ -102,7 +104,7 @@ class TestTTSVD:
         w = rng.standard_normal(8)
         tensor = np.einsum("a,b,c->abc", u, v, w).reshape(8 * 8, 8)
         # interpret as (m1 m2 m3)=(4,4,4)? Use 2-core split instead.
-        cores = TTCores.from_dense(tensor, [8, 8], [4, 2], rank=4)
+        cores = TTCores.from_dense(tensor, [8, 8], [4, 2], rank=4, dtype=np.float64)
         rec = cores.reconstruct()
         # achieved rank should be small and reconstruction near exact
         np.testing.assert_allclose(rec, tensor, atol=1e-8)

@@ -47,7 +47,8 @@ class TestUniformAPI:
     def test_footprint_api(self, factory):
         bag = factory()
         assert bag.nbytes > 0
-        assert bag.nbytes_as(np.float32) < bag.nbytes
+        assert bag.nbytes_as(np.float32) == bag.nbytes  # float32 by default
+        assert bag.nbytes_as(np.float64) == 2 * bag.nbytes
 
     def test_lookup_rows(self, factory):
         bag = factory()

@@ -79,17 +79,18 @@ class TestFootprintRule:
             for t, rows in enumerate(cfg.table_rows)
         }
         assert kind[285] == "dense" and kind[572] == "eff_tt"
-        assert table_bytes("eff_tt", 285, 64, tt_rank=32) >= 285 * 64 * 8
-        assert table_bytes("eff_tt", 572, 64, tt_rank=32) < 572 * 64 * 8
+        # both sides at the default fp32 (4 bytes per element)
+        assert table_bytes("eff_tt", 285, 64, tt_rank=32) >= 285 * 64 * 4
+        assert table_bytes("eff_tt", 572, 64, tt_rank=32) < 572 * 64 * 4
         assert sorted(kind.values()).count("eff_tt") == 6
         # a rank-clamped 3-row TT table is larger than its three rows
-        assert table_bytes("eff_tt", 3, 64, tt_rank=32) == 2688 > 1536
+        assert table_bytes("eff_tt", 3, 64, tt_rank=32) == 1344 > 768
         assert kind[3] == "dense"
 
     def test_equal_footprints_stay_dense(self):
         rows = next(
             r for r in range(1, 400)
-            if table_bytes("eff_tt", r, 8, tt_rank=4) == r * 8 * 8
+            if table_bytes("eff_tt", r, 8, tt_rank=4) == r * 8 * 4
         )
         cfg = DLRMConfig(
             num_dense=1, table_rows=(rows,), embedding_dim=8,

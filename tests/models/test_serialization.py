@@ -314,10 +314,36 @@ class TestParentWrittenCheckpoints:
             assert sorted(archive.files) == sorted([*crc, "__crc__"])
         # the manifest is a CRC32 of every entry (load_checkpoint checks
         # each one against it): equal manifests mean the same entry
-        # names holding the same bytes
-        assert crc == self._expected(name)["resaved_crc"]
+        # names holding the same bytes.  The re-save is format v5, so
+        # its two metadata entries say v5 and record the dtype the file
+        # loaded at; every array entry is the parent's, bit for bit.
+        metadata = {"__meta__", "__config__"}
+        expected = self._expected(name)["resaved_crc"]
+        assert set(crc) == set(expected)
+        assert {k: v for k, v in crc.items() if k not in metadata} == {
+            k: v for k, v in expected.items() if k not in metadata
+        }
         buffer.seek(0)
-        load_checkpoint(buffer)
+        with np.load(buffer, allow_pickle=True) as resaved, np.load(
+            FIXTURES / f"{name}.npz", allow_pickle=True
+        ) as stored:
+            assert json.loads(str(resaved["__meta__"][0])) == {"version": 5}
+            config = json.loads(str(stored["__config__"][0]))
+            config.setdefault("compress_rate", 0.25)  # absent before v4
+            assert json.loads(str(resaved["__config__"][0])) == {
+                **config, "dtype": "float64"
+            }
+        buffer.seek(0)
+        assert load_checkpoint(buffer).config.dtype == np.float64
+
+    def test_loads_at_the_float64_it_was_written_at(self, name):
+        model = load_checkpoint(str(FIXTURES / f"{name}.npz"))
+        assert model.config.dtype == np.float64
+        assert {p.data.dtype for p in model.parameters()} == {np.dtype(np.float64)}
+        assert {bag.dtype for bag in model.embedding_bags} == {np.dtype(np.float64)}
+        for bag in model.embedding_bags:
+            for value in bag.state_arrays().values():
+                assert value.dtype.kind != "f" or value.dtype == np.float64
 
     def test_predicts_bitwise(self, name):
         from tests.models.fixtures.make_fixtures import probe_batch
@@ -349,3 +375,78 @@ def test_a_checkpoint_loads_by_what_it_stores_not_by_todays_rule(name):
         "dense", "dense", "dense", "eff_tt",
     ]
     assert [bag.kind for bag in model.embedding_bags] == ["eff_tt"] * 4
+
+
+class TestDtypeRoundtrip:
+    """Format v5 records the model's dtype; every path restores it bit for bit."""
+
+    @staticmethod
+    def _model(spec, log, dtype):
+        cfg = DLRMConfig.from_dataset(
+            spec, embedding_dim=8, backend=EmbeddingBackend.EFF_TT, tt_rank=4,
+            bottom_mlp=(16,), top_mlp=(16,), dtype=dtype,
+        )
+        model = DLRM(cfg, seed=3)
+        model.train_step(log.batch(0), lr=0.1)
+        return model
+
+    @staticmethod
+    def _assert_same_bits(model, restored, dtype):
+        assert restored.config == model.config
+        for (name, a), (_, b) in zip(
+            model.named_parameters(), restored.named_parameters()
+        ):
+            assert b.data.dtype == dtype and np.array_equal(a.data, b.data), name
+        for bag, twin in zip(model.embedding_bags, restored.embedding_bags):
+            assert twin.dtype == dtype
+            state, twin_state = bag.state_arrays(), twin.state_arrays()
+            for key, value in state.items():
+                assert twin_state[key].dtype == value.dtype
+                assert np.array_equal(twin_state[key], value), key
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_save_checkpoint_and_snapshot(self, setup, dtype):
+        from repro.serving import ModelSnapshot
+
+        spec, log = setup
+        model = self._model(spec, log, dtype)
+        batch = log.batch(1)
+        for restored in (_roundtrip(model), ModelSnapshot.from_model(model).materialize()):
+            self._assert_same_bits(model, restored, dtype)
+            np.testing.assert_array_equal(
+                restored.predict_proba(batch), model.predict_proba(batch)
+            )
+
+    def test_checkpoint_store_keeps_float32_trainer_state(self, setup, tmp_path):
+        from repro.resilience import (
+            CheckpointStore,
+            capture_trainer_arrays,
+            restore_trainer_arrays,
+        )
+        from repro.sharding import build_sharded_ps_trainer
+
+        spec, log = setup
+        cfg = DLRMConfig.from_dataset(
+            spec, embedding_dim=8, backend=EmbeddingBackend.EFF_TT, tt_rank=4,
+            bottom_mlp=(16,), top_mlp=(16,),
+        )
+
+        def trainer():
+            return build_sharded_ps_trainer(cfg, num_shards=2).trainer
+
+        source = trainer()
+        source.train(log, 3)
+        arrays = capture_trainer_arrays(source)
+        store = CheckpointStore(str(tmp_path))
+        assert store.save(3, arrays)
+        loaded = store.load(3).arrays
+        assert loaded.keys() == arrays.keys()
+        for key, value in arrays.items():
+            assert value.dtype.kind != "f" or value.dtype == np.float32, key
+            assert loaded[key].dtype == value.dtype
+            assert np.array_equal(loaded[key], value), key
+        resumed = trainer()
+        restore_trainer_arrays(resumed, loaded)
+        assert resumed.train(log, 2, start=3).losses == source.train(
+            log, 2, start=3
+        ).losses

@@ -18,21 +18,21 @@ class TestForward:
         assert DotInteraction.output_dim(16, 26) == 16 + 27 * 26 // 2
 
     def test_shape(self, rng):
-        layer = DotInteraction()
+        layer = DotInteraction(dtype=np.float64)
         dense = rng.standard_normal((4, 8))
         embs = [rng.standard_normal((4, 8)) for _ in range(3)]
         out = layer.forward(dense, embs)
         assert out.shape == (4, DotInteraction.output_dim(8, 3))
 
     def test_dense_passthrough(self, rng):
-        layer = DotInteraction()
+        layer = DotInteraction(dtype=np.float64)
         dense = rng.standard_normal((2, 4))
         embs = [rng.standard_normal((2, 4))]
         out = layer.forward(dense, embs)
         np.testing.assert_array_equal(out[:, :4], dense)
 
     def test_pairwise_values(self, rng):
-        layer = DotInteraction()
+        layer = DotInteraction(dtype=np.float64)
         dense = rng.standard_normal((1, 3))
         e1 = rng.standard_normal((1, 3))
         e2 = rng.standard_normal((1, 3))
@@ -43,7 +43,7 @@ class TestForward:
         assert out[0, 5] == pytest.approx(float((e2 * e1).sum()))
 
     def test_shape_mismatch(self, rng):
-        layer = DotInteraction()
+        layer = DotInteraction(dtype=np.float64)
         with pytest.raises(ValueError):
             layer.forward(
                 rng.standard_normal((2, 4)), [rng.standard_normal((2, 5))]
@@ -53,10 +53,10 @@ class TestForward:
 class TestBackward:
     def test_before_forward(self):
         with pytest.raises(RuntimeError):
-            DotInteraction().backward(np.zeros((1, 4)))
+            DotInteraction(dtype=np.float64).backward(np.zeros((1, 4)))
 
     def test_numerical_gradients(self, rng):
-        layer = DotInteraction()
+        layer = DotInteraction(dtype=np.float64)
         dense = rng.standard_normal((2, 3))
         embs = [rng.standard_normal((2, 3)) for _ in range(2)]
         out_dim = DotInteraction.output_dim(3, 2)
@@ -80,7 +80,7 @@ class TestBackward:
             assert_grad_close(g_embs[i], numeric, rtol=1e-4)
 
     def test_grad_shape_mismatch(self, rng):
-        layer = DotInteraction()
+        layer = DotInteraction(dtype=np.float64)
         layer.forward(rng.standard_normal((2, 3)), [rng.standard_normal((2, 3))])
         with pytest.raises(ValueError):
             layer.backward(np.zeros((2, 99)))
@@ -102,7 +102,7 @@ def _reference(dense, embs, grad_output):
 
 
 def _run(dense, embs, grad_output):
-    layer = DotInteraction()
+    layer = DotInteraction(dtype=np.float64)
     out = layer.forward(dense, embs)
     grad_dense, grad_embs = layer.backward(grad_output)
     return out, grad_dense, grad_embs
@@ -136,6 +136,17 @@ class TestAgainstEinsumReference:
         for got, want in zip(grad_embs, ref_embs):
             assert got.dtype == np.float64
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
+
+    @pytest.mark.parametrize("emb_dtype", [np.float64, np.float32])
+    def test_float32_layer_stays_float32(self, rng, emb_dtype):
+        dense, embs, grad = _problem(rng, 33, 27, 16, emb_dtype)
+        layer = DotInteraction()  # the default dtype: float32
+        out = layer.forward(dense, embs)
+        grad_dense, grad_embs = layer.backward(grad)
+        ref_out, ref_dense, ref_embs = _reference(dense, embs, grad)
+        for got, want in zip([out, grad_dense, *grad_embs], [ref_out, ref_dense, *ref_embs]):
+            assert got.dtype == np.float32
+            np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-4)
 
     def test_no_embeddings_is_the_dense_feature(self, rng):
         dense, embs, grad = _problem(rng, 5, 1, 4)
@@ -191,7 +202,7 @@ class TestBackendTraffic:
 
     def test_result_does_not_alias_across_steps(self, rng):
         """The PS gradient queue holds these arrays across steps."""
-        layer = DotInteraction()
+        layer = DotInteraction(dtype=np.float64)
         dense, embs, grad = _problem(rng, 6, 3, 4)
         layer.forward(dense, embs)
         _, held = layer.backward(grad)

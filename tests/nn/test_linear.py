@@ -16,14 +16,17 @@ class TestForward:
     def test_matches_manual(self, rng):
         layer = Linear(4, 3, seed=0)
         x = rng.standard_normal((2, 4))
-        expected = x @ layer.weight.data.T + layer.bias.data
+        # the layer takes its input in at its own dtype (float32 here)
+        expected = x.astype(layer.dtype) @ layer.weight.data.T + layer.bias.data
         np.testing.assert_allclose(layer.forward(x), expected)
 
     def test_no_bias(self, rng):
         layer = Linear(4, 3, bias=False, seed=0)
         assert layer.bias is None
         x = rng.standard_normal((2, 4))
-        np.testing.assert_allclose(layer.forward(x), x @ layer.weight.data.T)
+        np.testing.assert_allclose(
+            layer.forward(x), x.astype(layer.dtype) @ layer.weight.data.T
+        )
 
     def test_bad_shape(self, rng):
         layer = Linear(4, 3, seed=0)
@@ -47,7 +50,7 @@ class TestBackward:
             layer.backward(np.zeros((1, 2)))
 
     def test_input_gradient_numerical(self, rng):
-        layer = Linear(4, 3, seed=1)
+        layer = Linear(4, 3, seed=1, dtype=np.float64)
         x = rng.standard_normal((3, 4))
         g_out = rng.standard_normal((3, 3))
 
@@ -62,7 +65,7 @@ class TestBackward:
         assert_grad_close(analytic, numeric)
 
     def test_weight_gradient_numerical(self, rng):
-        layer = Linear(3, 2, seed=2)
+        layer = Linear(3, 2, seed=2, dtype=np.float64)
         x = rng.standard_normal((4, 3))
         g_out = rng.standard_normal((4, 2))
         layer.forward(x)

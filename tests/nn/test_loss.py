@@ -43,14 +43,14 @@ class TestBackward:
             BCEWithLogitsLoss().backward()
 
     def test_numerical_gradient(self, rng):
-        loss = BCEWithLogitsLoss()
+        loss = BCEWithLogitsLoss(dtype=np.float64)
         logits = rng.standard_normal(6)
         targets = (rng.random(6) > 0.5).astype(float)
         loss.forward(logits, targets)
         analytic = loss.backward()
 
         def scalar(z):
-            fresh = BCEWithLogitsLoss()
+            fresh = BCEWithLogitsLoss(dtype=np.float64)
             return fresh.forward(z, targets)
 
         numeric = numerical_gradient(scalar, logits.copy())

@@ -40,7 +40,7 @@ class TestForwardBackward:
         assert mlp.forward(rng.standard_normal((4, 5))).shape == (4, 3)
 
     def test_input_gradient_numerical(self, rng):
-        mlp = MLP([4, 6, 2], seed=3)
+        mlp = MLP([4, 6, 2], seed=3, dtype=np.float64)
         x = rng.standard_normal((3, 4)) + 0.05
         g = rng.standard_normal((3, 2))
         mlp.forward(x)
@@ -55,7 +55,7 @@ class TestForwardBackward:
         assert_grad_close(analytic, numeric, rtol=1e-4)
 
     def test_parameter_gradients_numerical(self, rng):
-        mlp = MLP([3, 4, 2], seed=1)
+        mlp = MLP([3, 4, 2], seed=1, dtype=np.float64)
         x = rng.standard_normal((2, 3))
         g = rng.standard_normal((2, 2))
         mlp.forward(x)

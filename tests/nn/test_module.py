@@ -11,6 +11,8 @@ from repro.nn.module import Module, Parameter
 class TestParameter:
     def test_dtype_coercion(self):
         p = Parameter(np.array([1, 2], dtype=np.int32))
+        assert p.data.dtype == np.float32  # the default model dtype
+        p = Parameter(np.array([1, 2], dtype=np.int32), dtype=np.float64)
         assert p.data.dtype == np.float64
 
     def test_accumulate(self):

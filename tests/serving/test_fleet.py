@@ -448,12 +448,13 @@ class TestSingleServerGolden:
         Literals recorded from the worker-pool server this engine
         replaced, on the quickcheck serving smoke (300 requests @
         2000/s, batch 16 / 2 ms, two workers, 10% hot coverage) — on
-        the model that server built, every table Eff-TT.
+        the model that server built, every table Eff-TT, at the float64
+        it trained at.
         """
         spec = criteo_kaggle_like(scale=3e-5)
         config = DLRMConfig.from_dataset(
             spec, embedding_dim=8, backend=EmbeddingBackend.EFF_TT,
-            tt_rank=8, bottom_mlp=(16,), top_mlp=(16,),
+            tt_rank=8, bottom_mlp=(16,), top_mlp=(16,), dtype="float64",
         )
         generator = RequestGenerator(spec, rate=2000.0, seed=0)
         fleet = ServingFleet(

@@ -19,7 +19,8 @@ _DIM = 4
 
 
 def _grads(rng, n):
-    return rng.standard_normal((n, _DIM))
+    """Row gradients as a float32 model pushes them (the residuals' dtype)."""
+    return rng.standard_normal((n, _DIM)).astype(np.float32)
 
 
 def test_config_modes_and_validation():
@@ -100,7 +101,7 @@ def test_push_wire_byte_accounting():
     )
     server.apply_gradients(0, np.arange(10), np.ones((10, _DIM)))
     stats = server.link_stats
-    row_bytes = _DIM * 8 + 8  # payload + row id
+    row_bytes = _DIM * 4 + 8  # float32 payload + int64 row id
     assert stats.push_raw.tolist() == [10 * row_bytes]
     assert stats.push_wire.tolist() == [5 * row_bytes]  # ceil(0.5 * 10) sent
 
@@ -133,14 +134,17 @@ def test_pull_quantizer_error_bound():
     out = quant.apply(rows)
     scale = np.abs(rows).max(axis=1, keepdims=True) / 127.0
     assert np.all(np.abs(out - rows) <= scale / 2 + 1e-12)
-    assert out.dtype == np.float64
+    assert out.dtype == np.float64  # the rows' own dtype
+    assert quant.apply(rows.astype(np.float32)).dtype == np.float32
     server = ShardedParameterServer(
         [32], _DIM, lr=0.1, compression=LinkCompressionConfig(mode="quant")
     )
     server.gather(0, np.arange(32))
     stats = server.link_stats
-    assert stats.pull_raw.tolist() == [32 * (_DIM * 8 + 8)]
-    assert stats.pull_wire.tolist() == [32 * (_DIM * 1 + 8 + 8)]
+    # float32 values (4 B each) or int8 values plus a float32 scale,
+    # each with its int64 row id
+    assert stats.pull_raw.tolist() == [32 * (_DIM * 4 + 8)]
+    assert stats.pull_wire.tolist() == [32 * (_DIM * 1 + 4 + 8)]
 
 
 def test_pull_quantizer_is_per_row():

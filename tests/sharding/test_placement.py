@@ -20,6 +20,8 @@ from repro.sharding import build_sharded_ps_trainer
 from repro.system.devices import TESLA_V100, KernelCostModel
 
 GB = int(1e9)
+#: Bytes per element the policy plans at (the fp32 bags it builds).
+ITEM = 4
 
 
 def _stats(num_rows, alpha=1.05, hot_mass=None):
@@ -51,29 +53,29 @@ def test_large_compressible_table_goes_tt():
 
 
 def test_skewed_table_splits_hot_cold():
-    # Dense (512 kB) misses the 250 kB dense slice, the table is under
-    # the 4,096 rows compression starts at, but the 51.2 kB hot set
+    # Dense (256 kB) misses the 125 kB dense slice, the table is under
+    # the 4,096 rows compression starts at, but the 25.6 kB hot set
     # fits — skew buys the table a device cache.
     stats = _stats(4000, hot_mass=0.9)
-    plan = plan_fixed_fraction([stats], 16, 5_000_000, num_devices=2)
+    plan = plan_fixed_fraction([stats], 16, 2_500_000, num_devices=2)
     entry = plan.tables[0]
     assert entry.on_server
-    assert entry.device_bytes == stats.hot_rows * 16 * 8
-    assert entry.server_bytes == (4000 - stats.hot_rows) * 16 * 8
+    assert entry.device_bytes == stats.hot_rows * 16 * ITEM
+    assert entry.server_bytes == (4000 - stats.hot_rows) * 16 * ITEM
     assert "hot" in entry.reason
 
 
 def test_unskewed_overflow_row_shards_then_hosts():
-    stats = _stats(4000, alpha=0.0, hot_mass=0.1)  # dense: 2.048 MB
-    small = plan_fixed_fraction([stats], 64, 20_000_000, num_devices=8)
-    assert small.tables[0].device_bytes == 500 * 64 * 8
+    stats = _stats(4000, alpha=0.0, hot_mass=0.1)  # dense: 1.024 MB
+    small = plan_fixed_fraction([stats], 64, 10_000_000, num_devices=8)
+    assert small.tables[0].device_bytes == 500 * 64 * ITEM
     assert "mod-8 shard block" in small.tables[0].reason
-    tiny = plan_fixed_fraction([stats], 64, 2_000_000, num_devices=1)
+    tiny = plan_fixed_fraction([stats], 64, 1_000_000, num_devices=1)
     assert tiny.tables[0].device_bytes == 0
     assert "overflows to host" in tiny.tables[0].reason
     # Both sides of the N-dependent boundary are server-resident.
     assert small.tables[0].on_server and tiny.tables[0].on_server
-    assert small.server_bytes == tiny.server_bytes == 4000 * 64 * 8
+    assert small.server_bytes == tiny.server_bytes == 4000 * 64 * ITEM
 
 
 @pytest.mark.parametrize("num_devices", [1, 2, 8, 64])
@@ -87,8 +89,8 @@ def test_worker_vs_server_split_is_n_invariant(num_devices):
         TableStats(table_idx=5, num_rows=3_000, zipf_alpha=0.0,
                    hot_fraction=0.1, hot_mass=0.1)
     ]
-    plan = plan_fixed_fraction(stats, 16, 5_000_000, num_devices=num_devices)
-    reference = plan_fixed_fraction(stats, 16, 5_000_000, num_devices=1)
+    plan = plan_fixed_fraction(stats, 16, 2_500_000, num_devices=num_devices)
+    reference = plan_fixed_fraction(stats, 16, 2_500_000, num_devices=1)
     assert plan.server_positions() == reference.server_positions() == [1, 5]
     assert [t.kind for t in plan.tables] == [
         "dense", "host", "eff_tt", "eff_tt", "eff_tt", "host"
@@ -114,7 +116,7 @@ def test_format_table_mentions_feasibility():
     # each of 30 tables is alone within 5 % of the budget; together not
     crowded = plan_fixed_fraction(
         [TableStats.from_spec(t, 1000, 1.05) for t in range(30)],
-        8, 20 * 64_000,
+        8, 20 * 32_000,
     )
     assert {t.kind for t in crowded.tables} == {"dense"}
     assert not crowded.feasible
@@ -173,7 +175,7 @@ def _assert_plan_is_model(setup):
         assert entry.kind == spec.kind
         if entry.on_server:
             assert entry.table_idx in setup.host_table_map
-            assert entry.server_bytes == entry.num_rows * 8 * 8
+            assert entry.server_bytes == entry.num_rows * 8 * ITEM
         else:
             assert entry.device_bytes == bag.memory_bytes()
             assert entry.server_bytes == 0

@@ -28,20 +28,25 @@ from repro.utils.rng import spawn_rngs
 _ROWS = [97, 40]
 _DIM = 4
 _SEED = 3
+#: Bytes per table value: the server's default dtype is float32.
+_ITEM = 4
 
 
 class ReferenceServer:
     """One plain table per server table; the oracle for every shard count."""
 
-    def __init__(self, table_rows, dim, lr, seed, compression=None):
+    def __init__(self, table_rows, dim, lr, seed, compression=None, dtype=np.float32):
         self.lr = lr
         self.tables = []
         for rows, rng in zip(table_rows, spawn_rngs(seed, len(table_rows))):
             bound = 1.0 / np.sqrt(rows)
-            self.tables.append(rng.uniform(-bound, bound, size=(rows, dim)))
+            # drawn in float64, cast once
+            self.tables.append(
+                rng.uniform(-bound, bound, size=(rows, dim)).astype(dtype)
+            )
         cfg = compression or LinkCompressionConfig()
         self.push = (
-            TopKErrorFeedback(list(table_rows), dim, cfg.topk_fraction)
+            TopKErrorFeedback(list(table_rows), dim, cfg.topk_fraction, dtype)
             if cfg.push_topk else None
         )
         self.pull = PullQuantizer(dim) if cfg.pull_quant else None
@@ -56,6 +61,7 @@ class ReferenceServer:
         return PrefetchedRows(table_idx=t, unique_indices=unique, rows=rows)
 
     def apply_gradients(self, t, unique, grads):
+        grads = np.asarray(grads, dtype=self.tables[t].dtype)
         if self.push is not None:
             sent = self.push.compress(t, unique, grads)
             unique, grads = sent.unique_indices, sent.row_grads
@@ -131,7 +137,7 @@ def test_link_stats_meter_uncompressed_traffic():
     _, sharded = _servers(2)
     sharded.gather(0, np.array([0, 1, 2, 3]))
     stats = sharded.link_stats
-    row_bytes = _DIM * 8 + 8  # payload + row id
+    row_bytes = _DIM * _ITEM + 8  # payload + row id
     assert stats.pull_raw.sum() == 4 * row_bytes
     assert np.array_equal(stats.pull_raw, stats.pull_wire)
     sharded.apply_gradients(0, np.arange(4), np.ones((4, _DIM)))
@@ -284,8 +290,8 @@ def test_server_is_the_reference_plus_per_shard_accounting(
     ref, sharded = _servers(num_shards, compression=_MODES[mode])
     cfg = sharded.compression
     rng = np.random.default_rng(seed)
-    row = _DIM * 8 + 8
-    pull_row = (_DIM + 8 if cfg.pull_quant else _DIM * 8) + 8
+    row = _DIM * _ITEM + 8
+    pull_row = (_DIM + _ITEM if cfg.pull_quant else _DIM * _ITEM) + 8
     expected = {name: np.zeros(num_shards, dtype=np.int64)
                 for name in ("pull_raw", "pull_wire", "push_raw", "push_wire")}
     applies = np.zeros(num_shards, dtype=np.int64)
