@@ -8,8 +8,8 @@ instead of asserting them (``python -m repro analyze`` runs them all):
 * ``shapecheck``, ``perfcheck``, ``detcheck`` — value domains over the
   one abstract interpreter in :mod:`.walker`: shapes and dtypes, backend
   op sites for the PERF rules, determinism taint (whole-program);
-* ``hazards`` (:mod:`.hazards`, :mod:`.shims`) — records per-row pipeline
-  reads/writes on a logical clock and reports RAW/WAR hazards;
+* ``hazards`` (:mod:`.hazards`) — records the per-row pipeline reads and
+  writes the trainer reports on a logical clock and reports RAW/WAR hazards;
   ``python -m repro hazards --inject`` shows the §V conflict caught.
 """
 
@@ -27,6 +27,7 @@ from repro.analysis.hazards import (
     HAZARD_RULES,
     EventKind,
     Hazard,
+    HazardProbe,
     HazardReport,
     RowEvent,
     TraceRecorder,
@@ -51,7 +52,6 @@ from repro.analysis.shapecheck import (
     shapecheck_paths,
     shapecheck_source,
 )
-from repro.analysis.shims import PipelineProbe, RecordingCache, RecordingQueue
 
 __all__ = [
     "Finding",
@@ -70,9 +70,7 @@ __all__ = [
     "Hazard",
     "HazardReport",
     "analyze_trace",
-    "PipelineProbe",
-    "RecordingCache",
-    "RecordingQueue",
+    "HazardProbe",
     "HazardExperimentResult",
     "run_hazard_experiment",
     "SHAPE_RULES",

@@ -1,7 +1,7 @@
 """Canned hazard-detection experiment (fault injection included).
 
 Builds the same tiny DLRM + parameter-server pipeline the test suite
-uses, attaches a :class:`~repro.analysis.shims.PipelineProbe`, trains,
+uses, attaches a :class:`~repro.analysis.hazards.HazardProbe`, trains,
 and returns the analyzed :class:`~repro.analysis.hazards.HazardReport`.
 
 Two modes:
@@ -20,13 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.analysis.hazards import HazardReport
-from repro.analysis.shims import PipelineProbe
+from repro.analysis.hazards import HazardProbe, HazardReport
 from repro.data.dataloader import SyntheticClickLog
 from repro.data.datasets import criteo_kaggle_like
 from repro.models.config import DLRMConfig, EmbeddingBackend
 from repro.sharding.trainer import build_sharded_ps_trainer
 from repro.system.pipeline import TrainLog
+from repro.utils.validation import check_positive
 
 __all__ = ["HazardExperimentResult", "run_hazard_experiment"]
 
@@ -99,8 +99,9 @@ def run_hazard_experiment(
     detector must then flag RAW hazards.  All inputs are seeded, so
     repeated runs produce identical traces and identical reports.
     """
+    check_positive(num_batches, "num_batches")
     cfg, two_largest, log = _harness(seed)
-    probe = PipelineProbe()
+    probe = HazardProbe()
     trainer = build_sharded_ps_trainer(
         cfg,
         host_positions=two_largest,

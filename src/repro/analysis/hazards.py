@@ -7,11 +7,12 @@ embedding cache that is a read-after-write hazard: the worker trains
 on rows that are missing in-flight updates (Figure 10a).  This module
 turns that argument into a mechanical check:
 
-* instrumented pipeline components (:mod:`repro.analysis.shims`)
-  record one :class:`RowEvent` per embedding-row access with a
-  *simulated timestamp* — a deterministic logical clock that ticks
-  once per pipeline operation, so traces are bit-identical across
-  runs;
+* :class:`HazardProbe`, attached to a
+  :class:`~repro.system.pipeline.PipelinedPSTrainer`, records every
+  event the trainer reports — one :class:`RowEvent` per embedding-row
+  access, queue put/get and cache operation — with a *simulated
+  timestamp*: a deterministic logical clock that ticks once per
+  pipeline operation, so traces are bit-identical across runs;
 * :func:`analyze_trace` replays the event log per ``(table, row)``
   and reports every program-order/memory-order inversion, classified
   RAW or WAR, together with whether the embedding cache *repaired* it
@@ -25,38 +26,23 @@ must surface the paper's raw conflict.  Both facts are asserted in
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.analysis.findings import Finding, RuleInfo, Severity, finding, rule_catalog
+from repro.system.pipeline import EventKind, Rows, TraceProbe
 
 __all__ = [
     "EventKind",
     "RowEvent",
     "TraceRecorder",
+    "HazardProbe",
     "Hazard",
     "HazardReport",
     "HAZARD_RULES",
     "analyze_trace",
     "hazard_findings",
 ]
-
-
-class EventKind(enum.Enum):
-    """What happened to an embedding row (or queue slot)."""
-
-    GATHER = "gather"  # server read host memory for a prefetch
-    CONSUME = "consume"  # worker consumed the (possibly synced) rows
-    UPDATE = "update"  # worker produced fresh row values (write intent)
-    APPLY = "apply"  # server applied gradients to host memory (write)
-    SYNC_HIT = "sync_hit"  # cache replaced a stale prefetched row
-    SYNC_MISS = "sync_miss"  # cache had no entry for a prefetched row
-    CACHE_PUT = "cache_put"  # LC cache stored/refreshed a row
-    CACHE_DEC = "cache_dec"  # LC decremented (grad batch drained)
-    CACHE_EVICT = "cache_evict"  # LC reached zero, row evicted
-    QUEUE_PUT = "queue_put"  # bounded-queue enqueue (stage-tagged)
-    QUEUE_GET = "queue_get"  # bounded-queue dequeue (stage-tagged)
 
 
 # Event kinds that address a concrete (table, row) pair.
@@ -145,6 +131,71 @@ class TraceRecorder:
     def clear(self) -> None:
         self.events.clear()
         self._clock = 0
+
+
+# Stage tags of recorded events.  DESIGN.md §7 maps these onto the
+# paper's §V-B life-cycle narrative.
+STAGE_SERVER_GATHER = "server_gather"
+STAGE_WORKER_TRAIN = "worker_train"
+STAGE_SERVER_APPLY = "server_apply"
+STAGE_CACHE = "lc_cache"
+
+
+class HazardProbe(TraceProbe):
+    """Records what a :class:`~repro.system.pipeline.PipelinedPSTrainer`
+    reports on a :class:`TraceRecorder`; :meth:`report` analyzes it.
+
+    Each reported operation is one tick.  Queue events carry the
+    queue's name as their stage tag and feed occupancy diagnostics, not
+    the hazard analysis; cache events carry the batch the worker is
+    training.  The probe only observes: an instrumented run is
+    bit-identical to a bare run (asserted in the test suite).
+    """
+
+    def __init__(self) -> None:
+        self.recorder = TraceRecorder()
+        self._batch = -1
+
+    def _rows(
+        self, kind: EventKind, stage: str, batch_id: int, table: int, rows: Rows
+    ) -> None:
+        self.recorder.tick()
+        self.recorder.record_rows(kind, stage, table, rows.tolist(), batch_id)
+
+    def on_batch_start(self, batch_id: int) -> None:
+        self._batch = batch_id
+
+    def on_queue_put(self, queue: str) -> bool:
+        self.recorder.tick()
+        self.recorder.record(EventKind.QUEUE_PUT, stage=queue)
+        return True
+
+    def on_queue_get(self, queue: str) -> None:
+        self.recorder.tick()
+        self.recorder.record(EventKind.QUEUE_GET, stage=queue)
+
+    def on_gather(self, batch_id: int, table: int, rows: Rows) -> None:
+        self._rows(EventKind.GATHER, STAGE_SERVER_GATHER, batch_id, table, rows)
+
+    def on_consume(self, batch_id: int, table: int, rows: Rows) -> None:
+        self._rows(EventKind.CONSUME, STAGE_WORKER_TRAIN, batch_id, table, rows)
+
+    def on_update(self, batch_id: int, table: int, rows: Rows) -> None:
+        self._rows(EventKind.UPDATE, STAGE_WORKER_TRAIN, batch_id, table, rows)
+
+    def on_apply(self, batch_id: int, table: int, rows: Rows) -> None:
+        self._rows(EventKind.APPLY, STAGE_SERVER_APPLY, batch_id, table, rows)
+
+    def on_cache(self, table: int, *events: Tuple[EventKind, Rows]) -> None:
+        self.recorder.tick()
+        for kind, rows in events:
+            self.recorder.record_rows(
+                kind, STAGE_CACHE, table, rows.tolist(), self._batch
+            )
+
+    def report(self) -> HazardReport:
+        """Analyze the trace recorded so far."""
+        return analyze_trace(self.recorder.events)
 
 
 @dataclass(frozen=True)

@@ -77,8 +77,16 @@ def _usage_error(args: argparse.Namespace) -> Optional[str]:
         ]
         if ignored:
             return f"{', '.join(ignored)} only take effect with --shards"
-    if args.command == "chaos" and args.shards < 1:
-        return f"--shards must be >= 1, got {args.shards}"
+    at_least_one = {
+        "hazards": ("batches", "prefetch_depth", "grad_queue_depth"),
+        "chaos": ("shards", "batches", "checkpoint_interval"),
+    }
+    for name in at_least_one.get(args.command, ()):
+        value = getattr(args, name)
+        if value < 1:
+            return f"--{name.replace('_', '-')} must be >= 1, got {value}"
+    if args.command == "chaos" and args.plan == "random" and args.batches < 2:
+        return f"--plan random needs --batches >= 2, got {args.batches}"
     if args.command == "serve":
         if args.max_replicas != _AUTOSCALE_CEILING and not args.autoscale:
             return "--max-replicas only takes effect with --autoscale"

@@ -88,9 +88,6 @@ class EmbeddingCache:
         # Free buffer rows: a stack in ``_free[:_num_free]``, top last.
         self._free: IntArray = np.arange(_INITIAL_CAPACITY - 1, -1, -1, dtype=np.int64)
         self._num_free: int = _INITIAL_CAPACITY
-        self.hits: int = 0
-        self.misses: int = 0
-        self.evictions: int = 0
 
     # -- index and capacity management ---------------------------------
     def _find(self, idx: IntArray) -> Tuple[IntArray, BoolArray]:
@@ -190,24 +187,27 @@ class EmbeddingCache:
             )
         fresh = values.copy()
         pos, hit_mask = self._find(idx)
-        num_hits = int(hit_mask.sum())
-        if num_hits:
+        if hit_mask.any():
             bk = get_backend()
             with bk.zone(ZONE_LC_CACHE):
                 fresh[hit_mask] = bk.gather_rows(
                     self._buffer, self._key_slots[pos[hit_mask]]
                 )
-        self.hits += num_hits
-        self.misses += idx.size - num_hits
         return fresh, hit_mask
 
-    def decrement(self, indices: IntArray) -> int:
+    def decrement(self, indices: IntArray) -> Tuple[IntArray, IntArray]:
         """Lower LC of the given rows by one; evict rows reaching zero.
 
         Called when the server drains one batch from the gradient
         queue.  Duplicate indices in the call decrement only once
-        (a batch touches each unique row once on the host side).
-        Returns the number of evictions.
+        (a batch touches each unique row once on the host side), and
+        ids not in the cache are ignored.
+
+        Returns
+        -------
+        (kept, evicted):
+            The cached ids the call decremented that stay cached, and
+            those it evicted, each ascending.
         """
         idx = check_1d_int_array(indices, "indices", min_value=0)
         pos, found = self._find(idx)
@@ -216,7 +216,7 @@ class EmbeddingCache:
         named = np.zeros(self._keys.size, dtype=np.bool_)
         named[pos[found]] = True
         pos = np.flatnonzero(named)
-        slots = self._key_slots[pos]
+        ids, slots = self._keys[pos], self._key_slots[pos]
         self._lifecycle[slots] -= 1
         dead = self._lifecycle[slots] <= 0
         evicted = int(dead.sum())
@@ -226,8 +226,7 @@ class EmbeddingCache:
             self._num_free += evicted
             self._keys = np.delete(self._keys, pos[dead])
             self._key_slots = np.delete(self._key_slots, pos[dead])
-        self.evictions += evicted
-        return evicted
+        return ids[~dead], ids[dead]
 
     def get(self, index: int) -> Optional[FloatArray]:
         """Fetch one cached row (copy), or None on miss."""
@@ -261,11 +260,6 @@ class EmbeddingCache:
             + self._keys.nbytes
             + self._key_slots.nbytes
         )
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
     def clear(self) -> None:
         capacity = self._buffer.shape[0]

@@ -3,11 +3,11 @@
 Answers the production question the rest of the repo leaves open: what
 happens when a pipeline stage crashes, a queue stalls, a checkpoint is
 torn mid-write, or the serving path breaches its SLO?  Every failure
-here is *injected deterministically* (seeded
-:class:`~repro.resilience.faults.FaultPlan` over the existing
-TraceProbe/queue/SimClock seams) and every recovery is *provable*
-(bitwise-identical loss trajectories after rollback-and-replay,
-bounded-staleness degraded serving).  The serving degradation ladder
+here is *injected deterministically* (a seeded
+:class:`~repro.resilience.faults.FaultPlan` fired from the trainer's
+TraceProbe hooks, the checkpoint store and the SimClock) and every
+recovery is *provable* (bitwise-identical loss trajectories after
+rollback-and-replay, bounded-staleness degraded serving).  The serving degradation ladder
 itself runs in :mod:`repro.serving.fleet`; this package supplies its
 policy, circuit breaker and fault injection.  See DESIGN.md §10.
 """
@@ -45,7 +45,6 @@ from repro.resilience.faults import (
     FaultRecord,
     FaultSite,
     FaultSpec,
-    FaultyQueue,
     H2DCopyError,
     InjectedCrash,
     QueueStallTimeout,
@@ -84,7 +83,6 @@ __all__ = [
     "FaultRecord",
     "FaultSite",
     "FaultSpec",
-    "FaultyQueue",
     "H2DCopyError",
     "InjectedCrash",
     "QueueStallTimeout",

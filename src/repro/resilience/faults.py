@@ -12,12 +12,10 @@ recovery instead of "usually recovers".
 
 Injection rides the seams the codebase already has:
 
-* the trainer's :class:`~repro.system.pipeline.TraceProbe` protocol —
-  :class:`FaultProbe` implements it, so a
-  :class:`~repro.system.pipeline.PipelinedPSTrainer` needs **no**
-  hot-path changes (and pays nothing when no probe is attached);
-* the probe's queue factory — :class:`FaultyQueue` subclasses
-  :class:`~repro.system.queues.BoundedQueue` to fail/stall/drop on cue;
+* the trainer's :class:`~repro.system.pipeline.TraceProbe` hooks —
+  :class:`FaultProbe` crashes a stage from the dataflow hooks, and from
+  the queue hooks fails or stalls a ``get`` (the item stays queued) or
+  loses a gradient-queue ``put``;
 * :class:`~repro.resilience.checkpoint.CheckpointStore`'s save hooks —
   torn and corrupted snapshot writes;
 * the resilient serving loop's service-time model — slowdown windows.
@@ -31,11 +29,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple, TypeVar
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.backend.protocol import DTypeLike
-from repro.embeddings.cache import EmbeddingCache
-from repro.system.queues import BoundedQueue
+from repro.system.pipeline import Rows, TraceProbe
 from repro.utils.rng import ensure_rng
 
 __all__ = [
@@ -46,14 +42,11 @@ __all__ = [
     "FaultInjector",
     "FaultRecord",
     "FaultProbe",
-    "FaultyQueue",
     "FaultError",
     "InjectedCrash",
     "H2DCopyError",
     "QueueStallTimeout",
 ]
-
-T = TypeVar("T")
 
 
 class FaultKind(str, enum.Enum):
@@ -306,8 +299,8 @@ class FaultPlan:
 class FaultInjector:
     """Run-scoped firing state for one :class:`FaultPlan`.
 
-    The injector is consulted from the probe hooks, the faulty queues,
-    the checkpoint store, and the resilient serving loop.  Every fault
+    The injector is consulted from the probe hooks, the checkpoint
+    store, and the resilient serving loop.  Every fault
     that fires is appended to :attr:`records`, so a chaos harness can
     cross-check "what the plan promised" against "what actually
     happened".
@@ -465,53 +458,18 @@ class FaultInjector:
         return tuple(record.spec for record in self.records)
 
 
-_QUEUE_SITES = {
-    "prefetch": FaultSite.PREFETCH_QUEUE,
-    "gradient": FaultSite.GRAD_QUEUE,
-}
-
-
-class FaultyQueue(BoundedQueue[T]):
-    """A :class:`BoundedQueue` that fails or drops on the injector's cue.
-
-    Behaviour is bit-identical to the plain queue except at the exact
-    (site, step) points named by the plan: ``get`` may raise
-    :class:`H2DCopyError`/:class:`QueueStallTimeout`, and a gradient
-    ``put`` may silently discard its item (the lost-update fault the
-    supervisor must *detect*, not just survive).
-    """
-
-    def __init__(
-        self, capacity: int, injector: FaultInjector, site: FaultSite
-    ) -> None:
-        super().__init__(capacity)
-        self._injector = injector
-        self._site = site
-        self.dropped = 0
-
-    def put(self, item: T) -> None:
-        if self._injector.queue_drop(self._site, self._injector.current_step):
-            self.dropped += 1
-            return
-        super().put(item)
-
-    def get(self) -> T:
-        self._injector.queue_get_fault(
-            self._site, self._injector.current_step
-        )
-        return super().get()
-
-
-class FaultProbe:
+class FaultProbe(TraceProbe):
     """A :class:`~repro.system.pipeline.TraceProbe` that injects faults.
 
-    Where :class:`repro.analysis.shims.PipelineProbe` only observes,
-    this probe *acts*: stage hooks raise :class:`InjectedCrash` on the
-    plan's cue and the queue factory builds :class:`FaultyQueue`
-    instances.  It also keeps per-segment accounting — which batch ids
-    started, trained, and were applied — which is how the supervisor
-    detects *silent* faults (dropped gradient entries) that raise
-    nothing.
+    Where the hazard detector's probe only observes, this probe *acts*
+    at the exact (site, step) points the plan names: stage hooks raise
+    :class:`InjectedCrash`, a queue ``get`` may raise
+    :class:`H2DCopyError`/:class:`QueueStallTimeout` before the item
+    leaves the queue, and a gradient-queue ``put`` may silently lose
+    its item (the lost-update fault the supervisor must *detect*, not
+    just survive).  It also keeps per-segment accounting — which batch
+    ids started, trained, and were applied — which is how the
+    supervisor detects those silent drops.
     """
 
     def __init__(self, injector: FaultInjector) -> None:
@@ -543,33 +501,33 @@ class FaultProbe:
         """(batch_id, table) pairs whose update hit host more than once."""
         return sorted(k for k, n in self.apply_counts.items() if n > 1)
 
-    # -- TraceProbe factories ------------------------------------------
-    def make_queue(self, capacity: int, name: str) -> BoundedQueue:
-        site = _QUEUE_SITES.get(name)
-        if site is None:
-            return BoundedQueue(capacity)
-        return FaultyQueue(capacity, self.injector, site)
-
-    def make_cache(
-        self, embedding_dim: int, default_lifecycle: int, table: int, dtype: DTypeLike
-    ) -> EmbeddingCache:
-        return EmbeddingCache(embedding_dim, default_lifecycle, dtype)
-
     # -- TraceProbe hooks ----------------------------------------------
     def on_batch_start(self, batch_id: int) -> None:
         self.injector.current_step = batch_id
         self.started.add(batch_id)
 
-    def on_gather(self, batch_id, table, unique_indices) -> None:
+    # The trainer names its queues "prefetch" and "gradient": the values
+    # of FaultSite.PREFETCH_QUEUE and FaultSite.GRAD_QUEUE.
+    def on_queue_put(self, queue: str) -> bool:
+        return not self.injector.queue_drop(
+            FaultSite(queue), self.injector.current_step
+        )
+
+    def on_queue_get(self, queue: str) -> None:
+        self.injector.queue_get_fault(
+            FaultSite(queue), self.injector.current_step
+        )
+
+    def on_gather(self, batch_id: int, table: int, rows: Rows) -> None:
         self.injector.stage_crash(FaultSite.GATHER, batch_id)
 
-    def on_consume(self, batch_id, table, unique_indices) -> None:
+    def on_consume(self, batch_id: int, table: int, rows: Rows) -> None:
         self.injector.stage_crash(FaultSite.TRAIN, batch_id)
 
-    def on_update(self, batch_id, table, unique_indices) -> None:
+    def on_update(self, batch_id: int, table: int, rows: Rows) -> None:
         self.trained.add(batch_id)
 
-    def on_apply(self, batch_id, table, unique_indices) -> None:
+    def on_apply(self, batch_id: int, table: int, rows: Rows) -> None:
         self.injector.stage_crash(FaultSite.APPLY, batch_id)
         self.applied.add(batch_id)
         key = (batch_id, table)

@@ -4,7 +4,7 @@ This is the repo's only serving event loop.  A :class:`ServingFleet`
 runs N :class:`ReplicaExecutor`\\ s — each with its own
 :class:`~repro.resilience.circuit.CircuitBreaker`, in-flight table,
 lifecycle state and degradation ladder — pulling
-micro-batches from a shared MPMC
+micro-batches from one shared
 :class:`BatchingQueue`, with dispatch decided by the health-aware
 :class:`~repro.serving.router.FleetRouter`.  One replica crashing,
 sticking, or tripping its breaker redirects *its* work; it never
@@ -137,7 +137,7 @@ class FleetBatch:
 
 
 class BatchingQueue(BoundedQueue[FleetBatch]):
-    """Shared MPMC queue between the batcher and the replica executors.
+    """Shared queue between the batcher and the replica executors.
 
     A :class:`~repro.system.queues.BoundedQueue` plus one fleet-specific
     affordance: :meth:`put_front` re-inserts a redirected batch at the
@@ -157,10 +157,7 @@ class BatchingQueue(BoundedQueue[FleetBatch]):
 
     def put_front(self, item: FleetBatch) -> None:
         """Head insert for redirects (exempt from the capacity bound)."""
-        if self.closed:
-            raise RuntimeError("put_front on closed queue")
         self._items.appendleft(item)
-        self.total_puts += 1
         self.redirect_puts += 1
         self.max_depth = max(self.max_depth, len(self))
 

@@ -33,7 +33,7 @@ from repro.system.devices import (
     TESLA_V100,
     calibrate_host,
 )
-from repro.system.queues import BoundedQueue, QueueClosed
+from repro.system.queues import BoundedQueue
 from repro.system.parameter_server import HostBackedEmbeddingBag
 from repro.system.pipeline import (
     PipelinedPSTrainer,
@@ -62,7 +62,6 @@ __all__ = [
     "TESLA_V100",
     "TESLA_T4",
     "BoundedQueue",
-    "QueueClosed",
     "HostBackedEmbeddingBag",
     "SequentialPSTrainer",
     "PipelinedPSTrainer",

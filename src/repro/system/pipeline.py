@@ -15,25 +15,24 @@ Two personalities:
 * **Timing model** — :func:`pipeline_schedule` computes the makespan of
   a bounded-buffer in-order pipeline from per-item stage durations, the
   arithmetic behind the Figure 16 throughput comparison.
+
+The pipelined executor builds its own plain queues and caches and
+reports every operation on them — queue puts and gets, cache syncs,
+puts and decrements, and the gather/consume/update/apply dataflow — to
+one :class:`TraceProbe`, named by an :class:`EventKind`.  The hazard
+detector (``repro.analysis``) records those events; the chaos harness
+(``repro.resilience``) raises its faults from them.
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
+import numpy.typing as npt
 
-from repro.backend.protocol import DTypeLike
 from repro.data.dataloader import Batch, SyntheticClickLog
 from repro.embeddings.cache import EmbeddingCache
 from repro.models.dlrm import DLRM
@@ -51,51 +50,67 @@ __all__ = [
     "PipelinedPSTrainer",
     "TrainLog",
     "TraceProbe",
+    "EventKind",
     "pipeline_schedule",
     "PipelineScheduleResult",
 ]
 
 
-class TraceProbe(Protocol):
-    """Observer interface for instrumented pipelined training.
+class EventKind(enum.Enum):
+    """What happened to an embedding row (or queue slot)."""
 
-    Implemented by :class:`repro.analysis.shims.PipelineProbe` (kept as
-    a Protocol here so ``system`` does not import ``analysis``).  A
-    probe must be *passive*: instrumented runs are bit-identical to
-    bare runs.  Factories let the probe substitute recording variants
-    of the queues and caches; hooks observe the dataflow.
+    GATHER = "gather"  # server read host memory for a prefetch
+    CONSUME = "consume"  # worker consumed the (possibly synced) rows
+    UPDATE = "update"  # worker produced fresh row values (write intent)
+    APPLY = "apply"  # server applied gradients to host memory (write)
+    SYNC_HIT = "sync_hit"  # cache replaced a stale prefetched row
+    SYNC_MISS = "sync_miss"  # cache had no entry for a prefetched row
+    CACHE_PUT = "cache_put"  # LC cache stored/refreshed a row
+    CACHE_DEC = "cache_dec"  # LC decremented (grad batch drained)
+    CACHE_EVICT = "cache_evict"  # LC reached zero, row evicted
+    QUEUE_PUT = "queue_put"  # bounded-queue enqueue (stage-tagged)
+    QUEUE_GET = "queue_get"  # bounded-queue dequeue (stage-tagged)
+
+
+Rows = npt.NDArray[np.int64]
+T = TypeVar("T")
+
+
+class TraceProbe:
+    """Observer of a :class:`PipelinedPSTrainer`'s operations.
+
+    Every hook here does nothing, and a trainer built without a probe
+    reports to one of these.  Subclasses override what they watch: the
+    hazard detector records events, the fault injector raises on cue.
+    A hook may raise (an injected fault) or, in
+    :meth:`on_queue_put`, withhold an item, but must not change the
+    arrays it is handed.
     """
 
-    def make_queue(self, capacity: int, name: str) -> "BoundedQueue":  # type: ignore[type-arg]
-        ...
-
-    def make_cache(
-        self, embedding_dim: int, default_lifecycle: int, table: int, dtype: DTypeLike
-    ) -> EmbeddingCache:
-        ...
-
     def on_batch_start(self, batch_id: int) -> None:
-        ...
+        """The worker starts training batch ``batch_id``."""
 
-    def on_gather(
-        self, batch_id: int, table: int, unique_indices: Iterable[int]
-    ) -> None:
-        ...
+    def on_queue_put(self, queue: str) -> bool:
+        """An item is about to enter ``queue``; False loses it."""
+        return True
 
-    def on_consume(
-        self, batch_id: int, table: int, unique_indices: Iterable[int]
-    ) -> None:
-        ...
+    def on_queue_get(self, queue: str) -> None:
+        """An item is about to leave ``queue`` (a raise leaves it queued)."""
 
-    def on_update(
-        self, batch_id: int, table: int, unique_indices: Iterable[int]
-    ) -> None:
-        ...
+    def on_gather(self, batch_id: int, table: int, rows: Rows) -> None:
+        """Server read host rows for a prefetch entry."""
 
-    def on_apply(
-        self, batch_id: int, table: int, unique_indices: Iterable[int]
-    ) -> None:
-        ...
+    def on_consume(self, batch_id: int, table: int, rows: Rows) -> None:
+        """Worker loaded the (possibly cache-synced) prefetched rows."""
+
+    def on_update(self, batch_id: int, table: int, rows: Rows) -> None:
+        """Worker produced fresh row values (write intent)."""
+
+    def on_apply(self, batch_id: int, table: int, rows: Rows) -> None:
+        """Server applied a batch's gradients to host memory."""
+
+    def on_cache(self, table: int, *events: Tuple[EventKind, Rows]) -> None:
+        """One operation on ``table``'s LC cache, as ``(kind, rows)`` pairs."""
 
 
 @dataclass
@@ -182,6 +197,8 @@ class SequentialPSTrainer(_PSTrainerBase):
     def train(
         self, log: SyntheticClickLog, num_batches: int, start: int = 0
     ) -> TrainLog:
+        check_positive(num_batches, "num_batches", strict=False)
+        check_positive(start, "start", strict=False)
         result = TrainLog()
         for i in range(start, start + num_batches):
             batch = log.batch(i)
@@ -228,10 +245,10 @@ class PipelinedPSTrainer(_PSTrainerBase):
         naive prefetching of Figure 10(a): the worker silently trains
         on stale rows.
     probe:
-        Optional :class:`TraceProbe` — when given, queues and caches
-        are built through its factories and the gather/consume/
-        update/apply dataflow is reported to it.  Used by the
-        ``repro.analysis`` hazard detector; has no effect on numerics.
+        Optional :class:`TraceProbe` every queue, cache and dataflow
+        operation is reported to.  Used by the ``repro.analysis``
+        hazard detector and the ``repro.resilience`` fault injector;
+        an observing probe has no effect on numerics.
 
     Notes
     -----
@@ -266,34 +283,33 @@ class PipelinedPSTrainer(_PSTrainerBase):
         self.prefetch_depth = int(prefetch_depth)
         self.grad_queue_depth = int(grad_queue_depth)
         self.use_cache = use_cache
-        self.probe = probe
+        self.probe = probe if probe is not None else TraceProbe()
         lifecycle = self.prefetch_depth + self.grad_queue_depth
         dim, dtype = model.config.embedding_dim, model.config.dtype
-        if probe is None:
-            self.caches: Dict[int, EmbeddingCache] = {
-                pos: EmbeddingCache(dim, lifecycle, dtype)
-                for pos in self.host_table_map
-            }
-        else:
-            self.caches = {
-                pos: probe.make_cache(dim, lifecycle, pos, dtype)
-                for pos in self.host_table_map
-            }
+        self.caches: Dict[int, EmbeddingCache] = {
+            pos: EmbeddingCache(dim, lifecycle, dtype)
+            for pos in self.host_table_map
+        }
 
     def train(
         self, log: SyntheticClickLog, num_batches: int, start: int = 0
     ) -> TrainLog:
+        check_positive(num_batches, "num_batches", strict=False)
+        check_positive(start, "start", strict=False)
         result = TrainLog()
-        if self.probe is None:
-            prefetch_q: BoundedQueue[
-                Tuple[Batch, Dict[int, PrefetchedRows]]
-            ] = BoundedQueue(self.prefetch_depth)
-            grad_q: BoundedQueue[_GradEntry] = BoundedQueue(
-                self.grad_queue_depth
-            )
-        else:
-            prefetch_q = self.probe.make_queue(self.prefetch_depth, "prefetch")
-            grad_q = self.probe.make_queue(self.grad_queue_depth, "gradient")
+        probe = self.probe
+        prefetch_q: BoundedQueue[
+            Tuple[Batch, Dict[int, PrefetchedRows]]
+        ] = BoundedQueue(self.prefetch_depth)
+        grad_q: BoundedQueue[_GradEntry] = BoundedQueue(self.grad_queue_depth)
+
+        def put(queue: BoundedQueue[T], name: str, item: T) -> None:
+            if probe.on_queue_put(name):
+                queue.put(item)
+
+        def get(queue: BoundedQueue[T], name: str) -> T:
+            probe.on_queue_get(name)
+            return queue.get()
 
         def gather_for(batch_id: int) -> Tuple[Batch, Dict[int, PrefetchedRows]]:
             # The batch travels with the rows gathered for it: the step
@@ -303,34 +319,34 @@ class PipelinedPSTrainer(_PSTrainerBase):
                 pos: self.server.gather(server_idx, batch.sparse_indices[pos])
                 for pos, server_idx, _ in self._host_bags()
             }
-            if self.probe is not None:
-                for pos, entry in gathered.items():
-                    self.probe.on_gather(
-                        batch_id, pos, entry.unique_indices.tolist()
-                    )
+            for pos, entry in gathered.items():
+                probe.on_gather(batch_id, pos, entry.unique_indices)
             return batch, gathered
 
         def drain_one() -> None:
-            entry = grad_q.get()
+            entry = get(grad_q, "gradient")
             for (pos, server_idx, _), (entry_sidx, uidx, grads) in zip(
                 self._host_bags(), entry.per_table
             ):
                 assert server_idx == entry_sidx
                 self.server.apply_gradients(server_idx, uidx, grads)
-                if self.probe is not None:
-                    self.probe.on_apply(entry.batch_id, pos, uidx.tolist())
+                probe.on_apply(entry.batch_id, pos, uidx)
                 if self.use_cache:
-                    self.caches[pos].decrement(uidx)
+                    kept, evicted = self.caches[pos].decrement(uidx)
+                    probe.on_cache(
+                        pos,
+                        (EventKind.CACHE_DEC, kept),
+                        (EventKind.CACHE_EVICT, evicted),
+                    )
 
         # Fill the prefetch queue (pipeline warm-up).
         for j in range(start, start + min(self.prefetch_depth, num_batches)):
-            prefetch_q.put(gather_for(j))
+            put(prefetch_q, "prefetch", gather_for(j))
 
         for i in range(start, start + num_batches):
-            if self.probe is not None:
-                self.probe.on_batch_start(i)
+            probe.on_batch_start(i)
             # (1) consume the prefetch entry for batch i.
-            batch, prefetched = prefetch_q.get()
+            batch, prefetched = get(prefetch_q, "prefetch")
             for pos, server_idx, bag in self._host_bags():
                 entry = prefetched[pos]
                 rows = entry.rows
@@ -340,6 +356,11 @@ class PipelinedPSTrainer(_PSTrainerBase):
                     )
                     result.cache_hits += int(hit_mask.sum())
                     result.cache_misses += int((~hit_mask).sum())
+                    probe.on_cache(
+                        pos,
+                        (EventKind.SYNC_HIT, entry.unique_indices[hit_mask]),
+                        (EventKind.SYNC_MISS, entry.unique_indices[~hit_mask]),
+                    )
                 else:
                     # Diagnostic only: count rows that differ from the
                     # value a synchronous gather would have produced.
@@ -348,10 +369,7 @@ class PipelinedPSTrainer(_PSTrainerBase):
                         (~np.isclose(rows, fresh).all(axis=1)).sum()
                     )
                 bag.load_rows(entry.unique_indices, rows)
-                if self.probe is not None:
-                    self.probe.on_consume(
-                        i, pos, entry.unique_indices.tolist()
-                    )
+                probe.on_consume(i, pos, entry.unique_indices)
 
             # (2) train; cache updated rows; enqueue gradients.
             result.losses.append(self._compute_step(batch))
@@ -360,18 +378,18 @@ class PipelinedPSTrainer(_PSTrainerBase):
                 if self.use_cache:
                     uidx, updated = bag.compute_updated_rows(self.lr)
                     self.caches[pos].put(uidx, updated)
+                    probe.on_cache(pos, (EventKind.CACHE_PUT, uidx))
                 unique_idx, grads = bag.pop_row_gradients()
-                if self.probe is not None:
-                    self.probe.on_update(i, pos, unique_idx.tolist())
+                probe.on_update(i, pos, unique_idx)
                 per_table.append((server_idx, unique_idx, grads))
             if grad_q.full():
                 drain_one()  # backpressure: apply the oldest batch first
-            grad_q.put(_GradEntry(batch_id=i, per_table=per_table))
+            put(grad_q, "gradient", _GradEntry(batch_id=i, per_table=per_table))
 
             # (3) prefetch batch i + Q from the *current* host state.
             next_id = i + self.prefetch_depth
             if next_id < start + num_batches and not prefetch_q.full():
-                prefetch_q.put(gather_for(next_id))
+                put(prefetch_q, "prefetch", gather_for(next_id))
 
         # (4) drain remaining gradients so the host state is final.
         while not grad_q.empty():

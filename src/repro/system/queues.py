@@ -5,23 +5,20 @@ workers; the gradient queue carries sparse gradients back.  In this
 single-process reproduction the queues are deterministic data
 structures (no threads): the pipeline executor interleaves server and
 worker turns explicitly, which keeps the RAW-conflict experiments
-bit-reproducible.
+bit-reproducible.  The serving micro-batcher and the fleet's
+``BatchingQueue`` hold their pending work in the same queue.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Generic, Iterator, List, Optional, TypeVar
+from typing import Deque, Generic, TypeVar
 
 from repro.utils.validation import check_positive
 
-__all__ = ["BoundedQueue", "QueueClosed"]
+__all__ = ["BoundedQueue"]
 
 T = TypeVar("T")
-
-
-class QueueClosed(RuntimeError):
-    """Raised when interacting with a closed queue."""
 
 
 class BoundedQueue(Generic[T]):
@@ -30,81 +27,32 @@ class BoundedQueue(Generic[T]):
     Parameters
     ----------
     capacity:
-        Maximum entries; ``put`` on a full queue raises (the pipeline
-        executor checks ``full()`` and applies backpressure instead of
-        blocking).
-
-    Notes
-    -----
-    Close semantics (drain-then-raise): ``close()`` seals the *intake*
-    only.  A closed queue rejects every ``put`` with
-    :class:`QueueClosed` — even when it has free capacity — but
-    ``get``/``peek``/``drain`` keep returning the items already queued
-    until the queue runs dry; only then do ``get`` and ``peek`` raise
-    :class:`QueueClosed`.  This is what lets a consumer distinguish
-    "producer is finished, finish the backlog" from "no data yet"
-    without losing in-flight entries — the gradient queue relies on it
-    during end-of-run drain.
-
-    Multi-consumer (MPMC) contract: any number of producers and
-    consumers may interleave ``put``/``get``/``peek``/``try_get``
-    turns — the serving fleet drains one queue from N replica
-    executors this way.  Because everything runs on one deterministic
-    event loop there is no concurrent mutation, but the *semantics*
-    are MPMC: every item is delivered to exactly one consumer (FIFO
-    across all of them), ``peek`` never transfers ownership, and after
-    ``close()`` each consumer independently observes drain-then-raise
-    — consumers that keep polling all see :class:`QueueClosed` once
-    the backlog is gone, never a half-state and never a lost item.
+        Maximum entries; ``put`` on a full queue raises (callers check
+        ``full()`` and apply backpressure instead of blocking), as do
+        ``get`` and ``peek`` on an empty one.
     """
 
     def __init__(self, capacity: int) -> None:
         check_positive(capacity, "capacity")
         self.capacity = int(capacity)
         self._items: Deque[T] = deque()
-        self._closed = False
-        self.total_puts = 0
-        self.total_gets = 0
 
     def put(self, item: T) -> None:
-        if self._closed:
-            raise QueueClosed("put on closed queue")
         if self.full():
             raise OverflowError(
                 f"queue full (capacity {self.capacity}); check full() first"
             )
         self._items.append(item)
-        self.total_puts += 1
 
     def get(self) -> T:
         if not self._items:
-            if self._closed:
-                raise QueueClosed("get on closed, empty queue")
             raise LookupError("queue empty; check empty() first")
-        self.total_gets += 1
         return self._items.popleft()
 
     def peek(self) -> T:
         if not self._items:
-            if self._closed:
-                raise QueueClosed("peek on closed, empty queue")
             raise LookupError("queue empty")
         return self._items[0]
-
-    def try_get(self) -> Optional[T]:
-        """``get`` that returns ``None`` instead of raising on empty.
-
-        The polling form of the MPMC contract: an open-but-empty queue
-        yields ``None`` ("no data yet, poll again"); a closed queue
-        still drains its backlog first and only raises
-        :class:`QueueClosed` once dry ("producer finished, stop").
-        Items must not be ``None`` for the sentinel to be unambiguous.
-        """
-        if not self._items:
-            if self._closed:
-                raise QueueClosed("try_get on closed, empty queue")
-            return None
-        return self.get()
 
     def full(self) -> bool:
         return len(self._items) >= self.capacity
@@ -112,22 +60,5 @@ class BoundedQueue(Generic[T]):
     def empty(self) -> bool:
         return not self._items
 
-    def close(self) -> None:
-        self._closed = True
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def __len__(self) -> int:
         return len(self._items)
-
-    def __iter__(self) -> Iterator[T]:
-        return iter(list(self._items))
-
-    def drain(self) -> List[T]:
-        """Remove and return all queued items in FIFO order."""
-        out = list(self._items)
-        self.total_gets += len(out)
-        self._items.clear()
-        return out

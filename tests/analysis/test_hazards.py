@@ -17,14 +17,15 @@ import numpy as np
 import pytest
 
 from repro.analysis import run_hazard_experiment
+from repro.analysis.experiment import _harness
 from repro.analysis.hazards import (
     EventKind,
     Hazard,
+    HazardProbe,
     RowEvent,
-    TraceRecorder,
     analyze_trace,
 )
-from repro.analysis.shims import PipelineProbe, RecordingCache, RecordingQueue
+from repro.sharding.trainer import build_sharded_ps_trainer
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +36,24 @@ def clean_result():
 @pytest.fixture(scope="module")
 def faulty_result():
     return run_hazard_experiment(inject_fault=True, num_batches=12)
+
+
+PROBED_BATCHES = 8
+
+
+@pytest.fixture(scope="module")
+def probed_run():
+    """(probe, train log, trainer) of a pipelined run under a HazardProbe.
+
+    Both queues are one deep, so the life cycle (2) is short enough for
+    the cache to evict."""
+    cfg, two_largest, log = _harness(seed=0)
+    probe = HazardProbe()
+    trainer = build_sharded_ps_trainer(
+        cfg, host_positions=two_largest, probe=probe,
+        prefetch_depth=1, grad_queue_depth=1,
+    ).trainer
+    return probe, trainer.train(log, PROBED_BATCHES), trainer
 
 
 class TestAnalyzer:
@@ -148,14 +167,17 @@ class TestPipelineRuns:
         assert a.report.events_analyzed == b.report.events_analyzed
         assert len(a.report.repaired) == len(b.report.repaired)
 
+    @pytest.mark.parametrize("num_batches", [0, -3])
+    def test_an_empty_run_is_rejected(self, num_batches):
+        # zero events would analyze to a clean report: a gate that cannot fail
+        with pytest.raises(ValueError, match="num_batches must be > 0"):
+            run_hazard_experiment(num_batches=num_batches)
+
     def test_instrumentation_is_passive(self):
         """Probe on vs. probe off: bit-identical training."""
-        from repro.analysis.experiment import _harness
-        from repro.sharding.trainer import build_sharded_ps_trainer
-
         losses = []
         tables = []
-        for probe in (None, PipelineProbe()):
+        for probe in (None, HazardProbe()):
             cfg, two_largest, log = _harness(seed=0)
             setup = build_sharded_ps_trainer(
                 cfg, host_positions=two_largest, probe=probe
@@ -168,56 +190,81 @@ class TestPipelineRuns:
             np.testing.assert_array_equal(bare, probed)
 
 
-class TestShims:
-    def test_recording_queue_logs_traffic(self):
-        recorder = TraceRecorder()
-        queue = RecordingQueue(2, recorder, "prefetch")
-        queue.put("a")
-        queue.put("b")
-        assert queue.get() == "a"
-        kinds = [e.kind for e in recorder.events]
-        assert kinds == [
-            EventKind.QUEUE_PUT,
-            EventKind.QUEUE_PUT,
-            EventKind.QUEUE_GET,
-        ]
-        assert all(e.stage == "prefetch" for e in recorder.events)
+class TestHazardProbe:
+    """What the trainer reports, as the probe records it."""
 
-    def test_recording_cache_sync_hits_and_misses(self):
-        recorder = TraceRecorder()
-        cache = RecordingCache(4, default_lifecycle=2, recorder=recorder, table=1)
-        cache.set_batch(0)
-        cache.put(np.array([3]), np.ones((1, 4)))
-        cache.set_batch(1)
-        fresh, hit = cache.synchronize(
-            np.array([3, 9]), np.zeros((2, 4))
-        )
-        assert hit.tolist() == [True, False]
-        np.testing.assert_array_equal(fresh[0], np.ones(4))
-        hits = [e for e in recorder.events if e.kind is EventKind.SYNC_HIT]
-        misses = [e for e in recorder.events if e.kind is EventKind.SYNC_MISS]
-        assert [(e.table, e.row, e.batch) for e in hits] == [(1, 3, 1)]
-        assert [(e.table, e.row, e.batch) for e in misses] == [(1, 9, 1)]
+    def test_queue_traffic_is_recorded(self, probed_run):
+        probe, _, trainer = probed_run
+        capacity = {
+            "prefetch": trainer.prefetch_depth,
+            "gradient": trainer.grad_queue_depth,
+        }
+        depth = {"prefetch": 0, "gradient": 0}
+        counts = {"prefetch": [0, 0], "gradient": [0, 0]}
+        for event in probe.recorder.events:
+            if event.kind in (EventKind.QUEUE_PUT, EventKind.QUEUE_GET):
+                put = event.kind is EventKind.QUEUE_PUT
+                depth[event.stage] += 1 if put else -1
+                counts[event.stage][0 if put else 1] += 1
+                assert 0 <= depth[event.stage] <= capacity[event.stage]
+                assert (event.table, event.row, event.batch) == (-1, -1, -1)
+        # every batch goes through both queues once, and both end empty
+        assert counts == {
+            "prefetch": [PROBED_BATCHES] * 2, "gradient": [PROBED_BATCHES] * 2,
+        }
 
-    def test_recording_cache_eviction_events(self):
-        recorder = TraceRecorder()
-        cache = RecordingCache(4, default_lifecycle=1, recorder=recorder, table=0)
-        cache.put(np.array([7]), np.ones((1, 4)))
-        cache.decrement(np.array([7]))
-        evicts = [e for e in recorder.events if e.kind is EventKind.CACHE_EVICT]
-        assert [(e.table, e.row) for e in evicts] == [(0, 7)]
-        assert 7 not in cache
+    def test_cache_events_replay_against_the_cache(self, probed_run):
+        """Replaying the cache events keeps a consistent set of cached
+        rows, and the sync events are the hits and misses the log counts."""
+        probe, train_log, trainer = probed_run
+        cached = set()
+        decremented = {}  # time -> rows a decrement kept
+        hits = misses = evictions = 0
+        for event in probe.recorder.events:
+            key = (event.table, event.row)
+            if event.kind is EventKind.CACHE_PUT:
+                cached.add(key)
+            elif event.kind in (EventKind.CACHE_DEC, EventKind.SYNC_HIT):
+                assert key in cached
+                hits += event.kind is EventKind.SYNC_HIT
+                if event.kind is EventKind.CACHE_DEC:
+                    decremented.setdefault(event.time, set()).add(key)
+            elif event.kind is EventKind.CACHE_EVICT:
+                # an evicted row is not also reported as kept
+                assert key not in decremented.get(event.time, ())
+                cached.remove(key)
+                evictions += 1
+            elif event.kind is EventKind.SYNC_MISS:
+                assert key not in cached
+                misses += 1
+        assert (hits, misses) == (train_log.cache_hits, train_log.cache_misses)
+        assert hits > 0 and evictions > 0
+        assert cached == {
+            (pos, row) for pos, cache in trainer.caches.items()
+            for row in range(trainer.model.config.table_rows[pos])
+            if row in cache
+        }
 
     def test_timestamps_monotonic(self):
-        recorder = TraceRecorder()
-        probe = PipelineProbe()
-        probe.on_gather(0, 0, [1, 2])
-        probe.on_apply(0, 0, [1, 2])
+        probe = HazardProbe()
+        probe.on_gather(0, 0, np.array([1, 2]))
+        probe.on_apply(0, 0, np.array([1, 2]))
         times = [e.time for e in probe.recorder.events]
         assert times == sorted(times)
         # the two operations occupy distinct instants; rows within one
         # operation share an instant
         assert times[0] == times[1] < times[2] == times[3]
+
+    def test_cache_events_carry_the_training_batch(self):
+        probe = HazardProbe()
+        probe.on_batch_start(4)
+        probe.on_cache(1, (EventKind.SYNC_HIT, np.array([3])),
+                       (EventKind.SYNC_MISS, np.array([9])))
+        assert [(e.kind, e.table, e.row, e.batch, e.time)
+                for e in probe.recorder.events] == [
+            (EventKind.SYNC_HIT, 1, 3, 4, 1),
+            (EventKind.SYNC_MISS, 1, 9, 4, 1),
+        ]
 
     def test_hazard_equality_and_describe(self):
         h = Hazard("RAW", 0, 5, 0, 1, 10, 2, False)

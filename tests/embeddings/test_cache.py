@@ -60,29 +60,34 @@ class TestSynchronize:
         np.testing.assert_array_equal(stale, np.zeros((1, 4)))
 
     def test_hit_counters(self, cache):
+        # Hits and misses are counted off the returned mask.
         cache.put(np.array([0]), np.ones((1, 4)))
-        cache.synchronize(np.array([0, 1, 2]), np.zeros((3, 4)))
-        assert cache.hits == 1
-        assert cache.misses == 2
-        assert cache.hit_rate == pytest.approx(1 / 3)
+        _, mask = cache.synchronize(np.array([0, 1, 2]), np.zeros((3, 4)))
+        np.testing.assert_array_equal(mask, [True, False, False])
+        assert (int(mask.sum()), int((~mask).sum())) == (1, 2)
 
 
 class TestLifecycle:
     def test_eviction_after_lc_decrements(self, cache):
         cache.put(np.array([3]), np.ones((1, 4)))
-        assert cache.decrement(np.array([3])) == 0
-        assert cache.decrement(np.array([3])) == 0
-        assert cache.decrement(np.array([3])) == 1  # third hit evicts
+        for _ in range(2):
+            kept, evicted = cache.decrement(np.array([3]))
+            assert (kept.tolist(), evicted.tolist()) == ([3], [])
+        kept, evicted = cache.decrement(np.array([3]))  # third hit evicts
+        assert (kept.tolist(), evicted.tolist()) == ([], [3])
         assert 3 not in cache
-        assert cache.evictions == 1
 
     def test_decrement_duplicates_once(self, cache):
         cache.put(np.array([4]), np.ones((1, 4)))
-        cache.decrement(np.array([4, 4, 4]))
+        kept, evicted = cache.decrement(np.array([4, 4, 4]))
+        assert (kept.tolist(), evicted.tolist()) == ([4], [])
         assert cache.lifecycle_of(4) == 2
 
     def test_decrement_missing_noop(self, cache):
-        assert cache.decrement(np.array([42])) == 0
+        cache.put(np.array([7]), np.ones((1, 4)))
+        kept, evicted = cache.decrement(np.array([42]))
+        assert kept.size == evicted.size == 0
+        assert cache.lifecycle_of(7) == 3
 
     def test_slot_reuse_after_eviction(self):
         cache = EmbeddingCache(embedding_dim=2, default_lifecycle=1)

@@ -1,4 +1,4 @@
-"""Tests for the deterministic fault injector and its queue/probe seams."""
+"""Tests for the deterministic fault injector and the probe that fires it."""
 
 import pytest
 
@@ -9,11 +9,11 @@ from repro.resilience.faults import (
     FaultProbe,
     FaultSite,
     FaultSpec,
-    FaultyQueue,
     H2DCopyError,
     InjectedCrash,
     QueueStallTimeout,
 )
+from repro.system.queues import BoundedQueue
 
 
 def _plan(*specs: FaultSpec) -> FaultPlan:
@@ -119,39 +119,69 @@ class TestFaultInjector:
         assert len(injector.records) == 1
 
 
-class TestFaultyQueue:
+class TestQueueHooks:
+    """FaultProbe's queue hooks, called as the pipelined trainer calls
+    them: before the queue operation they may fail or withhold."""
+
+    @staticmethod
+    def _put(probe, queue, name, item):
+        if probe.on_queue_put(name):
+            queue.put(item)
+
+    @staticmethod
+    def _get(probe, queue, name):
+        probe.on_queue_get(name)
+        return queue.get()
+
     def test_h2d_fault_on_get_is_one_shot(self):
-        injector = _plan(
+        probe = FaultProbe(_plan(
             FaultSpec(FaultKind.H2D_FAIL, FaultSite.PREFETCH_QUEUE, step=1),
-        ).injector()
-        queue = FaultyQueue(4, injector, FaultSite.PREFETCH_QUEUE)
-        queue.put("batch")
-        injector.current_step = 1
+        ).injector())
+        queue = BoundedQueue(4)
+        self._put(probe, queue, "prefetch", "batch")
+        probe.on_batch_start(1)
         with pytest.raises(H2DCopyError):
-            queue.get()
-        assert queue.get() == "batch"  # item survived the failed copy
+            self._get(probe, queue, "prefetch")
+        assert len(queue) == 1  # the failed copy left the item queued
+        assert self._get(probe, queue, "prefetch") == "batch"
 
     def test_stall_on_get(self):
-        injector = _plan(
+        probe = FaultProbe(_plan(
             FaultSpec(FaultKind.STALL, FaultSite.PREFETCH_QUEUE, step=0),
-        ).injector()
-        queue = FaultyQueue(4, injector, FaultSite.PREFETCH_QUEUE)
-        queue.put("batch")
-        injector.current_step = 0
+        ).injector())
+        queue = BoundedQueue(4)
+        self._put(probe, queue, "prefetch", "batch")
+        probe.on_batch_start(0)
         with pytest.raises(QueueStallTimeout):
-            queue.get()
+            self._get(probe, queue, "prefetch")
+        assert len(queue) == 1
 
     def test_drop_on_put_is_silent(self):
-        injector = _plan(
+        probe = FaultProbe(_plan(
             FaultSpec(FaultKind.DROP, FaultSite.GRAD_QUEUE, step=4),
-        ).injector()
-        queue = FaultyQueue(4, injector, FaultSite.GRAD_QUEUE)
-        injector.current_step = 4
-        queue.put("grad")  # swallowed, no error
-        assert queue.dropped == 1
+        ).injector())
+        queue = BoundedQueue(4)
+        probe.on_batch_start(4)
+        self._put(probe, queue, "gradient", "grad")  # swallowed, no error
         assert len(queue) == 0
-        queue.put("next")  # one-shot: subsequent puts land
+        assert [r.spec.kind for r in probe.injector.records] == [FaultKind.DROP]
+        self._put(probe, queue, "gradient", "next")  # one-shot: later puts land
         assert len(queue) == 1
+
+    def test_a_fault_fires_at_its_own_queue_only(self):
+        injector = _plan(
+            FaultSpec(FaultKind.H2D_FAIL, FaultSite.PREFETCH_QUEUE, step=2),
+            FaultSpec(FaultKind.DROP, FaultSite.GRAD_QUEUE, step=2),
+        ).injector()
+        probe = FaultProbe(injector)
+        probe.on_batch_start(2)
+        probe.on_queue_get("gradient")  # no fault at the gradient queue's get
+        assert probe.on_queue_put("prefetch")  # nor at the prefetch queue's put
+        assert len(injector.pending) == 2
+        with pytest.raises(H2DCopyError):
+            probe.on_queue_get("prefetch")
+        assert not probe.on_queue_put("gradient")
+        assert injector.pending == ()
 
 
 class TestFaultProbe:
@@ -170,9 +200,3 @@ class TestFaultProbe:
         probe.begin_segment()
         assert probe.steps_started == 0
         assert probe.missing_applies() == []
-
-    def test_make_queue_wraps_known_sites_only(self):
-        probe = FaultProbe(_plan().injector())
-        assert isinstance(probe.make_queue(2, "prefetch"), FaultyQueue)
-        assert isinstance(probe.make_queue(2, "gradient"), FaultyQueue)
-        assert not isinstance(probe.make_queue(2, "other"), FaultyQueue)

@@ -111,12 +111,6 @@ class TestBatchingQueue:
         assert q.get() is a
         assert q.redirect_puts == 1
 
-    def test_put_front_rejected_after_close(self):
-        q = BatchingQueue(2)
-        q.close()
-        with pytest.raises(RuntimeError):
-            q.put_front(object())
-
 
 class TestDeterminism:
     def test_identical_runs_are_bitwise(self, world):

@@ -8,7 +8,7 @@ training, while naive prefetching (cache off) trains on stale rows.
 import numpy as np
 import pytest
 
-from repro.analysis.shims import PipelineProbe
+from repro.analysis.hazards import HazardProbe
 from repro.data.dataloader import SyntheticClickLog
 from repro.data.datasets import criteo_kaggle_like
 from repro.models.config import DLRMConfig, EmbeddingBackend
@@ -123,6 +123,19 @@ class TestFunctionalEquivalence:
         with pytest.raises(ValueError):
             PipelinedPSTrainer(model, server, host_map, lr=LR, prefetch_depth=0)
 
+    @pytest.mark.parametrize("trainer_cls", [SequentialPSTrainer, PipelinedPSTrainer])
+    @pytest.mark.parametrize(
+        "num_batches, start, name", [(-1, 0, "num_batches"), (2, -1, "start")]
+    )
+    def test_negative_span_rejected(self, setup, trainer_cls, num_batches, start, name):
+        log, cfg, host_map, server_rows = setup
+        model = _build_model(cfg, host_map)
+        server = ShardedParameterServer(server_rows, cfg.embedding_dim, lr=LR)
+        trainer = trainer_cls(model, server, host_map, lr=LR)
+        with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+            trainer.train(log, num_batches, start=start)
+        assert trainer.train(log, 0).losses == []  # an empty span is fine
+
 
 class _CountingLog:
     """A click log that counts how often a batch is generated."""
@@ -153,7 +166,7 @@ class TestOneBatchPerStep:
             (counting, cfg, host_map, server_rows), PipelinedPSTrainer,
             num_batches=steps, prefetch_depth=prefetch_depth,
             grad_queue_depth=grad_queue_depth, use_cache=True,
-            probe=PipelineProbe() if traced else None,
+            probe=HazardProbe() if traced else None,
         )
         assert sorted(counting.calls) == list(range(steps))
         assert pipelined.losses == sequential.losses  # bitwise

@@ -1,8 +1,14 @@
 """Tests for the bounded FIFO queue."""
 
-import pytest
+from collections import deque
 
-from repro.system.queues import BoundedQueue, QueueClosed
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+
+from repro.serving.fleet import BatchingQueue
+from repro.system.queues import BoundedQueue
 from repro.system.simclock import Simulator
 
 
@@ -34,223 +40,14 @@ class TestBoundedQueue:
         assert q.peek() == 5
         assert len(q) == 1
 
-    def test_close_semantics(self):
-        q = BoundedQueue(2)
-        q.put(1)
-        q.close()
-        with pytest.raises(QueueClosed):
-            q.put(2)
-        assert q.get() == 1  # drain allowed
-        with pytest.raises(QueueClosed):
-            q.get()
-
-    def test_counters(self):
-        q = BoundedQueue(4)
-        q.put(1)
-        q.put(2)
-        q.get()
-        assert q.total_puts == 2
-        assert q.total_gets == 1
-
-    def test_drain(self):
-        q = BoundedQueue(4)
-        for i in range(3):
-            q.put(i)
-        assert q.drain() == [0, 1, 2]
-        assert q.empty()
-
-    def test_iteration_non_destructive(self):
-        q = BoundedQueue(3)
-        q.put(1)
-        q.put(2)
-        assert list(q) == [1, 2]
-        assert len(q) == 2
-
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             BoundedQueue(0)
 
-    def test_drain_on_closed_queue(self):
-        # close() forbids new puts but must not strand queued items:
-        # drain() empties a closed queue like any other.
-        q = BoundedQueue(4)
-        q.put(1)
-        q.put(2)
-        q.close()
-        assert q.drain() == [1, 2]
-        assert q.empty()
-        assert q.total_gets == 2
-
-    def test_drain_closed_empty_queue(self):
-        q = BoundedQueue(2)
-        q.close()
-        assert q.drain() == []
-
-    def test_put_after_close_leaves_queue_untouched(self):
-        q = BoundedQueue(4)
-        q.put(1)
-        q.close()
-        with pytest.raises(QueueClosed):
-            q.put(2)
-        # the rejected put must not corrupt contents or counters
-        assert list(q) == [1]
-        assert q.total_puts == 1
-        assert q.closed
-
-    def test_close_is_idempotent(self):
-        q = BoundedQueue(2)
-        q.close()
-        q.close()
-        assert q.closed
-
-    def test_iteration_stable_while_draining(self):
-        # __iter__ snapshots: concurrent gets during iteration must not
-        # affect the values the iterator yields.
-        q = BoundedQueue(8)
-        for i in range(5):
-            q.put(i)
-        seen = []
-        for item in q:
-            seen.append(item)
-            if not q.empty():
-                q.get()  # mutate mid-iteration
-        assert seen == [0, 1, 2, 3, 4]
-
-    def test_iteration_stable_under_drain(self):
-        q = BoundedQueue(4)
-        q.put("a")
-        q.put("b")
-        iterator = iter(q)
-        q.drain()
-        assert list(iterator) == ["a", "b"]
-
-    def test_peek_on_closed_empty_raises_queue_closed(self):
-        # Same drain-then-raise contract as get(): while items remain,
-        # peek works; once dry, a closed queue reports QueueClosed (not
-        # the generic "empty" LookupError a consumer would retry on).
-        q = BoundedQueue(2)
-        q.put(1)
-        q.close()
-        assert q.peek() == 1
-        q.get()
-        with pytest.raises(QueueClosed):
-            q.peek()
-
-
-class TestCloseRacesUnderSimClock:
-    """Close/consume interleavings driven by the deterministic event loop.
-
-    These are the single-threaded analogue of close races: the
-    Simulator fixes the interleaving, so each scenario pins down
-    exactly which side of the close every operation lands on.
-    """
-
-    def test_close_while_full_drains_before_raising(self):
-        q = BoundedQueue(2)
-        sim = Simulator()
-        events = []
-
-        def consume():
-            try:
-                events.append(("got", q.get()))
-            except QueueClosed:
-                events.append(("closed", None))
-
-        sim.schedule(0.0, lambda: (q.put("a"), q.put("b")))
-        sim.schedule(1.0, q.close)  # close while the queue is FULL
-        sim.schedule(2.0, consume)
-        sim.schedule(3.0, consume)
-        sim.schedule(4.0, consume)
-        sim.run()
-        # Both in-flight items survive the close; only the dry get raises.
-        assert events == [("got", "a"), ("got", "b"), ("closed", None)]
-
-    def test_close_while_empty_rejects_put_and_get(self):
-        q = BoundedQueue(2)
-        sim = Simulator()
-        events = []
-
-        def probe_get():
-            try:
-                q.get()
-            except QueueClosed:
-                events.append("get-closed")
-            except LookupError:
-                events.append("get-empty")
-
-        def probe_put():
-            try:
-                q.put("late")
-                events.append("put-ok")
-            except QueueClosed:
-                events.append("put-closed")
-
-        sim.schedule(0.0, probe_get)   # empty but still open: plain empty
-        sim.schedule(1.0, q.close)     # close while EMPTY
-        sim.schedule(2.0, probe_get)   # now surfaces the close
-        sim.schedule(3.0, probe_put)   # producers locked out
-        sim.run()
-        assert events == ["get-empty", "get-closed", "put-closed"]
-        assert q.empty() and q.closed
-
-    def test_producer_racing_close_never_leaks_items(self):
-        # A put scheduled in the same interleaving as close either
-        # lands wholly before (item is drainable) or wholly after
-        # (QueueClosed, queue untouched) — never a half-state.
-        q = BoundedQueue(4)
-        sim = Simulator()
-        outcome = []
-
-        sim.schedule(0.0, lambda: q.put(1))
-        sim.schedule(1.0, q.close)
-
-        def racing_put():
-            try:
-                q.put(2)
-                outcome.append("accepted")
-            except QueueClosed:
-                outcome.append("rejected")
-
-        sim.schedule(1.0, racing_put)  # same timestamp as the close
-        sim.run()
-        assert outcome == ["rejected"]  # FIFO event order: close first
-        assert q.drain() == [1]
-        assert q.total_puts == 1
-
-
-class TestTryGet:
-    def test_open_empty_returns_none(self):
-        q = BoundedQueue(2)
-        assert q.try_get() is None
-        q.put(1)
-        assert q.try_get() == 1
-        assert q.try_get() is None  # empty again, still open
-
-    def test_closed_drains_then_raises(self):
-        q = BoundedQueue(4)
-        q.put("a")
-        q.put("b")
-        q.close()
-        assert q.try_get() == "a"
-        assert q.try_get() == "b"
-        with pytest.raises(QueueClosed):
-            q.try_get()
-
-    def test_counts_as_get(self):
-        q = BoundedQueue(2)
-        q.put(1)
-        q.try_get()
-        q.try_get()  # None path must not bump the counter
-        assert q.total_gets == 1
-
 
 class TestMultiConsumer:
-    """MPMC contract: N consumers interleaving on one queue.
-
-    The serving fleet drains one BatchingQueue from N replica
-    executors; these tests pin the delivery and shutdown semantics
-    that design leans on.
-    """
+    """N consumers interleaving on one queue, as the serving fleet's
+    replica executors drain its one BatchingQueue."""
 
     def test_each_item_delivered_exactly_once_fifo(self):
         q = BoundedQueue(16)
@@ -258,9 +55,8 @@ class TestMultiConsumer:
         deliveries = []  # (consumer, item)
 
         def consumer(cid):
-            item = q.try_get()
-            if item is not None:
-                deliveries.append((cid, item))
+            if not q.empty():
+                deliveries.append((cid, q.get()))
 
         # bursts of 3 items, then one poll per consumer each wave
         for wave in range(3):
@@ -278,38 +74,6 @@ class TestMultiConsumer:
         # every consumer actually took part
         assert {cid for cid, _ in deliveries} == {0, 1, 2}
 
-    def test_all_consumers_observe_drain_then_raise(self):
-        q = BoundedQueue(8)
-        sim = Simulator()
-        log = {0: [], 1: [], 2: []}
-
-        def consumer(cid):
-            try:
-                item = q.try_get()
-                log[cid].append(("got", item))
-            except QueueClosed:
-                log[cid].append(("closed", None))
-
-        sim.schedule(0.0, lambda: [q.put(i) for i in range(4)])
-        sim.schedule(1.0, q.close)
-        # after the close, each of 3 consumers polls repeatedly: the
-        # 4-item backlog drains first, then every poller sees
-        # QueueClosed -- never a lost item, never a half-state.
-        for tick in range(3):
-            for cid in range(3):
-                sim.schedule(2.0 + tick + cid * 0.1,
-                             lambda c=cid: consumer(c))
-        sim.run()
-        got = [e for events in log.values() for e in events
-               if e[0] == "got" and e[1] is not None]
-        assert sorted(item for _, item in got) == [0, 1, 2, 3]
-        closed_counts = {
-            cid: sum(1 for e in events if e[0] == "closed")
-            for cid, events in log.items()
-        }
-        # all three consumers independently hit the closed signal
-        assert all(count >= 1 for count in closed_counts.values())
-
     def test_peek_never_transfers_ownership_across_consumers(self):
         q = BoundedQueue(4)
         q.put("x")
@@ -319,6 +83,98 @@ class TestMultiConsumer:
         assert q.get() == "x"
         with pytest.raises(LookupError):
             q.get()
-        q.close()
-        with pytest.raises(QueueClosed):
-            q.peek()
+
+
+class BoundedQueueMachine(RuleBasedStateMachine):
+    """Any sequence of queue operations against a deque held to the
+    same capacity: same items out, same errors, same size."""
+
+    def __init__(self):
+        super().__init__()
+        self.oracle = deque()
+        self.capacity = 0
+        self.issued = 0
+
+    def make(self, capacity):
+        return BoundedQueue(capacity)
+
+    def next_item(self):
+        self.issued += 1
+        return self.issued
+
+    @initialize(capacity=st.integers(min_value=1, max_value=5))
+    def build(self, capacity):
+        self.capacity = capacity
+        self.queue = self.make(capacity)
+
+    @rule()
+    def put(self):
+        item = self.next_item()
+        if len(self.oracle) >= self.capacity:
+            with pytest.raises(OverflowError):
+                self.queue.put(item)
+        else:
+            self.queue.put(item)
+            self.oracle.append(item)
+
+    @rule()
+    def get(self):
+        if not self.oracle:
+            with pytest.raises(LookupError):
+                self.queue.get()
+        else:
+            assert self.queue.get() == self.oracle.popleft()
+
+    @rule()
+    def peek(self):
+        if not self.oracle:
+            with pytest.raises(LookupError):
+                self.queue.peek()
+        else:
+            assert self.queue.peek() == self.oracle[0]
+
+    @invariant()
+    def agrees_with_the_oracle(self):
+        assert len(self.queue) == len(self.oracle)
+        assert self.queue.empty() == (not self.oracle)
+        assert self.queue.full() == (len(self.oracle) >= self.capacity)
+
+
+class BatchingQueueMachine(BoundedQueueMachine):
+    """The fleet's queue: the same FIFO plus a head insert for redirects
+    that the capacity bound does not refuse."""
+
+    def __init__(self):
+        super().__init__()
+        self.redirects = 0
+        self.max_depth = 0
+
+    def make(self, capacity):
+        return BatchingQueue(capacity)
+
+    @rule()
+    def put(self):
+        super().put()
+        self.max_depth = max(self.max_depth, len(self.oracle))
+
+    @rule()
+    def put_front(self):
+        item = self.next_item()
+        self.queue.put_front(item)
+        self.oracle.appendleft(item)
+        self.redirects += 1
+        self.max_depth = max(self.max_depth, len(self.oracle))
+
+    @invariant()
+    def counts_redirects_and_depth(self):
+        assert self.queue.redirect_puts == self.redirects
+        assert self.queue.max_depth == self.max_depth
+
+
+_MACHINE_SETTINGS = settings(
+    max_examples=60, stateful_step_count=30, deadline=None
+)
+TestBoundedQueueMachine = BoundedQueueMachine.TestCase
+TestBoundedQueueMachine.settings = _MACHINE_SETTINGS
+TestBatchingQueueMachine = BatchingQueueMachine.TestCase
+TestBatchingQueueMachine.settings = _MACHINE_SETTINGS

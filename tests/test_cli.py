@@ -131,6 +131,32 @@ class TestCli:
         assert main(["chaos", "--plan", "none", "--shards", "0"]) == 2
         assert "--shards must be >= 1, got 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["hazards", "--batches", "0"], "--batches must be >= 1, got 0"),
+            (["hazards", "--batches", "-3"], "--batches must be >= 1, got -3"),
+            (["hazards", "--inject", "--batches", "0"],
+             "--batches must be >= 1, got 0"),
+            (["hazards", "--prefetch-depth", "0"],
+             "--prefetch-depth must be >= 1, got 0"),
+            (["hazards", "--grad-queue-depth", "0"],
+             "--grad-queue-depth must be >= 1, got 0"),
+            (["chaos", "--batches", "0"], "--batches must be >= 1, got 0"),
+            (["chaos", "--checkpoint-interval", "0"],
+             "--checkpoint-interval must be >= 1, got 0"),
+            (["chaos", "--plan", "random", "--batches", "1"],
+             "--plan random needs --batches >= 2, got 1"),
+        ],
+    )
+    def test_unrunnable_hazards_and_chaos_spans_are_usage_errors(
+        self, capsys, argv, message
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == message
+        assert captured.out == ""
+
     def test_bench_instrumented(self, capsys):
         assert main(
             [

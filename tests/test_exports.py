@@ -62,7 +62,7 @@ def test_system_public_names():
         [
             "DeviceSpec", "HostProfile", "KernelCostModel", "calibrate_host",
             "CPU_HOST", "TESLA_V100", "TESLA_T4",
-            "BoundedQueue", "QueueClosed",
+            "BoundedQueue",
             "HostBackedEmbeddingBag",
             "SequentialPSTrainer", "PipelinedPSTrainer", "pipeline_schedule",
             "DataParallelTrainer", "ring_allreduce_time", "all2all_time",
