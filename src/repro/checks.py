@@ -152,6 +152,8 @@ def run_serving(
         ServingFleet,
     )
 
+    if num_requests < 1:
+        raise ValueError(f"num_requests must be >= 1, got {num_requests}")
     generator = RequestGenerator(spec, rate=rate, seed=seed)
     requests = generator.generate(num_requests)
     snapshots = {0: ModelSnapshot.from_model(model, version=0)}

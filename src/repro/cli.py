@@ -79,7 +79,11 @@ def _usage_error(args: argparse.Namespace) -> Optional[str]:
             return f"{', '.join(ignored)} only take effect with --shards"
     at_least_one = {
         "hazards": ("batches", "prefetch_depth", "grad_queue_depth"),
-        "chaos": ("shards", "batches", "checkpoint_interval"),
+        "chaos": (
+            "shards", "batches", "checkpoint_interval", "requests", "replicas",
+        ),
+        "bench": ("requests",),
+        "serve": ("requests", "replicas", "workers", "max_batch_size"),
     }
     for name in at_least_one.get(args.command, ()):
         value = getattr(args, name)
@@ -88,6 +92,14 @@ def _usage_error(args: argparse.Namespace) -> Optional[str]:
     if args.command == "chaos" and args.plan == "random" and args.batches < 2:
         return f"--plan random needs --batches >= 2, got {args.batches}"
     if args.command == "serve":
+        for name, value, ok, rule in (
+            ("rate", args.rate, args.rate > 0, "> 0"),
+            ("scale", args.scale, args.scale > 0, "> 0"),
+            ("max-wait", args.max_wait, args.max_wait >= 0, ">= 0"),
+            ("train-steps", args.train_steps, args.train_steps >= 0, ">= 0"),
+        ):
+            if not ok:
+                return f"--{name} must be {rule}, got {value:g}"
         if args.max_replicas != _AUTOSCALE_CEILING and not args.autoscale:
             return "--max-replicas only takes effect with --autoscale"
         if not 0.0 <= args.hot_coverage <= 1.0:

@@ -11,7 +11,7 @@ index -> rows, how row gradients -> parameter update.
 
 from __future__ import annotations
 
-from typing import Any, Callable, ClassVar, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, ClassVar, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from repro.utils.validation import check_1d_int_array
 __all__ = [
     "normalize_offsets",
     "bag_boundaries",
+    "bags_of_one_everywhere",
     "segment_sum",
     "pool_bags",
     "EmbeddingBagBase",
@@ -116,6 +117,26 @@ def segment_sum(values: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
             values, boundaries[:-1][non_empty], axis=0
         )
     return out
+
+
+def bags_of_one_everywhere(
+    sizes: Sequence[int], offsets: Sequence[Optional[np.ndarray]], num: int
+) -> bool:
+    """Whether every table holds ``num`` ids under ``arange(num + 1)`` offsets.
+
+    :func:`bag_boundaries`'s bags-of-one case for many tables at once
+    (every serving micro-batch), decided in one comparison over all of
+    their offsets.  ``False`` only means "not recognised here": callers
+    then take :func:`bag_boundaries` table by table.
+    """
+    if not all(
+        size == num and isinstance(off, np.ndarray)
+        and off.shape == (num + 1,) and off.dtype.kind in "iu"
+        for size, off in zip(sizes, offsets)
+    ):
+        return False
+    grid = np.concatenate(offsets).reshape(-1, num + 1)  # type: ignore[arg-type]
+    return bool((grid == np.arange(num + 1)).all())
 
 
 def pool_bags(rows: np.ndarray, boundaries: Optional[np.ndarray]) -> np.ndarray:

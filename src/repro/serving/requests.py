@@ -11,7 +11,11 @@ pipeline.
 Each :class:`InferenceRequest` is one user's scoring call: a dense
 feature vector plus one multi-hot index bag per sparse feature, i.e.
 exactly one row of a training :class:`~repro.data.dataloader.Batch`
-minus the label.
+minus the label.  A request stores its ids once, as one read-only
+int64 row holding every table's bag in table order, beside the bag
+lengths (one array shared by a whole generated stream); the per-table
+bags are read-only views of that row.  :func:`coalesce_requests` thus
+joins a micro-batch's ``n`` rows, not its ``n * T`` bags.
 """
 
 from __future__ import annotations
@@ -47,18 +51,35 @@ class InferenceRequest:
         Simulated arrival timestamp in seconds.
     dense:
         ``(num_dense,)`` numerical features.
-    sparse_indices:
-        One index bag per sparse feature (each a small 1-D array).
+    ids:
+        Every sparse feature's index bag, concatenated in table order:
+        one read-only 1-D int64 array.
+    bag_sizes:
+        ``(num_tables,)`` ids per table in :attr:`ids`; a generated
+        stream shares one read-only array among all its requests.
+
+    Nothing is copied or checked on construction, so
+    ``dataclasses.replace(request, arrival_time=...)`` shares the
+    arrays.
     """
 
     request_id: int
     arrival_time: float
     dense: np.ndarray
-    sparse_indices: Tuple[np.ndarray, ...]
+    ids: np.ndarray
+    bag_sizes: np.ndarray
 
     @property
     def num_tables(self) -> int:
-        return len(self.sparse_indices)
+        return int(self.bag_sizes.size)
+
+    @property
+    def sparse_indices(self) -> Tuple[np.ndarray, ...]:
+        """One index bag per sparse feature: read-only views of :attr:`ids`."""
+        ends = np.cumsum(self.bag_sizes).tolist()
+        return tuple(
+            self.ids[start:end] for start, end in zip([0] + ends[:-1], ends)
+        )
 
 
 def coalesce_requests(requests: Sequence[InferenceRequest]) -> Batch:
@@ -68,22 +89,26 @@ def coalesce_requests(requests: Sequence[InferenceRequest]) -> Batch:
     zeros since serving has none.  All requests must agree on table
     count — they come from one generator.
 
-    Every table is built in one pass: one concatenation of all bags in
-    request order, one ``(n, T)`` bag-length array, and one gather that
-    regroups the ids table by table.  A micro-batch is a few hundred
-    ids, so the cost is per call, not per id.  Each table's indices and
-    offsets are views of one id array and one ``(T, n + 1)`` offsets
-    array; both are read-only, so a recorded batch cannot change under
-    a replay.
+    Every table is built in one pass: one concatenation of the
+    requests' id rows, one ``(n, T)`` bag-length array, and one gather
+    that regroups the ids table by table; each table's ids are then a
+    slice.  A micro-batch
+    is a few hundred ids, so the cost is per call, not per id.  Each
+    table's indices and offsets are views of one id array and one
+    ``(T, n + 1)`` offsets array; both are read-only, so a recorded
+    batch cannot change under a replay.
     """
     if not requests:
         raise ValueError("cannot coalesce zero requests")
-    num_tables = requests[0].num_tables
-    if any(r.num_tables != num_tables for r in requests):
+    num, num_tables = len(requests), requests[0].num_tables
+    sizes = [r.bag_sizes for r in requests]
+    if any(len(s) != num_tables for s in sizes):
         raise ValueError("requests disagree on sparse-feature count")
     dense = np.array([r.dense for r in requests])
-    bags = [bag for r in requests for bag in r.sparse_indices]
-    lengths = np.fromiter(map(len, bags), dtype=np.int64, count=len(bags))
+    flat = np.concatenate([r.ids for r in requests])
+    lengths = np.concatenate(sizes)
+    if flat.size != lengths.sum():
+        raise ValueError("a request's ids disagree with its bag sizes")
     # Bag (r, t) starts at request_starts[r, t] in the request-major
     # concatenation; read table-major, bag (t, r) starts at
     # table_starts[t, r].  Each id moves by its bag's difference.
@@ -91,16 +116,19 @@ def coalesce_requests(requests: Sequence[InferenceRequest]) -> Batch:
     by_table = lengths.reshape(-1, num_tables).T.ravel()
     table_starts = np.cumsum(by_table) - by_table
     shift = np.repeat(request_starts.T.ravel() - table_starts, by_table)
-    ids = np.concatenate(bags)[shift + np.arange(shift.size)]
-    offsets = np.zeros((num_tables, len(requests) + 1), dtype=np.int64)
-    np.cumsum(by_table.reshape(num_tables, -1), axis=1, out=offsets[:, 1:])
+    ids = flat[shift + np.arange(shift.size)]
     ids.setflags(write=False)
+    offsets = np.zeros((num_tables, num + 1), dtype=np.int64)
+    np.cumsum(by_table.reshape(num_tables, -1), axis=1, out=offsets[:, 1:])
+    ends = np.cumsum(offsets[:, -1]).tolist()
     offsets.setflags(write=False)
     return Batch(
         dense=dense,
-        sparse_indices=np.split(ids, np.cumsum(offsets[:-1, -1])),
+        sparse_indices=[
+            ids[start:end] for start, end in zip([0] + ends[:-1], ends)
+        ],
         sparse_offsets=list(offsets),
-        labels=np.zeros(len(requests)),
+        labels=np.zeros(num),
         batch_id=requests[0].request_id,
     )
 
@@ -185,22 +213,29 @@ class RequestGenerator:
         rng = ensure_rng((self.seed, 0xA881))
         gaps = rng.exponential(1.0 / self.rate, size=num_requests)
         arrivals = start_time + np.cumsum(gaps)
-        requests: List[InferenceRequest] = []
+        # One row per request, drawn in the order the per-table bags
+        # always were: the dense features, then each table's bag.
+        sizes = np.array([table.bag_size for table in self.spec.tables], dtype=np.int64)
+        ends = np.cumsum(sizes)
+        spans = list(zip((ends - sizes).tolist(), ends.tolist(), sizes.tolist()))
+        ids = np.empty((num_requests, int(sizes.sum())), dtype=np.int64)
+        dense = np.empty((num_requests, self.spec.num_dense))
         for i in range(num_requests):
-            dense = rng.normal(0.0, 1.0, size=self.spec.num_dense)
-            bags = tuple(
-                sampler.sample(table.bag_size, rng)
-                for table, sampler in zip(self.spec.tables, self.samplers)
+            dense[i] = rng.normal(0.0, 1.0, size=self.spec.num_dense)
+            for (start, end, size), sampler in zip(spans, self.samplers):
+                ids[i, start:end] = sampler.sample(size, rng)
+        for array in (sizes, ids, dense):
+            array.setflags(write=False)
+        return [
+            InferenceRequest(
+                request_id=i,
+                arrival_time=float(arrivals[i]),
+                dense=dense[i],
+                ids=ids[i],
+                bag_sizes=sizes,
             )
-            requests.append(
-                InferenceRequest(
-                    request_id=i,
-                    arrival_time=float(arrivals[i]),
-                    dense=dense,
-                    sparse_indices=bags,
-                )
-            )
-        return requests
+            for i in range(num_requests)
+        ]
 
     def hot_rows(
         self, table_idx: int, coverage: float

@@ -5,11 +5,12 @@ Latency is *simulated*: a :class:`ServiceTimeModel` charges each batch
 a fixed launch cost plus per-sample and per-row terms, with cold
 (TT-contraction) lookups costing more than hot (cached-gather) ones.
 The numerics, by contrast, are *real*: every batch runs through an
-actual :class:`~repro.models.dlrm.DLRM` whose compressed arms (TT,
-hash, ROBE, PQ, ...) are served by
-:class:`~repro.embeddings.inference.HotRowCachedLookup` views
-(:class:`ServingModel`), and the predictions returned to clients are
-the model's true outputs.  :func:`replay_batches` is the offline
+actual :class:`~repro.models.dlrm.DLRM` whose cached compressed arms
+(TT, hash, ROBE, PQ, ...) are served together by one
+:class:`~repro.embeddings.inference.HotRowCachedLookup`
+(:class:`ServingModel`), so a micro-batch pays once per batch, not
+once per table, and the predictions returned to clients are the
+model's true outputs.  :func:`replay_batches` is the offline
 oracle the online predictions are checked against.  The event loop
 that drives these lives in :mod:`repro.serving.fleet`.
 """
@@ -17,13 +18,13 @@ that drives these lives in :mod:`repro.serving.fleet`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.backend import ZONE_SERVING_LOOKUP, get_backend
 from repro.data.dataloader import Batch
-from repro.embeddings.base import bag_boundaries, pool_bags
+from repro.embeddings.base import bag_boundaries, bags_of_one_everywhere, pool_bags
 from repro.embeddings.dense import DenseEmbeddingBag
 from repro.embeddings.inference import HotRowCachedLookup
 from repro.embeddings.protocol import CompressedEmbedding
@@ -31,7 +32,7 @@ from repro.models.dlrm import DLRM
 from repro.nn.interaction import place_embedding
 from repro.nn.loss import BCEWithLogitsLoss
 from repro.serving.metrics import ServedBatch
-from repro.utils.validation import check_1d_int_array
+from repro.utils.validation import check_1d_int_array, ids_within
 
 __all__ = [
     "ServiceTimeModel",
@@ -55,28 +56,6 @@ def hot_rows_key(hot_rows: Optional[HotRowMap]) -> Tuple[Any, ...]:
         arr = np.asarray(rows)
         entries.append((int(t), arr.dtype.str, arr.shape, arr.tobytes()))
     return tuple(entries)
-
-
-class _LookupView(Protocol):
-    """Anything servable as a pooled embedding lookup (bag or cache)."""
-
-    def forward(
-        self, indices: np.ndarray, offsets: Optional[np.ndarray] = None
-    ) -> np.ndarray: ...
-
-
-def _bags_of_one(
-    ids: Sequence[np.ndarray], offsets: Sequence[np.ndarray], num: int
-) -> bool:
-    """Whether every arm holds ``num`` ids under ``arange(num + 1)`` offsets."""
-    if not all(
-        idx.size == num and isinstance(off, np.ndarray)
-        and off.shape == (num + 1,) and off.dtype.kind in "iu"
-        for idx, off in zip(ids, offsets)
-    ):
-        return False
-    grid = np.concatenate(offsets).reshape(-1, num + 1)
-    return bool((grid == np.arange(num + 1)).all())
 
 
 @dataclass(frozen=True)
@@ -114,12 +93,13 @@ class ServiceTimeModel:
 class ServingModel:
     """Read-only inference view of a DLRM with hot-row-cached arms.
 
-    Wraps a model so each compressed embedding bag (TT, hash, ROBE,
-    PQ, ...) with configured hot rows is served through a
-    :class:`~repro.embeddings.inference.HotRowCachedLookup`; uncached
-    compressed bags are used directly, and dense bags are read as one
-    gather each from their current ``weight``.  The wrapped model is
-    treated as frozen — the view never trains it.
+    Wraps a model so every compressed embedding bag (TT, hash, ROBE,
+    PQ, ...) with configured hot rows is served through one
+    :class:`~repro.embeddings.inference.HotRowCachedLookup` over all of
+    them (:attr:`cached_lookup`); uncached compressed bags are used
+    directly, and dense bags are read as one gather each from their
+    current ``weight``.  The wrapped model is treated as frozen — the
+    view never trains it.
 
     Parameters
     ----------
@@ -155,41 +135,49 @@ class ServingModel:
         self.model = model
         self.version = int(version)
         self.hot_rows = dict(hot_rows or {})
-        self._views: List[_LookupView] = []
-        cached: List[Tuple[int, HotRowCachedLookup]] = []
-        dense_arms: List[Tuple[int, DenseEmbeddingBag]] = []
-        lookup_tables: List[int] = []
-        for t, bag in enumerate(model.embedding_bags):
-            view: _LookupView = bag
-            rows = self.hot_rows.get(t)
-            if isinstance(bag, DenseEmbeddingBag):
-                dense_arms.append((t, bag))
-            else:
-                lookup_tables.append(t)
-                if rows is not None and isinstance(bag, CompressedEmbedding):
-                    view = HotRowCachedLookup(bag, rows)
-                    cached.append((t, view))
-            self._views.append(view)
+        bags = model.embedding_bags
+        dense_arms = [
+            (t, bag) for t, bag in enumerate(bags) if isinstance(bag, DenseEmbeddingBag)
+        ]
+        dense_tables = {t for t, _ in dense_arms}
+        compressed = [t for t in range(len(bags)) if t not in dense_tables]
+        cached = [
+            t for t in compressed
+            if t in self.hot_rows and isinstance(bags[t], CompressedEmbedding)
+        ]
         self._cached_tables = tuple(cached)
+        #: Every cached table behind one lookup (slot ``s`` is table
+        #: ``_cached_tables[s]``); ``None`` when no table is cached.
+        self.cached_lookup = (
+            HotRowCachedLookup(
+                [bags[t] for t in cached], [self.hot_rows[t] for t in cached]
+            )
+            if cached else None
+        )
+        #: The cached tables' slots in the interaction's feature stack.
+        self._cached_slots = np.array([1 + t for t in cached], dtype=np.int64)
         #: Dense tables are served by a gather from the bag's live
-        #: ``weight``, every other table by its view's ``forward``.
+        #: ``weight``, uncached compressed ones by their bag's ``forward``.
         self._dense_arms = tuple(dense_arms)
-        self._lookup_tables = tuple(lookup_tables)
+        self._uncached_tables = tuple(t for t in compressed if t not in cached)
         #: Largest valid id of each dense arm, in ``_dense_arms`` order.
         self._dense_max_ids = np.array(
             [bag.num_embeddings - 1 for _, bag in dense_arms], dtype=np.int64
         )
 
     def predict_proba(self, batch: Batch) -> np.ndarray:
-        """Click probabilities, sparse arms routed through the caches.
+        """Click probabilities, cached arms served by the hot-row lookup.
 
-        Computes :meth:`DLRM.forward`'s arithmetic, substituting each
-        cached view for its bag; with no caches configured the output is
-        the model's own ``predict_proba`` bit for bit.  Every feature is
-        written into its slot of the interaction's ``(n, F, d)`` stack.
-        The dense tables skip their bag's ``forward``: their ids are
-        range-checked together, before anything is gathered, and each
-        table is then one gather from the bag's current ``weight``.
+        Computes :meth:`DLRM.forward`'s arithmetic, substituting the
+        cached lookup for the cached bags; with no caches configured the
+        output is the model's own ``predict_proba`` bit for bit.  Every
+        feature is written into its slot of the interaction's
+        ``(n, F, d)`` stack.  The dense tables skip their bag's
+        ``forward``: their ids are range-checked together, before
+        anything is gathered, and each table is then one gather from
+        the bag's current ``weight``.  The cached tables are one
+        :meth:`HotRowCachedLookup.lookup` call, written into their
+        slots in one assignment.
         """
         model = self.model
         if batch.num_tables != model.config.num_tables:
@@ -204,19 +192,45 @@ class ServingModel:
         with get_backend().zone(ZONE_SERVING_LOOKUP):
             dense_out = model.bottom_mlp.forward(batch.dense)
             num, dim = dense_out.shape
-            stacked = np.empty((num, 1 + len(self._views), dim), dtype=model.config.dtype)
+            features = 1 + len(model.embedding_bags)
+            stacked = np.empty((num, features, dim), dtype=model.config.dtype)
             stacked[:, 0, :] = dense_out
             for (t, bag), (idx, bounds) in zip(self._dense_arms, dense_inputs):
                 rows = bag.weight.take(idx, axis=0)
                 place_embedding(stacked, t, pool_bags(rows, bounds))
-            for t in self._lookup_tables:
-                pooled = self._views[t].forward(
-                    batch.sparse_indices[t], batch.sparse_offsets[t]
-                )
+            if self.cached_lookup is not None:
+                self._place_cached(stacked, batch)
+            for t in self._uncached_tables:
+                bag = model.embedding_bags[t]
+                pooled = bag.forward(batch.sparse_indices[t], batch.sparse_offsets[t])
                 place_embedding(stacked, t, pooled)
             interacted = model.interaction.forward_stack(stacked)
             logits = model.top_mlp.forward(interacted).reshape(-1)
             return BCEWithLogitsLoss.predict_proba(logits)
+
+    def _place_cached(self, stacked: np.ndarray, batch: Batch) -> None:
+        """Every cached table's pooled rows into its slot, in one lookup.
+
+        The lookup returns the tables' bags slot-major, ``(T_c * n, d)``:
+        viewed as ``(T_c, n, d)`` and transposed, that fills the stack's
+        cached slots in one assignment.  Offsets that make other than
+        ``n`` bags in some table are rejected rather than misplaced.
+        """
+        assert self.cached_lookup is not None
+        tables = self._cached_tables
+        pooled = self.cached_lookup.lookup(
+            [batch.sparse_indices[t] for t in tables],
+            [batch.sparse_offsets[t] for t in tables],
+        )
+        num, _, dim = stacked.shape
+        if pooled.shape != (len(tables) * num, dim):
+            raise ValueError(
+                f"cached embeddings pooled to {pooled.shape[0]} bags, "
+                f"expected {len(tables)} tables x {num}"
+            )
+        stacked[:, self._cached_slots, :] = pooled.reshape(
+            len(tables), num, dim
+        ).transpose(1, 0, 2)
 
     def _dense_inputs(
         self, batch: Batch
@@ -234,7 +248,7 @@ class ServingModel:
         if not arms:
             return []
         ids = [batch.sparse_indices[t] for t, _ in arms]
-        if not self._ids_in_range(ids):
+        if ids_within(ids, self._dense_max_ids) is None:
             ids = [
                 check_1d_int_array(
                     idx, "indices", min_value=0,
@@ -243,48 +257,34 @@ class ServingModel:
                 for (_, bag), idx in zip(arms, ids)
             ]
         offsets = [batch.sparse_offsets[t] for t, _ in arms]
-        if _bags_of_one(ids, offsets, batch.batch_size):
+        if bags_of_one_everywhere([idx.size for idx in ids], offsets, batch.batch_size):
             return [(idx, None) for idx in ids]
         return [
             (idx, bag_boundaries(off, idx.size))
             for idx, off in zip(ids, offsets)
         ]
 
-    def _ids_in_range(self, ids: Sequence[np.ndarray]) -> bool:
-        """Whether every dense arm's ids are 1-D integers within its table."""
-        if not all(
-            isinstance(idx, np.ndarray) and idx.ndim == 1
-            and idx.dtype.kind in "iu"
-            for idx in ids
-        ):
-            return False
-        flat = np.concatenate(ids)
-        limits = np.repeat(self._dense_max_ids, [idx.size for idx in ids])
-        return bool(flat.size == 0 or (flat.min() >= 0 and (flat <= limits).all()))
-
-    @property
-    def cached_views(self) -> List[HotRowCachedLookup]:
-        """The hot-row caches, in table order."""
-        return [view for _, view in self._cached_tables]
-
     def lookup_counts(self, batch: Batch) -> Tuple[int, int]:
         """``(hot, cold)`` ids of ``batch`` over the cached tables.
 
         A cached table's id is hot when it is in that table's hot set
         and cold otherwise; uncached and dense tables count neither.
-        The split depends on the batch alone.
+        The split depends on the batch alone, read through the cached
+        lookup's one key search; ``(0, 0)`` with nothing cached.
         """
-        hot = total = 0
-        for t, view in self._cached_tables:
-            idx = batch.sparse_indices[t]
-            hot += view.count_hot(idx)
-            total += idx.size
-        return hot, total - hot
+        if self.cached_lookup is None:
+            return 0, 0
+        ids = [batch.sparse_indices[t] for t in self._cached_tables]
+        hot = self.cached_lookup.count_hot(ids)
+        return hot, sum(idx.size for idx in ids) - hot
 
     def refresh(self) -> None:
-        """Re-materialize every cache from the current cores."""
-        for view in self.cached_views:
-            view.refresh()
+        """Re-materialize the hot rows and TT cores from the current model.
+
+        For a model trained in place; a snapshot's frozen model never is.
+        """
+        if self.cached_lookup is not None:
+            self.cached_lookup.refresh()
 
     # -- sharing -------------------------------------------------------
     def freeze(self) -> None:
@@ -300,17 +300,19 @@ class ServingModel:
         for bag in self.model.embedding_bags:
             for name, array in sorted(bag.state_arrays().items()):
                 array.setflags(write=False)
-        for cached in self.cached_views:
-            cached.freeze()
+        if self.cached_lookup is not None:
+            self.cached_lookup.freeze()
 
     # -- cache footprint -----------------------------------------------
     @property
     def num_hot_rows(self) -> int:
-        return sum(v.num_hot_rows for v in self.cached_views)
+        lookup = self.cached_lookup
+        return 0 if lookup is None else lookup.num_hot_rows
 
     @property
     def cache_nbytes(self) -> int:
-        return sum(v.cache_nbytes for v in self.cached_views)
+        lookup = self.cached_lookup
+        return 0 if lookup is None else lookup.cache_nbytes
 
 
 def replay_batches(

@@ -6,11 +6,16 @@ that name the offending argument; hot inner loops do not re-validate.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-__all__ = ["check_1d_int_array", "check_positive", "check_probability"]
+__all__ = [
+    "check_1d_int_array",
+    "check_positive",
+    "check_probability",
+    "ids_within",
+]
 
 
 def check_1d_int_array(
@@ -41,6 +46,31 @@ def check_1d_int_array(
                 f"{name} contains value {arr.max()} above maximum {max_value}"
             )
     return arr
+
+
+def ids_within(
+    ids: Sequence[np.ndarray], max_values: np.ndarray
+) -> Optional[np.ndarray]:
+    """Every ``ids[i]`` concatenated, if all lie in ``[0, max_values[i]]``.
+
+    The fast path of :func:`check_1d_int_array` over many index arrays
+    at once: one comparison for all of them.  Returns the concatenation
+    as int64, or ``None`` when any array is not a 1-D integer array
+    within its bound — callers then check each array on its own, so the
+    error names the first bad one.
+    """
+    if not all(
+        isinstance(idx, np.ndarray) and idx.ndim == 1 and idx.dtype.kind in "iu"
+        for idx in ids
+    ):
+        return None
+    flat = np.concatenate(ids).astype(np.int64, copy=False)
+    if flat.size and (
+        flat.min() < 0
+        or not (flat <= np.repeat(max_values, [idx.size for idx in ids])).all()
+    ):
+        return None
+    return flat
 
 
 def check_positive(value: float, name: str, *, strict: bool = True) -> float:

@@ -66,13 +66,31 @@ def all_tt_model(config, seed=0):
 
 
 def record_cold(view):
-    """The ids a ``HotRowCachedLookup`` rebuilds from its bag, as lookups run."""
+    """The ids a ``HotRowCachedLookup`` rebuilds, as lookups run.
+
+    Plain ids for a single-table lookup, ``(slot, id)`` pairs otherwise.
+    """
     rebuilt = []
     rebuild = view._cold_rows
 
-    def recording(idx):
-        rebuilt.extend(idx.tolist())
-        return rebuild(idx)
+    def recording(slots, idx):
+        if view.num_tables == 1:
+            rebuilt.extend(idx.tolist())
+        else:
+            rebuilt.extend(zip(slots.tolist(), idx.tolist()))
+        return rebuild(slots, idx)
 
     view._cold_rows = recording
     return rebuilt
+
+
+def make_request(request_id, arrival_time, dense, bags):
+    """An ``InferenceRequest`` holding ``bags`` (one id array per table)."""
+    from repro.serving.requests import InferenceRequest
+
+    per_table = [np.asarray(bag, dtype=np.int64).reshape(-1) for bag in bags]
+    ids = np.concatenate(per_table)
+    sizes = np.array([bag.size for bag in per_table], dtype=np.int64)
+    ids.setflags(write=False)
+    sizes.setflags(write=False)
+    return InferenceRequest(request_id, arrival_time, np.asarray(dense), ids, sizes)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.backend.numpy_backend import NumpyBackend
 from repro.embeddings.base import segment_sum
 from repro.embeddings.dense import DenseEmbeddingBag
 from repro.embeddings.eff_tt_embedding import EffTTEmbeddingBag
@@ -14,6 +15,22 @@ from tests.conftest import record_cold
 @pytest.fixture
 def bag():
     return EffTTEmbeddingBag(500, 8, tt_rank=8, seed=0)
+
+
+@pytest.fixture
+def tables():
+    """Two TT core signatures (TT-Rec beside Eff-TT at rank 8, Eff-TT at
+    rank 2) plus a hash and a PQ arm."""
+    from repro.embeddings.hash_embedding import HashEmbeddingBag
+    from repro.embeddings.pq_embedding import PQEmbeddingBag
+
+    return [
+        EffTTEmbeddingBag(500, 8, tt_rank=8, seed=0),
+        HashEmbeddingBag(400, 8, seed=1),
+        TTEmbeddingBag(300, 8, tt_rank=8, seed=2),
+        EffTTEmbeddingBag(600, 8, tt_rank=2, seed=3),
+        PQEmbeddingBag(500, 8, seed=4),
+    ]
 
 
 class TestHotRowCachedLookup:
@@ -114,6 +131,116 @@ class TestHotRowCachedLookup:
         view = HotRowCachedLookup(bag, hot_rows=np.arange(100))
         assert view.num_hot_rows == 100
         assert view.cache_nbytes == 100 * 8 * 4  # float32 rows
+
+
+def _hot_maps(tables):
+    """Subset, empty and all-rows hot sets across the tables."""
+    return [
+        np.arange(0, bag.num_embeddings, 2 + t) if t % 3 == 0
+        else np.array([], dtype=np.int64) if t % 3 == 1
+        else np.arange(bag.num_embeddings)
+        for t, bag in enumerate(tables)
+    ]
+
+
+class TestManyTables:
+    """One lookup over several tables is the one-table lookups, joined."""
+
+    def _ids(self, tables, rng, sizes=(5, 0, 9, 7, 3)):
+        return [
+            rng.integers(0, bag.num_embeddings, size=n)
+            for bag, n in zip(tables, sizes)
+        ]
+
+    def test_lookup_is_each_tables_lookup_bitwise(self, tables, rng):
+        hot = _hot_maps(tables)
+        joined = HotRowCachedLookup(tables, hot)
+        ids = self._ids(tables, rng)
+        # multi-hot bags, an empty bag, and bags of one
+        offsets = [np.array([0, 2, 2, 5]), None, np.arange(10), np.array([0, 7]), None]
+        expected = np.concatenate([
+            HotRowCachedLookup(bag, rows).forward(idx, off)
+            for bag, rows, idx, off in zip(tables, hot, ids, offsets)
+        ])
+        np.testing.assert_array_equal(joined.lookup(ids, offsets), expected)
+        np.testing.assert_array_equal(
+            joined.lookup(ids, [None] * 5),
+            np.concatenate([bag.reconstruct_rows(idx) for bag, idx in zip(tables, ids)]),
+        )
+
+    def test_counts_are_np_isin(self, tables, rng):
+        hot = _hot_maps(tables)
+        joined = HotRowCachedLookup(tables, hot)
+        ids = self._ids(tables, rng)
+        assert joined.count_hot(ids) == sum(
+            int(np.isin(idx, rows).sum()) for idx, rows in zip(ids, hot)
+        )
+        # an id past its own table never matches the next table's keys
+        assert joined.count_hot([np.array([500]), *ids[1:]]) == joined.count_hot(
+            [np.array([], dtype=np.int64), *ids[1:]]
+        )
+
+    def test_one_chain_per_core_signature(self, tables):
+        joined = HotRowCachedLookup(tables, _hot_maps(tables))
+        assert [group.slots for group in joined._groups] == [(0, 2), (1,), (3,), (4,)]
+        rebuilt = record_cold(joined)
+        joined.lookup([np.array([499]), np.array([3]), np.array([299]),
+                       np.array([1]), np.array([]).astype(np.int64)], [None] * 5)
+        # 499 is odd, slot 1's hot set is empty, slot 2's is every row
+        assert rebuilt == [(0, 499), (1, 3), (3, 1)]
+
+    def test_a_stale_table_raises_before_any_gather(self, tables, rng, monkeypatch):
+        joined = HotRowCachedLookup(tables, _hot_maps(tables))
+        stale = tables[3]
+        stale.forward(np.array([5, 9]))
+        stale.backward_and_step(rng.standard_normal((2, 8)), lr=0.5)
+        gathered = []
+        real = NumpyBackend.gather_rows
+        monkeypatch.setattr(
+            NumpyBackend, "gather_rows",
+            lambda self, table, idx: gathered.append(idx) or real(self, table, idx),
+        )
+        rebuilt = record_cold(joined)
+        with pytest.raises(StaleCacheError, match="table 3"):
+            joined.lookup(self._ids(tables, rng), [None] * 5)
+        assert gathered == [] and rebuilt == []
+        joined.refresh()
+        joined.lookup(self._ids(tables, rng), [None] * 5)
+        assert gathered
+
+    @pytest.mark.parametrize("bad", [-1, "past", 2.0])
+    def test_a_bad_id_raises_its_bags_own_error(self, tables, rng, bad):
+        joined = HotRowCachedLookup(tables, _hot_maps(tables))
+        ids = self._ids(tables, rng)
+        if bad == "past":
+            ids[2] = np.array([0, tables[2].num_embeddings])
+        elif isinstance(bad, float):
+            ids[2] = np.array([bad])
+        else:
+            ids[2] = np.array([3, bad])
+        with pytest.raises((ValueError, TypeError)) as own:
+            tables[2].forward(ids[2])
+        rebuilt = record_cold(joined)
+        with pytest.raises(type(own.value)) as raised:
+            joined.lookup(ids, [None] * 5)
+        assert str(raised.value) == str(own.value)
+        assert rebuilt == []
+
+    def test_tables_must_share_dim_and_dtype(self, tables):
+        with pytest.raises(ValueError, match="embedding dim"):
+            HotRowCachedLookup(
+                [tables[0], EffTTEmbeddingBag(50, 4, tt_rank=2, seed=0)],
+                [np.arange(3), np.arange(3)],
+            )
+        with pytest.raises(ValueError, match="2 bags but 1 hot-row arrays"):
+            HotRowCachedLookup(tables[:2], [np.arange(3)])
+
+    def test_single_table_methods_need_one_table(self, tables):
+        joined = HotRowCachedLookup(tables[:2], [np.arange(3), np.arange(3)])
+        with pytest.raises(ValueError, match="covers 2 tables"):
+            joined.forward(np.array([1]))
+        with pytest.raises(ValueError, match="covers 2 tables"):
+            joined.lookup_rows(np.array([1]))
 
 
 class TestFromDenseTable:

@@ -172,7 +172,7 @@ class TestAtPredictProba:
     @pytest.mark.parametrize("bad, error, message", BAD_INPUTS[:3])
     def test_bad_indices_raise_what_they_did(self, bad, error, message):
         serving = self._serving()
-        rebuilt = [record_cold(view) for view in serving.cached_views]
+        rebuilt = record_cold(serving.cached_lookup)
         with pytest.raises(error, match=message):
             serving.predict_proba(self._batch(bad))
-        assert rebuilt and not any(rebuilt)
+        assert rebuilt == []

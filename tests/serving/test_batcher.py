@@ -5,14 +5,15 @@ import pytest
 
 from repro.serving.batcher import BatchingPolicy, MicroBatcher
 from repro.serving.requests import InferenceRequest
+from tests.conftest import make_request
 
 
 def _request(request_id: int, arrival: float) -> InferenceRequest:
-    return InferenceRequest(
+    return make_request(
         request_id=request_id,
         arrival_time=arrival,
         dense=np.zeros(2),
-        sparse_indices=(np.array([0]),),
+        bags=(np.array([0]),),
     )
 
 

@@ -18,13 +18,10 @@ from repro.models.config import DLRMConfig, EmbeddingBackend
 from repro.models.dlrm import DLRM
 from repro.serving.batcher import BatchingPolicy
 from repro.serving.fleet import FleetConfig, ServingFleet
-from repro.serving.requests import (
-    InferenceRequest,
-    RequestGenerator,
-    coalesce_requests,
-)
+from repro.serving.requests import RequestGenerator, coalesce_requests
 from repro.serving.server import ServingModel, replay_batches
 from repro.serving.snapshot import ModelSnapshot
+from tests.conftest import make_request
 
 
 def per_table_coalesce(requests):
@@ -70,11 +67,11 @@ def request_streams(draw):
             for t in range(num_tables)
         )
         requests.append(
-            InferenceRequest(
+            make_request(
                 request_id=first_id + r,
                 arrival_time=float(r),
                 dense=rng.normal(size=num_dense),
-                sparse_indices=bags,
+                bags=bags,
             )
         )
     return requests
@@ -115,7 +112,7 @@ def test_shared_arrays_are_read_only(requests):
 
 def test_all_bags_empty():
     requests = [
-        InferenceRequest(
+        make_request(
             i, float(i), np.zeros(2), (np.zeros(0, dtype=np.int64),) * 3
         )
         for i in range(4)

@@ -16,9 +16,10 @@ from repro.embeddings.dense import DenseEmbeddingBag
 from repro.embeddings.inference import HotRowCachedLookup, StaleCacheError
 from repro.models.config import DLRMConfig, EmbeddingBackend
 from repro.models.dlrm import DLRM
-from repro.serving.requests import InferenceRequest, RequestGenerator, coalesce_requests
+from repro.serving.requests import RequestGenerator, coalesce_requests
 from repro.serving.server import ServingModel
 from repro.utils.validation import check_1d_int_array
+from tests.conftest import make_request
 
 CRITEO_SMALL = criteo_kaggle_like(scale=3e-5)
 #: The ledger's serving model: 6 Eff-TT tables beside 20 dense ones.
@@ -80,11 +81,11 @@ def _batches(name):
     trained = SyntheticClickLog(spec, batch_size=32, seed=1).batch(0)
     rng = np.random.default_rng(5)
     ragged = coalesce_requests([
-        InferenceRequest(
+        make_request(
             request_id=i,
             arrival_time=float(i),
             dense=rng.normal(size=spec.num_dense),
-            sparse_indices=tuple(
+            bags=tuple(
                 rng.integers(0, table.num_rows, size=rng.integers(0, 4))
                 for table in spec.tables
             ),
@@ -149,7 +150,7 @@ def test_bad_dense_id_raises_before_any_gather(case, bad, monkeypatch):
     cached_rows = HotRowCachedLookup._rows
     monkeypatch.setattr(
         HotRowCachedLookup, "_rows",
-        lambda self, idx: looked_up.append(idx) or cached_rows(self, idx),
+        lambda self, slots, idx: looked_up.append(idx) or cached_rows(self, slots, idx),
     )
     for t in (dense[0], dense[len(dense) // 2], dense[-1]):
         batch = _batches(name)[0]
@@ -205,7 +206,7 @@ def test_training_after_construction_stales_cached_eff_tt_arms():
     generator = RequestGenerator(CRITEO_SMALL, rate=1000.0, seed=3)
     hot = {t: generator.hot_rows(t, 0.2) for t in range(CRITEO_SMALL.num_sparse)}
     serving = ServingModel(model, hot_rows=hot)
-    assert serving.cached_views and _dense_tables(model)
+    assert serving.cached_lookup is not None and _dense_tables(model)
     batch = coalesce_requests(generator.generate(8))
     serving.predict_proba(batch)
     log = SyntheticClickLog(CRITEO_SMALL, batch_size=16, seed=0)

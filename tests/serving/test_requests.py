@@ -1,5 +1,7 @@
 """Tests for the deterministic traffic generator and coalescing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.serving.requests import (
     coalesce_requests,
     hot_rows_from_trace,
 )
+from tests.conftest import make_request
 
 SPEC = criteo_kaggle_like(scale=3e-5)
 
@@ -48,6 +51,50 @@ class TestRequestGenerator:
         for table, bag in zip(SPEC.tables, request.sparse_indices):
             assert bag.shape == (table.bag_size,)
             assert (0 <= bag).all() and (bag < table.num_rows).all()
+
+    def test_a_request_holds_one_id_row(self):
+        multi_hot = dataclasses.replace(
+            SPEC,
+            tables=tuple(
+                dataclasses.replace(table, bag_size=1 + t % 3)
+                for t, table in enumerate(SPEC.tables)
+            ),
+        )
+        requests = RequestGenerator(multi_hot, rate=10.0, seed=0).generate(3)
+        sizes = [table.bag_size for table in multi_hot.tables]
+        for request in requests:
+            assert request.ids.dtype == np.int64 and request.ids.shape == (sum(sizes),)
+            assert request.bag_sizes is requests[0].bag_sizes  # one per stream
+            assert request.bag_sizes.tolist() == sizes
+            bags = request.sparse_indices
+            assert [bag.size for bag in bags] == sizes
+            np.testing.assert_array_equal(np.concatenate(bags), request.ids)
+            for bag in bags:
+                assert np.shares_memory(bag, request.ids)
+        # nothing per table is stored: the bags are views made on access
+        assert [f.name for f in dataclasses.fields(InferenceRequest)] == [
+            "request_id", "arrival_time", "dense", "ids", "bag_sizes",
+        ]
+
+    def test_ids_and_their_views_are_read_only(self):
+        request = RequestGenerator(SPEC, rate=10.0, seed=0).generate(2)[1]
+        built = make_request(
+            7, 1.0, np.zeros(2), [np.array([1, 2]), np.array([3])]
+        )
+        for r in (request, built):
+            for array in (r.ids, r.bag_sizes, *r.sparse_indices):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0
+        assert built.ids.tolist() == [1, 2, 3] and built.bag_sizes.tolist() == [2, 1]
+
+    def test_replace_shares_the_ids(self):
+        request = RequestGenerator(SPEC, rate=10.0, seed=0).generate(1)[0]
+        moved = dataclasses.replace(request, arrival_time=0.5)
+        assert moved.arrival_time == 0.5
+        assert moved.ids is request.ids
+        assert moved.bag_sizes is request.bag_sizes
+        assert moved.dense is request.dense
 
     def test_zipf_skew_present(self):
         gen = RequestGenerator(SPEC, rate=10.0, seed=0)
@@ -102,11 +149,11 @@ class TestCoalesce:
 
     def test_table_count_mismatch_rejected(self):
         requests = RequestGenerator(SPEC, rate=10.0, seed=0).generate(2)
-        bad = InferenceRequest(
+        bad = make_request(
             request_id=99,
             arrival_time=1.0,
             dense=requests[0].dense,
-            sparse_indices=requests[0].sparse_indices[:-1],
+            bags=requests[0].sparse_indices[:-1],
         )
         with pytest.raises(ValueError):
             coalesce_requests([requests[0], bad])

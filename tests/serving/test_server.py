@@ -115,7 +115,7 @@ class TestServingModel:
         batch = coalesce_requests(requests[:16])
         serving.predict_proba(batch)
         hot, cold = serving.lookup_counts(batch)
-        cached = [t for t, _ in serving._cached_tables]
+        cached = list(serving._cached_tables)
         assert cached  # the 0.3-coverage map caches some compressed arm
         assert hot + cold == sum(batch.sparse_indices[t].size for t in cached)
         assert hot == sum(
@@ -135,7 +135,7 @@ class TestServingModel:
         )
         model = DLRM(dense_cfg, seed=0)
         serving = ServingModel(model, hot_rows={0: np.array([0, 1])})
-        assert serving.cached_views == []
+        assert serving.cached_lookup is None
         batch = coalesce_requests(requests[:4])
         np.testing.assert_array_equal(
             serving.predict_proba(batch), model.predict_proba(batch)

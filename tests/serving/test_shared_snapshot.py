@@ -34,7 +34,7 @@ CFG = DLRMConfig.from_dataset(
 )
 NUM_TABLES = SPEC.num_sparse
 #: Tables the config keeps compressed (TT smaller than dense); only
-#: they are served through a hot-row cache, the dense ones directly.
+#: they are served through the hot-row lookup, the dense ones directly.
 CACHED = [
     t for t in range(NUM_TABLES)
     if CFG.backend_for_table(t) is not EmbeddingBackend.DENSE
@@ -63,7 +63,7 @@ def _config(num_replicas=4):
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Count checkpoint decodes and hot-row table builds."""
+    """Count checkpoint decodes and hot-row builds (one covers every table)."""
     seen = {"load": 0, "refresh": 0}
     real_load = snapshot_module.load_checkpoint
     real_refresh = HotRowCachedLookup.refresh
@@ -93,7 +93,7 @@ class TestBuiltOnce:
         fleet = ServingFleet(_snapshot(7, 1), hot_rows=HOT_ROWS, config=_config())
         for _ in range(3):
             fleet.run(REQUESTS)
-        assert counts == {"load": 1, "refresh": len(CACHED)}
+        assert counts == {"load": 1, "refresh": 1}
 
     def test_a_scheduled_swap_is_exactly_one_more_load(self, counts):
         fleet = ServingFleet(_snapshot(7, 1), hot_rows=HOT_ROWS, config=_config())
@@ -101,14 +101,14 @@ class TestBuiltOnce:
         outcome = fleet.run(REQUESTS)
         assert outcome.swaps[0].completed and outcome.final_version == 2
         assert len(outcome.swaps[0].replica_times) == 4  # N installs
-        assert counts == {"load": 2, "refresh": 2 * len(CACHED)}
+        assert counts == {"load": 2, "refresh": 2}
 
     def test_a_fallback_snapshot_is_one_more_load(self, counts):
         fleet = ServingFleet(_snapshot(7, 1), hot_rows=HOT_ROWS, config=_config())
         fleet.set_fallback(_snapshot(3, 0), HOT_ROWS)
         fleet.run(REQUESTS)
         fleet.run(REQUESTS)
-        assert counts == {"load": 2, "refresh": 2 * len(CACHED)}
+        assert counts == {"load": 2, "refresh": 2}
 
     def test_the_state_dies_with_the_snapshot_object(self, counts):
         # Same bytes, new object: nothing is cached by value or by version.
@@ -130,8 +130,8 @@ class TestBuiltOnce:
 
 class TestSharingIsByHotRowContents:
     @staticmethod
-    def _table(executor, t=2):
-        return executor.serving_model._views[t]._hot_values
+    def _table(executor):
+        return executor.serving_model.cached_lookup._hot_values
 
     def test_equal_contents_share_one_value_table(self, counts):
         snapshot = _snapshot(7, 1)
@@ -140,7 +140,7 @@ class TestSharingIsByHotRowContents:
         two = ServingFleet(snapshot, hot_rows=same, config=_config(1))
         one.run(REQUESTS[:20])
         two.run(REQUESTS[:20])
-        assert counts == {"load": 1, "refresh": len(CACHED)}
+        assert counts == {"load": 1, "refresh": 1}
         assert self._table(_executor(snapshot)) is self._table(
             _executor(snapshot, same)
         )
@@ -150,9 +150,8 @@ class TestSharingIsByHotRowContents:
         other = dict(HOT_ROWS)
         other[2] = HOT_ROWS[2][:-1]
         a, b = _executor(snapshot), _executor(snapshot, other)
-        assert counts == {"load": 2, "refresh": 2 * len(CACHED)}
-        for t in CACHED:
-            assert not np.shares_memory(self._table(a, t), self._table(b, t))
+        assert counts == {"load": 2, "refresh": 2}
+        assert not np.shares_memory(self._table(a), self._table(b))
         assert self._table(b).shape[0] == self._table(a).shape[0] - 1
 
     def test_no_map_and_empty_map_are_the_same_contents(self, counts):
@@ -198,8 +197,7 @@ def _reachable_arrays(serving_model):
     arrays = [p.data for p in serving_model.model.parameters()]
     for bag in serving_model.model.embedding_bags:
         arrays.extend(bag.state_arrays().values())
-    for view in serving_model.cached_views:
-        arrays.extend([view._hot_rows, view._hot_values])
+    arrays.extend(serving_model.cached_lookup.arrays())
     return arrays
 
 
@@ -210,6 +208,8 @@ def _digest(serving_model):
 class TestReadOnly:
     def test_every_reachable_array_is_read_only(self):
         replica = _executor(_snapshot(7, 1))
+        # One lookup covers every table the config keeps compressed.
+        assert replica.serving_model.cached_lookup.num_tables == len(CACHED)
         arrays = _reachable_arrays(replica.serving_model)
         assert len(arrays) > NUM_TABLES
         assert not any(a.flags.writeable for a in arrays)
@@ -232,14 +232,17 @@ class TestReadOnly:
         with pytest.raises(ValueError, match="read-only"):
             next(iter(model.parameters())).data[...] = 0.0
         with pytest.raises(ValueError, match="read-only"):
-            victim.serving_model.cached_views[0]._hot_values[0] = 0.0
+            victim.serving_model.cached_lookup._hot_values[0] = 0.0
         assert _digest(sibling.serving_model) == before
 
     def test_serving_changes_no_serving_state(self):
         snapshot = _snapshot(7, 1)
         primary = snapshot.serving_model(HOT_ROWS)
         fallback = _snapshot(3, 0).serving_model({2: HOT_ROWS[2]})
-        states = [primary, fallback, *primary.cached_views, *fallback.cached_views]
+        states = [
+            primary, fallback, primary.cached_lookup, fallback.cached_lookup,
+            *primary.cached_lookup._groups, *fallback.cached_lookup._groups,
+        ]
         before = [_attributes(obj) for obj in states]
         fleet = ServingFleet(snapshot, hot_rows=HOT_ROWS, config=_config(2))
         batches = fleet.run(REQUESTS[:60]).served_batches

@@ -17,6 +17,7 @@ import pytest
 from repro import checks
 from repro.backend import CostCounter, NumpyBackend
 from repro.embeddings.hash_embedding import HashEmbeddingBag
+from repro.embeddings.inference import _TTChain
 from repro.nn.loss import BCEWithLogitsLoss
 from repro.resilience.supervisor import PipelineSupervisor
 from repro.serving.fleet import _FleetRun
@@ -91,6 +92,22 @@ def _fleet_loses_a_result(monkeypatch):
             lost.append(self.results.pop())
 
     monkeypatch.setattr(_FleetRun, "complete", lossy)
+
+
+def _fused_chain_reads_the_neighbours_slices(monkeypatch):
+    rows = _TTChain.rows
+
+    def shifted(self, slots, idx):
+        # Slot s offsets its digits by slot s-1's offset: the slices of
+        # the table before it in the stacked cores (slot 0 keeps its own).
+        own = self._offsets
+        self._offsets = np.concatenate([own[:, :1], own[:, :-1]], axis=1)
+        try:
+            return rows(self, slots, idx)
+        finally:
+            self._offsets = own
+
+    monkeypatch.setattr(_TTChain, "rows", shifted)
 
 
 def _supervisor_skips_a_replay(monkeypatch):
@@ -171,3 +188,17 @@ def test_a_lost_result_turns_serving_red(monkeypatch):
     check = GATES["serving"]()
     assert not check.ok, checks.format_check(check)
     assert "299/299 requests" in check.detail
+
+
+def test_a_fused_chain_reading_its_neighbours_slices_turns_serving_red(
+    monkeypatch,
+):
+    # The gate's model keeps four Eff-TT arms of one core signature, so
+    # their cold rows come off one chain over the stacked cores; the
+    # gate compares every prediction with the plain model's, not only
+    # with a replay that would share the fault.
+    _fused_chain_reads_the_neighbours_slices(monkeypatch)
+    check = GATES["serving"]()
+    assert not check.ok, checks.format_check(check)
+    assert "300/300 requests" in check.detail
+    assert "max |p - model| 0.0e+00" not in check.detail

@@ -157,6 +157,46 @@ class TestCli:
         assert captured.err.strip() == message
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["serve", "--requests", "0"], "--requests must be >= 1, got 0"),
+            (["serve", "--requests", "-5"], "--requests must be >= 1, got -5"),
+            (["serve", "--rate", "0"], "--rate must be > 0, got 0"),
+            (["serve", "--replicas", "0"], "--replicas must be >= 1, got 0"),
+            (["serve", "--workers", "0"], "--workers must be >= 1, got 0"),
+            (["serve", "--max-batch-size", "0"],
+             "--max-batch-size must be >= 1, got 0"),
+            (["serve", "--max-wait", "-1"], "--max-wait must be >= 0, got -1"),
+            (["serve", "--scale", "0"], "--scale must be > 0, got 0"),
+            (["serve", "--train-steps", "-1"], "--train-steps must be >= 0, got -1"),
+            (["bench", "--requests", "0"], "--requests must be >= 1, got 0"),
+            (["chaos", "--plan", "fleet-smoke", "--requests", "0"],
+             "--requests must be >= 1, got 0"),
+            (["chaos", "--plan", "serve-degrade", "--requests", "0"],
+             "--requests must be >= 1, got 0"),
+            (["chaos", "--plan", "fleet-smoke", "--replicas", "0"],
+             "--replicas must be >= 1, got 0"),
+        ],
+    )
+    def test_unrunnable_serving_values_are_usage_errors(
+        self, capsys, argv, message
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == message
+        assert captured.out == ""
+
+    def test_run_serving_rejects_an_empty_stream(self):
+        from repro.data.datasets import criteo_kaggle_like
+        from repro.models.config import EmbeddingBackend
+        from repro.models.dlrm import DLRM
+
+        spec = criteo_kaggle_like(scale=3e-5)
+        model = DLRM(checks.small_config(spec, EmbeddingBackend.EFF_TT), seed=0)
+        with pytest.raises(ValueError, match="num_requests must be >= 1, got 0"):
+            checks.run_serving(spec, model, num_requests=0, seed=0, train_steps=2)
+
     def test_bench_instrumented(self, capsys):
         assert main(
             [
