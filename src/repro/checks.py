@@ -34,6 +34,8 @@ from repro.backend import (
 from repro.data.dataloader import SyntheticClickLog
 from repro.data.datasets import DatasetSpec, criteo_kaggle_like
 from repro.embeddings import build_bags, plan_under_budget
+from repro.embeddings.eff_tt_embedding import EffTTEmbeddingBag
+from repro.embeddings.tt_embedding import TTEmbeddingBag
 from repro.models.config import DLRMConfig, EmbeddingBackend
 from repro.models.dlrm import DLRM, table_seeds
 from repro.reorder import profile_tables
@@ -41,6 +43,7 @@ from repro.reorder import profile_tables
 __all__ = [
     "AUTO_TUNED_LOSS_RTOL",
     "COMPRESSED_LOSS_RTOL",
+    "EFF_TT_GRAD_RTOL",
     "PACKAGE_DIR",
     "Analyzer",
     "Check",
@@ -62,6 +65,11 @@ PACKAGE_DIR = Path(__file__).resolve().parent
 #: short ``sharded`` gate run by at most this relative amount
 #: (DESIGN.md §11).
 COMPRESSED_LOSS_RTOL = 5e-2
+
+#: Eff-TT's core gradients may differ from the TT-Rec chain's by at most
+#: this much of their largest entry, at float64 (DESIGN.md §8's
+#: tolerance contract for the segment-GEMM kernels).
+EFF_TT_GRAD_RTOL = 1e-10
 
 #: An auto-tuned model under half the dense budget may move the final
 #: loss of the short ``compress`` gate run by at most this relative
@@ -205,6 +213,55 @@ def train_check(backend: EmbeddingBackend, steps: int) -> Check:
     return Check(
         backend.value, losses[-1] < losses[0],
         f"loss {losses[0]:.4f} -> {losses[-1]:.4f}",
+    )
+
+
+def _eff_tt_gradient_gap() -> float:
+    """How far Eff-TT's core gradients are from the TT-Rec chain's.
+
+    Every Eff-TT table of the float64 gate model takes the quickcheck
+    batch and one random output gradient; a TT-Rec bag holding the same
+    cores takes the same, and the gap is the largest difference between
+    their dense core gradients over the largest entry.
+    """
+    spec, log = _quickcheck_log()
+    config = small_config(spec, EmbeddingBackend.EFF_TT, dtype="float64")
+    model = DLRM(config, seed=0)
+    batch = log.batch(0)
+    rng = np.random.default_rng(0)
+    gap = 0.0
+    for bag, idx, offsets in zip(
+        model.embedding_bags, batch.sparse_indices, batch.sparse_offsets
+    ):
+        if not isinstance(bag, EffTTEmbeddingBag):
+            continue
+        reference = TTEmbeddingBag(
+            bag.num_embeddings, bag.embedding_dim, dtype=bag.dtype,
+            row_shape=bag.spec.row_shape, col_shape=bag.spec.col_shape,
+            tt_rank=bag.spec.ranks,
+        )
+        reference.load_state_arrays(bag.state_arrays())
+        grad = rng.standard_normal((batch.batch_size, bag.embedding_dim))
+        for table in (bag, reference):
+            table.forward(idx, offsets)
+            table.backward(grad)
+        pending = bag.pop_pending_update()
+        for k, expected in enumerate(reference._pop_pending()):
+            actual = np.zeros_like(expected)
+            np.add.at(actual, pending["tt_idx"][k], pending["slice_grads"][k])
+            error = np.abs(actual - expected).max() / np.abs(expected).max()
+            gap = max(gap, float(error))
+    return gap
+
+
+def eff_tt_check(steps: int) -> Check:
+    """Eff-TT trains, and its gradients are the TT-Rec chain's."""
+    trained = train_check(EmbeddingBackend.EFF_TT, steps)
+    gap = _eff_tt_gradient_gap()
+    return Check(
+        trained.name, trained.ok and gap <= EFF_TT_GRAD_RTOL,
+        f"{trained.detail}, core grads vs TT-Rec {gap:.1e} "
+        f"(bound {EFF_TT_GRAD_RTOL:.0e})",
     )
 
 
@@ -494,6 +551,7 @@ def registry(steps: int = 20) -> Dict[str, Gate]:
         backend.value: functools.partial(train_check, backend, steps)
         for backend in EmbeddingBackend
     }
+    gates[EmbeddingBackend.EFF_TT.value] = functools.partial(eff_tt_check, steps)
     gates.update(
         backend=backend_check,
         numsan=numsan_check,

@@ -10,12 +10,21 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.backend import ZONE_OPTIMIZER, get_backend
 from repro.backend.protocol import DEFAULT_DTYPE, DTypeLike
 from repro.embeddings.base import EmbeddingBagBase
 from repro.nn.optim import SparseSGD
 from repro.utils.rng import RngLike, ensure_rng
 
 __all__ = ["DenseEmbeddingBag"]
+
+#: Tables of at most this many rows take their SGD step as one dense
+#: gradient, ``one_hot(indices) @ row_grads``: one GEMM instead of a
+#: sort, a segment sum and a scatter.  Per table at B = 2048, dim 64,
+#: float32 (DESIGN.md §8): 3 rows 333 -> 47 us, 32 rows 404 -> 186 us,
+#: 128 rows 510 -> 612 us; a first probe on another host already lost
+#: at 64 rows (343 -> 412 us).
+ONE_HOT_MAX_ROWS = 32
 
 
 class DenseEmbeddingBag(EmbeddingBagBase):
@@ -65,7 +74,14 @@ class DenseEmbeddingBag(EmbeddingBagBase):
 
     def _apply(self, pending: Tuple[np.ndarray, np.ndarray], lr: float) -> None:
         indices, row_grads = pending
-        SparseSGD(lr).step_rows(self.weight, indices, row_grads)
+        if self.num_embeddings > ONE_HOT_MAX_ROWS:
+            SparseSGD(lr).step_rows(self.weight, indices, row_grads)
+            return
+        bk = get_backend()
+        with bk.zone(ZONE_OPTIMIZER):
+            one_hot = bk.zeros((self.num_embeddings, indices.size), dtype=self.dtype)
+            one_hot[indices, np.arange(indices.size)] = 1
+            bk.axpy(self.weight, bk.matmul(one_hot, row_grads), -lr)
 
     def pop_row_gradients(self) -> Tuple[np.ndarray, np.ndarray]:
         """Return and clear ``(indices, per-row gradients)``.

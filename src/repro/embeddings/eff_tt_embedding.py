@@ -11,16 +11,23 @@ toggleable for the ablation studies (Figures 14, 17, 18):
     per unique TT-index prefix — the Reuse Buffer — with one
     ``gather_matmul`` per core: a GEMM per *distinct* TT slice over the
     prefixes that address it, never a gathered copy of the slices.  The
-    row groups come ready-made on the :class:`ReusePlan` (Algorithm 1's
-    pointer preparation).
+    :class:`ReusePlan` (Algorithm 1's pointer preparation) stores every
+    level's operand in the order its GEMM groups it by, so each kernel
+    reads and writes in place; between the buffer and the last core the
+    prefixes are expanded into the unique rows, laid out by last digit.
 ``enable_grad_aggregation``
     In-advance gradient aggregation (§III-B).  Embedding-row gradients
     are summed over unique indices *before* the chain-rule contraction
     into TT cores, shrinking the expensive per-row tensor
-    multiplications from one per occurrence to one per unique row; the
-    contraction then reduces over the rows sharing a TT slice inside
-    the GEMM itself (``matmul_segment_sum``), so the pending update
-    holds one gradient block per distinct slice, not one per row.
+    multiplications from one per occurrence to one per unique row.  The
+    backward then runs the forward's GEMMs in reverse on the operands
+    the forward kept: the last core's slice gradients and the rows'
+    gradient with respect to the buffer are per unique row, that
+    gradient is summed into each row's prefix, and every earlier core is
+    contracted per unique *prefix*.  Each slice-gradient GEMM reduces
+    over the rows sharing a TT slice inside the GEMM itself
+    (``matmul_segment_sum``), so the pending update holds one gradient
+    block per distinct slice, not one per row.
 ``enable_fused_update``
     Fused TT-core update (§III-B).  The SGD step scatters
     ``-lr * slice_grad`` directly into the live cores instead of
@@ -46,7 +53,7 @@ from repro.backend.plan_cache import ChainStage
 from repro.backend.protocol import DEFAULT_DTYPE, DTypeLike
 from repro.embeddings.base import segment_sum
 from repro.embeddings.protocol import SpecParamValue
-from repro.embeddings.reuse_buffer import ReusePlan, build_reuse_plan
+from repro.embeddings.reuse_buffer import ReusePlan, RunSum, build_reuse_plan
 from repro.embeddings.tt_core import TTCores
 from repro.embeddings.tt_embedding import (
     TTBagBase,
@@ -58,6 +65,21 @@ from repro.utils.rng import RngLike
 from repro.utils.scatter import coalesce_rows
 
 __all__ = ["EffTTEmbeddingBag"]
+
+
+def _sum_runs(values: np.ndarray, runs: RunSum) -> np.ndarray:
+    """Rows of ``values`` summed per run, depth-wise (see :class:`RunSum`).
+
+    One gather per round and an add into the runs still open: the
+    rounds are few (a prefix holds at most ``m_d`` rows) and each is a
+    flat pass.  ``np.add.reduceat`` over the same wide rows is 18 times
+    slower (DESIGN.md §8).
+    """
+    bk = get_backend()
+    out = bk.gather_rows(values, runs.sources)
+    for targets, sources in runs.rounds:
+        out[targets] += bk.gather_rows(values, sources)
+    return out
 
 
 class EffTTEmbeddingBag(TTBagBase):
@@ -183,10 +205,10 @@ class EffTTEmbeddingBag(TTBagBase):
         plan = build_reuse_plan(idx, self.spec.row_shape)
         self.last_plan = plan
         if self.enable_reuse:
-            rows_unique, left_stages, last_left = self._forward_reused(plan)
-            return rows_unique[plan.row_inverse], {
+            rows, operands, last_left = self._forward_reused(plan)
+            return rows[plan.occurrence_slots], {
                 "plan": plan,
-                "left_stages": left_stages,  # per unique prefix
+                "operands": operands,  # per unique prefix, as each level read it
                 "last_left": last_left,  # the last stage, per unique row
                 "reused": True,
             }
@@ -215,53 +237,53 @@ class EffTTEmbeddingBag(TTBagBase):
     ) -> Tuple[List[np.ndarray], np.ndarray]:
         """Fill the Reuse Buffer for the plan's unique prefixes.
 
-        Entry ``k`` is the product of cores ``0..k`` per unique prefix,
-        ``(P, n_1 * ... * n_k, R_k)``, for ``k = 0..d-2``.  Each stage is
-        one GEMM per distinct slice of core ``k`` over the prefixes that
-        address it (Algorithm 1's batched GEMM over pointer lists).
-        Also returns the last entry handed out per unique *row*,
-        ``(U, A, R_{d-1})`` — what the final core multiplies in the
+        Level ``k`` is the product ``L_k`` of cores ``0..k`` per unique
+        prefix, ``(P, n_1 * ... * n_k, R_k)``, for ``k = 0..d-2``.  Each
+        GEMM level is one GEMM per distinct slice of core ``k`` over the
+        prefixes that address it (Algorithm 1's batched GEMM over
+        pointer lists), on an operand stored in that level's digit order
+        (``plan.prefix_layouts``): no kernel sorts or scatters back.
+        Returns the operand of every GEMM level — what the backward
+        contracts each core's gradient against — and the top level
+        handed out per unique *row*, ``(U, A, R_{d-1})`` in
+        ``plan.row_order``: what the final core multiplies in the
         forward and what its slice gradient contracts in the backward.
         """
         bk = get_backend()
         num_prefixes = plan.num_unique_prefixes
         with bk.zone(zone):
-            left = bk.gather_rows(self.tt.cores[0], plan.prefix_tt_indices[0])
+            left = bk.gather_rows(self.tt.cores[0], plan.first_slices)
             left = left.reshape(num_prefixes, stages[0].n_k, stages[0].r_out)
-            buffer = [left]
-            for stage in stages[1:-1]:
+            operands = []
+            for stage, groups, relayout in zip(
+                stages[1:-1], plan.prefix_groups, plan.relayouts
+            ):
+                if relayout is not None:
+                    left = bk.gather_rows(left, relayout)
+                operands.append(left)
                 left = bk.gather_matmul(
-                    left,
-                    self._slice_table(stage),
-                    plan.prefix_slice_groups[stage.core_index],
+                    left, self._slice_table(stage), groups
                 ).reshape(num_prefixes, stage.prefix_width * stage.n_k, stage.r_out)
-                buffer.append(left)
-            return buffer, bk.gather_rows(left, plan.prefix_ids)
+            return operands, bk.gather_rows(left, plan.expand_index)
 
     def _forward_reused(
         self, plan: ReusePlan
     ) -> Tuple[np.ndarray, List[np.ndarray], np.ndarray]:
         """Compute unique rows via the prefix Reuse Buffer.
 
-        Returns ``(unique_rows_values, left_stages, last_left)`` where
-        ``left_stages[k]`` is the product of cores ``0..k`` for each
-        unique prefix (the Reuse Buffer content at stage ``k``) and
-        ``last_left`` its last entry per unique row.
+        Returns ``(rows, operands, last_left)``: the unique rows' values
+        in ``plan.row_order`` and what :meth:`_reuse_buffer` returned.
         """
         stages = self._chain_stages("chain_forward")
-        left_stages, last_left = self._reuse_buffer(plan, stages, ZONE_EFFTT_FORWARD)
+        operands, last_left = self._reuse_buffer(plan, stages, ZONE_EFFTT_FORWARD)
         last = stages[-1]
         bk = get_backend()
         with bk.zone(ZONE_EFFTT_FORWARD):
             # Final core applied per unique row.
-            rows_unique = bk.gather_matmul(
-                last_left, self._slice_table(last), plan.slice_groups[last.core_index]
+            rows = bk.gather_matmul(
+                last_left, self._slice_table(last), plan.row_groups
             )  # (U, A, n_d)
-        return (
-            rows_unique.reshape(plan.num_unique_rows, self.embedding_dim),
-            left_stages,
-            last_left,
-        )
+        return rows.reshape(plan.num_unique_rows, self.embedding_dim), operands, last_left
 
     # ------------------------------------------------------------------
     # backward
@@ -292,19 +314,17 @@ class EffTTEmbeddingBag(TTBagBase):
 
         if self.enable_grad_aggregation:
             if saved["reused"]:
-                left_stages, last_left = saved["left_stages"], saved["last_left"]
+                operands, last_left = saved["operands"], saved["last_left"]
             else:
-                left_stages, last_left = self._reuse_buffer(
+                operands, last_left = self._reuse_buffer(
                     plan, self._chain_stages("chain_forward"), ZONE_EFFTT_BACKWARD
                 )
             # In-advance aggregation: one summed gradient per unique row.
             agg = segment_sum(row_grads, plan.occurrence_groups.boundaries)
             # One gradient block per *distinct* slice, already coalesced.
-            tt_idx: Sequence[np.ndarray] = tuple(
-                groups.ids for groups in plan.slice_groups
-            )
+            tt_idx: Sequence[np.ndarray] = plan.slice_ids
             slice_grads = self._aggregated_slice_grads(
-                plan, left_stages, last_left, agg
+                plan, operands, last_left, agg
             )
         else:
             # Ablation path: per-occurrence chain rule, as TT-Rec does.
@@ -312,10 +332,12 @@ class EffTTEmbeddingBag(TTBagBase):
                 tt_idx = tuple(
                     arr[plan.row_inverse] for arr in plan.tt_indices
                 )
+                occurrence_prefixes = plan.prefix_ids[plan.row_inverse]
                 left_partials = [
-                    stage[plan.prefix_ids][plan.row_inverse]
-                    for stage in saved["left_stages"]
+                    operand[slots[occurrence_prefixes]]
+                    for operand, slots in zip(saved["operands"], plan.layout_slots)
                 ]
+                left_partials.append(saved["last_left"][plan.occurrence_slots])
             else:
                 tt_idx = saved["occ_tt_idx"]
                 left_partials = saved["occ_left_partials"]
@@ -348,84 +370,71 @@ class EffTTEmbeddingBag(TTBagBase):
     def _aggregated_slice_grads(
         self,
         plan: ReusePlan,
-        left_stages: List[np.ndarray],
+        operands: List[np.ndarray],
         last_left: np.ndarray,
         agg: np.ndarray,
     ) -> List[np.ndarray]:
-        """Equation 6 over unique rows, reduced per distinct TT slice.
+        """Equation 6 over unique rows, in reverse mode through the Reuse Buffer.
 
-        Same contractions as :func:`tt_chain_backward` less its two
-        products against the ones seed, but no slice is gathered per row
-        and no per-row slice gradient is written: the suffix chain
-        multiplies against each *distinct* slice (``gather_matmul``) and
-        the last GEMM of every core sums over the rows sharing a slice
-        as it goes (``matmul_segment_sum``).  Returns, per core,
-        ``(G_k, R_{k-1}, n_k, R_k)`` aligned with
-        ``plan.slice_groups[k].ids``.
+        The forward's GEMMs run backwards on the operands it saved, in
+        the layouts it stored them in.  The last core's gradient is one
+        segment GEMM over the rows (``last_left^T G``, summed per
+        distinct slice); the rows' gradient with respect to the buffer,
+        ``G C_last^T``, is summed into each row's prefix (a depth-wise
+        sum of at most ``m_d`` rounds); then each buffer level does the
+        same at the prefix level — one segment GEMM for its core's
+        slices, one GEMM per slice for the level below — and core 0's
+        gradient is ``dL_0`` summed per distinct slice.  Returns, per
+        core, ``(G_k, R_{k-1}, n_k, R_k)`` aligned with
+        ``plan.slice_ids[k]``.
         """
-        cores = self.tt.cores
         bk = get_backend()
         stages = self._chain_stages("chain_backward")
-        num_rows = plan.num_unique_rows
+        last = stages[-1]
+        num_prefixes = plan.num_unique_prefixes
         with bk.zone(ZONE_EFFTT_BACKWARD):
-            # Suffix partials, contraction-major: rights[k][l] is the
-            # product of slices k+1..d-1 stored (prod_{l>k} n_l, R_k).
-            # Both readers take that layout where it lies: the next
-            # suffix GEMM as its left operand, matmul_segment_sum as the
-            # transposed view of its right one.
-            right = bk.ones((num_rows, 1, 1), dtype=agg.dtype)
-            rights = [right] * len(stages)
-            for stage in reversed(stages[1:]):
-                k = stage.core_index
-                if stage is stages[-1]:
-                    # Against the ones seed the product is the slice.
-                    right = bk.gather_rows(
-                        cores[k].reshape(-1, stage.r_in, stage.n_k).transpose(0, 2, 1),
-                        plan.tt_indices[k],
-                    )
-                else:
-                    # The chain runs right to left, so each distinct
-                    # slice is read with its axes reversed, (R_k, n_k *
-                    # R_{k-1}): the product then comes out with R_{k-1}
-                    # innermost and no per-row relayout follows it.
-                    groups = plan.slice_groups[k]
-                    flipped = bk.gather_rows(cores[k], groups.ids).transpose(  # reprolint: disable=layout-churn
-                        0, 3, 2, 1
-                    ).reshape(groups.num_groups, stage.r_out, stage.n_k * stage.r_in)
-                    right = bk.gather_matmul(
-                        right, flipped, groups.over_distinct()
-                    ).reshape(num_rows, right.shape[1] * stage.n_k, stage.r_in)
-                rights[k - 1] = right
-
-            slice_grads: List[np.ndarray] = []
-            grad_nd = agg.reshape(num_rows, *self.spec.col_shape)
-            for stage in stages:
-                k = stage.core_index
-                suffix_cols = self.embedding_dim // (stage.prefix_width * stage.n_k)
-                # The suffix chain appended its column factors right to
-                # left, so the gradient's are read in that order too (a
-                # small copy, and only where two or more follow n_k).
-                grad_tensor = grad_nd.transpose(  # reprolint: disable=layout-churn
-                    *range(k + 2), *range(len(stages), k + 1, -1)
-                ).reshape(num_rows, stage.prefix_width, stage.n_k * suffix_cols)
-                if k == 0:
-                    tmp = grad_tensor  # left is the ones seed
-                else:
-                    left = (
-                        last_left
-                        if stage is stages[-1]
-                        else bk.gather_rows(left_stages[k - 1], plan.prefix_ids)
-                    )
-                    tmp = bk.matmul(left.transpose(0, 2, 1), grad_tensor)
-                # dSlice[j] = sum_{l in group j} (left^T G)[l] right[l]^T
-                grad_k = bk.matmul_segment_sum(
-                    tmp.reshape(num_rows, stage.r_in * stage.n_k, suffix_cols),
-                    rights[k].transpose(0, 2, 1),
-                    plan.slice_groups[k],
-                )
+            grad = bk.gather_rows(agg, plan.row_order).reshape(
+                plan.num_unique_rows, last.prefix_width, last.n_k
+            )
+            # dSlice[j] = sum_{rows of slice j} left^T G; both operands are
+            # stored contraction-major already, so the kernel reads them
+            # where they lie.
+            slice_grads = [
+                bk.matmul_segment_sum(
+                    last_left.transpose(0, 2, 1), grad.transpose(0, 2, 1),
+                    plan.row_groups,
+                ).reshape(-1, last.r_in, last.n_k, last.r_out)
+            ]
+            # The last core is small (R_{d-1} x n_d per slice): its
+            # transpose is copied once, since a GEMM against a strided
+            # (n_d, R) slice costs half as much again as a contiguous one.
+            transposed = np.ascontiguousarray(
+                self._slice_table(last).transpose(0, 2, 1)
+            )
+            d_left = _sum_runs(
+                bk.gather_matmul(grad, transposed, plan.row_groups), plan.prefix_sum
+            )
+            for stage, groups, operand, relayout in reversed(
+                list(zip(stages[1:-1], plan.prefix_groups, operands, plan.relayouts_back))
+            ):
+                if relayout is not None:
+                    d_left = bk.gather_rows(d_left, relayout)
+                d_out = d_left.reshape(num_prefixes, stage.prefix_width, stage.out_width)
                 slice_grads.append(
-                    grad_k.reshape(-1, stage.r_in, stage.n_k, stage.r_out)
+                    bk.matmul_segment_sum(
+                        operand.transpose(0, 2, 1), d_out.transpose(0, 2, 1), groups
+                    ).reshape(-1, stage.r_in, stage.n_k, stage.r_out)
                 )
+                d_left = bk.gather_matmul(
+                    d_out, self._slice_table(stage).transpose(0, 2, 1), groups
+                )
+            first = stages[0]
+            slice_grads.append(
+                _sum_runs(d_left, plan.first_core_sum).reshape(
+                    -1, first.r_in, first.n_k, first.r_out
+                )
+            )
+        slice_grads.reverse()
         return slice_grads
 
     # ------------------------------------------------------------------

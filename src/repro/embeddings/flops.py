@@ -3,10 +3,11 @@
 The Eff-TT optimizations are *computation-count* reductions: the reuse
 buffer shrinks the partial-product GEMMs from one per occurrence to one
 per unique prefix, and in-advance gradient aggregation shrinks the
-backward chain from one per occurrence to one per unique row.  These
-functions count the multiply-add FLOPs of each kernel variant exactly
-(2 FLOPs per multiply-add), given a TT spec and the batch's reuse
-statistics.
+backward chain from one per occurrence to one per unique row — and,
+run in reverse mode through the buffer, to one per unique prefix for
+every core but the last.  These functions count the multiply-add FLOPs
+of each kernel variant exactly (2 FLOPs per multiply-add), given a TT
+spec and the batch's reuse statistics.
 
 Three uses:
 
@@ -150,30 +151,21 @@ def tt_backward_flops(spec: TTSpec, num_items: int) -> int:
     return _backward_per_item_flops(spec) * num_items
 
 
-def _ones_seed_flops(spec: TTSpec) -> int:
-    """The two GEMMs of :func:`_backward_per_item_flops` against the ones seed.
+def efftt_backward_flops(
+    spec: TTSpec, num_unique_prefixes: int, num_unique_rows: int
+) -> int:
+    """Eff-TT backward FLOPs: reverse mode through the Reuse Buffer.
 
-    The first suffix stage (``slice_{d-1} @ 1``) and core 0's
-    ``tmp = 1^T G`` multiply by one; the aggregated kernel reads the
-    slice and the gradient instead.
+    After the in-advance aggregation (additions over the embedding
+    dimension, not counted) every forward GEMM runs backwards twice on
+    the operands the forward kept — once for its core's slice gradient,
+    once for the gradient of its left operand — the last stage per
+    unique row and the buffer levels per unique *prefix*, since a
+    prefix's rows are summed before they reach it (paper §III-B,
+    Figure 6b).  Core 0's gradient is a sum.  So the backward is
+    exactly twice :func:`efftt_forward_flops`.
     """
-    last = spec.num_cores - 1
-    return 2 * spec.ranks[last] * spec.col_shape[last] + 2 * spec.embedding_dim
-
-
-def efftt_backward_flops(spec: TTSpec, num_unique_rows: int) -> int:
-    """Eff-TT backward FLOPs after in-advance gradient aggregation.
-
-    The aggregation itself is additions over the embedding dimension
-    (memory-bound, negligible FLOPs next to the chain); the chain then
-    runs once per *unique* row (paper §III-B, Figure 6b), without the
-    two products against the ones seed.
-    """
-    if num_unique_rows < 0:
-        raise ValueError(f"num_unique_rows must be >= 0, got {num_unique_rows}")
-    return (
-        _backward_per_item_flops(spec) - _ones_seed_flops(spec)
-    ) * num_unique_rows
+    return 2 * efftt_forward_flops(spec, num_unique_prefixes, num_unique_rows)
 
 
 def plan_forward_flops(spec: TTSpec, plan: ReusePlan, reuse: bool = True) -> int:
@@ -190,5 +182,7 @@ def plan_backward_flops(
 ) -> int:
     """Backward FLOPs for a concrete batch plan."""
     if aggregate:
-        return efftt_backward_flops(spec, plan.num_unique_rows)
+        return efftt_backward_flops(
+            spec, plan.num_unique_prefixes, plan.num_unique_rows
+        )
     return tt_backward_flops(spec, plan.num_occurrences)

@@ -4,17 +4,27 @@ The paper's CUDA implementation prepares pointer lists so a batched
 GEMM computes the partial product of the first TT cores exactly once
 per *unique* TT-index prefix in the batch, storing results in a Reuse
 Buffer.  The NumPy equivalent of pointer preparation is this module's
-:func:`build_reuse_plan`: one stable sort per index list that yields,
-for a batch of embedding indices,
+:func:`build_reuse_plan`.  It sorts the batch's row ids once and derives
+everything else from that sort:
 
 * the unique row indices and the occurrence->unique scatter map
-  (sample- and batch-level full-row reuse),
-* the unique prefix keys among those rows and the row->prefix gather
-  map (the Reuse Buffer contents), and
-* for every one of those lists, the
-  :class:`~repro.backend.groups.RowGroups` record of which entries
-  share an id — what the segment-GEMM kernels and the in-advance
-  gradient aggregation consume, so no list is sorted twice in a step.
+  (sample- and batch-level full-row reuse);
+* the unique prefixes (the Reuse Buffer contents).  Unique rows sorted
+  by id are already prefix-major, so the prefixes are the runs of
+  ``row // m_d`` — a ``diff``, not a second sort;
+* the layout every GEMM of the chain reads its operand in.  The
+  level-``k`` GEMM of the buffer groups the prefixes by digit ``k``, so
+  the plan stores that level's operand in the prefixes' stable digit-``k``
+  order (a sort of ``P`` small digits); the last core groups the unique
+  rows by the last digit, so the rows are laid out in that order (a sort
+  of ``U`` digits).  The kernels get
+  :meth:`~repro.backend.groups.RowGroups.laid_out` records and read and
+  write in place, and the permutations between levels are composed here,
+  as integers: the only float gather they leave is the prefix->row
+  expansion in front of the last core;
+* for the backward, the index rounds of the two depth-wise sums
+  (:class:`RunSum`): unique rows into their prefix, prefixes into their
+  core-0 slice.
 
 The plan is consumed by :class:`~repro.embeddings.eff_tt_embedding.EffTTEmbeddingBag`
 and reported by the locality statistics in :mod:`repro.reorder.stats`.
@@ -30,15 +40,75 @@ cross-checked against :mod:`repro.embeddings.flops`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from functools import cached_property
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.backend.groups import RowGroups, group_rows
-from repro.embeddings.tt_indices import prefix_keys, row_index_to_tt
 
-__all__ = ["ReusePlan", "build_reuse_plan"]
+__all__ = ["ReusePlan", "RunSum", "build_reuse_plan"]
+
+
+def _inverse(perm: np.ndarray) -> np.ndarray:
+    """Where each item of ``range(n)`` lies in the permutation ``perm``."""
+    slots = np.empty(perm.size, dtype=np.int64)
+    slots[perm] = np.arange(perm.size, dtype=np.int64)
+    return slots
+
+
+def _run_heads(keys: np.ndarray) -> np.ndarray:
+    """Mask of the items of a non-decreasing array that start a run."""
+    heads = np.empty(keys.size, dtype=bool)
+    heads[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=heads[1:])
+    return heads
+
+
+@dataclass(frozen=True)
+class RunSum:
+    """Index lists that sum runs of rows round by round (depth-wise).
+
+    Run ``j`` is a set of rows of a ``values`` array.  Its sum starts as
+    its first row, ``values[sources[j]]``; round ``r`` then adds the
+    ``r``-th row of every run longer than ``r``, ``out[targets] +=
+    values[sources]``, with no target twice in a round.  A run of ``c``
+    rows ends after round ``c - 1``, so a sum over the rows of each
+    prefix takes at most ``m_d`` rounds.
+    """
+
+    sources: np.ndarray
+    rounds: Tuple[Tuple[np.ndarray, np.ndarray], ...]
+
+    @classmethod
+    def over(
+        cls, starts: np.ndarray, counts: np.ndarray, slots: np.ndarray
+    ) -> "RunSum":
+        """Run ``j`` is rows ``starts[j] .. starts[j] + counts[j] - 1`` of a
+        list whose row ``i`` is ``values[slots[i]]``."""
+        if counts.size == 0:
+            return cls(starts, ())
+        # Longest runs first: the runs still open in round r are then a
+        # prefix of that order.
+        longest = np.argsort(-counts, kind="stable")
+        still_open = counts.size - np.cumsum(np.bincount(counts))[1:-1]
+        if not still_open.size:
+            return cls(slots[starts], ())
+        # Every (round, run) pair at once, round-major.
+        ends = np.cumsum(still_open)
+        run = np.arange(ends[-1]) - np.repeat(ends - still_open, still_open)
+        step = np.repeat(np.arange(1, still_open.size + 1), still_open)
+        sources = slots[starts[longest[run]] + step]
+        bounds = [0, *ends.tolist()]
+        return cls(
+            slots[starts],
+            tuple(
+                (longest[:n], sources[lo:hi])
+                for n, lo, hi in zip(still_open.tolist(), bounds, bounds[1:])
+            ),
+        )
 
 
 @dataclass(frozen=True)
@@ -57,34 +127,42 @@ class ReusePlan:
         shape ``(U,)``.
     prefix_ids:
         For each unique row, the position of its (first ``d-1`` cores)
-        prefix in the unique-prefix set, shape ``(U,)``.
-    num_unique_prefixes:
-        Number of distinct prefixes ``P`` — the number of partial-GEMM
-        evaluations actually required.
+        prefix among the sorted unique prefixes, shape ``(U,)``.
+    prefix_starts:
+        The first unique row of every prefix, shape ``(P,)``: the rows
+        of prefix ``p`` are ``prefix_starts[p]`` onwards, contiguous.
     prefix_tt_indices:
-        Per-core TT indices of the unique prefixes, ``d-1`` arrays of
-        shape ``(P,)`` (the gather lists for the batched partial GEMM —
-        the ``Ptr_a`` / ``Ptr_b`` analog of Algorithm 1).
+        Per-core TT indices of the sorted unique prefixes, ``d-1``
+        arrays of shape ``(P,)`` (the gather lists for the batched
+        partial GEMM — the ``Ptr_a`` / ``Ptr_b`` analog of Algorithm 1).
     occurrence_groups:
         The ``L`` occurrences grouped by unique row (``ids`` is
         ``unique_rows``): drives the in-advance gradient aggregation.
-    slice_groups:
-        Per core, the ``U`` unique rows grouped by the TT slice they
-        address (``group_rows(tt_indices[k])``).
-    prefix_slice_groups:
-        Per reuse-buffer core, the ``P`` unique prefixes grouped by TT
-        slice (``group_rows(prefix_tt_indices[k])``).
+    prefix_orders:
+        Per GEMM level ``k = 1 .. d-2`` of the Reuse Buffer, the
+        prefixes stably sorted by digit ``k``: the order that level's
+        operand and product are stored in.
+    prefix_groups:
+        The digit-``k`` groups over those orders (``laid_out``).
+    row_order:
+        The unique rows stably sorted by the last digit: the order the
+        last core's operand, the rows it produces and their gradients
+        are stored in.
+    row_groups:
+        The last-digit groups over ``row_order`` (``laid_out``).
     """
 
     unique_rows: np.ndarray
     row_inverse: np.ndarray
     tt_indices: Tuple[np.ndarray, ...]
     prefix_ids: np.ndarray
-    num_unique_prefixes: int
+    prefix_starts: np.ndarray
     prefix_tt_indices: Tuple[np.ndarray, ...]
     occurrence_groups: RowGroups
-    slice_groups: Tuple[RowGroups, ...]
-    prefix_slice_groups: Tuple[RowGroups, ...]
+    prefix_orders: Tuple[np.ndarray, ...]
+    prefix_groups: Tuple[RowGroups, ...]
+    row_order: np.ndarray
+    row_groups: RowGroups
 
     @property
     def num_occurrences(self) -> int:
@@ -93,6 +171,11 @@ class ReusePlan:
     @property
     def num_unique_rows(self) -> int:
         return int(self.unique_rows.size)
+
+    @property
+    def num_unique_prefixes(self) -> int:
+        """Number of distinct prefixes ``P`` — the partial-GEMM evaluations required."""
+        return int(self.prefix_starts.size)
 
     @property
     def full_row_reuse_ratio(self) -> float:
@@ -116,6 +199,95 @@ class ReusePlan:
         """Partial GEMMs a per-occurrence implementation would issue."""
         return self.num_occurrences
 
+    # -- the layout, composed from the sorts above ------------------------
+    @cached_property
+    def prefix_layouts(self) -> Tuple[np.ndarray, ...]:
+        """Per buffer level ``k``, the order its product ``L_k`` is read in.
+
+        ``L_k`` feeds GEMM level ``k + 1``, so it is read in that level's
+        order; the top level feeds the row expansion where it lies.
+        """
+        orders = self.prefix_orders
+        if not orders:
+            return (np.arange(self.num_unique_prefixes, dtype=np.int64),)
+        return (*orders, orders[-1])
+
+    @cached_property
+    def layout_slots(self) -> Tuple[np.ndarray, ...]:
+        """Per buffer level, where each sorted prefix lies in its layout."""
+        return tuple(_inverse(layout) for layout in self.prefix_layouts)
+
+    @cached_property
+    def first_slices(self) -> np.ndarray:
+        """Core-0 slice of every prefix, in the order level 1 reads ``L_0``."""
+        return self.prefix_tt_indices[0][self.prefix_layouts[0]]
+
+    @cached_property
+    def relayouts(self) -> Tuple[Optional[np.ndarray], ...]:
+        """Per GEMM level ``k``, the rows of ``L_{k-1}`` (stored as level
+        ``k-1`` produced it) that make up its operand; ``None`` where it
+        is stored in that order already."""
+        return tuple(
+            None if k == 1 else self.layout_slots[k - 2][order]
+            for k, order in enumerate(self.prefix_orders, start=1)
+        )
+
+    @cached_property
+    def relayouts_back(self) -> Tuple[Optional[np.ndarray], ...]:
+        """Per GEMM level ``k``, the rows of ``dL_k`` (in the order the
+        level above read ``L_k``) in the order level ``k`` produced it."""
+        top = len(self.prefix_orders)
+        return tuple(
+            None if k == top else self.layout_slots[k][order]
+            for k, order in enumerate(self.prefix_orders, start=1)
+        )
+
+    @cached_property
+    def row_slots(self) -> np.ndarray:
+        """Where each sorted unique row lies in ``row_order``."""
+        return _inverse(self.row_order)
+
+    @cached_property
+    def occurrence_slots(self) -> np.ndarray:
+        """Each occurrence's row in ``row_order``: the output gather."""
+        return self.row_slots[self.row_inverse]
+
+    @cached_property
+    def expand_index(self) -> np.ndarray:
+        """The top buffer row (prefix) of every unique row, in ``row_order``."""
+        return self.layout_slots[-1][self.prefix_ids[self.row_order]]
+
+    @cached_property
+    def prefix_sum(self) -> RunSum:
+        """Rows (in ``row_order``) summed into their prefix, top layout."""
+        top = self.prefix_layouts[-1]
+        counts = np.diff(np.append(self.prefix_starts, self.num_unique_rows))
+        return RunSum.over(self.prefix_starts[top], counts[top], self.row_slots)
+
+    @cached_property
+    def _first_core_runs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Sorted prefixes are core-0-major: a core-0 slice's prefixes are
+        a run.  Its starts and lengths."""
+        digits = self.prefix_tt_indices[0]
+        starts = np.flatnonzero(_run_heads(digits))
+        return starts, np.diff(np.append(starts, digits.size))
+
+    @cached_property
+    def first_core_sum(self) -> RunSum:
+        """``dL_0`` (in the order level 1 read ``L_0``) summed per core-0 slice."""
+        starts, counts = self._first_core_runs
+        return RunSum.over(starts, counts, self.layout_slots[0])
+
+    @property
+    def slice_ids(self) -> Tuple[np.ndarray, ...]:
+        """Per core, the distinct slices the batch addresses, ascending —
+        what the aggregated backward's slice gradients are aligned with."""
+        return (
+            self.prefix_tt_indices[0][self._first_core_runs[0]],
+            *(groups.ids for groups in self.prefix_groups),
+            self.row_groups.ids,
+        )
+
 
 def build_reuse_plan(
     indices: np.ndarray,
@@ -134,15 +306,18 @@ def build_reuse_plan(
     prefix_depth:
         How many leading cores the reuse buffer covers.  Defaults to
         ``d - 1`` (the paper reuses the product of the first two cores
-        for ``d = 3``).
+        for ``d = 3``), the only depth the Eff-TT kernels run.
 
     Notes
     -----
-    The sort inside :func:`~repro.backend.groups.group_rows` plays the
-    role of Algorithm 1's parallel duplicate detection: both identify,
-    per distinct prefix, a single representative computation.
+    The sort of the occurrences plays the role of Algorithm 1's
+    parallel duplicate detection: it identifies, per distinct row and
+    per distinct prefix, a single representative computation.  The
+    digit sorts that lay the levels out run over ``P`` prefixes and
+    ``U`` rows, never over the ``L`` occurrences again.
     """
     idx = np.asarray(indices, dtype=np.int64).ravel()
+    row_shape = tuple(int(m) for m in row_shape)
     d = len(row_shape)
     if prefix_depth is None:
         prefix_depth = d - 1
@@ -150,31 +325,46 @@ def build_reuse_plan(
         raise ValueError(
             f"prefix_depth must be in [1, {d - 1}], got {prefix_depth}"
         )
+    num_rows = math.prod(row_shape)
+    if idx.size and (idx.min() < 0 or idx.max() >= num_rows):
+        raise ValueError(
+            f"indices must lie in [0, {num_rows}), got range "
+            f"[{idx.min()}, {idx.max()}]"
+        )
 
-    occurrences = group_rows(idx)
+    occurrences = group_rows(idx, bound=num_rows)
     unique_rows = occurrences.ids
-    tt_idx: List[np.ndarray] = row_index_to_tt(unique_rows, row_shape)
+    # Mixed-radix digits (Equation 3), last first; what is left of the
+    # row once the digits after the prefix are off is its prefix key.
+    digits = []
+    rest = unique_rows
+    for k in range(d - 1, 0, -1):
+        rest, digit = np.divmod(rest, row_shape[k])
+        digits.append(digit)
+        if k == prefix_depth:
+            prefix_keys = rest
+    digits.append(rest)
+    digits.reverse()
 
-    prefixes = group_rows(prefix_keys(tt_idx, row_shape, depth=prefix_depth))
-
-    # Recover the per-core indices of each unique prefix by decoding the
-    # packed key (the keys were built with mixed-radix packing over the
-    # first `prefix_depth` row factors).
-    prefix_tt: List[np.ndarray] = []
-    remaining = prefixes.ids
-    for k in range(prefix_depth - 1, -1, -1):
-        remaining, digit = np.divmod(remaining, row_shape[k])
-        prefix_tt.append(digit)
-    prefix_tt.reverse()
+    # Sorted rows are prefix-major: a prefix is a run of equal keys.
+    heads = _run_heads(prefix_keys)
+    prefix_starts = np.flatnonzero(heads)
+    prefix_tt = tuple(digits[k][prefix_starts] for k in range(prefix_depth))
+    level_groups = [
+        group_rows(prefix_tt[k], bound=row_shape[k]) for k in range(1, prefix_depth)
+    ]
+    last_digit = group_rows(digits[-1], bound=row_shape[-1])
 
     return ReusePlan(
         unique_rows=unique_rows,
         row_inverse=occurrences.inverse(),
-        tt_indices=tuple(tt_idx),
-        prefix_ids=prefixes.inverse(),
-        num_unique_prefixes=prefixes.num_groups,
-        prefix_tt_indices=tuple(prefix_tt),
+        tt_indices=tuple(digits),
+        prefix_ids=np.cumsum(heads) - 1,
+        prefix_starts=prefix_starts,
+        prefix_tt_indices=prefix_tt,
         occurrence_groups=occurrences,
-        slice_groups=tuple(group_rows(part) for part in tt_idx),
-        prefix_slice_groups=tuple(group_rows(part) for part in prefix_tt),
+        prefix_orders=tuple(groups.order for groups in level_groups),
+        prefix_groups=tuple(groups.laid_out() for groups in level_groups),
+        row_order=last_digit.order,
+        row_groups=last_digit.laid_out(),
     )

@@ -14,7 +14,13 @@ corpus files that seeded them, and the einsum module itself.  The
 fixture listed 315 files; four deleted modules that had no findings
 (the torch backend, the pipeline Chrome-trace exporter and its tests,
 and the hazard detector's recording queue/cache module) have since been
-taken off its list by hand.
+taken off its list by hand.  Two of perfcheck's three suppressed
+findings were the ``layout-churn`` pragmas on the Eff-TT suffix chain's
+transposed copies; the chain left when the aggregated backward became
+reverse mode through the Reuse Buffer, which reads every operand where
+it lies, and its two pragmas left with it (``RETIRED_SUPPRESSIONS``).
+The same change moved ``state_arrays`` in ``eff_tt_embedding.py`` nine
+lines down, and the two rows that point at it were moved by hand.
 """
 
 import json
@@ -33,6 +39,7 @@ RETIRED_FILES = {
     "tests/analysis/corpus/mut_einsum_dropped_dim.py",
     "tests/analysis/corpus/mut_einsum_transposed.py",
 }
+RETIRED_SUPPRESSIONS = {"shapecheck": 0, "perfcheck": 2, "detcheck": 0}
 
 
 def test_golden_has_the_parent_counts():
@@ -54,6 +61,8 @@ def test_parent_findings_are_reproduced():
             row for row in GOLDEN[name]["findings"] if row[0] not in RETIRED_RULES
         ]
         assert now[name]["findings"] == expected, name
-        assert now[name]["suppressed"] == GOLDEN[name]["suppressed"], name
+        assert now[name]["suppressed"] == (
+            GOLDEN[name]["suppressed"] - RETIRED_SUPPRESSIONS[name]
+        ), name
     dropped = [row for row in GOLDEN["shapecheck"]["findings"] if row[0] in RETIRED_RULES]
     assert sorted(row[0] for row in dropped) == sorted(RETIRED_RULES)

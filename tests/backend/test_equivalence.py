@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.backend import (
+    ZONE_EFFTT_BACKWARD,
     ZONE_EFFTT_FORWARD,
     ZONE_FUSED_UPDATE,
     CostCounter,
@@ -215,9 +216,12 @@ class TestInstrumentedZones:
         ops = {key: stats.calls for key, stats in inst.op_stats.items()}
         assert (ZONE_EFFTT_FORWARD, "matmul") not in ops
         assert ops[(ZONE_EFFTT_FORWARD, "gather_matmul")] == 2 * 2  # 2 forwards
-        # suffix chain: the stage against the ones seed is a gather
-        assert ops[("efftt_backward", "gather_matmul")] == 1
-        assert ops[("efftt_backward", "matmul_segment_sum")] == 3  # one per core
+        # Reverse mode: per GEMM of the forward one slice-gradient
+        # segment GEMM and one GEMM per slice for its left operand; core
+        # 0's gradient is a sum.
+        assert ops[("efftt_backward", "gather_matmul")] == 2
+        assert ops[("efftt_backward", "matmul_segment_sum")] == 2
+        assert (ZONE_EFFTT_BACKWARD, "matmul") not in ops
 
     def test_interaction_zone_is_two_batched_gemms(self):
         inst = InstrumentedBackend()

@@ -68,7 +68,9 @@ class TestBackwardCounts:
         plan = bag.last_plan
         assert measured_zone_flops(
             inst, ZONE_EFFTT_BACKWARD
-        ) == efftt_backward_flops(bag.tt.spec, plan.num_unique_rows)
+        ) == efftt_backward_flops(
+            bag.tt.spec, plan.num_unique_prefixes, plan.num_unique_rows
+        )
 
 
 class TestPlanFlopMetadata:

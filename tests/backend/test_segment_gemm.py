@@ -260,16 +260,6 @@ class TestKernelProperties:
             np.testing.assert_array_equal(groups.starts, reference.starts)
             np.testing.assert_array_equal(groups.ids, np.unique(wide))
 
-    def test_over_distinct_addresses_the_gathered_slices(self):
-        ids = np.array([9, 2, 9, 4, 2, 9], dtype=np.int64)
-        a, _, table = _operands(ids, np.float64)
-        groups = group_rows(ids)
-        bk = NumpyBackend()
-        np.testing.assert_array_equal(
-            bk.gather_matmul(a, table[groups.ids], groups.over_distinct()),
-            bk.gather_matmul(a, table, groups),
-        )
-
 
 class TestCounting:
     def test_flops_are_the_per_row_matmuls_and_slices_count_once(self):

@@ -432,7 +432,7 @@ class TestGradientsMatchFiniteDifferences:
 
     # The TT pair at every chain length the kernels are generic in: 2
     # cores (no reuse-buffer GEMM at all), the paper's 3, and 4 (two
-    # buffer stages, two relayouts in the suffix chain).
+    # buffer GEMM levels and a relayout between them, both ways).
     TT_DIM = 8
     TT_CORES = (2, 3, 4)
 

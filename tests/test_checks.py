@@ -18,6 +18,7 @@ from repro import checks
 from repro.backend import CostCounter, NumpyBackend
 from repro.embeddings.hash_embedding import HashEmbeddingBag
 from repro.embeddings.inference import _TTChain
+from repro.embeddings.reuse_buffer import ReusePlan, RunSum
 from repro.nn.loss import BCEWithLogitsLoss
 from repro.resilience.supervisor import PipelineSupervisor
 from repro.serving.fleet import _FleetRun
@@ -54,6 +55,18 @@ def test_format_check_puts_the_status_after_the_summary():
 def _training_ascends(monkeypatch):
     backward = BCEWithLogitsLoss.backward
     monkeypatch.setattr(BCEWithLogitsLoss, "backward", lambda self: -backward(self))
+
+
+def _prefix_sum_keeps_first_row(monkeypatch):
+    # The Eff-TT backward sums each unique row's gradient into its
+    # prefix; dropping every round after the first keeps only the
+    # prefix's first row.  The forward and the last core are untouched.
+    prefix_sum = ReusePlan.prefix_sum.func
+
+    def first_row_only(self):
+        return RunSum(prefix_sum(self).sources, ())
+
+    monkeypatch.setattr(ReusePlan, "prefix_sum", property(first_row_only))
 
 
 def _counter_records_nothing(monkeypatch):
@@ -162,6 +175,7 @@ def _hash_bag_reseeds_per_call(monkeypatch):
 
 MUTANTS = {
     "eff_tt": _training_ascends,
+    "eff_tt/prefix_sum": _prefix_sum_keeps_first_row,
     "backend": _counter_records_nothing,
     "numsan": _nan_leaks_out_of_relu,
     "serving": _dense_arm_gathers_the_next_row,
@@ -175,10 +189,28 @@ MUTANTS = {
 
 @pytest.mark.parametrize("name", list(MUTANTS))
 def test_mutant_turns_its_gate_red(monkeypatch, name):
+    # A key names its gate, then "/" and the mutant where a gate has two.
+    gate = name.split("/")[0]
     MUTANTS[name](monkeypatch)
-    check = GATES[name]()
-    assert check.name == name
+    check = GATES[gate]()
+    assert check.name == gate
     assert not check.ok, checks.format_check(check)
+
+
+def test_a_prefix_sum_that_drops_rows_turns_only_eff_tt_red(monkeypatch):
+    # The loss still falls under this mutant; only the gradient
+    # comparison sees it.  The analyzer gates read the source files, which
+    # a monkeypatch does not reach, so only the execution gates run.
+    _prefix_sum_keeps_first_row(monkeypatch)
+    static = {analyzer.name for analyzer in checks.analyzers()}
+    red = {}
+    for name, gate in GATES.items():
+        if name not in static:
+            check = gate()
+            if not check.ok:
+                red[name] = checks.format_check(check)
+    assert list(red) == ["eff_tt"], red
+    assert "loss" in red["eff_tt"] and "core grads vs TT-Rec" in red["eff_tt"]
 
 
 def test_a_lost_result_turns_serving_red(monkeypatch):

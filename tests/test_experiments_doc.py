@@ -45,6 +45,37 @@ def test_fig11_table_is_the_results_file():
             )
 
 
+def _results_rows(name):
+    """Body rows of a ``format_series`` results file, cells stripped."""
+    lines = (REPO / f"benchmarks/results/{name}.txt").read_text().splitlines()
+    return [[c.strip() for c in line.split("|")] for line in lines[3:] if line.strip()]
+
+
+def _doc_rows(heading):
+    """Body rows of the first table under an EXPERIMENTS.md heading."""
+    text = (REPO / "EXPERIMENTS.md").read_text()
+    section = text.split(f"## {heading}", 1)[1].split("\n## ", 1)[0]
+    return [
+        [c.strip() for c in line.strip().strip("|").split("|")]
+        for line in section.splitlines()
+        if line.startswith("|") and not set(line) <= set("|-: ")
+    ][1:]
+
+
+@pytest.mark.parametrize(
+    "heading, name",
+    [
+        ("Figure 17 — Eff-TT lookup latency", "fig17_lookup"),
+        ("Figure 18 — Eff-TT backward latency", "fig18_backward"),
+    ],
+    ids=["fig17", "fig18"],
+)
+def test_kernel_figure_tables_are_the_results_files(heading, name):
+    assert _doc_rows(heading) == _results_rows(name), (
+        f"EXPERIMENTS.md '{heading}' differs from benchmarks/results/{name}.txt"
+    )
+
+
 def test_serving_slo_tables_are_the_results_files():
     """Both SLO sweeps run on SimClock, so a rebuild prints the committed text."""
     env = dict(os.environ)
