@@ -1,13 +1,14 @@
-"""Correctness tooling: four static analyzers and a pipeline hazard detector.
+"""Correctness tooling: two static analyzers and a pipeline hazard detector.
 
-Machine-checks the reproduction's determinism, shapes and kernel hygiene
+Machine-checks the reproduction's determinism and kernel hygiene
 instead of asserting them (``python -m repro analyze`` runs them all):
 
 * ``lint`` (:mod:`.linter`, :mod:`.rules`) — AST rules: seeded RNG only,
-  SimClock-only zones, explicit kernel dtypes, batch-loop advisories;
-* ``shapecheck``, ``perfcheck``, ``detcheck`` — value domains over the
-  one abstract interpreter in :mod:`.walker`: shapes and dtypes, backend
-  op sites for the PERF rules, determinism taint (whole-program);
+  SimClock-only zones, explicit kernel dtypes, backend-routed
+  contractions, no swallowed exceptions, hoisted kernel-loop buffers,
+  pragmas that name real rules;
+* ``detcheck`` — determinism taint (whole-program) over the dispatcher
+  in :mod:`.walker`;
 * ``hazards`` (:mod:`.hazards`) — records the per-row pipeline reads and
   writes the trainer reports on a logical clock and reports RAW/WAR hazards;
   ``python -m repro hazards --inject`` shows the §V conflict caught.
@@ -40,18 +41,8 @@ from repro.analysis.linter import (
     lint_paths,
     lint_source,
 )
-from repro.analysis.perfcheck import (
-    PERF_RULES,
-    perfcheck_paths,
-    perfcheck_source,
-)
 from repro.analysis.rules import RULE_REGISTRY, Rule, RuleContext, register
 from repro.analysis.sarif import result_to_sarif, results_to_sarif_bundle
-from repro.analysis.shapecheck import (
-    SHAPE_RULES,
-    shapecheck_paths,
-    shapecheck_source,
-)
 
 __all__ = [
     "Finding",
@@ -73,9 +64,6 @@ __all__ = [
     "HazardProbe",
     "HazardExperimentResult",
     "run_hazard_experiment",
-    "SHAPE_RULES",
-    "shapecheck_paths",
-    "shapecheck_source",
     "DET_RULES",
     "detcheck_paths",
     "detcheck_source",
@@ -83,7 +71,4 @@ __all__ = [
     "hazard_findings",
     "result_to_sarif",
     "results_to_sarif_bundle",
-    "PERF_RULES",
-    "perfcheck_paths",
-    "perfcheck_source",
 ]

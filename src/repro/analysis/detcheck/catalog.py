@@ -158,7 +158,8 @@ ORDER_SENSITIVE_COMBINERS: FrozenSet[str] = frozenset(
      "numpy.column_stack"}
 )
 
-#: Calls that produce an owned copy (clear the DET006 seam marker).
+#: numpy's array constructors: their value is their operands', never a
+#: program function's summary.
 COPY_CALLS: FrozenSet[str] = frozenset(
     {"numpy.copy", "numpy.array", "numpy.asarray", "copy.copy",
      "copy.deepcopy"}
@@ -220,13 +221,5 @@ DET_RULES: Dict[str, RuleInfo] = rule_catalog(
         Severity.ERROR,
         "a wall-clock reading (possibly via a helper) influences a "
         "branch decision inside a SimClock-only zone",
-    ),
-    RuleInfo(
-        "DET006",
-        "queue-seam-mutation",
-        Severity.ERROR,
-        "an array received from (or handed to) a bounded queue is "
-        "mutated in place without a copy, racing the other side "
-        "of the ownership seam",
     ),
 )

@@ -1,4 +1,4 @@
-"""The determinism-taint domain over the shared walker.
+"""The determinism-taint domain over :mod:`repro.analysis.walker`.
 
 One :class:`FunctionInterpreter` abstractly executes one function body
 over the :class:`~.taint.Value` lattice.  The same pass serves two
@@ -9,9 +9,9 @@ masters:
   empty, so the walker drops every finding;
 * **report mode** (``report=True``) — runs once per function after
   summaries converge, emitting :class:`Finding` records for DET001–
-  DET006.
+  DET005.
 
-The walker's control flow is declared for this domain: loop bodies run
+The walker's control flow is this domain's: loop bodies run
 twice with the environment joined against the pre-loop state between
 passes (enough for the accumulate-then-store patterns this codebase uses
 while keeping the pass linear), ``try`` runs the body and then each
@@ -84,7 +84,6 @@ _SOURCE_CALLS = (
     (ENV_CALLS, SourceKind.ENV),
     (ADDRESS_CALLS, SourceKind.ADDRESS),
 )
-_INPLACE_METHODS = frozenset({"fill", "sort", "partial_fill"})
 _FLOAT_OPS = (ast.Add, ast.Sub)
 
 
@@ -109,10 +108,6 @@ def _iterates_unordered(iterable: Value) -> bool:
 
 class FunctionInterpreter(Walker):
     """Abstractly execute one function body (see module docstring)."""
-
-    LOOP = "join"
-    TRY = "sequence"
-    WALKS_DEFS = False
 
     def __init__(
         self,
@@ -250,15 +245,6 @@ class FunctionInterpreter(Walker):
 
     def bind_subscript(self, target: ast.Subscript, value: Any, stmt: ast.AST) -> None:
         base = self.eval(target.value)
-        if base.from_queue or base.queue_shared:
-            seam = "dequeued from" if base.from_queue else "handed to"
-            self.emit(
-                "queue-seam-mutation",
-                stmt,
-                f"in-place element store into an array {seam} a queue",
-                "mutate an owned .copy(); the other side of the queue "
-                "seam still references this buffer",
-            )
         if base.container != "dict":
             return
         if self.is_payload and self._in_unordered_loop():
@@ -312,15 +298,6 @@ class FunctionInterpreter(Walker):
                 "hash order",
                 "iterate sorted(...) (canonical order) or collect "
                 "terms and reduce with math.fsum",
-            )
-        if current.from_queue or current.queue_shared:
-            self.emit(
-                "queue-seam-mutation",
-                stmt,
-                f"in-place update of {name!r}, which is shared "
-                "across a queue seam",
-                "operate on an owned .copy() of the dequeued/"
-                "enqueued array",
             )
         merged = current.merge(value)
         merged.is_float = current.is_float or value.is_float
@@ -450,8 +427,6 @@ class FunctionInterpreter(Walker):
         return Value(
             taints=set(base.taints),
             is_float=base.is_float,
-            from_queue=base.from_queue,
-            queue_shared=base.queue_shared,
             param_deps=set(base.param_deps),
         )
 
@@ -479,33 +454,14 @@ class FunctionInterpreter(Walker):
                     or receiver.unordered,
                     param_deps=set(receiver.param_deps),
                 )
-            if attr == "get" and receiver.container == "queue":
-                return Value(from_queue=True)
             if attr == "get" and receiver.container == "dict":
                 return Value(
                     taints=set(receiver.taints),
                     is_float=receiver.value_is_float,
                     param_deps=set(receiver.param_deps),
                 )
-            if attr == "put" and receiver.container == "queue":
-                for arg in node.args:
-                    if isinstance(arg, ast.Name) and arg.id in self.env:
-                        self.env[arg.id].queue_shared = True
-                return Value()
             if attr == "copy":
-                owned = receiver.clone()
-                owned.from_queue = False
-                owned.queue_shared = False
-                return owned
-            if attr in _INPLACE_METHODS and (receiver.from_queue or receiver.queue_shared):
-                self.emit(
-                    "queue-seam-mutation",
-                    node,
-                    f".{attr}() mutates an array shared across a queue "
-                    "seam in place",
-                    "call it on an owned .copy() of the buffer",
-                )
-                return Value()
+                return receiver.clone()
             if attr in STATE_SINK_METHODS:
                 for value in all_vals:
                     self._check_tainted_sink(node, value, f"the {attr}() apply path")
@@ -579,7 +535,7 @@ class FunctionInterpreter(Walker):
                     out.unordered = _iterates_unordered(first)
                 return out
             if resolved in COPY_CALLS:
-                return out  # an owned copy: no queue-seam marker survives
+                return out
             if resolved in ORDER_SENSITIVE_COMBINERS:
                 if any(value.unordered for value in all_vals):
                     self.emit(
@@ -618,8 +574,6 @@ class FunctionInterpreter(Walker):
                     )
                     self.sink_params |= value.param_deps
                 return out
-            if resolved.rsplit(".", 1)[-1].endswith("Queue"):
-                return Value(container="queue")
 
         # --- program callees (interprocedural) -----------------------
         callees = self.program.resolve_callees(self.fn, node)

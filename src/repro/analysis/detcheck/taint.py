@@ -1,7 +1,7 @@
 """The determinism-taint lattice and function summaries.
 
 The abstract value tracked for every expression is deliberately small —
-detcheck follows shapecheck's one-sided soundness posture (findings
+detcheck keeps a one-sided soundness posture (findings
 only): an *unknown* value is untainted and unordered facts never arise
 from unknowns, so the analyzer can only under-report, never invent a
 finding from ignorance.
@@ -12,14 +12,13 @@ finding from ignorance.
   the line/detail of the originating expression (entropy RNG, wall
   clock, environment, address identity);
 * **container shape** — ``'dict' | 'set' | 'list' | 'sorted' |
-  'queue' | None``; enough to decide whether iterating the value has a
+  None``; enough to decide whether iterating the value has a
   canonical order;
 * **float provability** — ``is_float`` (the value itself) and
   ``value_is_float`` (a dict's values), used to gate DET002 so integer
   counters summed over dicts stay clean;
-* **seam facts** — ``unordered`` (the value was produced by iterating
-  an unordered container; intraprocedural only, never summarized) and
-  ``from_queue`` / ``queue_shared`` (the DET006 ownership markers).
+* **order** — ``unordered`` (the value was produced by iterating an
+  unordered container; intraprocedural only, never summarized).
 
 :class:`FunctionSummary` is what crosses function boundaries: which
 source kinds the return value carries, which parameter positions flow
@@ -62,8 +61,6 @@ class Value:
     is_float: bool = False
     value_is_float: bool = False
     unordered: bool = False
-    from_queue: bool = False
-    queue_shared: bool = False
     param_deps: Set[int] = field(default_factory=set)
 
     @property
@@ -73,7 +70,7 @@ class Value:
     def clone(self) -> "Value":
         return Value(
             set(self.taints), self.container, self.is_float, self.value_is_float,
-            self.unordered, self.from_queue, self.queue_shared, set(self.param_deps),
+            self.unordered, set(self.param_deps),
         )
 
     def merge(self, other: "Value") -> "Value":
@@ -86,8 +83,6 @@ class Value:
             is_float=self.is_float or other.is_float,
             value_is_float=self.value_is_float or other.value_is_float,
             unordered=self.unordered or other.unordered,
-            from_queue=self.from_queue or other.from_queue,
-            queue_shared=self.queue_shared or other.queue_shared,
             param_deps=self.param_deps | other.param_deps,
         )
 
@@ -161,8 +156,7 @@ def annotation_value(node: Optional[ast.expr]) -> Value:
     ``Dict[str, float]`` / ``Mapping[...]`` give a dict container (with
     ``value_is_float`` when the value type mentions ``float``);
     ``Set``/``FrozenSet`` give a set; ``List``/``Sequence``/``Tuple``
-    give a list; anything whose head ends in ``Queue`` is a queue
-    endpoint; a bare ``float`` marks the value float.  Unknown
+    give a list; a bare ``float`` marks the value float.  Unknown
     annotations yield the untainted unknown value.
     """
     value = Value()
@@ -183,8 +177,6 @@ def annotation_value(node: Optional[ast.expr]) -> Value:
         value.container = "set"
     elif short in ("List", "list", "Sequence", "Tuple", "tuple", "Iterable"):
         value.container = "list"
-    elif short.endswith("Queue"):
-        value.container = "queue"
     elif short == "float":
         value.is_float = True
     return value

@@ -11,34 +11,23 @@ Usage surfaces:
 Suppression pragmas (matched per physical line)::
 
     x = time.time()  # reprolint: disable=wall-clock
-    # reprolint: disable-file=batch-loop   (anywhere: whole module)
+    # reprolint: disable-file=direct-numpy-in-kernel-zone   (anywhere: whole module)
     y = np.zeros(4)  # reprolint: disable=all
 
 Rules are identified in pragmas by symbolic name (``wall-clock``) or
-id (``REP002``).
+id (``REP002``); ``detcheck`` reads the same pragmas.  A pragma that
+names no lint or detcheck rule is itself a finding (``REP008``).
 """
 
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    TypeVar,
-)
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, TypeVar
 
 from repro.analysis.findings import Finding, RuleMeta, Severity
-from repro.analysis.rules import RULE_REGISTRY, RuleContext, build_context
+from repro.analysis.rules import PRAGMA, RULE_REGISTRY, build_context
 
 __all__ = [
     "LintResult",
@@ -50,14 +39,8 @@ __all__ = [
     "is_suppressed",
     "package_rel",
     "select_rules",
-    "check_module",
-    "check_each_file",
     "syntax_error_finding",
 ]
-
-_PRAGMA = re.compile(
-    r"#\s*reprolint:\s*(disable|disable-file)\s*=\s*([A-Za-z0-9_,\- ]+)"
-)
 
 
 @dataclass
@@ -110,7 +93,7 @@ def parse_pragmas(source: str) -> "tuple[Dict[int, Set[str]], Set[str]]":
     per_line: Dict[int, Set[str]] = {}
     file_wide: Set[str] = set()
     for lineno, line in enumerate(source.splitlines(), start=1):
-        match = _PRAGMA.search(line)
+        match = PRAGMA.search(line)
         if not match:
             continue
         names = {part.strip() for part in match.group(2).split(",") if part.strip()}
@@ -163,42 +146,28 @@ def select_rules(
     return rules
 
 
-def check_module(
-    source: str,
-    path: str,
-    rel: Optional[str],
-    select: Optional[Sequence[str]],
-    rules: Mapping[str, RuleMeta],
-    tool: str,
-    analyze: Callable[[RuleContext], Iterable[Finding]],
-) -> LintResult:
-    """Run one per-module analyzer over an in-memory module.
-
-    ``rel`` positions the module for zone checks (default: the path's
-    package-relative form); ``select`` keeps the named ``rules`` (the
-    ``KeyError`` for an unknown one names ``tool``); pragmas suppress.
-    """
-    result = LintResult(files_scanned=1)
-    resolved_rel = rel if rel is not None else package_rel(Path(path))
-    ctx = build_context(Path(path), resolved_rel, source)
-    per_line, file_wide = parse_pragmas(source)
-    selected = {rule.name for rule in select_rules(rules, select, tool)}
-    result.keep((f for f in analyze(ctx) if f.rule in selected), per_line, file_wide)
-    result.findings.sort(key=lambda f: f.sort_key)
-    return result
-
-
 def lint_source(
     source: str,
     path: str = "<string>",
     rel: Optional[str] = None,
     select: Optional[Sequence[str]] = None,
 ) -> LintResult:
-    """Lint one in-memory module (unit-test and tooling entry point)."""
-    return check_module(
-        source, path, rel, select, RULE_REGISTRY, "",
-        lambda ctx: (f for rule in RULE_REGISTRY.values() for f in rule.check(ctx)),
+    """Lint one in-memory module (unit-test and tooling entry point).
+
+    ``rel`` positions the module for zone checks (default: the path's
+    package-relative form); ``select`` keeps the named rules; pragmas
+    suppress.
+    """
+    result = LintResult(files_scanned=1)
+    resolved_rel = rel if rel is not None else package_rel(Path(path))
+    ctx = build_context(Path(path), resolved_rel, source)
+    per_line, file_wide = parse_pragmas(source)
+    selected = {rule.name: rule for rule in select_rules(RULE_REGISTRY, select)}
+    result.keep(
+        (f for rule in selected.values() for f in rule.check(ctx)), per_line, file_wide
     )
+    result.findings.sort(key=lambda f: f.sort_key)
+    return result
 
 
 def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
@@ -233,25 +202,20 @@ def syntax_error_finding(rule_id: str, path: Path, exc: SyntaxError) -> Finding:
     )
 
 
-def check_each_file(
+def lint_paths(
     paths: Sequence[Path],
-    check_source: Callable[..., LintResult],
-    syntax_rule_id: str,
-    select: Optional[Sequence[str]],
+    select: Optional[Sequence[str]] = None,
 ) -> LintResult:
-    """Run a one-module checker over every ``.py`` file under ``paths``."""
+    """Lint every ``.py`` file under ``paths``; aggregate the results."""
     total = LintResult()
     for file_path in iter_python_files(paths):
         source = file_path.read_text(encoding="utf-8")
         try:
-            single = check_source(
-                source,
-                path=str(file_path),
-                rel=package_rel(file_path),
-                select=select,
+            single = lint_source(
+                source, path=str(file_path), rel=package_rel(file_path), select=select
             )
         except SyntaxError as exc:
-            total.findings.append(syntax_error_finding(syntax_rule_id, file_path, exc))
+            total.findings.append(syntax_error_finding("REP000", file_path, exc))
             total.files_scanned += 1
             continue
         total.files_scanned += single.files_scanned
@@ -259,14 +223,6 @@ def check_each_file(
         total.findings.extend(single.findings)
     total.findings.sort(key=lambda f: f.sort_key)
     return total
-
-
-def lint_paths(
-    paths: Sequence[Path],
-    select: Optional[Sequence[str]] = None,
-) -> LintResult:
-    """Lint every ``.py`` file under ``paths``; aggregate the results."""
-    return check_each_file(paths, lint_source, "REP000", select)
 
 
 def format_findings(result: LintResult) -> str:

@@ -27,10 +27,6 @@ story rests on:
     there and in ``models/`` and ``serving/``: the model's dtype comes
     from ``DLRMConfig.dtype``, so a literal float64 is an upcast.  A
     site that is float64 on purpose carries a pragma saying why.
-``batch-loop`` (REP004, warning)
-    Python-level ``for`` loops over batch-shaped data inside kernel
-    modules are the slow path the paper's kernels exist to remove;
-    flagged as a perf advisory, not an error.
 ``direct-numpy-in-kernel-zone`` (REP005, error)
     Hot-path contractions (``np.matmul``/``np.einsum``/``np.dot``)
     must route through the active :mod:`repro.backend` so FLOP
@@ -46,6 +42,14 @@ story rests on:
     and *recovered*, never silently eaten — a swallowed exception in
     these zones is indistinguishable from the dropped-gradient fault
     the chaos suite injects.
+``hot-loop-alloc`` (REP007, error)
+    An array allocation inside a loop inside a ``with bk.zone(...)``
+    block whose arguments name nothing the loop assigns re-allocates
+    the same buffer every iteration: hoist it out of the loop.
+``unknown-pragma`` (REP008, error)
+    A ``# reprolint: disable=`` pragma must name a rule of ``lint`` or
+    ``detcheck`` (by id or name) or ``all``: a pragma that outlived its
+    rule suppresses nothing and reads as if it did.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Protocol, Tuple
+from typing import Dict, Iterator, List, Optional, Protocol, Set, Tuple
 
 from repro.analysis.findings import Finding, Severity, finding
 
@@ -66,9 +70,12 @@ __all__ = [
     "UnseededRngRule",
     "WallClockRule",
     "ImplicitDtypeRule",
-    "BatchLoopRule",
     "DirectNumpyRule",
     "SilentExceptRule",
+    "HotLoopAllocRule",
+    "UnknownPragmaRule",
+    "PRAGMA",
+    "assigned_names",
     "SIMCLOCK_ZONES",
     "KERNEL_ZONES",
     "FLOAT64_ZONES",
@@ -90,7 +97,7 @@ SIMCLOCK_ZONES: Tuple[str, ...] = (
 )
 
 # Module prefixes holding numeric kernels: allocations need explicit
-# dtypes and batch loops are a perf smell.
+# dtypes.
 KERNEL_ZONES: Tuple[str, ...] = (
     "repro/embeddings/",
     "repro/nn/",
@@ -388,42 +395,6 @@ class ImplicitDtypeRule:
 
 
 # ---------------------------------------------------------------------------
-# REP004 — Python loops over batch dimensions in kernels (perf advisory)
-# ---------------------------------------------------------------------------
-
-_BATCH_ITER = re.compile(r"\b(batch(_size)?|bags|bag_ids|samples)\b|\.tolist\(")
-
-
-class BatchLoopRule:
-    """Row-at-a-time Python loops are the slow path the kernels replace."""
-
-    id = "REP004"
-    name = "batch-loop"
-    severity = Severity.WARNING
-    description = (
-        "warn on Python for-loops over batch-shaped iterables in kernel "
-        "modules (vectorize instead)"
-    )
-
-    def check(self, ctx: RuleContext) -> Iterator[Finding]:
-        if not ctx.in_zone(KERNEL_ZONES):
-            return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.For):
-                continue
-            segment = ast.get_source_segment(ctx.source, node.iter) or ""
-            if _BATCH_ITER.search(segment):
-                yield finding(
-                    self,
-                    ctx.path,
-                    node,
-                    f"Python-level loop over batch data ({segment.strip()})",
-                    "vectorize with numpy gather/segment ops; loops over "
-                    "rows dominate kernel time",
-                )
-
-
-# ---------------------------------------------------------------------------
 # REP005 — direct numpy contractions in backend-routed zones
 # ---------------------------------------------------------------------------
 
@@ -519,9 +490,131 @@ class SilentExceptRule:
                 )
 
 
+# ---------------------------------------------------------------------------
+# REP007 — loop-invariant allocations inside a kernel-zone loop
+# ---------------------------------------------------------------------------
+
+_LOOP_ALLOCS = frozenset({"zeros", "ones", "empty", "full"})
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def assigned_names(node: ast.AST) -> Set[str]:
+    """Every name ``node`` may store to: ``x``, ``x.attr`` and the ``x`` of ``x[i]``."""
+    names: Set[str] = set()
+    for child in ast.walk(node):
+        if not isinstance(getattr(child, "ctx", None), ast.Store):
+            continue
+        if isinstance(child, ast.Name):
+            names.add(child.id)
+        elif isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name):
+            names.add(f"{child.value.id}.{child.attr}")
+        elif isinstance(child, ast.Subscript) and isinstance(child.value, ast.Name):
+            names.add(child.value.id)
+    return names
+
+
+def _opens_zone(expr: ast.expr) -> bool:
+    return (
+        isinstance(expr, ast.Call)
+        and isinstance(expr.func, ast.Attribute)
+        and expr.func.attr == "zone"
+    )
+
+
+class HotLoopAllocRule:
+    """A buffer that does not depend on the loop is allocated once, before it."""
+
+    id = "REP007"
+    name = "hot-loop-alloc"
+    severity = Severity.ERROR
+    description = (
+        "no loop-invariant zeros/ones/empty/full allocation inside a loop "
+        "in a `with bk.zone(...)` block; hoist the buffer"
+    )
+
+    def check(self, ctx: RuleContext) -> Iterator[Finding]:
+        return self._scan(ctx, ctx.tree, None, ())
+
+    def _scan(
+        self, ctx: RuleContext, node: ast.AST, zone: Optional[ast.expr],
+        loops: Tuple[ast.stmt, ...],
+    ) -> Iterator[Finding]:
+        if isinstance(node, _SCOPES):
+            zone, loops = None, ()  # a nested def runs where it is called
+        elif (
+            isinstance(node, ast.Call) and zone is not None and loops
+            and isinstance(node.func, ast.Attribute) and node.func.attr in _LOOP_ALLOCS
+        ):
+            loaded = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            if not loaded & set().union(*map(assigned_names, loops)):
+                yield finding(
+                    self, ctx.path, node,
+                    f"{ast.unparse(node.func)}() allocates a loop-invariant buffer "
+                    f"on every iteration inside {ast.unparse(zone)}",
+                    "hoist the allocation out of the loop and reuse the buffer",
+                )
+        body_zone, body_loops = zone, loops  # what a loop's or with's body runs in
+        if isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
+            body_loops = (*loops, node)
+        elif isinstance(node, (ast.With, ast.AsyncWith)):
+            opened = [item.context_expr for item in node.items if _opens_zone(item.context_expr)]
+            body_zone = opened[0] if opened else zone
+        for field_name, value in ast.iter_fields(node):
+            in_body = field_name == "body"
+            for child in value if isinstance(value, list) else [value]:
+                if isinstance(child, ast.AST):
+                    yield from self._scan(
+                        ctx, child, body_zone if in_body else zone,
+                        body_loops if in_body else loops,
+                    )
+
+
+# ---------------------------------------------------------------------------
+# REP008 — pragmas that name no rule
+# ---------------------------------------------------------------------------
+
+#: A per-line (``disable=``) or whole-module (``disable-file=``) pragma.
+PRAGMA = re.compile(
+    r"#\s*reprolint:\s*(disable|disable-file)\s*=\s*([A-Za-z0-9_,\- ]+)"
+)
+
+
+class UnknownPragmaRule:
+    """A suppression pragma names a rule that exists."""
+
+    id = "REP008"
+    name = "unknown-pragma"
+    severity = Severity.ERROR
+    description = (
+        "every `# reprolint: disable=` pragma names a lint or detcheck "
+        "rule (id or name) or `all`"
+    )
+
+    def check(self, ctx: RuleContext) -> Iterator[Finding]:
+        from repro.analysis.detcheck.catalog import DET_RULES  # it imports this module
+
+        known = {"all"} | {
+            key for rule in (*RULE_REGISTRY.values(), *DET_RULES.values())
+            for key in (rule.id, rule.name)
+        }
+        for lineno, line in enumerate(ctx.source.splitlines(), start=1):
+            match = PRAGMA.search(line)
+            if match is None:
+                continue
+            for name in match.group(2).split(","):
+                if name.strip() and name.strip() not in known:
+                    yield finding(
+                        self, ctx.path, (lineno, match.start()),
+                        f"pragma names {name.strip()!r}, which is no lint or "
+                        "detcheck rule: it suppresses nothing",
+                        "delete the pragma, or name the rule by its id or name",
+                    )
+
+
 register(UnseededRngRule())
 register(WallClockRule())
 register(ImplicitDtypeRule())
-register(BatchLoopRule())
 register(DirectNumpyRule())
 register(SilentExceptRule())
+register(HotLoopAllocRule())
+register(UnknownPragmaRule())

@@ -1,4 +1,4 @@
-"""SARIF 2.1.0 serialization for lint/shapecheck results.
+"""SARIF 2.1.0 serialization for lint/detcheck/hazards results.
 
 Emits the minimal static-analysis-results interchange format that CI
 systems (GitHub code scanning, Azure DevOps) ingest: one ``run`` with a

@@ -1,54 +1,38 @@
-"""The one abstract interpreter under shapecheck, perfcheck and detcheck.
+"""The statement and expression dispatcher under detcheck.
 
-A :class:`Walker` executes Python over a value domain that a subclass
-supplies.  The walker owns the program's structure: statement and
-expression dispatch; the environment, copied into every branch arm and
-joined back; binding targets and evaluating call arguments (a backend
-call binds once through its op-table row, :func:`bind_op`); the stacks
-of open ``with bk.zone(...)`` blocks, loops and branch arms; and
-findings — the first message at a ``(rule, line, col)`` wins, and a rule
-outside the walker's catalog is dropped, which is how perfcheck runs
-shapecheck's transfer functions without its findings and how
-detcheck's summary pass stays silent.
+A :class:`Walker` executes one function body over a value domain that a
+subclass supplies (:class:`~repro.analysis.detcheck.interp.FunctionInterpreter`).
+The walker owns the program's structure: statement and expression
+dispatch; the environment, copied into every branch arm and joined back;
+binding targets and evaluating call arguments; the stack of open loops;
+and findings — the first message at a ``(rule, line, col)`` wins, and a
+rule outside the walker's catalog is dropped, which is how detcheck's
+summary pass stays silent.
 
-A domain overrides the hooks at the bottom of the class: one per kind of
-expression, binding to attributes and subscripts, ``return`` and
-``x op= y``.  Where the analyzers walk control flow differently, the
-domain declares it:
+Control flow is walked one way:
 
-* ``LOOP = "widen"`` widens every name the loop assigns to ``TOP`` and
-  runs the body once (shapecheck); ``"join"`` runs it twice, each pass
-  joined with the pre-loop environment (detcheck);
-* ``TRY = "branches"`` runs the body, each handler and the ``else`` arm
-  as alternatives, each followed by ``finally``; ``"sequence"`` runs the
-  body, joins in each handler, then ``else`` and ``finally``;
-* :meth:`Walker.run_module` walks a module, ``def`` and ``class`` bodies
-  included; detcheck's whole-program pass calls :meth:`Walker.run_body` once
-  per function instead and sets ``WALKS_DEFS = False``.
+* a loop body runs twice, each pass joined with the pre-loop environment;
+* ``try`` runs the body, joins in each handler, then ``else`` and
+  ``finally``;
+* ``def`` and ``class`` statements have no effect: detcheck's
+  whole-program pass walks each function through :meth:`Walker.run_body`.
+
+The domain implements the hooks at the bottom of the class: one per kind
+of expression, binding to attributes and subscripts, ``return`` and
+``x op= y``.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.analysis.findings import Finding, RuleInfo, finding
 from repro.analysis.rules import RuleContext
-from repro.backend.ops import OPS
 
-__all__ = ["Walker", "Zone", "CallArgs", "Operand", "bind_op", "assigned_names"]
+__all__ = ["Walker", "CallArgs"]
 
 Env = Dict[str, Any]
-
-
-@dataclass
-class Zone:
-    """One open ``with bk.zone(name)`` block (+ shapecheck's dtype policy state)."""
-
-    name: str
-    float_dtypes: Set[str] = field(default_factory=set)
-    reported: bool = False
 
 
 class CallArgs(NamedTuple):
@@ -60,62 +44,8 @@ class CallArgs(NamedTuple):
     receiver: Any  # ``obj`` of ``obj.method(...)``; None for a bare callee
 
 
-class Operand(NamedTuple):
-    """One bound operand of a backend call."""
-
-    expr: Optional[ast.expr]  # None when the op's default filled it
-    value: Any
-
-
-def bind_op(method: str, node: ast.Call, call: CallArgs) -> Optional[Dict[str, Operand]]:
-    """A backend call's operands by protocol name, bound once by its op-table row.
-
-    ``None`` when ``method`` is not a backend op or the call does not fit
-    the row (wrong arity, unknown keyword, a ``*args`` of unknown
-    length): such a call is not modelled.
-    """
-    spec = OPS.get(method)
-    if spec is None or call.starred:
-        return None
-    args = [Operand(expr, value) for expr, value in zip(node.args, call.args)]
-    kwargs = {
-        name: Operand(kw.value, value)
-        for kw, (name, value) in zip(node.keywords, call.keywords)
-        if name is not None
-    }
-    try:
-        bound = spec.bind(args, kwargs)
-    except TypeError:
-        return None
-    return {
-        name: arg if isinstance(arg, Operand) else Operand(None, arg)
-        for name, arg in bound.items()
-    }
-
-
-def assigned_names(node: ast.AST) -> Set[str]:
-    """Every name ``node`` may store to: ``x``, ``x.attr`` and the ``x`` of ``x[i]``."""
-    names: Set[str] = set()
-    for child in ast.walk(node):
-        if not isinstance(getattr(child, "ctx", None), ast.Store):
-            continue
-        if isinstance(child, ast.Name):
-            names.add(child.id)
-        elif isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name):
-            names.add(f"{child.value.id}.{child.attr}")
-        elif isinstance(child, ast.Subscript) and isinstance(child.value, ast.Name):
-            names.add(child.value.id)
-    return names
-
-
 class Walker:
-    """Walk one module or function body over a subclass's value domain."""
-
-    LOOP = "widen"
-    TRY = "branches"
-    WALKS_DEFS = True
-    #: The unknown value (what ``"widen"`` loops bind).
-    TOP: Any = None
+    """Walk one function body over a subclass's value domain."""
 
     def __init__(self, ctx: RuleContext, catalog: Mapping[str, RuleInfo]) -> None:
         self.ctx = ctx
@@ -123,10 +53,7 @@ class Walker:
         self.env: Env = {}
         self.findings: List[Finding] = []
         self._seen: Set[Tuple[str, int, int]] = set()
-        self.zones: List[Zone] = []
         self.loops: List[Tuple[ast.stmt, Any]] = []  # (loop, abstract item)
-        self.branch_path: List[int] = []  # ids of the enclosing branch arms
-        self._arms = 0
 
     # -- findings ------------------------------------------------------
     def emit(self, rule_name: str, where: Any, message: str, hint: str) -> None:
@@ -140,22 +67,11 @@ class Walker:
             self._seen.add(key)
             self.findings.append(new)
 
-    # -- entries -------------------------------------------------------
-    def run_module(self) -> List[Finding]:
-        """Walk the whole module; its findings in report order."""
-        self.exec_block(self.ctx.tree.body)
-        return sorted(self.findings, key=lambda f: f.sort_key)
-
+    # -- entry ---------------------------------------------------------
     def run_body(self, body: Sequence[ast.stmt], env: Env) -> None:
-        """Walk a function or class body in ``env``.  It does not run
-        where it is defined, so the enclosing zones, loops and branch
-        arms do not apply inside."""
-        saved = (self.env, self.zones, self.loops, self.branch_path)
-        self.env, self.zones, self.loops, self.branch_path = env, [], [], []
-        try:
-            self.exec_block(body)
-        finally:
-            self.env, self.zones, self.loops, self.branch_path = saved
+        """Walk a function body in ``env``."""
+        self.env = env
+        self.exec_block(body)
 
     # ==================================================================
     # statements
@@ -183,7 +99,11 @@ class Walker:
         elif isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
             self._exec_loop(stmt)
         elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-            self._exec_with(stmt)
+            for item in stmt.items:
+                value = self.eval(item.context_expr)
+                if item.optional_vars is not None:
+                    self.bind(item.optional_vars, value, stmt)
+            self.exec_block(stmt.body)
         elif isinstance(stmt, ast.Try):
             self._exec_try(stmt)
         elif isinstance(stmt, ast.Raise):
@@ -195,34 +115,8 @@ class Walker:
             for target in stmt.targets:
                 if isinstance(target, ast.Name):
                     self.env.pop(target.id, None)
-        elif not self.WALKS_DEFS:
-            return
-        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            self._exec_def(stmt)
-        elif isinstance(stmt, ast.ClassDef):
-            self.run_body(stmt.body, {})
-        # Import/Pass/Break/Continue/Global/Nonlocal/Match: no abstract
-        # effect (imports are pre-resolved into ctx.aliases).
-
-    def _exec_def(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
-        args = node.args
-        positional = [*args.posonlyargs, *args.args]
-        defaults: Dict[str, Any] = {}
-        with_default = positional[len(positional) - len(args.defaults):]
-        for arg, default in zip(with_default, args.defaults):
-            defaults[arg.arg] = self.eval(default)
-        for arg, kw_default in zip(args.kwonlyargs, args.kw_defaults):
-            if kw_default is not None:
-                defaults[arg.arg] = self.eval(kw_default)
-        params = [
-            *positional,
-            *args.kwonlyargs,
-            *([args.vararg] if args.vararg else []),
-            *([args.kwarg] if args.kwarg else []),
-        ]
-        self.run_body(
-            node.body, {arg.arg: self.param(arg, defaults.get(arg.arg)) for arg in params}
-        )
+        # Def/Class/Import/Pass/Break/Continue/Global/Nonlocal/Match: no
+        # abstract effect (imports are pre-resolved into ctx.aliases).
 
     def _exec_loop(self, stmt: ast.For | ast.AsyncFor | ast.While) -> None:
         if isinstance(stmt, ast.While):
@@ -230,60 +124,19 @@ class Walker:
             item = None
         else:
             item = self.loop_item(stmt, self.eval(stmt.iter))
-        if self.LOOP == "widen":
-            self.havoc(stmt)
-            self._loop_pass(stmt, item)
-            self.exec_block(stmt.orelse)
-            self.havoc(stmt)
-        else:
-            pre = self.copy_env(self.env)
-            for _ in range(2):
-                self._loop_pass(stmt, item)
-                self.env = self.join([self.env, pre])
-            self.exec_block(stmt.orelse)
-
-    def _loop_pass(self, stmt: ast.For | ast.AsyncFor | ast.While, item: Any) -> None:
-        """One abstract iteration: bind the target, run the body in the loop."""
-        if not isinstance(stmt, ast.While):
-            self.bind(stmt.target, item, stmt)
-        self.loops.append((stmt, item))
-        try:
-            self.exec_block(stmt.body)
-        finally:
-            self.loops.pop()
-
-    def havoc(self, node: ast.stmt) -> None:
-        """Widen every name ``node`` may assign to ``TOP``."""
-        for name in assigned_names(node):
-            self.env[name] = self.TOP
-
-    def _exec_with(self, stmt: ast.With | ast.AsyncWith) -> None:
-        zone: Optional[str] = None
-        for item in stmt.items:
-            name = self.zone_of(item.context_expr)
-            if name is not None and zone is None:
-                zone = name
-                continue
-            value = self.eval(item.context_expr)
-            if item.optional_vars is not None:
-                self.bind(item.optional_vars, self.entered(value), stmt)
-        if zone is None:
-            self.exec_block(stmt.body)
-            return
-        self.zones.append(Zone(zone))
-        try:
-            self.exec_block(stmt.body)
-        finally:
-            self.zones.pop()
+        pre = self.copy_env(self.env)
+        for _ in range(2):
+            if not isinstance(stmt, ast.While):
+                self.bind(stmt.target, item, stmt)
+            self.loops.append((stmt, item))
+            try:
+                self.exec_block(stmt.body)
+            finally:
+                self.loops.pop()
+            self.env = self.join([self.env, pre])
+        self.exec_block(stmt.orelse)
 
     def _exec_try(self, stmt: ast.Try) -> None:
-        if self.TRY == "branches":
-            arms = [stmt.body + stmt.finalbody]
-            arms += [handler.body + stmt.finalbody for handler in stmt.handlers]
-            if stmt.orelse:
-                arms.append(stmt.body + stmt.orelse + stmt.finalbody)
-            self.run_branches(arms)
-            return
         self.exec_block(stmt.body)
         pre = self.copy_env(self.env)
         for handler in stmt.handlers:
@@ -301,12 +154,7 @@ class Walker:
         outcomes: List[Env] = []
         for arm in arms:
             self.env = self.copy_env(pre)
-            self._arms += 1
-            self.branch_path.append(self._arms)
-            try:
-                self.exec_block(arm)
-            finally:
-                self.branch_path.pop()
+            self.exec_block(arm)
             outcomes.append(self.env)
         self.env = self.join(outcomes)
 
@@ -394,81 +242,67 @@ class Walker:
         )
 
     # ==================================================================
-    # domain hooks (the defaults know nothing)
+    # domain hooks
     # ==================================================================
     def copy_value(self, value: Any) -> Any:
-        return value
+        raise NotImplementedError
 
     def join_values(self, values: List[Any], complete: bool) -> Any:
         """One name's values from the arms that bound it (``complete``: all did)."""
-        first = values[0]
-        return first if complete and all(v == first for v in values[1:]) else self.TOP
+        raise NotImplementedError
 
     def unpack(self, value: Any, target: ast.Tuple | ast.List) -> List[Any]:
-        return [self.TOP] * len(target.elts)
+        raise NotImplementedError
 
     def bind_attribute(self, target: ast.Attribute, value: Any) -> None:
-        pass
+        raise NotImplementedError
 
     def bind_subscript(self, target: ast.Subscript, value: Any, stmt: ast.AST) -> None:
-        self.eval(target.value)
+        raise NotImplementedError
 
     def ann_assign(self, stmt: ast.AnnAssign, value: Any) -> None:
-        if stmt.value is not None:
-            self.bind(stmt.target, value, stmt)
+        raise NotImplementedError
 
     def aug_assign(self, stmt: ast.AugAssign, value: Any) -> None:
-        pass
+        raise NotImplementedError
 
     def returns(self, stmt: ast.Return, value: Any) -> None:
-        pass
+        raise NotImplementedError
 
     def condition(self, stmt: ast.If | ast.While) -> None:
-        self.eval(stmt.test)
+        raise NotImplementedError
 
     def loop_item(self, stmt: ast.For | ast.AsyncFor, iterable: Any) -> Any:
-        return self.TOP
-
-    def zone_of(self, expr: ast.expr) -> Optional[str]:
-        """The kernel zone a ``with`` item opens, if any."""
-        return None
-
-    def entered(self, value: Any) -> Any:
-        """What ``with <value> as x`` binds to ``x``."""
-        return value
-
-    def param(self, arg: ast.arg, default: Any) -> Any:
-        """A nested ``def``'s parameter, given its evaluated default."""
-        return self.TOP
+        raise NotImplementedError
 
     def global_name(self, node: ast.Name) -> Any:
-        return self.TOP
+        raise NotImplementedError
 
     def constant(self, node: ast.Constant) -> Any:
-        return self.TOP
+        raise NotImplementedError
 
     def attribute(self, node: ast.Attribute, base: Any) -> Any:
-        return self.TOP
+        raise NotImplementedError
 
     def subscript(self, node: ast.Subscript, base: Any) -> Any:
         """``base[...]``: the hook evaluates the index as it needs."""
-        return self.TOP
+        raise NotImplementedError
 
     def sequence(self, node: ast.Tuple | ast.List, items: List[Any]) -> Any:
-        return self.TOP
+        raise NotImplementedError
 
     def operator(self, node: ast.expr, operands: List[Any]) -> Any:
         """A ``BinOp``, ``UnaryOp``, ``Compare`` or ``BoolOp``."""
-        return self.TOP
+        raise NotImplementedError
 
     def if_exp(self, node: ast.IfExp, test: Any, body: Any, orelse: Any) -> Any:
-        return self.TOP
+        raise NotImplementedError
 
     def call(self, node: ast.Call, call: CallArgs) -> Any:
         """A call; a bare callee (``f(...)``) is left to the hook."""
-        return self.TOP
+        raise NotImplementedError
 
     def other(self, node: ast.expr) -> Any:
         """Dict/set literals, comprehensions, f-strings, lambdas, await,
         yield, slices: the hook evaluates what it needs."""
-        return self.TOP
+        raise NotImplementedError

@@ -31,8 +31,8 @@ forwarded verbatim, so a hard out-of-bounds index that numpy itself
 rejects will raise ``IndexError`` from the inner backend right after
 the trap is recorded — the record tells you *which zone* it came from.
 :class:`SanitizerBackend` is the interposer pre-configured with one
-sanitizer.  It is the dynamic half of :mod:`repro.analysis.shapecheck`:
-the same contracts, enforced on the values the static domain left symbolic.
+sanitizer.  The shape, index and dtype contracts of every backend op are
+checked here, on the values a run actually computes.
 """
 
 from __future__ import annotations

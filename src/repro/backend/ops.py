@@ -5,8 +5,8 @@
 backends needs to know about the op:
 
 * ``params`` / ``defaults`` — the call signature: the
-  interposer generates its forwarding method from it and the static
-  analyzers bind a call site's arguments by it (:meth:`OpSpec.bind`);
+  interposer generates its forwarding method from it and binds each
+  call's arguments by it (:meth:`OpSpec.bind`);
 * ``family`` — ``alloc`` / ``contraction`` / ``movement`` /
   ``elementwise`` (``embeddings.flops`` sums the contraction family);
 * ``cost`` — ``cost(out, *args) -> (flops, bytes)`` from the runtime

@@ -4,7 +4,7 @@ A gate is a zero-argument function returning one :class:`Check`;
 :func:`registry` lists them in ``repro quickcheck`` order: one training
 line per embedding strategy, the execution backends (``backend``,
 ``numsan``), ``serving``, recovery (``chaos``, ``fleet``, ``resume``),
-``sharded``, ``compress``, and the four static analyzers.
+``sharded``, ``compress``, and the two static analyzers.
 ``repro quickcheck`` and ``repro analyze`` print checks through
 :func:`format_check`, ``repro chaos`` reports its invariants as
 :class:`Check` records, and ``tests/test_checks.py`` runs every gate and
@@ -482,16 +482,7 @@ class Analyzer(NamedTuple):
 
 
 def analyzers() -> Tuple[Analyzer, ...]:
-    from repro.analysis import (
-        DET_RULES,
-        PERF_RULES,
-        RULE_REGISTRY,
-        SHAPE_RULES,
-        detcheck_paths,
-        lint_paths,
-        perfcheck_paths,
-        shapecheck_paths,
-    )
+    from repro.analysis import DET_RULES, RULE_REGISTRY, detcheck_paths, lint_paths
 
     return (
         Analyzer(
@@ -500,19 +491,9 @@ def analyzers() -> Tuple[Analyzer, ...]:
             "files or directories to lint", "REP",
         ),
         Analyzer(
-            "shape", "shapecheck", "shapecheck", SHAPE_RULES, shapecheck_paths,
-            "run the static shape/dtype abstract interpreter",
-            "files or directories to check", "SHP",
-        ),
-        Analyzer(
             "det", "detcheck", "detcheck", DET_RULES, detcheck_paths,
             "run the interprocedural determinism-taint analyzer",
             "files or directories to check as one program", "DET",
-        ),
-        Analyzer(
-            "perf", "perfcheck", "perfcheck", PERF_RULES, perfcheck_paths,
-            "run the static kernel-zone cost analyzer",
-            "files or directories to check", "PERF",
         ),
     )
 

@@ -17,12 +17,12 @@ Commands
     embedding strategies train, the execution backends agree bit for
     bit, serving, recovery, sharding and compression hold their
     invariants, and the static analyzers find no error.
-``lint`` / ``shapecheck`` / ``detcheck`` / ``perfcheck``
-    One static analyzer (repo lint rules, shape/dtype interpretation,
-    determinism taint, kernel-zone cost) over the given paths; exit 1
-    on error-level findings, ``--format json|sarif`` for CI.
+``lint`` / ``detcheck``
+    One static analyzer (repo lint rules, determinism taint) over the
+    given paths; exit 1 on error-level findings, ``--format
+    json|sarif`` for CI.
 ``analyze``
-    All four analyzers plus a clean-run hazard trace, one exit code.
+    Both analyzers plus a clean-run hazard trace, one exit code.
 ``hazards``
     Trace a pipelined-PS run for RAW/WAR hazards on embedding rows;
     ``--inject`` disables §V-B life-cycle cache management to show the
@@ -528,7 +528,7 @@ def _analysis_paths(given: Sequence[str]) -> List[Path]:
 
 
 def _cmd_analyzer(args: argparse.Namespace) -> int:
-    """``repro lint|shapecheck|detcheck|perfcheck``."""
+    """``repro lint|detcheck``."""
     from repro.analysis import format_findings, result_to_sarif
 
     analyzer: checks.Analyzer = args.analyzer
@@ -548,7 +548,7 @@ def _cmd_analyzer(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    """Umbrella gate: lint + shapecheck + detcheck + perfcheck + hazards."""
+    """Umbrella gate: lint + detcheck + hazards."""
     from repro.analysis import (
         HAZARD_RULES,
         LintResult,
@@ -786,8 +786,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
     analyze = sub.add_parser(
         "analyze",
-        help="umbrella gate: lint + shapecheck + detcheck + perfcheck "
-        "+ hazards, nonzero exit if any gate fails",
+        help="umbrella gate: lint + detcheck + hazards, nonzero exit if "
+        "any gate fails",
     )
     analyze.add_argument(
         "paths", nargs="*",

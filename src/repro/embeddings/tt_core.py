@@ -281,13 +281,9 @@ class TTCores:
     def flat_core(self, k: int) -> np.ndarray:
         """Core ``k`` in the canonical ``(R_{k-1}, m_k*n_k, R_k)`` layout."""
         m_k, r_prev, n_k, r_next = self.spec.core_shape(k)
-        # Layout churn is intentional here: this is a cold-path exporter
-        # from storage layout to the canonical TT layout, not a kernel.
-        return (
-            self.cores[k]  # reprolint: disable=layout-churn
-            .transpose(1, 0, 2, 3)
-            .reshape(r_prev, m_k * n_k, r_next)
-        )
+        # A cold-path exporter from storage layout to the canonical TT
+        # layout: the transposed copy is the point, not a kernel's cost.
+        return self.cores[k].transpose(1, 0, 2, 3).reshape(r_prev, m_k * n_k, r_next)
 
     # -- reconstruction ----------------------------------------------------
     def reconstruct_rows(self, indices: np.ndarray) -> np.ndarray:

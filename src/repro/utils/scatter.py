@@ -84,8 +84,10 @@ def scatter_add_rows(
     idx = np.asarray(indices)
     if idx.size == 0:
         return
-    groups = _group_rows(idx)
-    if groups.num_groups == idx.size:
+    # Strictly ascending ids (the aggregated update's) have no duplicates
+    # and need no sort to find that out.
+    groups = None if (idx[1:] > idx[:-1]).all() else _group_rows(idx)
+    if groups is None or groups.num_groups == idx.size:
         # No duplicates: plain fancy-indexed (scaled) add is exact.
         if scale == 1.0:
             target[idx] += values

@@ -1,4 +1,4 @@
-"""PERF001 clean twin: the allocation depends on the loop variable."""
+"""REP007 clean twin: the allocation depends on the loop variable."""
 
 import numpy as np
 

@@ -1,4 +1,4 @@
-"""PERF001 mutant: a loop-invariant buffer is allocated every iteration."""
+"""REP007 mutant: a loop-invariant buffer is allocated every iteration."""
 
 import numpy as np
 
@@ -11,6 +11,6 @@ def suffix_products(row_grads: np.ndarray) -> np.ndarray:
     with bk.zone(ZONE_TT_BACKWARD):
         right = None
         for k in range(4):
-            seed = bk.ones((8, 1, 1), dtype=row_grads.dtype)  # PERF001
+            seed = bk.ones((8, 1, 1), dtype=row_grads.dtype)  # REP007
             right = bk.matmul(seed, seed.transpose(0, 2, 1))
         return right

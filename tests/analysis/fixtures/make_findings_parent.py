@@ -10,10 +10,14 @@ against a checkout of that commit:
 It lists every ``.py`` file under ``src/repro``, ``tests`` and
 ``benchmarks`` of the checkout (sorted, root-relative), runs
 ``shapecheck_paths``, ``perfcheck_paths`` and ``detcheck_paths`` over
-that list (detcheck as one whole program) and dumps each analyzer's
+that list (detcheck as one whole program) and dumped each analyzer's
 ``[rule_id, path, line, col, message]`` rows and suppressed count.
+Shapecheck and perfcheck have since been retired; their rows left the
+fixture, except perfcheck's one PERF001 row, re-keyed to the lint rule
+``REP007`` that replaced it.  :func:`run_analyzers` now runs that rule
+alone (``lint``) and ``detcheck``;
 ``tests/analysis/test_findings_golden.py`` re-runs the stored list
-through :func:`run_analyzers` and compares.
+through it and compares.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from pathlib import Path
 from typing import Any, Dict, List
 
 ROOTS = ("src/repro", "tests", "benchmarks")
-ANALYZERS = ("shapecheck", "perfcheck", "detcheck")
+ANALYZERS = ("lint", "detcheck")
 
 
 def list_files(root: Path) -> List[str]:
@@ -38,11 +42,10 @@ def list_files(root: Path) -> List[str]:
 
 def run_analyzers(root: Path, files: List[str]) -> Dict[str, Any]:
     """``{analyzer: {"suppressed": n, "findings": [[id, path, line, col, msg]]}}``."""
-    from repro.analysis import detcheck_paths, perfcheck_paths, shapecheck_paths
+    from repro.analysis import detcheck_paths, lint_paths
 
     runners = {
-        "shapecheck": shapecheck_paths,
-        "perfcheck": perfcheck_paths,
+        "lint": lambda paths: lint_paths(paths, select=["hot-loop-alloc"]),
         "detcheck": detcheck_paths,
     }
     paths = [root / rel for rel in files]

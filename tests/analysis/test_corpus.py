@@ -1,8 +1,7 @@
-"""The seeded corpora of all three analyzers, pinned by one manifest.
+"""The seeded corpora of both analyzers, pinned by one manifest.
 
-``tests/analysis/corpus/`` holds one corpus per analyzer: its top level
-for shapecheck, ``det/`` for detcheck, ``perf/`` for perfcheck and
-``lint/`` for reprolint.
+``tests/analysis/corpus/`` holds one corpus per analyzer: ``det/`` for
+detcheck and ``lint/`` for reprolint.
 Each ``mut_*`` file seeds one defect (its docstring explains it) and
 each ``clean_*`` twin does the same computation correctly.  Zone-scoped
 files live under ``<corpus>/repro/<zone>/`` so :func:`package_rel`
@@ -20,75 +19,32 @@ from typing import Dict, List, Tuple
 
 import pytest
 
-from repro.analysis import (
-    DET_RULES,
-    PERF_RULES,
-    RULE_REGISTRY,
-    SHAPE_RULES,
-    detcheck_paths,
-    lint_paths,
-    perfcheck_paths,
-    shapecheck_paths,
-)
+from repro.analysis import DET_RULES, RULE_REGISTRY, detcheck_paths, lint_paths
 
 CORPUS = Path(__file__).resolve().parent / "corpus"
 
-#: analyzer -> (corpus directory, runner, rule catalog, recursive?)
+#: analyzer -> (corpus directory, runner, rule catalog)
 ANALYZERS = {
-    "shapecheck": (CORPUS, shapecheck_paths, SHAPE_RULES, False),
-    "detcheck": (CORPUS / "det", detcheck_paths, DET_RULES, True),
-    "perfcheck": (CORPUS / "perf", perfcheck_paths, PERF_RULES, True),
-    "lint": (CORPUS / "lint", lint_paths, RULE_REGISTRY, True),
+    "detcheck": (CORPUS / "det", detcheck_paths, DET_RULES),
+    "lint": (CORPUS / "lint", lint_paths, RULE_REGISTRY),
 }
-
-_EMB = "repro/embeddings"
 
 #: analyzer -> corpus-relative path -> exact (rule_id, line) hits, in order
 MANIFEST: Dict[str, Dict[str, List[Tuple[str, int]]]] = {
-    "shapecheck": {
-        "mut_broadcast.py": [("SHP008", 20)],
-        "mut_float64_literal.py": [("SHP006", 19)],
-        "mut_gather_negative.py": [("SHP007", 20)],
-        "mut_gather_oob.py": [("SHP007", 19)],
-        "mut_matmul_inner.py": [("SHP004", 20)],
-        "mut_reshape_elements.py": [("SHP005", 19)],
-        "mut_scatter_shape.py": [("SHP008", 21)],
-        "clean_broadcast.py": [],
-        "clean_float32_zone.py": [],
-        "clean_gather_mapped.py": [],
-        "clean_gather_slot.py": [],
-        "clean_matmul_transposed.py": [],
-        "clean_reshape_rank.py": [],
-        "clean_scatter_rows.py": [],
-    },
     "detcheck": {
         "mut_det001_tainted_state.py": [("DET001", 11), ("DET001", 12)],
         # interprocedural: the taint meets the ModelPlan sink in the callee
         "mut_det001_tainted_plan.py": [("DET001", 28)],
         "mut_det002_unordered_accum.py": [("DET002", 9)],
         "mut_det003_unordered_payload.py": [("DET003", 11)],
-        "mut_det006_queue_mutation.py": [("DET006", 10)],
         "repro/system/mut_det004_entropy_escape.py": [("DET004", 11)],
         "repro/serving/mut_det005_wall_clock.py": [("DET005", 9)],
         "clean_det001_seeded_state.py": [],
         "clean_det001_configured_plan.py": [],
         "clean_det002_sorted_accum.py": [],
         "clean_det003_sorted_payload.py": [],
-        "clean_det006_queue_copy.py": [],
         "repro/system/clean_det004_seeded.py": [],
         "repro/serving/clean_det005_simclock.py": [],
-    },
-    "perfcheck": {
-        f"{_EMB}/mut_perf001_hot_loop_alloc.py": [("PERF001", 14)],
-        f"{_EMB}/mut_perf003_layout_churn.py": [("PERF003", 7)],
-        f"{_EMB}/mut_perf005_batch_python_loop.py": [("PERF005", 13)],
-        f"{_EMB}/mut_perf006_redundant_gather.py": [("PERF006", 13)],
-        f"{_EMB}/mut_perf007_dtype_churn.py": [("PERF007", 13)],
-        f"{_EMB}/clean_perf001_loop_variant_alloc.py": [],
-        f"{_EMB}/clean_perf003_reshape_first.py": [],
-        f"{_EMB}/clean_perf005_batched_op.py": [],
-        f"{_EMB}/clean_perf006_write_between.py": [],
-        f"{_EMB}/clean_perf007_real_cast.py": [],
     },
     "lint": {
         "repro/data/mut_rep001_unseeded_rng.py": [("REP001", 5)],
@@ -98,38 +54,34 @@ MANIFEST: Dict[str, Dict[str, List[Tuple[str, int]]]] = {
         "repro/models/mut_rep003_hard_coded_float64.py": [
             ("REP003", 7), ("REP003", 11), ("REP003", 15),
         ],
-        "repro/nn/mut_rep004_batch_loop.py": [("REP004", 6)],
         "repro/embeddings/mut_rep005_direct_matmul.py": [("REP005", 7)],
         "repro/serving/mut_rep006_silent_except.py": [("REP006", 7)],
+        "repro/embeddings/mut_rep007_hot_loop_alloc.py": [("REP007", 14)],
+        "repro/embeddings/mut_rep008_stale_pragma.py": [("REP008", 8)],
         # the model's dtype, and a pragma'd float64 that says why
         "repro/models/clean_rep003_model_dtype.py": [],
+        "repro/embeddings/clean_rep007_loop_variant_alloc.py": [],
+        # pragmas by name, by id, of detcheck, and `all`
+        "repro/embeddings/clean_rep008_known_pragma.py": [],
     },
 }
-
-#: Catalog ids no mutant exercises: a corpus file must parse.
-UNSEEDED = {"PERF000"}
 
 CASES = [(tool, rel) for tool in MANIFEST for rel in sorted(MANIFEST[tool])]
 
 
 def corpus_files(tool: str) -> List[str]:
     """The ``.py`` files of ``tool``'s corpus, corpus-relative."""
-    root, _, _, recursive = ANALYZERS[tool]
-    files = root.rglob("*.py") if recursive else root.glob("*.py")
-    return sorted(str(p.relative_to(root)) for p in files)
+    root = ANALYZERS[tool][0]
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*.py"))
 
 
 def mutants(tool: str) -> List[str]:
     return sorted(rel for rel, hits in MANIFEST[tool].items() if hits)
 
 
-def twins(tool: str) -> List[str]:
-    return sorted(rel for rel, hits in MANIFEST[tool].items() if not hits)
-
-
 def hits(tool: str, rel: str) -> List[Tuple[str, int]]:
     """``(rule_id, line)`` of every finding ``tool`` reports on one file."""
-    root, run, _, _ = ANALYZERS[tool]
+    root, run, _ = ANALYZERS[tool]
     return [(f.rule_id, f.line) for f in run([root / rel]).findings]
 
 
@@ -138,13 +90,13 @@ def exercised_rules(tool: str) -> set:
 
 
 def catalog_ids(tool: str) -> set:
-    return {rule.id for rule in ANALYZERS[tool][2].values()} - UNSEEDED
+    return {rule.id for rule in ANALYZERS[tool][2].values()}
 
 
 def whole_corpus_flags(tool: str) -> Tuple[object, set]:
     """Run ``tool`` over its whole corpus: (result, flagged files)."""
-    root, run, _, recursive = ANALYZERS[tool]
-    result = run([root] if recursive else sorted(root.glob("*.py")))
+    root, run, _ = ANALYZERS[tool]
+    result = run([root])
     flagged = {str(Path(f.path).resolve().relative_to(root)) for f in result.findings}
     return result, flagged
 

@@ -133,7 +133,7 @@ class TestOutputs:
         run = doc["runs"][0]
         assert run["tool"]["driver"]["name"] == "detcheck"
         rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert rule_ids == {f"DET{n:03d}" for n in range(1, 7)}
+        assert rule_ids == {f"DET{n:03d}" for n in range(1, 6)}  # DET006 retired
         assert [r["ruleId"] for r in run["results"]] == ["DET002"]
 
     def test_syntax_error_degrades_to_det000(self, tmp_path):
@@ -147,7 +147,7 @@ class TestOutputs:
 class TestRuleCatalog:
     def test_rule_table_is_complete(self):
         assert sorted(r.id for r in DET_RULES.values()) == [
-            f"DET{n:03d}" for n in range(1, 7)
+            f"DET{n:03d}" for n in range(1, 6)  # DET006 retired
         ]
         for name, rule in DET_RULES.items():
             assert rule.name == name

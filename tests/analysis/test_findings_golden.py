@@ -4,23 +4,27 @@
 ``fixtures/make_findings_parent.py`` at the commit before shapecheck,
 perfcheck and detcheck moved onto :mod:`repro.analysis.walker`: every
 finding of the three over the 315 files of ``src/repro``, ``tests`` and
-``benchmarks`` at that commit (16 SHP, 5 PERF + 3 suppressed, 48 DET —
-25 of the DET hits are in ``src/`` and appear only when the tests join
-the whole-program pass, through name-merge call resolution).  This test
-re-runs the stored file list and requires the same
-``(rule_id, path, line, col, message)`` rows and suppressed counts,
-except what left on purpose: SHP001-SHP003 with the three ``einsum``
-corpus files that seeded them, and the einsum module itself.  The
-fixture listed 315 files; four deleted modules that had no findings
-(the torch backend, the pipeline Chrome-trace exporter and its tests,
-and the hazard detector's recording queue/cache module) have since been
-taken off its list by hand.  Two of perfcheck's three suppressed
-findings were the ``layout-churn`` pragmas on the Eff-TT suffix chain's
-transposed copies; the chain left when the aggregated backward became
-reverse mode through the Reuse Buffer, which reads every operand where
-it lies, and its two pragmas left with it (``RETIRED_SUPPRESSIONS``).
-The same change moved ``state_arrays`` in ``eff_tt_embedding.py`` nine
-lines down, and the two rows that point at it were moved by hand.
+``benchmarks`` at that commit (48 DET — 25 of them in ``src/``, which
+appear only when the tests join the whole-program pass, through
+name-merge call resolution).  This test re-runs the stored file list
+and requires the same ``(rule_id, path, line, col, message)`` rows and
+suppressed counts.
+
+What left on purpose, by hand:
+
+* four deleted modules that had no findings (the torch backend, the
+  pipeline Chrome-trace exporter and its tests, and the hazard
+  detector's recording queue/cache module) left the file list;
+* the rule audit (DESIGN.md §7.4) retired shapecheck and perfcheck
+  with their rows and their ``SHP``/``PERF`` corpora, except PERF001 ``hot-loop-alloc``, which
+  became the lint rule ``REP007``: its one row, its corpus mutant and
+  the mutant's clean twin were re-keyed to the rule, the moved files and
+  the lint rule's message (``lint`` runs it alone);
+* the same audit retired DET006 ``queue-seam-mutation``: its one row
+  (its corpus mutant) left with it, so 47 DET rows remain;
+* ``state_arrays`` in ``eff_tt_embedding.py`` moved nine lines down when
+  the aggregated backward became reverse mode, and the two DET rows that
+  point at it were moved with it.
 """
 
 import json
@@ -32,21 +36,27 @@ ROOT = Path(__file__).resolve().parents[2]
 GOLDEN = json.loads(
     (Path(__file__).parent / "fixtures" / "findings_parent.json").read_text()
 )
-RETIRED_RULES = {"SHP001", "SHP002", "SHP003"}
-RETIRED_FILES = {
-    "src/repro/analysis/shapecheck/einsum.py",
-    "tests/analysis/corpus/mut_einsum_arity.py",
-    "tests/analysis/corpus/mut_einsum_dropped_dim.py",
-    "tests/analysis/corpus/mut_einsum_transposed.py",
-}
-RETIRED_SUPPRESSIONS = {"shapecheck": 0, "perfcheck": 2, "detcheck": 0}
+#: Stored files deleted since: the einsum checker and its corpus, then
+#: shapecheck and perfcheck with their corpora and tests, and DET006's
+#: corpus pair.
+RETIRED = (
+    "src/repro/analysis/shapecheck/",
+    "src/repro/analysis/perfcheck/",
+    "tests/analysis/corpus/mut_",
+    "tests/analysis/corpus/perf/",
+    "tests/analysis/corpus/det/mut_det006_",
+    "tests/analysis/corpus/det/clean_det006_",
+    "tests/analysis/test_shapecheck",
+    "tests/analysis/test_perfcheck",
+    "tests/analysis/test_mutation_corpus.py",
+    "tests/analysis/test_detcheck_corpus.py",
+)
 
 
 def test_golden_has_the_parent_counts():
     assert len(GOLDEN["files"]) == 311
     counts = {name: len(GOLDEN[name]["findings"]) for name in ANALYZERS}
-    assert counts == {"shapecheck": 16, "perfcheck": 5, "detcheck": 48}
-    assert GOLDEN["perfcheck"]["suppressed"] == 3
+    assert counts == {"lint": 1, "detcheck": 47}
     in_src = [row for row in GOLDEN["detcheck"]["findings"] if row[1].startswith("src/")]
     assert len(in_src) == 25
     assert {row[0] for row in in_src} == {"DET001", "DET004"}
@@ -54,15 +64,8 @@ def test_golden_has_the_parent_counts():
 
 def test_parent_findings_are_reproduced():
     files = [rel for rel in GOLDEN["files"] if (ROOT / rel).exists()]
-    assert set(GOLDEN["files"]) - set(files) == RETIRED_FILES
+    retired = set(GOLDEN["files"]) - set(files)
+    assert len(retired) == 35 and all(rel.startswith(RETIRED) for rel in retired)
     now = run_analyzers(ROOT, files)
     for name in ANALYZERS:
-        expected = [
-            row for row in GOLDEN[name]["findings"] if row[0] not in RETIRED_RULES
-        ]
-        assert now[name]["findings"] == expected, name
-        assert now[name]["suppressed"] == (
-            GOLDEN[name]["suppressed"] - RETIRED_SUPPRESSIONS[name]
-        ), name
-    dropped = [row for row in GOLDEN["shapecheck"]["findings"] if row[0] in RETIRED_RULES]
-    assert sorted(row[0] for row in dropped) == sorted(RETIRED_RULES)
+        assert now[name] == GOLDEN[name], name

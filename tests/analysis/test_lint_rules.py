@@ -1,10 +1,12 @@
 """Unit tests for the reprolint rule catalog and pragma machinery."""
 
+import ast
+
 import pytest
 
 from repro.analysis import Severity, lint_source
 from repro.analysis.linter import iter_python_files, lint_paths
-from repro.analysis.rules import RULE_REGISTRY
+from repro.analysis.rules import RULE_REGISTRY, assigned_names
 
 
 def _rules_of(result):
@@ -117,22 +119,6 @@ class TestImplicitDtype:
     def test_outside_kernel_zone_ok(self):
         src = "import numpy as np\nx = np.zeros((4, 4))\n"
         assert not lint_source(src, rel="repro/data/foo.py").findings
-
-
-class TestBatchLoop:
-    def test_batch_range_loop_warned(self):
-        src = (
-            "def forward(batch_size):\n"
-            "    for i in range(batch_size):\n"
-            "        pass\n"
-        )
-        result = lint_source(src, rel="repro/nn/foo.py")
-        assert _rules_of(result) == ["batch-loop"]
-        assert result.findings[0].severity is Severity.WARNING
-
-    def test_core_loop_not_warned(self):
-        src = "def f(cores):\n    for core in cores:\n        pass\n"
-        assert not lint_source(src, rel="repro/nn/foo.py").findings
 
 
 class TestDirectNumpy:
@@ -301,15 +287,83 @@ class TestPragmas:
         assert result.findings[0].line == 3
 
 
+HOT_ALLOC = """
+from repro.backend import get_backend
+from repro.backend.protocol import ZONE_TT_BACKWARD
+
+def f(g):
+    bk = get_backend()
+    with bk.zone(ZONE_TT_BACKWARD):
+        for k in range(4):
+            seed = bk.ones((8, 1, 1), dtype="float32")
+    return seed
+"""
+
+
+class TestHotLoopAlloc:
+    REL = "repro/embeddings/fake_kernel.py"
+
+    def _ids(self, source, **kwargs):
+        return [f.rule_id for f in lint_source(source, rel=self.REL, **kwargs).findings]
+
+    def test_hot_loop_alloc_fires(self):
+        assert self._ids(HOT_ALLOC) == ["REP007"]
+
+    def test_hot_loop_alloc_needs_zone_and_loop(self):
+        assert self._ids(HOT_ALLOC.replace("with bk.zone(ZONE_TT_BACKWARD):", "if True:")) == []
+        assert self._ids(HOT_ALLOC.replace("for k in range(4):", "if k:")) == []
+
+    def test_zone_param_default_binds_declared_zone(self):
+        # the tt_chain_backward pattern: the zone is a parameter's default
+        src = HOT_ALLOC.replace("def f(g):", "def f(g, zone=ZONE_TT_BACKWARD):")
+        assert self._ids(src.replace("bk.zone(ZONE_TT_BACKWARD)", "bk.zone(zone)")) == ["REP007"]
+
+    def test_loop_variant_and_nested_def_allocations_are_clean(self):
+        assert self._ids(HOT_ALLOC.replace("(8, 1, 1)", "(k, 1, 1)")) == []
+        assert self._ids(HOT_ALLOC.replace("seed = bk.ones", "seed = lambda: bk.ones")) == []
+
+    def test_pragma_suppresses(self):
+        suppressed = HOT_ALLOC.replace(
+            'dtype="float32")', 'dtype="float32")  # reprolint: disable=hot-loop-alloc'
+        )
+        result = lint_source(suppressed, rel=self.REL)
+        assert result.findings == [] and result.suppressed == 1
+
+    def test_select_filters_rules(self):
+        assert self._ids(HOT_ALLOC, select=["implicit-dtype"]) == []
+        assert self._ids(HOT_ALLOC, select=["REP007"]) == ["REP007"]
+
+    def test_assigned_names_cover_attributes_and_subscripts(self):
+        loop = ast.parse("for i in r:\n    x = 1\n    s.y = 2\n    z[i] = 3\n").body[0]
+        assert assigned_names(loop) == {"i", "x", "s.y", "z"}
+
+
+class TestUnknownPragma:
+    def test_pragma_naming_no_rule_is_an_error(self):
+        src = "x = 1  # reprolint: disable=layout-churn, wall-clock\n"
+        result = lint_source(src, rel="repro/foo.py")
+        assert [(f.rule_id, f.line) for f in result.findings] == [("REP008", 1)]
+        assert "'layout-churn'" in result.findings[0].message
+
+    @pytest.mark.parametrize(
+        "names", ["all", "REP002", "wall-clock", "DET003", "unordered-reduction"]
+    )
+    def test_lint_and_detcheck_rules_and_all_are_known(self, names):
+        for kind in ("disable", "disable-file"):
+            src = f"x = 1  # reprolint: {kind}={names}\n"
+            assert lint_source(src, rel="repro/foo.py").findings == []
+
+
 class TestRunner:
     def test_registry_has_expected_rules(self):
         assert set(RULE_REGISTRY) >= {
             "unseeded-rng",
             "wall-clock",
             "implicit-dtype",
-            "batch-loop",
             "direct-numpy-in-kernel-zone",
             "silent-except",
+            "hot-loop-alloc",
+            "unknown-pragma",
         }
 
     def test_select_unknown_rule_raises(self):

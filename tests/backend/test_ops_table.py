@@ -1,11 +1,10 @@
 """The op table cannot drift from the backends, and its cost column can fail.
 
 ``repro.backend.ops.OPS`` is the one place an ``ArrayBackend`` op is
-declared for the interposer, the cost counter, the sanitizer and the
-static analyzers.  These tests pin the table to the protocol and the
-real backends' signatures, pin shapecheck's transfer functions to the
-table, and show that the check standing in for the deleted calibration
-gate — instrumented counters vs the analytic FLOP model — goes red when
+declared for the interposer, the cost counter and the sanitizer.
+These tests pin the table to the protocol and the real backends'
+signatures, and show that the check standing in for the deleted
+calibration gate — instrumented counters vs the analytic FLOP model — goes red when
 one row's formula is wrong.
 """
 
@@ -15,7 +14,6 @@ import inspect
 import numpy as np
 import pytest
 
-from repro.analysis.shapecheck.interp import _BACKEND_HANDLERS
 from repro.backend import (
     OPS,
     ZONE_EFFTT_FORWARD,
@@ -35,11 +33,6 @@ from repro.embeddings.flops import (
 )
 from repro.embeddings.tt_core import row_index_to_tt
 from repro.embeddings.tt_embedding import TTEmbeddingBag, tt_chain_forward
-
-# Ops shapecheck deliberately does not model (their result is TOP).  A
-# new row must either get a transfer function or be listed here.
-SHAPECHECK_RETURNS_TOP: set = set()
-
 
 def _public_methods(cls):
     return {
@@ -116,13 +109,6 @@ class TestTableMatchesTheBackends:
         assert seen == [("scatter_add_rows", 4), ("asarray", 2)]
         with pytest.raises(TypeError):
             bk.matmul(np.ones((2, 2)))
-
-
-class TestShapecheckReadsTheTable:
-    def test_handlers_are_keyed_by_the_table(self):
-        assert set(_BACKEND_HANDLERS) <= set(OPS)
-        assert not SHAPECHECK_RETURNS_TOP & set(_BACKEND_HANDLERS)
-        assert set(_BACKEND_HANDLERS) | SHAPECHECK_RETURNS_TOP == set(OPS)
 
 
 def _efftt_forward_counts():

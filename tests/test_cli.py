@@ -364,36 +364,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert "numsan: no traps" in out
 
-    def test_shapecheck_shipped_tree_clean(self, capsys):
-        assert main(["shapecheck"]) == 0
-        out = capsys.readouterr().out
-        assert "0 error(s)" in out
-
-    def test_shapecheck_flags_corpus(self, capsys):
-        corpus = Path(__file__).resolve().parent / "analysis" / "corpus"
-        assert main(["shapecheck", str(corpus)]) == 1
-        out = capsys.readouterr().out
-        assert "SHP" in out
-
-    def test_shapecheck_json_format(self, capsys):
-        assert main(["shapecheck", "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["findings"] == []
-        assert payload["files_scanned"] > 80
-
-    def test_shapecheck_sarif_format(self, capsys):
-        assert main(["shapecheck", "--format", "sarif"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        driver = payload["runs"][0]["tool"]["driver"]
-        assert driver["name"] == "shapecheck"
-        assert {r["id"] for r in driver["rules"]} >= {"SHP004", "SHP008"}
-
-    def test_shapecheck_select_unknown_rule(self, capsys):
-        assert main(["shapecheck", "--select", "bogus"]) == 2
-
-    def test_shapecheck_missing_path_errors(self, capsys, tmp_path):
-        assert main(["shapecheck", str(tmp_path / "nope")]) == 2
-
     def test_hazards_clean(self, capsys):
         assert main(["hazards", "--batches", "6"]) == 0
         out = capsys.readouterr().out
@@ -423,7 +393,7 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         driver = payload["runs"][0]["tool"]["driver"]
         assert driver["name"] == "detcheck"
-        assert {r["id"] for r in driver["rules"]} >= {"DET001", "DET006"}
+        assert {r["id"] for r in driver["rules"]} >= {"DET001", "DET005"}
 
     def test_detcheck_select_unknown_rule(self, capsys):
         assert main(["detcheck", "--select", "bogus"]) == 2
@@ -451,11 +421,35 @@ class TestCli:
             r["ruleId"].startswith("HAZ") for r in results
         )
 
+    @pytest.mark.parametrize("command", ["lint", "detcheck"])
+    @pytest.mark.parametrize("case", ["select-bogus", "missing-path", "json", "sarif"])
+    def test_analyzer_command_contract(self, capsys, tmp_path, command, case):
+        argv = {
+            "select-bogus": ["--select", "bogus"],
+            "missing-path": [str(tmp_path / "nope")],
+            "json": ["--format", "json"],
+            "sarif": ["--format", "sarif"],
+        }[case]
+        assert main([command, *argv]) == (0 if case in ("json", "sarif") else 2)
+        out = capsys.readouterr().out
+        if case == "json":
+            payload = json.loads(out)
+            assert payload["findings"] == [] and payload["files_scanned"] > 80
+        elif case == "sarif":
+            driver = json.loads(out)["runs"][0]["tool"]["driver"]
+            assert driver["name"] == {"lint": "reprolint"}.get(command, command)
+
+    @pytest.mark.parametrize("retired", ["shapecheck", "perfcheck"])
+    def test_retired_analyzer_commands_are_gone(self, retired):
+        with pytest.raises(SystemExit):
+            main([retired])
+
     def test_analyze_shipped_tree_clean(self, capsys):
         assert main(["analyze"]) == 0
         out = capsys.readouterr().out
-        for gate in ("lint", "shape", "det", "hazard"):
+        for gate in ("lint", "det", "hazard"):
             assert gate in out
+        assert "shape" not in out and "perf" not in out
 
     def test_analyze_flags_bad_tree(self, capsys, tmp_path):
         bad = tmp_path / "bad.py"

@@ -18,7 +18,6 @@ import pytest
         "repro.resilience",
         "repro.backend",
         "repro.analysis",
-        "repro.analysis.perfcheck",
         "repro.embeddings",
         "repro.system",
     ],
@@ -74,15 +73,11 @@ def test_system_public_names():
 
 def test_op_table_is_exported_and_the_calibration_names_are_gone():
     import repro.analysis as analysis
-    import repro.analysis.perfcheck as perfcheck
     import repro.backend as backend
 
     assert {"OPS", "OpSpec"} <= set(backend.__all__)
-    assert sorted(perfcheck.__all__) == [
-        "PERF_RULES", "perfcheck_paths", "perfcheck_source",
-    ]
     gone = {"CostModelPricer", "CalibrationReport", "ZoneComparison", "run_calibration"}
-    assert not gone & (set(analysis.__all__) | set(perfcheck.__all__))
+    assert not gone & set(analysis.__all__)
 
 
 def test_no_two_public_classes_share_a_name():
@@ -127,22 +122,22 @@ def test_the_four_planner_modules_are_gone():
 
 def test_one_rule_record_and_no_einsum_checker():
     """Every analyzer catalog holds the one ``RuleInfo`` record; the four
-    per-analyzer copies and the einsum checker are gone."""
+    per-analyzer copies, the einsum checker and the shape and perf
+    analyzers are gone."""
     import repro.analysis as analysis
     from repro.analysis.findings import RuleInfo
 
-    for catalog in (
-        analysis.SHAPE_RULES, analysis.PERF_RULES, analysis.DET_RULES,
-        analysis.HAZARD_RULES,
-    ):
+    for catalog in (analysis.DET_RULES, analysis.HAZARD_RULES):
         assert all(type(rule) is RuleInfo for rule in catalog.values())
-    with pytest.raises(ModuleNotFoundError):
-        importlib.import_module("repro.analysis.shapecheck.einsum")
+    for gone in ("repro.analysis.shapecheck", "repro.analysis.perfcheck"):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(gone)
     public = set()
     for info in pkgutil.walk_packages(analysis.__path__, "repro.analysis."):
         public |= set(getattr(importlib.import_module(info.name), "__all__", ()))
     retired = {
         "ShapeRuleInfo", "PerfRuleInfo", "DetRuleInfo", "HazardRuleInfo",
         "check_einsum", "parse_subscripts", "EinsumIssue",
+        "SHAPE_RULES", "PERF_RULES", "Operand", "bind_op",
     }
     assert not retired & public
