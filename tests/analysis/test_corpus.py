@@ -79,6 +79,10 @@ def mutants(tool: str) -> List[str]:
     return sorted(rel for rel, hits in MANIFEST[tool].items() if hits)
 
 
+def twins(tool: str) -> List[str]:
+    return sorted(rel for rel, hits in MANIFEST[tool].items() if not hits)
+
+
 def hits(tool: str, rel: str) -> List[Tuple[str, int]]:
     """``(rule_id, line)`` of every finding ``tool`` reports on one file."""
     root, run, _ = ANALYZERS[tool]

@@ -49,7 +49,6 @@ RETIRED = (
     "tests/analysis/test_shapecheck",
     "tests/analysis/test_perfcheck",
     "tests/analysis/test_mutation_corpus.py",
-    "tests/analysis/test_detcheck_corpus.py",
 )
 
 
@@ -65,7 +64,7 @@ def test_golden_has_the_parent_counts():
 def test_parent_findings_are_reproduced():
     files = [rel for rel in GOLDEN["files"] if (ROOT / rel).exists()]
     retired = set(GOLDEN["files"]) - set(files)
-    assert len(retired) == 35 and all(rel.startswith(RETIRED) for rel in retired)
+    assert len(retired) == 34 and all(rel.startswith(RETIRED) for rel in retired)
     now = run_analyzers(ROOT, files)
     for name in ANALYZERS:
         assert now[name] == GOLDEN[name], name
