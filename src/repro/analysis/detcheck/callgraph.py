@@ -7,8 +7,11 @@ ensure_rng`` → ``repro.utils.rng.ensure_rng`` — is shared with the
 linter), then indexed three ways:
 
 * **by qualname** — ``repro.sharding.server.ShardedParameterServer.
-  state_arrays``;
-* **by module-local name** — for resolving bare calls and ``self.m()``;
+  state_arrays``; a ``def`` nested in a function body (a closure such
+  as the pipelined trainer's ``drain_one``) is indexed too, as
+  ``<enclosing qualname>.<locals>.<name>``, the way Python names it;
+* **by module-local name** — for resolving bare calls and ``self.m()``
+  (a bare call resolves to a closure of an enclosing scope first);
 * **by bare method name** — the fallback for ``x.m(...)`` receiver
   calls, which merges the summaries of *every* program function named
   ``m``.  This is deliberately CHA-style imprecise in the sound
@@ -43,6 +46,10 @@ _NO_MERGE_ATTRS = frozenset(
         "count", "startswith", "endswith", "read", "write", "close",
     }
 )
+
+
+#: Qualname infix of a function defined in another function's body.
+_LOCALS = ".<locals>."
 
 
 @dataclass
@@ -81,7 +88,10 @@ def _module_name(rel: str) -> str:
 
 
 def _function_info(
-    node: ast.AST, modname: str, class_name: Optional[str]
+    node: ast.AST,
+    modname: str,
+    class_name: Optional[str],
+    scope: Optional[str] = None,
 ) -> FunctionInfo:
     assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
     arg_nodes = list(node.args.posonlyargs) + list(node.args.args)
@@ -89,7 +99,12 @@ def _function_info(
         arg_nodes = arg_nodes[1:]
     params = tuple(a.arg for a in arg_nodes)
     param_values = tuple(annotation_value(a.annotation) for a in arg_nodes)
-    prefix = f"{modname}.{class_name}." if class_name else f"{modname}."
+    if scope is not None:
+        prefix = f"{scope}{_LOCALS}"
+    elif class_name:
+        prefix = f"{modname}.{class_name}."
+    else:
+        prefix = f"{modname}."
     return FunctionInfo(
         qualname=f"{prefix}{node.name}",
         name=node.name,
@@ -102,12 +117,30 @@ def _function_info(
     )
 
 
+def _nested_defs(node: ast.AST) -> List[ast.AST]:
+    """The ``def``s directly inside a function body, at any statement
+    depth, without entering nested functions, classes or lambdas."""
+    found: List[ast.AST] = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.append(child)
+        elif not isinstance(child, (ast.ClassDef, ast.Lambda)):
+            found.extend(_nested_defs(child))
+    return found
+
+
+def _add_function(info: ModuleInfo, fn: FunctionInfo) -> None:
+    """Index ``fn`` and, recursively, the closures defined in its body."""
+    info.functions[fn.qualname] = fn
+    for node in _nested_defs(fn.node):
+        _add_function(info, _function_info(node, info.modname, None, fn.qualname))
+
+
 def _index_module(ctx: RuleContext) -> ModuleInfo:
     info = ModuleInfo(modname=_module_name(ctx.rel), ctx=ctx)
     for node in ctx.tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            fn = _function_info(node, info.modname, None)
-            info.functions[fn.qualname] = fn
+            _add_function(info, _function_info(node, info.modname, None))
         elif isinstance(node, ast.ClassDef):
             attrs: Dict[str, Value] = {}
             for item in node.body:
@@ -116,8 +149,9 @@ def _index_module(ctx: RuleContext) -> ModuleInfo:
                 ):
                     attrs[item.target.id] = annotation_value(item.annotation)
                 elif isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    fn = _function_info(item, info.modname, node.name)
-                    info.functions[fn.qualname] = fn
+                    _add_function(
+                        info, _function_info(item, info.modname, node.name)
+                    )
                     if item.name == "__init__":
                         for stmt in ast.walk(item):
                             if (
@@ -146,7 +180,8 @@ class Program:
         self.modules[info.modname] = info
         for qualname, fn in info.functions.items():
             self.functions[qualname] = fn
-            self.by_name.setdefault(fn.name, []).append(qualname)
+            if _LOCALS not in qualname:  # a closure is never x.m()
+                self.by_name.setdefault(fn.name, []).append(qualname)
 
     # -- call resolution ---------------------------------------------
 
@@ -155,6 +190,10 @@ class Program:
     ) -> List[FunctionInfo]:
         """Program functions a call may dispatch to (possibly empty)."""
         module = self.modules[fn.module]
+        if isinstance(call.func, ast.Name):
+            closure = self._closure(fn.qualname, call.func.id)
+            if closure is not None:
+                return [closure]
         resolved = module.ctx.resolve_call(call.func)
         if resolved is not None:
             if resolved in self.functions:
@@ -178,6 +217,16 @@ class Program:
                 self.functions[q] for q in self.by_name.get(func.attr, ())
             ]
         return []
+
+    def _closure(self, scope: str, name: str) -> Optional[FunctionInfo]:
+        """The ``def name`` of ``scope`` or of a scope enclosing it."""
+        while True:
+            local = self.functions.get(f"{scope}{_LOCALS}{name}")
+            if local is not None:
+                return local
+            if _LOCALS not in scope:
+                return None
+            scope = scope.rsplit(_LOCALS, 1)[0]
 
     # -- bottom-up order ---------------------------------------------
 

@@ -16,7 +16,8 @@ twice with the environment joined against the pre-loop state between
 passes (enough for the accumulate-then-store patterns this codebase uses
 while keeping the pass linear), ``try`` runs the body and then each
 handler joined in, and nested ``def``/``class`` bodies are not descended
-(the whole-program pass runs each indexed function on its own).  Branch
+(the whole-program pass runs each indexed function on its own, closures
+included; a closure sees its enclosing scope's names as unknown).  Branch
 arms run on cloned environments and join.  Everything unknown stays
 untainted and ordered (one-sided soundness: detcheck never reports from
 ignorance).

@@ -17,10 +17,9 @@ __all__ = ["Severity", "Finding", "RuleMeta", "RuleInfo", "rule_catalog", "findi
 
 
 class Severity(enum.IntEnum):
-    """Finding severity.  ERROR findings fail the lint run (exit 1);
-    WARNING findings are advisory (perf lints, style)."""
+    """Finding severity.  Every rule reports errors, and any error fails
+    the run (exit 1); the label is also the SARIF ``level``."""
 
-    WARNING = 1
     ERROR = 2
 
     @property

@@ -53,11 +53,8 @@ class LintResult:
 
     @property
     def errors(self) -> List[Finding]:
-        return [f for f in self.findings if f.severity is Severity.ERROR]
-
-    @property
-    def warnings(self) -> List[Finding]:
-        return [f for f in self.findings if f.severity is Severity.WARNING]
+        """Every finding: each rule reports at error severity."""
+        return list(self.findings)
 
     @property
     def ok(self) -> bool:
@@ -230,7 +227,7 @@ def format_findings(result: LintResult) -> str:
     lines = [finding.format() for finding in result.findings]
     lines.append(
         f"{result.files_scanned} file(s) scanned: "
-        f"{len(result.errors)} error(s), {len(result.warnings)} warning(s), "
+        f"{len(result.errors)} error(s), "
         f"{result.suppressed} suppressed"
     )
     return "\n".join(lines)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
-from repro.analysis.findings import Finding, RuleMeta, Severity
+from repro.analysis.findings import Finding, RuleMeta
 from repro.analysis.linter import LintResult
 
 __all__ = ["result_to_sarif", "results_to_sarif_bundle"]
@@ -25,23 +25,19 @@ _SARIF_SCHEMA = (
 )
 
 
-def _sarif_level(severity: Severity) -> str:
-    return "error" if severity is Severity.ERROR else "warning"
-
-
 def _rule_descriptor(rule: RuleMeta) -> Dict[str, Any]:
     return {
         "id": rule.id,
         "name": rule.name,
         "shortDescription": {"text": rule.description},
-        "defaultConfiguration": {"level": _sarif_level(rule.severity)},
+        "defaultConfiguration": {"level": rule.severity.label},
     }
 
 
 def _result(finding: Finding, rule_ids: List[str]) -> Dict[str, Any]:
     entry: Dict[str, Any] = {
         "ruleId": finding.rule_id,
-        "level": _sarif_level(finding.severity),
+        "level": finding.severity.label,
         "message": {
             "text": finding.message
             + (f" (fix: {finding.hint})" if finding.hint else "")

@@ -12,8 +12,11 @@ carries :meth:`RowGroups.laid_out` records, so the forward fill, the
 backward chain and the gradient aggregation read every operand where it
 lies.
 
-Integer bookkeeping only — no float math — so, like the reuse planner,
-this module sits outside the backend routing.
+The same sort serves the parameter server's host tables (paper §V):
+:meth:`RowGroups.sum_rows` adds each group's gradient rows, the
+in-advance aggregation of §III-B, without a sorted copy of the rows.
+Apart from that one sum the module is integer bookkeeping, and like
+the reuse planner it sits outside the backend routing.
 """
 
 from __future__ import annotations
@@ -24,7 +27,11 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["RowGroups", "group_rows"]
+__all__ = ["RowGroups", "group_rows", "SUM_DEPTH"]
+
+#: :meth:`RowGroups.sum_rows` adds groups of at most this many rows in
+#: depth-wise rounds and sums each longer group with one reduction.
+SUM_DEPTH = 8
 
 
 @dataclass(frozen=True)
@@ -88,6 +95,44 @@ class RowGroups:
             np.arange(self.ids.size, dtype=np.int64), sizes
         )
         return inverse
+
+    def sum_rows(self, values: np.ndarray) -> np.ndarray:
+        """Each group's rows of ``values`` added left to right, ``(G, ...)``.
+
+        Row ``j`` of the result is ``values[r0] + values[r1] + ...`` over
+        group ``j``'s rows in list order, one addition at a time from the
+        left: bit for bit what a Python loop over the rows gives.  Rows
+        are read through ``order``; no sorted copy of ``values`` is made.
+        Groups of up to :data:`SUM_DEPTH` rows are added in depth-wise
+        rounds (round ``r`` adds the ``r``-th row of every group still
+        open), and each longer group is one ``np.add.reduce`` over its
+        rows, which sums a 2-D block row after row.
+        """
+        width = int(np.prod(values.shape[1:], dtype=np.int64))
+        # ``take`` copies a strided source whole on every call (a host
+        # bag's gradient is a view into the interaction's stack), so
+        # lay it out once.
+        flat = np.ascontiguousarray(values).reshape(self.order.size, width)
+        sizes = np.diff(self.boundaries)
+        out = flat.take(self.order[self.starts], axis=0)
+        # numpy sums a single column pairwise, not left to right: rows of
+        # one element take the rounds whatever their group's length.
+        depth = SUM_DEPTH if width > 1 else int(sizes.max(initial=1))
+        rounds = np.minimum(sizes, depth)
+        rounds[sizes > depth] = 1
+        # Longest groups first: the groups open in round r are a prefix.
+        longest = np.argsort(-rounds, kind="stable")
+        closed = np.cumsum(np.bincount(rounds, minlength=depth))  # by round
+        still_open = sizes.size - closed[1:depth]
+        starts = self.starts[longest]
+        for step, n in enumerate(still_open.tolist(), start=1):
+            if n == 0:
+                break
+            out[longest[:n]] += flat.take(self.order[starts[:n] + step], axis=0)
+        for j in np.flatnonzero(sizes > depth).tolist():
+            rows = self.order[self.boundaries[j]:self.boundaries[j + 1]]
+            out[j] = np.add.reduce(flat.take(rows, axis=0), axis=0)
+        return out.reshape((self.ids.size,) + values.shape[1:])
 
 
 def _stable_order(idx: np.ndarray, bound: int) -> np.ndarray:

@@ -64,6 +64,13 @@ class NumpyBackend:
 
     # -- contraction ---------------------------------------------------
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if a.ndim == b.ndim == 2 and a.shape[1] == b.shape[0] == 1:
+            # A one-term contraction is an outer product, each element a
+            # single product: the broadcast is bit-identical, and BLAS
+            # runs this K = 1 GEMM at ~1 GFLOP/s (the gradient through a
+            # one-output layer, float32 (2048, 1) @ (1, 256) on a 2-vCPU
+            # host: 0.8 ms, the broadcast 0.3 ms).
+            return cast(np.ndarray, np.multiply(a, b))
         return cast(np.ndarray, np.matmul(a, b))
 
     def gather_matmul(

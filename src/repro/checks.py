@@ -503,8 +503,7 @@ def lint_check(name: str, result) -> Check:
     return Check(
         name, result.ok,
         _detail(
-            f"{result.files_scanned} files, {len(result.errors)} errors, "
-            f"{len(result.warnings)} warnings",
+            f"{result.files_scanned} files, {len(result.errors)} errors",
             [finding.format() for finding in result.errors],
         ),
     )

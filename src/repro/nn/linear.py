@@ -105,6 +105,8 @@ class Linear(Module):
             self.weight.accumulate_grad(bk.matmul(grad_output.T, inputs))
             if self.bias is not None:
                 self.bias.accumulate_grad(grad_output.sum(axis=0))
+            # With one output (the top MLP's last layer) this is a rank-1
+            # product, which the backend runs as a broadcast outer product.
             grad_input = bk.matmul(grad_output, self.weight.data)
         self._cached_input = None
         return grad_input

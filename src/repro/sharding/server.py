@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.backend import DEFAULT_DTYPE, ZONE_PS_APPLY, ZONE_PS_GATHER, get_backend
+from repro.backend.groups import group_rows
 from repro.backend.protocol import DTypeLike
 from repro.nn.optim import SparseSGD
 from repro.sharding.compression import (
@@ -186,8 +187,15 @@ class ShardedParameterServer:
         return np.bincount(shard_ids, minlength=self.num_shards)
 
     def gather(self, table_idx: int, indices: np.ndarray) -> PrefetchedRows:
-        """Gather a batch's unique rows, in ascending id order."""
-        unique = np.unique(self._checked_ids(table_idx, indices, "indices"))
+        """Gather a batch's unique rows, in ascending id order.
+
+        The ids are grouped with one stable sort, bounded by the table's
+        row count (a radix sort), and the :class:`RowGroups` travel with
+        the rows: the worker's lookup and gradient sum reuse them.
+        """
+        idx = self._checked_ids(table_idx, indices, "indices")
+        groups = group_rows(idx, bound=self.tables[table_idx].shape[0])
+        unique = groups.ids
         self.gather_count += 1
         bk = get_backend()
         with bk.zone(ZONE_PS_GATHER):
@@ -202,6 +210,7 @@ class ShardedParameterServer:
             table_idx=table_idx,
             unique_indices=unique,
             rows=rows,
+            groups=groups,
         )
 
     def apply_gradients(

@@ -211,7 +211,9 @@ class SequentialPSTrainer(_PSTrainerBase):
             prefetched = self.server.gather(
                 server_idx, batch.sparse_indices[pos]
             )
-            bag.load_rows(prefetched.unique_indices, prefetched.rows)
+            bag.load_rows(
+                prefetched.unique_indices, prefetched.rows, prefetched.groups
+            )
         loss = self._compute_step(batch)
         # Apply host gradients immediately.
         for pos, server_idx, bag in self._host_bags():
@@ -312,8 +314,10 @@ class PipelinedPSTrainer(_PSTrainerBase):
             return queue.get()
 
         def gather_for(batch_id: int) -> Tuple[Batch, Dict[int, PrefetchedRows]]:
-            # The batch travels with the rows gathered for it: the step
-            # loop trains on this object, it does not build it again.
+            # The batch travels with the rows gathered for it, and each
+            # entry with the gather's grouping of the batch's ids: the
+            # step loop trains on these objects, it neither builds the
+            # batch again nor sorts its ids again.
             batch = log.batch(batch_id)
             gathered = {
                 pos: self.server.gather(server_idx, batch.sparse_indices[pos])
@@ -368,7 +372,7 @@ class PipelinedPSTrainer(_PSTrainerBase):
                     result.stale_rows_consumed += int(
                         (~np.isclose(rows, fresh).all(axis=1)).sum()
                     )
-                bag.load_rows(entry.unique_indices, rows)
+                bag.load_rows(entry.unique_indices, rows, entry.groups)
                 probe.on_consume(i, pos, entry.unique_indices)
 
             # (2) train; cache updated rows; enqueue gradients.

@@ -35,12 +35,15 @@ MANIFEST: Dict[str, Dict[str, List[Tuple[str, int]]]] = {
         "mut_det001_tainted_state.py": [("DET001", 11), ("DET001", 12)],
         # interprocedural: the taint meets the ModelPlan sink in the callee
         "mut_det001_tainted_plan.py": [("DET001", 28)],
+        # a closure: the pipelined trainer's drain_one shape
+        "mut_det001_closure_apply.py": [("DET001", 10)],
         "mut_det002_unordered_accum.py": [("DET002", 9)],
         "mut_det003_unordered_payload.py": [("DET003", 11)],
         "repro/system/mut_det004_entropy_escape.py": [("DET004", 11)],
         "repro/serving/mut_det005_wall_clock.py": [("DET005", 9)],
         "clean_det001_seeded_state.py": [],
         "clean_det001_configured_plan.py": [],
+        "clean_det001_closure_apply.py": [],
         "clean_det002_sorted_accum.py": [],
         "clean_det003_sorted_payload.py": [],
         "repro/system/clean_det004_seeded.py": [],

@@ -91,6 +91,49 @@ class TestInterprocedural:
         assert any(f.rule_id == "DET001" for f in result.findings)
 
 
+class TestClosures:
+    """Nested ``def``s are program functions, resolved by scope only."""
+
+    def test_closure_summary_reaches_the_enclosing_sink(self):
+        # The closure returns the taint; the sink is in the enclosing body.
+        source = (
+            "import os\n"
+            "\n"
+            "def train(server, uidx, grads):\n"
+            "    def scale():\n"
+            "        return float(os.environ['SCALE'])\n"
+            "    server.apply_gradients(0, uidx, grads * scale())\n"
+        )
+        hits = [(f.rule_id, f.line) for f in detcheck_source(source).findings]
+        assert hits == [("DET001", 6)]
+
+    def test_closure_nested_twice_is_walked(self):
+        source = (
+            "import os\n"
+            "\n"
+            "def train(server, uidx, grads):\n"
+            "    def outer():\n"
+            "        def inner():\n"
+            "            server.step_rows(uidx, grads * len(os.environ))\n"
+            "        inner()\n"
+            "    outer()\n"
+        )
+        hits = [(f.rule_id, f.line) for f in detcheck_source(source).findings]
+        assert hits == [("DET001", 6)]
+
+    def test_receiver_calls_never_merge_a_closure(self):
+        # ``q.get()`` must not pick up a tainted closure named ``get``.
+        source = (
+            "import os\n"
+            "\n"
+            "def train(server, q):\n"
+            "    def get():\n"
+            "        return os.environ['X']\n"
+            "    server.apply_gradients(0, q.get())\n"
+        )
+        assert detcheck_source(source).findings == []
+
+
 class TestSuppressionAndSelection:
     def test_unordered_accum_fires(self):
         result = detcheck_source(_ACCUM)

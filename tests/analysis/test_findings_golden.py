@@ -24,7 +24,10 @@ What left on purpose, by hand:
   (its corpus mutant) left with it, so 47 DET rows remain;
 * ``state_arrays`` in ``eff_tt_embedding.py`` moved nine lines down when
   the aggregated backward became reverse mode, and the two DET rows that
-  point at it were moved with it.
+  point at it were moved with it;
+* ``ShardedParameterServer.state_arrays`` in ``sharding/server.py``
+  moved nine lines down when the gather started grouping its ids with
+  ``group_rows``, and its three rows (DET004, DET001 twice) moved with it.
 """
 
 import json

@@ -114,3 +114,26 @@ class TestBackward:
         layer.forward(rng.standard_normal((2, 3)))
         with pytest.raises(ValueError):
             layer.backward(rng.standard_normal((2, 3)))
+
+
+class TestOneOutputBackward:
+    """A one-output layer's input gradient is a rank-1 (outer) product."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_input_gradient_is_bit_identical_to_the_gemm(self, rng, dtype):
+        from repro.backend import Interposer, CostCounter, use_backend
+
+        layer = Linear(256, 1, seed=3, dtype=dtype)
+        x = rng.standard_normal((2048, 256)).astype(dtype)
+        grad = rng.standard_normal((2048, 1)).astype(dtype)
+        counter = CostCounter()
+        with use_backend(Interposer(observers=[counter])):
+            layer.forward(x)
+            grad_input = layer.backward(grad)
+        expected = np.matmul(grad, layer.weight.data)
+        assert grad_input.dtype == dtype and grad_input.flags.c_contiguous
+        assert grad_input.tobytes() == expected.tobytes()
+        assert grad_input.tobytes() == (grad * layer.weight.data).tobytes()
+        # Still one matmul at a GEMM's price: the op tables are unchanged.
+        calls = {op: s.calls for (_, op), s in counter.op_stats.items()}
+        assert calls["matmul"] == 3

@@ -110,3 +110,77 @@ class TestHostBackedEmbeddingBag:
         prefetched = server.gather(0, np.array([1, 2]))
         bag.load_rows(prefetched.unique_indices, prefetched.rows)
         assert bag.nbytes == 2 * 4 * 4  # two float32 rows
+
+
+class TestGroupedLookup:
+    """The gather's row groups carried into the bag's lookup and backward."""
+
+    @staticmethod
+    def _batch(seed, size=300, rows=20):
+        return np.random.default_rng(seed).integers(0, rows, size=size)
+
+    def _grads(self, server, ids, grouped, dtype=np.float32):
+        bag = HostBackedEmbeddingBag(20, 4, dtype=dtype)
+        prefetched = server.gather(0, ids)
+        groups = prefetched.groups if grouped else None
+        bag.load_rows(prefetched.unique_indices, prefetched.rows, groups)
+        bag.forward(ids)
+        grad = np.random.default_rng(1).standard_normal((ids.size, 4))
+        bag.backward(grad)
+        return bag.pop_row_gradients(), grad.astype(dtype)
+
+    def test_gather_carries_the_groups_of_its_ids(self, server):
+        ids = self._batch(0)
+        prefetched = server.gather(0, ids)
+        assert prefetched.groups.ids is prefetched.unique_indices
+        assert np.array_equal(
+            prefetched.groups.ids[prefetched.groups.inverse()], ids
+        )
+
+    def test_two_argument_and_grouped_paths_are_bit_identical(self, server):
+        ids = self._batch(2)
+        (u_two, g_two), _ = self._grads(server, ids, grouped=False)
+        (u_grp, g_grp), _ = self._grads(server, ids, grouped=True)
+        assert np.array_equal(u_two, u_grp)
+        assert g_two.tobytes() == g_grp.tobytes()
+
+    @pytest.mark.parametrize("dtype,rtol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    def test_within_rounding_of_zeros_plus_scatter_add(self, dtype, rtol):
+        from repro.utils.scatter import scatter_add_rows
+
+        server = ShardedParameterServer([20], embedding_dim=4, lr=0.1, dtype=dtype)
+        ids = self._batch(3)
+        (uidx, grads), occurrence = self._grads(server, ids, True, dtype)
+        expected = np.zeros((uidx.size, 4), dtype=dtype)
+        scatter_add_rows(expected, np.searchsorted(uidx, ids), occurrence)
+        magnitudes = np.zeros((uidx.size, 4), dtype=np.float64)
+        np.add.at(magnitudes, np.searchsorted(uidx, ids), np.abs(occurrence))
+        assert grads.dtype == dtype
+        assert np.all(np.abs(grads - expected) <= rtol * magnitudes)
+
+    def test_groups_of_another_batch_raise(self, server):
+        ids, other = self._batch(4), self._batch(5)
+        bag = HostBackedEmbeddingBag(20, 4)
+        # Same distinct ids, other occurrences: only the lookup can tell.
+        prefetched = server.gather(0, other)
+        assert np.array_equal(prefetched.unique_indices, np.unique(ids))
+        bag.load_rows(prefetched.unique_indices, prefetched.rows, prefetched.groups)
+        with pytest.raises(ValueError, match="another batch"):
+            bag.forward(ids)
+        with pytest.raises(ValueError, match="another batch"):
+            bag.forward(other[:-1])
+
+    def test_groups_must_name_the_loaded_ids(self, server):
+        bag = HostBackedEmbeddingBag(20, 4)
+        prefetched = server.gather(0, np.array([1, 4, 4]))
+        wrong = server.gather(0, np.array([2, 4]))
+        with pytest.raises(ValueError, match="groups"):
+            bag.load_rows(prefetched.unique_indices, prefetched.rows, wrong.groups)
+
+    def test_reconstruct_ignores_the_batch_groups(self, server):
+        bag = HostBackedEmbeddingBag(20, 4)
+        prefetched = server.gather(0, np.array([7, 2, 7, 9]))
+        bag.load_rows(prefetched.unique_indices, prefetched.rows, prefetched.groups)
+        np.testing.assert_array_equal(
+            bag.reconstruct_rows(np.array([9, 9, 2])), server.tables[0][[9, 9, 2]]
+        )

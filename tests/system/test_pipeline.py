@@ -10,10 +10,10 @@ import pytest
 
 from repro.analysis.hazards import HazardProbe
 from repro.data.dataloader import SyntheticClickLog
-from repro.data.datasets import criteo_kaggle_like
+from repro.data.datasets import criteo_kaggle_like, criteo_tb_like
 from repro.models.config import DLRMConfig, EmbeddingBackend
 from repro.models.dlrm import DLRM, build_embedding_bag
-from repro.sharding import ShardedParameterServer
+from repro.sharding import ShardedParameterServer, build_sharded_ps_trainer
 from repro.system.parameter_server import HostBackedEmbeddingBag
 from repro.system.pipeline import (
     PipelinedPSTrainer,
@@ -135,6 +135,46 @@ class TestFunctionalEquivalence:
         with pytest.raises(ValueError, match=f"{name} must be >= 0"):
             trainer.train(log, num_batches, start=start)
         assert trainer.train(log, 0).losses == []  # an empty span is fine
+
+
+class TestGroupedHostPath:
+    """One grouping per host table per step, from the gather to the backward."""
+
+    @staticmethod
+    def _build(trainer_cls, **kwargs):
+        spec = criteo_tb_like(scale=2e-5)
+        cfg = DLRMConfig.from_dataset(
+            spec, embedding_dim=8, backend=EmbeddingBackend.DENSE,
+            bottom_mlp=(16,), top_mlp=(16,),
+        )
+        setup = build_sharded_ps_trainer(
+            cfg, num_shards=4, host_positions=range(cfg.num_tables), lr=LR,
+            prefetch_depth=3, grad_queue_depth=2,
+        )
+        trainer = trainer_cls(
+            setup.model, setup.server, setup.host_table_map, lr=LR, **kwargs
+        )
+        return SyntheticClickLog(spec, batch_size=128, seed=1), trainer
+
+    def test_trainers_end_bit_identical(self, monkeypatch):
+        loaded = []
+        load_rows = HostBackedEmbeddingBag.load_rows
+
+        def spy(bag, unique, rows, groups=None):
+            loaded.append(groups)
+            load_rows(bag, unique, rows, groups)
+
+        monkeypatch.setattr(HostBackedEmbeddingBag, "load_rows", spy)
+        log, seq = self._build(SequentialPSTrainer)
+        seq_losses = seq.train(log, 10).losses
+        log, pipe = self._build(
+            PipelinedPSTrainer, prefetch_depth=3, grad_queue_depth=2
+        )
+        pipe_losses = pipe.train(log, 10).losses
+        assert loaded and all(groups is not None for groups in loaded)
+        assert seq_losses == pipe_losses
+        for a, b in zip(seq.server.tables, pipe.server.tables):
+            assert a.tobytes() == b.tobytes()
 
 
 class _CountingLog:
