@@ -69,6 +69,12 @@ class FunctionInfo:
     #: Abstract value implied by the return annotation.
     return_value: Value = field(default_factory=Value)
 
+    @property
+    def enclosing(self) -> Optional[str]:
+        """Qualname of the function whose body defines this one, if any."""
+        scope, sep, _ = self.qualname.rpartition(_LOCALS)
+        return scope if sep else None
+
 
 @dataclass
 class ModuleInfo:

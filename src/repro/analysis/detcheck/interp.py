@@ -17,7 +17,8 @@ passes (enough for the accumulate-then-store patterns this codebase uses
 while keeping the pass linear), ``try`` runs the body and then each
 handler joined in, and nested ``def``/``class`` bodies are not descended
 (the whole-program pass runs each indexed function on its own, closures
-included; a closure sees its enclosing scope's names as unknown).  Branch
+included; a closure's free names take their values from its enclosing
+function's environment at the end of that body).  Branch
 arms run on cloned environments and join.  Everything unknown stays
 untainted and ordered (one-sided soundness: detcheck never reports from
 ignorance).
@@ -129,8 +130,35 @@ class FunctionInterpreter(Walker):
         self.returned: List[Value] = []
         self.sink_params: Set[int] = set()
         self.is_payload = self._detect_payload()
+        self.enclosing_env = self._enclosing_env()
 
     # -- setup --------------------------------------------------------
+
+    def _enclosing_env(self) -> Dict[str, Value]:
+        """A closure's view of its enclosing function's locals.
+
+        The enclosing body runs once more, in summary mode, and its final
+        environment is what the closure's free names read (a closure
+        runs after the names it reads are bound).  Their dependencies on
+        the enclosing function's parameters are dropped: those are not
+        this function's parameters.
+        """
+        scope = self.fn.enclosing
+        if scope is None:
+            return {}
+        outer = FunctionInterpreter(
+            self.program,
+            self.program.functions[scope],
+            self.summaries,
+            self.module_env,
+            report=False,
+        )
+        outer.run()
+        env: Dict[str, Value] = {}
+        for name, value in outer.env.items():
+            env[name] = value.clone()
+            env[name].param_deps = set()
+        return env
 
     def _detect_payload(self) -> bool:
         if self.fn.name in PAYLOAD_FUNCTION_NAMES:
@@ -234,6 +262,8 @@ class FunctionInterpreter(Walker):
         return [value] * len(target.elts)
 
     def global_name(self, node: ast.Name) -> Any:
+        if node.id in self.enclosing_env:
+            return self.enclosing_env[node.id].clone()
         if node.id in self.module_env:
             return self.module_env[node.id].clone()
         return Value()

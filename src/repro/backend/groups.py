@@ -1,4 +1,4 @@
-"""Row groups: the sorted index bookkeeping behind the segment-GEMM ops.
+"""Row groups: the index bookkeeping behind the segment ops, and the one row sum.
 
 ``gather_matmul`` and ``matmul_segment_sum`` (see
 :class:`~repro.backend.protocol.ArrayBackend`) issue one GEMM per
@@ -12,11 +12,14 @@ carries :meth:`RowGroups.laid_out` records, so the forward fill, the
 backward chain and the gradient aggregation read every operand where it
 lies.
 
-The same sort serves the parameter server's host tables (paper §V):
-:meth:`RowGroups.sum_rows` adds each group's gradient rows, the
-in-advance aggregation of §III-B, without a sorted copy of the rows.
-Apart from that one sum the module is integer bookkeeping, and like
-the reuse planner it sits outside the backend routing.
+:meth:`RowGroups.sum_rows` is the only sum of rows by group in the
+training and serving paths: the in-advance gradient aggregation of
+§III-B (Eff-TT occurrences, prefixes and core-0 slices, the parameter
+server's host tables), sum pooling of multi-hot bags
+(:func:`~repro.embeddings.base.segment_sum`) and the duplicate ids of
+every sparse update (:func:`scatter_add_rows`, the reference backend's
+op).  Apart from that one sum the module is integer bookkeeping, and
+like the reuse planner it sits outside the backend routing.
 """
 
 from __future__ import annotations
@@ -27,7 +30,14 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["RowGroups", "group_rows", "SUM_DEPTH"]
+__all__ = [
+    "RowGroups",
+    "group_rows",
+    "invert_permutation",
+    "run_heads",
+    "scatter_add_rows",
+    "SUM_DEPTH",
+]
 
 #: :meth:`RowGroups.sum_rows` adds groups of at most this many rows in
 #: depth-wise rounds and sums each longer group with one reduction.
@@ -41,10 +51,13 @@ class RowGroups:
     Attributes
     ----------
     order:
-        Stable sort permutation of the ``L`` rows: ``indices[order]`` is
-        non-decreasing, ties in row order.
+        The ``L`` rows in group order: position ``i`` of the groups is row
+        ``order[i]`` of the list.  From :func:`group_rows` it is the
+        stable sort permutation (``indices[order]`` non-decreasing, ties
+        in row order).
     ids:
-        The ``G`` distinct ids, ascending.
+        The ``G`` group ids, one per group; from :func:`group_rows` the
+        distinct ids, ascending.
     starts:
         Position in ``order`` where each group begins, shape ``(G,)``;
         group ``j`` is ``order[starts[j]:starts[j + 1]]`` (the last one
@@ -100,7 +113,8 @@ class RowGroups:
         """Each group's rows of ``values`` added left to right, ``(G, ...)``.
 
         Row ``j`` of the result is ``values[r0] + values[r1] + ...`` over
-        group ``j``'s rows in list order, one addition at a time from the
+        group ``j``'s rows in the order ``order`` lists them (list order,
+        for a :func:`group_rows` record), one addition at a time from the
         left: bit for bit what a Python loop over the rows gives.  Rows
         are read through ``order``; no sorted copy of ``values`` is made.
         Groups of up to :data:`SUM_DEPTH` rows are added in depth-wise
@@ -112,7 +126,7 @@ class RowGroups:
         # ``take`` copies a strided source whole on every call (a host
         # bag's gradient is a view into the interaction's stack), so
         # lay it out once.
-        flat = np.ascontiguousarray(values).reshape(self.order.size, width)
+        flat = np.ascontiguousarray(values).reshape(values.shape[0], width)
         sizes = np.diff(self.boundaries)
         out = flat.take(self.order[self.starts], axis=0)
         # numpy sums a single column pairwise, not left to right: rows of
@@ -133,6 +147,21 @@ class RowGroups:
             rows = self.order[self.boundaries[j]:self.boundaries[j + 1]]
             out[j] = np.add.reduce(flat.take(rows, axis=0), axis=0)
         return out.reshape((self.ids.size,) + values.shape[1:])
+
+
+def invert_permutation(perm: np.ndarray) -> np.ndarray:
+    """Where each item of ``range(n)`` lies in the permutation ``perm``."""
+    slots = np.empty(perm.size, dtype=np.int64)
+    slots[perm] = np.arange(perm.size, dtype=np.int64)
+    return slots
+
+
+def run_heads(keys: np.ndarray) -> np.ndarray:
+    """Mask of the items of a non-decreasing array that start a run."""
+    heads = np.empty(keys.size, dtype=bool)
+    heads[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=heads[1:])
+    return heads
 
 
 def _stable_order(idx: np.ndarray, bound: int) -> np.ndarray:
@@ -176,12 +205,60 @@ def group_rows(indices: np.ndarray, bound: Optional[int] = None) -> RowGroups:
         order = _stable_order(idx, bound)
         sorted_idx = idx[order]
     # A group starts at row 0 and wherever the sorted id changes.
-    first = np.empty(idx.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(sorted_idx[1:], sorted_idx[:-1], out=first[1:])
+    first = run_heads(sorted_idx)
     return RowGroups(
         order=order,
         ids=sorted_idx[first],
         starts=np.flatnonzero(first),
         presorted=presorted,
     )
+
+
+def scatter_add_rows(
+    target: np.ndarray,
+    indices: np.ndarray,
+    values: np.ndarray,
+    scale: float = 1.0,
+) -> None:
+    """``target[indices] += scale * values`` with duplicate accumulation.
+
+    ``np.add.at`` is the semantically correct primitive for sparse
+    embedding updates but is an unbuffered per-element loop.  Here the
+    rows of each duplicated id are summed first (:func:`group_rows` +
+    :meth:`RowGroups.sum_rows`) and applied with one indexed add — the
+    NumPy analog of the sorted, atomics-free scatter a tuned GPU kernel
+    performs.
+
+    Parameters
+    ----------
+    target:
+        Array updated in place; rows are indexed along axis 0.
+    indices:
+        1-D integer row ids, duplicates allowed.
+    values:
+        ``(len(indices), *target.shape[1:])`` addends.
+    scale:
+        Multiplier applied *after* the duplicate sum, so ``scale=-lr``
+        performs an SGD update without a scaled copy of every addend —
+        the data movement the paper's fused TT-core update eliminates
+        (§III-B).
+
+    The same sum as ``np.add.at(target, indices, scale * values)`` up
+    to rounding order; deterministic.  Not bit for bit: each duplicate
+    group is summed left to right on its own and then added to its row,
+    where ``add.at`` adds the addends to the row one at a time, and
+    ``scale`` multiplies the group's sum rather than each addend.
+    """
+    idx = np.asarray(indices)
+    if idx.size == 0:
+        return
+    # Strictly ascending ids (the aggregated update's) have no duplicates
+    # and need no sort to find that out.
+    if not (idx[1:] > idx[:-1]).all():
+        groups = group_rows(idx)
+        if groups.num_groups < idx.size:
+            idx, values = groups.ids, groups.sum_rows(values)
+    if scale == 1.0:
+        target[idx] += values
+    else:
+        target[idx] += scale * values

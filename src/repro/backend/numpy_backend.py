@@ -4,7 +4,7 @@
 This module is the numeric ground truth of the repository.  Every
 method forwards to the *same* numpy call the pre-backend code used —
 ``np.matmul``, fancy-index gather,
-:func:`repro.utils.scatter.scatter_add_rows` — so routing a kernel
+:func:`repro.backend.groups.scatter_add_rows` — so routing a kernel
 through :class:`NumpyBackend` is bitwise-identical to the direct call it
 replaced.  The file-level reprolint pragma above opts this one
 module out of REP005 (``direct-numpy-in-kernel-zone``): the reference
@@ -18,8 +18,8 @@ from typing import Any, Iterator, Optional, cast
 
 import numpy as np
 
-from ..utils.scatter import scatter_add_rows as _scatter_add_rows
-from .groups import RowGroups
+from .groups import RowGroups, invert_permutation
+from .groups import scatter_add_rows as _scatter_add_rows
 from .protocol import DTypeLike, Shape
 
 __all__ = ["NumpyBackend"]
@@ -35,9 +35,7 @@ def _sorted_rows(x: np.ndarray, groups: RowGroups) -> np.ndarray:
     if groups.presorted:
         return np.ascontiguousarray(x)
     out = np.empty(x.shape, dtype=x.dtype)
-    inverse = np.empty(groups.order.size, dtype=np.int64)
-    inverse[groups.order] = np.arange(groups.order.size, dtype=np.int64)
-    out[inverse] = x
+    out[invert_permutation(groups.order)] = x
     return out
 
 

@@ -16,6 +16,7 @@ from typing import Any, Callable, ClassVar, Dict, Mapping, Optional, Sequence, T
 import numpy as np
 
 from repro.backend import DEFAULT_DTYPE, get_backend
+from repro.backend.groups import RowGroups
 from repro.backend.protocol import DTypeLike
 from repro.embeddings.protocol import CompressionSpec, SpecParamValue
 from repro.utils.validation import check_1d_int_array
@@ -102,20 +103,23 @@ def segment_sum(values: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
 
     Returns
     -------
-    ``(B, dim)`` pooled array; empty segments yield zero rows.
+    ``(B, dim)`` pooled array; empty segments yield zero rows.  Each bag
+    is added left to right (:meth:`RowGroups.sum_rows` over the
+    non-empty bags, whose rows already lie in order).
     """
-    non_empty = boundaries[:-1] < boundaries[1:]
-    if non_empty.all() and non_empty.size:
-        # No empty bag: every start is a valid reduceat position.
-        return np.add.reduceat(values, boundaries[:-1], axis=0)
-    num_bags = boundaries.size - 1
-    out = np.zeros((num_bags, values.shape[1]), dtype=values.dtype)
-    if non_empty.any():
-        # reduceat needs strictly valid start positions; restrict to
-        # non-empty segments then scatter back.
-        out[non_empty] = np.add.reduceat(
-            values, boundaries[:-1][non_empty], axis=0
-        )
+    starts = boundaries[:-1]
+    non_empty = starts < boundaries[1:]
+    bags = RowGroups(
+        order=np.arange(values.shape[0], dtype=np.int64),
+        ids=np.flatnonzero(non_empty),
+        starts=starts[non_empty],
+        presorted=True,
+    )
+    summed = bags.sum_rows(values)
+    if bags.num_groups == non_empty.size:
+        return summed
+    out = np.zeros((non_empty.size,) + values.shape[1:], dtype=values.dtype)
+    out[bags.ids] = summed
     return out
 
 

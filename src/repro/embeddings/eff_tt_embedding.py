@@ -49,11 +49,11 @@ from repro.backend import (
     get_backend,
     get_plan_cache,
 )
+from repro.backend.groups import group_rows
 from repro.backend.plan_cache import ChainStage
 from repro.backend.protocol import DEFAULT_DTYPE, DTypeLike
-from repro.embeddings.base import segment_sum
 from repro.embeddings.protocol import SpecParamValue
-from repro.embeddings.reuse_buffer import ReusePlan, RunSum, build_reuse_plan
+from repro.embeddings.reuse_buffer import ReusePlan, build_reuse_plan
 from repro.embeddings.tt_core import TTCores
 from repro.embeddings.tt_embedding import (
     TTBagBase,
@@ -62,24 +62,8 @@ from repro.embeddings.tt_embedding import (
 )
 from repro.embeddings.tt_indices import row_index_to_tt
 from repro.utils.rng import RngLike
-from repro.utils.scatter import coalesce_rows
 
 __all__ = ["EffTTEmbeddingBag"]
-
-
-def _sum_runs(values: np.ndarray, runs: RunSum) -> np.ndarray:
-    """Rows of ``values`` summed per run, depth-wise (see :class:`RunSum`).
-
-    One gather per round and an add into the runs still open: the
-    rounds are few (a prefix holds at most ``m_d`` rows) and each is a
-    flat pass.  ``np.add.reduceat`` over the same wide rows is 18 times
-    slower (DESIGN.md §8).
-    """
-    bk = get_backend()
-    out = bk.gather_rows(values, runs.sources)
-    for targets, sources in runs.rounds:
-        out[targets] += bk.gather_rows(values, sources)
-    return out
 
 
 class EffTTEmbeddingBag(TTBagBase):
@@ -319,8 +303,9 @@ class EffTTEmbeddingBag(TTBagBase):
                 operands, last_left = self._reuse_buffer(
                     plan, self._chain_stages("chain_forward"), ZONE_EFFTT_BACKWARD
                 )
-            # In-advance aggregation: one summed gradient per unique row.
-            agg = segment_sum(row_grads, plan.occurrence_groups.boundaries)
+            # In-advance aggregation: one summed gradient per unique row,
+            # over occurrences already laid out in unique-row order.
+            agg = plan.occurrence_groups.laid_out().sum_rows(row_grads)
             # One gradient block per *distinct* slice, already coalesced.
             tt_idx: Sequence[np.ndarray] = plan.slice_ids
             slice_grads = self._aggregated_slice_grads(
@@ -380,11 +365,13 @@ class EffTTEmbeddingBag(TTBagBase):
         the layouts it stored them in.  The last core's gradient is one
         segment GEMM over the rows (``last_left^T G``, summed per
         distinct slice); the rows' gradient with respect to the buffer,
-        ``G C_last^T``, is summed into each row's prefix (a depth-wise
-        sum of at most ``m_d`` rounds); then each buffer level does the
-        same at the prefix level — one segment GEMM for its core's
-        slices, one GEMM per slice for the level below — and core 0's
-        gradient is ``dL_0`` summed per distinct slice.  Returns, per
+        ``G C_last^T``, is summed into each row's prefix
+        (``plan.prefix_sum``); then each buffer level does the same at
+        the prefix level — one segment GEMM for its core's slices, one
+        GEMM per slice for the level below — and core 0's gradient is
+        ``dL_0`` summed per distinct slice (``plan.first_core_sum``).
+        Both sums are :meth:`~repro.backend.groups.RowGroups.sum_rows`,
+        as is the occurrence aggregation in front.  Returns, per
         core, ``(G_k, R_{k-1}, n_k, R_k)`` aligned with
         ``plan.slice_ids[k]``.
         """
@@ -411,8 +398,8 @@ class EffTTEmbeddingBag(TTBagBase):
             transposed = np.ascontiguousarray(
                 self._slice_table(last).transpose(0, 2, 1)
             )
-            d_left = _sum_runs(
-                bk.gather_matmul(grad, transposed, plan.row_groups), plan.prefix_sum
+            d_left = plan.prefix_sum.sum_rows(
+                bk.gather_matmul(grad, transposed, plan.row_groups)
             )
             for stage, groups, operand, relayout in reversed(
                 list(zip(stages[1:-1], plan.prefix_groups, operands, plan.relayouts_back))
@@ -430,7 +417,7 @@ class EffTTEmbeddingBag(TTBagBase):
                 )
             first = stages[0]
             slice_grads.append(
-                _sum_runs(d_left, plan.first_core_sum).reshape(
+                plan.first_core_sum.sum_rows(d_left).reshape(
                     -1, first.r_in, first.n_k, first.r_out
                 )
             )
@@ -498,12 +485,16 @@ class EffTTEmbeddingBag(TTBagBase):
         if pending["mode"] == "fused":
             with bk.zone(ZONE_FUSED_UPDATE):
                 for k, grads_k in enumerate(pending["slice_grads"]):
-                    unique, summed = coalesce_rows(pending["tt_idx"][k], grads_k)
+                    groups = group_rows(pending["tt_idx"][k])
+                    unique = groups.ids
                     acc_flat = self._adagrad_acc[k].reshape(
                         self._adagrad_acc[k].shape[0], -1
                     )
                     core_flat = self.tt.cores[k].reshape(
                         self.tt.cores[k].shape[0], -1
+                    )
+                    summed = groups.sum_rows(grads_k).reshape(
+                        unique.size, acc_flat.shape[1]
                     )
                     acc_flat[unique] += summed**2
                     core_flat[unique] -= lr * summed / (

@@ -22,9 +22,11 @@ everything else from that sort:
   write in place, and the permutations between levels are composed here,
   as integers: the only float gather they leave is the prefix->row
   expansion in front of the last core;
-* for the backward, the index rounds of the two depth-wise sums
-  (:class:`RunSum`): unique rows into their prefix, prefixes into their
-  core-0 slice.
+* for the backward, the two row-group sums as
+  :class:`~repro.backend.groups.RowGroups` records that
+  :meth:`~repro.backend.groups.RowGroups.sum_rows` runs: unique rows
+  into their prefix, prefixes into their core-0 slice.  Each record's
+  ``order`` reads its operand where the layout put it.
 
 The plan is consumed by :class:`~repro.embeddings.eff_tt_embedding.EffTTEmbeddingBag`
 and reported by the locality statistics in :mod:`repro.reorder.stats`.
@@ -47,68 +49,9 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend.groups import RowGroups, group_rows
+from repro.backend.groups import RowGroups, group_rows, invert_permutation, run_heads
 
-__all__ = ["ReusePlan", "RunSum", "build_reuse_plan"]
-
-
-def _inverse(perm: np.ndarray) -> np.ndarray:
-    """Where each item of ``range(n)`` lies in the permutation ``perm``."""
-    slots = np.empty(perm.size, dtype=np.int64)
-    slots[perm] = np.arange(perm.size, dtype=np.int64)
-    return slots
-
-
-def _run_heads(keys: np.ndarray) -> np.ndarray:
-    """Mask of the items of a non-decreasing array that start a run."""
-    heads = np.empty(keys.size, dtype=bool)
-    heads[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=heads[1:])
-    return heads
-
-
-@dataclass(frozen=True)
-class RunSum:
-    """Index lists that sum runs of rows round by round (depth-wise).
-
-    Run ``j`` is a set of rows of a ``values`` array.  Its sum starts as
-    its first row, ``values[sources[j]]``; round ``r`` then adds the
-    ``r``-th row of every run longer than ``r``, ``out[targets] +=
-    values[sources]``, with no target twice in a round.  A run of ``c``
-    rows ends after round ``c - 1``, so a sum over the rows of each
-    prefix takes at most ``m_d`` rounds.
-    """
-
-    sources: np.ndarray
-    rounds: Tuple[Tuple[np.ndarray, np.ndarray], ...]
-
-    @classmethod
-    def over(
-        cls, starts: np.ndarray, counts: np.ndarray, slots: np.ndarray
-    ) -> "RunSum":
-        """Run ``j`` is rows ``starts[j] .. starts[j] + counts[j] - 1`` of a
-        list whose row ``i`` is ``values[slots[i]]``."""
-        if counts.size == 0:
-            return cls(starts, ())
-        # Longest runs first: the runs still open in round r are then a
-        # prefix of that order.
-        longest = np.argsort(-counts, kind="stable")
-        still_open = counts.size - np.cumsum(np.bincount(counts))[1:-1]
-        if not still_open.size:
-            return cls(slots[starts], ())
-        # Every (round, run) pair at once, round-major.
-        ends = np.cumsum(still_open)
-        run = np.arange(ends[-1]) - np.repeat(ends - still_open, still_open)
-        step = np.repeat(np.arange(1, still_open.size + 1), still_open)
-        sources = slots[starts[longest[run]] + step]
-        bounds = [0, *ends.tolist()]
-        return cls(
-            slots[starts],
-            tuple(
-                (longest[:n], sources[lo:hi])
-                for n, lo, hi in zip(still_open.tolist(), bounds, bounds[1:])
-            ),
-        )
+__all__ = ["ReusePlan", "build_reuse_plan"]
 
 
 @dataclass(frozen=True)
@@ -215,7 +158,7 @@ class ReusePlan:
     @cached_property
     def layout_slots(self) -> Tuple[np.ndarray, ...]:
         """Per buffer level, where each sorted prefix lies in its layout."""
-        return tuple(_inverse(layout) for layout in self.prefix_layouts)
+        return tuple(invert_permutation(layout) for layout in self.prefix_layouts)
 
     @cached_property
     def first_slices(self) -> np.ndarray:
@@ -245,7 +188,7 @@ class ReusePlan:
     @cached_property
     def row_slots(self) -> np.ndarray:
         """Where each sorted unique row lies in ``row_order``."""
-        return _inverse(self.row_order)
+        return invert_permutation(self.row_order)
 
     @cached_property
     def occurrence_slots(self) -> np.ndarray:
@@ -258,32 +201,38 @@ class ReusePlan:
         return self.layout_slots[-1][self.prefix_ids[self.row_order]]
 
     @cached_property
-    def prefix_sum(self) -> RunSum:
-        """Rows (in ``row_order``) summed into their prefix, top layout."""
+    def prefix_sum(self) -> RowGroups:
+        """Rows (stored in ``row_order``) grouped by prefix, in top layout.
+
+        Group ``j`` is the ``j``-th prefix of the top layout; its rows are
+        read where ``row_order`` put them, ascending by row, so the sum
+        lands in the order the buffer's top level is stored in.
+        """
         top = self.prefix_layouts[-1]
-        counts = np.diff(np.append(self.prefix_starts, self.num_unique_rows))
-        return RunSum.over(self.prefix_starts[top], counts[top], self.row_slots)
+        counts = np.diff(np.append(self.prefix_starts, self.num_unique_rows))[top]
+        starts = np.cumsum(counts) - counts
+        rows = np.arange(self.num_unique_rows) + np.repeat(
+            self.prefix_starts[top] - starts, counts
+        )
+        return RowGroups(order=self.row_slots[rows], ids=top, starts=starts)
 
     @cached_property
-    def _first_core_runs(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Sorted prefixes are core-0-major: a core-0 slice's prefixes are
-        a run.  Its starts and lengths."""
+    def first_core_sum(self) -> RowGroups:
+        """``dL_0`` (in the order level 1 read ``L_0``) grouped by core-0 slice.
+
+        Sorted prefixes are core-0-major: a slice's prefixes are a run,
+        read where ``layout_slots[0]`` put them.
+        """
         digits = self.prefix_tt_indices[0]
-        starts = np.flatnonzero(_run_heads(digits))
-        return starts, np.diff(np.append(starts, digits.size))
-
-    @cached_property
-    def first_core_sum(self) -> RunSum:
-        """``dL_0`` (in the order level 1 read ``L_0``) summed per core-0 slice."""
-        starts, counts = self._first_core_runs
-        return RunSum.over(starts, counts, self.layout_slots[0])
+        starts = np.flatnonzero(run_heads(digits))
+        return RowGroups(order=self.layout_slots[0], ids=digits[starts], starts=starts)
 
     @property
     def slice_ids(self) -> Tuple[np.ndarray, ...]:
         """Per core, the distinct slices the batch addresses, ascending —
         what the aggregated backward's slice gradients are aligned with."""
         return (
-            self.prefix_tt_indices[0][self._first_core_runs[0]],
+            self.first_core_sum.ids,
             *(groups.ids for groups in self.prefix_groups),
             self.row_groups.ids,
         )
@@ -347,7 +296,7 @@ def build_reuse_plan(
     digits.reverse()
 
     # Sorted rows are prefix-major: a prefix is a run of equal keys.
-    heads = _run_heads(prefix_keys)
+    heads = run_heads(prefix_keys)
     prefix_starts = np.flatnonzero(heads)
     prefix_tt = tuple(digits[k][prefix_starts] for k in range(prefix_depth))
     level_groups = [

@@ -90,7 +90,7 @@ class SparseSGD:
 
     Duplicate row ids accumulate, matching ``torch.nn.EmbeddingBag``
     sparse gradients: the same sum as ``np.add.at`` up to rounding
-    order; deterministic (see :func:`repro.utils.scatter.scatter_add_rows`).
+    order; deterministic (see :func:`repro.backend.groups.scatter_add_rows`).
     """
 
     def __init__(self, lr: float) -> None:

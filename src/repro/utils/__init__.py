@@ -13,7 +13,6 @@ from repro.utils.factorize import (
     suggest_tt_shapes,
 )
 from repro.utils.rng import ENTROPY, ensure_rng, spawn_rngs
-from repro.utils.scatter import scatter_add_rows
 from repro.utils.timer import Timer, measure_median
 from repro.utils.validation import (
     check_1d_int_array,
@@ -28,7 +27,6 @@ __all__ = [
     "suggest_tt_shapes",
     "ENTROPY",
     "ensure_rng",
-    "scatter_add_rows",
     "spawn_rngs",
     "Timer",
     "measure_median",

@@ -37,6 +37,8 @@ MANIFEST: Dict[str, Dict[str, List[Tuple[str, int]]]] = {
         "mut_det001_tainted_plan.py": [("DET001", 28)],
         # a closure: the pipelined trainer's drain_one shape
         "mut_det001_closure_apply.py": [("DET001", 10)],
+        # a closure reading a tainted local of its enclosing function
+        "mut_det001_closure_free_var.py": [("DET001", 12)],
         "mut_det002_unordered_accum.py": [("DET002", 9)],
         "mut_det003_unordered_payload.py": [("DET003", 11)],
         "repro/system/mut_det004_entropy_escape.py": [("DET004", 11)],
@@ -44,6 +46,7 @@ MANIFEST: Dict[str, Dict[str, List[Tuple[str, int]]]] = {
         "clean_det001_seeded_state.py": [],
         "clean_det001_configured_plan.py": [],
         "clean_det001_closure_apply.py": [],
+        "clean_det001_closure_free_var.py": [],
         "clean_det002_sorted_accum.py": [],
         "clean_det003_sorted_payload.py": [],
         "repro/system/clean_det004_seeded.py": [],

@@ -19,6 +19,7 @@ from repro.backend import (
     InstrumentedBackend,
     Interposer,
     NumericSanitizer,
+    NumpyBackend,
     get_plan_cache,
     reset_plan_cache,
     use_backend,
@@ -170,28 +171,43 @@ class TestBitwiseEquivalence:
     def test_refactor_matches_pinned_reference(self, backend):
         """Pinned digest: TT numerics must never drift across refactors.
 
-        The hash was computed from this exact workload at the
-        pre-backend-refactor revision; it certifies the routing changed
-        nothing, on any backend.
+        The digest is of this exact workload since the duplicate-row sum
+        of ``scatter_add_rows`` became ``RowGroups.sum_rows`` (left to
+        right); it certifies the routing changes nothing, on any
+        backend.  The cores also stay within 1e-12 of an ``np.add.at``
+        reference, which adds every duplicate one at a time.
         """
         import hashlib
 
-        with use_backend(backend):
-            bag = TTEmbeddingBag(
-                120, 4, tt_rank=2, row_shape=(4, 5, 6), col_shape=(2, 2, 1),
-                seed=3, dtype=np.float64,  # the digest is of float64 bits
-            )
-            idx = np.arange(0, 120, 7)
-            out = bag.forward(idx, np.arange(idx.size))
-            bag.backward(np.ones_like(out))
-            bag.step(lr=0.1)
-            digest = hashlib.sha256()
-            digest.update(out.tobytes())
-            for core in bag.tt.cores:
-                digest.update(core.tobytes())
+        class AddAtBackend(NumpyBackend):
+            def scatter_add_rows(self, target, indices, values, scale=1.0):
+                np.add.at(target, indices, scale * values)
+
+        def run(bk):
+            with use_backend(bk):
+                bag = TTEmbeddingBag(
+                    120, 4, tt_rank=2, row_shape=(4, 5, 6), col_shape=(2, 2, 1),
+                    seed=3, dtype=np.float64,  # the digest is of float64 bits
+                )
+                idx = np.arange(0, 120, 7)
+                out = bag.forward(idx, np.arange(idx.size))
+                bag.backward(np.ones_like(out))
+                bag.step(lr=0.1)
+            return out, bag.tt.cores
+
+        out, cores = run(backend)
+        digest = hashlib.sha256()
+        digest.update(out.tobytes())
+        for core in cores:
+            digest.update(core.tobytes())
         assert digest.hexdigest() == (
-            "98accadd34117d28fea561e764d8f04ccb6e9986edaec1cc4978addd3a111849"
+            "2cecf4073d61f410f4367e28797c2c572ec2f06dcb347060915fa32558572aaf"
         )
+        _, reference = run(AddAtBackend())
+        for core, ref in zip(cores, reference):
+            np.testing.assert_allclose(
+                core, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max()
+            )
 
 
 class TestBitwiseEquivalenceComposed(TestBitwiseEquivalence):

@@ -12,7 +12,8 @@ the magnitudes added.
 import numpy as np
 import pytest
 
-from repro.backend.groups import SUM_DEPTH, group_rows
+from repro.backend.groups import SUM_DEPTH, RowGroups, group_rows
+from repro.embeddings.reuse_buffer import build_reuse_plan
 
 RTOL = {np.float32: 1e-5, np.float64: 1e-12}
 
@@ -111,3 +112,54 @@ def test_strided_values_are_read_where_they_lie():
     assert not view.flags.c_contiguous
     out = group_rows(ids).sum_rows(view)
     assert np.array_equal(out, loop_sum(ids, np.ascontiguousarray(view)))
+
+
+def record_loop_sum(groups, values):
+    """Each group's rows in the order ``groups.order`` lists them, added
+    left to right by a Python loop."""
+    out = []
+    bounds = groups.boundaries
+    for j in range(groups.num_groups):
+        rows = groups.order[bounds[j]:bounds[j + 1]]
+        acc = values[rows[0]].copy()
+        for r in rows[1:]:
+            acc = acc + values[r]
+        out.append(acc)
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_any_order_and_group_ids_sum_left_to_right(dtype):
+    """The ``ReusePlan.prefix_sum`` shape: ``order`` is no sort of the
+    rows and the groups are not in id order."""
+    rng = np.random.default_rng(5)
+    sizes = np.array([3, SUM_DEPTH + 4, 1, 2, 40, SUM_DEPTH])
+    order = rng.permutation(int(sizes.sum()))
+    groups = RowGroups(
+        order=order,
+        ids=np.array([4, 0, 5, 2, 1, 3]),
+        starts=np.cumsum(sizes) - sizes,
+    )
+    values = rng.standard_normal((order.size, 2, 32)).astype(dtype)
+    out = groups.sum_rows(values)
+    assert out.shape == (sizes.size, 2, 32)
+    assert np.array_equal(out, record_loop_sum(groups, values))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_reuse_plan_records_sum_left_to_right(dtype):
+    rng = np.random.default_rng(6)
+    row_shape = (12, 10, 9)
+    idx = np.minimum(rng.zipf(1.2, size=3000) - 1, 12 * 10 * 9 - 1)
+    plan = build_reuse_plan(idx, row_shape)
+    prefix = plan.prefix_sum
+    assert not np.all(np.diff(prefix.order) > 0)
+    assert not np.all(np.diff(prefix.ids) > 0)
+    for groups, count in (
+        (prefix, plan.num_unique_rows),
+        (plan.first_core_sum, plan.num_unique_prefixes),
+    ):
+        values = rng.standard_normal((count, 24)).astype(dtype)
+        assert np.array_equal(
+            groups.sum_rows(values), record_loop_sum(groups, values)
+        )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.embeddings.eff_tt_embedding import EffTTEmbeddingBag
-from repro.utils.scatter import coalesce_rows
+from repro.backend.groups import group_rows
 
 
 def _bag(**flags):
@@ -14,33 +14,43 @@ def _bag(**flags):
     )
 
 
+def coalesce(indices, values):
+    """The Adagrad path's coalescing: one group per id, its rows summed."""
+    groups = group_rows(indices)
+    return groups.ids, groups.sum_rows(values)
+
+
 class TestCoalesceRows:
     def test_sums_duplicates(self):
-        uniq, summed = coalesce_rows(
+        uniq, summed = coalesce(
             np.array([2, 0, 2]), np.array([[1.0], [5.0], [3.0]])
         )
         np.testing.assert_array_equal(uniq, [0, 2])
         np.testing.assert_array_equal(summed[:, 0], [5.0, 4.0])
 
     def test_no_duplicates_sorted(self):
-        uniq, summed = coalesce_rows(
+        uniq, summed = coalesce(
             np.array([3, 1]), np.array([[1.0], [2.0]])
         )
         np.testing.assert_array_equal(uniq, [1, 3])
         np.testing.assert_array_equal(summed[:, 0], [2.0, 1.0])
 
     def test_empty(self):
-        uniq, summed = coalesce_rows(
+        uniq, summed = coalesce(
             np.array([], dtype=np.int64), np.zeros((0, 2))
         )
         assert uniq.size == 0 and summed.shape == (0, 2)
 
     def test_multidim_values_flattened(self):
-        uniq, summed = coalesce_rows(
+        # The slice blocks keep their trailing shape; the update reads
+        # them flattened, as it reads the accumulator and the core.
+        uniq, summed = coalesce(
             np.array([0, 0]), np.ones((2, 2, 3))
         )
-        assert summed.shape == (1, 6)
-        np.testing.assert_array_equal(summed, 2 * np.ones((1, 6)))
+        assert summed.shape == (1, 2, 3)
+        np.testing.assert_array_equal(
+            summed.reshape(uniq.size, -1), 2 * np.ones((1, 6))
+        )
 
 
 class TestFusedAdagrad:

@@ -40,6 +40,19 @@ class TestNormalizeOffsets:
             normalize_offsets(np.array([], dtype=np.int64), 3)
 
 
+def loop_pool(values, boundaries):
+    """Each bag's rows added left to right by a Python loop; empty bags 0."""
+    out = np.zeros((boundaries.size - 1,) + values.shape[1:], dtype=values.dtype)
+    for b in range(boundaries.size - 1):
+        lo, hi = int(boundaries[b]), int(boundaries[b + 1])
+        if hi > lo:
+            acc = values[lo].copy()
+            for r in range(lo + 1, hi):
+                acc = acc + values[r]
+            out[b] = acc
+    return out
+
+
 class TestSegmentSum:
     def test_basic(self):
         values = np.arange(8.0).reshape(4, 2)
@@ -83,15 +96,14 @@ class TestSegmentSum:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_no_empty_bag_is_the_scatter_path_bit_for_bit(self, dtype):
-        # With no empty bag the reduceat result is returned as it is; it
-        # must be what zero-fill + masked scatter used to produce.
+        # With no empty bag the bag sums are returned as they are; they
+        # must be what zero-fill + masked scatter of the same left-to-right
+        # sums produces.
         rng = np.random.default_rng(1)
         boundaries = np.array([0, 3, 4, 9, 11], dtype=np.int64)
         values = rng.standard_normal((11, 5)).astype(dtype)
         scattered = np.zeros((4, 5), dtype=dtype)
-        scattered[np.ones(4, dtype=bool)] = np.add.reduceat(
-            values, boundaries[:-1], axis=0
-        )
+        scattered[np.ones(4, dtype=bool)] = loop_pool(values, boundaries)
         out = segment_sum(values, boundaries)
         assert out.dtype == dtype
         np.testing.assert_array_equal(out, scattered)
@@ -99,6 +111,24 @@ class TestSegmentSum:
     def test_zero_bags(self):
         out = segment_sum(np.zeros((0, 3)), np.array([0], dtype=np.int64))
         assert out.shape == (0, 3)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            [0, 3, 0, 0, 1, 40, 0],  # empty bags between, a long bag
+            [0, 0, 0],  # zero rows
+            [300, 9, 8, 7, 1],  # long bags on either side of the depth
+            [2] * 50,
+        ],
+    )
+    def test_equals_left_to_right_loop_bitwise(self, sizes, dtype):
+        boundaries = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+        rng = np.random.default_rng(len(sizes))
+        values = rng.standard_normal((int(boundaries[-1]), 16)).astype(dtype)
+        out = segment_sum(values, boundaries)
+        assert out.dtype == dtype and out.shape == (len(sizes), 16)
+        assert np.array_equal(out, loop_pool(values, boundaries))
 
 
 class TestBagBoundaries:

@@ -21,7 +21,7 @@ from repro.backend import (
     Observer,
     use_backend,
 )
-from repro.embeddings.base import expand_bag_ids, segment_sum
+from repro.embeddings.base import expand_bag_ids
 from repro.embeddings.eff_tt_embedding import EffTTEmbeddingBag
 
 ROWS, DIM, RANK, LOOKUPS = 20262, 64, 32, 2048
@@ -114,7 +114,9 @@ def test_aggregation_equals_the_scatter_it_replaced():
     bag_ids = expand_bag_ids(boundaries)
     expected = np.zeros((plan.num_unique_rows, DIM))
     NumpyBackend().scatter_add_rows(expected, plan.row_inverse, grad[bag_ids])
+    # Both sides sum each row's occurrences left to right in list order
+    # (``RowGroups.sum_rows``), so they agree bit for bit.
     sorted_rows = bag._occurrence_grads(grad, bag_ids)
     np.testing.assert_array_equal(
-        segment_sum(sorted_rows, plan.occurrence_groups.boundaries), expected
+        plan.occurrence_groups.laid_out().sum_rows(sorted_rows), expected
     )

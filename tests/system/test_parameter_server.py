@@ -146,7 +146,7 @@ class TestGroupedLookup:
 
     @pytest.mark.parametrize("dtype,rtol", [(np.float32, 1e-5), (np.float64, 1e-12)])
     def test_within_rounding_of_zeros_plus_scatter_add(self, dtype, rtol):
-        from repro.utils.scatter import scatter_add_rows
+        from repro.backend.groups import scatter_add_rows
 
         server = ShardedParameterServer([20], embedding_dim=4, lr=0.1, dtype=dtype)
         ids = self._batch(3)

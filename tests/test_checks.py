@@ -16,9 +16,10 @@ import pytest
 
 from repro import checks
 from repro.backend import CostCounter, NumpyBackend
+from repro.backend.groups import RowGroups
 from repro.embeddings.hash_embedding import HashEmbeddingBag
 from repro.embeddings.inference import _TTChain
-from repro.embeddings.reuse_buffer import ReusePlan, RunSum
+from repro.embeddings.reuse_buffer import ReusePlan
 from repro.nn.loss import BCEWithLogitsLoss
 from repro.resilience.supervisor import PipelineSupervisor
 from repro.serving.fleet import _FleetRun
@@ -59,12 +60,15 @@ def _training_ascends(monkeypatch):
 
 def _prefix_sum_keeps_first_row(monkeypatch):
     # The Eff-TT backward sums each unique row's gradient into its
-    # prefix; dropping every round after the first keeps only the
+    # prefix; a record whose groups hold one row each keeps only the
     # prefix's first row.  The forward and the last core are untouched.
     prefix_sum = ReusePlan.prefix_sum.func
 
     def first_row_only(self):
-        return RunSum(prefix_sum(self).sources, ())
+        groups = prefix_sum(self)
+        return RowGroups(
+            groups.order[groups.starts], groups.ids, np.arange(groups.num_groups)
+        )
 
     monkeypatch.setattr(ReusePlan, "prefix_sum", property(first_row_only))
 

@@ -1,4 +1,4 @@
-"""Tests for the fast duplicate-safe scatter-add."""
+"""Tests for the fast duplicate-safe scatter-add (``repro.backend.groups``)."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn.optim import SparseSGD
-from repro.utils.scatter import coalesce_rows, scatter_add_rows
+from repro.backend.groups import group_rows, scatter_add_rows
 
 
 class TestScatterAddRows:
@@ -95,15 +95,20 @@ def test_add_at_agreement_is_up_to_rounding(rows, scale):
     )
 
 
-def _two_sort_segments(idx, values):
-    """The sums as first written: ``unique(return_inverse)``, then a
-    second, stable sort of the inverse.  Kept as the bitwise reference
-    for the one-sort ``group_rows`` path."""
-    unique, inverse = np.unique(idx, return_inverse=True)
-    order = np.argsort(inverse, kind="stable")
-    starts = np.concatenate([[0], np.flatnonzero(np.diff(inverse[order])) + 1])
+def _loop_segments(idx, values):
+    """Every id's rows summed by a Python loop, left to right in list
+    order, ids ascending: the bitwise reference for ``group_rows`` +
+    ``sum_rows`` (the coalescing step and the scatter's duplicate sum)."""
+    unique = np.unique(idx)
     flat = values.reshape(idx.size, -1)
-    return unique, np.add.reduceat(flat[order], starts, axis=0)
+    summed = np.empty((unique.size, flat.shape[1]), dtype=flat.dtype)
+    for j, row_id in enumerate(unique.tolist()):
+        rows = np.flatnonzero(idx == row_id)
+        acc = flat[rows[0]].copy()
+        for r in rows[1:].tolist():
+            acc = acc + flat[r]
+        summed[j] = acc
+    return unique, summed
 
 
 @pytest.mark.parametrize("rows", [3, 285, 20_000])
@@ -112,10 +117,10 @@ def test_one_sort_sums_are_the_two_sort_sums_bitwise(rows, dtype):
     rng = np.random.default_rng(rows)
     idx = rng.integers(0, rows, size=2048)
     values = rng.standard_normal((2048, 16)).astype(dtype)
-    unique, summed = _two_sort_segments(idx, values)
-    got_unique, got_summed = coalesce_rows(idx, values)
-    np.testing.assert_array_equal(got_unique, unique)
-    np.testing.assert_array_equal(got_summed, summed)
+    unique, summed = _loop_segments(idx, values)
+    groups = group_rows(idx)
+    np.testing.assert_array_equal(groups.ids, unique)
+    np.testing.assert_array_equal(groups.sum_rows(values), summed)
     target = rng.standard_normal((rows, 16)).astype(dtype)
     expected = target.copy()
     expected[unique] += summed * dtype(-0.05)
