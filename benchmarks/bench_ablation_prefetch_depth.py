@@ -2,7 +2,8 @@
 
 The paper contrasts depth 1 ("EL-Rec (Sequential)") with a pipelined
 configuration but does not sweep the depth.  This ablation runs the
-event-driven pipeline simulation across depths, showing the classic
+pipeline timing model (``pipeline_schedule``, the trainer's meaning of
+the depth) across depths, showing the classic
 saturation curve: depth 1 serializes, depth 2-3 captures most of the
 overlap, deeper queues only buy straggler absorption — while the
 embedding-cache footprint (LC = Q + D) grows linearly.
@@ -18,7 +19,7 @@ import pytest
 
 from conftest import emit, run_once
 from repro.bench.harness import format_table
-from repro.system.simclock import simulate_pipeline_trace
+from repro.system.pipeline import PipelineScheduleResult, pipeline_schedule
 
 DEPTHS = (1, 2, 3, 4, 8)
 NUM_BATCHES = 256
@@ -27,7 +28,8 @@ NUM_BATCHES = 256
 CPU_MEAN, PCIE_MEAN, GPU_MEAN = 0.010, 0.004, 0.008
 
 
-def _stage_times(seed: int = 0):
+def _stage_times(seed: int = 0) -> np.ndarray:
+    """``(NUM_BATCHES, 3)`` (CPU, PCIe, GPU) stage seconds."""
     rng = np.random.default_rng(seed)
     cpu = rng.normal(CPU_MEAN, CPU_MEAN * 0.1, NUM_BATCHES).clip(min=1e-4)
     # 5% straggler batches: cold rows triple the CPU gather time
@@ -35,23 +37,37 @@ def _stage_times(seed: int = 0):
     cpu[stragglers] *= 3.0
     pcie = rng.normal(PCIE_MEAN, PCIE_MEAN * 0.05, NUM_BATCHES).clip(min=1e-5)
     gpu = rng.normal(GPU_MEAN, GPU_MEAN * 0.05, NUM_BATCHES).clip(min=1e-4)
-    return cpu, pcie, gpu
+    return np.column_stack([cpu, pcie, gpu])
+
+
+def max_in_flight(schedule: PipelineScheduleResult, depth: int) -> int:
+    """Most batches admitted but not yet finished at any moment.
+
+    Batch ``i`` is admitted when batch ``i - depth`` leaves the last
+    stage (batches ``0 .. depth-1`` at time 0).
+    """
+    finish = schedule.finish_times[:, -1]
+    admit = np.concatenate([np.zeros(min(depth, finish.size)), finish[:-depth]])
+    admitted = np.searchsorted(admit, admit, side="right")
+    finished = np.searchsorted(finish, admit, side="right")
+    return int((admitted - finished).max())
 
 
 def build_depth_ablation() -> str:
-    cpu, pcie, gpu = _stage_times()
-    sequential = float(cpu.sum() + pcie.sum() + gpu.sum())
+    times = _stage_times()
+    sequential = float(times.sum())
     rows = []
     for depth in DEPTHS:
-        trace = simulate_pipeline_trace(cpu, pcie, gpu, prefetch_depth=depth)
+        schedule = pipeline_schedule(times, depth)
+        cpu_busy, _, gpu_busy = schedule.stage_busy / schedule.makespan
         rows.append(
             [
                 depth,
-                round(trace.makespan, 3),
-                round(sequential / trace.makespan, 2),
-                round(trace.stage_utilization["cpu"], 2),
-                round(trace.stage_utilization["gpu"], 2),
-                trace.max_prefetch_occupancy,
+                round(schedule.makespan, 3),
+                round(sequential / schedule.makespan, 2),
+                round(cpu_busy, 2),
+                round(gpu_busy, 2),
+                max_in_flight(schedule, depth),
             ]
         )
     return format_table(
@@ -72,22 +88,15 @@ def build_depth_ablation() -> str:
 
 
 def test_depth_simulation_speed(benchmark):
-    cpu, pcie, gpu = _stage_times()
-
-    def run():
-        return simulate_pipeline_trace(cpu, pcie, gpu, prefetch_depth=4)
-
-    trace = benchmark(run)
-    assert trace.makespan > 0
+    times = _stage_times()
+    schedule = benchmark(lambda: pipeline_schedule(times, 4))
+    assert schedule.makespan > 0
 
 
 def test_depth_ablation_shapes(benchmark):
     emit("ablation_prefetch_depth", run_once(benchmark, build_depth_ablation))
-    cpu, pcie, gpu = _stage_times()
-    makespans = [
-        simulate_pipeline_trace(cpu, pcie, gpu, prefetch_depth=d).makespan
-        for d in DEPTHS
-    ]
+    times = _stage_times()
+    makespans = [pipeline_schedule(times, d).makespan for d in DEPTHS]
     # deeper queues never hurt
     assert all(a >= b - 1e-9 for a, b in zip(makespans, makespans[1:]))
     # depth >= 2 clearly beats the serialized depth-1 configuration

@@ -9,7 +9,9 @@ linter), then indexed three ways:
 * **by qualname** — ``repro.sharding.server.ShardedParameterServer.
   state_arrays``; a ``def`` nested in a function body (a closure such
   as the pipelined trainer's ``drain_one``) is indexed too, as
-  ``<enclosing qualname>.<locals>.<name>``, the way Python names it;
+  ``<enclosing qualname>.<locals>.<name>``, the way Python names it.
+  A name a package ``__init__`` re-exports (``from repro.embeddings
+  import plan_under_budget``) resolves to the module that defines it;
 * **by module-local name** — for resolving bare calls and ``self.m()``
   (a bare call resolves to a closure of an enclosing scope first);
 * **by bare method name** — the fallback for ``x.m(...)`` receiver
@@ -27,7 +29,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.rules import RuleContext, build_context
 from repro.analysis.detcheck.taint import Value, annotation_value
@@ -207,6 +209,9 @@ class Program:
             local = f"{fn.module}.{resolved}"
             if local in self.functions:
                 return [self.functions[local]]
+            exported = self._reexported(resolved)
+            if exported is not None:
+                return [exported]
         func = call.func
         if isinstance(func, ast.Attribute):
             if (
@@ -223,6 +228,23 @@ class Program:
                 self.functions[q] for q in self.by_name.get(func.attr, ())
             ]
         return []
+
+    def _reexported(self, dotted: str) -> Optional[FunctionInfo]:
+        """The program function a package ``__init__`` re-exports.
+
+        ``repro.embeddings.plan_under_budget`` is
+        ``repro.embeddings.planner.plan_under_budget``: the package
+        imports it from there.  Chains of re-exports are followed.
+        """
+        seen: Set[str] = set()
+        while dotted not in self.functions and dotted not in seen:
+            seen.add(dotted)
+            package, _, name = dotted.rpartition(".")
+            init = self.modules.get(f"{package}.__init__")
+            if init is None or name not in init.ctx.aliases:
+                return None
+            dotted = init.ctx.aliases[name]
+        return self.functions.get(dotted)
 
     def _closure(self, scope: str, name: str) -> Optional[FunctionInfo]:
         """The ``def name`` of ``scope`` or of a scope enclosing it."""

@@ -661,12 +661,14 @@ class FunctionInterpreter(Walker):
 
         for idx in merged.checkpoint_sink_params:
             value = indexed.get(idx)
-            if value is not None and value.taints:
-                self._check_tainted_sink(
-                    node,
-                    value,
-                    f"a checkpoint payload or table plan via {display}()",
-                )
+            if value is None:
+                continue
+            self._check_tainted_sink(
+                node, value, f"a checkpoint payload or table plan via {display}()"
+            )
+            # What reaches the callee's sink from this function's own
+            # parameters reaches it from this function's callers too.
+            self.sink_params |= value.param_deps
 
         out = Value(
             taints={

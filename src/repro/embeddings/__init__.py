@@ -20,9 +20,9 @@ This package contains the paper's central artifact and its baselines:
 All bags are one :class:`EmbeddingBagBase` — the shared sum-pooling
 shell: ``forward(indices, offsets) -> (B, dim)``,
 ``backward(grad_output)`` capturing the sparse update, ``step(lr)``
-applying it, plus the :class:`CompressedEmbedding` surface (footprint,
-state arrays, spec, version counter, pure row reconstruction) that
-serialization, serving, resilience and placement program against.  A
+applying it, plus the surface (footprint, state arrays,
+:class:`CompressionSpec`, version counter, pure row reconstruction)
+that serialization, serving, resilience and placement program against.  A
 strategy class supplies only its row codec, and every name -> class
 decision goes through the registry (:data:`BAG_CLASSES`,
 :func:`bag_class`, :func:`build_bag_from_spec`).  Which table gets
@@ -31,7 +31,7 @@ which strategy, and where it lives, is decided in
 """
 
 from repro.embeddings.base import EmbeddingBagBase, normalize_offsets, segment_sum
-from repro.embeddings.protocol import CompressedEmbedding, CompressionSpec
+from repro.embeddings.protocol import CompressionSpec
 from repro.embeddings.dense import DenseEmbeddingBag
 from repro.embeddings.hash_embedding import HashEmbeddingBag
 from repro.embeddings.robe_embedding import RobeEmbeddingBag
@@ -62,7 +62,6 @@ __all__ = [
     "EmbeddingBagBase",
     "normalize_offsets",
     "segment_sum",
-    "CompressedEmbedding",
     "CompressionSpec",
     "DenseEmbeddingBag",
     "HashEmbeddingBag",

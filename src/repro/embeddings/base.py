@@ -196,6 +196,10 @@ class EmbeddingBagBase:
     version:
         Update counter (every parameter mutation bumps it) that hot-row
         caches compare to detect staleness.
+
+    ``state_arrays()`` returns the **live** arrays, not copies: callers
+    that persist them copy, and iterate the keys ``sorted()`` for a
+    deterministic payload (detcheck DET001).
     """
 
     #: Strategy name: the registry key, the checkpoint ``bag{t}/kind``
@@ -340,7 +344,7 @@ class EmbeddingBagBase:
     ) -> np.ndarray:
         return self.forward(indices, offsets)
 
-    # -- CompressedEmbedding protocol ------------------------------------
+    # -- serving, checkpointing and placement surface -------------------
     def reconstruct_rows(self, indices: np.ndarray) -> np.ndarray:
         """Pure row materialization (no training state touched).
 

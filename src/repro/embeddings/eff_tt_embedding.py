@@ -514,7 +514,7 @@ class EffTTEmbeddingBag(TTBagBase):
         self.step(lr)
 
     # ------------------------------------------------------------------
-    # CompressedEmbedding protocol
+    # Checkpoint surface
     # ------------------------------------------------------------------
     def state_arrays(self) -> Dict[str, np.ndarray]:
         """Live cores (+ adagrad accumulators) — callers copy to persist.

@@ -20,8 +20,8 @@ rebuild their cold rows table by table.  A single table is the
 one-table case of the same code.
 
 The cache works over any
-:class:`~repro.embeddings.protocol.CompressedEmbedding` except a plain
-dense table, where a "cache" would just duplicate rows a single gather
+:class:`~repro.embeddings.base.EmbeddingBagBase` except a plain dense
+table, where a "cache" would just duplicate rows a single gather
 already serves — constructing one over a dense bag raises.
 
 The lookup is read-only and keeps no per-lookup state: how many of a
@@ -49,14 +49,13 @@ from repro.embeddings.base import (
     pool_bags,
 )
 from repro.embeddings.dense import DenseEmbeddingBag
-from repro.embeddings.protocol import CompressedEmbedding
 from repro.embeddings.tt_core import tt_chain_forward
 from repro.embeddings.tt_embedding import TTBagBase
 from repro.utils.validation import check_1d_int_array, ids_within
 
 __all__ = ["HotRowCachedLookup", "StaleCacheError"]
 
-Bags = Union[CompressedEmbedding, Sequence[CompressedEmbedding]]
+Bags = Union[EmbeddingBagBase, Sequence[EmbeddingBagBase]]
 Indices = Union[np.ndarray, Sequence[np.ndarray]]
 
 
@@ -73,7 +72,7 @@ class _TTChain:
     by lookup slot, so one batch's digits are a few vector operations.
     """
 
-    def __init__(self, tables: Sequence[CompressedEmbedding], slots: Sequence[int]):
+    def __init__(self, tables: Sequence[EmbeddingBagBase], slots: Sequence[int]):
         self.slots = tuple(slots)
         members = [tables[s] for s in slots]
         assert all(isinstance(bag, TTBagBase) for bag in members)
@@ -110,15 +109,11 @@ class _TTChain:
 class _TableRows:
     """Cold rows of one non-TT table: its codec, table by table."""
 
-    def __init__(self, bag: CompressedEmbedding, slot: int):
+    def __init__(self, bag: EmbeddingBagBase, slot: int):
         self.slots = (slot,)
         #: Cold rows for indices the lookup already range-checked: the
         #: shell's codec hook, so the check is not repeated per miss.
-        self._rebuild: Callable[[np.ndarray], np.ndarray] = (
-            bag._reconstruct
-            if isinstance(bag, EmbeddingBagBase)
-            else bag.reconstruct_rows
-        )
+        self._rebuild: Callable[[np.ndarray], np.ndarray] = bag._reconstruct
         self.cores: List[np.ndarray] = []
 
     def refresh(self) -> None:
@@ -129,7 +124,7 @@ class _TableRows:
 
 
 def _cold_groups(
-    tables: Sequence[CompressedEmbedding],
+    tables: Sequence[EmbeddingBagBase],
 ) -> List[Union[_TTChain, _TableRows]]:
     """One chain per TT core signature, one entry per other table."""
     chains: Dict[Tuple[object, ...], List[int]] = {}
@@ -157,7 +152,7 @@ class HotRowCachedLookup:
     ----------
     bags:
         The compressed table to serve from, or a sequence of them (any
-        :class:`CompressedEmbedding` except a dense one; one embedding
+        :class:`EmbeddingBagBase` except a dense one; one embedding
         dim and dtype).  A sequence is addressed by position: its
         *slots*.
     hot_rows:
@@ -203,7 +198,7 @@ class HotRowCachedLookup:
                     "dense tables need no hot-row cache — a lookup is already "
                     "one gather; serve the bag directly"
                 )
-            if not isinstance(bag, CompressedEmbedding):
+            if not isinstance(bag, EmbeddingBagBase):
                 raise TypeError(
                     f"bag must be a compressed table, got {type(bag).__name__}"
                 )
@@ -214,7 +209,7 @@ class HotRowCachedLookup:
         ):
             raise ValueError("cached tables must share one embedding dim and dtype")
         #: The covered tables, by slot.
-        self.tables: Tuple[CompressedEmbedding, ...] = tuple(bag_list)
+        self.tables: Tuple[EmbeddingBagBase, ...] = tuple(bag_list)
         self.embedding_dim = first.embedding_dim
         self.dtype = np.dtype(first.dtype)
         #: Largest valid id of each slot.

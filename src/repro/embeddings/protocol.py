@@ -1,47 +1,24 @@
-"""The ``CompressedEmbedding`` protocol: one interface, many strategies.
+"""``CompressionSpec``: the metadata that rebuilds a bag's shape.
 
-EL-Rec's Eff-TT table was this repo's only compression strategy, and
-its identity leaked into every layer (model config, serialization,
-serving, resilience, placement).  This module turns that
-single-implementation assumption into a structural protocol so dense,
-TT, Eff-TT, hash, ROBE and PQ tables are interchangeable everywhere a
-table is trained, checkpointed, placed, or served.
-
-The protocol is *structural* (PEP 544): no bag inherits from it —
-:class:`~repro.embeddings.base.EmbeddingBagBase` implements the members
-once for every strategy — and the outer layers type against the
-protocol, not the base class.  ``isinstance(bag, CompressedEmbedding)``
-works at runtime via ``@runtime_checkable``.
-
-Contract notes
---------------
-``state_arrays()`` returns the **live** parameter arrays (not copies),
-keyed by short stable names (``weight``, ``core0`` ..., ``codes``).
-Callers that persist them must copy; callers that restore may write
-in place or go through :meth:`load_state_arrays`.  Key order must be
-iterated ``sorted()`` for deterministic payloads (detcheck DET001).
-
-``version`` is a monotonically increasing update counter: every
-parameter mutation (``step``/``apply_pending_update``/
-``load_state_arrays``) must bump it so hot-row caches
-(:class:`~repro.embeddings.inference.HotRowCachedLookup`) can detect
-staleness.
-
-``reconstruct_rows`` is the *pure* row materialization used by serving:
-it must not touch training state (saved activations, pending grads).
+Every embedding-table strategy (dense, TT, Eff-TT, hash, ROBE, PQ) is
+one :class:`~repro.embeddings.base.EmbeddingBagBase`, and the outer
+layers (serialization, serving, resilience, placement) type against
+that class.  What a strategy adds on top of the shared shell is its
+hyperparameters: :meth:`EmbeddingBagBase.compression_spec` returns them
+as a :class:`CompressionSpec`, which round-trips through canonical JSON
+and, with :func:`~repro.embeddings.registry.build_bag_from_spec`,
+rebuilds an architecturally identical bag whose ``state_arrays()``
+accept the original's arrays bitwise.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Protocol, Tuple, Union, runtime_checkable
-
-import numpy as np
+from typing import Dict, Mapping, Tuple, Union
 
 __all__ = [
     "CompressionSpec",
-    "CompressedEmbedding",
     "SpecParamValue",
 ]
 
@@ -119,41 +96,3 @@ class CompressionSpec:
             int(payload["embedding_dim"]),
             params,
         )
-
-
-@runtime_checkable
-class CompressedEmbedding(Protocol):
-    """Structural interface every embedding-table strategy satisfies.
-
-    EmbeddingBag semantics (sum-pooled ``forward``/``backward``/``step``)
-    plus the introspection surface the outer layers need: a byte
-    footprint, named state arrays for checkpointing, a rebuildable
-    spec, a staleness version counter, and pure row materialization
-    for serving.
-    """
-
-    num_embeddings: int
-    embedding_dim: int
-    #: the floating dtype its rows come back at
-    dtype: np.dtype
-    version: int
-
-    def forward(
-        self, indices: np.ndarray, offsets: np.ndarray
-    ) -> np.ndarray: ...
-
-    def backward(self, grad_output: np.ndarray) -> None: ...
-
-    def step(self, lr: float) -> None: ...
-
-    def lookup_rows(self, indices: np.ndarray) -> np.ndarray: ...
-
-    def reconstruct_rows(self, indices: np.ndarray) -> np.ndarray: ...
-
-    def memory_bytes(self) -> int: ...
-
-    def state_arrays(self) -> Dict[str, np.ndarray]: ...
-
-    def load_state_arrays(self, arrays: Mapping[str, np.ndarray]) -> None: ...
-
-    def compression_spec(self) -> CompressionSpec: ...

@@ -77,8 +77,8 @@ class ELRec(Framework):
         Three stages (paper Figure 9): CPU embedding gather + update
         for the host tables; H2D prefetch + D2H gradient transfer; GPU
         compute (MLPs + Eff-TT tables).  ``pipelined=False`` models
-        "EL-Rec (Sequential)": prefetch depth 1 degenerates the
-        pipeline and stages serialize.
+        "EL-Rec (Sequential)": the stages serialize, as
+        ``pipeline_schedule`` at prefetch depth 1 does.
         """
         if not 0 <= host_fraction <= 1:
             raise ValueError(
@@ -99,7 +99,7 @@ class ELRec(Framework):
             [cpu_stage, transfer_stage, gpu_stage], (num_iterations, 1)
         )
         if pipelined:
-            schedule = pipeline_schedule(stage_times, queue_capacity=prefetch_depth)
+            schedule = pipeline_schedule(stage_times, prefetch_depth)
             per_iter = schedule.makespan / num_iterations
             return self._breakdown(device, 1, pipelined_iteration=per_iter)
         return self._breakdown(

@@ -83,7 +83,7 @@ FAULT_PLANS: Dict[str, FaultPlan] = {
             FaultSpec(FaultKind.H2D_FAIL, FaultSite.PREFETCH_QUEUE, step=9),
             FaultSpec(FaultKind.DROP, FaultSite.GRAD_QUEUE, step=12),
             FaultSpec(
-                FaultKind.SLOWDOWN, FaultSite.SERVE,
+                FaultKind.SLOWDOWN, FaultSite.REPLICA, replica=0,
                 time=0.05, duration=0.1, factor=40.0,
             ),
         ),
@@ -113,7 +113,7 @@ FAULT_PLANS: Dict[str, FaultPlan] = {
         name="serve-degrade",
         specs=(
             FaultSpec(
-                FaultKind.SLOWDOWN, FaultSite.SERVE,
+                FaultKind.SLOWDOWN, FaultSite.REPLICA, replica=0,
                 time=0.05, duration=0.1, factor=40.0,
             ),
         ),
@@ -360,7 +360,7 @@ def _check_serving(
         f"p99 {degraded.report.latency_p99 * 1e3:.3f}ms vs bound "
         f"{p99_bound * 1e3:.3f}ms",
     ))
-    if plan.serve_specs:
+    if any(spec.kind is FaultKind.SLOWDOWN for spec in plan.specs):
         opened = any(
             tr.dst is BreakerState.OPEN for tr in replica.breaker_transitions
         )

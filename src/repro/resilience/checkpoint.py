@@ -65,7 +65,7 @@ def capture_trainer_arrays(trainer: _PSTrainerBase) -> Dict[str, np.ndarray]:
 
     Covers dense MLP parameters (``param/<name>``), local embedding
     bags (each bag's ``state_arrays()`` under ``bag<t>/<name>`` — the
-    :class:`~repro.embeddings.protocol.CompressedEmbedding` surface:
+    :class:`~repro.embeddings.base.EmbeddingBagBase` surface:
     ``bag<t>/weight`` for dense/hash, ``bag<t>/core<k>`` plus optional
     ``bag<t>/adagrad<k>`` for TT, codebooks + codes for PQ), and the
     parameter server's state under a ``server/`` prefix, as named by

@@ -18,7 +18,8 @@ Injection rides the seams the codebase already has:
   loses a gradient-queue ``put``;
 * :class:`~repro.resilience.checkpoint.CheckpointStore`'s save hooks —
   torn and corrupted snapshot writes;
-* the resilient serving loop's service-time model — slowdown windows.
+* the serving fleet's replicas — crash, stuck and slowdown windows on
+  the simulated clock.
 
 Faults are **one-shot**: each spec fires at most once per injector
 (standard chaos-engineering semantics), so recovery replay of the same
@@ -72,7 +73,6 @@ class FaultSite(str, enum.Enum):
     PREFETCH_QUEUE = "prefetch"  #: the H2D prefetch queue
     GRAD_QUEUE = "gradient"      #: the D2H gradient queue
     CHECKPOINT = "checkpoint"    #: snapshot write path
-    SERVE = "serve"              #: the online-inference primary path
     REPLICA = "replica"          #: one executor in the serving fleet
     FLEET = "fleet"              #: the serving fleet as a whole
 
@@ -88,7 +88,7 @@ _VALID_COMBOS: Dict[FaultKind, Tuple[FaultSite, ...]] = {
     FaultKind.DROP: (FaultSite.GRAD_QUEUE,),
     FaultKind.TORN: (FaultSite.CHECKPOINT,),
     FaultKind.CORRUPT: (FaultSite.CHECKPOINT,),
-    FaultKind.SLOWDOWN: (FaultSite.SERVE, FaultSite.REPLICA),
+    FaultKind.SLOWDOWN: (FaultSite.REPLICA,),
     FaultKind.STUCK: (FaultSite.REPLICA,),
     FaultKind.SWAP: (FaultSite.FLEET,),
 }
@@ -133,11 +133,11 @@ class FaultSpec:
     """One scheduled fault.
 
     Trainer faults are *step*-scheduled (the pipeline's logical clock:
-    the batch id being gathered/trained/applied); serving and fleet
-    faults are *time*-scheduled on the Simulator clock, with a
-    ``duration`` window for slowdown/stuck kinds and a service-time
-    ``factor`` for slowdowns.  Faults at :attr:`FaultSite.REPLICA`
-    additionally name the ``replica`` they target.
+    the batch id being gathered/trained/applied); fleet faults are
+    *time*-scheduled on the Simulator clock, with a ``duration`` window
+    for slowdown/stuck kinds and a service-time ``factor`` for
+    slowdowns.  Faults at :attr:`FaultSite.REPLICA` additionally name
+    the ``replica`` they target.
     """
 
     kind: FaultKind
@@ -151,7 +151,7 @@ class FaultSpec:
     @property
     def time_scheduled(self) -> bool:
         """Whether this fault fires on the Simulator clock (not a step)."""
-        return self.kind is FaultKind.SLOWDOWN or self.site in _FLEET_SITES
+        return self.site in _FLEET_SITES
 
     def __post_init__(self) -> None:
         if self.site not in _VALID_COMBOS[self.kind]:
@@ -239,14 +239,6 @@ class FaultPlan:
         return tuple(s for s in self.specs if not s.time_scheduled)
 
     @property
-    def serve_specs(self) -> Tuple[FaultSpec, ...]:
-        """Fleet-wide serving slowdown windows (the legacy SERVE site)."""
-        return tuple(
-            s for s in self.specs
-            if s.kind is FaultKind.SLOWDOWN and s.site is FaultSite.SERVE
-        )
-
-    @property
     def fleet_specs(self) -> Tuple[FaultSpec, ...]:
         """Per-replica and fleet-level faults (time-scheduled)."""
         return tuple(s for s in self.specs if s.site in _FLEET_SITES)
@@ -300,7 +292,7 @@ class FaultInjector:
     """Run-scoped firing state for one :class:`FaultPlan`.
 
     The injector is consulted from the probe hooks, the checkpoint
-    store, and the resilient serving loop.  Every fault
+    store, and the serving fleet.  Every fault
     that fires is appended to :attr:`records`, so a chaos harness can
     cross-check "what the plan promised" against "what actually
     happened".
@@ -309,8 +301,6 @@ class FaultInjector:
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
         self._pending: List[FaultSpec] = list(plan.train_specs)
-        self._slowdowns: List[FaultSpec] = list(plan.serve_specs)
-        self._slowdowns_seen: Set[int] = set()
         self._fleet: List[FaultSpec] = list(plan.fleet_specs)
         self._fleet_seen: Set[int] = set()
         self.records: List[FaultRecord] = []
@@ -355,25 +345,6 @@ class FaultInjector:
         return self._take(
             (FaultKind.TORN, FaultKind.CORRUPT), FaultSite.CHECKPOINT, step
         )
-
-    # -- serving-side hooks --------------------------------------------
-    def slowdown_factor(self, now: float) -> float:
-        """Product of every slowdown window active at simulated ``now``."""
-        factor = 1.0
-        for i, spec in enumerate(self._slowdowns):
-            assert spec.time is not None
-            if spec.time <= now < spec.time + spec.duration:
-                factor *= spec.factor
-                if i not in self._slowdowns_seen:
-                    self._slowdowns_seen.add(i)
-                    self.records.append(
-                        FaultRecord(
-                            spec=spec,
-                            fired_step=-1,
-                            detail=f"window entered at t={now:.4f}",
-                        )
-                    )
-        return factor
 
     # -- fleet-side hooks ----------------------------------------------
     def _mark_fleet(self, index: int, now: float, detail: str) -> None:

@@ -274,7 +274,6 @@ class ReplicaExecutor:
         duration = self.service_time.duration(fleet_batch.size, hot, cold)
         stuck = False
         if injector is not None and not use_fallback:
-            duration *= injector.slowdown_factor(now)
             duration *= injector.replica_slowdown_factor(
                 self.replica_id, now
             )
@@ -560,7 +559,7 @@ class ServingFleet:
         Deterministic per-batch latency model (shared by replicas).
     injector:
         Optional fault injector supplying replica crashes, stuck
-        windows, per-replica and fleet-wide slowdowns.
+        windows and slowdown windows.
     """
 
     def __init__(

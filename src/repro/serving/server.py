@@ -27,7 +27,6 @@ from repro.data.dataloader import Batch
 from repro.embeddings.base import bag_boundaries, bags_of_one_everywhere, pool_bags
 from repro.embeddings.dense import DenseEmbeddingBag
 from repro.embeddings.inference import HotRowCachedLookup
-from repro.embeddings.protocol import CompressedEmbedding
 from repro.models.dlrm import DLRM
 from repro.nn.interaction import place_embedding
 from repro.nn.loss import BCEWithLogitsLoss
@@ -141,10 +140,7 @@ class ServingModel:
         ]
         dense_tables = {t for t, _ in dense_arms}
         compressed = [t for t in range(len(bags)) if t not in dense_tables]
-        cached = [
-            t for t in compressed
-            if t in self.hot_rows and isinstance(bags[t], CompressedEmbedding)
-        ]
+        cached = [t for t in compressed if t in self.hot_rows]
         self._cached_tables = tuple(cached)
         #: Every cached table behind one lookup (slot ``s`` is table
         #: ``_cached_tables[s]``); ``None`` when no table is cached.

@@ -20,8 +20,11 @@ personalities:
   model against this host's measured kernel throughput and scales it
   to published GPU specs (V100 / T4), and
   :func:`repro.system.pipeline.pipeline_schedule` computes pipelined
-  makespans; the framework baselines in :mod:`repro.frameworks` build
-  the paper's end-to-end figures on top.
+  makespans with the functional trainer's prefetch depth (the one §V
+  timing model); the framework baselines in :mod:`repro.frameworks`
+  build the paper's end-to-end figures on top.  The discrete-event
+  :class:`~repro.system.simclock.Simulator` is the serving fleet's
+  clock.
 """
 
 from repro.system.devices import (
@@ -46,12 +49,7 @@ from repro.system.multi_gpu import (
     allgather_time,
     ring_allreduce_time,
 )
-from repro.system.simclock import (
-    PipelineTrace,
-    Resource,
-    Simulator,
-    simulate_pipeline_trace,
-)
+from repro.system.simclock import Simulator
 
 __all__ = [
     "DeviceSpec",
@@ -69,9 +67,6 @@ __all__ = [
     "DataParallelTrainer",
     "ring_allreduce_time",
     "Simulator",
-    "Resource",
-    "PipelineTrace",
-    "simulate_pipeline_trace",
     "all2all_time",
     "allgather_time",
 ]

@@ -13,8 +13,9 @@ Two personalities:
   worker trains on stale rows, the consistency issue the paper warns
   about (§II-A).
 * **Timing model** — :func:`pipeline_schedule` computes the makespan of
-  a bounded-buffer in-order pipeline from per-item stage durations, the
-  arithmetic behind the Figure 16 throughput comparison.
+  the same pipeline from per-item stage durations, with the trainer's
+  meaning of the prefetch depth ``Q``: the arithmetic behind the
+  Figure 16 throughput comparison and the prefetch-depth ablation.
 
 The pipelined executor builds its own plain queues and caches and
 reports every operation on them — queue puts and gets, cache syncs,
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, TypeVar
 
 import numpy as np
 import numpy.typing as npt
@@ -403,7 +404,7 @@ class PipelinedPSTrainer(_PSTrainerBase):
 
 @dataclass(frozen=True)
 class PipelineScheduleResult:
-    """Outcome of the bounded-buffer pipeline timing recurrence."""
+    """Outcome of the prefetch-window pipeline timing recurrence."""
 
     finish_times: np.ndarray  # (num_items, num_stages)
     makespan: float
@@ -419,10 +420,9 @@ class PipelineScheduleResult:
 
 
 def pipeline_schedule(
-    stage_times: np.ndarray,
-    queue_capacity: int | Sequence[int] = 1,
+    stage_times: np.ndarray, prefetch_depth: int
 ) -> PipelineScheduleResult:
-    """Makespan of an in-order pipeline with bounded inter-stage buffers.
+    """Makespan of an in-order pipeline behind a prefetch queue of depth Q.
 
     Parameters
     ----------
@@ -430,22 +430,24 @@ def pipeline_schedule(
         ``(num_items, num_stages)`` per-item stage durations in
         seconds.  For EL-Rec's trainer the stages are (CPU embedding
         gather + update, H2D/D2H transfer, GPU forward+backward).
-    queue_capacity:
-        Buffer slots between consecutive stages (scalar or one value
-        per gap).  Capacity 1 with three stages reproduces "EL-Rec
-        (Sequential)" behaviour only in the degenerate single-slot
-        sense; the *true* sequential time is ``stage_times.sum()``.
+    prefetch_depth:
+        Length ``Q`` of the prefetch queue, as in
+        :class:`PipelinedPSTrainer`: the server gathers item ``i`` only
+        once item ``i - Q`` has left the last stage.  ``Q = 1`` runs
+        the stages back to back, the paper's "EL-Rec (Sequential)".
 
     Notes
     -----
-    Standard blocking-after-service recurrence: item ``i`` finishes
-    stage ``s`` at
+    Every stage serves items in order, so item ``i`` finishes stage
+    ``s`` at
 
-    ``end[i,s] = max(end[i,s-1], end[i-1,s], end[i-c_s, s+1]) + t[i,s]``
+    ``end[i,s] = max(end[i,s-1], end[i-1,s]) + t[i,s]``
 
-    where the third term models backpressure from a full downstream
-    buffer of capacity ``c_s``.
+    with ``end[i,-1]`` (the start of stage 0) read as ``end[i-Q, S-1]``,
+    the moment item ``i - Q`` frees its prefetch slot.
     """
+    check_positive(prefetch_depth, "prefetch_depth")
+    depth = int(prefetch_depth)
     # Simulated seconds, not model state: float64 whatever the model's dtype.
     times = np.asarray(stage_times, dtype=np.float64)
     if times.ndim != 2 or times.size == 0:
@@ -455,27 +457,14 @@ def pipeline_schedule(
     if np.any(times < 0):
         raise ValueError("stage durations must be non-negative")
     num_items, num_stages = times.shape
-    if isinstance(queue_capacity, (int, np.integer)):
-        caps = [int(queue_capacity)] * max(0, num_stages - 1)
-    else:
-        caps = [int(c) for c in queue_capacity]
-        if len(caps) != num_stages - 1:
-            raise ValueError(
-                f"expected {num_stages - 1} queue capacities, got {len(caps)}"
-            )
-    if any(c < 1 for c in caps):
-        raise ValueError("queue capacities must be >= 1")
 
     end = np.zeros((num_items, num_stages))
     for i in range(num_items):
+        ready = end[i - depth, -1] if i >= depth else 0.0
         for s in range(num_stages):
-            ready = end[i, s - 1] if s > 0 else 0.0
             busy = end[i - 1, s] if i > 0 else 0.0
-            if s < num_stages - 1 and i - caps[s] >= 0:
-                backpressure = end[i - caps[s], s + 1]
-            else:
-                backpressure = 0.0
-            end[i, s] = max(ready, busy, backpressure) + times[i, s]
+            ready = max(ready, busy) + times[i, s]
+            end[i, s] = ready
     return PipelineScheduleResult(
         finish_times=end,
         makespan=float(end[-1, -1]),

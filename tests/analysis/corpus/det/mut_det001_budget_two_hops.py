@@ -1,0 +1,58 @@
+"""DET001 mutant: the command line hands an environment byte budget to
+the model helper, which hands it to the under-budget planner.
+
+The taint meets the ``ModelPlan`` sink two calls down, past the
+planner's bisection closures, so the helper's summary must carry the
+planner's sink on to its own callers.
+"""
+
+import os
+from typing import List, Sequence
+
+from repro.embeddings.planner import ModelPlan, TablePlan
+
+_RATE_ITERS = 20
+
+
+def plan_under_budget(rows: Sequence[int], budget_bytes: int) -> ModelPlan:
+    def plan_at(rate: float) -> List[TablePlan]:
+        return [
+            TablePlan(
+                table_idx=t,
+                num_rows=n,
+                kind="tt",
+                params=(),
+                device_bytes=int(n * 64 * rate),
+                server_bytes=0,
+                reason="within target",
+            )
+            for t, n in enumerate(rows)
+        ]
+
+    def total_at(rate: float) -> int:
+        return sum(table.device_bytes for table in plan_at(rate))
+
+    lo, hi = 0.0, 1.0
+    for _ in range(_RATE_ITERS):
+        mid = (lo + hi) / 2.0
+        if total_at(mid) <= budget_bytes:
+            lo = mid
+        else:
+            hi = mid
+    return ModelPlan(
+        policy="under_budget",
+        tables=tuple(plan_at(lo)),
+        budget_bytes=int(budget_bytes),
+        embedding_dim=16,
+        dtype_bytes=4,
+        rate=lo,
+    )
+
+
+def planned_model(rows: Sequence[int], budget_bytes: int) -> ModelPlan:
+    return plan_under_budget(rows, budget_bytes)
+
+
+def build_for_this_host(rows: Sequence[int]) -> ModelPlan:
+    budget = int(os.environ.get("EMBEDDING_BUDGET_BYTES", "1000000"))
+    return planned_model(rows, budget)  # DET001

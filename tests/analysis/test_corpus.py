@@ -39,6 +39,10 @@ MANIFEST: Dict[str, Dict[str, List[Tuple[str, int]]]] = {
         "mut_det001_closure_apply.py": [("DET001", 10)],
         # a closure reading a tainted local of its enclosing function
         "mut_det001_closure_free_var.py": [("DET001", 12)],
+        # DESIGN §7.4 DET001 a: two calls down to the planner's sink
+        "mut_det001_budget_two_hops.py": [("DET001", 58)],
+        # DESIGN §7.4 DET001 b: the helper reads the budget itself
+        "mut_det001_budget_read_in_helper.py": [("DET001", 50)],
         "mut_det002_unordered_accum.py": [("DET002", 9)],
         "mut_det003_unordered_payload.py": [("DET003", 11)],
         "repro/system/mut_det004_entropy_escape.py": [("DET004", 11)],
@@ -47,6 +51,8 @@ MANIFEST: Dict[str, Dict[str, List[Tuple[str, int]]]] = {
         "clean_det001_configured_plan.py": [],
         "clean_det001_closure_apply.py": [],
         "clean_det001_closure_free_var.py": [],
+        "clean_det001_budget_two_hops.py": [],
+        "clean_det001_budget_read_in_helper.py": [],
         "clean_det002_sorted_accum.py": [],
         "clean_det003_sorted_payload.py": [],
         "repro/system/clean_det004_seeded.py": [],

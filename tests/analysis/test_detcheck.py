@@ -90,6 +90,43 @@ class TestInterprocedural:
         result = detcheck_paths([tmp_path])
         assert any(f.rule_id == "DET001" for f in result.findings)
 
+    def test_sink_reached_through_a_package_reexport(self, tmp_path):
+        # ``from repro.plans import plan`` names the function the
+        # package's __init__ imports from ``repro.plans.planner``; the
+        # budget meets the ModelPlan sink there, two calls down.
+        pkg = tmp_path / "repro" / "plans"
+        pkg.mkdir(parents=True)
+        (pkg / "__init__.py").write_text(
+            "from repro.plans.planner import plan\n"
+        )
+        (pkg / "planner.py").write_text(
+            "from repro.embeddings.planner import ModelPlan\n"
+            "\n"
+            "def plan(budget_bytes):\n"
+            "    return ModelPlan(\n"
+            "        policy='under_budget', tables=(),\n"
+            "        budget_bytes=int(budget_bytes),\n"
+            "        embedding_dim=16, dtype_bytes=4,\n"
+            "    )\n"
+        )
+        (tmp_path / "repro" / "models.py").write_text(
+            "import os\n"
+            "\n"
+            "from repro.plans import plan\n"
+            "\n"
+            "def planned_model(budget_bytes):\n"
+            "    return plan(budget_bytes)\n"
+            "\n"
+            "def build():\n"
+            "    return planned_model(int(os.environ['BUDGET']))\n"
+        )
+        result = detcheck_paths([tmp_path])
+        hits = [
+            (f.rule_id, f.path.rsplit("/", 1)[-1], f.line)
+            for f in result.findings
+        ]
+        assert hits == [("DET001", "models.py", 9)]
+
 
 class TestClosures:
     """Nested ``def``s are program functions, resolved by scope only."""

@@ -3,13 +3,13 @@
 import pytest
 
 from repro.backend import DEFAULT_DTYPE
+from repro.embeddings.base import EmbeddingBagBase
 from repro.embeddings.planner import (
     STRATEGY_KINDS,
     binary_search_max,
     build_bags,
     plan_under_budget,
 )
-from repro.embeddings.protocol import CompressedEmbedding
 from repro.embeddings.registry import build_bag_from_spec
 from repro.reorder.stats import TableStats
 
@@ -61,7 +61,7 @@ class TestBudgetCompliance:
         budget = int(dense_bytes(stats) * 0.1)
         plan = plan_under_budget(stats, DIM, budget, strategy=strategy)
         for entry, bag in zip(plan.tables, build_bags(plan, [3] * 4)):
-            assert isinstance(bag, CompressedEmbedding)
+            assert isinstance(bag, EmbeddingBagBase)
             assert bag.memory_bytes() == entry.device_bytes
             assert bag.num_embeddings == entry.num_rows
             assert bag.compression_spec().kind == entry.kind

@@ -1,4 +1,4 @@
-"""The CompressedEmbedding protocol surface across every registered bag."""
+"""The shared bag surface (``EmbeddingBagBase``) across every registered bag."""
 
 import io
 
@@ -7,12 +7,13 @@ import pytest
 
 from repro.backend import InstrumentedBackend, use_backend
 from repro.embeddings import base
+from repro.embeddings.inference import HotRowCachedLookup
 from repro.embeddings.planner import (
     STRATEGY_KINDS,
     build_bags,
     plan_under_budget,
 )
-from repro.embeddings.protocol import CompressedEmbedding, CompressionSpec
+from repro.embeddings.protocol import CompressionSpec
 from repro.embeddings.registry import (
     BAG_CLASSES,
     bag_class,
@@ -51,12 +52,15 @@ def train_once(bag, seed=0):
 class TestProtocolConformance:
     @pytest.mark.parametrize("bag", make_bags(), ids=lambda b: type(b).__name__)
     def test_isinstance(self, bag):
-        # Structural (runtime_checkable Protocol): no bag class
-        # inherits from CompressedEmbedding, yet all satisfy it.
-        assert isinstance(bag, CompressedEmbedding)
+        # Serving, checkpointing and placement type against the shared
+        # shell, so every registered kind must inherit it.
+        assert isinstance(bag, base.EmbeddingBagBase)
 
     def test_non_bag_rejected(self):
-        assert not isinstance(object(), CompressedEmbedding)
+        # The serving lookup takes bags only; anything else is refused
+        # before a row is built.
+        with pytest.raises(TypeError, match="compressed table"):
+            HotRowCachedLookup(object(), np.arange(3))
 
     @pytest.mark.parametrize("bag", make_bags(), ids=lambda b: type(b).__name__)
     def test_version_counts_updates(self, bag):

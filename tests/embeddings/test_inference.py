@@ -302,7 +302,7 @@ def _compressed_factories():
 
 @pytest.mark.parametrize("name", sorted(_compressed_factories()))
 class TestCacheOverCompressedStrategies:
-    """HotRowCachedLookup is generic over CompressedEmbedding."""
+    """HotRowCachedLookup is generic over every non-dense bag."""
 
     def test_matches_uncached_lookup(self, name, rng):
         bag = _compressed_factories()[name]()

@@ -30,7 +30,7 @@ SLOWDOWN = FaultPlan(
     name="slow",
     specs=(
         FaultSpec(
-            FaultKind.SLOWDOWN, FaultSite.SERVE,
+            FaultKind.SLOWDOWN, FaultSite.REPLICA, replica=0,
             time=0.05, duration=0.1, factor=40.0,
         ),
     ),

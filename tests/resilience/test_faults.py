@@ -34,14 +34,20 @@ class TestFaultSpec:
             FaultSpec(FaultKind.CRASH, FaultSite.TRAIN, step=-1)
 
     def test_slowdown_validation(self):
+        def slowdown(**kwargs):
+            return FaultSpec(
+                FaultKind.SLOWDOWN, FaultSite.REPLICA, replica=0, **kwargs
+            )
+
         with pytest.raises(ValueError, match="time"):
-            FaultSpec(FaultKind.SLOWDOWN, FaultSite.SERVE, duration=1.0)
+            slowdown(duration=1.0)
         with pytest.raises(ValueError, match="duration"):
-            FaultSpec(FaultKind.SLOWDOWN, FaultSite.SERVE, time=0.0)
+            slowdown(time=0.0)
         with pytest.raises(ValueError, match="factor"):
+            slowdown(time=0.0, duration=1.0, factor=0.5)
+        with pytest.raises(ValueError, match="cannot target"):
             FaultSpec(
-                FaultKind.SLOWDOWN, FaultSite.SERVE,
-                time=0.0, duration=1.0, factor=0.5,
+                FaultKind.SLOWDOWN, FaultSite.TRAIN, time=0.0, duration=1.0
             )
 
     def test_describe_mentions_kind_site_step(self):
@@ -74,12 +80,12 @@ class TestFaultPlan:
         plan = _plan(
             FaultSpec(FaultKind.CRASH, FaultSite.TRAIN, step=1),
             FaultSpec(
-                FaultKind.SLOWDOWN, FaultSite.SERVE,
+                FaultKind.SLOWDOWN, FaultSite.REPLICA, replica=0,
                 time=0.0, duration=1.0, factor=2.0,
             ),
         )
         assert len(plan.train_specs) == 1
-        assert len(plan.serve_specs) == 1
+        assert len(plan.fleet_specs) == 1
 
 
 class TestFaultInjector:
@@ -107,15 +113,16 @@ class TestFaultInjector:
     def test_slowdown_window(self):
         injector = _plan(
             FaultSpec(
-                FaultKind.SLOWDOWN, FaultSite.SERVE,
+                FaultKind.SLOWDOWN, FaultSite.REPLICA, replica=0,
                 time=1.0, duration=0.5, factor=4.0,
             ),
         ).injector()
-        assert injector.slowdown_factor(0.5) == 1.0
-        assert injector.slowdown_factor(1.2) == 4.0
-        assert injector.slowdown_factor(1.5) == 1.0  # half-open window
+        assert injector.replica_slowdown_factor(0, 0.5) == 1.0
+        assert injector.replica_slowdown_factor(0, 1.2) == 4.0
+        assert injector.replica_slowdown_factor(1, 1.2) == 1.0  # other replica
+        assert injector.replica_slowdown_factor(0, 1.5) == 1.0  # half-open
         # entering the window is recorded once, not per query
-        assert injector.slowdown_factor(1.3) == 4.0
+        assert injector.replica_slowdown_factor(0, 1.3) == 4.0
         assert len(injector.records) == 1
 
 

@@ -336,7 +336,7 @@ class TestDegradationLadder:
 class TestShedRung:
     """Breakers refuse, nothing fresh to fall back on: shed, never park.
 
-    A fleet-wide x40 slowdown window trips every breaker.  Batches
+    An x40 slowdown window on every replica trips every breaker.  Batches
     parked behind an open breaker age past the SLO, so each HALF_OPEN
     probe they are later used for fails and the breaker flaps for the
     rest of the run; shedding them lets the first post-window probe
@@ -350,13 +350,19 @@ class TestShedRung:
             failure_threshold=3, cooldown=0.02, half_open_successes=2,
         ),
     )
-    SLOWDOWN = FaultPlan(
-        name="slow",
-        specs=(FaultSpec(
-            FaultKind.SLOWDOWN, FaultSite.SERVE,
-            time=0.05, duration=0.1, factor=40.0,
-        ),),
-    )
+
+    @staticmethod
+    def _slowdown(num_replicas):
+        return FaultPlan(
+            name="slow",
+            specs=tuple(
+                FaultSpec(
+                    FaultKind.SLOWDOWN, FaultSite.REPLICA, replica=replica,
+                    time=0.05, duration=0.1, factor=40.0,
+                )
+                for replica in range(num_replicas)
+            ),
+        )
 
     @pytest.fixture(scope="class")
     def stream(self):
@@ -370,7 +376,7 @@ class TestShedRung:
             hot_rows=hot_rows,
             config=_config(num_replicas, degradation=policy),
             service_time=ServiceTimeModel(base=1e-3),
-            injector=self.SLOWDOWN.injector(),
+            injector=self._slowdown(num_replicas).injector(),
         )
         if fallback:
             fleet.set_fallback(snap_v2, hot_rows, time=0.0)

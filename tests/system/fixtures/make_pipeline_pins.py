@@ -8,6 +8,11 @@ checkout of that commit:
 
     PYTHONPATH=<parent>/src python make_pipeline_pins.py pipeline_pins.json
 
+Regenerated once since, when the fleet-wide serving slowdown site was
+folded into a slowdown of replica 0: the smoke plan's description line
+``slowdown  @ serve      ...`` became ``slowdown  @ replica[0] ...``
+and nothing else moved.
+
 It pins two things:
 
 * the hazard detector's event trace for ``run_hazard_experiment`` with

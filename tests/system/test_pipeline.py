@@ -214,35 +214,53 @@ class TestOneBatchPerStep:
 
 class TestPipelineSchedule:
     def test_single_stage(self):
-        res = pipeline_schedule(np.full((5, 1), 2.0))
+        res = pipeline_schedule(np.full((5, 1), 2.0), 1)
         assert res.makespan == pytest.approx(10.0)
 
     def test_perfect_overlap(self):
         # equal stages: makespan -> fill + N * bottleneck
         times = np.full((100, 3), 1.0)
-        res = pipeline_schedule(times, queue_capacity=4)
+        res = pipeline_schedule(times, 4)
         assert res.makespan == pytest.approx(102.0)
         assert res.steady_state_interval == pytest.approx(1.0, rel=0.01)
 
     def test_bottleneck_dominates(self):
         times = np.tile([0.1, 5.0, 0.1], (50, 1))
-        res = pipeline_schedule(times, queue_capacity=4)
+        res = pipeline_schedule(times, 4)
         assert res.makespan == pytest.approx(50 * 5.0 + 0.2, rel=0.01)
 
     def test_capacity_one_serializes(self):
-        # Blocking-after-service convention: a 1-slot buffer holds the
-        # item during downstream service, so depth-1 degenerates to
-        # sequential execution — the paper's "EL-Rec (Sequential)".
+        # A one-slot prefetch queue gathers batch i only after batch
+        # i-1 has left the last stage: "EL-Rec (Sequential)".
         times = np.full((10, 2), 1.0)
-        res = pipeline_schedule(times, queue_capacity=1)
+        res = pipeline_schedule(times, 1)
         assert res.makespan == pytest.approx(times.sum())
-        overlapped = pipeline_schedule(times, queue_capacity=2)
+        overlapped = pipeline_schedule(times, 2)
         assert overlapped.makespan < res.makespan
+
+    def test_depth_one_is_sequential_for_any_stage_count(self):
+        # Ten batches of three 1-s stages, as PipelinedPSTrainer runs
+        # them at Q = 1: nothing overlaps.
+        res = pipeline_schedule(np.ones((10, 3)), 1)
+        assert res.makespan == pytest.approx(30.0)
+        np.testing.assert_allclose(
+            res.finish_times[:, -1], 3.0 * np.arange(1, 11)
+        )
+
+    def test_stages_serve_batches_in_order(self):
+        # Batch 3 is admitted at t=6 and its CPU stage is short, yet it
+        # waits behind batch 2 at every stage.
+        times = np.array(
+            [[3, 1, 2], [4, 3, 1], [4, 3, 4], [1, 1, 4]], dtype=float
+        )
+        res = pipeline_schedule(times, 3)
+        np.testing.assert_array_equal(res.finish_times[:, -1], [6, 11, 18, 22])
+        assert res.makespan == 22.0
 
     def test_sequential_upper_bound(self):
         rng = np.random.default_rng(0)
         times = rng.random((20, 3))
-        res = pipeline_schedule(times, queue_capacity=8)
+        res = pipeline_schedule(times, 8)
         assert res.makespan <= times.sum() + 1e-9
         assert res.makespan >= times.sum(axis=0).max() - 1e-9
 
@@ -250,22 +268,37 @@ class TestPipelineSchedule:
         rng = np.random.default_rng(1)
         times = rng.random((30, 3))
         prev = np.inf
-        for cap in (1, 2, 4, 8):
-            makespan = pipeline_schedule(times, queue_capacity=cap).makespan
+        for depth in (1, 2, 4, 8):
+            makespan = pipeline_schedule(times, depth).makespan
             assert makespan <= prev + 1e-9
             prev = makespan
 
+    def test_bottleneck_utilization(self):
+        res = pipeline_schedule(np.tile([0.001, 0.001, 0.010], (50, 1)), 4)
+        cpu, _, gpu = res.stage_busy / res.makespan
+        assert gpu > 0.9
+        assert cpu < 0.2
+
+    def test_straggler_absorbed(self):
+        # One slow CPU batch delays the tail, but the queued work hides
+        # part of it: less than the 0.19 s it adds is exposed.
+        times = np.tile([0.01, 0.001, 0.05], (20, 1))
+        baseline = pipeline_schedule(times, 4).makespan
+        times[10, 0] = 0.2
+        slowdown = pipeline_schedule(times, 4).makespan - baseline
+        assert 0.0 < slowdown < 0.19
+
     def test_validation(self):
         with pytest.raises(ValueError):
-            pipeline_schedule(np.zeros((0, 3)))
+            pipeline_schedule(np.zeros((0, 3)), 1)
         with pytest.raises(ValueError):
-            pipeline_schedule(np.full((2, 2), -1.0))
+            pipeline_schedule(np.zeros(3), 1)
         with pytest.raises(ValueError):
-            pipeline_schedule(np.ones((2, 3)), queue_capacity=[1])
+            pipeline_schedule(np.full((2, 2), -1.0), 1)
         with pytest.raises(ValueError):
-            pipeline_schedule(np.ones((2, 3)), queue_capacity=0)
+            pipeline_schedule(np.ones((2, 3)), 0)
 
     def test_stage_busy(self):
         times = np.tile([1.0, 2.0], (4, 1))
-        res = pipeline_schedule(times)
+        res = pipeline_schedule(times, 2)
         np.testing.assert_allclose(res.stage_busy, [4.0, 8.0])

@@ -1,14 +1,8 @@
 """Tests for the discrete-event simulation kernel."""
 
-import numpy as np
 import pytest
 
-from repro.system.pipeline import pipeline_schedule
-from repro.system.simclock import (
-    Resource,
-    Simulator,
-    simulate_pipeline_trace,
-)
+from repro.system.simclock import Simulator
 
 
 class TestSimulator:
@@ -54,111 +48,3 @@ class TestSimulator:
         sim.schedule(0.0, loop)
         with pytest.raises(RuntimeError):
             sim.run(max_events=100)
-
-
-class TestResource:
-    def test_serializes_requests(self):
-        sim = Simulator()
-        res = Resource(sim, "r")
-        done = []
-        res.request(1.0, lambda: done.append(sim.now))
-        res.request(2.0, lambda: done.append(sim.now))
-        sim.run()
-        assert done == [1.0, 3.0]
-        assert res.served == 2
-        assert res.busy_time == pytest.approx(3.0)
-
-    def test_queue_stats(self):
-        sim = Simulator()
-        res = Resource(sim, "r")
-        for _ in range(4):
-            res.request(1.0, lambda: None)
-        sim.run()
-        assert res.max_queue_len == 3
-
-    def test_utilization(self):
-        sim = Simulator()
-        res = Resource(sim, "r")
-        res.request(1.0, lambda: None)
-        horizon = sim.run()
-        assert res.utilization(horizon) == pytest.approx(1.0)
-        assert res.utilization(0.0) == 0.0
-
-    def test_invalid_duration(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            Resource(sim, "r").request(-1.0, lambda: None)
-
-
-class TestPipelineTrace:
-    def test_matches_closed_form_constant_times(self):
-        """DES and the pipeline_schedule recurrence agree exactly for
-        constant stage times and matching queue conventions."""
-        n = 40
-        cpu, pcie, gpu = 0.01, 0.002, 0.008
-        trace = simulate_pipeline_trace(
-            [cpu] * n, [pcie] * n, [gpu] * n, prefetch_depth=4
-        )
-        closed = pipeline_schedule(
-            np.tile([cpu, pcie, gpu], (n, 1)), queue_capacity=4
-        )
-        # steady-state interval equals the bottleneck stage
-        assert trace.steady_state_interval == pytest.approx(cpu, rel=0.02)
-        assert closed.steady_state_interval == pytest.approx(cpu, rel=0.02)
-        assert trace.makespan == pytest.approx(closed.makespan, rel=0.05)
-
-    def test_bottleneck_utilization(self):
-        n = 50
-        trace = simulate_pipeline_trace(
-            [0.001] * n, [0.001] * n, [0.010] * n, prefetch_depth=4
-        )
-        assert trace.stage_utilization["gpu"] > 0.9
-        assert trace.stage_utilization["cpu"] < 0.2
-
-    def test_backpressure_bounds_occupancy(self):
-        n = 30
-        trace = simulate_pipeline_trace(
-            [0.001] * n, [0.001] * n, [0.02] * n, prefetch_depth=3
-        )
-        assert trace.max_prefetch_occupancy <= 3
-
-    def test_depth_one_serializes(self):
-        n = 10
-        trace = simulate_pipeline_trace(
-            [1.0] * n, [1.0] * n, [1.0] * n, prefetch_depth=1
-        )
-        assert trace.makespan == pytest.approx(30.0)
-
-    def test_variable_times_straggler(self):
-        # one slow CPU batch delays the tail but the pipeline absorbs
-        # part of it thanks to queued work
-        cpu = [0.01] * 20
-        cpu[10] = 0.2
-        trace = simulate_pipeline_trace(
-            cpu, [0.001] * 20, [0.05] * 20, prefetch_depth=4
-        )
-        no_straggler = simulate_pipeline_trace(
-            [0.01] * 20, [0.001] * 20, [0.05] * 20, prefetch_depth=4
-        )
-        slowdown = trace.makespan - no_straggler.makespan
-        assert slowdown < 0.19  # absorbed partially, not fully serialized
-
-    def test_finish_times_monotone(self):
-        rng = np.random.default_rng(0)
-        trace = simulate_pipeline_trace(
-            rng.random(20) * 0.01,
-            rng.random(20) * 0.002,
-            rng.random(20) * 0.01,
-            prefetch_depth=4,
-        )
-        assert np.all(np.diff(trace.finish_times) > 0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            simulate_pipeline_trace([], [], [])
-        with pytest.raises(ValueError):
-            simulate_pipeline_trace([1.0], [1.0, 2.0], [1.0])
-        with pytest.raises(ValueError):
-            simulate_pipeline_trace([-1.0], [1.0], [1.0])
-        with pytest.raises(ValueError):
-            simulate_pipeline_trace([1.0], [1.0], [1.0], prefetch_depth=0)

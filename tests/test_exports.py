@@ -41,7 +41,7 @@ def test_embeddings_public_names():
     assert sorted(embeddings.__all__) == sorted(
         [
             "EmbeddingBagBase", "normalize_offsets", "segment_sum",
-            "CompressedEmbedding", "CompressionSpec",
+            "CompressionSpec",
             "DenseEmbeddingBag", "HashEmbeddingBag", "RobeEmbeddingBag",
             "PQEmbeddingBag", "TTEmbeddingBag", "EffTTEmbeddingBag",
             "BAG_CLASSES", "bag_class", "build_bag_from_spec",
@@ -66,7 +66,7 @@ def test_system_public_names():
             "SequentialPSTrainer", "PipelinedPSTrainer", "pipeline_schedule",
             "DataParallelTrainer", "ring_allreduce_time", "all2all_time",
             "allgather_time",
-            "Simulator", "Resource", "PipelineTrace", "simulate_pipeline_trace",
+            "Simulator",
         ]
     )
 
